@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federat
 COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/trace internal/admission
 COVER_FLOOR = 70
 
-.PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench wire-baseline overload overload-baseline fuzz coverage ci
+.PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci
 
 all: build lint test
 
@@ -86,30 +86,13 @@ determinism:
 		fi; \
 	done
 
-# Benchmark gate: first a 1x smoke that the benchmark harnesses still run,
-# then the in-process throughput checks against the committed baselines
-# (BENCH_engine.json, BENCH_wire.json, and BENCH_overload.json, -40%
-# tolerance each, plus the codec's 0 allocs/op encode contract and the
-# admission plane's 70%-goodput-at-10x floor). bench_check.json,
-# wire_check.json, and overload_check.json are the CI artifacts.
+# The repo's yardstick (BENCHMARK.json, benchmark/) is a Go module of its
+# own, outside `go build ./...`: vet and test it here so an internal rename
+# that breaks it fails CI. Its tests run every mode x workload once as a
+# smoke with the output checker (~6 s); measuring is `bash benchmark/run.sh`.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineThroughput|BenchmarkWireEncode' -benchtime 1x .
-	$(GO) run ./cmd/reactbench -check -check-out bench_check.json -wire-out wire_check.json -overload-out overload_check.json
-
-# Just the admission overload gate: replay BENCH_overload.json in virtual
-# time (deterministic — same numbers on any machine) and enforce the
-# goodput floor. docs/ADMISSION.md explains the experiment.
-overload:
-	$(GO) run ./cmd/reactbench -overload-check -overload-out overload_check.json
-
-# Re-measure the wire grid on this box and rewrite BENCH_wire.json.
-wire-baseline:
-	$(GO) run ./cmd/reactbench -wire-record
-
-# Re-run the virtual-time overload experiment and rewrite
-# BENCH_overload.json (bit-reproducible anywhere).
-overload-baseline:
-	$(GO) run ./cmd/reactbench -overload-record
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Short fuzz budgets over the frame codec and the journal decoder — the
 # nightly workflow's fast leg, runnable locally. FUZZTIME scales it.

@@ -6,7 +6,6 @@
 package react_test
 
 import (
-	"fmt"
 	"testing"
 
 	"react/internal/bipartite"
@@ -248,57 +247,13 @@ func BenchmarkAblationGreedyScanCost(b *testing.B) {
 	})
 }
 
-// ---- Engine throughput: the sharded scheduling engine under open load ----
-//
-// BenchmarkEngineThroughput pushes submit→assign→complete cycles through
-// internal/engine as fast as one driver goroutine can offer them, with 32
-// worker goroutines completing whatever they are handed. The interesting
-// variable is the task-store shard count: with a single shard every
-// completion, feedback, and status read serializes behind the same lock the
-// driver needs for submissions and batch snapshots, so workers fall behind,
-// the unassigned backlog climbs past the batch bound, and every scheduling
-// round pays the paper's Θ(V·E) greedy scan over an ever-larger graph —
-// contention compounds into quadratic matcher work, exactly the failure
-// mode a real-time platform cannot afford (§V.C's Greedy queue collapse is
-// the same feedback loop). Striping the bookkeeping lets completions drain
-// in parallel with batch construction, the backlog stays near the bound,
-// and the matcher only ever sees small graphs. The reported cycles/s is
-// end-to-end completed tasks per wall second; BENCH_engine.json records the
-// baseline (16 shards sustain >4x the single-shard rate on the reference
-// box).
-// The workload lives in experiments.RunEngineBench so `reactbench -check`
-// (the CI regression gate against BENCH_engine.json) measures exactly what
-// this benchmark measures.
-func benchEngineThroughput(b *testing.B, shards int) {
-	b.ResetTimer()
-	res, err := experiments.RunEngineBench(experiments.EngineBenchConfig{
-		Shards: shards,
-		Ops:    b.N,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(res.CyclesPerSec, "cycles/s")
-	b.ReportMetric(res.BatchesPerKop, "batches/kop")
-	b.ReportMetric(float64(res.Expired), "expired")
-}
-
-func BenchmarkEngineThroughput(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchEngineThroughput(b, shards)
-		})
-	}
-}
-
-// ---- Wire transport: framing cost and hot-path throughput ----
+// ---- Wire transport: framing cost ----
 //
 // BenchmarkWireEncode measures the pooled codec's steady state on the hot
 // frame shapes: encoding into a reused buffer must report 0 allocs/op —
-// the whole point of replacing encoding/json on the push path. The
-// reactbench allocs gate holds the same property in CI via
-// testing.AllocsPerRun.
+// the whole point of replacing encoding/json on the push path.
+// internal/wire's TestEncodeHotFramesZeroAllocs holds the same property in
+// tier-1 via testing.AllocsPerRun.
 func BenchmarkWireEncode(b *testing.B) {
 	frames := []struct {
 		name string
@@ -335,76 +290,8 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-// benchWire runs the shared wire workload (experiments.RunWireBench, the
-// same harness `reactbench -check` replays against BENCH_wire.json) and
-// reports delivered frames per wall second plus how well the server
-// coalesced. One op is one delivered frame, so b.N scales the run length.
-func benchWire(b *testing.B, shape string, conns int) {
-	frames := b.N/conns + 1 // delivered frames ≈ b.N for either shape
-	b.ResetTimer()
-	res, err := experiments.RunWireBench(experiments.WireBenchConfig{
-		Shape: shape, Conns: conns, Frames: frames,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(res.FramesPerSec, "frames/s")
-	b.ReportMetric(res.FramesPerFlush, "frames/flush")
-}
-
-func BenchmarkWireBroadcast(b *testing.B) {
-	for _, conns := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			benchWire(b, "broadcast", conns)
-		})
-	}
-}
-
-func BenchmarkWireRequestReply(b *testing.B) {
-	for _, conns := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			benchWire(b, "request-reply", conns)
-		})
-	}
-}
-
 func fullGraph(w, t int) *bipartite.Graph {
 	return bipartite.Full(w, t, func(i, j int) float64 {
 		return float64((i*31+j*17)%1000) / 1000
 	})
-}
-
-// BenchmarkAblationPortfolio runs the end-to-end scenario with 4 parallel
-// REACT searches per batch at the same modelled latency as one search,
-// isolating what free core-parallelism buys the deadline rate.
-func BenchmarkAblationPortfolio(b *testing.B) {
-	tech := experiments.PortfolioTechnique(4, 1000, 42)
-	var res experiments.ScenarioResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunScenario(experiments.ScenarioConfig{Technique: tech, Seed: 42})
-	}
-	b.ReportMetric(100*res.OnTimeFraction(), "ontime_pct")
-	b.ReportMetric(100*res.PositiveFraction(), "positive_pct")
-}
-
-// BenchmarkAblationWarmStart compares cold REACT against the greedy-seeded
-// hybrid at a budget too small to build a matching from scratch.
-func BenchmarkAblationWarmStart(b *testing.B) {
-	g := fullGraph(300, 300)
-	for _, mode := range []string{"cold", "warm"} {
-		b.Run(mode, func(b *testing.B) {
-			var weight float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, _ := matching.REACT{
-					Cycles:    1000,
-					WarmStart: mode == "warm",
-				}.Match(g)
-				weight = m.Weight()
-			}
-			b.ReportMetric(weight, "weight")
-		})
-	}
 }

@@ -7,27 +7,6 @@
 //
 //	reactbench -workers 1000 -tasks 1,10,100,1000 -cycles 1000,3000
 //	reactbench -workers 200 -tasks 200 -hungarian   # with optimality gaps
-//
-// With -check, it instead replays the committed benchmark baselines and
-// exits non-zero on regression — the CI throughput gate. Three gates run:
-// the engine gate (internal/experiments.RunEngineBench against
-// BENCH_engine.json, cycles/s per shard count), the wire gate
-// (internal/experiments.RunWireBench against BENCH_wire.json, delivered
-// frames/s per connection count plus the codec's 0 allocs/op encode
-// contract), and the overload gate
-// (internal/experiments.RunOverloadBench against BENCH_overload.json:
-// at 10x offered load with admission on, goodput must hold at >= 70% of
-// the 1x baseline and the unassigned pool must stay bounded):
-//
-//	reactbench -check -baseline BENCH_engine.json -tolerance 0.4 -check-out bench_check.json \
-//	    -wire-baseline BENCH_wire.json -wire-out wire_check.json \
-//	    -overload-baseline BENCH_overload.json -overload-out overload_check.json
-//
-// With -wire-record, it measures the wire grid and rewrites
-// -wire-baseline — how BENCH_wire.json is (re)produced on the reference
-// box. With -overload-record, it runs the virtual-time overload
-// experiment and rewrites -overload-baseline; that one is deterministic,
-// so any machine reproduces it bit-for-bit.
 package main
 
 import (
@@ -59,64 +38,7 @@ func main() {
 	cycles := flag.String("cycles", "1000,3000", "comma-separated cycle budgets for REACT/Metropolis")
 	seed := flag.Int64("seed", 42, "weight seed")
 	hungarian := flag.Bool("hungarian", false, "also run the exact O(n^3) solver and report optimality gaps")
-	check := flag.Bool("check", false, "regression-check engine throughput against -baseline instead of sweeping matchers")
-	baseline := flag.String("baseline", "BENCH_engine.json", "committed baseline for -check")
-	tolerance := flag.Float64("tolerance", 0.4, "allowed relative cycles/s deviation for -check")
-	checkOps := flag.Int("check-ops", 4000, "submit/complete cycles per shard configuration for -check")
-	checkOut := flag.String("check-out", "", "write the -check verdict as JSON to this file")
-	wireBaseline := flag.String("wire-baseline", "BENCH_wire.json", "committed wire baseline for -check / -wire-record")
-	wireOut := flag.String("wire-out", "", "write the wire -check verdict as JSON to this file")
-	wireRecord := flag.Bool("wire-record", false, "measure the wire grid and rewrite -wire-baseline instead of checking")
-	overloadBaseline := flag.String("overload-baseline", "BENCH_overload.json", "committed overload baseline for -check / -overload-record")
-	overloadOut := flag.String("overload-out", "", "write the overload -check verdict as JSON to this file")
-	overloadRecord := flag.Bool("overload-record", false, "run the virtual-time overload experiment and rewrite -overload-baseline instead of checking")
-	overloadCheck := flag.Bool("overload-check", false, "run only the overload admission gate against -overload-baseline")
 	flag.Parse()
-
-	if *wireRecord {
-		if err := runWireRecord(*wireBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *overloadRecord {
-		if err := runOverloadRecord(*overloadBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *overloadCheck {
-		if err := runOverloadCheck(*overloadBaseline, *tolerance, *overloadOut); err != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *check {
-		// Run every gate even when an earlier one fails: one CI pass should
-		// surface every regression, not the first one.
-		engineErr := runCheck(*baseline, *checkOps, *tolerance, *checkOut)
-		if engineErr != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", engineErr)
-		}
-		wireErr := runWireCheck(*wireBaseline, *tolerance, *wireOut)
-		if wireErr != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", wireErr)
-		}
-		overloadErr := runOverloadCheck(*overloadBaseline, *tolerance, *overloadOut)
-		if overloadErr != nil {
-			fmt.Fprintln(os.Stderr, "reactbench:", overloadErr)
-		}
-		if engineErr != nil || wireErr != nil || overloadErr != nil {
-			os.Exit(1)
-		}
-		return
-	}
 
 	taskCounts, err := parseInts(*tasks)
 	if err != nil {

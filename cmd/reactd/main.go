@@ -106,7 +106,6 @@ func main() {
 	threshold := flag.Float64("reassign-threshold", 0.1, "Eq.2 probability below which a task is reassigned")
 	monitorPeriod := flag.Duration("monitor-period", time.Second, "Eq.2 sweep period")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats logging period (0 disables)")
-	profiles := flag.String("profiles", "", "profile snapshot file: loaded at startup, saved at shutdown (single-region mode only)")
 	dataDir := flag.String("data-dir", "", "write-ahead journal directory: state recovered at startup, every mutation journaled (single-region mode only)")
 	fsyncInterval := flag.Duration("fsync-interval", 25*time.Millisecond, "group-commit window: the journal fsyncs at most this far behind the last acknowledged mutation")
 	retention := flag.Duration("retention", time.Hour, "how long terminal task records are kept for late feedback")
@@ -172,22 +171,12 @@ func main() {
 	var err error
 	if *grid != "" {
 		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
-		if *profiles != "" {
-			log.Print("reactd: -profiles is ignored in multi-region mode")
-			*profiles = ""
-		}
 		if *dataDir != "" {
 			log.Print("reactd: -data-dir is ignored in multi-region mode")
 			*dataDir = ""
 		}
 	} else {
 		if *dataDir != "" {
-			// The journal subsumes the profile snapshot: it recovers
-			// profiles and tasks and counters, continuously.
-			if *profiles != "" {
-				log.Print("reactd: -profiles is ignored when -data-dir journaling is on")
-				*profiles = ""
-			}
 			store, err = journal.Open(journal.Options{
 				Dir:           *dataDir,
 				FsyncInterval: *fsyncInterval,
@@ -247,20 +236,6 @@ func main() {
 		log.Printf("reactd: observability plane on http://%s (/metrics /statusz /trace.csv /debug/pprof/)", plane.Addr())
 	}
 
-	if *profiles != "" && srv.Core() != nil {
-		if f, err := os.Open(*profiles); err == nil {
-			n, err := srv.Core().LoadProfiles(f)
-			f.Close()
-			if err != nil {
-				log.Printf("reactd: loading profiles: %v (after %d workers)", err, n)
-			} else {
-				log.Printf("reactd: restored %d worker profiles from %s", n, *profiles)
-			}
-		} else if !os.IsNotExist(err) {
-			log.Printf("reactd: open profiles: %v", err)
-		}
-	}
-
 	if *statsEvery > 0 {
 		go func() {
 			ticker := time.NewTicker(*statsEvery)
@@ -284,13 +259,6 @@ func main() {
 			log.Printf("reactd: observability shutdown: %v", err)
 		}
 		cancel()
-	}
-	if *profiles != "" && srv.Core() != nil {
-		if err := saveProfiles(srv, *profiles); err != nil {
-			log.Printf("reactd: saving profiles: %v", err)
-		} else {
-			log.Printf("reactd: saved worker profiles to %s", *profiles)
-		}
 	}
 	if err := srv.Close(); err != nil {
 		log.Printf("reactd: close: %v", err)
@@ -335,23 +303,4 @@ func serveGrid(addr, gridSpec, areaSpec string, opts core.Options, ow *obsWiring
 		return s
 	})
 	return wire.ServeBackend(addr, coord, &relay)
-}
-
-// saveProfiles writes the snapshot atomically via a temp file rename.
-func saveProfiles(srv *wire.Server, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := srv.Core().SaveProfiles(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -107,18 +107,6 @@ func (m *Matching) Conflicts(e int32) []int32 {
 	return out
 }
 
-// SelectedEdges lists the indices of the selected edges in ascending
-// order, for callers that seed another matching from this one.
-func (m *Matching) SelectedEdges() []int32 {
-	out := make([]int32, 0, m.size)
-	for e, sel := range m.selected {
-		if sel {
-			out = append(out, int32(e))
-		}
-	}
-	return out
-}
-
 // Pairs lists the selected edges.
 func (m *Matching) Pairs() []Edge {
 	out := make([]Edge, 0, m.size)

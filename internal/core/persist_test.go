@@ -114,6 +114,9 @@ func TestPersistenceRoundtrip(t *testing.T) {
 	if _, err := srv2.ReconnectWorker("w1"); err != nil {
 		t.Fatalf("restored worker cannot reconnect: %v", err)
 	}
+	if _, err := srv2.ReconnectWorker("w1"); err == nil {
+		t.Fatal("second live connection for a reconnected worker accepted")
+	}
 	srv2.Stop()
 
 	// Second crash: the sweep that unassigned t2 must itself have been

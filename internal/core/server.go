@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -397,25 +396,10 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// SaveProfiles persists the profiling component (worker histories, models,
-// reward ranges) so a restarted server keeps its learned state rather than
-// re-training every worker through z tasks.
-func (s *Server) SaveProfiles(w io.Writer) error {
-	return s.eng.Workers().WriteSnapshot(w)
-}
-
-// LoadProfiles restores a previously saved profiling component. Restored
-// workers appear offline until they reconnect (RegisterWorker reuses their
-// history only through a fresh registry entry, so loading must precede
-// traffic; a loaded worker that re-registers by id is rejected as a
-// duplicate — deployments reconnect workers via ReconnectWorker).
-func (s *Server) LoadProfiles(r io.Reader) (int, error) {
-	return s.eng.Workers().ReadSnapshot(r)
-}
-
-// ReconnectWorker re-attaches a worker restored by LoadProfiles: it marks
-// the profile available again and opens a fresh assignment feed. Unknown
-// workers fall back to plain registration semantics via RegisterWorker.
+// ReconnectWorker re-attaches a known worker — recovered from the journal,
+// or detached earlier: it marks the profile available again and opens a
+// fresh assignment feed. Unknown workers fall back to plain registration
+// semantics via RegisterWorker.
 func (s *Server) ReconnectWorker(id string) (<-chan Assignment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

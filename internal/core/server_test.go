@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -275,64 +274,6 @@ func TestConcurrentSubmittersAndWorkers(t *testing.T) {
 	st := s.Stats()
 	if st.Completed != nTasks || st.OnTime != nTasks {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestProfilePersistenceAcrossRestart(t *testing.T) {
-	// First server: alice builds a history.
-	s1 := New(fastOptions())
-	s1.Start()
-	feed, _ := s1.RegisterWorker("alice", athens)
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("t%d", i)
-		s1.Submit(newTask(id, time.Minute))
-		a := <-feed
-		time.Sleep(5 * time.Millisecond)
-		if _, err := s1.Complete(a.TaskID, "alice", "ok"); err != nil {
-			t.Fatal(err)
-		}
-		s1.Feedback(a.TaskID, true)
-	}
-	var snapshot bytes.Buffer
-	if err := s1.SaveProfiles(&snapshot); err != nil {
-		t.Fatal(err)
-	}
-	s1.Stop()
-
-	// Second server: restore, reconnect, and the history is live.
-	s2 := New(fastOptions())
-	s2.Start()
-	defer s2.Stop()
-	n, err := s2.LoadProfiles(&snapshot)
-	if err != nil || n != 1 {
-		t.Fatalf("restored %d, %v", n, err)
-	}
-	p, ok := s2.Workers().Get("alice")
-	if !ok || p.Available() {
-		t.Fatal("restored worker should exist and be offline")
-	}
-	if acc, ok := p.Accuracy("traffic"); !ok || acc != 1 {
-		t.Fatalf("accuracy lost: %v, %v", acc, ok)
-	}
-	if _, ok := p.Model(3); !ok {
-		t.Fatal("execution model lost")
-	}
-	// Reconnect and receive work immediately with the trained profile.
-	feed2, err := s2.ReconnectWorker("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.ReconnectWorker("alice"); err == nil {
-		t.Fatal("double reconnect accepted")
-	}
-	s2.Submit(newTask("after-restart", time.Minute))
-	select {
-	case a := <-feed2:
-		if a.TaskID != "after-restart" {
-			t.Fatalf("assignment = %+v", a)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("restored worker never received work")
 	}
 }
 

@@ -115,8 +115,8 @@ func TestServerChurnUnderRace(t *testing.T) {
 			default:
 			}
 			_ = s.Stats()
-			if err := s.SaveProfiles(io.Discard); err != nil {
-				t.Errorf("SaveProfiles: %v", err)
+			if err := s.Workers().WriteSnapshot(io.Discard); err != nil {
+				t.Errorf("WriteSnapshot: %v", err)
 				return
 			}
 		}

@@ -185,14 +185,14 @@ type Engine struct {
 	// application, after the modelled latency for deferred — so rounds
 	// never overlap even though hooks and application run unlocked.
 	batchMu  sync.Mutex
-	trigger  *schedule.Trigger
+	lastRun  time.Time // when the last round ran; the period half of the trigger
 	inFlight bool
 
 	ctr counters
 }
 
 // New creates an engine. The first batch is considered due immediately
-// (the trigger's last run is backdated one period).
+// (lastRun is backdated one period).
 func New(cfg Config, hooks Hooks) *Engine {
 	cfg = cfg.normalize()
 	e := &Engine{
@@ -201,7 +201,7 @@ func New(cfg Config, hooks Hooks) *Engine {
 		workers: profile.NewRegistry(),
 		tasks:   NewTaskStore(cfg.Clock, cfg.Shards),
 		bus:     event.NewBus(),
-		trigger: schedule.NewTrigger(cfg.Schedule, cfg.Clock.Now()),
+		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 	}
 	// Lifecycle events flow shard sink → spine bus. The sink fires under
 	// the shard's lock, so the bus stamps Seq before any second mutation
@@ -449,6 +449,18 @@ func (e *Engine) TickMonitor() {
 	}
 }
 
+// binding is one matcher proposal: give taskID to workerID.
+type binding struct{ taskID, workerID string }
+
+// round is one planned scheduling round: the matcher's proposals in apply
+// order (sorted by task id — the harness's exec-time RNG stream depends on
+// it) and the summary published on the spine. stats.Latency is the
+// modelled charge a deferred apply waits out.
+type round struct {
+	bindings []binding
+	stats    event.BatchStats
+}
+
 // TryBatch runs one scheduling round if the trigger is due: snapshot the
 // available workers and unassigned tasks, build the Eq. 3 graph, match it,
 // and apply the assignments. With Config.Defer set, application is
@@ -456,8 +468,8 @@ func (e *Engine) TickMonitor() {
 // flight at a time; the deferred apply re-arms the trigger check so a
 // backlog that built up during the charge drains immediately.
 func (e *Engine) TryBatch() {
-	assignments, byID, stats, latency, ok := e.planBatch()
-	if !ok {
+	r := e.planBatch()
+	if r == nil {
 		return
 	}
 	// The round summary publishes with no engine lock held: a tap is free
@@ -465,126 +477,125 @@ func (e *Engine) TryBatch() {
 	// the inFlight gate makes that a no-op) without deadlocking, and a
 	// slow subscriber can never stall the trigger check. reactlint's
 	// hookreentrancy analyzer enforces this.
-	e.bus.Publish(event.Event{Kind: event.KindBatch, At: e.cfg.Clock.Now(), Batch: &stats})
+	e.bus.Publish(event.Event{Kind: event.KindBatch, At: e.cfg.Clock.Now(), Batch: &r.stats})
 	if e.cfg.Defer != nil {
-		e.cfg.Defer(latency, e.deferredApply(assignments, byID))
+		// Land the postponed round, then re-check the trigger for backlog
+		// that accumulated while the modelled matcher ran.
+		e.cfg.Defer(r.stats.Latency, func(time.Time) {
+			e.finishRound(r.bindings)
+			e.TryBatch()
+		})
 		return
 	}
-	e.applyAssignments(assignments, byID)
+	e.finishRound(r.bindings)
+}
+
+// planBatch is the locked half of TryBatch — trigger → prune (Eq. 3) →
+// match, all under batchMu. A round is never due with nothing unassigned;
+// otherwise it is due once the backlog exceeds BatchBound or a
+// BatchPeriod has passed since the last one (§IV.A). When a round is
+// produced, inFlight is set before the lock is released so concurrent
+// TryBatch calls stay no-ops until the round is applied; nil means no
+// round ran.
+func (e *Engine) planBatch() *round {
+	e.batchMu.Lock()
+	defer e.batchMu.Unlock()
+	if e.inFlight {
+		return nil
+	}
+	now := e.cfg.Clock.Now()
+	sc := e.cfg.Schedule
+	n := e.tasks.UnassignedCount()
+	if n == 0 || (n <= sc.BatchBound && now.Before(e.lastRun.Add(sc.BatchPeriod))) {
+		return nil
+	}
+	avail := e.workers.Available()
+	unassigned := e.tasks.Unassigned()
+	if len(avail) == 0 || len(unassigned) == 0 {
+		return nil
+	}
+	g, build := schedule.BuildGraph(sc, avail, unassigned, now)
+	if g == nil {
+		return nil // construction bug; skip the round rather than wedge the host
+	}
+	//lint:ignore clockdiscipline,clocktaint Elapsed reports the matcher's real wall time (Fig. 3/8 accounting), not simulated time; it never feeds a scheduling decision
+	start := time.Now()
+	match, ms := e.cfg.Matcher.Match(g)
+	//lint:ignore clockdiscipline,clocktaint see above: a real measurement by design
+	elapsed := time.Since(start)
+	e.lastRun = now
+	e.ctr.batches.Add(1)
+	e.ctr.matcherNs.Add(int64(elapsed))
+
+	pairs := match.Pairs()
+	r := &round{
+		bindings: make([]binding, len(pairs)),
+		stats: event.BatchStats{
+			Workers:      len(avail),
+			Tasks:        len(unassigned),
+			Edges:        build.Edges,
+			PrunedProb:   build.PrunedProb,
+			PrunedReward: build.PrunedReward,
+			Cycles:       ms.Cycles,
+			Assignments:  len(pairs),
+			Elapsed:      elapsed,
+		},
+	}
+	if e.cfg.Latency != nil {
+		r.stats.Latency = e.cfg.Latency(len(unassigned), len(avail), build.Edges, ms.Cycles)
+	}
+	for i, p := range pairs {
+		r.bindings[i] = binding{taskID: g.TaskID(p.Task), workerID: g.WorkerID(p.Worker)}
+	}
+	sort.Slice(r.bindings, func(i, j int) bool { return r.bindings[i].taskID < r.bindings[j].taskID })
+	e.inFlight = true
+	return r
+}
+
+// finishRound applies a planned round and reopens the in-flight gate.
+func (e *Engine) finishRound(bindings []binding) {
+	e.applyAssignments(bindings)
 	e.batchMu.Lock()
 	e.inFlight = false
 	e.batchMu.Unlock()
 }
 
-// planBatch is the locked half of TryBatch: check the trigger, snapshot
-// workers and tasks, and run the matcher, all under batchMu. When a round
-// is produced, inFlight is set before the lock is released so concurrent
-// TryBatch calls stay no-ops until the round is applied.
-func (e *Engine) planBatch() (assignments map[string]string, byID map[string]taskq.Task, stats event.BatchStats, latency time.Duration, ok bool) {
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	if e.inFlight {
-		return nil, nil, event.BatchStats{}, 0, false
-	}
-	now := e.cfg.Clock.Now()
-	if !e.trigger.Due(e.tasks.UnassignedCount(), now) {
-		return nil, nil, event.BatchStats{}, 0, false
-	}
-	avail := e.workers.Available()
-	unassigned := e.tasks.Unassigned()
-	if len(avail) == 0 || len(unassigned) == 0 {
-		return nil, nil, event.BatchStats{}, 0, false
-	}
-	batch, err := schedule.Run(e.cfg.Schedule, e.cfg.Matcher, avail, unassigned, now)
-	if err != nil {
-		return nil, nil, event.BatchStats{}, 0, false // construction bug; skip the round rather than wedge the host
-	}
-	e.trigger.Ran(now)
-	e.ctr.batches.Add(1)
-	e.ctr.matcherNs.Add(int64(batch.Elapsed))
-	if e.cfg.Latency != nil {
-		latency = e.cfg.Latency(len(unassigned), len(avail), batch.Build.Edges, batch.Match.Cycles)
-	}
-	stats = event.BatchStats{
-		Workers:      len(avail),
-		Tasks:        len(unassigned),
-		Edges:        batch.Build.Edges,
-		PrunedProb:   batch.Build.PrunedProb,
-		PrunedReward: batch.Build.PrunedReward,
-		Cycles:       batch.Match.Cycles,
-		Assignments:  len(batch.Assignments),
-		Elapsed:      batch.Elapsed,
-		Latency:      latency,
-	}
-	byID = make(map[string]taskq.Task, len(unassigned))
-	for _, t := range unassigned {
-		byID[t.ID] = t
-	}
-	e.inFlight = true
-	return batch.Assignments, byID, stats, latency, true
-}
-
-// deferredApply builds the callback that lands a postponed batch: apply,
-// clear the in-flight gate, and re-check the trigger for backlog that
-// accumulated while the modelled matcher ran.
-func (e *Engine) deferredApply(assignments map[string]string, byID map[string]taskq.Task) func(time.Time) {
-	return func(time.Time) {
-		e.applyAssignments(assignments, byID)
-		e.batchMu.Lock()
-		e.inFlight = false
-		e.batchMu.Unlock()
-		e.TryBatch()
-	}
-}
-
 // applyAssignments binds matcher output to live state. Runs with no
 // engine lock held — the inFlight gate serializes rounds, and the task
 // and worker stores carry their own locks — so the Deliver hook may
-// re-enter the engine freely. Sorted order keeps downstream consumers
-// (the harness's exec-time RNG stream) deterministic; map iteration
-// order would not be.
-func (e *Engine) applyAssignments(assignments map[string]string, byID map[string]taskq.Task) {
-	taskIDs := make([]string, 0, len(assignments))
-	for taskID := range assignments {
-		taskIDs = append(taskIDs, taskID)
-	}
-	sort.Strings(taskIDs)
-	for _, taskID := range taskIDs {
-		workerID := assignments[taskID]
-		rec, ok := e.tasks.Get(taskID)
-		if !ok || rec.Status != taskq.Unassigned {
-			continue // expired or re-bound while the matcher ran
-		}
-		p, ok := e.workers.Get(workerID)
+// re-enter the engine freely.
+func (e *Engine) applyAssignments(bindings []binding) {
+	for _, b := range bindings {
+		p, ok := e.workers.Get(b.workerID)
 		if !ok || !p.Available() {
 			continue // worker detached after the snapshot
 		}
-		if err := e.tasks.Assign(taskID, workerID); err != nil {
-			continue
+		if err := e.tasks.Assign(b.taskID, b.workerID); err != nil {
+			continue // expired or re-bound while the matcher ran
 		}
-		task := byID[taskID]
-		rec, _ = e.tasks.Get(taskID)
+		rec, _ := e.tasks.Get(b.taskID)
+		t := rec.Task
 		a := Assignment{
-			TaskID:      taskID,
-			WorkerID:    workerID,
-			Category:    task.Category,
-			Description: task.Description,
-			Location:    task.Location,
-			Deadline:    task.Deadline,
-			Reward:      task.Reward,
+			TaskID:      b.taskID,
+			WorkerID:    b.workerID,
+			Category:    t.Category,
+			Description: t.Description,
+			Location:    t.Location,
+			Deadline:    t.Deadline,
+			Reward:      t.Reward,
 			AssignedAt:  rec.AssignedAt,
 		}
 		// Mark busy BEFORE the assignment becomes visible to the transport:
 		// a fast worker may Complete the task (and clear the busy mark)
 		// before this call returns, and marking busy afterwards would wedge
 		// the worker permanently.
-		p.MarkBusy(taskID)
+		p.MarkBusy(b.taskID)
 		if e.hooks.Deliver != nil && !e.hooks.Deliver(a) {
 			// Transport refused (feed full, worker detached mid-delivery):
 			// revoke. The detach path may already have unassigned and idled,
 			// so both cleanups tolerate a no-op.
-			e.tasks.Unassign(taskID, taskq.CauseUndeliverable, 0)
-			if p.CurrentTask() == taskID {
+			e.tasks.Unassign(b.taskID, taskq.CauseUndeliverable, 0)
+			if p.CurrentTask() == b.taskID {
 				p.MarkIdle()
 			}
 			continue

@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"react/internal/clock"
+	"react/internal/event"
 	"react/internal/matching"
 	"react/internal/region"
 	"react/internal/schedule"
@@ -263,6 +265,96 @@ func TestFeedbackNoWorker(t *testing.T) {
 	}
 	if rec, _ := h.eng.Tasks().Get("t-done"); rec.Graded {
 		t.Fatal("rejected feedback still consumed the grade")
+	}
+}
+
+// TestTrigger walks the batch trigger's boundaries (§IV.A): never due with
+// nothing unassigned; the first round due at once; afterwards due only when
+// the backlog exceeds BatchBound or a full BatchPeriod has passed.
+func TestTrigger(t *testing.T) {
+	h := newHarness(t, Hooks{}, 1) // BatchBound 10, BatchPeriod 1s
+	for w := 0; w < 32; w++ {
+		mustAttach(t, h.eng, fmt.Sprintf("w%02d", w))
+	}
+	submitted := 0
+	steps := []struct {
+		name    string
+		advance time.Duration
+		submit  int
+		batches int64 // rounds run so far, after this step's TryBatch
+	}{
+		{"nothing unassigned never triggers", time.Hour, 0, 0},
+		{"first round is due at once", 0, 1, 1},
+		{"below the bound and before the period", 200 * time.Millisecond, 10, 1},
+		{"backlog over the bound triggers immediately", 0, 1, 2},
+		{"one nanosecond short of a period", time.Second - time.Nanosecond, 1, 2},
+		{"a full period triggers even a small backlog", time.Nanosecond, 0, 3},
+	}
+	for _, st := range steps {
+		h.clk.Advance(st.advance)
+		for i := 0; i < st.submit; i++ {
+			mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", submitted), h.clk))
+			submitted++
+		}
+		h.eng.TryBatch()
+		h.flush()
+		if got := h.eng.Stats().Batches; got != st.batches {
+			t.Fatalf("%s: batches = %d, want %d", st.name, got, st.batches)
+		}
+	}
+}
+
+// TestRunBatchEndToEnd runs one round over two seasoned workers of
+// different quality and one task: Greedy must pick the better worker, REACT
+// must deliver a valid assignment, and the round summary on the spine must
+// carry the build and match figures.
+func TestRunBatchEndToEnd(t *testing.T) {
+	for _, m := range []matching.Matcher{
+		matching.Greedy{},
+		matching.REACT{Cycles: 200, Rand: rand.New(rand.NewSource(1))},
+	} {
+		clk := clock.NewVirtual(testEpoch)
+		var delivered []Assignment
+		eng := New(Config{Clock: clk, Matcher: m, Shards: 1}, Hooks{
+			Deliver: func(a Assignment) bool { delivered = append(delivered, a); return true },
+		})
+		var rounds []event.BatchStats
+		eng.Events().Tap(func(ev event.Event) {
+			if ev.Kind == event.KindBatch {
+				rounds = append(rounds, *ev.Batch)
+			}
+		})
+		for id, positives := range map[string]int{"good": 4, "poor": 1} { // quality 1.0 vs 0.25
+			p, err := eng.AttachWorker(id, region.Point{Lat: 38.0, Lon: 23.7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, secs := range []float64{4, 5, 6, 5} {
+				p.RecordCompletion("photo", secs, i < positives)
+			}
+		}
+		task := testTask("t1", clk)
+		task.Description = "tag the photo"
+		mustSubmit(t, eng, task)
+		eng.TryBatch()
+
+		if len(delivered) != 1 || delivered[0].TaskID != "t1" {
+			t.Fatalf("%s delivered %+v, want exactly t1", m.Name(), delivered)
+		}
+		a := delivered[0]
+		if m.Name() == "greedy" && a.WorkerID != "good" {
+			t.Fatalf("greedy picked %q, want good", a.WorkerID)
+		}
+		if a.Category != task.Category || a.Description != task.Description || a.Location != task.Location ||
+			!a.Deadline.Equal(task.Deadline) || a.Reward != task.Reward || !a.AssignedAt.Equal(clk.Now()) {
+			t.Fatalf("%s assignment %+v does not carry task %+v", m.Name(), a, task)
+		}
+		if len(rounds) != 1 {
+			t.Fatalf("%s published %d round summaries, want 1", m.Name(), len(rounds))
+		}
+		if r := rounds[0]; r.Workers != 2 || r.Tasks != 1 || r.Edges != 2 || r.Assignments != 1 || r.Elapsed < 0 {
+			t.Fatalf("%s round = %+v", m.Name(), r)
+		}
 	}
 }
 

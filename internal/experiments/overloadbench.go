@@ -27,10 +27,9 @@ const (
 )
 
 // OverloadBenchConfig shapes the three-arm overload experiment behind
-// `make overload` and `reactbench -check`. Everything runs in virtual
-// time on one goroutine, so the recorded numbers are bit-identical
-// across machines — the CI gate compares exact behaviour, not wall
-// clocks.
+// TestOverloadBenchAdmissionProtectsGoodput. Everything runs in virtual
+// time on one goroutine, so the numbers are bit-identical across machines
+// — the test compares exact behaviour, not wall clocks.
 type OverloadBenchConfig struct {
 	Workers        int           // simulated fleet size (default 20)
 	Duration       time.Duration // virtual run length (default 60s)
@@ -108,7 +107,7 @@ type OverloadBenchResult struct {
 	OverloadOn  OverloadArmResult `json:"overload_on"`
 
 	// GoodputRatioOff/On compare the overload arms' goodput to the 1x
-	// baseline's. The CI gate requires On >= 0.7: an admission-protected
+	// baseline's. The tier-1 test requires On >= 0.7: an admission-protected
 	// region at 10x offered load must keep at least 70% of its unloaded
 	// goodput.
 	GoodputRatioOff float64 `json:"goodput_ratio_off"`

@@ -131,26 +131,3 @@ func (t Technique) ScheduleConfig(batchBound int, batchPeriod time.Duration) sch
 		NoPruning:   t.NoPruning,
 	}
 }
-
-// PortfolioTechnique runs k parallel REACT searches per batch and keeps the
-// best matching. The modelled latency charges only ONE search's time — the
-// searches run on idle cores — so the ablation isolates what free
-// parallelism buys: better matchings at identical virtual cost.
-func PortfolioTechnique(searches, cycles int, seed int64) Technique {
-	if cycles <= 0 {
-		cycles = matching.DefaultCycles
-	}
-	if searches <= 0 {
-		searches = 4
-	}
-	return Technique{
-		Name:       "react-portfolio",
-		Matcher:    matching.Portfolio{Searches: searches, Cycles: cycles, Seed: seed},
-		UseMonitor: true,
-		Cost: func(tasks, workers, edges, c int) time.Duration {
-			// c aggregates all searches' cycles; wall time is one search.
-			perSearch := c / searches
-			return time.Duration(perSearch) * time.Duration(edges) * IterCycleCost
-		},
-	}
-}

@@ -155,8 +155,9 @@ func (ts *taintState) litReadsSource(n *cgNode) bool {
 // source. A //lint:ignore clocktaint directive on the call's line (or
 // the line above) sanctions the read — a sanctioned source does not
 // taint its downstream flows, so an intentional wall measurement (e.g.
-// schedule.Run's Elapsed accounting) does not cascade through every
-// caller. Consulting the directive marks it used for staleness.
+// engine's Elapsed accounting around the matcher call) does not cascade
+// through every caller. Consulting the directive marks it used for
+// staleness.
 func (ts *taintState) sourceCall(tp *TypedPackage, call *ast.CallExpr) bool {
 	fn := calleeFunc(tp, call)
 	if fn == nil || !ts.isSource(tp, fn) {

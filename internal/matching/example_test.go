@@ -32,21 +32,3 @@ func Example() {
 	// react:  alice
 	// weight: react 1.7 vs optimal 1.7
 }
-
-// The cardinality ceiling tells the scheduler whether unmatched tasks are a
-// budget problem (REACT matched fewer than possible) or a pruning problem
-// (nobody could match more).
-func ExampleHopcroftKarp() {
-	// Three tasks all depend on the same single worker: only one is
-	// assignable no matter the algorithm.
-	b := bipartite.NewBuilder(1, 3)
-	b.AddWorker("solo")
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("t%d", i)
-		b.AddTask(id)
-		b.AddEdge("solo", id, 0.5)
-	}
-	ceiling, _ := matching.HopcroftKarp{}.Match(b.Build())
-	fmt.Println("assignable:", ceiling.Size(), "of 3")
-	// Output: assignable: 1 of 3
-}

@@ -373,38 +373,3 @@ func BenchmarkHungarian100x100(b *testing.B) {
 		Hungarian{}.Match(g)
 	}
 }
-
-func TestREACTWarmStartDominatesColdAtSmallBudgets(t *testing.T) {
-	// With a budget far too small to build a matching from scratch, the
-	// warm-started search keeps the greedy seed's weight; the cold search
-	// cannot catch up.
-	g := bipartite.Full(200, 200, func(w, tk int) float64 {
-		return rand.New(rand.NewSource(int64(w*211 + tk))).Float64()
-	})
-	var warmTotal, coldTotal float64
-	for seed := int64(0); seed < 3; seed++ {
-		warm, _ := REACT{Cycles: 500, WarmStart: true, Rand: rand.New(rand.NewSource(seed))}.Match(g)
-		if err := warm.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		cold, _ := REACT{Cycles: 500, Rand: rand.New(rand.NewSource(seed))}.Match(g)
-		warmTotal += warm.Weight()
-		coldTotal += cold.Weight()
-	}
-	if warmTotal <= coldTotal {
-		t.Fatalf("warm-start total %v not above cold %v", warmTotal, coldTotal)
-	}
-}
-
-func TestREACTWarmStartNearGreedySeed(t *testing.T) {
-	g := bipartite.Full(80, 80, func(w, tk int) float64 {
-		return rand.New(rand.NewSource(int64(w*83 + tk))).Float64()
-	})
-	seedMatch, _ := GreedyIndexed{}.Match(g)
-	warm, _ := REACT{Cycles: 2000, WarmStart: true, Rand: rand.New(rand.NewSource(4))}.Match(g)
-	// The annealed removals may trade a little weight transiently, but the
-	// final result should stay in the seed's neighbourhood or above.
-	if warm.Weight() < 0.9*seedMatch.Weight() {
-		t.Fatalf("warm-start %v fell far below its seed %v", warm.Weight(), seedMatch.Weight())
-	}
-}

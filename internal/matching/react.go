@@ -27,18 +27,6 @@ type REACT struct {
 	K        float64    // acceptance constant (0 → MaxWeight/4)
 	Rand     *rand.Rand // RNG; nil → deterministic default
 	Adaptive bool       // scale cycles to the edge count (overrides Cycles)
-	// Anneal decays the acceptance constant linearly from K to ~0 across
-	// the cycle budget — a full simulated-annealing schedule instead of the
-	// paper's fixed K. Early cycles escape local optima; late cycles
-	// converge instead of undoing good edges. The ablation bench quantifies
-	// the effect.
-	Anneal bool
-	// WarmStart seeds the search state with the Θ(E) indexed-greedy
-	// matching instead of the empty state, so the random flips refine a
-	// good solution rather than build one from nothing. This hybrid trades
-	// one cheap deterministic pass for a large head start when the cycle
-	// budget is small relative to the graph.
-	WarmStart bool
 }
 
 // Name implements Matcher.
@@ -61,29 +49,15 @@ func (a REACT) Match(g *bipartite.Graph) (*bipartite.Matching, Stats) {
 	rng := rngOrDefault(a.Rand)
 	var st Stats
 	st.Cycles = cycles
-	if a.WarmStart {
-		seed, gs := GreedyIndexed{}.Match(g)
-		st.EdgesScanned += gs.EdgesScanned
-		for _, ei := range seed.SelectedEdges() {
-			m.Add(ei) // conflict-free by construction
-			st.Adds++
-		}
-	}
 
 	for loop := 0; loop < cycles; loop++ {
-		kNow := k
-		if a.Anneal {
-			// Linear cooling; the floor keeps Exp finite at the last cycle.
-			frac := 1 - float64(loop)/float64(cycles)
-			kNow = k*frac + 1e-12
-		}
 		ei := int32(rng.Intn(e))
 		edge := g.Edge(int(ei))
 		if m.Selected(ei) {
 			// Flipping 1→0 lowers g by the edge weight: accept with the
 			// annealing probability (weights are non-negative, so this is
 			// never an uphill move).
-			if edge.Weight <= 0 || rng.Float64() <= math.Exp(-edge.Weight/kNow) {
+			if edge.Weight <= 0 || rng.Float64() <= math.Exp(-edge.Weight/k) {
 				m.Remove(ei)
 				st.Removes++
 				if edge.Weight > 0 {

@@ -34,10 +34,12 @@ func Example() {
 		{ID: "normal", Deadline: now.Add(2 * time.Minute), Category: "traffic"},
 	}
 
-	batch, _ := schedule.Run(schedule.Config{}, matching.Greedy{}, reg.Available(), tasks, now)
-	fmt.Printf("urgent → %s\n", batch.Assignments["urgent"])
-	fmt.Printf("normal → %s\n", batch.Assignments["normal"])
-	fmt.Printf("edges built: %d, pruned by Eq.3: %d\n", batch.Build.Edges, batch.Build.PrunedProb)
+	g, build := schedule.BuildGraph(schedule.Config{}, reg.Available(), tasks, now)
+	match, _ := matching.Greedy{}.Match(g)
+	assigned := match.Assignments()
+	fmt.Printf("urgent → %s\n", assigned["urgent"])
+	fmt.Printf("normal → %s\n", assigned["normal"])
+	fmt.Printf("edges built: %d, pruned by Eq.3: %d\n", build.Edges, build.PrunedProb)
 	// Output:
 	// urgent → fast
 	// normal → slow

@@ -1,21 +1,18 @@
-// Package schedule is REACT's Scheduling Component (§III.A, §IV.A). Per
-// batch it (1) snapshots the unassigned tasks and available workers,
-// (2) constructs the weighted bipartite graph — instantiating an edge
-// (worker_i, task_j) only when the worker's fitted power-law model says
-// Pr(ExecTime_ij < TimeToDeadline_ij) clears the application bound (Eq. 3),
-// applying the trainee rule and the optional reward-range filter — and
-// (3) hands the graph to a matching algorithm, returning the assignments.
-//
-// Batches trigger periodically or as soon as the number of unassigned tasks
-// exceeds a bound, whichever comes first, exactly as §IV.A prescribes.
+// Package schedule is the graph-construction half of REACT's Scheduling
+// Component (§III.A, §IV.A): from one batch's snapshot of unassigned tasks
+// and available workers it builds the weighted bipartite graph —
+// instantiating an edge (worker_i, task_j) only when the worker's fitted
+// power-law model says Pr(ExecTime_ij < TimeToDeadline_ij) clears the
+// application bound (Eq. 3), applying the trainee rule and the optional
+// reward-range filter — and defines the weight functions and the batching
+// knobs (Config). The round itself — trigger, match, apply — is
+// internal/engine's.
 package schedule
 
 import (
-	"fmt"
 	"time"
 
 	"react/internal/bipartite"
-	"react/internal/matching"
 	"react/internal/profile"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -201,60 +198,4 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		}
 	}
 	return b.Build(), st
-}
-
-// Trigger decides when to run a batch.
-type Trigger struct {
-	cfg     Config
-	lastRun time.Time
-}
-
-// NewTrigger creates a trigger that considers the first batch due
-// immediately.
-func NewTrigger(cfg Config, now time.Time) *Trigger {
-	cfg = cfg.Normalize()
-	return &Trigger{cfg: cfg, lastRun: now.Add(-cfg.BatchPeriod)}
-}
-
-// Due reports whether a batch should run now: the unassigned backlog
-// exceeds the bound, or a full period elapsed since the last run.
-func (tr *Trigger) Due(unassigned int, now time.Time) bool {
-	if unassigned <= 0 {
-		return false
-	}
-	return unassigned > tr.cfg.BatchBound || !now.Before(tr.lastRun.Add(tr.cfg.BatchPeriod))
-}
-
-// Ran records that a batch executed at now.
-func (tr *Trigger) Ran(now time.Time) { tr.lastRun = now }
-
-// Batch runs one scheduling round: build the graph from the given
-// snapshots, match it, and return task→worker assignments.
-type Batch struct {
-	Assignments map[string]string
-	Build       BuildStats
-	Match       matching.Stats
-	Weight      float64
-	Elapsed     time.Duration // matcher wall time, for Fig. 3/8-style accounting
-}
-
-// Run executes a batch with the provided matcher. The caller applies the
-// returned assignments to the task manager and worker profiles.
-func Run(cfg Config, m matching.Matcher, workers []*profile.Profile, tasks []taskq.Task, now time.Time) (Batch, error) {
-	g, bs := BuildGraph(cfg, workers, tasks, now)
-	if g == nil {
-		return Batch{}, fmt.Errorf("schedule: graph construction failed (%d workers, %d tasks)", len(workers), len(tasks))
-	}
-	//lint:ignore clockdiscipline,clocktaint Elapsed reports the matcher's real wall time (Fig. 3/8 accounting), not simulated time; it never feeds a scheduling decision
-	start := time.Now()
-	match, ms := m.Match(g)
-	//lint:ignore clockdiscipline,clocktaint see above: a real measurement by design
-	elapsed := time.Since(start)
-	return Batch{
-		Assignments: match.Assignments(),
-		Build:       bs,
-		Match:       ms,
-		Weight:      match.Weight(),
-		Elapsed:     elapsed,
-	}, nil
 }

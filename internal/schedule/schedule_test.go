@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"react/internal/clock"
-	"react/internal/matching"
 	"react/internal/profile"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -191,63 +190,6 @@ func TestBuildGraphEmptyInputs(t *testing.T) {
 	}
 	if st.Edges != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestTrigger(t *testing.T) {
-	cfg := Config{BatchBound: 10, BatchPeriod: 5 * time.Second}
-	now := clock.Epoch
-	tr := NewTrigger(cfg, now)
-	// First batch is due as soon as any task waits (period pre-elapsed).
-	if !tr.Due(1, now) {
-		t.Fatal("first batch not due")
-	}
-	tr.Ran(now)
-	if tr.Due(5, now.Add(time.Second)) {
-		t.Fatal("batch due below bound and before period")
-	}
-	// Backlog over the bound triggers immediately.
-	if !tr.Due(11, now.Add(time.Second)) {
-		t.Fatal("batch not due with backlog over bound")
-	}
-	// Period elapsed triggers even a small backlog.
-	if !tr.Due(1, now.Add(5*time.Second)) {
-		t.Fatal("batch not due after a full period")
-	}
-	// Zero backlog never triggers.
-	if tr.Due(0, now.Add(time.Hour)) {
-		t.Fatal("batch due with nothing to assign")
-	}
-}
-
-func TestRunBatchEndToEnd(t *testing.T) {
-	// Two seasoned workers with different quality; one task. The REACT
-	// matcher should deliver a valid assignment to one of them, and greedy
-	// should pick the better one.
-	good := seasonedWorker("good", []float64{4, 5, 6, 5}, 4) // quality 1.0
-	poor := seasonedWorker("poor", []float64{4, 5, 6, 5}, 1) // quality 0.25
-	now := clock.Epoch
-	tasks := []taskq.Task{task("t1", 2*time.Minute, now)}
-	b, err := Run(Config{}, matching.Greedy{}, []*profile.Profile{good, poor}, tasks, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Assignments["t1"] != "good" {
-		t.Fatalf("greedy picked %q", b.Assignments["t1"])
-	}
-	if b.Build.Edges != 2 || b.Weight != 1.0 {
-		t.Fatalf("batch = %+v", b)
-	}
-	rb, err := Run(Config{}, matching.REACT{Cycles: 200, Rand: rand.New(rand.NewSource(1))},
-		[]*profile.Profile{good, poor}, tasks, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rb.Assignments) != 1 {
-		t.Fatalf("REACT assigned %d tasks", len(rb.Assignments))
-	}
-	if rb.Elapsed < 0 {
-		t.Fatal("negative elapsed")
 	}
 }
 

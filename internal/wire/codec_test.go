@@ -237,3 +237,42 @@ func TestEncodeFramePoolReuse(t *testing.T) {
 		fb2.release()
 	}
 }
+
+// TestEncodeHotFramesZeroAllocs holds the codec's steady-state contract:
+// encoding the frames the hot path is made of (the same four
+// BenchmarkWireEncode measures) into a recycled buffer — what encodeFrame
+// hands AppendFrame once the pool is warm — must never touch the heap.
+// One alloc here means someone reintroduced a fmt/reflect path on the
+// frame hot loop.
+func TestEncodeHotFramesZeroAllocs(t *testing.T) {
+	frames := []struct {
+		name string
+		m    Message
+	}{
+		{"assignment", Message{Type: "assignment", Assignment: &AssignmentPayload{
+			TaskID: "t00001234", WorkerID: "w042", Category: "traffic",
+			Description: "is the on-ramp at exit 14 jammed?",
+			Lat:         37.9838, Lon: 23.7275, DeadlineMS: 60000, Reward: 0.25,
+		}}},
+		{"submit", Message{Type: "submit", Seq: 7, Task: &TaskPayload{
+			ID: "t00001234", Lat: 37.9838, Lon: 23.7275, DeadlineMS: 60000,
+			Reward: 0.25, Category: "traffic", Description: "is the on-ramp at exit 14 jammed?",
+		}}},
+		{"result", Message{Type: "result", Result: &ResultPayload{
+			TaskID: "t00001234", WorkerID: "w042", Answer: "yes, jammed", MetDeadline: true,
+		}}},
+		{"event", Message{Type: "event", Event: &EventPayload{
+			Seq: 991, Kind: "complete", TaskID: "t00001234", Worker: "w042",
+			AtUnixMS: 1754550000123, Status: "completed", MetDeadline: true, Attempts: 1,
+		}}},
+	}
+	for _, f := range frames {
+		fb := encodeFrame(&f.m) // sized by the pool, as on the hot path
+		if allocs := testing.AllocsPerRun(1000, func() {
+			fb.b = AppendFrame(fb.b[:0], &f.m)
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op on steady-state encode, want 0", f.name, allocs)
+		}
+		fb.release()
+	}
+}

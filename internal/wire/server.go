@@ -400,7 +400,7 @@ func (c *conn) handle(m *Message) {
 		}
 		feed, err := s.backend.RegisterWorker(m.Worker, region.Point{Lat: m.Lat, Lon: m.Lon})
 		if errors.Is(err, profile.ErrDuplicateWorker) {
-			// A worker restored from a profile snapshot (or one whose old
+			// A worker recovered from the journal (or one whose old
 			// connection died without teardown) reconnects under its id and
 			// keeps its learned history; a second *live* connection is
 			// still rejected by ReconnectWorker.
@@ -644,18 +644,20 @@ func (c *conn) teardown() {
 	delete(s.conns, c)
 	closed := s.closed
 	s.mu.Unlock()
+	if c.worker != "" && !closed {
+		// A vanished worker's held task goes back to the pool; the profile
+		// survives the disconnect so a later register reconnects with its
+		// learned history intact. Detach before the socket closes: a peer
+		// that observes the close (and, say, reconnects under the same id)
+		// may rely on the detach having happened.
+		s.backend.DetachWorker(c.worker)
+	}
 	// Flush-on-close before the socket drops: a reply enqueued just before
 	// the peer's EOF (deregister, a final stats answer) still reaches a
 	// peer that is shutting down write-first. The final flush is bounded,
 	// so a wedged peer cannot stall teardown.
 	c.w.close()
 	c.c.Close()
-	if c.worker != "" && !closed {
-		// A vanished worker's held task goes back to the pool; the profile
-		// survives the disconnect so a later register reconnects with its
-		// learned history intact.
-		s.backend.DetachWorker(c.worker)
-	}
 }
 
 // ErrClosed is returned by client operations after Close.
