@@ -65,7 +65,7 @@ chaos:
 # so plain `go test ./...` stays hermetic.
 recovery:
 	$(GO) build -o /tmp/reactd-recovery ./cmd/reactd
-	REACTD_BIN=/tmp/reactd-recovery $(GO) test -race -run TestKillRecovery -count=1 -v ./internal/loadgen
+	REACTD_BIN=/tmp/reactd-recovery $(GO) test -race -run 'TestKillRecovery|TestGridSmoke' -count=1 -v ./internal/loadgen
 
 # Two same-seed simulation runs must produce byte-identical reports —
 # the reproducibility property the linter exists to protect. Figures

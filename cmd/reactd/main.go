@@ -34,7 +34,6 @@ import (
 	"react/internal/admission"
 	"react/internal/clock"
 	"react/internal/core"
-	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/federation"
 	"react/internal/journal"
@@ -48,19 +47,23 @@ import (
 	"react/internal/wire"
 )
 
-// obsWiring carries the observability plane's registry and region list
+// obsWiring carries the observability plane's registry and trace recorder
 // through server construction. Nil when -http is unset, so the metrics
 // hooks cost nothing in the default configuration.
 type obsWiring struct {
-	reg     *metrics.Registry
-	regions obs.RegionSet
+	reg   *metrics.Registry
+	trace *trace.Recorder // backs /trace.csv; nil with -trace-cap 0
 }
 
-// watchEq2 logs the Eq. 2 monitor's revocations from a bounded
-// event-spine subscription, off the engine's tick goroutines. The
-// subscription lives for the process; a logging stall beyond the buffer
-// drops log lines, never scheduling work.
-func watchEq2(eng *engine.Engine) {
+// wireRegion hangs reactd's per-region plumbing on one region server —
+// "all" in single-region mode, each grid cell from the federation factory:
+// the Eq. 2 revocation log, and with -http the region's collector (its own
+// series set under the region label), admission metrics and the
+// /trace.csv tap. The Eq. 2 log reads a bounded event-spine subscription
+// off the engine's tick goroutines; it lives for the process, and a
+// logging stall beyond the buffer drops log lines, never scheduling work.
+func (ow *obsWiring) wireRegion(id string, cs *core.Server) {
+	eng := cs.Engine()
 	sub := eng.Events().Subscribe(256, func(ev event.Event) bool {
 		return ev.Kind == event.KindRevoke && ev.Cause == taskq.CauseEq2
 	})
@@ -69,31 +72,24 @@ func watchEq2(eng *engine.Engine) {
 			log.Printf("reassign task=%s worker=%s eq2=%.3f", ev.Task, ev.Worker, ev.Prob)
 		}
 	}()
-}
-
-// attachCollector wires a fresh collector onto an engine's event spine
-// and publishes its series and statusz row. adm is the region's
-// admission controller (nil when the plane is disabled).
-func (ow *obsWiring) attachCollector(regionID string, eng *engine.Engine, adm *admission.Controller) {
-	col := obs.NewEngineCollector()
-	col.Attach(eng)
-	ow.register(col, regionID, eng, adm)
-}
-
-// register publishes one engine's series and statusz row.
-func (ow *obsWiring) register(col *obs.EngineCollector, regionID string, eng *engine.Engine, adm *admission.Controller) {
-	if err := col.Register(ow.reg, eng, metrics.L("region", regionID)); err != nil {
-		// Duplicate registration is a wiring bug, not an operational
-		// condition; surface it loudly but keep serving tasks.
-		log.Printf("reactd: metrics for region %s: %v", regionID, err)
+	if ow == nil {
 		return
 	}
-	if adm != nil {
-		if err := obs.RegisterAdmission(ow.reg, adm, metrics.L("region", regionID)); err != nil {
-			log.Printf("reactd: admission metrics for region %s: %v", regionID, err)
+	col := obs.NewEngineCollector()
+	col.Attach(eng)
+	if err := col.Register(ow.reg, eng, metrics.L("region", id)); err != nil {
+		// Duplicate registration is a wiring bug, not an operational
+		// condition; surface it loudly but keep serving tasks.
+		log.Printf("reactd: metrics for region %s: %v", id, err)
+	}
+	if adm := cs.Admission(); adm != nil {
+		if err := obs.RegisterAdmission(ow.reg, adm, metrics.L("region", id)); err != nil {
+			log.Printf("reactd: admission metrics for region %s: %v", id, err)
 		}
 	}
-	ow.regions.Add(obs.Source{ID: regionID, Engine: eng, Admission: adm})
+	if ow.trace != nil {
+		eng.Events().Tap(ow.trace.Handle)
+	}
 }
 
 func main() {
@@ -114,7 +110,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", wire.DefaultIdleTimeout, "drop connections silent for this long (0 disables); clients keepalive-ping well under it")
 	shards := flag.Int("shards", 0, "task-bookkeeping stripes in the scheduling engine (0 = GOMAXPROCS)")
 	httpAddr := flag.String("http", "", "observability plane listen address (e.g. :9090); empty disables /metrics, /statusz, /debug/pprof")
-	traceCap := flag.Int("trace-cap", 65536, "lifecycle events retained for /trace.csv (0 disables; needs -http, single-region mode)")
+	traceCap := flag.Int("trace-cap", 65536, "lifecycle events retained for /trace.csv (0 disables; needs -http)")
 	admissionOn := flag.Bool("admission", false, "enable deadline-aware admission control and overload shedding (docs/ADMISSION.md)")
 	maxInflight := flag.Int("max-inflight", 0, "global in-flight task ceiling (0 = unlimited; needs -admission)")
 	admitFloor := flag.Float64("admit-floor", 0, "reject submissions whose predicted deadline-meeting probability falls below this (0 disables; needs -admission)")
@@ -163,18 +159,19 @@ func main() {
 	var ow *obsWiring
 	if *httpAddr != "" {
 		ow = &obsWiring{reg: metrics.NewRegistry()}
+		if *traceCap > 0 {
+			ow.trace = trace.NewBounded(*traceCap)
+		}
 	}
 
 	var srv *wire.Server
 	var store *journal.Store
-	var traceRec *trace.Recorder
 	var err error
 	if *grid != "" {
-		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
 		if *dataDir != "" {
 			log.Print("reactd: -data-dir is ignored in multi-region mode")
-			*dataDir = ""
 		}
+		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
 	} else {
 		if *dataDir != "" {
 			store, err = journal.Open(journal.Options{
@@ -182,29 +179,18 @@ func main() {
 				FsyncInterval: *fsyncInterval,
 				Logf:          log.Printf,
 			})
-			if err == nil {
-				var sum journal.Summary
-				srv, sum, err = wire.ServeDurable(*addr, opts, store)
-				if err != nil {
-					store.Close()
-				} else {
-					log.Printf("reactd: journal %s: recovered %d tasks, %d workers (snapshot seq %d, %d tail records, %d torn bytes dropped)",
-						*dataDir, sum.Tasks, sum.Workers, sum.SnapshotSeq, sum.TailRecords, sum.TornBytes)
-				}
+			if err != nil {
+				log.Fatalf("reactd: %v", err)
 			}
-		} else {
-			srv, err = wire.Serve(*addr, opts)
 		}
+		var sum journal.Summary
+		srv, sum, err = wire.ServeDurable(*addr, opts, store) // nil store: no persistence
 		if err == nil {
-			eng := srv.Core().Engine()
-			watchEq2(eng)
-			if ow != nil {
-				ow.attachCollector("all", eng, srv.Core().Admission())
-				if *traceCap > 0 {
-					traceRec = trace.NewBounded(*traceCap)
-					eng.Events().Tap(traceRec.Handle)
-				}
+			if store != nil {
+				log.Printf("reactd: journal %s: recovered %d tasks, %d workers (snapshot seq %d, %d tail records, %d torn bytes dropped)",
+					*dataDir, sum.Tasks, sum.Workers, sum.SnapshotSeq, sum.TailRecords, sum.TornBytes)
 			}
+			ow.wireRegion("all", srv.Core())
 		}
 	}
 	if err != nil {
@@ -226,8 +212,8 @@ func main() {
 		plane = obs.NewServer(obs.Options{
 			Clock:    clock.System{},
 			Registry: ow.reg,
-			Regions:  ow.regions.Snapshot,
-			Trace:    traceRec,
+			Regions:  func() []obs.Source { return sources(srv.Regions()) },
+			Trace:    ow.trace,
 			Logf:     log.Printf,
 		})
 		if err := plane.Start(*httpAddr); err != nil {
@@ -241,7 +227,7 @@ func main() {
 			ticker := time.NewTicker(*statsEvery)
 			defer ticker.Stop()
 			for range ticker.C {
-				st := srv.Backend().Stats()
+				st := srv.Stats()
 				log.Printf("stats received=%d assigned=%d completed=%d ontime=%d expired=%d reassigned=%d batches=%d workers=%d known=%d",
 					st.Received, st.Assigned, st.Completed, st.OnTime,
 					st.Expired, st.Reassigned, st.Batches, st.WorkersOnline, st.WorkersKnown)
@@ -283,24 +269,21 @@ func serveGrid(addr, gridSpec, areaSpec string, opts core.Options, ow *obsWiring
 		return nil, err
 	}
 	var relay wire.ResultRelay
-	regionOpts := opts
-	userHook := opts.OnResult
-	regionOpts.OnResult = func(r core.Result) {
-		if userHook != nil {
-			userHook(r)
-		}
-		relay.Publish(r)
-	}
+	opts.OnResult = relay.Wrap(opts.OnResult)
 	coord := federation.New(g, func(regionID string) *core.Server {
 		log.Printf("reactd: starting region server %s", regionID)
-		s := core.New(regionOpts)
-		watchEq2(s.Engine())
-		if ow != nil {
-			// Each region gets its own collector so the shared registry
-			// carries one series set per region label.
-			ow.attachCollector(regionID, s.Engine(), s.Admission())
-		}
+		s := core.New(opts)
+		ow.wireRegion(regionID, s)
 		return s
 	})
-	return wire.ServeBackend(addr, coord, &relay)
+	return wire.ServeRegions(addr, coord, &relay)
+}
+
+// sources lists the running region servers as /statusz rows.
+func sources(rs []core.Region) []obs.Source {
+	out := make([]obs.Source, len(rs))
+	for i, r := range rs {
+		out[i] = obs.Source{ID: r.ID, Engine: r.Server.Engine(), Admission: r.Server.Admission()}
+	}
+	return out
 }

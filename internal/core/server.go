@@ -114,6 +114,28 @@ type Stats struct {
 	WorkersKnown  int
 }
 
+// Add accumulates another server's counters — how a transport serving
+// several region servers reports one total.
+func (s *Stats) Add(o Stats) {
+	s.Received += o.Received
+	s.Assigned += o.Assigned
+	s.Completed += o.Completed
+	s.OnTime += o.OnTime
+	s.Expired += o.Expired
+	s.Reassigned += o.Reassigned
+	s.Batches += o.Batches
+	s.MatcherTime += o.MatcherTime
+	s.WorkersOnline += o.WorkersOnline
+	s.WorkersKnown += o.WorkersKnown
+}
+
+// Region names one running region server: "all" for a lone server, the
+// grid cell id behind a federation coordinator.
+type Region struct {
+	ID     string
+	Server *Server
+}
+
 // Server is one REACT region server: the shared scheduling engine plus the
 // live-deployment shell (ticker goroutines, channel feeds).
 type Server struct {
@@ -180,10 +202,6 @@ func (s *Server) Events() *event.Bus { return s.eng.Events() }
 
 // Workers exposes the profiling component (read-mostly; used by tools).
 func (s *Server) Workers() *profile.Registry { return s.eng.Workers() }
-
-// Worker looks up one worker's profile — the Backend-interface form of
-// Workers().Get used by transports that also serve federations.
-func (s *Server) Worker(id string) (*profile.Profile, bool) { return s.eng.Workers().Get(id) }
 
 // Tasks exposes the task-management component.
 func (s *Server) Tasks() *engine.TaskStore { return s.eng.Tasks() }

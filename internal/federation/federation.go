@@ -2,22 +2,22 @@
 // the geographic area is decomposed into non-overlapping regions, each
 // owned by one REACT server that matches only the tasks and workers located
 // inside it — "this approach reduces the size of the matching problem
-// without affecting the output". The Coordinator routes registrations and
-// submissions by location, lazily starting one core.Server per active
-// region, and aggregates statistics across the fleet. It is the
-// programmatic form of what examples/overload demonstrates numerically:
-// when one server can no longer sustain the assignment rate, run more
-// servers on smaller regions.
+// without affecting the output". The Coordinator only says which server
+// that is: it resolves a location (lazily starting one core.Server per
+// active region) or a task id to its region server, and lists the running
+// ones. It forwards nothing — callers (internal/wire's transport) talk to
+// the *core.Server they were handed, so a region behind a coordinator
+// behaves exactly like a lone one. It is the programmatic form of what
+// examples/overload demonstrates numerically: when one server can no longer
+// sustain the assignment rate, run more servers on smaller regions.
 package federation
 
 import (
-	"fmt"
+	"sort"
 	"sync"
 
 	"react/internal/core"
-	"react/internal/profile"
 	"react/internal/region"
-	"react/internal/taskq"
 )
 
 // ServerFactory builds the region server for a region ID. Factories let
@@ -25,32 +25,32 @@ import (
 // denser regions).
 type ServerFactory func(regionID string) *core.Server
 
-// Coordinator routes by geography across per-region servers. Safe for
-// concurrent use.
+// Coordinator resolves locations and tasks to per-region servers. It keeps
+// no routing tables of its own: a worker's route is the connection that
+// registered it, a task's route is the region server whose store holds it.
+// Safe for concurrent use.
 type Coordinator struct {
 	grid    *region.Grid
 	factory ServerFactory
 
-	mu           sync.Mutex
-	servers      map[string]*core.Server
-	workerRegion map[string]string // worker id → region id
-	taskRegion   map[string]string // task id → region id
-	stopped      bool
+	mu      sync.Mutex
+	servers map[string]*core.Server
+	stopped bool
 }
 
 // New creates a coordinator over the given static decomposition.
 func New(grid *region.Grid, factory ServerFactory) *Coordinator {
 	return &Coordinator{
-		grid:         grid,
-		factory:      factory,
-		servers:      make(map[string]*core.Server),
-		workerRegion: make(map[string]string),
-		taskRegion:   make(map[string]string),
+		grid:    grid,
+		factory: factory,
+		servers: make(map[string]*core.Server),
 	}
 }
 
-// server returns the region's server, starting it on first use.
-func (c *Coordinator) server(regionID string) (*core.Server, error) {
+// At returns the server owning loc's region, starting it on first use.
+// After Stop it returns core.ErrStopped.
+func (c *Coordinator) At(loc region.Point) (*core.Server, error) {
+	regionID := c.grid.Locate(loc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
@@ -65,203 +65,39 @@ func (c *Coordinator) server(regionID string) (*core.Server, error) {
 	return s, nil
 }
 
-// RegisterWorker routes the worker to the server owning its location.
-func (c *Coordinator) RegisterWorker(id string, loc region.Point) (<-chan core.Assignment, error) {
-	regionID := c.grid.Locate(loc)
-	s, err := c.server(regionID)
-	if err != nil {
-		return nil, err
+// OfTask returns the running region server whose task store holds taskID,
+// asking each in region-id order; ok is false when none does (never
+// submitted, or forgotten past its region's retention window).
+func (c *Coordinator) OfTask(taskID string) (*core.Server, bool) {
+	for _, r := range c.Regions() {
+		if _, ok := r.Server.Tasks().Get(taskID); ok {
+			return r.Server, true
+		}
 	}
-	feed, err := s.RegisterWorker(id, loc)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.workerRegion[id] = regionID
-	c.mu.Unlock()
-	return feed, nil
+	return nil, false
 }
 
-// DeregisterWorker removes the worker from its region server.
-func (c *Coordinator) DeregisterWorker(id string) error {
+// Regions lists the running region servers, sorted by region id.
+func (c *Coordinator) Regions() []core.Region {
 	c.mu.Lock()
-	regionID, ok := c.workerRegion[id]
-	var s *core.Server
-	if ok {
-		s = c.servers[regionID]
-		delete(c.workerRegion, id)
+	out := make([]core.Region, 0, len(c.servers))
+	for id, s := range c.servers {
+		out = append(out, core.Region{ID: id, Server: s})
 	}
 	c.mu.Unlock()
-	if !ok || s == nil {
-		return fmt.Errorf("federation: unknown worker %q", id)
-	}
-	return s.DeregisterWorker(id)
-}
-
-// workerServer routes to the region server owning a worker.
-func (c *Coordinator) workerServer(id string) (*core.Server, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	regionID, ok := c.workerRegion[id]
-	if !ok {
-		return nil, fmt.Errorf("federation: unknown worker %q", id)
-	}
-	s := c.servers[regionID]
-	if s == nil {
-		return nil, fmt.Errorf("federation: region %q has no server", regionID)
-	}
-	return s, nil
-}
-
-// DetachWorker forwards a connection drop to the owning region server; the
-// profile survives for a later reconnect.
-func (c *Coordinator) DetachWorker(id string) error {
-	s, err := c.workerServer(id)
-	if err != nil {
-		return err
-	}
-	return s.DetachWorker(id)
-}
-
-// ReconnectWorker re-attaches a detached or snapshot-restored worker in its
-// owning region.
-func (c *Coordinator) ReconnectWorker(id string) (<-chan core.Assignment, error) {
-	s, err := c.workerServer(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.ReconnectWorker(id)
-}
-
-// Worker looks up a worker's profile across the fleet.
-func (c *Coordinator) Worker(id string) (*profile.Profile, bool) {
-	s, err := c.workerServer(id)
-	if err != nil {
-		return nil, false
-	}
-	return s.Worker(id)
-}
-
-// Submit routes the task to the server owning its location.
-func (c *Coordinator) Submit(t taskq.Task) error {
-	regionID := c.grid.Locate(t.Location)
-	s, err := c.server(regionID)
-	if err != nil {
-		return err
-	}
-	if err := s.Submit(t); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.taskRegion[t.ID] = regionID
-	c.mu.Unlock()
-	return nil
-}
-
-// Complete forwards a worker's answer to the server owning the task.
-func (c *Coordinator) Complete(taskID, workerID, answer string) (core.Result, error) {
-	s, err := c.taskServer(taskID)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return s.Complete(taskID, workerID, answer)
-}
-
-// Feedback forwards the requester's verdict to the server owning the task.
-func (c *Coordinator) Feedback(taskID string, positive bool) error {
-	s, err := c.taskServer(taskID)
-	if err != nil {
-		return err
-	}
-	return s.Feedback(taskID, positive)
-}
-
-func (c *Coordinator) taskServer(taskID string) (*core.Server, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	regionID, ok := c.taskRegion[taskID]
-	if !ok {
-		return nil, fmt.Errorf("federation: unknown task %q", taskID)
-	}
-	s := c.servers[regionID]
-	if s == nil {
-		return nil, fmt.Errorf("federation: region %q has no server", regionID)
-	}
-	return s, nil
-}
-
-// TaskStatus reports a task's lifecycle state from the region server
-// owning it; ok is false for tasks the federation has never routed.
-func (c *Coordinator) TaskStatus(taskID string) (core.TaskStatus, bool) {
-	s, err := c.taskServer(taskID)
-	if err != nil {
-		return core.TaskStatus{}, false
-	}
-	return s.TaskStatus(taskID)
-}
-
-// Regions lists the regions with running servers.
-func (c *Coordinator) Regions() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.servers))
-	for id := range c.servers {
-		out = append(out, id)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// RegionStats reports one region's counters; ok is false when the region
-// has no server yet.
-func (c *Coordinator) RegionStats(regionID string) (core.Stats, bool) {
-	c.mu.Lock()
-	s := c.servers[regionID]
-	c.mu.Unlock()
-	if s == nil {
-		return core.Stats{}, false
-	}
-	return s.Stats(), true
-}
-
-// Stats aggregates counters across every running region server.
-func (c *Coordinator) Stats() core.Stats {
-	c.mu.Lock()
-	servers := make([]*core.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
-	}
-	c.mu.Unlock()
-	var total core.Stats
-	for _, s := range servers {
-		st := s.Stats()
-		total.Received += st.Received
-		total.Assigned += st.Assigned
-		total.Completed += st.Completed
-		total.OnTime += st.OnTime
-		total.Expired += st.Expired
-		total.Reassigned += st.Reassigned
-		total.Batches += st.Batches
-		total.MatcherTime += st.MatcherTime
-		total.WorkersOnline += st.WorkersOnline
-		total.WorkersKnown += st.WorkersKnown
-	}
-	return total
-}
-
-// Stop shuts down every region server. Idempotent.
+// Stop shuts down every region server and refuses to start new ones.
+// Idempotent.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
-	}
 	c.stopped = true
-	servers := make([]*core.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
-	}
 	c.mu.Unlock()
-	for _, s := range servers {
-		s.Stop()
+	// Regions() is stable from here: At adds nothing once stopped, and
+	// core.Server.Stop is itself idempotent.
+	for _, r := range c.Regions() {
+		r.Server.Stop()
 	}
 }

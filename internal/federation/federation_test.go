@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -46,31 +47,58 @@ func task(id string, at region.Point) taskq.Task {
 	}
 }
 
+// at resolves loc's region server, failing the test when the coordinator
+// refuses.
+func at(t *testing.T, c *Coordinator, loc region.Point) *core.Server {
+	t.Helper()
+	s, err := c.At(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func regionIDs(c *Coordinator) []string {
+	var ids []string
+	for _, r := range c.Regions() {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+var (
+	southWest = region.Point{Lat: 0.5, Lon: 0.5}
+	northEast = region.Point{Lat: 3.5, Lon: 3.5}
+)
+
 func TestLazyServerCreation(t *testing.T) {
 	c := newCoordinator(t)
 	if got := len(c.Regions()); got != 0 {
 		t.Fatalf("regions before traffic = %d", got)
 	}
-	if _, err := c.RegisterWorker("w", region.Point{Lat: 0.5, Lon: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Regions(); len(got) != 1 || got[0] != "r0c0" {
+	sw := at(t, c, southWest)
+	if got := regionIDs(c); len(got) != 1 || got[0] != "r0c0" {
 		t.Fatalf("regions = %v", got)
 	}
-	c.Submit(task("t", region.Point{Lat: 3.5, Lon: 3.5}))
-	if got := len(c.Regions()); got != 2 {
-		t.Fatalf("regions after cross-region traffic = %d", got)
+	if again := at(t, c, region.Point{Lat: 0.7, Lon: 0.9}); again != sw {
+		t.Fatal("second lookup in the same cell started a second server")
+	}
+	if ne := at(t, c, northEast); ne == sw {
+		t.Fatal("distinct cells share a server")
+	}
+	if got := regionIDs(c); len(got) != 2 || got[0] != "r0c0" || got[1] != "r1c1" {
+		t.Fatalf("regions after cross-region traffic = %v, want sorted [r0c0 r1c1]", got)
 	}
 }
 
 func TestSameRegionTaskCompletes(t *testing.T) {
 	c := newCoordinator(t)
-	loc := region.Point{Lat: 0.5, Lon: 0.5}
-	feed, err := c.RegisterWorker("alice", loc)
+	s := at(t, c, southWest)
+	feed, err := s.RegisterWorker("alice", southWest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Submit(task("t1", loc)); err != nil {
+	if err := s.Submit(task("t1", southWest)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -81,14 +109,19 @@ func TestSameRegionTaskCompletes(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("same-region assignment never arrived")
 	}
-	res, err := c.Complete("t1", "alice", "ok")
+	// The task's route is the region server that holds it.
+	owner, ok := c.OfTask("t1")
+	if !ok || owner != s {
+		t.Fatalf("OfTask(t1) = %p, %v; want the south-west server %p", owner, ok, s)
+	}
+	res, err := owner.Complete("t1", "alice", "ok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.MetDeadline {
 		t.Fatalf("result = %+v", res)
 	}
-	if err := c.Feedback("t1", true); err != nil {
+	if err := owner.Feedback("t1", true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,11 +129,12 @@ func TestSameRegionTaskCompletes(t *testing.T) {
 func TestCrossRegionIsolation(t *testing.T) {
 	c := newCoordinator(t)
 	// Worker in r0c0; task in r1c1 — the worker must never receive it.
-	feed, err := c.RegisterWorker("homebody", region.Point{Lat: 0.5, Lon: 0.5})
+	feed, err := at(t, c, southWest).RegisterWorker("homebody", southWest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Submit(task("far", region.Point{Lat: 3.5, Lon: 3.5})); err != nil {
+	far := at(t, c, northEast)
+	if err := far.Submit(task("far", northEast)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -109,10 +143,21 @@ func TestCrossRegionIsolation(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 	}
 	// The far task is still waiting in its own region.
-	st, ok := c.RegionStats("r1c1")
-	if !ok || st.Received != 1 || st.Assigned != 0 {
-		t.Fatalf("far region stats = %+v, %v", st, ok)
+	if owner, ok := c.OfTask("far"); !ok || owner != far {
+		t.Fatalf("OfTask(far) = %p, %v; want the north-east server", owner, ok)
 	}
+	if st := far.Stats(); st.Received != 1 || st.Assigned != 0 {
+		t.Fatalf("far region stats = %+v", st)
+	}
+}
+
+// totalStats sums the running regions the way wire.Server.Stats does.
+func totalStats(c *Coordinator) core.Stats {
+	var total core.Stats
+	for _, r := range c.Regions() {
+		total.Add(r.Server.Stats())
+	}
+	return total
 }
 
 func TestAggregatedStats(t *testing.T) {
@@ -124,7 +169,8 @@ func TestAggregatedStats(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, loc := range cells {
 		id := fmt.Sprintf("w%d", i)
-		feed, err := c.RegisterWorker(id, loc)
+		s := at(t, c, loc)
+		feed, err := s.RegisterWorker(id, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,68 +178,60 @@ func TestAggregatedStats(t *testing.T) {
 		go func(id string, feed <-chan core.Assignment) {
 			defer wg.Done()
 			for a := range feed {
-				c.Complete(a.TaskID, id, "done")
+				s.Complete(a.TaskID, id, "done")
 			}
 		}(id, feed)
-		if err := c.Submit(task(fmt.Sprintf("t%d", i), loc)); err != nil {
+		if err := s.Submit(task(fmt.Sprintf("t%d", i), loc)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := c.Stats(); st.Completed == 4 {
+		if st := totalStats(c); st.Completed == 4 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	st := c.Stats()
+	st := totalStats(c)
 	if st.Received != 4 || st.Completed != 4 || st.WorkersOnline != 4 {
 		t.Fatalf("aggregate stats = %+v", st)
 	}
 	if len(c.Regions()) != 4 {
-		t.Fatalf("regions = %v", c.Regions())
+		t.Fatalf("regions = %v", regionIDs(c))
 	}
 	c.Stop()
 	wg.Wait()
 }
 
-func TestDeregisterRoutesToOwningRegion(t *testing.T) {
-	c := newCoordinator(t)
-	if _, err := c.RegisterWorker("w", region.Point{Lat: 0.5, Lon: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeregisterWorker("w"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeregisterWorker("w"); err == nil {
-		t.Fatal("double deregister accepted")
-	}
-	if err := c.DeregisterWorker("ghost"); err == nil {
-		t.Fatal("unknown worker accepted")
-	}
-}
-
 func TestUnknownTaskRouting(t *testing.T) {
 	c := newCoordinator(t)
-	if _, err := c.Complete("ghost", "w", "x"); err == nil {
-		t.Fatal("unknown task complete accepted")
+	if _, ok := c.OfTask("ghost"); ok {
+		t.Fatal("unknown task resolved with no region running")
 	}
-	if err := c.Feedback("ghost", true); err == nil {
-		t.Fatal("unknown task feedback accepted")
+	at(t, c, southWest).Submit(task("real", southWest))
+	at(t, c, northEast)
+	if _, ok := c.OfTask("ghost"); ok {
+		t.Fatal("unknown task resolved to a region")
+	}
+	if _, ok := c.OfTask("real"); !ok {
+		t.Fatal("held task did not resolve")
 	}
 }
 
 func TestStopIsIdempotentAndBlocksNewTraffic(t *testing.T) {
 	c := newCoordinator(t)
-	c.Submit(task("t", region.Point{Lat: 0.5, Lon: 0.5}))
+	running := at(t, c, southWest)
+	running.Submit(task("t", southWest))
 	c.Stop()
 	c.Stop()
-	if _, err := c.RegisterWorker("late", region.Point{Lat: 0.5, Lon: 0.5}); err == nil {
-		t.Fatal("register after stop accepted")
+	// Neither a running region nor a new one is handed out after Stop,
+	// and the region server that was running is itself stopped.
+	for _, loc := range []region.Point{southWest, {Lat: 3.9, Lon: 3.9}} {
+		if _, err := c.At(loc); !errors.Is(err, core.ErrStopped) {
+			t.Fatalf("At(%v) after stop: err = %v, want core.ErrStopped", loc, err)
+		}
 	}
-	// Note: submissions to an already-running region server after Stop
-	// fail inside core; a new region fails at the coordinator.
-	if err := c.Submit(task("t2", region.Point{Lat: 3.9, Lon: 3.9})); err == nil {
-		t.Fatal("submit to new region after stop accepted")
+	if _, err := running.RegisterWorker("late", southWest); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("register on a stopped region: err = %v, want core.ErrStopped", err)
 	}
 }

@@ -14,30 +14,44 @@ package loadgen
 // hermetic.
 
 import (
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"react/internal/journal"
 	"react/internal/taskq"
+	"react/internal/wire"
 )
 
-// startReactd launches the binary journaling into dataDir and waits until
-// it accepts connections on addr.
-func startReactd(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
+// freeAddr reserves a loopback port and releases it for a process about to
+// be started on it.
+func freeAddr(t *testing.T) string {
 	t.Helper()
-	cmd := exec.Command(bin,
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// startReactd launches the binary with compressed loop periods plus the
+// mode's own flags and waits until it accepts connections on addr.
+func startReactd(t *testing.T, bin, addr string, mode ...string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{
 		"-addr", addr,
-		"-data-dir", dataDir,
-		"-fsync-interval", "5ms",
 		"-batch-bound", "3",
 		"-batch-period", "20ms",
 		"-monitor-period", "20ms",
 		"-stats-every", "0",
-	)
+	}, mode...)...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -66,15 +80,11 @@ func TestKillRecoveryZeroLostTasks(t *testing.T) {
 
 	// Reserve a port so the restarted process can reuse the address the
 	// clients keep reconnecting to.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
+	addr := freeAddr(t)
 
 	dataDir := t.TempDir()
-	cmd := startReactd(t, bin, addr, dataDir)
+	durable := []string{"-data-dir", dataDir, "-fsync-interval", "5ms"}
+	cmd := startReactd(t, bin, addr, durable...)
 	t.Cleanup(func() {
 		if cmd != nil && cmd.ProcessState == nil {
 			cmd.Process.Kill()
@@ -105,7 +115,7 @@ func TestKillRecoveryZeroLostTasks(t *testing.T) {
 			}
 			cmd.Wait()
 			t.Logf("killed reactd at task %d, restarting on %s", n, addr)
-			cmd = startReactd(t, bin, addr, dataDir)
+			cmd = startReactd(t, bin, addr, durable...)
 		},
 	})
 	if err != nil {
@@ -170,4 +180,62 @@ func TestKillRecoveryZeroLostTasks(t *testing.T) {
 			completed, expired, rep.OnTime+rep.Late, rep.Expired)
 	}
 	t.Logf("journal replay matches client view: %d completed, %d expired", completed, expired)
+}
+
+// TestGridSmoke is the only gate that starts a real `reactd -grid`: a 2×2
+// federation with admission and the observability plane on, loaded by the
+// same generator (its crowd and tasks spread over reactd's default -area,
+// so several cells see traffic). Every task must terminate, more than one
+// region must have served, and /trace.csv must have recorded them. Gated
+// on REACTD_BIN like the kill-recovery test (`make recovery` runs both).
+func TestGridSmoke(t *testing.T) {
+	bin := os.Getenv("REACTD_BIN")
+	if bin == "" {
+		t.Skip("REACTD_BIN not set; run via `make recovery`")
+	}
+	addr, httpAddr := freeAddr(t), freeAddr(t)
+	cmd := startReactd(t, bin, addr, "-grid", "2x2", "-admission", "-http", httpAddr)
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+
+	const tasks = 40
+	rep, err := Run(Config{Addr: addr, Workers: 16, Rate: 5, Tasks: tasks, Seed: 11, Compress: 100, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != tasks || rep.Results != rep.Submitted {
+		t.Fatalf("submitted %d, results %d, want %d of each: %+v", rep.Submitted, rep.Results, tasks, rep)
+	}
+	if rep.Server.Received != tasks {
+		t.Fatalf("stats summed over the regions: received %d, want %d", rep.Server.Received, tasks)
+	}
+
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	regions, err := cl.Regions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) < 2 {
+		t.Fatalf("regions = %+v, want at least two cells serving", regions)
+	}
+
+	resp, err := http.Get("http://" + httpAddr + "/trace.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(string(body), "\n"); resp.StatusCode != http.StatusOK || rows < 1+tasks {
+		t.Fatalf("/trace.csv: status %d, %d lines; want a header plus at least one row per task", resp.StatusCode, rows)
+	}
+	t.Logf("grid smoke: %d regions, %d trace bytes, report %+v", len(regions), len(body), rep)
 }

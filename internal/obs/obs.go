@@ -39,7 +39,7 @@ type Options struct {
 	Registry *metrics.Registry
 	// Regions snapshots the engines /statusz reports on. Nil serves an
 	// empty region list. Called per request; must be safe for concurrent
-	// use and cheap (a mutex-guarded slice copy).
+	// use and cheap (reactd lists the transport's running region servers).
 	Regions func() []Source
 	// Trace backs /trace.csv with the recorder's retained timeline
 	// (reactd wires a bounded recorder tapping the event spine). Nil
@@ -232,28 +232,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // StaticRegions adapts a fixed set of sources to Options.Regions.
 func StaticRegions(srcs ...Source) func() []Source {
 	return func() []Source { return srcs }
-}
-
-// RegionSet is a mutex-guarded, growable region list for deployments that
-// create engines after the plane starts (the federation factory pattern in
-// reactd's grid mode).
-type RegionSet struct {
-	mu   sync.Mutex
-	srcs []Source
-}
-
-// Add appends a region source.
-func (rs *RegionSet) Add(src Source) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.srcs = append(rs.srcs, src)
-}
-
-// Snapshot implements Options.Regions.
-func (rs *RegionSet) Snapshot() []Source {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]Source, len(rs.srcs))
-	copy(out, rs.srcs)
-	return out
 }

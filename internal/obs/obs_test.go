@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -266,24 +265,5 @@ func TestStartShutdown(t *testing.T) {
 	// Shutdown again is a no-op.
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegionSet(t *testing.T) {
-	var rs RegionSet
-	if got := rs.Snapshot(); len(got) != 0 {
-		t.Fatalf("empty set snapshot: %v", got)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs.Add(Source{ID: fmt.Sprintf("r%d", i)})
-		}(i)
-	}
-	wg.Wait()
-	if got := rs.Snapshot(); len(got) != 8 {
-		t.Fatalf("snapshot has %d regions, want 8", len(got))
 	}
 }

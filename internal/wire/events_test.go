@@ -4,11 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"react/internal/core"
-	"react/internal/profile"
-	"react/internal/region"
-	"react/internal/taskq"
 )
 
 // drainTimeline collects events until a terminal one arrives for taskID.
@@ -115,36 +110,5 @@ func TestWatchEventsUnfiltered(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("submit events missing; seen %v", seen)
 		}
-	}
-}
-
-// noEventsBackend satisfies Backend but not the optional event-spine
-// interface, like the federation coordinator.
-type noEventsBackend struct{}
-
-func (noEventsBackend) RegisterWorker(string, region.Point) (<-chan core.Assignment, error) {
-	return nil, nil
-}
-func (noEventsBackend) ReconnectWorker(string) (<-chan core.Assignment, error) { return nil, nil }
-func (noEventsBackend) DeregisterWorker(string) error                          { return nil }
-func (noEventsBackend) DetachWorker(string) error                              { return nil }
-func (noEventsBackend) Worker(string) (*profile.Profile, bool)                 { return nil, false }
-func (noEventsBackend) Submit(taskq.Task) error                                { return nil }
-func (noEventsBackend) Complete(string, string, string) (core.Result, error) {
-	return core.Result{}, nil
-}
-func (noEventsBackend) Feedback(string, bool) error { return nil }
-func (noEventsBackend) Stats() core.Stats           { return core.Stats{} }
-func (noEventsBackend) Stop()                       {}
-
-func TestWatchEventsWithoutSpineErrors(t *testing.T) {
-	s, err := ServeBackend("127.0.0.1:0", noEventsBackend{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c := dial(t, s)
-	if err := c.WatchEvents(""); err == nil || !strings.Contains(err.Error(), "event spine") {
-		t.Fatalf("err = %v, want event-spine rejection", err)
 	}
 }

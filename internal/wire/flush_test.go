@@ -218,7 +218,7 @@ func TestConnWriterWriteErrorSticky(t *testing.T) {
 }
 
 // TestBroadcastStormRace floods 1024 watcher connections through the real
-// server and coalescing writers; under -race it is the concurrency gate
+// transport (over an idle region server) and coalescing writers; under -race it is the concurrency gate
 // for the broadcast fan-out path (encode-once frame sharing, per-conn
 // flushers, inline replies racing pushes). Every watcher must see every
 // frame — coalescing may merge writes, never drop or reorder them.
@@ -228,7 +228,7 @@ func TestBroadcastStormRace(t *testing.T) {
 		watchers = 64
 	}
 	var relay ResultRelay
-	s, err := ServeBackend("127.0.0.1:0", noEventsBackend{}, &relay)
+	s, err := ServeRegions("127.0.0.1:0", single{core.New(core.Options{})}, &relay)
 	if err != nil {
 		t.Fatal(err)
 	}

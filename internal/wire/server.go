@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,34 +14,54 @@ import (
 	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/event"
+	"react/internal/journal"
 	"react/internal/profile"
 	"react/internal/region"
 	"react/internal/taskq"
 )
 
-// Backend is the middleware surface the TCP transport serves: implemented
-// by *core.Server (one region) and *federation.Coordinator (a fleet of
-// region servers routed by geography).
-type Backend interface {
-	RegisterWorker(id string, loc region.Point) (<-chan core.Assignment, error)
-	ReconnectWorker(id string) (<-chan core.Assignment, error)
-	DeregisterWorker(id string) error
-	DetachWorker(id string) error
-	Worker(id string) (*profile.Profile, bool)
-	Submit(t taskq.Task) error
-	Complete(taskID, workerID, answer string) (core.Result, error)
-	Feedback(taskID string, positive bool) error
-	Stats() core.Stats
+// Regions says which region server a request belongs to. The transport
+// always serves a *core.Server; the resolver only picks it — so a region
+// behind a federation.Coordinator answers exactly like a lone one.
+type Regions interface {
+	// At returns the server owning the location's region, starting it on
+	// first use; core.ErrStopped after Stop.
+	At(loc region.Point) (*core.Server, error)
+	// OfTask returns the server whose task store holds the task.
+	OfTask(taskID string) (*core.Server, bool)
+	// Regions lists the running servers, sorted by region id.
+	Regions() []core.Region
+	// Stop shuts every region server down.
 	Stop()
 }
 
-// ResultRelay forwards backend results to a transport installed later —
-// the backend is constructed (with its OnResult hook) before the transport
-// exists. Install relay.Publish as the backend's result hook, then hand the
-// relay to ServeBackend.
+// single is the one-region resolver: every location and every task belongs
+// to the lone server, listed as region "all".
+type single struct{ *core.Server }
+
+func (s single) At(region.Point) (*core.Server, error) { return s.Server, nil }
+func (s single) OfTask(string) (*core.Server, bool)    { return s.Server, true }
+func (s single) Regions() []core.Region                { return []core.Region{{ID: "all", Server: s.Server}} }
+
+// ResultRelay forwards region-server results to a transport installed
+// later — region servers are constructed (with their OnResult hook) before
+// the listener exists. Build each server with relay.Wrap(userHook) as its
+// result hook, then hand the relay to ServeRegions.
 type ResultRelay struct {
 	mu sync.Mutex
 	fn func(core.Result)
+}
+
+// Wrap returns the OnResult hook to build a region server with: the
+// caller's own hook (nil for none) runs first, then the relay publishes.
+func (r *ResultRelay) Wrap(user func(core.Result)) func(core.Result) {
+	if user == nil {
+		return r.Publish
+	}
+	return func(res core.Result) {
+		user(res)
+		r.Publish(res)
+	}
 }
 
 // Publish forwards a result to the attached transport (drops it when none
@@ -77,10 +96,9 @@ const DefaultIdleTimeout = 90 * time.Second
 // lock under which events are published.
 const eventWatchDepth = 1024
 
-// Server exposes a Backend over TCP.
+// Server exposes region servers over TCP.
 type Server struct {
-	backend Backend
-	core    *core.Server // non-nil only for single-region Serve
+	regions Regions
 	ln      net.Listener
 
 	idle atomic.Int64 // per-connection read deadline (ns); <=0 disables
@@ -168,46 +186,63 @@ type conn struct {
 	w      *connWriter   // coalesces every outbound frame (flush.go)
 	scr    decodeScratch // reusable decode state; readLoop-only
 	worker string        // non-empty once registered
+	cs     *core.Server  // the region server worker registered on: the connection is the worker's route
 	srv    *Server
 
-	evMu  sync.Mutex
-	evSub *event.Subscription // non-nil after watch-events
+	evMu   sync.Mutex
+	evSubs []*event.Subscription // non-empty after watch-events
 }
 
-// Serve starts a region server listening on addr (e.g. "127.0.0.1:7341" or
-// ":0" for an ephemeral port). The core server is constructed from opts
-// with its result hook wired to watcher broadcast, and started.
-func Serve(addr string, opts core.Options) (*Server, error) {
+// ServeDurable starts one region server listening on addr (e.g.
+// "127.0.0.1:7341" or ":0" for an ephemeral port): the core server
+// is constructed from opts with its result hook wired to watcher broadcast,
+// and started. With a store it adds crash recovery: the journal store's
+// recovered state is bulk-loaded into the fresh region server before it
+// starts, every subsequent mutation is write-ahead journaled, and Close
+// flushes the journal after the last connection drains. The returned
+// summary says what was recovered, for startup logs. A nil store serves
+// without persistence.
+//
+// The store must come straight from journal.Open — its recovered state is
+// consumed here. On error the store is left open; the caller owns closing
+// it.
+func ServeDurable(addr string, opts core.Options, store *journal.Store) (*Server, journal.Summary, error) {
 	var relay ResultRelay
-	userHook := opts.OnResult
-	opts.OnResult = func(r core.Result) {
-		if userHook != nil {
-			userHook(r)
-		}
-		relay.Publish(r)
-	}
+	opts.OnResult = relay.Wrap(opts.OnResult)
 	cs := core.New(opts)
-	cs.Start()
-	s, err := ServeBackend(addr, cs, &relay)
-	if err != nil {
-		cs.Stop()
-		return nil, err
+	var sum journal.Summary
+	if store != nil {
+		var err error
+		if sum, err = cs.EnablePersistence(store); err != nil {
+			return nil, sum, err
+		}
 	}
-	s.core = cs
-	return s, nil
+	cs.Start()
+	s, err := ServeRegions(addr, single{cs}, &relay)
+	if err != nil {
+		cs.Stop() // closes the journal store too
+		return nil, sum, err
+	}
+	return s, sum, nil
 }
 
-// ServeBackend exposes an already-running backend (e.g. a federation
-// coordinator) on addr. The relay must be the one whose Publish the caller
-// installed as the backend's result hook; pass nil when no result pushes
-// are needed.
-func ServeBackend(addr string, b Backend, relay *ResultRelay) (*Server, error) {
+// Serve is ServeDurable without a journal.
+func Serve(addr string, opts core.Options) (*Server, error) {
+	s, _, err := ServeDurable(addr, opts, nil)
+	return s, err
+}
+
+// ServeRegions exposes already-running region servers (e.g. behind a
+// federation coordinator) on addr. The relay must be the one whose Wrap
+// built the servers' result hooks; pass nil when no result pushes are
+// needed.
+func ServeRegions(addr string, rs Regions, relay *ResultRelay) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		backend:  b,
+		regions:  rs,
 		watchers: make(map[*conn]struct{}),
 		conns:    make(map[*conn]struct{}),
 	}
@@ -231,14 +266,36 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // adopt the new value at their next frame.
 func (s *Server) SetIdleTimeout(d time.Duration) { s.idle.Store(int64(d)) }
 
-// Core exposes the underlying region server for single-region deployments
-// created with Serve; it is nil under ServeBackend.
-func (s *Server) Core() *core.Server { return s.core }
+// Core exposes the lone region server of a single-region deployment
+// (Serve, ServeDurable); it is nil when a coordinator resolves regions.
+func (s *Server) Core() *core.Server {
+	one, _ := s.regions.(single)
+	return one.Server
+}
 
-// Backend exposes the middleware this transport serves.
-func (s *Server) Backend() Backend { return s.backend }
+// Regions lists the running region servers, sorted by region id.
+func (s *Server) Regions() []core.Region { return s.regions.Regions() }
 
-// Close stops accepting, drops every connection, and stops the core server.
+// Stats sums the counters of every running region server.
+func (s *Server) Stats() core.Stats {
+	var total core.Stats
+	for _, r := range s.regions.Regions() {
+		total.Add(r.Server.Stats())
+	}
+	return total
+}
+
+// ofTask resolves the region server holding a task. A task no region holds
+// answers what a lone server answers.
+func (s *Server) ofTask(taskID string) (*core.Server, error) {
+	if cs, ok := s.regions.OfTask(taskID); ok {
+		return cs, nil
+	}
+	return nil, fmt.Errorf("%w: %q", taskq.ErrUnknownTask, taskID)
+}
+
+// Close stops accepting, drops every connection, and stops the region
+// servers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -256,7 +313,7 @@ func (s *Server) Close() error {
 		c.c.Close()
 	}
 	s.wg.Wait()
-	s.backend.Stop()
+	s.regions.Stop()
 	return err
 }
 
@@ -332,7 +389,7 @@ func (c *conn) reply(seq uint64, err error) {
 	c.send(Message{Type: "ok", Seq: seq})
 }
 
-// errCode maps a backend error to its stable wire code ("" for errors
+// errCode maps a region server's error to its stable wire code ("" for errors
 // with no defined class).
 func errCode(err error) string {
 	var rej *admission.RejectionError
@@ -398,18 +455,28 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("register: missing worker id"))
 			return
 		}
-		feed, err := s.backend.RegisterWorker(m.Worker, region.Point{Lat: m.Lat, Lon: m.Lon})
+		if c.worker != "" {
+			// One worker per connection: teardown detaches only c.worker, so
+			// a second register would leave the first available forever.
+			c.reply(m.Seq, fmt.Errorf("register: connection already serves worker %q", c.worker))
+			return
+		}
+		loc := region.Point{Lat: m.Lat, Lon: m.Lon}
+		cs, err := s.regions.At(loc)
+		if err != nil {
+			c.reply(m.Seq, err)
+			return
+		}
+		feed, err := cs.RegisterWorker(m.Worker, loc)
 		if errors.Is(err, profile.ErrDuplicateWorker) {
 			// A worker recovered from the journal (or one whose old
 			// connection died without teardown) reconnects under its id and
 			// keeps its learned history; a second *live* connection is
 			// still rejected by ReconnectWorker.
-			feed, err = s.backend.ReconnectWorker(m.Worker)
-			if err == nil {
-				if p, ok := s.backend.Worker(m.Worker); ok {
-					if loc := (region.Point{Lat: m.Lat, Lon: m.Lon}); loc.Valid() {
-						p.SetLocation(loc)
-					}
+			feed, err = cs.ReconnectWorker(m.Worker)
+			if err == nil && loc.Valid() {
+				if p, ok := cs.Workers().Get(m.Worker); ok {
+					p.SetLocation(loc)
 				}
 			}
 		}
@@ -417,7 +484,7 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, err)
 			return
 		}
-		c.worker = m.Worker
+		c.worker, c.cs = m.Worker, cs
 		c.reply(m.Seq, nil)
 		// Forward assignments until the feed closes (deregistration or
 		// server stop).
@@ -436,19 +503,12 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("deregister: connection has no registered worker"))
 			return
 		}
-		worker := c.worker
-		c.worker = "" // teardown must not deregister twice
-		c.reply(m.Seq, s.backend.DeregisterWorker(worker))
+		worker, cs := c.worker, c.cs
+		c.worker, c.cs = "", nil // teardown must not deregister twice
+		c.reply(m.Seq, cs.DeregisterWorker(worker))
 
 	case "location":
-		// Guard before touching the backend: probing Worker("") on an
-		// unregistered connection sent a nonsense lookup to the backend
-		// (and through a federation, a routing miss) on every bad request.
-		if c.worker == "" {
-			c.reply(m.Seq, errors.New("location: connection has no registered worker"))
-			return
-		}
-		p, ok := s.backend.Worker(c.worker)
+		p, ok := c.profile()
 		if !ok {
 			c.reply(m.Seq, errors.New("location: connection has no registered worker"))
 			return
@@ -462,11 +522,7 @@ func (c *conn) handle(m *Message) {
 		c.reply(m.Seq, nil)
 
 	case "available":
-		if c.worker == "" {
-			c.reply(m.Seq, errors.New("available: connection has no registered worker"))
-			return
-		}
-		p, ok := s.backend.Worker(c.worker)
+		p, ok := c.profile()
 		if !ok {
 			c.reply(m.Seq, errors.New("available: connection has no registered worker"))
 			return
@@ -485,37 +541,42 @@ func (c *conn) handle(m *Message) {
 		}
 		//lint:ignore clocktaint the live server stamps real arrival time on submitted tasks by definition; replayable runs go through the sim harness
 		t := m.Task.Task(time.Now())
-		// Backends with an admission plane run the gates and the reply
-		// carries the verdict: ok frames the probability, error frames the
-		// typed status plus a retry-after hint. Plain backends (admission
-		// off, federations) answer as before — the Admission field simply
-		// never appears, which is what keeps old clients working.
-		type admissionBackend interface {
-			SubmitFrom(requester string, t taskq.Task) (admission.Decision, error)
-			Admission() *admission.Controller
-		}
-		if ab, ok := s.backend.(admissionBackend); ok && ab.Admission() != nil {
-			d, err := ab.SubmitFrom(c.requester(), t)
-			if err != nil {
-				c.srv.errorsSent.Add(1)
-				msg := Message{Type: "error", Seq: m.Seq, Error: err.Error(), Code: errCode(err)}
-				if !d.Admitted() {
-					msg.Admission = toAdmissionPayload(d)
-				}
-				c.send(msg)
-				return
-			}
-			c.send(Message{Type: "ok", Seq: m.Seq, Admission: toAdmissionPayload(d)})
+		cs, err := s.regions.At(t.Location)
+		if err != nil {
+			c.reply(m.Seq, err)
 			return
 		}
-		c.reply(m.Seq, s.backend.Submit(t))
+		// Task ids are unique across a federation as they are on a lone
+		// server: a second submit of an id another region still holds is a
+		// duplicate (same-region duplicates are the task store's own check).
+		if owner, ok := s.regions.OfTask(t.ID); ok && owner != cs {
+			c.reply(m.Seq, fmt.Errorf("%w: %q", taskq.ErrDuplicateTask, t.ID))
+			return
+		}
+		// With an admission plane the reply carries the verdict: ok frames
+		// the probability, error frames the typed status plus a retry-after
+		// hint. With admission off the Admission field simply never
+		// appears, which is what keeps old clients working.
+		d, err := cs.SubmitFrom(c.requester(), t)
+		reply := Message{Type: "ok", Seq: m.Seq}
+		if err != nil {
+			c.srv.errorsSent.Add(1)
+			reply = Message{Type: "error", Seq: m.Seq, Error: err.Error(), Code: errCode(err)}
+		}
+		if cs.Admission() != nil && (err == nil || !d.Admitted()) {
+			reply.Admission = toAdmissionPayload(d)
+		}
+		c.send(reply)
 
 	case "complete":
 		if m.TaskID == "" || m.Worker == "" {
 			c.reply(m.Seq, errors.New("complete: missing task or worker id"))
 			return
 		}
-		_, err := s.backend.Complete(m.TaskID, m.Worker, m.Answer)
+		cs, err := s.ofTask(m.TaskID)
+		if err == nil {
+			_, err = cs.Complete(m.TaskID, m.Worker, m.Answer)
+		}
 		c.reply(m.Seq, err)
 
 	case "feedback":
@@ -523,7 +584,11 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("feedback: missing task id or verdict"))
 			return
 		}
-		c.reply(m.Seq, s.backend.Feedback(m.TaskID, *m.Positive))
+		cs, err := s.ofTask(m.TaskID)
+		if err == nil {
+			err = cs.Feedback(m.TaskID, *m.Positive)
+		}
+		c.reply(m.Seq, err)
 
 	case "watch":
 		s.mu.Lock()
@@ -538,82 +603,71 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("task: missing task id"))
 			return
 		}
-		type statusBackend interface {
-			TaskStatus(taskID string) (core.TaskStatus, bool)
-		}
-		sb, ok := s.backend.(statusBackend)
-		if !ok {
-			c.reply(m.Seq, errors.New("task: backend does not report task status"))
-			return
-		}
 		payload := &TaskStatusPayload{TaskID: m.TaskID, State: "unknown"}
-		if st, ok := sb.TaskStatus(m.TaskID); ok {
-			payload.State = st.State.String()
-			payload.Worker = st.Worker
-			payload.MetDeadline = st.MetDeadline
+		if cs, ok := s.regions.OfTask(m.TaskID); ok {
+			if st, ok := cs.TaskStatus(m.TaskID); ok {
+				payload.State = st.State.String()
+				payload.Worker = st.Worker
+				payload.MetDeadline = st.MetDeadline
+			}
 		}
 		c.send(Message{Type: "ok", Seq: m.Seq, Status: payload})
 
 	case "watch-events":
-		// Subscribe this connection to the engine's lifecycle event spine.
-		// With a TaskID the stream narrows to that task's timeline
-		// (submit→assign→…→terminal); without one every lifecycle event
-		// flows. The subscription is bounded and lossy by design: a client
-		// that cannot keep up loses frames (counted on the bus), never
-		// stalls the engine.
-		type eventBackend interface {
-			Events() *event.Bus
-		}
-		eb, ok := s.backend.(eventBackend)
-		if !ok {
-			c.reply(m.Seq, errors.New("watch-events: backend does not expose the event spine"))
-			return
-		}
+		// Subscribe this connection to the lifecycle event spine. With a
+		// TaskID the stream narrows to that task's timeline
+		// (submit→assign→…→terminal) on the region that holds it — or, for
+		// a task not submitted yet, on every running region: ids are unique
+		// across regions, so at most one bus ever emits it. Without a
+		// TaskID every lifecycle event of the one running region flows;
+		// each engine owns its bus and its Seq, so several regions are not
+		// merged into one stream. The subscription is bounded and lossy by
+		// design: a client that cannot keep up loses frames (counted on the
+		// bus), never stalls the engine.
 		taskID := m.TaskID
+		sources := s.regions.Regions()
+		if taskID == "" {
+			if len(sources) != 1 {
+				c.reply(m.Seq, fmt.Errorf("watch-events: an unscoped stream needs exactly one running region, have %d; pass a task id", len(sources)))
+				return
+			}
+		} else if cs, ok := s.regions.OfTask(taskID); ok {
+			sources = []core.Region{{Server: cs}}
+		}
 		filter := func(ev event.Event) bool {
 			if !ev.Kind.Lifecycle() {
 				return false
 			}
 			return taskID == "" || ev.Task == taskID
 		}
-		sub := eb.Events().Subscribe(eventWatchDepth, filter)
-		c.evMu.Lock()
-		prev := c.evSub
-		c.evSub = sub
-		c.evMu.Unlock()
-		if prev != nil {
-			prev.Close() // re-subscribe replaces the old stream
+		subs := make([]*event.Subscription, len(sources))
+		for i, r := range sources {
+			subs[i] = r.Server.Events().Subscribe(eventWatchDepth, filter)
 		}
+		c.evMu.Lock()
+		prev := c.evSubs
+		c.evSubs = subs
+		c.evMu.Unlock()
+		closeAll(prev) // re-subscribe replaces the old stream
 		c.reply(m.Seq, nil)
-		// Forward until the subscription closes (teardown or replacement).
-		//lint:ignore nakedgoroutine the forwarder's lifetime is the subscription channel: teardown or a replacing watch-events closes it
-		go func() {
-			for ev := range sub.C() {
-				if err := c.send(Message{Type: "event", Event: toEventPayload(ev)}); err != nil {
-					c.c.Close()
-					return
+		for _, sub := range subs {
+			// Forward until the subscription closes (teardown or replacement).
+			//lint:ignore nakedgoroutine the forwarder's lifetime is the subscription channel: teardown or a replacing watch-events closes it
+			go func() {
+				for ev := range sub.C() {
+					if err := c.send(Message{Type: "event", Event: toEventPayload(ev)}); err != nil {
+						c.c.Close()
+						return
+					}
 				}
-			}
-		}()
+			}()
+		}
 
 	case "regions":
-		// Multi-region backends list per-region counters; a single-region
-		// server reports itself as "all".
-		type regionLister interface {
-			Regions() []string
-			RegionStats(string) (core.Stats, bool)
-		}
-		var regions []RegionStatsPayload
-		if rl, ok := s.backend.(regionLister); ok {
-			ids := rl.Regions()
-			sort.Strings(ids)
-			for _, id := range ids {
-				if st, ok := rl.RegionStats(id); ok {
-					regions = append(regions, RegionStatsPayload{Region: id, Stats: *toStatsPayload(st)})
-				}
-			}
-		} else {
-			regions = []RegionStatsPayload{{Region: "all", Stats: *toStatsPayload(s.backend.Stats())}}
+		rs := s.regions.Regions()
+		regions := make([]RegionStatsPayload, len(rs))
+		for i, r := range rs {
+			regions[i] = RegionStatsPayload{Region: r.ID, Stats: *toStatsPayload(r.Server.Stats())}
 		}
 		c.send(Message{Type: "ok", Seq: m.Seq, Regions: regions})
 
@@ -624,20 +678,33 @@ func (c *conn) handle(m *Message) {
 		c.reply(m.Seq, nil)
 
 	case "stats":
-		c.send(Message{Type: "ok", Seq: m.Seq, Stats: toStatsPayload(s.backend.Stats())})
+		c.send(Message{Type: "ok", Seq: m.Seq, Stats: toStatsPayload(s.Stats())})
 
 	default:
 		c.reply(m.Seq, errors.New("unknown message type "+m.Type))
 	}
 }
 
+// profile is the registered worker's profile on the region server this
+// connection registered it on; ok is false for a connection with no worker.
+func (c *conn) profile() (*profile.Profile, bool) {
+	if c.worker == "" {
+		return nil, false
+	}
+	return c.cs.Workers().Get(c.worker)
+}
+
+func closeAll(subs []*event.Subscription) {
+	for _, sub := range subs {
+		sub.Close()
+	}
+}
+
 func (c *conn) teardown() {
 	s := c.srv
 	c.evMu.Lock()
-	if c.evSub != nil {
-		c.evSub.Close() // unblocks the event forwarder goroutine
-		c.evSub = nil
-	}
+	closeAll(c.evSubs) // unblocks the event forwarder goroutines
+	c.evSubs = nil
 	c.evMu.Unlock()
 	s.mu.Lock()
 	delete(s.watchers, c)
@@ -650,7 +717,7 @@ func (c *conn) teardown() {
 		// learned history intact. Detach before the socket closes: a peer
 		// that observes the close (and, say, reconnects under the same id)
 		// may rely on the detach having happened.
-		s.backend.DetachWorker(c.worker)
+		c.cs.DetachWorker(c.worker)
 	}
 	// Flush-on-close before the socket drops: a reply enqueued just before
 	// the peer's EOF (deregister, a final stats answer) still reaches a

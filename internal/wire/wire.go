@@ -4,6 +4,11 @@
 // to registered workers and results to watching requesters. cmd/reactd
 // hosts the server; cmd/reactctl and the examples use the client.
 //
+// The server side always talks to a *core.Server. A Regions resolver — the
+// lone server itself, or a federation.Coordinator under `reactd -grid` —
+// only says which one owns a location or holds a task, so a region behind
+// a coordinator answers every request exactly like a lone one.
+//
 // Protocol: each line is one Message. Clients send requests
 // (register/submit/complete/feedback/watch/watch-events/stats); the server
 // answers every request with exactly one "ok" or "error" message, in order,

@@ -193,6 +193,44 @@ func TestUnregisteredConnectionErrors(t *testing.T) {
 	}
 }
 
+func TestSecondRegisterOnConnectionRejected(t *testing.T) {
+	// A connection serves one worker: teardown detaches only that one, so
+	// a second register — whatever id it names — would leave the first
+	// worker available forever once the socket closes.
+	for _, second := range []string{"w2", "w1"} {
+		t.Run(second, func(t *testing.T) {
+			s := startServer(t)
+			c := dial(t, s)
+			if err := c.Register("w1", 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			err := c.Register(second, 1, 1)
+			if err == nil || !strings.Contains(err.Error(), `register: connection already serves worker "w1"`) {
+				t.Fatalf("second register: err = %v, want the already-serves refusal", err)
+			}
+			if st, _ := c.Stats(); st.WorkersOnline != 1 || st.WorkersKnown != 1 {
+				t.Fatalf("after the refusal: stats = %+v, want just w1", st)
+			}
+			c.Close()
+			probe := dial(t, s)
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				st, err := probe.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.WorkersOnline == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("workers online = %d after the connection closed", st.WorkersOnline)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
 func TestGarbageInputTolerated(t *testing.T) {
 	s := startServer(t)
 	c := dial(t, s)
