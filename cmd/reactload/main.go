@@ -15,15 +15,13 @@
 // write-ahead journal. The run must finish with zero unresolved tasks and
 // zero response mismatches. It is the resilience demo in one command.
 //
-// With -overload, reactload runs the open-loop overload probe instead: a
-// fixed submission schedule at -rate (default 10x the stable ratio) that
-// never slows down for the server, reporting goodput, the
-// admitted/rejected/shed/expired split, and submit-latency quantiles. By
-// default it brings up its own in-process server with the admission plane
-// on (docs/ADMISSION.md); pass -addr to aim it at a live deployment — a
-// reactd started with -admission shows the plane holding goodput, one
-// without shows the collapse. The self-contained run is the admission
-// demo in one command and the nightly overload soak.
+// The task stream is open-loop, so an overload probe is the same command
+// with a higher -rate (ten times workers/80 is 10x the stable ratio)
+// against a reactd started with -admission: submissions the gates turn
+// away are counted on the "rejected" line instead of ending the run, and
+// the server line splits expired into deadline misses and shedder
+// evictions. The self-hosted, conservation-checked measurement of that
+// path is `bash benchmark/run.sh --workload overload` (docs/ADMISSION.md).
 package main
 
 import (
@@ -51,14 +49,7 @@ func main() {
 	seed := flag.Int64("seed", time.Now().UnixNano(), "behaviour/workload seed")
 	compress := flag.Float64("compress", 100, "time compression factor")
 	chaos := flag.Bool("chaos", false, "self-contained fault-injection run: in-process server behind a chaos proxy, with resets and a mid-run restart")
-	overload := flag.Bool("overload", false, "open-loop overload probe: fixed submission schedule, goodput and admitted/rejected/shed split; self-hosts an admission-enabled server unless -addr is set explicitly")
-	duration := flag.Duration("duration", 60*time.Second, "uncompressed run length for -overload")
 	flag.Parse()
-
-	if *overload {
-		runOverload(*addr, *workers, *rate, *duration, *seed, *compress)
-		return
-	}
 
 	cfg := loadgen.Config{
 		Addr:     *addr,
@@ -86,13 +77,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("reactload: %v", err)
 	}
-	fmt.Printf("submitted   %d\nresults     %d\non-time     %d (%.1f%%)\nlate        %d\nexpired     %d\npositive    %d\nwall time   %v\n",
-		rep.Submitted, rep.Results, rep.OnTime,
+	fmt.Printf("submitted   %d\nrejected    %d rate, %d probability, %d queue-full\nresults     %d\non-time     %d (%.1f%%)\nlate        %d\nexpired     %d\npositive    %d\nwall time   %v\n",
+		rep.Submitted, rep.RejectedRate, rep.RejectedProbability, rep.QueueFull,
+		rep.Results, rep.OnTime,
 		100*float64(rep.OnTime)/float64(max(rep.Submitted, 1)),
 		rep.Late, rep.Expired, rep.Positive, rep.Wall.Round(time.Millisecond))
-	fmt.Printf("server: assigned %d, reassigned %d, batches %d, workers online %d (known %d)\n",
-		rep.Server.Assigned, rep.Server.Reassigned, rep.Server.Batches,
-		rep.Server.WorkersOnline, rep.Server.WorkersKnown)
+	fmt.Printf("server: assigned %d, reassigned %d, expired %d (shed %d), batches %d, workers online %d (known %d)\n",
+		rep.Server.Assigned, rep.Server.Reassigned, rep.Server.Expired, rep.Server.Shed,
+		rep.Server.Batches, rep.Server.WorkersOnline, rep.Server.WorkersKnown)
 	if *chaos {
 		fmt.Printf("chaos: reconnects %d, resubmitted %d, reconciled %d, stale responses %d, mismatched %d\n",
 			rep.Reconnects, rep.Resubmitted, rep.Reconciled, rep.Stale, rep.Mismatched)

@@ -111,10 +111,10 @@ func TestPersistenceRoundtrip(t *testing.T) {
 	if p.FitSamples() != 1 {
 		t.Fatalf("execution-time history after recovery: %d samples, want 1", p.FitSamples())
 	}
-	if _, err := srv2.ReconnectWorker("w1"); err != nil {
+	if _, err := srv2.RegisterWorker("w1", region.Point{Lat: 40, Lon: -74}); err != nil {
 		t.Fatalf("restored worker cannot reconnect: %v", err)
 	}
-	if _, err := srv2.ReconnectWorker("w1"); err == nil {
+	if _, err := srv2.RegisterWorker("w1", region.Point{Lat: 40, Lon: -74}); err == nil {
 		t.Fatal("second live connection for a reconnected worker accepted")
 	}
 	srv2.Stop()

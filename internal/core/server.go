@@ -46,7 +46,7 @@ type Options struct {
 	MonitorPeriod time.Duration // Eq. 2 sweep period (default 1s)
 	BatchPoll     time.Duration // batch-trigger poll period (default 200ms)
 	QueueDepth    int           // per-worker assignment channel depth (default 8)
-	Shards        int           // task/feed bookkeeping stripes (default GOMAXPROCS)
+	Shards        int           // task bookkeeping stripes (default GOMAXPROCS)
 
 	// OnResult, if set, is invoked for every terminating task (completion
 	// or expiry). Completions call it inline from Complete; expiries are
@@ -104,6 +104,7 @@ type Stats struct {
 	Completed   int64
 	OnTime      int64
 	Expired     int64
+	Shed        int64 // evicted by the admission shedder (also counted in Expired)
 	Reassigned  int64
 	Batches     int64
 	MatcherTime time.Duration
@@ -122,6 +123,7 @@ func (s *Stats) Add(o Stats) {
 	s.Completed += o.Completed
 	s.OnTime += o.OnTime
 	s.Expired += o.Expired
+	s.Shed += o.Shed
 	s.Reassigned += o.Reassigned
 	s.Batches += o.Batches
 	s.MatcherTime += o.MatcherTime
@@ -142,11 +144,11 @@ type Server struct {
 	opts      Options
 	eng       *engine.Engine
 	adm       *admission.Controller // non-nil when Options.Admission set
-	feeds     feedTable
-	store     *journal.Store      // non-nil once EnablePersistence ran
-	expireSub *event.Subscription // non-nil once Start ran with OnResult set
+	store     *journal.Store        // non-nil once EnablePersistence ran
+	expireSub *event.Subscription   // non-nil once Start ran with OnResult set
 
-	mu     sync.Mutex // guards closed (feeds shard their own locks)
+	mu     sync.Mutex // guards closed and feeds
+	feeds  map[string]chan Assignment
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed bool
@@ -156,8 +158,9 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.normalize()
 	s := &Server{
-		opts: opts,
-		stop: make(chan struct{}),
+		opts:  opts,
+		feeds: make(map[string]chan Assignment),
+		stop:  make(chan struct{}),
 	}
 	ecfg := engine.Config{
 		Clock:     opts.Clock,
@@ -188,7 +191,6 @@ func New(opts Options) *Server {
 		s.adm = admission.New(acfg)
 		s.eng.Events().Tap(s.adm.Tap)
 	}
-	s.feeds.init(s.eng.Tasks().Shards())
 	return s
 }
 
@@ -258,26 +260,48 @@ func (s *Server) Stop() {
 		s.expireSub.Close() // ends the expiry pump's range
 	}
 	s.wg.Wait()
-	s.feeds.closeAll()
+	s.mu.Lock()
+	for id, ch := range s.feeds {
+		close(ch)
+		delete(s.feeds, id)
+	}
+	s.mu.Unlock()
 	if s.store != nil {
 		s.store.Close()
 	}
 }
 
-// RegisterWorker adds a worker and returns the channel on which the worker
-// receives assignments. The channel is closed on DeregisterWorker or Stop.
+// RegisterWorker attaches a worker and returns the channel on which it
+// receives assignments; the channel is closed on DeregisterWorker,
+// DetachWorker or Stop. A worker the server already knows — detached
+// earlier, or recovered from the journal — re-attaches under its id with
+// its learned history and, when loc is valid, its new location: workers
+// have "short connectivity cycles" (§I), so returning is the common case.
+// Only a second session while the first feed is still live is refused.
 func (s *Server) RegisterWorker(id string, loc region.Point) (<-chan Assignment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrStopped
 	}
-	if _, err := s.eng.AttachWorker(id, loc); err != nil {
-		return nil, err
+	if _, live := s.feeds[id]; live {
+		return nil, fmt.Errorf("core: worker %q already connected", id)
+	}
+	if p, known := s.eng.Workers().Get(id); !known {
+		if _, err := s.eng.AttachWorker(id, loc); err != nil {
+			return nil, err
+		}
+	} else {
+		if loc.Valid() {
+			p.SetLocation(loc)
+		}
+		if _, err := s.eng.ReattachWorker(id); err != nil {
+			return nil, err
+		}
 	}
 	s.journalAttach(id, loc)
 	ch := make(chan Assignment, s.opts.QueueDepth)
-	s.feeds.put(id, ch)
+	s.feeds[id] = ch
 	return ch, nil
 }
 
@@ -288,7 +312,7 @@ func (s *Server) DeregisterWorker(id string) error {
 		return err
 	}
 	s.journalAppend(journal.Record{Kind: journal.KindDeregister, Worker: id})
-	s.feeds.drop(id)
+	s.dropFeed(id)
 	return nil
 }
 
@@ -301,8 +325,18 @@ func (s *Server) DetachWorker(id string) error {
 	if err := s.eng.DetachWorker(id); err != nil {
 		return err
 	}
-	s.feeds.drop(id)
+	s.dropFeed(id)
 	return nil
+}
+
+// dropFeed closes and forgets a worker's assignment feed, if it has one.
+func (s *Server) dropFeed(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ch, ok := s.feeds[id]; ok {
+		close(ch)
+		delete(s.feeds, id)
+	}
 }
 
 // Submit places a task into the system. With admission enabled it runs
@@ -406,6 +440,7 @@ func (s *Server) Stats() Stats {
 		Completed:     est.Completed,
 		OnTime:        est.OnTime,
 		Expired:       est.Expired,
+		Shed:          est.Shed,
 		Reassigned:    est.Reassigned,
 		Batches:       est.Batches,
 		MatcherTime:   est.MatcherTime,
@@ -414,36 +449,14 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ReconnectWorker re-attaches a known worker — recovered from the journal,
-// or detached earlier: it marks the profile available again and opens a
-// fresh assignment feed. Unknown workers fall back to plain registration
-// semantics via RegisterWorker.
-func (s *Server) ReconnectWorker(id string) (<-chan Assignment, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrStopped
-	}
-	if s.feeds.has(id) {
-		return nil, fmt.Errorf("core: worker %q already connected", id)
-	}
-	if _, err := s.eng.ReattachWorker(id); err != nil {
-		return nil, err
-	}
-	ch := make(chan Assignment, s.opts.QueueDepth)
-	s.feeds.put(id, ch)
-	return ch, nil
-}
-
 // deliver is the engine's transport hook: push the assignment onto the
-// worker's feed without blocking. A missing or full feed refuses the
-// delivery, which makes the engine revoke the binding rather than let the
-// task rot in a channel.
+// worker's feed without blocking. A missing feed (nil: never ready) or a
+// full one refuses the delivery, which makes the engine revoke the binding
+// rather than let the task rot in a channel.
 func (s *Server) deliver(a Assignment) bool {
-	feed := s.feeds.get(a.WorkerID)
-	if feed == nil {
-		return false
-	}
+	s.mu.Lock()
+	feed := s.feeds[a.WorkerID]
+	s.mu.Unlock()
 	select {
 	case feed <- a:
 		return true
@@ -494,86 +507,5 @@ func (s *Server) monitorLoop() {
 		case <-ticker.C:
 		}
 		s.eng.TickMonitor()
-	}
-}
-
-// feedTable stripes the per-worker assignment channels across the same
-// shard count as the task store, so feed lookups during a batch never
-// funnel through one lock.
-type feedTable struct {
-	shards []feedShard
-}
-
-type feedShard struct {
-	mu sync.Mutex
-	m  map[string]chan Assignment
-}
-
-func (t *feedTable) init(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.shards = make([]feedShard, n)
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]chan Assignment)
-	}
-}
-
-func (t *feedTable) shard(id string) *feedShard {
-	if len(t.shards) == 1 {
-		return &t.shards[0]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * prime32
-	}
-	return &t.shards[h%uint32(len(t.shards))]
-}
-
-func (t *feedTable) put(id string, ch chan Assignment) {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.m[id] = ch
-}
-
-func (t *feedTable) get(id string) chan Assignment {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m[id]
-}
-
-func (t *feedTable) has(id string) bool {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[id]
-	return ok
-}
-
-func (t *feedTable) drop(id string) {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ch, ok := sh.m[id]; ok {
-		close(ch)
-		delete(sh.m, id)
-	}
-}
-
-func (t *feedTable) closeAll() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for id, ch := range sh.m {
-			close(ch)
-			delete(sh.m, id)
-		}
-		sh.mu.Unlock()
 	}
 }

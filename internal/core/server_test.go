@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,12 +278,56 @@ func TestConcurrentSubmittersAndWorkers(t *testing.T) {
 	}
 }
 
-func TestReconnectUnknownWorker(t *testing.T) {
+// TestRegisterWorkerReattachesReturningWorker pins the one way to attach a
+// worker: a returning id re-registers through the same call, keeps its
+// learned history, takes its new location, and receives work on the new
+// feed; only a second session while the feed is live is refused.
+func TestRegisterWorkerReattachesReturningWorker(t *testing.T) {
 	s := New(fastOptions())
 	s.Start()
 	defer s.Stop()
-	if _, err := s.ReconnectWorker("ghost"); err == nil {
-		t.Fatal("reconnect of unknown worker accepted")
+
+	feed, err := s.RegisterWorker("alice", athens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(newTask("t1", time.Minute))
+	a := <-feed
+	if _, err := s.Complete(a.TaskID, "alice", "done"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DetachWorker("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, open := <-feed; open {
+		t.Fatal("detach left the old feed open")
+	}
+
+	elsewhere := region.Point{Lat: 40.64, Lon: 22.94}
+	feed, err = s.RegisterWorker("alice", elsewhere)
+	if err != nil {
+		t.Fatalf("returning worker refused: %v", err)
+	}
+	p, _ := s.Workers().Get("alice")
+	if p.FitSamples() != 1 {
+		t.Fatalf("history lost across re-register: %d exec-time samples, want 1", p.FitSamples())
+	}
+	if got := p.Location(); got != elsewhere {
+		t.Fatalf("location after re-register = %v, want %v", got, elsewhere)
+	}
+	s.Submit(newTask("t2", time.Minute))
+	select {
+	case a := <-feed:
+		if a.TaskID != "t2" {
+			t.Fatalf("assignment on the new feed = %+v", a)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("re-registered worker never received an assignment")
+	}
+
+	_, err = s.RegisterWorker("alice", athens)
+	if err == nil || !strings.Contains(err.Error(), "already connected") {
+		t.Fatalf("second live session: err = %v, want \"already connected\"", err)
 	}
 }
 

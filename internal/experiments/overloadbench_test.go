@@ -9,16 +9,16 @@ import (
 
 // A short configuration keeps the determinism test fast; the protection
 // test below runs the (longer) defaults.
-func shortOverloadConfig() OverloadBenchConfig {
+func shortBenchConfig() OverloadBenchConfig {
 	return OverloadBenchConfig{Duration: 20e9} // 20 virtual seconds
 }
 
 func TestOverloadBenchDeterministic(t *testing.T) {
-	a, err := RunOverloadBench(shortOverloadConfig())
+	a, err := RunOverloadBench(shortBenchConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOverloadBench(shortOverloadConfig())
+	b, err := RunOverloadBench(shortBenchConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

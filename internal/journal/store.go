@@ -23,7 +23,7 @@ import (
 // so the taskq sink can call Append while holding a shard lock without
 // ever touching the disk. A flusher goroutine group-commits the buffer:
 // it writes and fsyncs on a time interval (Options.FsyncInterval) or as
-// soon as the buffer passes Options.FsyncBytes. The durability window is
+// soon as the buffer passes fsyncBytes. The durability window is
 // therefore one fsync interval; the wire layer's resubmit-on-unknown
 // reconciliation covers exactly that window (see docs/PERSISTENCE.md).
 //
@@ -50,11 +50,11 @@ type Store struct {
 
 	// flushMu serializes disk work (flush, compaction). Never acquired
 	// while holding mu; flush takes the buffer under mu, then writes.
-	flushMu      sync.Mutex
-	lastFlushed  uint64 // highest seq durable in the active segment
-	snapPath     string
-	snapSeq      uint64
-	sealed       []string // sealed segments since the last snapshot
+	flushMu     sync.Mutex
+	lastFlushed uint64 // highest seq durable in the active segment
+	snapPath    string
+	snapSeq     uint64
+	sealed      []string // sealed segments since the last snapshot
 
 	kick chan struct{}
 	done chan struct{}
@@ -83,9 +83,6 @@ type Options struct {
 	// FsyncInterval bounds how long an acknowledged append may sit in
 	// memory before it is durable. Default 25ms.
 	FsyncInterval time.Duration
-	// FsyncBytes forces an early group commit once this many buffered
-	// bytes accumulate. Default 256KiB.
-	FsyncBytes int
 	// CompactBytes seals the active segment and rebuilds the snapshot
 	// once the segment grows past this size. Default 4MiB.
 	CompactBytes int64
@@ -95,8 +92,10 @@ type Options struct {
 
 const (
 	defaultFsyncInterval = 25 * time.Millisecond
-	defaultFsyncBytes    = 256 << 10
-	defaultCompactBytes  = 4 << 20
+	// fsyncBytes forces an early group commit once this many buffered
+	// bytes accumulate.
+	fsyncBytes          = 256 << 10
+	defaultCompactBytes = 4 << 20
 )
 
 // Summary describes what Open recovered.
@@ -140,9 +139,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = defaultFsyncInterval
-	}
-	if opts.FsyncBytes <= 0 {
-		opts.FsyncBytes = defaultFsyncBytes
 	}
 	if opts.CompactBytes <= 0 {
 		opts.CompactBytes = defaultCompactBytes
@@ -334,7 +330,7 @@ func (s *Store) Summary() Summary { return s.summary }
 
 // Append sequences rec and buffers its frame. It performs no I/O and is
 // safe to call from a taskq sink holding a shard lock; durability follows
-// within one fsync interval (or sooner, once FsyncBytes accumulate).
+// within one fsync interval (or sooner, once fsyncBytes accumulate).
 func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	if s.err != nil {
@@ -361,7 +357,7 @@ func (s *Store) Append(rec Record) error {
 
 	s.records.Add(1)
 	s.bytes.Add(int64(grew))
-	if pending >= s.opts.FsyncBytes {
+	if pending >= fsyncBytes {
 		select {
 		case s.kick <- struct{}{}:
 		default:

@@ -8,6 +8,13 @@
 // completions 10–200 ms), which preserves all the ratios the scheduler
 // reasons about.
 //
+// The task stream is open-loop: one submission per schedule slot at a
+// constant gap, never waiting for results. A submission the server's
+// admission plane turns away (rate gate, probability floor, queue ceiling)
+// is counted in the report and left behind — retrying it would close the
+// loop — so the same run drives a plain server at the stable rate and a
+// `reactd -admission` at ten times it.
+//
 // With Resilient set, every connection is a wire.ReconnectingClient and the
 // requester reconciles outstanding tasks through the task-status query, so
 // a run survives injected connection faults and even a server restart —
@@ -84,14 +91,19 @@ func (c Config) normalize() Config {
 // Report summarizes a run from the requester's perspective, plus the
 // server's own counters.
 type Report struct {
-	Submitted int
-	Results   int // results observed (pushes plus reconciled statuses)
-	OnTime    int
-	Late      int
-	Expired   int
-	Positive  int // positive feedbacks sent
-	Wall      time.Duration
-	Server    wire.StatsPayload
+	Submitted int // submissions the server accepted
+	// Submissions the admission plane turned away, by gate. Offered load
+	// is Submitted plus these three.
+	RejectedRate        int // per-requester token bucket (retryable)
+	RejectedProbability int // predicted deadline-meeting probability below the floor
+	QueueFull           int // in-flight ceiling (retryable)
+	Results             int // results observed (pushes plus reconciled statuses)
+	OnTime              int
+	Late                int
+	Expired             int
+	Positive            int // positive feedbacks sent
+	Wall                time.Duration
+	Server              wire.StatsPayload
 
 	// Resilience accounting (resilient runs only).
 	Resubmitted int   // tasks re-sent because the server had no record of them
@@ -143,6 +155,26 @@ func gather(rep *Report, c client) {
 	if rc, ok := c.(*wire.ReconnectingClient); ok {
 		rep.Reconnects += rc.Reconnects()
 	}
+}
+
+// countRejection files a submit error under the admission gate that
+// produced it; false means the error is not an admission verdict.
+func (r *Report) countRejection(err error) bool {
+	var se *wire.ServerError
+	if !errors.As(err, &se) {
+		return false
+	}
+	switch se.Code {
+	case wire.CodeRejectedRate:
+		r.RejectedRate++
+	case wire.CodeRejectedProbability:
+		r.RejectedProbability++
+	case wire.CodeQueueFull:
+		r.QueueFull++
+	default:
+		return false
+	}
+	return true
 }
 
 // Run executes the load: Workers worker connections with crowd behaviours,
@@ -259,10 +291,19 @@ func Run(cfg Config) (Report, error) {
 		mu.Lock()
 		outstanding[payload.ID] = payload
 		mu.Unlock()
-		if err := req.Submit(payload); err != nil {
-			if !cfg.Resilient {
-				return rep, fmt.Errorf("loadgen: submit: %w", err)
-			}
+		switch err := req.Submit(payload); {
+		case err == nil:
+		case rep.countRejection(err):
+			// Turned away at the door: counted and left behind — retrying
+			// would close the loop.
+			mu.Lock()
+			delete(outstanding, payload.ID)
+			mu.Unlock()
+			cfg.Clock.Sleep(gap)
+			continue
+		case !cfg.Resilient:
+			return rep, fmt.Errorf("loadgen: submit: %w", err)
+		default:
 			// Ambiguous failure (timeout, conn cut mid-send): the server
 			// may or may not have the task. Leave it outstanding — the
 			// reconcile pass resubmits if the server reports "unknown".

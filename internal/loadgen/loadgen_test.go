@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"react/internal/admission"
 	"react/internal/core"
 	"react/internal/dynassign"
 	"react/internal/faultnet"
@@ -12,10 +13,12 @@ import (
 )
 
 // startServer launches a wire server whose loop periods are compressed to
-// match the load generator's time scale.
-func startServer(t *testing.T) *wire.Server {
+// match the load generator's time scale; adm, when non-nil, turns the
+// admission plane on.
+func startServer(t *testing.T, adm *admission.Config) *wire.Server {
 	t.Helper()
 	s, err := wire.Serve("127.0.0.1:0", core.Options{
+		Admission:     adm,
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
@@ -29,7 +32,7 @@ func startServer(t *testing.T) *wire.Server {
 }
 
 func TestLoadRunCompletes(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, nil)
 	rep, err := Run(Config{
 		Addr:     s.Addr(),
 		Workers:  10,
@@ -66,8 +69,38 @@ func TestLoadRunCompletes(t *testing.T) {
 	}
 }
 
+// TestLoadRunCountsAdmissionRejections drives a server whose rate gate
+// admits almost nothing: the run must count the typed rejections and carry
+// on, and every task that was admitted must still reach a terminal state.
+func TestLoadRunCountsAdmissionRejections(t *testing.T) {
+	s := startServer(t, &admission.Config{RequesterRate: 1, RequesterBurst: 1})
+	rep, err := Run(Config{
+		Addr:     s.Addr(),
+		Workers:  5,
+		Rate:     50,
+		Tasks:    20,
+		Seed:     3,
+		Compress: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RejectedRate == 0 {
+		t.Fatalf("rate gate never engaged: %+v", rep)
+	}
+	if got := rep.Submitted + rep.RejectedRate + rep.RejectedProbability + rep.QueueFull; got != 20 {
+		t.Fatalf("offered load not conserved: %d accounted for, want 20: %+v", got, rep)
+	}
+	if rep.Results != rep.Submitted || rep.Unresolved != 0 {
+		t.Fatalf("admitted tasks left open: %+v", rep)
+	}
+	if rep.Server.Received != int64(rep.Submitted) {
+		t.Fatalf("server saw %d, accepted %d", rep.Server.Received, rep.Submitted)
+	}
+}
+
 func TestLoadRunResilientSurvivesResets(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, nil)
 	proxy, err := faultnet.New(faultnet.Config{Target: s.Addr(), Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"react/internal/bipartite"
 	"react/internal/profile"
-	"react/internal/region"
 	"react/internal/taskq"
 )
 
@@ -90,8 +89,6 @@ type Config struct {
 	MaxWeight     float64       // weight assigned to trainee edges (default 1.0)
 	BatchBound    int           // run a batch once unassigned tasks exceed this (default 10)
 	BatchPeriod   time.Duration // and at least this often regardless (default 5s)
-	RegionID      string        // optional: only consider tasks/workers in this region
-	Region        *region.Grid
 	// NoPruning disables the Eq. 3 probability filter and the quality
 	// weight, instantiating every (worker, task) edge at the maximum
 	// weight. This models the traditional AMT-style platform of §V.C,

@@ -7,8 +7,11 @@ package wire
 // deadline actually deliver the resilience they promise.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -97,6 +100,45 @@ func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
 	}
 	if m.MismatchedResponses != 0 {
 		t.Fatalf("spurious mismatches: %+v", m)
+	}
+
+	// An unstamped "ok" is no exception. A scripted peer answers the stats
+	// call with a bare, seq-less frame (carrying a bogus payload) before
+	// the stamped one; the client must count the first stale and return
+	// the second — accepting it positionally is the same desync.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		var req Message
+		if json.NewDecoder(nc).Decode(&req) != nil {
+			return
+		}
+		fmt.Fprintf(nc, `{"type":"ok","stats":{"workers_online":99}}`+"\n")
+		fmt.Fprintf(nc, `{"type":"ok","seq":%d,"stats":{"workers_online":7}}`+"\n", req.Seq)
+		io.Copy(io.Discard, nc) // hold the connection until the client closes
+	}()
+	c2, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	st, err = c2.Stats()
+	if err != nil {
+		t.Fatalf("call answered after an unstamped frame: %v", err)
+	}
+	if st.WorkersOnline != 7 {
+		t.Fatalf("unstamped response taken positionally: %+v", st)
+	}
+	if m := c2.Metrics(); m.StaleResponses != 1 || m.MismatchedResponses != 0 {
+		t.Fatalf("unstamped response not counted stale: %+v", m)
 	}
 }
 

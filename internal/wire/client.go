@@ -276,15 +276,16 @@ func (cl *Client) call(m Message) (Message, error) {
 		select {
 		case resp := <-cl.resp:
 			switch {
-			case resp.Seq == m.Seq || resp.Seq == 0:
-				// Matched — or a legacy server that does not echo Seq,
-				// which can only answer in order.
+			case resp.Seq == m.Seq:
 				if resp.Type == "error" {
 					return resp, &ServerError{msg: resp.Error, Code: resp.Code, Admission: resp.Admission}
 				}
 				return resp, nil
 			case resp.Seq < m.Seq:
-				cl.stale.Add(1) // late answer to a timed-out call
+				// Late answer to a timed-out call. An unstamped response
+				// (Seq 0) lands here too: taking it positionally would
+				// re-open the desync Seq exists to close.
+				cl.stale.Add(1)
 			default:
 				cl.mismatched.Add(1) // a response from the future: broken peer
 			}

@@ -224,6 +224,10 @@ func appendStats(dst []byte, p *StatsPayload) []byte {
 	dst = strconv.AppendInt(dst, p.OnTime, 10)
 	dst = append(dst, `,"expired":`...)
 	dst = strconv.AppendInt(dst, p.Expired, 10)
+	if p.Shed != 0 {
+		dst = append(dst, `,"shed":`...)
+		dst = strconv.AppendInt(dst, p.Shed, 10)
+	}
 	dst = append(dst, `,"reassigned":`...)
 	dst = strconv.AppendInt(dst, p.Reassigned, 10)
 	dst = append(dst, `,"batches":`...)

@@ -47,7 +47,7 @@ func codecCorpus() []Message {
 		{Type: "result", Result: &ResultPayload{TaskID: "t4", Expired: true}},
 		{Type: "ok", Seq: 12, Stats: &StatsPayload{
 			Received: 100, Assigned: 90, Completed: 80, OnTime: 70,
-			Expired: 10, Reassigned: 5, Batches: 40, WorkersOnline: 8, WorkersKnown: 12,
+			Expired: 10, Shed: 3, Reassigned: 5, Batches: 40, WorkersOnline: 8, WorkersKnown: 12,
 		}},
 		{Type: "ok", Seq: 13, Regions: []RegionStatsPayload{
 			{Region: "athens-ne", Stats: StatsPayload{Received: 1}},

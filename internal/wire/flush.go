@@ -10,13 +10,16 @@ import (
 )
 
 // This file is the write-coalescing half of the wire hot path: every
-// connection owns a connWriter whose flusher goroutine group-commits
-// queued frames into single buffered writes, mirroring the journal's
-// group-commit shape (memory-only enqueue under a mutex, one flusher
-// draining on size threshold or interval, flush-on-close, sticky error).
-// A broadcast of E events to C connections therefore costs O(C) syscalls
-// per flush round instead of O(C×E): while one write syscall is in
-// flight, every frame queued behind it coalesces into the next.
+// connection owns a connWriter whose flusher goroutine writes queued
+// frames eagerly, swapping the whole pending buffer out under a mutex and
+// writing it with one syscall (flush-on-close, sticky error). A broadcast
+// of E events to C connections therefore costs O(C) syscalls per flush
+// round instead of O(C×E): while one write syscall is in flight, every
+// frame queued behind it coalesces into the next. It shares no logic with
+// the journal's group committer (internal/journal/store.go), which lingers
+// on an interval and a byte threshold because each of its flushes pays an
+// fsync; a socket write has no such cost to amortize, so there is no
+// linger here and nothing to extract between the two.
 //
 // Request/reply traffic takes the inline path instead: enqueue(frame,
 // true) writes synchronously on the caller's goroutine when no writer is
@@ -25,11 +28,6 @@ import (
 // still coalesce through the same swap-and-write critical section.
 
 const (
-	// defaultFlushBytes forces an early flush once this much is pending —
-	// roughly one socket buffer's worth, so a storm never builds a giant
-	// write.
-	defaultFlushBytes = 64 << 10
-
 	// defaultMaxPending bounds one connection's unflushed backlog. A peer
 	// that stops reading for long enough to pin this much memory is torn
 	// down (the server's detach path recovers any held task), mirroring
@@ -45,22 +43,16 @@ const (
 	closeFlushTimeout = 2 * time.Second
 )
 
-// writerConfig tunes one connection's coalescer. The zero value selects
-// the defaults above with eager flushing (Interval 0): the flusher runs as
-// soon as any frame is pending, so an idle connection's reply is written
+// writerConfig holds one connection's coalescer bounds; client and server
+// both run the zero value (the defaults above). The flusher runs as soon
+// as any frame is pending, so an idle connection's reply is written
 // immediately and batching emerges only while a write is already in
-// flight. Interval > 0 lingers instead — a flush below FlushBytes waits
-// until the oldest pending frame is Interval old (measured on Clock), the
-// journal's fsync-interval shape — trading bounded latency for bigger
-// batches.
+// flight. MaxPending and WriteTimeout are seams for the overflow and
+// sticky-error tests.
 type writerConfig struct {
-	FlushBytes   int
-	Interval     time.Duration
 	MaxPending   int
 	WriteTimeout time.Duration
-	// Clock supplies the timebase for the linger decision and for flush
-	// latency measurement. Tests drive interval semantics with a virtual
-	// clock; the parked flusher's wall wait is only a wakeup bound.
+	// Clock supplies the timebase for flush latency measurement.
 	Clock clock.Clock
 	// OnFlush, if set, observes every completed flush (frame count, byte
 	// count, syscall latency). Called from the flusher goroutine.
@@ -68,9 +60,6 @@ type writerConfig struct {
 }
 
 func (cfg writerConfig) normalize() writerConfig {
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = defaultFlushBytes
-	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = defaultMaxPending
 	}
@@ -101,7 +90,6 @@ type connWriter struct {
 	cond    *sync.Cond // signals writing -> false
 	pending []byte     // frames queued since the last swap
 	frames  int        // frame count in pending
-	firstAt time.Time  // cfg.Clock instant the oldest pending frame arrived
 	spare   []byte     // recycled swap buffer
 	writing bool       // a flush's write syscall is in flight
 	err     error      // sticky: first write failure or overflow
@@ -132,10 +120,10 @@ func newConnWriter(nc net.Conn, cfg writerConfig) *connWriter {
 // being torn down).
 //
 // With inline=false enqueue is memory-only and never blocks: the flusher
-// goroutine performs the write. With inline=true (and no linger interval)
-// the caller flushes synchronously before returning — the right shape for
-// request/reply frames, where the enqueueing goroutine is about to wait
-// for the peer anyway and a scheduler handoff would only add latency.
+// goroutine performs the write. With inline=true the caller flushes
+// synchronously before returning — the right shape for request/reply
+// frames, where the enqueueing goroutine is about to wait for the peer
+// anyway and a scheduler handoff would only add latency.
 func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -146,9 +134,6 @@ func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	if w.closed {
 		w.mu.Unlock()
 		return ErrClosed
-	}
-	if w.frames == 0 {
-		w.firstAt = w.cfg.Clock.Now()
 	}
 	w.pending = append(w.pending, frame...)
 	w.frames++
@@ -164,7 +149,7 @@ func (w *connWriter) enqueue(frame []byte, inline bool) error {
 		w.nc.Close()
 		return errWriterOverflow
 	}
-	if inline && w.cfg.Interval <= 0 {
+	if inline {
 		return w.flush(w.cfg.WriteTimeout)
 	}
 	select {
@@ -174,65 +159,25 @@ func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	return nil
 }
 
-// run is the group-commit loop: park until a frame is pending, then flush
-// batches until drained. With a linger interval the flush waits until the
-// size threshold trips or the oldest frame is Interval old; eager mode
-// (Interval 0) flushes immediately, batching only what accumulated while
-// the previous write syscall was in flight.
+// run is the flusher loop: park until a frame is pending, then write.
+// One flush carries everything that accumulated while the previous write
+// syscall was in flight; a kick that finds the buffer already drained (an
+// inline enqueuer got there first) flushes nothing.
 func (w *connWriter) run() {
 	defer w.wg.Done()
 	for {
 		select {
 		case <-w.done:
-			w.finalFlush()
+			// Drain what close() left pending, with a short deadline so
+			// a wedged peer cannot stall teardown.
+			w.flush(closeFlushTimeout)
 			return
 		case <-w.kick:
 		}
-		for {
-			wait, empty := w.lingerLeft()
-			if empty {
-				break // fully drained; park on the doorbell again
-			}
-			if wait > 0 {
-				// Linger: batch more frames before writing. The timer is a
-				// wall-clock wakeup bound; the decision itself re-reads the
-				// injected clock, so virtual-clock tests drive the boundary
-				// deterministically through enqueue kicks.
-				timer := time.NewTimer(wait)
-				select {
-				case <-w.done:
-					timer.Stop()
-					w.finalFlush()
-					return
-				case <-w.kick:
-					timer.Stop()
-				case <-timer.C:
-				}
-				continue
-			}
-			if w.flush(w.cfg.WriteTimeout) != nil {
-				return // sticky error recorded; the socket is closed
-			}
+		if w.flush(w.cfg.WriteTimeout) != nil {
+			return // sticky error recorded; the socket is closed
 		}
 	}
-}
-
-// lingerLeft reports how much longer the flusher should wait before
-// writing (0 = flush now), and whether nothing is pending at all.
-func (w *connWriter) lingerLeft() (wait time.Duration, empty bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.frames == 0 {
-		return 0, true
-	}
-	if w.cfg.Interval <= 0 || len(w.pending) >= w.cfg.FlushBytes {
-		return 0, false
-	}
-	age := w.cfg.Clock.Now().Sub(w.firstAt)
-	if age >= w.cfg.Interval {
-		return 0, false
-	}
-	return w.cfg.Interval - age, false
 }
 
 // flush swaps the pending buffer out under the mutex and writes it with a
@@ -288,13 +233,6 @@ func (w *connWriter) flush(timeout time.Duration) error {
 		w.cfg.OnFlush(frames, len(buf), elapsed)
 	}
 	return nil
-}
-
-// finalFlush drains what close() left pending, with a short deadline so a
-// wedged peer cannot stall teardown. Linger never applies: close means
-// "write it now".
-func (w *connWriter) finalFlush() {
-	w.flush(closeFlushTimeout)
 }
 
 // close stops the flusher after one final flush of everything enqueued

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/clock"
 	"react/internal/core"
 )
 
@@ -79,89 +78,6 @@ func TestConnWriterCloseFlushesInOrder(t *testing.T) {
 	}
 	if err := w.enqueue([]byte("late\n"), false); !errors.Is(err, ErrClosed) {
 		t.Errorf("enqueue after close = %v, want ErrClosed", err)
-	}
-}
-
-// TestConnWriterSizeTrigger pins the FlushBytes boundary: below it the
-// linger holds the frames back, reaching it flushes immediately — one
-// write carrying both frames.
-func TestConnWriterSizeTrigger(t *testing.T) {
-	f1 := []byte("frame-one-frame-one\n")
-	f2 := []byte("frame-two-frame-two\n")
-	nc := &memConn{}
-	flushed := make(chan int, 8)
-	w := newConnWriter(nc, writerConfig{
-		FlushBytes: len(f1) + len(f2),
-		Interval:   time.Hour,
-		Clock:      clock.NewVirtual(time.Unix(0, 0)),
-		OnFlush:    func(frames, bytes int, elapsed time.Duration) { flushed <- frames },
-	})
-	defer w.close()
-	if err := w.enqueue(f1, false); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-flushed:
-		t.Fatalf("flushed %d frames below the size threshold with an hour of linger left", n)
-	case <-time.After(30 * time.Millisecond):
-	}
-	if err := w.enqueue(f2, false); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-flushed:
-		if n != 2 {
-			t.Fatalf("size-triggered flush carried %d frames, want 2", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("size threshold reached but nothing flushed")
-	}
-	if got, writes := nc.snapshot(); got != string(f1)+string(f2) || writes != 1 {
-		t.Fatalf("want one write of both frames, got %d writes of %q", writes, got)
-	}
-}
-
-// TestConnWriterIntervalTrigger pins the linger boundary on a virtual
-// clock: while the oldest pending frame is younger than Interval nothing
-// is written, and the first enqueue at or past the boundary flushes the
-// whole batch together.
-func TestConnWriterIntervalTrigger(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	nc := &memConn{}
-	flushed := make(chan int, 8)
-	w := newConnWriter(nc, writerConfig{
-		FlushBytes: 1 << 20,
-		Interval:   100 * time.Millisecond,
-		Clock:      vc,
-		OnFlush:    func(frames, bytes int, elapsed time.Duration) { flushed <- frames },
-	})
-	defer w.close()
-	if err := w.enqueue([]byte("a\n"), false); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(99 * time.Millisecond) // just inside the linger window
-	if err := w.enqueue([]byte("b\n"), false); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-flushed:
-		t.Fatalf("flushed %d frames before the interval elapsed on the virtual clock", n)
-	case <-time.After(30 * time.Millisecond):
-	}
-	vc.Advance(1 * time.Millisecond) // boundary: the oldest frame is now exactly Interval old
-	if err := w.enqueue([]byte("c\n"), false); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-flushed:
-		if n != 3 {
-			t.Fatalf("interval-triggered flush carried %d frames, want all 3", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("interval elapsed but nothing flushed")
-	}
-	if got, _ := nc.snapshot(); got != "a\nb\nc\n" {
-		t.Fatalf("stream = %q, want frames in enqueue order", got)
 	}
 }
 

@@ -32,10 +32,6 @@ type ReconnectConfig struct {
 	CallTimeout time.Duration // per-call response timeout (default DefaultCallTimeout)
 	Keepalive   time.Duration // idle ping interval (default DefaultKeepalive; negative disables)
 
-	// OnReconnect, if set, is called after every re-established session
-	// (not the first) with the number of failed dials during the outage.
-	OnReconnect func(failedAttempts int)
-
 	Logf func(format string, args ...any) // optional reconnect diagnostics
 }
 
@@ -200,7 +196,7 @@ func (rc *ReconnectingClient) run() {
 	defer rc.results.close()
 	first := true
 	for {
-		cl, attempts, err := rc.connect()
+		cl, err := rc.connect()
 		if err != nil {
 			rc.fail(err)
 			return
@@ -210,9 +206,6 @@ func (rc *ReconnectingClient) run() {
 		}
 		if !first {
 			rc.reconnects.Add(1)
-			if rc.cfg.OnReconnect != nil {
-				rc.cfg.OnReconnect(attempts)
-			}
 		}
 		first = false
 		rc.publish(cl)
@@ -229,12 +222,12 @@ func (rc *ReconnectingClient) run() {
 
 // connect dials and restores session state, backing off between attempts.
 // A nil client with nil error means the client was closed.
-func (rc *ReconnectingClient) connect() (*Client, int, error) {
+func (rc *ReconnectingClient) connect() (*Client, error) {
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-rc.closed:
-			return nil, attempt, nil
+			return nil, nil
 		default:
 		}
 		cl, err := Dial(rc.cfg.Addr)
@@ -242,16 +235,16 @@ func (rc *ReconnectingClient) connect() (*Client, int, error) {
 			cl.SetCallTimeout(rc.cfg.CallTimeout)
 			cl.SetKeepalive(rc.cfg.Keepalive)
 			if err = rc.restore(cl); err == nil {
-				return cl, attempt, nil
+				return cl, nil
 			}
 			cl.Close()
 		}
 		rc.cfg.Logf("wire: reconnect %s attempt %d: %v", rc.cfg.Addr, attempt+1, err)
 		if rc.cfg.MaxOutage >= 0 && time.Since(start) > rc.cfg.MaxOutage {
-			return nil, attempt, fmt.Errorf("wire: %s unreachable for %v: %w", rc.cfg.Addr, rc.cfg.MaxOutage, err)
+			return nil, fmt.Errorf("wire: %s unreachable for %v: %w", rc.cfg.Addr, rc.cfg.MaxOutage, err)
 		}
 		if !rc.sleep(rc.backoff(attempt)) {
-			return nil, attempt, nil
+			return nil, nil
 		}
 	}
 }

@@ -119,10 +119,6 @@ type Server struct {
 	// builds its frames-per-flush and flush-latency histograms.
 	flushObs atomic.Value // func(frames, bytes int, latencySeconds float64)
 
-	// writerCfg is the coalescer template stamped onto new connections.
-	// Tests tweak it (interval, thresholds) before traffic starts.
-	writerCfg writerConfig
-
 	mu       sync.Mutex
 	watchers map[*conn]struct{}
 	conns    map[*conn]struct{}
@@ -325,9 +321,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		c := &conn{c: nc, srv: s}
-		wcfg := s.writerCfg
-		wcfg.OnFlush = s.observeFlush
-		c.w = newConnWriter(nc, wcfg)
+		c.w = newConnWriter(nc, writerConfig{OnFlush: s.observeFlush})
 		s.connsTotal.Add(1)
 		s.mu.Lock()
 		if s.closed {
@@ -467,19 +461,10 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, err)
 			return
 		}
+		// A returning worker (journal-recovered, or one whose old connection
+		// is gone) re-attaches under its id and keeps its learned history;
+		// a second *live* connection is refused.
 		feed, err := cs.RegisterWorker(m.Worker, loc)
-		if errors.Is(err, profile.ErrDuplicateWorker) {
-			// A worker recovered from the journal (or one whose old
-			// connection died without teardown) reconnects under its id and
-			// keeps its learned history; a second *live* connection is
-			// still rejected by ReconnectWorker.
-			feed, err = cs.ReconnectWorker(m.Worker)
-			if err == nil && loc.Valid() {
-				if p, ok := cs.Workers().Get(m.Worker); ok {
-					p.SetLocation(loc)
-				}
-			}
-		}
 		if err != nil {
 			c.reply(m.Seq, err)
 			return

@@ -39,9 +39,10 @@ type Message struct {
 	// lets a client outlive a timed-out call — the late response is
 	// recognized as stale by its old Seq and discarded instead of being
 	// mistaken for the answer to the next request. Zero means "not
-	// stamped": servers tolerate its absence and clients accept unstamped
-	// responses from legacy servers (which can only answer in order).
-	// Pushes carry no Seq.
+	// stamped": servers tolerate its absence on a request (hand-typed
+	// netcat sessions) and answer with Seq 0; clients always stamp, so
+	// they discard an unstamped response as stale like any other Seq
+	// below the one they wait for. Pushes carry no Seq.
 	Seq uint64 `json:"seq,omitempty"`
 
 	// register / deregister / location / available
@@ -263,6 +264,7 @@ type StatsPayload struct {
 	Completed     int64 `json:"completed"`
 	OnTime        int64 `json:"on_time"`
 	Expired       int64 `json:"expired"`
+	Shed          int64 `json:"shed,omitempty"` // of Expired: evicted by the admission shedder
 	Reassigned    int64 `json:"reassigned"`
 	Batches       int64 `json:"batches"`
 	WorkersOnline int   `json:"workers_online"`
@@ -276,6 +278,7 @@ func toStatsPayload(s core.Stats) *StatsPayload {
 		Completed:     s.Completed,
 		OnTime:        s.OnTime,
 		Expired:       s.Expired,
+		Shed:          s.Shed,
 		Reassigned:    s.Reassigned,
 		Batches:       s.Batches,
 		WorkersOnline: s.WorkersOnline,
