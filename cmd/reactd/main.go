@@ -102,7 +102,7 @@ func main() {
 	threshold := flag.Float64("reassign-threshold", 0.1, "Eq.2 probability below which a task is reassigned")
 	monitorPeriod := flag.Duration("monitor-period", time.Second, "Eq.2 sweep period")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats logging period (0 disables)")
-	dataDir := flag.String("data-dir", "", "write-ahead journal directory: state recovered at startup, every mutation journaled (single-region mode only)")
+	dataDir := flag.String("data-dir", "", "write-ahead journal directory: state recovered at startup, every mutation journaled (single-region mode only: refused together with -grid)")
 	fsyncInterval := flag.Duration("fsync-interval", 25*time.Millisecond, "group-commit window: the journal fsyncs at most this far behind the last acknowledged mutation")
 	retention := flag.Duration("retention", time.Hour, "how long terminal task records are kept for late feedback")
 	grid := flag.String("grid", "", "multi-region mode: \"RxC\" decomposition of -area (e.g. 2x2); empty = single region")
@@ -116,6 +116,10 @@ func main() {
 	admitFloor := flag.Float64("admit-floor", 0, "reject submissions whose predicted deadline-meeting probability falls below this (0 disables; needs -admission)")
 	admitRate := flag.Float64("admit-rate", 0, "per-requester submit tokens per second (0 = unlimited; needs -admission)")
 	flag.Parse()
+	if *grid != "" && *dataDir != "" {
+		fmt.Fprintln(os.Stderr, "reactd: -data-dir cannot be combined with -grid: the regions would run unjournaled")
+		os.Exit(2)
+	}
 
 	var matcher matching.Matcher
 	switch *matcherName {
@@ -168,9 +172,6 @@ func main() {
 	var store *journal.Store
 	var err error
 	if *grid != "" {
-		if *dataDir != "" {
-			log.Print("reactd: -data-dir is ignored in multi-region mode")
-		}
 		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
 	} else {
 		if *dataDir != "" {

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"react/internal/clock"
+	"react/internal/event"
 	"react/internal/powerlaw"
 	"react/internal/taskq"
 )
@@ -175,9 +176,9 @@ type Controller struct {
 	cfg Config
 	clk clock.Clock
 
-	// Load signals maintained by the spine tap (tap.go).
-	inflight   atomic.Int64
-	unassigned atomic.Int64
+	// ledger holds the load signals — live population, unassigned backlog,
+	// shed count — fed by Tap and seeded by crash recovery, like the engine's.
+	ledger event.Ledger
 
 	// fitMu guards the pooled fleet execution-time fitter. Tap updates
 	// it on every completion; Decide reads a Model from it.
@@ -198,7 +199,6 @@ type Controller struct {
 	admitted     atomic.Int64
 	rejectedProb atomic.Int64
 	rejectedRate atomic.Int64
-	shedTotal    atomic.Int64
 
 	// observer, when set, sees every Decide verdict (obs feeds its
 	// probability histogram from it). Called outside all locks.
@@ -215,6 +215,9 @@ func New(cfg Config) *Controller {
 
 // Config reports the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
+
+// Ledger exposes the controller's load signals, for recovery to seed.
+func (c *Controller) Ledger() *event.Ledger { return &c.ledger }
 
 // SetObserver installs fn as the per-decision observer (nil clears it).
 func (c *Controller) SetObserver(fn func(Decision)) {
@@ -248,7 +251,7 @@ func (c *Controller) Decide(requester string, t taskq.Task) Decision {
 		}
 	}
 
-	if c.cfg.MaxInflight > 0 && int(c.inflight.Load()) >= c.cfg.MaxInflight {
+	if c.cfg.MaxInflight > 0 && c.ledger.InFlight() >= int64(c.cfg.MaxInflight) {
 		c.rejectedRate.Add(1)
 		d := Decision{Status: StatusRejectedRate, RetryAfter: c.drainHint()}
 		c.observe(d)
@@ -289,7 +292,7 @@ func (c *Controller) probMeet(ttd time.Duration) (float64, bool) {
 	budget := ttd.Seconds()
 	if c.cfg.Workers != nil {
 		if w := c.cfg.Workers(); w > 0 {
-			budget -= float64(c.unassigned.Load()) / float64(w) * model.Median()
+			budget -= float64(c.ledger.Unassigned()) / float64(w) * model.Median()
 		} else {
 			// No workers online: nothing can be served before any deadline.
 			return 0, true
@@ -351,12 +354,12 @@ type Snapshot struct {
 // does no bucket or model work, so scrape-time metric funcs can call it
 // freely.
 func (c *Controller) Counters() (admitted, rejectedProbability, rejectedRate, shed int64) {
-	return c.admitted.Load(), c.rejectedProb.Load(), c.rejectedRate.Load(), c.shedTotal.Load()
+	return c.admitted.Load(), c.rejectedProb.Load(), c.rejectedRate.Load(), c.ledger.Counts().Shed
 }
 
 // Loads reads the instantaneous spine-maintained load gauges.
 func (c *Controller) Loads() (inflight, unassigned int64) {
-	return c.inflight.Load(), c.unassigned.Load()
+	return c.ledger.InFlight(), c.ledger.Unassigned()
 }
 
 // FleetModel reports the pooled execution-time model: sample count, and
@@ -379,12 +382,12 @@ func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
 		ProbFloor:           c.cfg.ProbFloor,
 		MaxInflight:         c.cfg.MaxInflight,
-		Inflight:            c.inflight.Load(),
-		Unassigned:          c.unassigned.Load(),
+		Inflight:            c.ledger.InFlight(),
+		Unassigned:          c.ledger.Unassigned(),
 		Admitted:            c.admitted.Load(),
 		RejectedProbability: c.rejectedProb.Load(),
 		RejectedRate:        c.rejectedRate.Load(),
-		Shed:                c.shedTotal.Load(),
+		Shed:                c.ledger.Counts().Shed,
 		Buckets:             c.bucketSnapshot(c.clk.Now()),
 	}
 	if c.cfg.Workers != nil {

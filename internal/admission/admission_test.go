@@ -278,7 +278,7 @@ func TestMaxInflightCeiling(t *testing.T) {
 
 	// A warm model sizes the drain hint to the fleet median (clamped).
 	warm(c, 40, 2*time.Second)
-	for int(c.inflight.Load()) < 3 {
+	for c.ledger.InFlight() < 3 {
 		c.Tap(event.Event{Kind: event.KindSubmit})
 	}
 	d = c.Decide("r", task("t", time.Hour, clk))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/journal"
 	"react/internal/region"
@@ -54,6 +53,14 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 		}
 	}
 
+	// The ledgers pick up where the replayed log left off, so the sweep
+	// below and all traffic after it count themselves as they will replay.
+	tally, pool := st.Stats.Counts(), s.eng.Tasks().UnassignedCount()
+	s.eng.Ledger().Seed(tally, pool)
+	if s.adm != nil {
+		s.adm.Ledger().Seed(tally, pool)
+	}
+
 	// Journal from here on, as a synchronous tap on the event spine: taps
 	// fire under the shard lock, so the WAL inherits the per-task total
 	// order, and Append never blocks (it only buffers), so holding that
@@ -68,29 +75,15 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 	})
 
 	// Sweep orphaned assignments back to the pool — journaled through the
-	// sink just installed — and seed the counters, crediting the sweep as
-	// reassignments (the same accounting a worker disconnect gets).
-	swept := int64(0)
+	// tap just installed, and counted by the ledgers as reassignments (the
+	// same accounting a worker disconnect gets).
 	for _, rec := range s.eng.Tasks().AssignedTasks() {
 		if err := s.eng.Tasks().Unassign(rec.Task.ID, taskq.CauseRecoverySweep, 0); err != nil {
 			return sum, fmt.Errorf("core: return recovered task %q to pool: %w", rec.Task.ID, err)
 		}
-		swept++
 	}
-	s.eng.RestoreStats(engine.Stats{
-		Received:   st.Stats.Received,
-		Assigned:   st.Stats.Assigned,
-		Completed:  st.Stats.Completed,
-		OnTime:     st.Stats.OnTime,
-		Expired:    st.Stats.Expired,
-		Reassigned: st.Stats.Reassigned + swept,
-	})
 	return sum, nil
 }
-
-// Journal exposes the attached store (nil when persistence is disabled),
-// for the observability plane.
-func (s *Server) Journal() *journal.Store { return s.store }
 
 // journalAppend writes one engine-level record when persistence is
 // enabled. Task-lifecycle records flow through the taskq sink instead.

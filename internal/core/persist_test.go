@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"react/internal/admission"
 	"react/internal/clock"
 	"react/internal/journal"
 	"react/internal/region"
@@ -183,5 +185,181 @@ func TestPersistenceDeregisterSurvives(t *testing.T) {
 	}
 	if _, ok := srv2.Workers().Get("w2"); !ok {
 		t.Fatal("registered worker lost")
+	}
+}
+
+// openJournaled opens (or recovers) dir into a fresh, not-started server on
+// the virtual clock.
+func openJournaled(t *testing.T, dir string, opts Options) *Server {
+	t.Helper()
+	store, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(opts)
+	if _, err := srv.EnablePersistence(store); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// TestReplayEqualsLive drives a journaled server through every cause the
+// ledger's fold distinguishes, then requires recovery to report the same
+// lifecycle counters the live server did: replay and live run one fold
+// (event.Ledger.Observe), so a restart changes only Reassigned, and only
+// by the recovery sweep's own journaled revocations.
+func TestReplayEqualsLive(t *testing.T) {
+	dir := t.TempDir()
+	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	opts := Options{Clock: clk}
+	loc := region.Point{Lat: 40, Lon: -74}
+	srv := openJournaled(t, dir, opts)
+	eng := srv.Engine()
+
+	submit := func(id string, ttl time.Duration) {
+		t.Helper()
+		if err := srv.Submit(taskq.Task{ID: id, Deadline: clk.Now().Add(ttl), Reward: 1, Category: "ocr"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// round lets a batch period pass and runs one scheduling round, then
+	// checks where it left the task.
+	round := func(id, wantWorker string) {
+		t.Helper()
+		clk.Advance(5 * time.Second)
+		eng.TryBatch()
+		if rec, _ := srv.Tasks().Get(id); rec.Worker != wantWorker {
+			t.Fatalf("after the round %s is held by %q (%v), want %q", id, rec.Worker, rec.Status, wantWorker)
+		}
+	}
+	complete := func(id string, after time.Duration) {
+		t.Helper()
+		clk.Advance(after)
+		if _, err := srv.Complete(id, "w1", "answer"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.RegisterWorker("w1", loc); err != nil {
+		t.Fatal(err)
+	}
+
+	// Delivered assignments: two on-time completions and a late one — also
+	// the three samples Eq. 2 needs before it acts on w1.
+	submit("on-time-1", time.Minute)
+	round("on-time-1", "w1")
+	complete("on-time-1", 5*time.Second)
+	submit("late", 10*time.Second)
+	round("late", "w1")
+	complete("late", 15*time.Second)
+	submit("on-time-2", time.Minute)
+	round("on-time-2", "w1")
+	complete("on-time-2", 5*time.Second)
+
+	// Eq. 2 revoke, then the same task dies in the pool at its deadline.
+	submit("doomed", 10*time.Minute)
+	round("doomed", "w1")
+	clk.Advance(9 * time.Minute)
+	eng.TickMonitor()
+	if got := eng.Ledger().Revoked(taskq.CauseEq2); got != 1 {
+		t.Fatalf("Eq. 2 revocations = %d, want 1", got)
+	}
+	clk.Advance(2 * time.Minute)
+	eng.TickExpiry()
+
+	// Detach revoke; then an assignment the transport refuses (ghost is
+	// attached on the engine but has no feed); then a shed.
+	submit("bounced", 10*time.Minute)
+	round("bounced", "w1")
+	if err := srv.DetachWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AttachWorker("ghost", loc); err != nil {
+		t.Fatal(err)
+	}
+	round("bounced", "")
+	if got := eng.Ledger().Revoked(taskq.CauseUndeliverable); got != 1 {
+		t.Fatalf("undeliverable revocations = %d, want 1", got)
+	}
+	if err := eng.DetachWorker("ghost"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Shed("bounced"); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the crash finds: one task in w1's hands, one in the pool.
+	if _, err := srv.RegisterWorker("w1", loc); err != nil {
+		t.Fatal(err)
+	}
+	submit("held", 10*time.Minute)
+	round("held", "w1")
+	submit("waiting", 10*time.Minute)
+
+	live := srv.Stats()
+	want := Stats{Received: 7, Assigned: 6, Completed: 3, OnTime: 2, Expired: 2, Shed: 1, Reassigned: 2}
+	lifecycle := func(s Stats) Stats {
+		return Stats{Received: s.Received, Assigned: s.Assigned, Completed: s.Completed, OnTime: s.OnTime,
+			Expired: s.Expired, Shed: s.Shed, Reassigned: s.Reassigned}
+	}
+	if lifecycle(live) != want {
+		t.Fatalf("live stats %+v, want %+v", lifecycle(live), want)
+	}
+	srv.Stop()
+
+	// First recovery: everything equal, plus the sweep of "held".
+	srv2 := openJournaled(t, dir, opts)
+	want.Reassigned++
+	if got := lifecycle(srv2.Stats()); got != want {
+		t.Fatalf("recovered stats %+v, want live + one swept assignment %+v", got, want)
+	}
+	srv2.Stop()
+
+	// Second recovery: the sweep was journaled, so it is not counted twice.
+	srv3 := openJournaled(t, dir, opts)
+	defer srv3.Stop()
+	if got := lifecycle(srv3.Stats()); got != want {
+		t.Fatalf("stats after the second recovery %+v, want %+v", got, want)
+	}
+}
+
+// TestAdmissionLoadSurvivesRecovery pins that a recovered server's
+// admission gauges describe the recovered population: seeded from the
+// journal, drained (never below zero) as those tasks expire, and binding
+// the MaxInflight ceiling with the gate's own typed verdict.
+func TestAdmissionLoadSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	opts := Options{Clock: clk, Admission: &admission.Config{MaxInflight: 4}}
+	task := func(id string) taskq.Task {
+		return taskq.Task{ID: id, Deadline: clk.Now().Add(time.Minute), Reward: 1, Category: "ocr"}
+	}
+	srv := openJournaled(t, dir, opts)
+	for _, id := range []string{"a", "b", "c"} {
+		if err := srv.Submit(task(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Stop()
+
+	srv = openJournaled(t, dir, opts)
+	defer srv.Stop()
+	u, a, _, _ := srv.Tasks().Counts()
+	if in, un := srv.Admission().Loads(); u != 3 || in != int64(u+a) || un != int64(u) {
+		t.Fatalf("recovered loads %d/%d, store holds %d unassigned + %d assigned", in, un, u, a)
+	}
+	clk.Advance(2 * time.Minute)
+	srv.Engine().TickExpiry()
+	if in, un := srv.Admission().Loads(); in != 0 || un != 0 {
+		t.Fatalf("loads after the recovered tasks expired: %d/%d, want 0/0", in, un)
+	}
+	for _, id := range []string{"d", "e", "f", "g"} {
+		if err := srv.Submit(task(id)); err != nil {
+			t.Fatalf("submit %s below the ceiling: %v", id, err)
+		}
+	}
+	d, err := srv.SubmitFrom("", task("h"))
+	var rej *admission.RejectionError
+	if !errors.As(err, &rej) || d.Status != admission.StatusRejectedRate || d.RetryAfter <= 0 {
+		t.Fatalf("fifth submit: decision %+v, err %v; want the admission ceiling's rejected_rate with a retry-after", d, err)
 	}
 }

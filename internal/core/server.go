@@ -88,14 +88,8 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Errors returned by the server API.
-var (
-	ErrStopped = errors.New("core: server stopped")
-	// ErrNotAssigned rejects a Complete for a task the worker does not hold.
-	ErrNotAssigned = engine.ErrNotAssigned
-	// ErrNoWorker rejects Feedback for a task with no worker to credit.
-	ErrNoWorker = engine.ErrNoWorker
-)
+// ErrStopped rejects calls on a server whose Stop has run.
+var ErrStopped = errors.New("core: server stopped")
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {

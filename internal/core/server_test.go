@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"react/internal/dynassign"
+	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/region"
 	"react/internal/schedule"
@@ -95,7 +96,7 @@ func TestCompleteWrongWorkerRejected(t *testing.T) {
 	s.RegisterWorker("mallory", athens)
 	s.Submit(newTask("t1", time.Minute))
 	<-feed
-	if _, err := s.Complete("t1", "mallory", "fake"); !errors.Is(err, ErrNotAssigned) {
+	if _, err := s.Complete("t1", "mallory", "fake"); !errors.Is(err, engine.ErrNotAssigned) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := s.Complete("ghost", "alice", "x"); !errors.Is(err, taskq.ErrUnknownTask) {

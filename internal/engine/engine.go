@@ -138,37 +138,16 @@ var (
 	ErrQueueFull = errors.New("engine: queue full")
 )
 
-// ErrDuplicateTask re-exports taskq's sentinel at the engine boundary so
-// transports can map it to a permanent wire error code without reaching
-// into task-store internals. It IS taskq.ErrDuplicateTask: errors.Is
-// matches either name.
-var ErrDuplicateTask = taskq.ErrDuplicateTask
-
-// Stats is a snapshot of the engine's counters.
+// Stats is a snapshot of the engine's counters. The embedded Tally —
+// Received, Assigned, Completed, OnTime, Expired, Shed, Reassigned — is
+// the ledger's: event.Ledger.Observe folds it from the spine, and journal
+// replay runs the same fold, so it survives a recovery. Batches and
+// MatcherTime count scheduling rounds, which are not journaled: those two
+// restart from zero.
 type Stats struct {
-	Received    int64
-	Assigned    int64
-	Completed   int64
-	OnTime      int64
-	Expired     int64
-	Shed        int64 // subset of Expired terminated by admission control
-	Reassigned  int64
+	event.Tally
 	Batches     int64
 	MatcherTime time.Duration
-}
-
-// counters hold the live stats as atomics so the hot paths never take a
-// stats lock.
-type counters struct {
-	received   atomic.Int64
-	assigned   atomic.Int64
-	completed  atomic.Int64
-	onTime     atomic.Int64
-	expired    atomic.Int64
-	shed       atomic.Int64
-	reassigned atomic.Int64
-	batches    atomic.Int64
-	matcherNs  atomic.Int64
 }
 
 // Engine is one REACT scheduling engine instance.
@@ -188,7 +167,9 @@ type Engine struct {
 	lastRun  time.Time // when the last round ran; the period half of the trigger
 	inFlight bool
 
-	ctr counters
+	ledger    event.Ledger // lifecycle counters; the bus's first tap
+	batches   atomic.Int64
+	matcherNs atomic.Int64
 }
 
 // New creates an engine. The first batch is considered due immediately
@@ -203,6 +184,8 @@ func New(cfg Config, hooks Hooks) *Engine {
 		bus:     event.NewBus(),
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 	}
+	// The ledger taps first: every later consumer finds the counters moved.
+	e.bus.Tap(e.ledger.Observe)
 	// Lifecycle events flow shard sink → spine bus. The sink fires under
 	// the shard's lock, so the bus stamps Seq before any second mutation
 	// of the same task can start — the per-task total order every spine
@@ -224,33 +207,28 @@ func (e *Engine) Tasks() *TaskStore { return e.tasks }
 // the event package contract before choosing.
 func (e *Engine) Events() *event.Bus { return e.bus }
 
+// Ledger exposes the lifecycle counters and load gauges behind Stats.
+func (e *Engine) Ledger() *event.Ledger { return &e.ledger }
+
 // Submit places a task into the system. With Config.MaxInflight set, a
 // submission that would exceed the live-task ceiling fails with
 // ErrQueueFull before touching the store.
 func (e *Engine) Submit(t taskq.Task) error {
 	if e.cfg.MaxInflight > 0 {
-		if u, a, _, _ := e.tasks.Counts(); u+a >= e.cfg.MaxInflight {
-			return fmt.Errorf("%w: %d tasks in flight (ceiling %d)", ErrQueueFull, u+a, e.cfg.MaxInflight)
+		if n := e.ledger.InFlight(); n >= int64(e.cfg.MaxInflight) {
+			return fmt.Errorf("%w: %d tasks in flight (ceiling %d)", ErrQueueFull, n, e.cfg.MaxInflight)
 		}
 	}
-	if err := e.tasks.Submit(t); err != nil {
-		return err
-	}
-	e.ctr.received.Add(1)
-	return nil
+	return e.tasks.Submit(t)
 }
 
 // Shed terminates an unassigned task on admission control's orders. The
 // record lands as Expired (the requester-visible outcome of never being
-// served) but the spine event carries taskq.CauseShed, and the engine
+// served) but the spine event carries taskq.CauseShed, so the ledger
 // counts it under both Expired and Shed.
 func (e *Engine) Shed(taskID string) error {
-	if _, err := e.tasks.Shed(taskID); err != nil {
-		return err
-	}
-	e.ctr.expired.Add(1)
-	e.ctr.shed.Add(1)
-	return nil
+	_, err := e.tasks.Shed(taskID)
+	return err
 }
 
 // AttachWorker registers a new worker, initially available.
@@ -278,9 +256,7 @@ func (e *Engine) DetachWorker(id string) error {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		if err := e.tasks.Unassign(taskID, taskq.CauseDetach, 0); err == nil {
-			e.ctr.reassigned.Add(1)
-		}
+		e.tasks.Unassign(taskID, taskq.CauseDetach, 0) // fails only if the task just went terminal
 		p.MarkIdle()
 	}
 	p.SetAvailable(false)
@@ -295,9 +271,7 @@ func (e *Engine) DeregisterWorker(id string) error {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		if err := e.tasks.Unassign(taskID, taskq.CauseDeregister, 0); err == nil {
-			e.ctr.reassigned.Add(1)
-		}
+		e.tasks.Unassign(taskID, taskq.CauseDeregister, 0) // fails only if the task just went terminal
 	}
 	return e.workers.Deregister(id)
 }
@@ -332,10 +306,6 @@ func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record
 		FinishedAt:  final.FinishedAt,
 		MetDeadline: final.MetDeadline(),
 	}
-	e.ctr.completed.Add(1)
-	if res.MetDeadline {
-		e.ctr.onTime.Add(1)
-	}
 	return res, final, nil
 }
 
@@ -365,31 +335,7 @@ func (e *Engine) Feedback(taskID string, positive bool) error {
 
 // Stats snapshots the counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Received:    e.ctr.received.Load(),
-		Assigned:    e.ctr.assigned.Load(),
-		Completed:   e.ctr.completed.Load(),
-		OnTime:      e.ctr.onTime.Load(),
-		Expired:     e.ctr.expired.Load(),
-		Shed:        e.ctr.shed.Load(),
-		Reassigned:  e.ctr.reassigned.Load(),
-		Batches:     e.ctr.batches.Load(),
-		MatcherTime: time.Duration(e.ctr.matcherNs.Load()),
-	}
-}
-
-// RestoreStats seeds the lifecycle counters from recovered state, before
-// traffic starts. Batches and MatcherTime are deliberately not restorable:
-// scheduling rounds are not journaled, so those two reset across a
-// recovery (documented in docs/PERSISTENCE.md).
-func (e *Engine) RestoreStats(st Stats) {
-	e.ctr.received.Store(st.Received)
-	e.ctr.assigned.Store(st.Assigned)
-	e.ctr.completed.Store(st.Completed)
-	e.ctr.onTime.Store(st.OnTime)
-	e.ctr.expired.Store(st.Expired)
-	e.ctr.shed.Store(st.Shed)
-	e.ctr.reassigned.Store(st.Reassigned)
+	return Stats{Tally: e.ledger.Counts(), Batches: e.batches.Load(), MatcherTime: time.Duration(e.matcherNs.Load())}
 }
 
 // Tick runs one full maintenance pass — retention GC, unassigned-task
@@ -415,20 +361,12 @@ func (e *Engine) TickRetention() {
 // expiry lands on the event spine as a KindExpire event. Tasks already
 // in a worker's hands run to (possibly late) completion — the paper's
 // soft-deadline policy.
-func (e *Engine) TickExpiry() {
-	for range e.tasks.ExpireUnassigned() {
-		e.ctr.expired.Add(1)
-	}
-}
+func (e *Engine) TickExpiry() { e.tasks.ExpireUnassigned() }
 
 // ExpireAllDue expires every overdue task, assigned or not — the
 // end-of-run accounting sweep the experiments harness performs after the
 // drain window.
-func (e *Engine) ExpireAllDue() {
-	for range e.tasks.ExpireDue() {
-		e.ctr.expired.Add(1)
-	}
-}
+func (e *Engine) ExpireAllDue() { e.tasks.ExpireDue() }
 
 // TickMonitor runs one Eq. 2 sweep: every executing task whose completion
 // probability fell below the threshold is returned to the pool and its
@@ -442,7 +380,6 @@ func (e *Engine) TickMonitor() {
 		if err := e.tasks.Unassign(d.TaskID, taskq.CauseEq2, d.Probability); err != nil {
 			continue
 		}
-		e.ctr.reassigned.Add(1)
 		if p, ok := e.workers.Get(d.Worker); ok && p.CurrentTask() == d.TaskID {
 			p.MarkIdle()
 		}
@@ -524,8 +461,8 @@ func (e *Engine) planBatch() *round {
 	//lint:ignore clockdiscipline,clocktaint see above: a real measurement by design
 	elapsed := time.Since(start)
 	e.lastRun = now
-	e.ctr.batches.Add(1)
-	e.ctr.matcherNs.Add(int64(elapsed))
+	e.batches.Add(1)
+	e.matcherNs.Add(int64(elapsed))
 
 	pairs := match.Pairs()
 	r := &round{
@@ -592,14 +529,12 @@ func (e *Engine) applyAssignments(bindings []binding) {
 		p.MarkBusy(b.taskID)
 		if e.hooks.Deliver != nil && !e.hooks.Deliver(a) {
 			// Transport refused (feed full, worker detached mid-delivery):
-			// revoke. The detach path may already have unassigned and idled,
-			// so both cleanups tolerate a no-op.
+			// revoke, which uncounts the assignment. The detach path may already
+			// have unassigned and idled, so both cleanups tolerate a no-op.
 			e.tasks.Unassign(b.taskID, taskq.CauseUndeliverable, 0)
 			if p.CurrentTask() == b.taskID {
 				p.MarkIdle()
 			}
-			continue
 		}
-		e.ctr.assigned.Add(1)
 	}
 }

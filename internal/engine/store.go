@@ -202,15 +202,6 @@ func (s *TaskStore) ShardStats() []ShardStat {
 	return out
 }
 
-// Total reports how many tasks have ever been submitted.
-func (s *TaskStore) Total() int {
-	n := 0
-	for _, m := range s.shards {
-		n += m.Total()
-	}
-	return n
-}
-
 // Restore inserts a recovered record verbatim on its shard, bypassing
 // lifecycle checks (see taskq.Manager.Restore). Journal recovery
 // bulk-loads a snapshot through this before the engine starts.

@@ -112,8 +112,8 @@ type Event struct {
 	// replay of the same schedule.
 	At time.Time
 	// Cause says why the event happened (the taskq.Cause* vocabulary):
-	// which component revoked an assignment, whether a forget was
-	// retention GC or explicit.
+	// which component revoked an assignment, whether an expiry was the
+	// deadline's doing or admission control's.
 	Cause string
 	// Prob is the Eq. 2 completion probability that triggered a
 	// CauseEq2 revocation (0 otherwise).

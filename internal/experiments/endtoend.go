@@ -232,18 +232,12 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		},
 	})
 
-	// Figure counters and the trace recorder ride the event spine. The sim
-	// is single-threaded, so a synchronous tap mutating res is safe.
+	// The modelled matcher time and the trace recorder ride the event
+	// spine (the lifecycle counts are read off the engine's ledger at the
+	// end). The sim is single-threaded, so a synchronous tap mutating res
+	// is safe.
 	re.Events().Tap(func(ev event.Event) {
-		switch ev.Kind {
-		case event.KindRevoke:
-			if ev.Cause == taskq.CauseEq2 {
-				res.Reassignments++
-			}
-		case event.KindExpire:
-			res.Expired++
-		case event.KindBatch:
-			res.Batches++
+		if ev.Kind == event.KindBatch {
 			res.MatcherBusy += ev.Batch.Latency.Seconds()
 		}
 		if cfg.Trace != nil {
@@ -351,6 +345,10 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	// Anything still live at the cap is a missed task.
 	re.ExpireAllDue()
 
+	st := re.Stats()
+	res.Expired = int(st.Expired)
+	res.Batches = int(st.Batches)
+	res.Reassignments = int(re.Ledger().Revoked(taskq.CauseEq2))
 	res.MeanWorkerExec = workerExec.Mean()
 	res.MeanTotalExec = totalExec.Mean()
 	res.MeanAttempts = attempts.Mean()

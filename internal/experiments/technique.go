@@ -77,22 +77,6 @@ func REACTTechnique(cycles int, seed int64) Technique {
 	}
 }
 
-// MetropolisTechnique swaps Algorithm 1 for the Metropolis baseline with
-// the same surroundings; used by ablation benches.
-func MetropolisTechnique(cycles int, seed int64) Technique {
-	if cycles <= 0 {
-		cycles = matching.DefaultCycles
-	}
-	return Technique{
-		Name:       "metropolis",
-		Matcher:    matching.Metropolis{Cycles: cycles, Rand: newRand(seed, "matcher-metro")},
-		UseMonitor: true,
-		Cost: func(tasks, workers, edges, c int) time.Duration {
-			return time.Duration(c) * time.Duration(edges) * IterCycleCost
-		},
-	}
-}
-
 // GreedyTechnique is the §V.C Greedy arm: the highest-weight-edge policy
 // with the monitor active, charged the paper's Θ(V·E) scan latency. The
 // policy itself runs as GreedyIndexed (identical output, Θ(E) real cost) so

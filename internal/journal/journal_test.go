@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -171,8 +172,8 @@ func TestStateApply(t *testing.T) {
 	if len(st.Tasks) != 2 {
 		t.Fatalf("tasks: %d, want 2", len(st.Tasks))
 	}
-	if st.Stats.Received != 2 || st.Stats.Completed != 2 || st.Stats.OnTime != 2 {
-		t.Fatalf("stats: %+v", st.Stats)
+	if got := st.Stats.Counts(); got.Received != 2 || got.Completed != 2 || got.OnTime != 2 {
+		t.Fatalf("stats: %+v", got)
 	}
 	p, ok := st.Profiles.Get("w1")
 	if !ok {
@@ -450,8 +451,8 @@ func TestStoreCompaction(t *testing.T) {
 	if len(st.Tasks) != 11 {
 		t.Fatalf("recovered %d tasks, want 11", len(st.Tasks))
 	}
-	if st.Stats.Completed != 10 {
-		t.Fatalf("recovered stats: %+v", st.Stats)
+	if got := st.Stats.Counts(); got.Completed != 10 {
+		t.Fatalf("recovered stats: %+v", got)
 	}
 	if sum := s2.Summary(); sum.LastSeq != 42 {
 		t.Fatalf("summary: %+v", sum)
@@ -549,6 +550,7 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	seed := mustFrames(Record{Seq: 1, Kind: KindAttach, Worker: "w", Lat: 1, Lon: 2})
 	f.Add(seed[:len(seed)-3])
+	f.Add(mustFrames(Record{Seq: 1, Kind: KindUnassign, Task: taskRec("t", taskq.Unassigned, ""), Cause: taskq.CauseEq2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, torn, err := decodeFrames(data)
 		if err != nil {
@@ -613,6 +615,83 @@ func TestKindStringAndFromEvent(t *testing.T) {
 	}
 	if _, ok := FromEvent(event.Event{}); ok {
 		t.Error("unknown event kind must not map to a journal record")
+	}
+}
+
+// TestFromEventCause pins which records carry the event's cause: every
+// revocation and a shed expiry do (replay counts them by it), a deadline
+// expiry and the other kinds do not, so their bytes are what they were
+// before the field existed.
+func TestFromEventCause(t *testing.T) {
+	rec := *taskRec("t1", taskq.Unassigned, "")
+	for _, tc := range []struct {
+		kind        event.Kind
+		cause, want string
+	}{
+		{event.KindRevoke, taskq.CauseEq2, taskq.CauseEq2},
+		{event.KindRevoke, taskq.CauseDetach, taskq.CauseDetach},
+		{event.KindRevoke, taskq.CauseUndeliverable, taskq.CauseUndeliverable},
+		{event.KindRevoke, taskq.CauseRecoverySweep, taskq.CauseRecoverySweep},
+		{event.KindExpire, taskq.CauseShed, taskq.CauseShed},
+		{event.KindExpire, taskq.CauseDeadline, ""},
+		{event.KindSubmit, taskq.CauseSubmit, ""},
+		{event.KindAssign, taskq.CauseBatch, ""},
+		{event.KindComplete, taskq.CauseWorker, ""},
+	} {
+		got, _ := FromEvent(event.Event{Kind: tc.kind, Task: "t1", Cause: tc.cause, Record: rec})
+		if got.Cause != tc.want {
+			t.Errorf("FromEvent(%v, cause %q).Cause = %q, want %q", tc.kind, tc.cause, got.Cause, tc.want)
+		}
+		raw, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if has := bytes.Contains(raw, []byte(`"cause"`)); has != (tc.want != "") {
+			t.Errorf("FromEvent(%v, cause %q) encodes as %s", tc.kind, tc.cause, raw)
+		}
+		if back := got.event(); back.Kind != tc.kind || back.Cause != tc.want || back.Task != "t1" {
+			t.Errorf("Record.event() of %v/%q = %+v", tc.kind, tc.cause, back)
+		}
+	}
+}
+
+// TestParentFormatReplays feeds replay what the commit before the cause
+// field and the shed counter wrote — byte for byte — and requires it to
+// count as it did then: a cause-less revoke is a reassignment, a
+// cause-less expiry a plain one, a shed-less snapshot header has shed 0.
+func TestParentFormatReplays(t *testing.T) {
+	const task = `{"Task":{"ID":"t1","Location":{"Lat":0,"Lon":0},"Deadline":"2026-01-01T00:01:00Z","Reward":1,"Category":"ocr","Description":"","Submitted":"2026-01-01T00:00:00Z"},`
+	records := []string{
+		`{"seq":3,"kind":3,"task":` + task + `"Status":0,"Worker":"","AssignedAt":"0001-01-01T00:00:00Z","FinishedAt":"0001-01-01T00:00:00Z","Attempts":1,"Graded":false}}`,
+		`{"seq":4,"kind":5,"task":` + task + `"Status":3,"Worker":"","AssignedAt":"0001-01-01T00:00:00Z","FinishedAt":"2026-01-01T00:01:00Z","Attempts":1,"Graded":false}}`,
+	}
+	snap := filepath.Join(t.TempDir(), snapshotName(2))
+	header := `{"v":1,"seq":2,"tasks":0,"workers":0,"stats":{"received":5,"assigned":4,"completed":2,"on_time":1,"expired":1,"reassigned":2}}`
+	if err := os.WriteFile(snap, []byte(header+"\n{\"eof\":true}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, seq, err := readSnapshot(snap)
+	if err != nil || seq != 2 {
+		t.Fatalf("parent-format snapshot: seq %d, err %v", seq, err)
+	}
+	for _, raw := range records {
+		var rec Record
+		if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := event.Tally{Received: 5, Assigned: 4, Completed: 2, OnTime: 1, Expired: 2, Reassigned: 3}
+	if got := st.Stats.Counts(); got != want {
+		t.Fatalf("replayed %+v, want %+v", got, want)
+	}
+	if st.Tasks["t1"].Status != taskq.Expired {
+		t.Fatalf("t1 after replay: %+v", st.Tasks["t1"])
 	}
 }
 

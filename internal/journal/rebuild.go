@@ -3,33 +3,23 @@ package journal
 import (
 	"fmt"
 
+	"react/internal/event"
 	"react/internal/profile"
 	"react/internal/region"
 	"react/internal/taskq"
 )
 
-// Counters are the engine statistics the journal can reconstruct. Batch
-// counts and matcher wall time are intentionally absent: scheduling rounds
-// are not journaled (they carry no state a replay needs), so those two
-// reset across a recovery.
-type Counters struct {
-	Received   int64 `json:"received"`
-	Assigned   int64 `json:"assigned"`
-	Completed  int64 `json:"completed"`
-	OnTime     int64 `json:"on_time"`
-	Expired    int64 `json:"expired"`
-	Reassigned int64 `json:"reassigned"`
-}
-
 // State is rebuilt scheduling state: the task registry as plain records,
-// the worker profiles, and the counters. It is produced by replaying a
-// snapshot plus WAL records and consumed either by recovery (bulk-loaded
-// into a fresh engine) or by compaction (written straight back out as the
-// next snapshot).
+// the worker profiles, and the lifecycle counters — the same event.Ledger
+// fold the live engine runs, so replay cannot count differently (batch
+// counts and matcher wall time are not journaled and reset across a
+// recovery). It is produced by replaying a snapshot plus WAL records and
+// consumed either by recovery (bulk-loaded into a fresh engine) or by
+// compaction (written straight back out as the next snapshot).
 type State struct {
 	Tasks    map[string]taskq.Record
 	Profiles *profile.Registry
-	Stats    Counters
+	Stats    event.Ledger
 }
 
 // NewState returns an empty rebuild target.
@@ -48,29 +38,16 @@ func NewState() *State {
 // hand-edited log.
 func (s *State) Apply(r Record) error {
 	switch r.Kind {
-	case KindSubmit:
+	case KindSubmit, KindAssign, KindUnassign, KindComplete, KindExpire:
 		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Received++
-	case KindAssign:
-		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Assigned++
-	case KindUnassign:
-		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Reassigned++
-	case KindComplete:
-		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Completed++
-		if r.Task.MetDeadline() {
-			s.Stats.OnTime++
+		s.Stats.Observe(r.event())
+		if r.Kind == KindComplete {
+			// Mirror the live engine: a completion feeds the worker's
+			// power-law execution-time model immediately.
+			if p, ok := s.Profiles.Get(r.Task.Worker); ok {
+				p.RecordExecTime(r.Task.ExecTime().Seconds())
+			}
 		}
-		// Mirror the live engine: a completion feeds the worker's
-		// power-law execution-time model immediately.
-		if p, ok := s.Profiles.Get(r.Task.Worker); ok {
-			p.RecordExecTime(r.Task.ExecTime().Seconds())
-		}
-	case KindExpire:
-		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Expired++
 	case KindForget:
 		delete(s.Tasks, r.TaskID)
 	case KindFeedback:

@@ -84,6 +84,11 @@ type Record struct {
 	// kinds (nil for KindForget and the worker-level kinds).
 	Task *taskq.Record `json:"task,omitempty"`
 
+	// Cause is the spine event's taskq.Cause* where counting depends on it:
+	// every KindUnassign, and a KindExpire the deadline did not cause (a
+	// shed). Absent everywhere else, and in logs older than the field.
+	Cause string `json:"cause,omitempty"`
+
 	// TaskID identifies the subject of KindForget and KindFeedback.
 	TaskID string `json:"task_id,omitempty"`
 
@@ -101,25 +106,40 @@ type Record struct {
 // is false for events that are not journaled (scheduling-round
 // summaries): batches are recomputed, not replayed. The event's Record
 // is the full post-mutation state, so the WAL entry is exactly the
-// physiological redo payload replay needs.
+// physiological redo payload replay needs. (Assign-then-return keeps it
+// inlinable, so a caller that only inspects the result never allocates rec.)
 func FromEvent(ev event.Event) (Record, bool) {
 	rec := ev.Record
+	r := Record{Task: &rec}
 	switch ev.Kind {
 	case event.KindSubmit:
-		return Record{Kind: KindSubmit, Task: &rec}, true
+		r.Kind = KindSubmit
 	case event.KindAssign:
-		return Record{Kind: KindAssign, Task: &rec}, true
+		r.Kind = KindAssign
 	case event.KindRevoke:
-		return Record{Kind: KindUnassign, Task: &rec}, true
+		r.Kind, r.Cause = KindUnassign, ev.Cause
 	case event.KindComplete:
-		return Record{Kind: KindComplete, Task: &rec}, true
+		r.Kind = KindComplete
 	case event.KindExpire:
-		return Record{Kind: KindExpire, Task: &rec}, true
+		r.Kind = KindExpire
+		if ev.Cause != taskq.CauseDeadline {
+			r.Cause = ev.Cause
+		}
 	case event.KindForget:
 		return Record{Kind: KindForget, TaskID: ev.Task}, true
 	default:
 		return Record{}, false
 	}
+	return r, true
+}
+
+// event is FromEvent's inverse for the five task-state kinds: the spine
+// event a replayed record stands for, as far as event.Ledger.Observe
+// reads it (kind, cause, post-mutation record).
+func (r Record) event() event.Event {
+	kinds := [...]event.Kind{KindSubmit: event.KindSubmit, KindAssign: event.KindAssign,
+		KindUnassign: event.KindRevoke, KindComplete: event.KindComplete, KindExpire: event.KindExpire}
+	return event.Event{Kind: kinds[r.Kind], Task: r.Task.Task.ID, Cause: r.Cause, Record: *r.Task}
 }
 
 // validate rejects records that could not be replayed.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"react/internal/event"
 	"react/internal/taskq"
 )
 
@@ -27,11 +28,11 @@ import (
 const snapshotVersion = 1
 
 type snapshotHeader struct {
-	V       int      `json:"v"`
-	Seq     uint64   `json:"seq"`
-	Tasks   int      `json:"tasks"`
-	Workers int      `json:"workers"`
-	Stats   Counters `json:"stats"`
+	V       int         `json:"v"`
+	Seq     uint64      `json:"seq"`
+	Tasks   int         `json:"tasks"`
+	Workers int         `json:"workers"`
+	Stats   event.Tally `json:"stats"`
 }
 
 type snapshotTrailer struct {
@@ -58,7 +59,7 @@ func writeSnapshot(dir string, st *State, seq uint64) (string, error) {
 		Seq:     seq,
 		Tasks:   len(ids),
 		Workers: st.Profiles.Size(),
-		Stats:   st.Stats,
+		Stats:   st.Stats.Counts(),
 	}
 	//lint:ignore blockingunderlock encodes into the in-memory buffer above; flushMu is the compaction serializer and holding it across the offline rebuild is the design (docs/PERSISTENCE.md)
 	if err := enc.Encode(hdr); err != nil {
@@ -139,7 +140,7 @@ func readSnapshot(path string) (*State, uint64, error) {
 	}
 
 	st := NewState()
-	st.Stats = hdr.Stats
+	st.Stats.Seed(hdr.Stats, 0) // the replay ledger's pool gauge is never read
 	for i := 0; i < hdr.Tasks; i++ {
 		var rec taskq.Record
 		if err := json.Unmarshal(lines[1+i], &rec); err != nil {

@@ -14,6 +14,7 @@ package loadgen
 // hermetic.
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -136,6 +137,11 @@ func TestKillRecoveryZeroLostTasks(t *testing.T) {
 	if rep.OnTime+rep.Late+rep.Expired != rep.Results {
 		t.Fatalf("result accounting broken: %+v", rep)
 	}
+	// The server's own counters were rebuilt from the journal at each
+	// restart; with every task terminal they must conserve.
+	if s := rep.Server; s.Received == 0 || s.Received != s.Completed+s.Expired || s.Shed > s.Expired {
+		t.Fatalf("twice-recovered server stats do not conserve (received = completed + expired, shed <= expired): %+v", s)
+	}
 	t.Logf("kill-recovery report: %+v", rep)
 
 	// Shut the surviving server down cleanly (flushes and closes the
@@ -193,6 +199,14 @@ func TestGridSmoke(t *testing.T) {
 	if bin == "" {
 		t.Skip("REACTD_BIN not set; run via `make recovery`")
 	}
+	// A grid has no per-region journal yet, so asking for one is refused
+	// outright rather than served without durability.
+	out, err := exec.Command(bin, "-grid", "2x2", "-data-dir", t.TempDir()).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unjournaled") {
+		t.Fatalf("reactd -grid -data-dir: err %v, output %q; want exit 2 naming the unjournaled regions", err, out)
+	}
+
 	addr, httpAddr := freeAddr(t), freeAddr(t)
 	cmd := startReactd(t, bin, addr, "-grid", "2x2", "-admission", "-http", httpAddr)
 	t.Cleanup(func() {

@@ -1,8 +1,8 @@
 // Collectors bridge the running system into the metrics.Registry: engine
-// counters become counter families read at scrape time, per-shard task
-// depths become labelled gauges, and the engine's event spine feeds
-// histograms and revocation counters that no polling snapshot could
-// reconstruct.
+// counters (the ledger's, including the per-cause revocation split) become
+// counter families read at scrape time, per-shard task depths become
+// labelled gauges, and the engine's event spine feeds the round-shape
+// histograms no polling snapshot could reconstruct.
 package obs
 
 import (
@@ -49,10 +49,10 @@ const (
 // spine: call Attach once the engine exists (it installs HandleEvent as
 // a bus tap), then Register to expose the instruments.
 //
-// HandleEvent is safe for concurrent use and never blocks: lifecycle
-// events touch only atomic counters (safe under the shard lock a tap
-// runs beneath); the mutex-guarded histograms are touched only by batch
-// summaries, which publish outside every engine lock.
+// HandleEvent is safe for concurrent use and never blocks: it ignores
+// lifecycle events (the engine's ledger counts those; Register reads it),
+// and the mutex-guarded histograms are touched only by batch summaries,
+// which publish outside every engine lock.
 type EngineCollector struct {
 	matcherElapsed *metrics.Histogram // measured matcher wall time per round (s)
 	matcherModel   *metrics.Histogram // modelled latency charged via Config.Latency (s)
@@ -61,8 +61,6 @@ type EngineCollector struct {
 	batchEdges     *metrics.Welford   // Eq. 3 edges instantiated per round
 	prunedProb     metrics.Counter    // edges dropped by the probability bound
 	prunedReward   metrics.Counter    // edges dropped by the reward-range filter
-	reassignEq2    metrics.Counter    // Eq. 2 revocations (monitor)
-	reassignDetach metrics.Counter    // revocations from worker detach
 }
 
 // NewEngineCollector creates a collector with empty instruments.
@@ -95,30 +93,21 @@ func (c *EngineCollector) Attach(eng *engine.Engine) {
 }
 
 // HandleEvent consumes one spine event: batch summaries feed the
-// matcher/graph instruments, revocations split into the Eq. 2 and
-// detach counters (other causes — recovery sweeps, undeliverable
-// assignments — are visible on the spine but not counted here).
+// matcher/graph instruments.
 func (c *EngineCollector) HandleEvent(ev event.Event) {
-	switch ev.Kind {
-	case event.KindBatch:
-		b := ev.Batch
-		c.matcherElapsed.Observe(b.Elapsed.Seconds())
-		if b.Latency > 0 {
-			c.matcherModel.Observe(b.Latency.Seconds())
-		}
-		c.batchTasks.Observe(float64(b.Tasks))
-		c.batchWorkers.Observe(float64(b.Workers))
-		c.batchEdges.Observe(float64(b.Edges))
-		c.prunedProb.Add(int64(b.PrunedProb))
-		c.prunedReward.Add(int64(b.PrunedReward))
-	case event.KindRevoke:
-		switch ev.Cause {
-		case taskq.CauseEq2:
-			c.reassignEq2.Inc()
-		case taskq.CauseDetach:
-			c.reassignDetach.Inc()
-		}
+	if ev.Kind != event.KindBatch {
+		return
 	}
+	b := ev.Batch
+	c.matcherElapsed.Observe(b.Elapsed.Seconds())
+	if b.Latency > 0 {
+		c.matcherModel.Observe(b.Latency.Seconds())
+	}
+	c.batchTasks.Observe(float64(b.Tasks))
+	c.batchWorkers.Observe(float64(b.Workers))
+	c.batchEdges.Observe(float64(b.Edges))
+	c.prunedProb.Add(int64(b.PrunedProb))
+	c.prunedReward.Add(int64(b.PrunedReward))
 }
 
 // Register adds the collector's instruments plus the engine's own counters
@@ -177,12 +166,17 @@ func (c *EngineCollector) Register(reg *metrics.Registry, eng *engine.Engine, la
 		"edges dropped by the reward-range filter", &c.prunedReward, labels...); err != nil {
 		return err
 	}
-	if err := reg.RegisterCounter("react_engine_reassign_eq2_total",
-		"Eq. 2 monitor revocations", &c.reassignEq2, labels...); err != nil {
+	// Reassignments by cause since this process started (recovery sweeps
+	// and undeliverable assignments are on the spine but not exported).
+	revoked := func(cause string) func() float64 {
+		return func() float64 { return float64(eng.Ledger().Revoked(cause)) }
+	}
+	if err := reg.RegisterCounterFunc("react_engine_reassign_eq2_total",
+		"Eq. 2 monitor revocations", revoked(taskq.CauseEq2), labels...); err != nil {
 		return err
 	}
-	if err := reg.RegisterCounter("react_engine_reassign_detach_total",
-		"revocations caused by worker detach", &c.reassignDetach, labels...); err != nil {
+	if err := reg.RegisterCounterFunc("react_engine_reassign_detach_total",
+		"revocations caused by worker detach", revoked(taskq.CauseDetach), labels...); err != nil {
 		return err
 	}
 
@@ -385,42 +379,5 @@ func RegisterWireServer(reg *metrics.Registry, srv *wire.Server, labels ...metri
 		framesPerFlush.Observe(float64(frames))
 		flushLatency.Observe(latencySeconds)
 	})
-	return nil
-}
-
-// RegisterClientMetrics adds one wire client's push-queue depths and Seq
-// health counters to reg — useful for tools (loadgen, relays) that expose
-// their own plane.
-func RegisterClientMetrics(reg *metrics.Registry, read func() wire.ClientMetrics, labels ...metrics.Label) error {
-	snap := func(f func(wire.ClientMetrics) float64) func() float64 {
-		return func() float64 { return f(read()) }
-	}
-	gauges := []struct {
-		name, help string
-		read       func(wire.ClientMetrics) float64
-	}{
-		{"react_wire_client_assignment_backlog", "assignment pushes queued but not yet consumed", func(m wire.ClientMetrics) float64 { return float64(m.AssignmentBacklog) }},
-		{"react_wire_client_assignment_highwater", "peak assignment backlog over the connection", func(m wire.ClientMetrics) float64 { return float64(m.AssignmentHighWater) }},
-		{"react_wire_client_result_backlog", "result pushes queued but not yet consumed", func(m wire.ClientMetrics) float64 { return float64(m.ResultBacklog) }},
-		{"react_wire_client_result_highwater", "peak result backlog over the connection", func(m wire.ClientMetrics) float64 { return float64(m.ResultHighWater) }},
-	}
-	for _, g := range gauges {
-		if err := reg.RegisterGauge(g.name, g.help, snap(g.read), labels...); err != nil {
-			return err
-		}
-	}
-	counters := []struct {
-		name, help string
-		read       func(wire.ClientMetrics) float64
-	}{
-		{"react_wire_client_stale_responses_total", "late responses discarded by Seq correlation", func(m wire.ClientMetrics) float64 { return float64(m.StaleResponses) }},
-		{"react_wire_client_mismatched_responses_total", "responses whose Seq matched no outstanding request", func(m wire.ClientMetrics) float64 { return float64(m.MismatchedResponses) }},
-		{"react_wire_client_dropped_responses_total", "responses dropped because nothing awaited them", func(m wire.ClientMetrics) float64 { return float64(m.DroppedResponses) }},
-	}
-	for _, c := range counters {
-		if err := reg.RegisterCounterFunc(c.name, c.help, snap(c.read), labels...); err != nil {
-			return err
-		}
-	}
 	return nil
 }

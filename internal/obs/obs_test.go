@@ -13,7 +13,6 @@ import (
 
 	"react/internal/clock"
 	"react/internal/engine"
-	"react/internal/event"
 	"react/internal/metrics"
 	"react/internal/region"
 	"react/internal/schedule"
@@ -101,26 +100,30 @@ func TestMetricsWithoutRegistry(t *testing.T) {
 }
 
 func TestReassignCounters(t *testing.T) {
-	_, clk, col := newTestEngine(t)
-	col.HandleEvent(event.Event{Kind: event.KindRevoke, Task: "t1", Worker: "w1", Cause: taskq.CauseEq2, Prob: 0.42})
-	col.HandleEvent(event.Event{Kind: event.KindRevoke, Task: "t1", Worker: "w1", Cause: taskq.CauseDetach})
-	col.HandleEvent(event.Event{Kind: event.KindRevoke, Task: "t2", Worker: "w1", Cause: taskq.CauseDetach})
-	// Causes outside the two counted ones stay uncounted.
-	col.HandleEvent(event.Event{Kind: event.KindRevoke, Task: "t3", Worker: "w1", Cause: taskq.CauseRecoverySweep})
-	reg := metrics.NewRegistry()
-	if err := reg.RegisterCounter("react_engine_reassign_eq2_total", "h", &col.reassignEq2); err != nil {
-		t.Fatal(err)
+	eng, clk, col := newTestEngine(t)
+	// The split is read off the engine's ledger at scrape time: bounce t1
+	// between the pool and w1 once per cause.
+	store := eng.Tasks()
+	store.Unassign("t1", taskq.CauseEq2, 0.42) // newTestEngine's round bound it
+	for _, cause := range []string{taskq.CauseDetach, taskq.CauseDetach, taskq.CauseRecoverySweep} {
+		if err := store.Assign("t1", "w1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Unassign("t1", cause, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := reg.RegisterCounter("react_engine_reassign_detach_total", "h", &col.reassignDetach); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(Options{Clock: clk, Registry: reg})
+	srv := newTestServer(t, eng, clk, col)
 	_, body := get(t, srv.Handler(), "/metrics")
-	if !strings.Contains(body, "react_engine_reassign_eq2_total 1") {
-		t.Errorf("eq2 counter wrong:\n%s", body)
-	}
-	if !strings.Contains(body, "react_engine_reassign_detach_total 2") {
-		t.Errorf("detach counter wrong:\n%s", body)
+	// Causes outside the two exported ones count only toward the total.
+	for _, want := range []string{
+		`react_engine_reassign_eq2_total{region="all"} 1`,
+		`react_engine_reassign_detach_total{region="all"} 2`,
+		`react_engine_tasks_reassigned_total{region="all"} 4`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("missing %q in exposition:\n%s", want, body)
+		}
 	}
 }
 

@@ -109,7 +109,6 @@ const (
 	CauseRecoverySweep = "recovery-sweep" // crash recovery returned an orphaned binding
 	CauseDeadline      = "deadline"       // the task's deadline passed
 	CauseRetention     = "retention"      // retention GC dropped a terminal record
-	CauseExplicit      = "explicit"       // a direct Forget call
 	CauseShed          = "shed"           // admission control shed the task under overload
 )
 
@@ -385,32 +384,6 @@ func (m *Manager) Shed(taskID string) (Record, error) {
 	return *r, nil
 }
 
-// RemainingTime reports the time from now until the task's deadline
-// (negative once overdue).
-func (m *Manager) RemainingTime(taskID string) (time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.records[taskID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTask, taskID)
-	}
-	return r.Task.Deadline.Sub(m.clk.Now()), nil
-}
-
-// Elapsed reports t_ij, the time since the task was assigned.
-func (m *Manager) Elapsed(taskID string) (time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.records[taskID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTask, taskID)
-	}
-	if r.Status != Assigned {
-		return 0, fmt.Errorf("%w: elapsed of %q while %v", ErrBadState, taskID, r.Status)
-	}
-	return m.clk.Now().Sub(r.AssignedAt), nil
-}
-
 // AssignedTasks snapshots the records currently executing, for the dynamic
 // assignment monitor.
 func (m *Manager) AssignedTasks() []Record {
@@ -431,31 +404,6 @@ func (m *Manager) Counts() (unassigned, assigned, completed, expired int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.counts[Unassigned], m.counts[Assigned], m.counts[Completed], m.counts[Expired]
-}
-
-// Total reports how many tasks have ever been submitted.
-func (m *Manager) Total() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.records)
-}
-
-// Forget drops a terminal task from the registry, bounding memory in
-// long-running deployments. Non-terminal tasks cannot be forgotten.
-func (m *Manager) Forget(taskID string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.records[taskID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTask, taskID)
-	}
-	if r.Status != Completed && r.Status != Expired {
-		return fmt.Errorf("%w: forget %q while %v", ErrBadState, taskID, r.Status)
-	}
-	m.counts[r.Status]--
-	delete(m.records, taskID)
-	m.emit(EvForget, r, m.clk.Now(), r.Worker, CauseExplicit, 0)
-	return nil
 }
 
 // MarkGraded records that the requester's feedback for a completed task has
