@@ -118,4 +118,4 @@ coverage:
 		fi; \
 	done
 
-ci: build lint test race chaos recovery determinism
+ci: build lint test race chaos recovery determinism bench

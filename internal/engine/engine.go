@@ -20,10 +20,12 @@
 // against a pre-refactor golden series in testdata/) is the proof both
 // drive modes execute one logic.
 //
-// Task bookkeeping is striped across Config.Shards taskq shards and the
-// counters are atomics, so completions, feedback, and submissions arriving
-// concurrently no longer serialize behind a single global mutex or behind a
-// running batch (see TaskStore).
+// Task bookkeeping is striped across Config.Shards taskq shards (see
+// TaskStore), so completions, feedback and submissions arriving
+// concurrently contend on one stripe's lock, not on a global one or on a
+// running batch. The lifecycle counters are not the engine's: an
+// event.Ledger folds them from the spine (see Stats). The maintenance
+// ticks cost what is live or due — docs/ENGINE.md, "What a tick costs".
 package engine
 
 import (

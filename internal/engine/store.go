@@ -116,22 +116,20 @@ func (s *TaskStore) Unassigned() []taskq.Task {
 }
 
 // mergeRecords merges one record-snapshot call across shards into a single
-// id-sorted slice, presized to the exact total (see Unassigned).
+// id-sorted slice. Nothing is allocated when every shard comes back empty:
+// expiry runs this every tick, and a tick with nothing due must cost
+// nothing.
 func (s *TaskStore) mergeRecords(snap func(*taskq.Manager) []taskq.Record) []taskq.Record {
 	if len(s.shards) == 1 {
 		return snap(s.shards[0])
 	}
-	parts := make([][]taskq.Record, len(s.shards))
-	total := 0
-	for i, m := range s.shards {
-		parts[i] = snap(m)
-		total += len(parts[i])
+	var out []taskq.Record
+	for _, m := range s.shards {
+		out = append(out, snap(m)...)
 	}
-	out := make([]taskq.Record, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
 }
 

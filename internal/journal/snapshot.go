@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,48 +48,14 @@ const snapshotTmp = "snapshot.tmp"
 // writeSnapshot persists st as the snapshot covering sequence numbers
 // 1..seq and returns the final path.
 func writeSnapshot(dir string, st *State, seq uint64) (string, error) {
-	ids := make([]string, 0, len(st.Tasks))
-	for id := range st.Tasks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	hdr := snapshotHeader{
-		V:       snapshotVersion,
-		Seq:     seq,
-		Tasks:   len(ids),
-		Workers: st.Profiles.Size(),
-		Stats:   st.Stats.Counts(),
-	}
-	//lint:ignore blockingunderlock encodes into the in-memory buffer above; flushMu is the compaction serializer and holding it across the offline rebuild is the design (docs/PERSISTENCE.md)
-	if err := enc.Encode(hdr); err != nil {
-		return "", fmt.Errorf("journal: encode snapshot header: %w", err)
-	}
-	for _, id := range ids {
-		rec := st.Tasks[id]
-		//lint:ignore blockingunderlock same in-memory buffer as the header encode
-		if err := enc.Encode(rec); err != nil {
-			return "", fmt.Errorf("journal: encode snapshot task %q: %w", id, err)
-		}
-	}
-	if err := st.Profiles.WriteSnapshot(&buf); err != nil {
-		return "", err
-	}
-	//lint:ignore blockingunderlock same in-memory buffer as the header encode
-	if err := enc.Encode(snapshotTrailer{EOF: true}); err != nil {
-		return "", fmt.Errorf("journal: encode snapshot trailer: %w", err)
-	}
-
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", fmt.Errorf("journal: create snapshot: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if err := encodeSnapshot(f, st, seq); err != nil {
 		f.Close()
-		return "", fmt.Errorf("journal: write snapshot: %w", err)
+		return "", err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -104,6 +72,53 @@ func writeSnapshot(dir string, st *State, seq uint64) (string, error) {
 		return "", err
 	}
 	return path, nil
+}
+
+// encodeSnapshot streams st to w in the snapshot format, a buffer's worth
+// at a time: the snapshot is never held in memory whole.
+func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
+	ids := make([]string, 0, len(st.Tasks))
+	for id := range st.Tasks {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+
+	bw := bufio.NewWriterSize(w, 64<<10)
+	enc := json.NewEncoder(bw)
+	hdr := snapshotHeader{
+		V:       snapshotVersion,
+		Seq:     seq,
+		Tasks:   len(ids),
+		Workers: st.Profiles.Size(),
+		Stats:   st.Stats.Counts(),
+	}
+	if err := encodeLine(enc, hdr); err != nil {
+		return fmt.Errorf("journal: encode snapshot header: %w", err)
+	}
+	var rec taskq.Record // one box for every Encode below, not one per task
+	for _, id := range ids {
+		rec = st.Tasks[id]
+		if err := encodeLine(enc, &rec); err != nil {
+			return fmt.Errorf("journal: encode snapshot task %q: %w", id, err)
+		}
+	}
+	if err := st.Profiles.WriteSnapshot(bw); err != nil {
+		return err
+	}
+	if err := encodeLine(enc, snapshotTrailer{EOF: true}); err != nil {
+		return fmt.Errorf("journal: encode snapshot trailer: %w", err)
+	}
+	//lint:ignore blockingunderlock same temp-file write under flushMu as encodeLine
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("journal: write snapshot: %w", err)
+	}
+	return nil
+}
+
+// encodeLine writes v as one snapshot line.
+func encodeLine(enc *json.Encoder, v any) error {
+	//lint:ignore blockingunderlock real file I/O: this writes the snapshot temp file with flushMu held. flushMu is the disk-work serializer — it never nests inside mu, so appends go on — and holding it across the offline rebuild is the design (docs/PERSISTENCE.md)
+	return enc.Encode(v)
 }
 
 // readSnapshot loads a snapshot file, returning the rebuilt state and the

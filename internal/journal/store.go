@@ -28,9 +28,9 @@ import (
 // reconciliation covers exactly that window (see docs/PERSISTENCE.md).
 //
 // When the active segment passes Options.CompactBytes it is sealed and a
-// snapshot is rebuilt OFFLINE by replaying the previous snapshot plus the
-// sealed, immutable segments — never by reading the live engine — so the
-// snapshot is exact at a known sequence boundary.
+// snapshot is rebuilt OFFLINE by replaying the sealed, immutable segments
+// into the state the previous snapshot holds — never by reading the live
+// engine — so the snapshot is exact at a known sequence boundary.
 type Store struct {
 	dir  string
 	clk  clock.Clock
@@ -55,6 +55,13 @@ type Store struct {
 	snapPath    string
 	snapSeq     uint64
 	sealed      []string // sealed segments since the last snapshot
+	// replica is the State compaction last wrote out as the snapshot at
+	// snapSeq, kept so the next compaction replays only the sealed segments
+	// into it instead of re-reading its own snapshot. Derived from durable
+	// bytes alone (snapshot + sealed segments), never from the live engine;
+	// nil before the first compaction and after any compaction error, when
+	// readSnapshot rebuilds it.
+	replica *State
 
 	kick chan struct{}
 	done chan struct{}
@@ -223,8 +230,9 @@ func Open(opts Options) (*Store, error) {
 }
 
 // scanDir classifies the directory contents: the newest snapshot, the
-// segment files in sequence order, and leftover files (older snapshots,
-// an interrupted snapshot.tmp) recovery should delete once done.
+// segment files in sequence order, and older snapshots recovery should
+// delete once done. An interrupted snapshot.tmp is not listed: the snapshot
+// Open writes next truncates it and renames it away.
 func scanDir(dir string) (snapPath string, segs, leftovers []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -239,8 +247,6 @@ func scanDir(dir string) (snapPath string, segs, leftovers []string, err error) 
 	for _, e := range entries {
 		name := e.Name()
 		switch {
-		case name == snapshotTmp:
-			leftovers = append(leftovers, filepath.Join(dir, name))
 		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap"):
 			seqHex := strings.TrimSuffix(strings.TrimPrefix(name, "snapshot-"), ".snap")
 			n, perr := strconv.ParseUint(seqHex, 16, 64)
@@ -451,9 +457,11 @@ func (s *Store) Compact() error {
 }
 
 // compactLocked seals the active segment and rebuilds the snapshot at the
-// last durable sequence number by replaying the previous snapshot plus the
-// sealed segments — offline state only, never the live engine, so the new
-// snapshot is exact at the boundary. Callers hold flushMu.
+// last durable sequence number by replaying the sealed segments into the
+// previous snapshot's state — offline state only, never the live engine,
+// so the new snapshot is exact at the boundary. That state is the replica
+// the last compaction kept; without one it is read back from the snapshot
+// file. Callers hold flushMu.
 func (s *Store) compactLocked() error {
 	boundary := s.lastFlushed
 	if boundary == s.snapSeq {
@@ -479,10 +487,15 @@ func (s *Store) compactLocked() error {
 	s.sealed = append(s.sealed, oldPath)
 	s.segBytes.Store(0)
 
-	// Rebuild offline and publish the new snapshot, then delete inputs.
-	st, snapSeq, err := readSnapshot(s.snapPath)
-	if err != nil {
-		return err
+	// Rebuild offline and publish the new snapshot, then delete inputs. The
+	// replica is taken out of the store for the duration: an error below
+	// leaves none behind, so a half-applied one is never reused.
+	st, snapSeq := s.replica, s.snapSeq
+	s.replica = nil
+	if st == nil {
+		if st, snapSeq, err = readSnapshot(s.snapPath); err != nil {
+			return err
+		}
 	}
 	last, _, _, err := replaySegments(st, snapSeq, s.sealed, false)
 	if err != nil {
@@ -506,6 +519,7 @@ func (s *Store) compactLocked() error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
+	s.replica = st
 	s.compactions.Add(1)
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"react/internal/powerlaw"
 	"react/internal/region"
@@ -50,6 +51,9 @@ type Profile struct {
 	fitter     powerlaw.Fitter
 	rewardMin  float64 // reward-range extension (§III.C); 0,0 disables
 	rewardMax  float64
+	// connected is the owning registry's count of available profiles; every
+	// flip of available moves it (setAvailable). Nil once deregistered.
+	connected *atomic.Int64
 }
 
 // ID returns the worker's identifier.
@@ -91,7 +95,24 @@ func (p *Profile) Connected() bool {
 func (p *Profile) SetAvailable(v bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.setAvailable(v)
+}
+
+// setAvailable is the one place available changes, so the registry's
+// connected count moves with it. Callers hold p.mu.
+func (p *Profile) setAvailable(v bool) {
+	if p.available == v {
+		return
+	}
 	p.available = v
+	if p.connected == nil {
+		return
+	}
+	if v {
+		p.connected.Add(1)
+	} else {
+		p.connected.Add(-1)
+	}
 }
 
 // MarkBusy records that the worker started the given task; MarkIdle clears
@@ -266,6 +287,9 @@ func (p *Profile) FitSamples() int {
 type Registry struct {
 	mu      sync.RWMutex
 	workers map[string]*Profile
+	// connected counts the registered profiles whose available flag is set;
+	// the profiles keep it current themselves (Profile.setAvailable).
+	connected atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
@@ -280,7 +304,8 @@ func (r *Registry) Register(id string, loc region.Point) (*Profile, error) {
 	if _, dup := r.workers[id]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateWorker, id)
 	}
-	p := &Profile{id: id, location: loc, available: true}
+	p := &Profile{id: id, location: loc, connected: &r.connected}
+	p.setAvailable(true) // not shared yet: no lock needed
 	r.workers[id] = p
 	return p, nil
 }
@@ -291,10 +316,17 @@ func (r *Registry) Register(id string, loc region.Point) (*Profile, error) {
 func (r *Registry) Deregister(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.workers[id]; !ok {
+	p, ok := r.workers[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownWorker, id)
 	}
 	delete(r.workers, id)
+	// The profile leaves the count and stops moving it: a holder of the
+	// orphaned pointer can still flip its flag.
+	p.mu.Lock()
+	p.setAvailable(false)
+	p.connected = nil
+	p.mu.Unlock()
 	return nil
 }
 
@@ -315,18 +347,9 @@ func (r *Registry) Size() int {
 
 // CountConnected reports how many workers are currently connected (busy or
 // idle) — the honest "workers online" figure, as opposed to Size, which
-// counts every known profile including detached ones.
-func (r *Registry) CountConnected() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, p := range r.workers {
-		if p.Connected() {
-			n++
-		}
-	}
-	return n
-}
+// counts every known profile including detached ones. It is one atomic
+// load: admission reads it on every Decide.
+func (r *Registry) CountConnected() int { return int(r.connected.Load()) }
 
 // Available snapshots the workers currently available for assignment,
 // sorted by id for deterministic graph construction.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -293,5 +294,92 @@ func TestTwoPhaseEquivalentToCombined(t *testing.T) {
 	ba, _ := b.Accuracy("photo")
 	if aa != ba {
 		t.Fatalf("accuracy differs: %v vs %v", aa, ba)
+	}
+}
+
+// countConnectedByWalk is what CountConnected used to do: ask every profile.
+func countConnectedByWalk(r *Registry) int {
+	n := 0
+	for _, p := range r.All() {
+		if p.Connected() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCountConnectedTracksEveryFlip: the kept count equals a walk over the
+// profiles after every way availability can change — register, repeated
+// SetAvailable, snapshot restore (which starts workers offline),
+// deregister, and a flip on a profile that has already left.
+func TestCountConnectedTracksEveryFlip(t *testing.T) {
+	r := NewRegistry()
+	check := func(when string, want int) {
+		t.Helper()
+		if got, walk := r.CountConnected(), countConnectedByWalk(r); got != want || walk != want {
+			t.Fatalf("%s: CountConnected = %d, walk = %d, want %d", when, got, walk, want)
+		}
+	}
+	check("empty", 0)
+	a, _ := r.Register("a", athens)
+	b, _ := r.Register("b", athens)
+	check("two registered", 2)
+	a.MarkBusy("t1")
+	check("busy is still connected", 2)
+	a.SetAvailable(false)
+	a.SetAvailable(false)
+	check("detached twice", 1)
+	a.SetAvailable(true)
+	a.SetAvailable(true)
+	check("reattached twice", 2)
+
+	if n, err := r.ReadSnapshot(strings.NewReader(`{"id":"c","lat":1,"lon":1}` + "\n")); n != 1 || err != nil {
+		t.Fatalf("restore: %d, %v", n, err)
+	}
+	check("restored worker starts offline", 2)
+	c, _ := r.Get("c")
+	c.SetAvailable(true)
+	check("restored worker reconnected", 3)
+
+	if err := r.Deregister("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("connected worker deregistered", 2)
+	b.SetAvailable(false)
+	b.SetAvailable(true)
+	check("flips on a departed profile", 2)
+	c.SetAvailable(false)
+	if err := r.Deregister("c"); err != nil {
+		t.Fatal(err)
+	}
+	check("offline worker deregistered", 1)
+}
+
+// TestCountConnectedConcurrent flips availability from many goroutines
+// while others register and deregister; the count must settle on the walk.
+func TestCountConnectedConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := fmt.Sprintf("g%d-w%d", g, i%10)
+				if p, err := r.Register(id, athens); err == nil {
+					p.SetAvailable(i%3 != 0)
+				} else if p, ok := r.Get(id); ok {
+					p.SetAvailable(i%2 == 0)
+					if i%7 == 0 {
+						r.Deregister(id)
+					}
+				}
+				r.CountConnected()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := r.CountConnected(), countConnectedByWalk(r); got != want {
+		t.Fatalf("CountConnected = %d, walk = %d", got, want)
 	}
 }

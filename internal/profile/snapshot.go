@@ -38,7 +38,7 @@ func (r *Registry) WriteSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, p := range r.All() {
 		snap := p.snapshot()
-		//lint:ignore blockingunderlock the journal calls this with its compaction lock held and an in-memory buffer as w — deliberate (docs/PERSISTENCE.md); no profile lock is held here
+		//lint:ignore blockingunderlock the journal calls this with flushMu, its disk-work serializer, held and the snapshot temp file (buffered) as w — real file I/O, deliberate (docs/PERSISTENCE.md); no profile lock is held here
 		if err := enc.Encode(snap); err != nil {
 			return fmt.Errorf("profile: snapshot %q: %w", p.ID(), err)
 		}
@@ -107,7 +107,7 @@ func (r *Registry) restore(s workerSnapshot) (*Profile, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.available = false // not reconnected yet
+	p.setAvailable(false) // not reconnected yet
 	p.fitter = *fitter
 	p.rewardMin, p.rewardMax = s.RewardMin, s.RewardMax
 	for cat, pf := range s.Categories {

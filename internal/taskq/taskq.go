@@ -7,6 +7,7 @@
 package taskq
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -133,11 +134,56 @@ type Event struct {
 	Prob float64
 }
 
+// entry is a record plus its place in the manager's status index.
+type entry struct {
+	Record
+	// pos is the entry's index in Manager.live[Status] while the task is
+	// Unassigned or Assigned, and in Manager.done once it is terminal.
+	pos int
+}
+
+// doneHeap orders terminal entries by (FinishedAt, ID), oldest on top, so
+// retention pops exactly the records it drops. It implements
+// heap.Interface and keeps every entry's pos current.
+type doneHeap []*entry
+
+func (h doneHeap) Len() int { return len(h) }
+func (h doneHeap) Less(i, j int) bool {
+	if !h[i].FinishedAt.Equal(h[j].FinishedAt) {
+		return h[i].FinishedAt.Before(h[j].FinishedAt)
+	}
+	return h[i].Task.ID < h[j].Task.ID
+}
+func (h doneHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+func (h *doneHeap) Push(x any) {
+	e := x.(*entry)
+	e.pos = len(*h)
+	*h = append(*h, e)
+}
+func (h *doneHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
+}
+
 // Manager is the Task Management Component. It is safe for concurrent use.
+//
+// Every record sits in exactly one index besides the id map: the unordered
+// set of its live status (live[Unassigned], live[Assigned]) or the terminal
+// heap. The periodic passes — the scheduler's and shedder's Unassigned, the
+// monitor's AssignedTasks, expiry, retention — walk only their index, so
+// they cost what is live or due, never what is retained.
 type Manager struct {
 	clk     clock.Clock
 	mu      sync.Mutex
-	records map[string]*Record
+	records map[string]*entry
+	live    [2][]*entry // by Status: Unassigned, Assigned
+	done    doneHeap    // Completed and Expired
 	counts  [4]int
 	// unassignedHW is the peak unassigned backlog ever observed — the
 	// quantity that reveals batch-trigger starvation or matcher collapse
@@ -153,7 +199,7 @@ type Manager struct {
 
 // NewManager creates a manager reading time from clk.
 func NewManager(clk clock.Clock) *Manager {
-	return &Manager{clk: clk, records: make(map[string]*Record)}
+	return &Manager{clk: clk, records: make(map[string]*entry)}
 }
 
 // SetSink installs the mutation observer (see Event). It must be set
@@ -166,9 +212,44 @@ func (m *Manager) SetSink(fn func(Event)) {
 }
 
 // emit reports a mutation to the sink. Callers hold m.mu.
-func (m *Manager) emit(kind EventKind, r *Record, at time.Time, worker, cause string, prob float64) {
+func (m *Manager) emit(kind EventKind, e *entry, at time.Time, worker, cause string, prob float64) {
 	if m.sink != nil {
-		m.sink(Event{Kind: kind, Record: *r, At: at, Worker: worker, Cause: cause, Prob: prob})
+		m.sink(Event{Kind: kind, Record: e.Record, At: at, Worker: worker, Cause: cause, Prob: prob})
+	}
+}
+
+// index files e under its current status. A terminal entry is ordered by
+// FinishedAt, which must be set first. Callers hold m.mu.
+func (m *Manager) index(e *entry) {
+	if e.Status > Assigned {
+		heap.Push(&m.done, e)
+		return
+	}
+	set := &m.live[e.Status]
+	e.pos = len(*set)
+	*set = append(*set, e)
+}
+
+// unindex takes a live entry out of its status set: the last element moves
+// into its place. Terminal entries only ever leave through retention's
+// heap.Pop. Callers hold m.mu.
+func (m *Manager) unindex(e *entry) {
+	set := &m.live[e.Status]
+	last := len(*set) - 1
+	moved := (*set)[last]
+	(*set)[e.pos], moved.pos = moved, e.pos
+	(*set)[last] = nil
+	*set = (*set)[:last]
+}
+
+// insert registers a new entry: id map, status index, counts, high-water
+// mark. Callers hold m.mu.
+func (m *Manager) insert(e *entry) {
+	m.records[e.Task.ID] = e
+	m.index(e)
+	m.counts[e.Status]++
+	if m.counts[Unassigned] > m.unassignedHW {
+		m.unassignedHW = m.counts[Unassigned]
 	}
 }
 
@@ -189,12 +270,7 @@ func (m *Manager) Restore(r Record) error {
 	if _, dup := m.records[r.Task.ID]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateTask, r.Task.ID)
 	}
-	rec := r
-	m.records[r.Task.ID] = &rec
-	m.counts[r.Status]++
-	if m.counts[Unassigned] > m.unassignedHW {
-		m.unassignedHW = m.counts[Unassigned]
-	}
+	m.insert(&entry{Record: r})
 	return nil
 }
 
@@ -211,12 +287,8 @@ func (m *Manager) Submit(t Task) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
 	}
 	t.Submitted = now
-	r := &Record{Task: t, Status: Unassigned}
-	m.records[t.ID] = r
-	m.counts[Unassigned]++
-	if m.counts[Unassigned] > m.unassignedHW {
-		m.unassignedHW = m.counts[Unassigned]
-	}
+	r := &entry{Record: Record{Task: t, Status: Unassigned}}
+	m.insert(r)
 	m.emit(EvSubmit, r, now, "", CauseSubmit, 0)
 	return nil
 }
@@ -229,7 +301,7 @@ func (m *Manager) Get(id string) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	return *r, true
+	return r.Record, true
 }
 
 // Unassigned snapshots the tasks currently waiting for a worker, oldest
@@ -237,11 +309,9 @@ func (m *Manager) Get(id string) (Record, bool) {
 func (m *Manager) Unassigned() []Task {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Task, 0, m.counts[Unassigned])
-	for _, r := range m.records {
-		if r.Status == Unassigned {
-			out = append(out, r.Task)
-		}
+	out := make([]Task, 0, len(m.live[Unassigned]))
+	for _, r := range m.live[Unassigned] {
+		out = append(out, r.Task)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Submitted.Equal(out[j].Submitted) {
@@ -315,10 +385,9 @@ func (m *Manager) Complete(taskID string) (Record, error) {
 	if r.Status != Assigned {
 		return Record{}, fmt.Errorf("%w: complete %q while %v", ErrBadState, taskID, r.Status)
 	}
-	m.transition(r, Completed)
-	r.FinishedAt = m.clk.Now()
+	m.finish(r, Completed, m.clk.Now())
 	m.emit(EvComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)
-	return *r, nil
+	return r.Record, nil
 }
 
 // ExpireDue transitions every non-terminal task whose deadline has passed
@@ -342,20 +411,28 @@ func (m *Manager) expire(includeAssigned bool) []Record {
 	now := m.clk.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []Record
-	for _, r := range m.records {
-		if r.Status != Unassigned && !(includeAssigned && r.Status == Assigned) {
-			continue
-		}
-		if r.Task.Deadline.After(now) {
-			continue
-		}
-		m.transition(r, Expired)
-		r.FinishedAt = now
-		m.emit(EvExpire, r, now, r.Worker, CauseDeadline, 0)
-		out = append(out, *r)
+	sets := m.live[:1]
+	if includeAssigned {
+		sets = m.live[:]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
+	var due []*entry
+	for _, set := range sets {
+		for _, r := range set {
+			if !r.Task.Deadline.After(now) {
+				due = append(due, r)
+			}
+		}
+	}
+	if len(due) == 0 {
+		return nil
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i].Task.ID < due[j].Task.ID })
+	out := make([]Record, len(due))
+	for i, r := range due {
+		m.finish(r, Expired, now)
+		m.emit(EvExpire, r, now, r.Worker, CauseDeadline, 0)
+		out[i] = r.Record
+	}
 	return out
 }
 
@@ -378,10 +455,9 @@ func (m *Manager) Shed(taskID string) (Record, error) {
 	if r.Status != Unassigned {
 		return Record{}, fmt.Errorf("%w: shed %q while %v", ErrBadState, taskID, r.Status)
 	}
-	m.transition(r, Expired)
-	r.FinishedAt = now
+	m.finish(r, Expired, now)
 	m.emit(EvExpire, r, now, r.Worker, CauseShed, 0)
-	return *r, nil
+	return r.Record, nil
 }
 
 // AssignedTasks snapshots the records currently executing, for the dynamic
@@ -389,11 +465,9 @@ func (m *Manager) Shed(taskID string) (Record, error) {
 func (m *Manager) AssignedTasks() []Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Record, 0, m.counts[Assigned])
-	for _, r := range m.records {
-		if r.Status == Assigned {
-			out = append(out, *r)
-		}
+	out := make([]Record, 0, len(m.live[Assigned]))
+	for _, r := range m.live[Assigned] {
+		out = append(out, r.Record)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
@@ -436,27 +510,34 @@ func (m *Manager) ForgetTerminatedBefore(cutoff time.Time) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	removed := 0
-	for id, r := range m.records {
-		if r.Status != Completed && r.Status != Expired {
-			continue
-		}
-		if r.FinishedAt.Before(cutoff) {
-			m.counts[r.Status]--
-			delete(m.records, id)
-			m.emit(EvForget, r, now, r.Worker, CauseRetention, 0)
-			removed++
-		}
+	for len(m.done) > 0 && m.done[0].FinishedAt.Before(cutoff) {
+		r := heap.Pop(&m.done).(*entry)
+		m.counts[r.Status]--
+		delete(m.records, r.Task.ID)
+		m.emit(EvForget, r, now, r.Worker, CauseRetention, 0)
+		removed++
 	}
 	return removed
 }
 
-func (m *Manager) transition(r *Record, to Status) {
+// transition moves a live record to status to, index and counts included.
+// Callers hold m.mu.
+func (m *Manager) transition(r *entry, to Status) {
+	m.unindex(r)
 	m.counts[r.Status]--
 	m.counts[to]++
 	r.Status = to
+	m.index(r)
 	if to == Unassigned && m.counts[Unassigned] > m.unassignedHW {
 		m.unassignedHW = m.counts[Unassigned]
 	}
+}
+
+// finish is transition to a terminal status: it stamps FinishedAt first,
+// which is what orders the record in the terminal heap. Callers hold m.mu.
+func (m *Manager) finish(r *entry, to Status, at time.Time) {
+	r.FinishedAt = at
+	m.transition(r, to)
 }
 
 // UnassignedHighWater reports the peak unassigned backlog this manager has
