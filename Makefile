@@ -94,13 +94,15 @@ bench:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Short fuzz budgets over the frame codec and the journal decoder — the
-# nightly workflow's fast leg, runnable locally. FUZZTIME scales it.
+# Short fuzz budgets over the frame codec, the journal decoder and the
+# journal record codec (against encoding/json) — the nightly workflow's
+# fast leg, runnable locally. FUZZTIME scales it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMessageDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime $(FUZZTIME) ./internal/journal
 
 # Coverage floor: whole-repo profile (coverage.out is the CI artifact),
 # then per-package floors on the packages named in COVER_PKGS.

@@ -386,3 +386,88 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppend times the hot path alone: one task-lifecycle record
+// sequenced, encoded and framed into an open store's buffer. Group commits
+// happen with the timer stopped, before the buffer reaches the early-commit
+// size. allocs/op is the point — the sink runs under a taskq shard lock.
+func BenchmarkAppend(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir(), FsyncInterval: time.Hour, CompactBytes: 1 << 40, Logf: b.Logf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	s.TakeRecovered()
+	recs := []Record{
+		{Kind: KindSubmit, Task: taskRec("t0000001", taskq.Unassigned, "")},
+		{Kind: KindAssign, Task: taskRec("t0000001", taskq.Assigned, "w1")},
+		{Kind: KindComplete, Task: taskRec("t0000001", taskq.Completed, "w1")},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%512 == 511 {
+			b.StopTimer()
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := s.Append(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplaySegment times the read half of a compaction (and of
+// recovery): one sealed 4 MiB segment of whole task lifecycles replayed into
+// a state that already holds 20 000 tasks.
+func BenchmarkReplaySegment(b *testing.B) {
+	st := NewState()
+	var seq uint64
+	var seg []byte
+	lifecycleOf := func(i int) []Record {
+		id := fmt.Sprintf("t%07d", i)
+		return []Record{
+			{Kind: KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
+			{Kind: KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
+			{Kind: KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
+			{Kind: KindForget, TaskID: fmt.Sprintf("t%07d", i-20000)},
+		}
+	}
+	attach := Record{Kind: KindAttach, Worker: "w1", Lat: 40, Lon: -74}
+	if err := st.Apply(attach); err != nil {
+		b.Fatal(err)
+	}
+	i := 0
+	for ; i < 20000; i++ {
+		for _, rec := range lifecycleOf(i)[:3] {
+			if err := st.Apply(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for ; len(seg) < defaultCompactBytes; i++ {
+		for _, rec := range lifecycleOf(i) {
+			seq++
+			rec.Seq = seq
+			var err error
+			if seg, err = appendFrame(seg, rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join(b.TempDir(), segmentName(1))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		last, _, _, err := replaySegments(st, 0, []string{path}, false)
+		if err != nil || last != seq {
+			b.Fatalf("replayed through %d (err %v), want %d", last, err, seq)
+		}
+	}
+}

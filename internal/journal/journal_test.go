@@ -55,6 +55,27 @@ func frames(t *testing.T, recs ...Record) []byte {
 	return mustFrames(recs...)
 }
 
+// frameAt is decodeFrame into a record (and task state) of its own.
+func frameAt(buf []byte, off int) (rec Record, next int, ok bool) {
+	next, ok = decodeFrame(buf, off, &rec, new(taskq.Record))
+	return rec, next, ok
+}
+
+// decodeFrames collects what walkFrames hands out, each record with a task
+// state of its own.
+func decodeFrames(buf []byte) (recs []Record, tornBytes int, err error) {
+	tornBytes, err = walkFrames(buf, func(r *Record) error {
+		rec := *r
+		if r.Task != nil {
+			task := *r.Task
+			rec.Task = &task
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, tornBytes, err
+}
+
 func lifecycle(n int) []Record {
 	var recs []Record
 	seq := uint64(0)

@@ -11,6 +11,11 @@
 //     needs rewinding, and the final state of a task is simply its last
 //     record. Per-task ordering is guaranteed at the source: taskq emits
 //     events under the shard mutex, before the mutating call returns.
+//     On disk a record is JSON, byte for byte what encoding/json makes of
+//     the struct, but written and read by a hand-written codec (codec.go)
+//     that allocates nothing on the append path and hands whatever falls
+//     outside its canonical form — an escaped string, a hand-edited log —
+//     to encoding/json: one format, two implementations of it.
 //   - Framing and the WAL (frame.go, store.go): length-prefixed,
 //     CRC32C-checked frames appended to segment files with group-commit
 //     fsync batching. Recovery distinguishes a torn tail (the crash
@@ -19,7 +24,11 @@
 //   - Snapshots and compaction (snapshot.go, rebuild.go): a snapshot is
 //     always produced by replaying sealed, immutable segments offline —
 //     never by racing a live engine — so it is exact at a known sequence
-//     boundary and recovery applies only records strictly after it.
+//     boundary and recovery applies only records strictly after it. The
+//     rebuild runs on the flusher goroutine, so while it lasts the loss
+//     window is that compaction, not one fsync interval; sealing, carrying
+//     on committing, and rebuilding beside it is the follow-up
+//     (docs/PERSISTENCE.md, Durability policy).
 package journal
 
 import (

@@ -37,9 +37,7 @@ type snapshotHeader struct {
 	Stats   event.Tally `json:"stats"`
 }
 
-type snapshotTrailer struct {
-	EOF bool `json:"eof"`
-}
+const snapshotTrailer = `{"eof":true}` + "\n"
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016x.snap", seq) }
 
@@ -75,7 +73,9 @@ func writeSnapshot(dir string, st *State, seq uint64) (string, error) {
 }
 
 // encodeSnapshot streams st to w in the snapshot format, a buffer's worth
-// at a time: the snapshot is never held in memory whole.
+// at a time: the snapshot is never held in memory whole. Task lines go
+// through the record codec into one reused line buffer; the header and the
+// trailer, written once, stay with encoding/json.
 func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
 	ids := make([]string, 0, len(st.Tasks))
 	for id := range st.Tasks {
@@ -84,41 +84,48 @@ func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
 	sort.Strings(ids)
 
 	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := json.NewEncoder(bw)
-	hdr := snapshotHeader{
+	line, err := json.Marshal(snapshotHeader{
 		V:       snapshotVersion,
 		Seq:     seq,
 		Tasks:   len(ids),
 		Workers: st.Profiles.Size(),
 		Stats:   st.Stats.Counts(),
+	})
+	if err == nil {
+		line = append(line, '\n')
+		err = writeLine(bw, line)
 	}
-	if err := encodeLine(enc, hdr); err != nil {
+	if err != nil {
 		return fmt.Errorf("journal: encode snapshot header: %w", err)
 	}
-	var rec taskq.Record // one box for every Encode below, not one per task
 	for _, id := range ids {
-		rec = st.Tasks[id]
-		if err := encodeLine(enc, &rec); err != nil {
+		rec := st.Tasks[id]
+		if line, err = appendTaskRecord(line[:0], &rec); err == nil {
+			line = append(line, '\n')
+			err = writeLine(bw, line)
+		}
+		if err != nil {
 			return fmt.Errorf("journal: encode snapshot task %q: %w", id, err)
 		}
 	}
 	if err := st.Profiles.WriteSnapshot(bw); err != nil {
 		return err
 	}
-	if err := encodeLine(enc, snapshotTrailer{EOF: true}); err != nil {
+	if err := writeLine(bw, []byte(snapshotTrailer)); err != nil {
 		return fmt.Errorf("journal: encode snapshot trailer: %w", err)
 	}
-	//lint:ignore blockingunderlock same temp-file write under flushMu as encodeLine
+	//lint:ignore blockingunderlock same temp-file write under flushMu as writeLine
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("journal: write snapshot: %w", err)
 	}
 	return nil
 }
 
-// encodeLine writes v as one snapshot line.
-func encodeLine(enc *json.Encoder, v any) error {
+// writeLine writes one newline-terminated snapshot line.
+func writeLine(bw *bufio.Writer, line []byte) error {
 	//lint:ignore blockingunderlock real file I/O: this writes the snapshot temp file with flushMu held. flushMu is the disk-work serializer — it never nests inside mu, so appends go on — and holding it across the offline rebuild is the design (docs/PERSISTENCE.md)
-	return enc.Encode(v)
+	_, err := bw.Write(line)
+	return err
 }
 
 // readSnapshot loads a snapshot file, returning the rebuilt state and the
@@ -130,53 +137,67 @@ func readSnapshot(path string) (*State, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: read snapshot: %w", err)
 	}
-	lines := bytes.Split(raw, []byte("\n"))
-	// The file ends with a newline, so drop the final empty element.
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
+	name := filepath.Base(path)
+	lines := bytes.Count(raw, []byte("\n"))
+	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
+		lines++ // an unterminated last line still counts
 	}
-	if len(lines) < 2 {
-		return nil, 0, fmt.Errorf("journal: snapshot %s truncated", filepath.Base(path))
+	if lines < 2 {
+		return nil, 0, fmt.Errorf("journal: snapshot %s truncated", name)
+	}
+	// next cuts the following line off rest; the line count above bounds
+	// the calls below.
+	rest := raw
+	next := func() (line []byte) {
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		return line
 	}
 	var hdr snapshotHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, 0, fmt.Errorf("journal: snapshot %s header: %w", filepath.Base(path), err)
+	if err := json.Unmarshal(next(), &hdr); err != nil {
+		return nil, 0, fmt.Errorf("journal: snapshot %s header: %w", name, err)
 	}
 	if hdr.V != snapshotVersion {
-		return nil, 0, fmt.Errorf("journal: snapshot %s has version %d, want %d", filepath.Base(path), hdr.V, snapshotVersion)
+		return nil, 0, fmt.Errorf("journal: snapshot %s has version %d, want %d", name, hdr.V, snapshotVersion)
 	}
-	if want := 1 + hdr.Tasks + hdr.Workers + 1; len(lines) != want {
+	if want := 1 + hdr.Tasks + hdr.Workers + 1; lines != want {
 		return nil, 0, fmt.Errorf("journal: snapshot %s has %d lines, header promises %d — truncated or damaged",
-			filepath.Base(path), len(lines), want)
-	}
-	var tr snapshotTrailer
-	if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.EOF {
-		return nil, 0, fmt.Errorf("journal: snapshot %s missing eof trailer — truncated", filepath.Base(path))
+			name, lines, want)
 	}
 
 	st := NewState()
 	st.Stats.Seed(hdr.Stats, 0) // the replay ledger's pool gauge is never read
 	for i := 0; i < hdr.Tasks; i++ {
 		var rec taskq.Record
-		if err := json.Unmarshal(lines[1+i], &rec); err != nil {
-			return nil, 0, fmt.Errorf("journal: snapshot %s task line %d: %w", filepath.Base(path), i+1, err)
+		if err := decodeTaskRecord(next(), &rec); err != nil {
+			return nil, 0, fmt.Errorf("journal: snapshot %s task line %d: %w", name, i+1, err)
 		}
 		if rec.Task.ID == "" {
-			return nil, 0, fmt.Errorf("journal: snapshot %s task line %d has no id", filepath.Base(path), i+1)
+			return nil, 0, fmt.Errorf("journal: snapshot %s task line %d has no id", name, i+1)
 		}
 		if _, dup := st.Tasks[rec.Task.ID]; dup {
-			return nil, 0, fmt.Errorf("journal: snapshot %s repeats task %q", filepath.Base(path), rec.Task.ID)
+			return nil, 0, fmt.Errorf("journal: snapshot %s repeats task %q", name, rec.Task.ID)
 		}
 		st.Tasks[rec.Task.ID] = rec
 	}
-	workerLines := bytes.Join(lines[1+hdr.Tasks:1+hdr.Tasks+hdr.Workers], []byte("\n"))
+	// What is left is the worker lines and the trailer, the last line.
+	workerLines := rest
+	for i := 0; i < hdr.Workers; i++ {
+		next()
+	}
+	workerLines = workerLines[:len(workerLines)-len(rest)]
+	var tr struct {
+		EOF bool `json:"eof"`
+	}
+	if err := json.Unmarshal(next(), &tr); err != nil || !tr.EOF {
+		return nil, 0, fmt.Errorf("journal: snapshot %s missing eof trailer — truncated", name)
+	}
 	restored, err := st.Profiles.ReadSnapshot(bytes.NewReader(workerLines))
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: snapshot %s: %w", filepath.Base(path), err)
+		return nil, 0, fmt.Errorf("journal: snapshot %s: %w", name, err)
 	}
 	if restored != hdr.Workers {
 		return nil, 0, fmt.Errorf("journal: snapshot %s restored %d workers, header promises %d",
-			filepath.Base(path), restored, hdr.Workers)
+			name, restored, hdr.Workers)
 	}
 	return st, hdr.Seq, nil
 }

@@ -24,8 +24,10 @@ import (
 // ever touching the disk. A flusher goroutine group-commits the buffer:
 // it writes and fsyncs on a time interval (Options.FsyncInterval) or as
 // soon as the buffer passes fsyncBytes. The durability window is
-// therefore one fsync interval; the wire layer's resubmit-on-unknown
-// reconciliation covers exactly that window (see docs/PERSISTENCE.md).
+// therefore one fsync interval — or one compaction, which the same
+// goroutine runs when a commit crosses CompactBytes; the wire layer's
+// resubmit-on-unknown reconciliation covers exactly that window (see
+// docs/PERSISTENCE.md).
 //
 // When the active segment passes Options.CompactBytes it is sealed and a
 // snapshot is rebuilt OFFLINE by replaying the sealed, immutable segments
@@ -51,6 +53,7 @@ type Store struct {
 	// flushMu serializes disk work (flush, compaction). Never acquired
 	// while holding mu; flush takes the buffer under mu, then writes.
 	flushMu     sync.Mutex
+	spare       []byte // the buffer the last group commit wrote out, swapped back in by the next
 	lastFlushed uint64 // highest seq durable in the active segment
 	snapPath    string
 	snapSeq     uint64
@@ -101,7 +104,10 @@ const (
 	defaultFsyncInterval = 25 * time.Millisecond
 	// fsyncBytes forces an early group commit once this many buffered
 	// bytes accumulate.
-	fsyncBytes          = 256 << 10
+	fsyncBytes = 256 << 10
+	// maxSpareBytes keeps one oversized burst (appends pile up behind a
+	// compaction) from pinning its buffer as the spare for good.
+	maxSpareBytes       = 4 * fsyncBytes
 	defaultCompactBytes = 4 << 20
 )
 
@@ -282,6 +288,8 @@ func scanDir(dir string) (snapPath string, segs, leftovers []string, err error) 
 // compaction that crashed before deleting its inputs and are skipped. A
 // torn tail is tolerated only on the final segment when allowTornTail is
 // set (Open's crash window); anywhere else unreadable bytes are ErrCorrupt.
+// Each record is applied as its frame is walked, so after an error st stands
+// somewhere inside the failing segment: both callers drop it.
 func replaySegments(st *State, snapSeq uint64, segs []string, allowTornTail bool) (last uint64, records, torn int, err error) {
 	last = snapSeq
 	for i, path := range segs {
@@ -290,9 +298,23 @@ func replaySegments(st *State, snapSeq uint64, segs []string, allowTornTail bool
 		if rerr != nil {
 			return last, records, torn, fmt.Errorf("journal: read segment: %w", rerr)
 		}
-		recs, t, derr := decodeFrames(raw)
-		if derr != nil {
-			return last, records, torn, fmt.Errorf("journal: segment %s: %w", base, derr)
+		t, werr := walkFrames(raw, func(rec *Record) error {
+			if rec.Seq <= snapSeq {
+				return nil
+			}
+			if rec.Seq != last+1 {
+				return fmt.Errorf("%w: sequence gap — recovered through %d but the log continues at %d",
+					ErrCorrupt, last, rec.Seq)
+			}
+			if aerr := st.Apply(*rec); aerr != nil {
+				return aerr
+			}
+			last = rec.Seq
+			records++
+			return nil
+		})
+		if werr != nil {
+			return last, records, torn, fmt.Errorf("journal: segment %s: %w", base, werr)
 		}
 		if t > 0 {
 			if !allowTornTail || i != len(segs)-1 {
@@ -300,21 +322,6 @@ func replaySegments(st *State, snapSeq uint64, segs []string, allowTornTail bool
 					"%w: sealed segment %s has %d unreadable trailing bytes", ErrCorrupt, base, t)
 			}
 			torn += t
-		}
-		for _, rec := range recs {
-			if rec.Seq <= snapSeq {
-				continue
-			}
-			if rec.Seq != last+1 {
-				return last, records, torn, fmt.Errorf(
-					"%w: sequence gap — recovered through %d but segment %s continues at %d",
-					ErrCorrupt, last, base, rec.Seq)
-			}
-			if aerr := st.Apply(rec); aerr != nil {
-				return last, records, torn, aerr
-			}
-			last = rec.Seq
-			records++
 		}
 	}
 	return last, records, torn, nil
@@ -334,9 +341,11 @@ func (s *Store) TakeRecovered() *State {
 // Summary reports what Open recovered.
 func (s *Store) Summary() Summary { return s.summary }
 
-// Append sequences rec and buffers its frame. It performs no I/O and is
-// safe to call from a taskq sink holding a shard lock; durability follows
-// within one fsync interval (or sooner, once fsyncBytes accumulate).
+// Append sequences rec and buffers its frame. It performs no I/O and, for a
+// record in canonical form, no allocation, so it is safe to call from a
+// taskq sink holding a shard lock; durability follows within one fsync
+// interval (or sooner, once fsyncBytes accumulate; later, behind a
+// compaction).
 func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	if s.err != nil {
@@ -411,17 +420,24 @@ func (s *Store) flushLocked() error {
 		s.mu.Unlock()
 		return err
 	}
+	if len(s.buf) == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	// Swap buffers rather than dropping this one: Append fills the spare
+	// while this commit writes buf out, then buf becomes the spare.
 	buf := s.buf
-	s.buf = nil
+	s.buf, s.spare = s.spare, nil
 	s.pendingRecs = 0
 	f := s.f
 	boundary := s.seq
 	s.mu.Unlock()
-	if len(buf) == 0 {
-		return nil
-	}
 	start := s.clk.Now()
-	if _, err := f.Write(buf); err != nil {
+	_, err := f.Write(buf)
+	if cap(buf) <= maxSpareBytes {
+		s.spare = buf[:0]
+	}
+	if err != nil {
 		return s.fail(fmt.Errorf("journal: write segment: %w", err))
 	}
 	if err := f.Sync(); err != nil {
