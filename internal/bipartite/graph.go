@@ -50,8 +50,21 @@ type Builder struct {
 	workerIdx map[string]int32
 	taskIdx   map[string]int32
 	edges     []Edge
-	seen      map[[2]int32]struct{}
+
+	// seen is the duplicate-edge test: bit worker*seenTasks+task of a dense
+	// workers×tasks bitset, sized for the seenWorkers×seenTasks vertices
+	// present when it was last laid out. Callers that add an edge per
+	// candidate pair evaluate all workers×tasks pairs anyway, so that many
+	// bits is always dominated — and costs one allocation where a map cost
+	// one per few edges.
+	seen                   []uint64
+	seenWorkers, seenTasks int
 }
+
+// maxEdgePresize caps the edge slice's first allocation (1 MiB of Edge): a
+// round's graph keeps most of its workers×tasks candidate pairs, a huge sparse
+// one should grow by doubling instead.
+const maxEdgePresize = 1 << 16
 
 // NewBuilder pre-sizes the builder for the expected vertex counts.
 func NewBuilder(workers, tasks int) *Builder {
@@ -121,16 +134,34 @@ func (b *Builder) AddEdgeIdx(worker, task int32, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("%w: %v on (%d,%d)", ErrNegativeWeight, weight, worker, task)
 	}
-	if b.seen == nil {
-		b.seen = make(map[[2]int32]struct{})
+	if b.seenWorkers != len(b.workerIDs) || b.seenTasks != len(b.taskIDs) {
+		b.layoutSeen()
 	}
-	key := [2]int32{worker, task}
-	if _, dup := b.seen[key]; dup {
+	bit := int(worker)*b.seenTasks + int(task)
+	word, mask := &b.seen[bit>>6], uint64(1)<<(bit&63)
+	if *word&mask != 0 {
 		return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, worker, task)
 	}
-	b.seen[key] = struct{}{}
+	*word |= mask
 	b.edges = append(b.edges, Edge{Worker: worker, Task: task, Weight: weight})
 	return nil
+}
+
+// layoutSeen sizes the duplicate bitset for the current vertex counts and
+// marks the edges added so far: once at the first edge when vertices come
+// first, as every caller in the tree adds them, and again whenever a vertex
+// was added since. The first layout also sizes the edge slice.
+func (b *Builder) layoutSeen() {
+	b.seenWorkers, b.seenTasks = len(b.workerIDs), len(b.taskIDs)
+	pairs := b.seenWorkers * b.seenTasks
+	b.seen = make([]uint64, (pairs+63)/64)
+	for _, e := range b.edges {
+		bit := int(e.Worker)*b.seenTasks + int(e.Task)
+		b.seen[bit>>6] |= 1 << (bit & 63)
+	}
+	if b.edges == nil {
+		b.edges = make([]Edge, 0, min(pairs, maxEdgePresize))
+	}
 }
 
 // Build finalizes the graph. The builder must not be reused afterwards.
@@ -223,8 +254,8 @@ func Full(nWorkers, nTasks int, weight func(w, t int) float64) *Graph {
 	b.edges = make([]Edge, 0, nWorkers*nTasks)
 	for i := 0; i < nWorkers; i++ {
 		for j := 0; j < nTasks; j++ {
-			// Bypass the duplicate map: the nest is duplicate-free by
-			// construction and the map would dominate build time at 10⁶ edges.
+			// Bypass the duplicate test: the nest is duplicate-free by
+			// construction.
 			b.edges = append(b.edges, Edge{Worker: int32(i), Task: int32(j), Weight: weight(i, j)})
 		}
 	}

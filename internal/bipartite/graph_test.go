@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,47 @@ func TestBuilderRejectsDuplicates(t *testing.T) {
 	}
 	if err := b.AddEdge("w", "t", 2); !errors.Is(err, ErrDuplicateEdge) {
 		t.Fatalf("dup edge err = %v", err)
+	}
+}
+
+// TestBuilderDuplicateEdgesAcrossLateVertices interleaves vertices and edges,
+// the order that makes the duplicate bitset lay itself out again: an edge
+// added before a vertex arrived must still be known afterwards, a pair that
+// only exists since the new vertex must be free, and the built graph must
+// hold each accepted edge once, in the order added.
+func TestBuilderDuplicateEdgesAcrossLateVertices(t *testing.T) {
+	var b Builder
+	mustIdx := func(idx int32, err error) int32 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	w0, t0 := mustIdx(b.AddWorker("w0")), mustIdx(b.AddTask("t0"))
+	if err := b.AddEdgeIdx(w0, t0, 1); err != nil {
+		t.Fatal(err)
+	}
+	t1 := mustIdx(b.AddTask("t1")) // a new column: every bit moves
+	w1 := mustIdx(b.AddWorker("w1"))
+	for _, e := range [][2]int32{{w0, t1}, {w1, t0}, {w1, t1}} {
+		if err := b.AddEdgeIdx(e[0], e[1], 1); err != nil {
+			t.Fatalf("fresh pair %v refused: %v", e, err)
+		}
+	}
+	t2 := mustIdx(b.AddTask("t2"))
+	for _, e := range [][2]int32{{w0, t0}, {w0, t1}, {w1, t0}, {w1, t1}} {
+		if err := b.AddEdgeIdx(e[0], e[1], 1); !errors.Is(err, ErrDuplicateEdge) {
+			t.Fatalf("duplicate %v after a late vertex: err = %v", e, err)
+		}
+	}
+	if err := b.AddEdgeIdx(w1, t2, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
+	want := []Edge{{w0, t0, 1}, {w0, t1, 1}, {w1, t0, 1}, {w1, t1, 1}, {w1, t2, 1}}
+	if got := g.Edges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("edges = %v, want %v", got, want)
 	}
 }
 

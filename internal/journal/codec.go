@@ -1,13 +1,13 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
 	"strings"
 	"time"
 
+	"react/internal/canon"
 	"react/internal/taskq"
 )
 
@@ -28,7 +28,8 @@ import (
 //     else (other key order, whitespace, escapes, unknown keys, a number it
 //     would have to round differently), and the payload goes through
 //     json.Unmarshal. Logs written by older binaries are canonical already;
-//     hand-edited ones are merely slower.
+//     hand-edited ones are merely slower. The cursor is internal/canon's,
+//     shared with the wire frame decoder.
 //
 // codec_test.go holds the golden files (written by encoding/json before this
 // codec existed) and FuzzRecordCodec, the differential oracle.
@@ -243,9 +244,9 @@ func decodeRecord(payload []byte, rec *Record, task *taskq.Record) error {
 // json.Unmarshal into a zero taskq.Record would.
 func decodeTaskRecord(line []byte, rec *taskq.Record) error {
 	*rec = taskq.Record{}
-	d := dec{b: line}
-	d.taskRecord(rec)
-	if d.done() {
+	d := canon.New(line)
+	decTaskRecord(&d, rec)
+	if d.Done() {
 		return nil
 	}
 	*rec = taskq.Record{}
@@ -253,259 +254,86 @@ func decodeTaskRecord(line []byte, rec *taskq.Record) error {
 }
 
 func decodeRecordFast(payload []byte, r *Record, task *taskq.Record) bool {
-	d := dec{b: payload}
-	d.expect(`{"seq":`)
-	r.Seq = d.uint(math.MaxUint64)
-	d.expect(`,"kind":`)
-	r.Kind = Kind(d.uint(math.MaxUint8))
-	if d.has(`,"task":`) {
+	d := canon.New(payload)
+	d.Expect(`{"seq":`)
+	r.Seq = d.Uint(math.MaxUint64)
+	d.Expect(`,"kind":`)
+	r.Kind = Kind(d.Uint(math.MaxUint8))
+	if d.Has(`,"task":`) {
 		r.Task = task
-		d.taskRecord(task)
+		decTaskRecord(&d, task)
 	}
-	if d.has(`,"cause":`) {
-		r.Cause = d.str()
+	if d.Has(`,"cause":`) {
+		r.Cause = d.Str()
 	}
-	if d.has(`,"task_id":`) {
-		r.TaskID = d.str()
+	if d.Has(`,"task_id":`) {
+		r.TaskID = d.Str()
 	}
-	if d.has(`,"worker":`) {
-		r.Worker = d.str()
+	if d.Has(`,"worker":`) {
+		r.Worker = d.Str()
 	}
-	if d.has(`,"category":`) {
-		r.Category = d.str()
+	if d.Has(`,"category":`) {
+		r.Category = d.Str()
 	}
-	if d.has(`,"positive":`) {
-		r.Positive = d.bool()
+	if d.Has(`,"positive":`) {
+		r.Positive = d.Bool()
 	}
-	if d.has(`,"lat":`) {
-		r.Lat = d.float()
+	if d.Has(`,"lat":`) {
+		r.Lat = d.Float()
 	}
-	if d.has(`,"lon":`) {
-		r.Lon = d.float()
+	if d.Has(`,"lon":`) {
+		r.Lon = d.Float()
 	}
-	d.expect(`}`)
-	return d.done()
+	d.Expect(`}`)
+	return d.Done()
 }
 
-// dec is a cursor over one payload. It is sticky: the first byte that is not
-// canonical form sets bad, every later call is a no-op, and the caller checks
-// done() once at the end — so the field lists below read as the format does.
-type dec struct {
-	b   []byte
-	i   int
-	bad bool
-}
-
-// done reports whether the whole payload was consumed as canonical form.
-func (d *dec) done() bool { return !d.bad && d.i == len(d.b) }
-
-// has consumes lit if the payload continues with it.
-func (d *dec) has(lit string) bool {
-	if d.bad || len(d.b)-d.i < len(lit) || string(d.b[d.i:d.i+len(lit)]) != lit {
-		return false
-	}
-	d.i += len(lit)
-	return true
-}
-
-func (d *dec) expect(lit string) {
-	if !d.has(lit) {
-		d.bad = true
-	}
-}
-
-func (d *dec) taskRecord(r *taskq.Record) {
+// decTaskRecord reads the snapshot line's shape: taskq.Record in declaration
+// order.
+func decTaskRecord(d *canon.Dec, r *taskq.Record) {
 	t := &r.Task
-	d.expect(`{"Task":{"ID":`)
-	t.ID = d.str()
-	d.expect(`,"Location":{"Lat":`)
-	t.Location.Lat = d.float()
-	d.expect(`,"Lon":`)
-	t.Location.Lon = d.float()
-	d.expect(`},"Deadline":`)
-	t.Deadline = d.time()
-	d.expect(`,"Reward":`)
-	t.Reward = d.float()
-	d.expect(`,"Category":`)
-	t.Category = d.str()
-	d.expect(`,"Description":`)
-	t.Description = d.str()
-	d.expect(`,"Submitted":`)
-	t.Submitted = d.time()
-	d.expect(`},"Status":`)
-	r.Status = taskq.Status(d.int())
-	d.expect(`,"Worker":`)
-	r.Worker = d.str()
-	d.expect(`,"AssignedAt":`)
-	r.AssignedAt = d.time()
-	d.expect(`,"FinishedAt":`)
-	r.FinishedAt = d.time()
-	d.expect(`,"Attempts":`)
-	r.Attempts = d.int()
-	d.expect(`,"Graded":`)
-	r.Graded = d.bool()
-	d.expect(`}`)
+	d.Expect(`{"Task":{"ID":`)
+	t.ID = d.Str()
+	d.Expect(`,"Location":{"Lat":`)
+	t.Location.Lat = d.Float()
+	d.Expect(`,"Lon":`)
+	t.Location.Lon = d.Float()
+	d.Expect(`},"Deadline":`)
+	t.Deadline = decTime(d)
+	d.Expect(`,"Reward":`)
+	t.Reward = d.Float()
+	d.Expect(`,"Category":`)
+	t.Category = d.Str()
+	d.Expect(`,"Description":`)
+	t.Description = d.Str()
+	d.Expect(`,"Submitted":`)
+	t.Submitted = decTime(d)
+	d.Expect(`},"Status":`)
+	r.Status = taskq.Status(d.Int())
+	d.Expect(`,"Worker":`)
+	r.Worker = d.Str()
+	d.Expect(`,"AssignedAt":`)
+	r.AssignedAt = decTime(d)
+	d.Expect(`,"FinishedAt":`)
+	r.FinishedAt = decTime(d)
+	d.Expect(`,"Attempts":`)
+	r.Attempts = d.Int()
+	d.Expect(`,"Graded":`)
+	r.Graded = d.Bool()
+	d.Expect(`}`)
 }
 
-// str reads a quoted string with no escapes in it. Raw bytes json.Unmarshal
-// would pass through or repair (non-ASCII, invalid UTF-8) are declined too.
-func (d *dec) str() string {
-	if d.bad || d.i >= len(d.b) || d.b[d.i] != '"' {
-		d.bad = true
-		return ""
-	}
-	start := d.i + 1
-	for j := start; j < len(d.b); j++ {
-		switch c := d.b[j]; {
-		case c == '"':
-			d.i = j + 1
-			return string(d.b[start:j])
-		case c < 0x20 || c >= 0x7f || c == '\\':
-			d.bad = true
-			return ""
-		}
-	}
-	d.bad = true
-	return ""
-}
-
-// digits reads a JSON integer part — 0, or a non-zero digit followed by
-// digits — of at most 18 digits, so the value fits every integer type below
-// without an overflow check.
-func (d *dec) digits() (n uint64) {
-	start := d.i
-	for d.i < len(d.b) && d.b[d.i]-'0' <= 9 && d.i-start <= 18 {
-		n = n*10 + uint64(d.b[d.i]-'0')
-		d.i++
-	}
-	if w := d.i - start; w == 0 || w > 18 || (w > 1 && d.b[start] == '0') {
-		d.bad = true
-	}
-	return n
-}
-
-func (d *dec) uint(max uint64) uint64 {
-	if d.bad {
-		return 0
-	}
-	n := d.digits()
-	if n > max {
-		d.bad = true
-	}
-	return n
-}
-
-func (d *dec) int() int {
-	if d.bad {
-		return 0
-	}
-	neg := d.i < len(d.b) && d.b[d.i] == '-'
-	if neg {
-		d.i++
-	}
-	n := d.digits()
-	if n > math.MaxInt { // a 32-bit int: encoding/json reports the overflow
-		d.bad = true
-	}
-	if neg {
-		return -int(n)
-	}
-	return int(n)
-}
-
-// float reads a JSON number literal and converts it as json.Unmarshal does,
-// with strconv.ParseFloat; a literal ParseFloat rejects (out of range) is
-// declined so that encoding/json reports it.
-func (d *dec) float() float64 {
-	if d.bad {
-		return 0
-	}
-	start := d.i
-	neg := d.i < len(d.b) && d.b[d.i] == '-'
-	if neg {
-		d.i++
-	}
-	intStart := d.i
-	d.digitRun()
-	if w := d.i - intStart; w > 1 && d.b[intStart] == '0' {
-		d.bad = true
-	}
-	whole := true
-	if d.i < len(d.b) && d.b[d.i] == '.' {
-		whole = false
-		d.i++
-		d.digitRun()
-	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		whole = false
-		d.i++
-		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
-			d.i++
-		}
-		d.digitRun()
-	}
-	if d.bad {
-		return 0
-	}
-	if whole && d.i-intStart <= 15 {
-		// An integer a float64 holds exactly: most coordinates and rewards.
-		var n uint64
-		for _, c := range d.b[intStart:d.i] {
-			n = n*10 + uint64(c-'0')
-		}
-		f := float64(n)
-		if neg {
-			f = -f
-		}
-		return f
-	}
-	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
-	if err != nil {
-		d.bad = true
-	}
-	return f
-}
-
-// digitRun reads one or more digits.
-func (d *dec) digitRun() {
-	start := d.i
-	for d.i < len(d.b) && d.b[d.i]-'0' <= 9 {
-		d.i++
-	}
-	if d.i == start {
-		d.bad = true
-	}
-}
-
-func (d *dec) bool() bool {
-	if d.has(`true`) {
-		return true
-	}
-	d.expect(`false`)
-	return false
-}
-
-// time reads a quoted timestamp through Time.UnmarshalJSON — the method
-// json.Unmarshal itself calls, on the same bytes — so the result is the same
-// Time, location pointer included.
-func (d *dec) time() (t time.Time) {
-	if d.has(zeroTime) {
+// decTime reads a quoted timestamp through Time.UnmarshalText — the strict
+// RFC 3339 parser json.Unmarshal itself reaches through UnmarshalJSON, on the
+// same bytes less the quotes — so the result is the same Time, location
+// pointer included.
+func decTime(d *canon.Dec) (t time.Time) {
+	if d.Has(zeroTime) {
 		return t
 	}
-	if d.bad || d.i >= len(d.b) || d.b[d.i] != '"' {
-		d.bad = true
-		return t
-	}
-	n := bytes.IndexByte(d.b[d.i+1:], '"')
-	if n < 0 {
-		d.bad = true
-		return t
-	}
-	end := d.i + 1 + n + 1
-	if err := t.UnmarshalJSON(d.b[d.i:end]); err != nil {
-		d.bad = true
+	if err := t.UnmarshalText(d.Raw()); err != nil {
+		d.Fail()
 		return time.Time{}
 	}
-	d.i = end
 	return t
 }

@@ -141,27 +141,41 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 	st.Workers = len(workers)
 	st.Tasks = len(tasks)
 	b := bipartite.NewBuilder(len(workers), len(tasks))
-	for _, w := range workers {
-		if _, err := b.AddWorker(w.ID()); err != nil {
+	// Edges name the vertex index the builder handed out, not the position in
+	// the snapshot: the two differ after a skipped duplicate (-1 here).
+	idx := make([]int32, len(workers)+len(tasks))
+	workerIdx, taskIdx := idx[:len(workers)], idx[len(workers):]
+	for i, w := range workers {
+		vi, err := b.AddWorker(w.ID())
+		if err != nil {
 			// Duplicate worker in the snapshot would be a registry bug;
 			// skip rather than corrupt the batch.
 			st.Workers--
-			continue
+			vi = -1
 		}
+		workerIdx[i] = vi
 	}
-	for _, t := range tasks {
-		if _, err := b.AddTask(t.ID); err != nil {
+	for i, t := range tasks {
+		vi, err := b.AddTask(t.ID)
+		if err != nil {
 			st.Tasks--
-			continue
+			vi = -1
 		}
+		taskIdx[i] = vi
 	}
 	for wi, w := range workers {
+		if workerIdx[wi] < 0 {
+			continue
+		}
 		trainee := w.Trainee(cfg.TraineeTasks)
 		model, hasModel := w.Model(cfg.MinHistory)
 		if trainee {
 			st.Trainees++
 		}
 		for ti, t := range tasks {
+			if taskIdx[ti] < 0 {
+				continue
+			}
 			if !w.AcceptsReward(t.Reward) {
 				st.PrunedReward++
 				continue
@@ -188,7 +202,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 					weight = 1
 				}
 			}
-			if err := b.AddEdgeIdx(int32(wi), int32(ti), weight); err != nil {
+			if err := b.AddEdgeIdx(workerIdx[wi], taskIdx[ti], weight); err != nil {
 				return nil, st // unreachable with valid indices; fail loudly via nil
 			}
 			st.Edges++

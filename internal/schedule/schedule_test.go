@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,6 +194,34 @@ func TestBuildGraphEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestBuildGraphSkipsDuplicateIDs feeds a snapshot that repeats a worker and
+// a task id (a registry bug, not a normal round): the repeats are dropped
+// from the batch and every edge still names the vertex it was computed for —
+// the builder's index, which after a skipped duplicate is no longer the
+// position in the snapshot.
+func TestBuildGraphSkipsDuplicateIDs(t *testing.T) {
+	now := clock.Epoch
+	a := seasonedWorker("a", []float64{1, 1, 1, 1}, 4) // accuracy 1
+	b := seasonedWorker("b", []float64{1, 1, 1, 1}, 1) // accuracy 0.25
+	workers := []*profile.Profile{a, a, b}
+	tasks := []taskq.Task{task("t1", time.Hour, now), task("t1", time.Hour, now), task("t2", time.Hour, now)}
+	g, st := BuildGraph(Config{TraineeTasks: 1}, workers, tasks, now)
+	if g == nil {
+		t.Fatal("BuildGraph gave up on a snapshot with duplicate ids")
+	}
+	if st.Workers != 2 || st.Tasks != 2 || g.NumWorkers() != 2 || g.NumTasks() != 2 {
+		t.Fatalf("vertices: stats %+v, graph %d×%d, want 2×2", st, g.NumWorkers(), g.NumTasks())
+	}
+	got := map[string]float64{}
+	for _, e := range g.Edges() {
+		got[g.WorkerID(e.Worker)+"→"+g.TaskID(e.Task)] = e.Weight
+	}
+	want := map[string]float64{"a→t1": 1, "a→t2": 1, "b→t1": 0.25, "b→t2": 0.25}
+	if st.Edges != 4 || g.NumEdges() != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("edges = %v (stats %+v), want %v", got, st, want)
+	}
+}
+
 func TestBusyWorkersExcludedViaSnapshot(t *testing.T) {
 	// The registry's Available() snapshot is the contract: busy workers
 	// never reach BuildGraph.
@@ -276,5 +305,30 @@ func TestQuickSurvivingEdgesMeetBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkBuildGraph times one round's graph construction at the mean round
+// shapes of the benchmark's capacity (53 workers × 39 tasks) and burst
+// (325 × 25) workloads, every worker seasoned so the Eq. 3 path runs.
+func BenchmarkBuildGraph(b *testing.B) {
+	now := clock.Epoch
+	for _, shape := range []struct{ workers, tasks int }{{53, 39}, {325, 25}} {
+		workers := make([]*profile.Profile, shape.workers)
+		for i := range workers {
+			workers[i] = seasonedWorker(fmt.Sprintf("w%03d", i), []float64{1, 2, 3, 2, 1}, 4)
+		}
+		tasks := make([]taskq.Task, shape.tasks)
+		for i := range tasks {
+			tasks[i] = task(fmt.Sprintf("t%03d", i), time.Minute, now)
+		}
+		b.Run(fmt.Sprintf("%dx%d", shape.workers, shape.tasks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if g, _ := BuildGraph(Config{}, workers, tasks, now); g.NumEdges() == 0 {
+					b.Fatal("no edges")
+				}
+			}
+		})
 	}
 }

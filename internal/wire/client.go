@@ -91,9 +91,10 @@ type Client struct {
 	c net.Conn
 	w *connWriter // coalesces outbound request frames (flush.go)
 
-	reqMu sync.Mutex // one outstanding request at a time
-	resp  chan Message
-	seq   atomic.Uint64 // last sequence number stamped on a request
+	reqMu     sync.Mutex  // one outstanding request at a time
+	callTimer *time.Timer // the call timeout, re-armed per call; guarded by reqMu
+	resp      chan Message
+	seq       atomic.Uint64 // last sequence number stamped on a request
 
 	callTimeout atomic.Int64 // ns
 	keepalive   atomic.Int64 // ns; <=0 disables the idle pinger
@@ -208,10 +209,11 @@ func (cl *Client) readLoop() {
 		default: // ok / error responses
 			// The response escapes this loop to a waiting caller: copy it
 			// and drop the scratch-backed pointers (a response never
-			// carries them; Status/Stats/Regions are freshly allocated by
-			// the decoder when present, so the copy owns them).
+			// carries them; Status/Stats/Regions/Admission are freshly
+			// allocated by the decoder when present, so the copy owns them).
 			resp := *m
 			resp.Task, resp.Assignment, resp.Result, resp.Event = nil, nil, nil, nil
+			resp.Available, resp.Positive = nil, nil
 			select {
 			case cl.resp <- resp:
 			default:
@@ -269,8 +271,24 @@ func (cl *Client) call(m Message) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	timeout := time.NewTimer(time.Duration(cl.callTimeout.Load()))
-	defer timeout.Stop()
+	// One timer per client, not one per call: three calls a task made the
+	// runtime timer heap a hot spot. Stop-and-drain on the way out (the
+	// pre-1.23 idiom go.mod's 1.22 calls for) leaves it quiet and its
+	// channel empty for the next call's Reset.
+	if d := time.Duration(cl.callTimeout.Load()); cl.callTimer == nil {
+		cl.callTimer = time.NewTimer(d)
+	} else {
+		cl.callTimer.Reset(d)
+	}
+	timeout := cl.callTimer
+	defer func() {
+		if !timeout.Stop() {
+			select {
+			case <-timeout.C:
+			default:
+			}
+		}
+	}()
 	for {
 		//lint:ignore blockingunderlock waiting for the matching response under reqMu is the one-in-flight-call design; the timeout arm bounds the hold
 		select {

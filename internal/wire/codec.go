@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"react/internal/canon"
 )
 
 // This file is the pooled wire codec: hand-written append-style JSON
@@ -18,7 +20,9 @@ import (
 // omitempty semantics, string escaping sufficient for the
 // newline-delimited protocol), and codec_test.go holds encoding/json
 // round-trip equivalence over a corpus plus a fuzzer
-// (FuzzFrameDecode) so the two can never drift apart silently.
+// (FuzzFrameDecode) so the two can never drift apart silently. The decoder
+// (decodeScratch, below) reads that same canonical form with a strict cursor
+// and leaves every other frame to encoding/json.
 
 // frameBuf is a pooled encode buffer holding one framed message (trailing
 // newline included). Release returns it to the pool; the bytes must not be
@@ -336,33 +340,30 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
-// decodeScratch is one connection's reusable decode state: the Message and
-// the hot push/submit payloads are preallocated once and re-filled frame
-// after frame (encoding/json reuses memory behind non-nil pointers), so
-// steady-state decode does not allocate a payload struct per frame. A
-// frame that omits a pre-pointed payload leaves it zero — presence checks
-// on the read paths therefore test the payload's key field (task id, event
-// kind), which a meaningful frame always carries, instead of pointer
-// nilness.
+// decodeScratch is one connection's reusable decode state: the Message, the
+// hot push/submit payloads and the two optional booleans are preallocated
+// once and re-filled frame after frame, so steady-state decode allocates the
+// frame's strings and nothing else. A frame that omits a pre-pointed payload
+// leaves it zero — presence checks on the read paths therefore test the
+// payload's key field (task id, event kind), which a meaningful frame always
+// carries, instead of pointer nilness.
 //
 // Not safe for concurrent use; each read loop owns one. The returned
-// *Message and its pre-pointed payloads are valid only until the next
-// decode call — anything that outlives the loop iteration (a response
-// handed to a waiting caller) must be copied with the scratch-backed
-// pointers cleared (see Client.readLoop).
+// *Message, its pre-pointed payloads and Available/Positive are valid only
+// until the next decode call — anything that outlives the loop iteration (a
+// response handed to a waiting caller) must be copied with the
+// scratch-backed pointers cleared (see Client.readLoop).
 type decodeScratch struct {
-	msg    Message
-	task   TaskPayload
-	assign AssignmentPayload
-	result ResultPayload
-	event  EventPayload
+	msg       Message
+	task      TaskPayload
+	assign    AssignmentPayload
+	result    ResultPayload
+	event     EventPayload
+	available bool
+	positive  bool
 }
 
-// decode parses one frame into the scratch message. On error the partially
-// filled message is still returned: the server's error reply echoes
-// whatever Seq the frame managed to carry, matching encoding/json's
-// partial-fill behaviour.
-func (d *decodeScratch) decode(data []byte) (*Message, error) {
+func (d *decodeScratch) reset() {
 	d.task = TaskPayload{}
 	d.assign = AssignmentPayload{}
 	d.result = ResultPayload{}
@@ -373,6 +374,193 @@ func (d *decodeScratch) decode(data []byte) (*Message, error) {
 		Result:     &d.result,
 		Event:      &d.event,
 	}
+}
+
+// decode parses one frame into the scratch message. A frame in canonical
+// form — what AppendFrame writes for Message and the hot payloads — is read
+// by decodeFast; anything else (stats/regions/status replies, hand-typed
+// frames, escaped or non-ASCII text, malformed input) is read by
+// encoding/json into a fresh scratch, so what is accepted, the error text and
+// the partial fill are encoding/json's: on error the partially filled message
+// is still returned, and the server's error reply echoes whatever Seq the
+// frame managed to carry.
+func (d *decodeScratch) decode(data []byte) (*Message, error) {
+	d.reset()
+	if d.decodeFast(data) {
+		return &d.msg, nil
+	}
+	d.reset()
 	err := json.Unmarshal(data, &d.msg)
 	return &d.msg, err
+}
+
+// decodeFast fills the scratch from a canonical-form frame: the keys
+// AppendFrame writes, in its order, each at most once, with no whitespace, no
+// null and no string escapes (see canon.Dec for the token rules). It reports
+// false — the scratch then holds garbage — on anything else. The mirror of
+// AppendFrame, field for field; TestDecodeFastMatchesJSON fails if the two
+// drift apart.
+func (d *decodeScratch) decodeFast(data []byte) bool {
+	c := canon.New(data)
+	m := &d.msg
+	c.Expect(`{"type":`)
+	m.Type = internVerb(c.Raw())
+	if c.Has(`,"seq":`) {
+		m.Seq = c.Uint(math.MaxUint64)
+	}
+	if c.Has(`,"worker":`) {
+		m.Worker = c.Str()
+	}
+	if c.Has(`,"lat":`) {
+		m.Lat = c.Float()
+	}
+	if c.Has(`,"lon":`) {
+		m.Lon = c.Float()
+	}
+	if c.Has(`,"available":`) {
+		d.available = c.Bool()
+		m.Available = &d.available
+	}
+	if c.Has(`,"task":`) {
+		p := &d.task
+		c.Expect(`{"id":`)
+		p.ID = c.Str()
+		c.Expect(`,"lat":`)
+		p.Lat = c.Float()
+		c.Expect(`,"lon":`)
+		p.Lon = c.Float()
+		c.Expect(`,"deadline_ms":`)
+		p.DeadlineMS = int64(c.Int())
+		c.Expect(`,"reward":`)
+		p.Reward = c.Float()
+		c.Expect(`,"category":`)
+		p.Category = c.Str()
+		c.Expect(`,"description":`)
+		p.Description = c.Str()
+		c.Expect(`}`)
+	}
+	if c.Has(`,"task_id":`) {
+		m.TaskID = c.Str()
+	}
+	if c.Has(`,"answer":`) {
+		m.Answer = c.Str()
+	}
+	if c.Has(`,"positive":`) {
+		d.positive = c.Bool()
+		m.Positive = &d.positive
+	}
+	if c.Has(`,"error":`) {
+		m.Error = c.Str()
+	}
+	if c.Has(`,"code":`) {
+		m.Code = c.Str()
+	}
+	if c.Has(`,"assignment":`) {
+		p := &d.assign
+		c.Expect(`{"task_id":`)
+		p.TaskID = c.Str()
+		c.Expect(`,"worker_id":`)
+		p.WorkerID = c.Str()
+		c.Expect(`,"category":`)
+		p.Category = c.Str()
+		c.Expect(`,"description":`)
+		p.Description = c.Str()
+		c.Expect(`,"lat":`)
+		p.Lat = c.Float()
+		c.Expect(`,"lon":`)
+		p.Lon = c.Float()
+		c.Expect(`,"deadline_ms":`)
+		p.DeadlineMS = int64(c.Int())
+		c.Expect(`,"reward":`)
+		p.Reward = c.Float()
+		c.Expect(`}`)
+	}
+	if c.Has(`,"result":`) {
+		p := &d.result
+		c.Expect(`{"task_id":`)
+		p.TaskID = c.Str()
+		if c.Has(`,"worker_id":`) {
+			p.WorkerID = c.Str()
+		}
+		if c.Has(`,"answer":`) {
+			p.Answer = c.Str()
+		}
+		c.Expect(`,"met_deadline":`)
+		p.MetDeadline = c.Bool()
+		c.Expect(`,"expired":`)
+		p.Expired = c.Bool()
+		c.Expect(`}`)
+	}
+	// stats, regions and status replies are not hot: their keys fail the next
+	// Expect and the frame goes to encoding/json.
+	if c.Has(`,"event":`) {
+		p := &d.event
+		c.Expect(`{"seq":`)
+		p.Seq = c.Uint(math.MaxUint64)
+		c.Expect(`,"kind":`)
+		p.Kind = c.Str()
+		c.Expect(`,"task_id":`)
+		p.TaskID = c.Str()
+		if c.Has(`,"worker":`) {
+			p.Worker = c.Str()
+		}
+		c.Expect(`,"at_unix_ms":`)
+		p.AtUnixMS = int64(c.Int())
+		if c.Has(`,"cause":`) {
+			p.Cause = c.Str()
+		}
+		if c.Has(`,"probability":`) {
+			p.Probability = c.Float()
+		}
+		if c.Has(`,"status":`) {
+			p.Status = c.Str()
+		}
+		if c.Has(`,"met_deadline":`) {
+			p.MetDeadline = c.Bool()
+		}
+		if c.Has(`,"attempts":`) {
+			p.Attempts = c.Int()
+		}
+		c.Expect(`}`)
+	}
+	if c.Has(`,"admission":`) {
+		// Freshly allocated: the verdict escapes to the caller of Submit.
+		p := new(AdmissionPayload)
+		m.Admission = p
+		c.Expect(`{"status":`)
+		p.Status = c.Str()
+		if c.Has(`,"probability":`) {
+			p.Probability = c.Float()
+		}
+		if c.Has(`,"floor":`) {
+			p.Floor = c.Float()
+		}
+		if c.Has(`,"retry_after_ms":`) {
+			p.RetryAfterMS = int64(c.Int())
+		}
+		c.Expect(`}`)
+	}
+	c.Expect(`}`)
+	return c.Done()
+}
+
+// verbs interns Message.Type: every frame carries one of these, so the fast
+// path does not allocate a string for it.
+var verbs = func() map[string]string {
+	m := make(map[string]string)
+	for _, v := range []string{
+		"register", "deregister", "location", "available", "submit", "complete",
+		"feedback", "watch", "watch-events", "task", "regions", "ping", "stats",
+		"ok", "error", "assignment", "result", "event",
+	} {
+		m[v] = v
+	}
+	return m
+}()
+
+func internVerb(b []byte) string {
+	if v, ok := verbs[string(b)]; ok { // the conversion in a map index does not allocate
+		return v
+	}
+	return string(b)
 }

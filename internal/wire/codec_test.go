@@ -212,12 +212,125 @@ func TestDecodeScratchReuse(t *testing.T) {
 		t.Errorf("event payload wrong after reuse: %+v", m.Event)
 	}
 
+	// Available and Positive point into the scratch too: present means
+	// non-nil with this frame's value, absent means nil again.
+	m, err = scr.decode([]byte(`{"type":"available","seq":1,"available":true}`))
+	if err != nil || m.Available == nil || !*m.Available || m.Positive != nil {
+		t.Fatalf("available frame: %+v, %v", m, err)
+	}
+	m, err = scr.decode([]byte(`{"type":"feedback","seq":2,"task_id":"t1","positive":false}`))
+	if err != nil || m.Positive == nil || *m.Positive {
+		t.Fatalf("feedback frame: %+v, %v", m, err)
+	}
+	if m.Available != nil {
+		t.Errorf("available leaked across decode calls: %v", *m.Available)
+	}
+	if m, _ = scr.decode([]byte(`{"type":"ping","seq":3}`)); m.Available != nil || m.Positive != nil {
+		t.Errorf("optional booleans leaked into a frame without them: %+v", m)
+	}
+
 	m, err = scr.decode([]byte(`{"type":"complete","seq":42,"answer":5}`))
 	if err == nil {
 		t.Fatal("wrongly-typed answer field decoded without error")
 	}
 	if m.Seq != 42 {
 		t.Errorf("partial fill lost Seq: got %d, want 42 (error replies echo it)", m.Seq)
+	}
+}
+
+// decodeBothWays runs one line (no trailing newline, as bufio.Scanner hands
+// it over) through the fast path alone and through encoding/json into an
+// equally pre-pointed scratch, and fails unless the fast path either declined
+// or produced exactly what encoding/json did. It reports whether the fast
+// path was taken.
+func decodeBothWays(t *testing.T, line []byte) (fast bool) {
+	t.Helper()
+	var viaFast, viaStd decodeScratch
+	viaFast.reset()
+	fast = viaFast.decodeFast(line)
+	viaStd.reset()
+	stdErr := json.Unmarshal(line, &viaStd.msg)
+	if fast {
+		if stdErr != nil {
+			t.Fatalf("fast path accepts %q, encoding/json rejects it: %v", line, stdErr)
+		}
+		if got, want := normalizePresence(viaFast.msg), normalizePresence(viaStd.msg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fast path and encoding/json disagree on %q:\nfast: %+v\n std: %+v", line, got, want)
+		}
+	}
+	// Whichever path decode takes, callers see encoding/json's verdict.
+	var scr decodeScratch
+	m, err := scr.decode(line)
+	if (err == nil) != (stdErr == nil) || (err != nil && err.Error() != stdErr.Error()) {
+		t.Fatalf("decode(%q) = %v, encoding/json says %v", line, err, stdErr)
+	}
+	if got, want := normalizePresence(*m), normalizePresence(viaStd.msg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode(%q):\n got %+v\nwant %+v", line, got, want)
+	}
+	return fast
+}
+
+// TestDecodeFastMatchesJSON holds the fast decoder to its two promises. It
+// is *taken* on every hot frame AppendFrame produces — so a struct-tag or
+// field-order edit that silently turns it off fails here, not in a profile —
+// and on anything, canonical or not, it declines or agrees with
+// encoding/json on every field.
+func TestDecodeFastMatchesJSON(t *testing.T) {
+	for _, m := range codecCorpus() {
+		frame := AppendFrame(nil, &m)
+		line := frame[:len(frame)-1]
+		// Cold by design: the three reply payloads the fast path leaves to
+		// encoding/json, and text the strict cursor does not read.
+		cold := m.Stats != nil || m.Regions != nil || m.Status != nil ||
+			bytes.ContainsFunc(line, func(r rune) bool { return r == '\\' || r < 0x20 || r >= 0x7f })
+		if fast := decodeBothWays(t, line); fast == cold {
+			t.Errorf("fast path taken = %v on %q, want %v", fast, line, !cold)
+		}
+		if decodeBothWays(t, frame) {
+			t.Errorf("fast path took a frame with its newline still on: %q", frame)
+		}
+	}
+	for _, f := range hotTaskFrames() {
+		frame := AppendFrame(nil, &f.m)
+		if !decodeBothWays(t, frame[:len(frame)-1]) {
+			t.Errorf("fast path declined hot frame %q", frame)
+		}
+	}
+	for _, line := range []string{
+		`{"seq":7,"type":"ok"}`,  // reordered keys
+		`{"type":"ok","seq":0}`,  // a zero AppendFrame omits
+		`{"type":"ok", "seq":7}`, // whitespace
+		` {"type":"ok","seq":7}`,
+		`{"type":"submit","seq":5,"task":null}`, // null payload
+		`{"type":"ok","seq":7,"seq":8}`,         // repeated key
+		`{"type":"ok","seq":7,"worker":"a","worker":"b"}`,
+		`{"Type":"ok","SEQ":7}`, // encoding/json folds case
+		`{"type":"submit","task":{"id":"t","lat":0,"lon":0,"deadline_ms":1e3,"reward":0,"category":"","description":""}}`, // exponent in an integer field
+		`{"type":"ok","seq":1234567890123456789}`,  // 19 digits
+		`{"type":"ok","seq":18446744073709551616}`, // overflows uint64
+		`{"type":"ok","seq":-1}`,
+		`{"type":"ok","seq":07}`,                        // leading zero
+		"{\"type\":\"complete\",\"answer\":\"a\x7fb\"}", // DEL
+		`{"type":"complete","answer":"Ωθήνα"}`,          // UTF-8
+		"{\"type\":\"complete\",\"answer\":\"\xff\"}",   // invalid UTF-8
+		`{"type":"complete","answer":"a\nb"}`,           // escape
+		`{"type":"ok","seq":7}garbage`,                  // trailing garbage
+		`{"type":"ok","seq":7}}`,
+		`{"type":"ok","seq":7`,        // truncated
+		`{"type":"move","lat":1e400}`, // float out of range
+		`{"type":"move","lat":-0,"lon":1E+2}`,
+		`{"type":"move","lat":.5}`, // not a JSON number
+		`{"type":"move","lat":1.}`,
+		`{"type":"available","available":1}`,                                             // wrong type
+		`{"type":"result","result":{"task_id":"t","expired":true,"met_deadline":false}}`, // payload keys reordered
+		`{"type":"event","event":{"seq":1,"kind":"assign","task_id":"t","at_unix_ms":5,"attempts":2147483648}}`,
+		`{"type":"ok","admission":{"status":"admitted","retry_after_ms":-9223372036854775808}}`,
+		`{"type":"ok","unknown":1}`,     // unknown key
+		`{"type":"frobnicate","seq":3}`, // a verb outside the protocol
+		`{}`,
+		``,
+	} {
+		decodeBothWays(t, []byte(line))
 	}
 }
 
@@ -275,4 +388,93 @@ func TestEncodeHotFramesZeroAllocs(t *testing.T) {
 		}
 		fb.release()
 	}
+}
+
+// hotFrame is one frame of a task's life on the wire with the number of heap
+// allocations decoding it is allowed: its strings (Type is interned), plus
+// the admission verdict where the frame carries one.
+type hotFrame struct {
+	name   string
+	m      Message
+	allocs float64
+}
+
+// hotTaskFrames is the eight frames one task costs end to end — submit and
+// its reply, the assignment push, complete and its reply, the result push,
+// feedback and its reply — shaped like the benchmark's.
+func hotTaskFrames() []hotFrame {
+	return []hotFrame{
+		{"submit", Message{Type: "submit", Seq: 7, Task: &TaskPayload{
+			ID: "t00001234", Lat: 37.9838, Lon: 23.7275, DeadlineMS: 60000,
+			Reward: 0.25, Category: "traffic", Description: "is the on-ramp at exit 14 jammed?",
+		}}, 3},
+		{"submit-ok", Message{Type: "ok", Seq: 7, Admission: &AdmissionPayload{
+			Status: "admitted", Probability: 0.9990234375,
+		}}, 2},
+		{"assignment", Message{Type: "assignment", Assignment: &AssignmentPayload{
+			TaskID: "t00001234", WorkerID: "w042", Category: "traffic",
+			Description: "is the on-ramp at exit 14 jammed?",
+			Lat:         37.9838, Lon: 23.7275, DeadlineMS: 59987, Reward: 0.25,
+		}}, 4},
+		{"complete", Message{Type: "complete", Seq: 311, Worker: "w042", TaskID: "t00001234", Answer: "yes, jammed"}, 3},
+		{"complete-ok", Message{Type: "ok", Seq: 311}, 0},
+		{"result", Message{Type: "result", Result: &ResultPayload{
+			TaskID: "t00001234", WorkerID: "w042", Answer: "yes, jammed", MetDeadline: true,
+		}}, 3},
+		{"feedback", Message{Type: "feedback", Seq: 8, TaskID: "t00001234", Positive: boolPtr(true)}, 1},
+		{"feedback-ok", Message{Type: "ok", Seq: 8}, 0},
+	}
+}
+
+// TestDecodeHotFramesAllocBudget is the decode-side twin of
+// TestEncodeHotFramesZeroAllocs: a hot frame costs its strings and nothing
+// else. More means the frame fell off the fast path (encoding/json costs
+// several allocations a frame before the first string) or the scratch
+// stopped being reused.
+func TestDecodeHotFramesAllocBudget(t *testing.T) {
+	var scr decodeScratch
+	for _, f := range hotTaskFrames() {
+		frame := AppendFrame(nil, &f.m)
+		line := frame[:len(frame)-1]
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := scr.decode(line); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != f.allocs {
+			t.Errorf("%s: %.1f allocs/op on steady-state decode, want %.0f", f.name, allocs, f.allocs)
+		}
+	}
+}
+
+var benchSink *Message
+
+// BenchmarkDecodeHotFrames times decoding the eight frames of one task, as
+// the read loops do it (fast) and as they did before the fast path (json):
+// ns/op and allocs/op are per task, not per frame.
+func BenchmarkDecodeHotFrames(b *testing.B) {
+	var lines [][]byte
+	for _, f := range hotTaskFrames() {
+		frame := AppendFrame(nil, &f.m)
+		lines = append(lines, frame[:len(frame)-1])
+	}
+	b.Run("fast", func(b *testing.B) {
+		var scr decodeScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				benchSink, _ = scr.decode(line)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		var scr decodeScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				scr.reset()
+				_ = json.Unmarshal(line, &scr.msg)
+				benchSink = &scr.msg
+			}
+		}
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"react/internal/clock"
 )
 
 // This file is the write-coalescing half of the wire hot path: every
@@ -35,7 +33,8 @@ const (
 	defaultMaxPending = 64 << 20
 
 	// defaultWriteTimeout bounds one flush syscall, like the old
-	// per-frame write deadline did.
+	// per-frame write deadline did; a write is given at least half of it
+	// (see flush).
 	defaultWriteTimeout = 10 * time.Second
 
 	// closeFlushTimeout bounds the final flush-on-close write, so tearing
@@ -52,10 +51,8 @@ const (
 type writerConfig struct {
 	MaxPending   int
 	WriteTimeout time.Duration
-	// Clock supplies the timebase for flush latency measurement.
-	Clock clock.Clock
 	// OnFlush, if set, observes every completed flush (frame count, byte
-	// count, syscall latency). Called from the flusher goroutine.
+	// count, syscall latency). Called from the flushing goroutine.
 	OnFlush func(frames, bytes int, elapsed time.Duration)
 }
 
@@ -65,9 +62,6 @@ func (cfg writerConfig) normalize() writerConfig {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = defaultWriteTimeout
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System{}
 	}
 	return cfg
 }
@@ -94,6 +88,10 @@ type connWriter struct {
 	writing bool       // a flush's write syscall is in flight
 	err     error      // sticky: first write failure or overflow
 	closed  bool
+
+	// deadline is the write deadline armed on nc. Only the active writer
+	// (writing == true) reads or moves it.
+	deadline time.Time
 
 	kick chan struct{}
 	done chan struct{}
@@ -206,11 +204,21 @@ func (w *connWriter) flush(timeout time.Duration) error {
 	w.spare = nil
 	w.writing = true
 	w.mu.Unlock()
-	start := w.cfg.Clock.Now()
-	w.nc.SetWriteDeadline(time.Now().Add(timeout))
+	// One clock reading per write, and a deadline re-armed only when it has
+	// drifted: nearer than half the timeout asked for, or further than all of
+	// it (close's shorter final flush). Every write still gets between half
+	// a timeout and a whole one, and SetWriteDeadline leaves the hot path.
+	start := time.Now()
+	if left := w.deadline.Sub(start); left < timeout/2 || left > timeout {
+		w.deadline = start.Add(timeout)
+		w.nc.SetWriteDeadline(w.deadline)
+	}
 	//lint:ignore blockingunderlock an inline flush runs on the caller's goroutine, which may hold Client.reqMu — the one-in-flight-call design; the write deadline above bounds the hold
 	_, err := w.nc.Write(buf)
-	elapsed := w.cfg.Clock.Now().Sub(start)
+	var elapsed time.Duration
+	if w.cfg.OnFlush != nil {
+		elapsed = time.Since(start)
+	}
 	w.mu.Lock()
 	w.writing = false
 	w.cond.Broadcast()

@@ -133,6 +133,86 @@ func TestConnWriterWriteErrorSticky(t *testing.T) {
 	}
 }
 
+// deadlineConn is a memConn that records what the writer arms: every
+// SetWriteDeadline, and at every Write how far away the armed deadline is.
+type deadlineConn struct {
+	memConn
+	armed  time.Time
+	arms   int
+	leftAt []time.Duration // armed deadline minus now, per Write
+}
+
+func (c *deadlineConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = t
+	c.arms++
+	return nil
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.leftAt = append(c.leftAt, time.Until(c.armed))
+	c.mu.Unlock()
+	return c.memConn.Write(p)
+}
+
+// TestConnWriterDeadlineWindow pins the lazy re-arm: a write never starts
+// with its deadline further away than the timeout asked for (no write
+// outlives WriteTimeout; close's shorter final flush pulls a long deadline
+// in) nor nearer than half of it, and a run of writes inside that window
+// shares one SetWriteDeadline.
+func TestConnWriterDeadlineWindow(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	nc := &deadlineConn{}
+	w := newConnWriter(nc, writerConfig{WriteTimeout: timeout})
+	// Inline writes spread over more than a timeout, so the deadline has to
+	// move at least twice, and bursts in between, so it must not move always.
+	bursts := 0
+	for begin := time.Now(); time.Since(begin) < timeout+timeout/2; time.Sleep(5 * time.Millisecond) {
+		bursts++
+		for i := 0; i < 4; i++ {
+			if err := w.enqueue([]byte("f\n"), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w.close()
+	nc.mu.Lock()
+	arms, leftAt := nc.arms, nc.leftAt
+	nc.mu.Unlock()
+	const slack = 50 * time.Millisecond // between flush's clock reading and Write's, on a loaded box
+	for i, left := range leftAt {
+		if left > timeout || left < timeout/2-slack {
+			t.Errorf("write %d started %v before its deadline, want within [%v, %v]", i, left, timeout/2, timeout)
+		}
+	}
+	if arms < 2 || arms > bursts {
+		t.Errorf("%d SetWriteDeadline calls for %d writes in %d bursts over 1.5 timeouts, want at least 2 and at most one a burst",
+			arms, len(leftAt), bursts)
+	}
+
+	// A deadline armed for a long timeout is pulled in by a shorter one:
+	// the flush-on-close of a connection whose WriteTimeout is an hour.
+	nc = &deadlineConn{}
+	w = newConnWriter(nc, writerConfig{WriteTimeout: time.Hour})
+	defer w.close()
+	if err := w.enqueue([]byte("f\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	w.pending, w.frames = append(w.pending, "g\n"...), 1
+	w.mu.Unlock()
+	if err := w.flush(closeFlushTimeout); err != nil {
+		t.Fatal(err)
+	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	if len(nc.leftAt) != 2 || nc.leftAt[0] < time.Hour/2 || nc.leftAt[1] > closeFlushTimeout {
+		t.Errorf("deadline distances at the two writes = %v, want about an hour then at most %v", nc.leftAt, closeFlushTimeout)
+	}
+}
+
 // TestBroadcastStormRace floods 1024 watcher connections through the real
 // transport (over an idle region server) and coalescing writers; under -race it is the concurrency gate
 // for the broadcast fan-out path (encode-once frame sharing, per-conn

@@ -20,7 +20,7 @@ type pushQueue[T any] struct {
 	pushed     int64
 
 	wake chan struct{} // 1-buffered pump doorbell
-	dead chan struct{} // closed on close(): aborts a blocked delivery
+	dead chan struct{} // closed on close(): stops the pump, parked or not
 	out  chan T
 
 	max        int
@@ -66,31 +66,24 @@ func (q *pushQueue[T]) push(v T) {
 	}
 }
 
-// close stops the queue: the pump delivers nothing further and the out
-// channel closes, exactly like a closed channel would — undelivered items
-// are dropped, which is correct because they belonged to a dead
-// connection. Idempotent.
+// close stops the queue and waits for the pump to exit: once it returns the
+// out channel is closed and nothing further is delivered, exactly like a
+// closed channel — undelivered items are dropped, which is correct because
+// they belonged to a dead connection. Idempotent; every caller returns only
+// after the pump is gone.
 func (q *pushQueue[T]) close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
+	first := !q.closed
 	q.closed = true
 	q.mu.Unlock()
-	close(q.dead)
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	if first {
+		close(q.dead)
 	}
-	// Retract a delivery the pump may already be parked on: without this, a
-	// consumer arriving after close() could still rendezvous with that
-	// parked send and receive one more item. The steal pairs with the
-	// parked send — dropping the item, which belonged to this dead
-	// connection — or takes the default when no send is pending.
-	select {
-	case <-q.out:
-	default:
+	// The pump closes out on its way out. Until then it may be parked on a
+	// send with dead ready beside it, and select picks at random: receiving
+	// here takes (and drops) such an item so that no consumer arriving after
+	// close() can.
+	for range q.out {
 	}
 }
 
@@ -108,16 +101,6 @@ func (q *pushQueue[T]) pump() {
 				return
 			}
 			continue
-		}
-		// Check dead with priority before offering the item: when close()
-		// landed while the item was being popped, the send and the abort
-		// below are both ready and select picks randomly — without this
-		// check the pump could hand a consumer one more item after
-		// close(), violating the "delivers nothing further" contract.
-		select {
-		case <-q.dead:
-			return
-		default:
 		}
 		select {
 		case q.out <- v:

@@ -51,8 +51,10 @@ func TestPushQueueOverflowFiresOnce(t *testing.T) {
 // pump had already parked on could still rendezvous with a later
 // consumer. Either way a receiver could get one more item after close()
 // returned, violating the documented "delivers nothing further" contract.
-// The fix checks dead with priority before offering an item and retracts
-// a parked send from close() itself.
+// No check the pump makes before its select can close that window (it can
+// be descheduled between the check and the select), so close() waits for
+// the pump to exit — taking whatever it still offers — and the contract
+// holds by construction.
 //
 // The race needs the pump to be holding an item when close lands, so we
 // run many iterations with jittered scheduling; before the fix a few

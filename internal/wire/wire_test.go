@@ -518,3 +518,37 @@ func TestPing(t *testing.T) {
 		t.Fatal("ping succeeded on closed server")
 	}
 }
+
+// TestCallTimerSurvivesReuse stresses the one-timer-per-client path where
+// the stop-and-drain matters: with the timeout at one measured loopback round
+// trip, replies and timer ticks race, so calls end both ways and now and then
+// with the tick fired but unread. A tick left in the channel would time out
+// the next call the moment it starts; after the storm every call under a
+// generous timeout must get its own answer. (The deterministic half — a call
+// after a timed-out call — is TestChaosSeqCorrelationAfterTimeout.)
+func TestCallTimerSurvivesReuse(t *testing.T) {
+	s := startServer(t)
+	c := dial(t, s)
+	start := time.Now()
+	for i := 0; i < 100; i++ {
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetCallTimeout(time.Since(start) / 100)
+	var timedOut int
+	for i := 0; i < 1000; i++ {
+		if err := c.Ping(); errors.Is(err, ErrTimeout) {
+			timedOut++
+		} else if err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
+	t.Logf("%d of 1000 pings timed out at one round trip", timedOut)
+	c.SetCallTimeout(10 * time.Second)
+	for i := 0; i < 50; i++ {
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping %d after the storm: %v", i, err)
+		}
+	}
+}
