@@ -3,14 +3,14 @@
 GO ?= go
 # Packages with real goroutine concurrency; the race detector gates them
 # on every change.
-RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/trace ./internal/admission
+RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission
 # Packages whose statement coverage must not fall below COVER_FLOOR; the
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
 # crash recovery trusts, the event spine is what every consumer of
-# lifecycle state (journal, trace, obs, wire) now rides on, and the
+# lifecycle state (journal, obs, wire) now rides on, and the
 # admission plane decides which tasks are turned away at the door.
-COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/trace internal/admission
+COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission
 COVER_FLOOR = 70
 
 .PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci
@@ -71,7 +71,8 @@ recovery:
 # the reproducibility property the linter exists to protect. Figures
 # 3/4 are excluded: they measure real matcher wall time by design.
 # Figure 5 is additionally diffed against a checked-in golden file so
-# refactors of the scheduling path can't silently shift the numbers.
+# refactors of the scheduling path can't silently shift the numbers, and
+# so is the -losses table (the ledger's miss attribution).
 determinism:
 	$(GO) build -o /tmp/reactsim-determinism ./cmd/reactsim
 	@for fig in 5 6 7 8 9 10; do \
@@ -85,6 +86,9 @@ determinism:
 			echo "fig $$fig: byte-identical"; \
 		fi; \
 	done
+	@/tmp/reactsim-determinism -losses -quick -seed 7 | cmp - testdata/golden_losses_seed7.txt || { \
+		echo "losses table DIVERGES from testdata/golden_losses_seed7.txt"; exit 1; }
+	@echo "losses: matches golden"
 
 # The repo's yardstick (BENCHMARK.json, benchmark/) is a Go module of its
 # own, outside `go build ./...`: vet and test it here so an internal rename

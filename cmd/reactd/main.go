@@ -43,16 +43,15 @@ import (
 	"react/internal/region"
 	"react/internal/schedule"
 	"react/internal/taskq"
-	"react/internal/trace"
 	"react/internal/wire"
 )
 
-// obsWiring carries the observability plane's registry and trace recorder
+// obsWiring carries the observability plane's registry and trace ring
 // through server construction. Nil when -http is unset, so the metrics
 // hooks cost nothing in the default configuration.
 type obsWiring struct {
 	reg   *metrics.Registry
-	trace *trace.Recorder // backs /trace.csv; nil with -trace-cap 0
+	trace *obs.TraceRing // backs /trace.csv; nil with -trace-cap 0
 }
 
 // wireRegion hangs reactd's per-region plumbing on one region server —
@@ -88,7 +87,7 @@ func (ow *obsWiring) wireRegion(id string, cs *core.Server) {
 		}
 	}
 	if ow.trace != nil {
-		eng.Events().Tap(ow.trace.Handle)
+		eng.Events().Tap(ow.trace.HandleEvent)
 	}
 }
 
@@ -164,7 +163,7 @@ func main() {
 	if *httpAddr != "" {
 		ow = &obsWiring{reg: metrics.NewRegistry()}
 		if *traceCap > 0 {
-			ow.trace = trace.NewBounded(*traceCap)
+			ow.trace = obs.NewTraceRing(*traceCap)
 		}
 	}
 

@@ -8,6 +8,7 @@
 //	reactsim -fig 5 -curve       # include the cumulative series points
 //	reactsim -fig 5 -csv out/    # write the cumulative series as CSV
 //	reactsim -fig 3 -quick       # reduced sweep for a fast smoke run
+//	reactsim -fig 3,4 -hungarian # add the exact optimum and fig 4's gap_pct
 //	reactsim -seed 7             # change the workload seed
 //	reactsim -study              # the synthesized §V.C case study
 //	reactsim -seeds 5            # figs 5-8 across seeds (mean ± std)
@@ -40,7 +41,7 @@ func main() {
 	curve := flag.Bool("curve", false, "print cumulative series points for figs 5/6")
 	csvDir := flag.String("csv", "", "directory to write fig 5/6 cumulative series as CSV (empty disables)")
 	quick := flag.Bool("quick", false, "reduced problem sizes for a fast run")
-	hungarian := flag.Bool("hungarian", false, "add the exact Hungarian reference to figs 3/4")
+	hungarian := flag.Bool("hungarian", false, "add the exact Hungarian reference to figs 3/4 (fig 4 gains a gap_pct column)")
 	study := flag.Bool("study", false, "print the synthesized CrowdFlower case study (§V.C) and exit")
 	seeds := flag.Int("seeds", 0, "run the figs 5-8 scenario across N seeds and print mean±std (0 disables)")
 	losses := flag.Bool("losses", false, "print the missed-deadline attribution table and exit")

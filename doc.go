@@ -23,15 +23,15 @@
 //   - internal/core      — the deployable region server
 //   - internal/wire      — the JSON/TCP protocol (PlanetLab substitute)
 //   - internal/federation — multi-region routing by geography
-//   - internal/region    — spatial decomposition, incl. overload splitting
-//   - internal/voting    — requester-side replication and majority verdicts
-//   - internal/trace     — per-task lifecycle recording
+//   - internal/region    — spatial decomposition: haversine, the region grid
+//   - internal/event     — the lifecycle event spine and the ledger that
+//     folds it into counters and missed-deadline attribution
 //   - internal/sim, internal/crowd, internal/workload, internal/metrics,
 //     internal/loadgen, internal/experiments — the evaluation substrate
 //     that regenerates every figure of the paper
 //
 // Binaries: cmd/reactd (region server), cmd/reactctl (client CLI),
-// cmd/reactsim (figure regeneration), cmd/reactbench (matcher sweeps).
-// Runnable scenarios live under examples/. The benchmarks in bench_test.go
+// cmd/reactsim (figure regeneration, matcher sweeps), cmd/reactload (live
+// load). Runnable scenarios live under examples/. The benchmarks in bench_test.go
 // regenerate each figure via `go test -bench`.
 package react

@@ -1,17 +1,16 @@
-package voting_test
+package main
 
 import (
 	"fmt"
 	"time"
 
 	"react/internal/taskq"
-	"react/internal/voting"
 )
 
 // Replicate a validation question three ways, collect whatever arrives
 // before the deadline, and take the majority.
 func Example() {
-	votes := voting.NewCollector(0) // strict majority of replicas
+	votes := NewCollector(0) // strict majority of replicas
 	tasks, _ := votes.Plan(taskq.Task{
 		ID:       "img-42",
 		Deadline: time.Now().Add(time.Minute),

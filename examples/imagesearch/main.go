@@ -1,7 +1,7 @@
 // Imagesearch: a CrowdSearch-style workload (the paper's reference [16]) —
 // an image search engine validates its candidate results with the crowd
 // under a tight deadline. Each candidate image becomes three replica
-// validation tasks (internal/voting); the engine takes the majority vote of
+// validation tasks (voting.go); the engine takes the majority vote of
 // whatever answers arrive before the deadline. The example shows how a
 // requester layers redundancy and voting on top of REACT's
 // single-assignment model, and how the deadline bounds end-to-end search
@@ -20,7 +20,6 @@ import (
 	"react/internal/region"
 	"react/internal/schedule"
 	"react/internal/taskq"
-	"react/internal/voting"
 )
 
 const (
@@ -30,7 +29,7 @@ const (
 )
 
 func main() {
-	votes := voting.NewCollector(0) // strict-majority quorum
+	votes := NewCollector(0) // strict-majority quorum
 
 	srv := core.New(core.Options{
 		BatchPoll:     10 * time.Millisecond,

@@ -1,11 +1,12 @@
-// Package voting provides requester-side redundancy on top of REACT's
-// single-assignment model: replicate a question into k tasks, collect the
-// answers that arrive before the deadline, and resolve them by majority.
-// This is the aggregation pattern of CrowdSearch and CDAS (the paper's
-// references [16] and [28]); the paper positions REACT as reducing how much
-// such redundancy costs, since better worker selection needs fewer
-// replicas for the same confidence.
-package voting
+package main
+
+// Requester-side redundancy on top of REACT's single-assignment model:
+// replicate a question into k tasks, collect the answers that arrive before
+// the deadline, and resolve them by majority. This is the aggregation
+// pattern of CrowdSearch and CDAS (the paper's references [16] and [28]);
+// the paper positions REACT as reducing how much such redundancy costs,
+// since better worker selection needs fewer replicas for the same
+// confidence.
 
 import (
 	"errors"

@@ -9,7 +9,7 @@
 //  1. one region server with the whole metropolitan crowd (2000 workers,
 //     40 tasks/s, cycle budget scaled up for the larger graph) drowns in
 //     matcher latency and misses deadlines; then
-//  2. the load-adaptive quadtree (internal/region.Tree) splits the area,
+//  2. the load-adaptive quadtree (tree.go) splits the area,
 //     and the same workload sharded across the four child regions — each
 //     its own REACT server — meets its deadlines again.
 package main
@@ -35,7 +35,7 @@ func main() {
 	// locations; the root splits once its load passes the per-server
 	// capacity.
 	area := region.Rect{MinLat: 37.8, MinLon: 23.5, MaxLat: 38.2, MaxLon: 24.0}
-	tree, err := region.NewTree(area, 600, 1)
+	tree, err := NewTree(area, 600, 1)
 	if err != nil {
 		panic(err)
 	}

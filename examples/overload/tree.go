@@ -1,9 +1,11 @@
-package region
+package main
 
 import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"react/internal/region"
 )
 
 // Tree is a hierarchical, load-adaptive spatial decomposition: a quadtree
@@ -26,7 +28,7 @@ type Tree struct {
 
 type node struct {
 	id       string
-	bounds   Rect
+	bounds   region.Rect
 	tier     int
 	load     int
 	children *[4]*node // nil for leaves
@@ -36,15 +38,15 @@ type node struct {
 // exceeds maxLoad, down to at most maxTier levels below the root (a guard
 // against splitting into uselessly tiny regions). maxLoad must be positive;
 // maxTier of 0 disables splitting.
-func NewTree(bounds Rect, maxLoad, maxTier int) (*Tree, error) {
+func NewTree(bounds region.Rect, maxLoad, maxTier int) (*Tree, error) {
 	if !bounds.Valid() {
-		return nil, fmt.Errorf("region: invalid bounds %v", bounds)
+		return nil, fmt.Errorf("tree: invalid bounds %v", bounds)
 	}
 	if maxLoad < 1 {
-		return nil, fmt.Errorf("region: maxLoad must be positive, got %d", maxLoad)
+		return nil, fmt.Errorf("tree: maxLoad must be positive, got %d", maxLoad)
 	}
 	if maxTier < 0 {
-		return nil, fmt.Errorf("region: maxTier must be non-negative, got %d", maxTier)
+		return nil, fmt.Errorf("tree: maxTier must be non-negative, got %d", maxTier)
 	}
 	return &Tree{
 		root:    &node{id: "root", bounds: bounds, tier: 0},
@@ -55,7 +57,7 @@ func NewTree(bounds Rect, maxLoad, maxTier int) (*Tree, error) {
 
 // Locate returns the ID of the leaf region containing p. Out-of-bounds
 // points clamp into the root area first.
-func (t *Tree) Locate(p Point) string {
+func (t *Tree) Locate(p region.Point) string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.leaf(t.clamp(p)).id
@@ -65,7 +67,7 @@ func (t *Tree) Locate(p Point) string {
 // and returns the leaf region it landed in. If the leaf then exceeds the
 // load bound it is split and the ID of the new, smaller leaf that would now
 // contain p is returned alongside; callers use the returned ID for routing.
-func (t *Tree) Add(p Point) string {
+func (t *Tree) Add(p region.Point) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p = t.clamp(p)
@@ -80,7 +82,7 @@ func (t *Tree) Add(p Point) string {
 
 // Remove unregisters one unit of load at p (worker departure or task
 // completion). Load never goes below zero. It returns the leaf region ID.
-func (t *Tree) Remove(p Point) string {
+func (t *Tree) Remove(p region.Point) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := t.leaf(t.clamp(p))
@@ -91,7 +93,7 @@ func (t *Tree) Remove(p Point) string {
 }
 
 // Load reports the load of the leaf containing p.
-func (t *Tree) Load(p Point) int {
+func (t *Tree) Load(p region.Point) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.leaf(t.clamp(p)).load
@@ -105,14 +107,14 @@ func (t *Tree) Splits() int {
 }
 
 // Leaves returns every active region (leaf) with its extent, depth-first.
-func (t *Tree) Leaves() []NamedRect {
+func (t *Tree) Leaves() []region.NamedRect {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []NamedRect
+	var out []region.NamedRect
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.children == nil {
-			out = append(out, NamedRect{ID: n.id, Bounds: n.bounds})
+			out = append(out, region.NamedRect{ID: n.id, Bounds: n.bounds})
 			return
 		}
 		for _, c := range n.children {
@@ -147,13 +149,13 @@ func (t *Tree) LoadsByTier() map[int]int {
 }
 
 // Tier reports the depth of the leaf containing p (root = 0).
-func (t *Tree) Tier(p Point) int {
+func (t *Tree) Tier(p region.Point) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.leaf(t.clamp(p)).tier
 }
 
-func (t *Tree) clamp(p Point) Point {
+func (t *Tree) clamp(p region.Point) region.Point {
 	b := t.root.bounds
 	eps := 1e-9
 	if p.Lat < b.MinLat {
@@ -171,7 +173,7 @@ func (t *Tree) clamp(p Point) Point {
 	return p
 }
 
-func (t *Tree) leaf(p Point) *node {
+func (t *Tree) leaf(p region.Point) *node {
 	n := t.root
 	for n.children != nil {
 		next := n

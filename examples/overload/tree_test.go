@@ -1,14 +1,18 @@
-package region
+package main
 
 import (
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"react/internal/region"
 )
 
+var athens = region.Rect{MinLat: 37.8, MinLon: 23.5, MaxLat: 38.2, MaxLon: 24.0}
+
 func TestNewTreeValidates(t *testing.T) {
-	if _, err := NewTree(Rect{}, 10, 3); err == nil {
+	if _, err := NewTree(region.Rect{}, 10, 3); err == nil {
 		t.Fatal("invalid bounds accepted")
 	}
 	if _, err := NewTree(athens, 0, 3); err == nil {
@@ -70,7 +74,7 @@ func TestTreeDeepSplitKeepsTiers(t *testing.T) {
 	}
 	// Hammer a single spot: the containing leaf keeps splitting until the
 	// tier cap, and all load concentrates down the one branch.
-	p := Point{37.95, 23.72}
+	p := region.Point{Lat: 37.95, Lon: 23.72}
 	for i := 0; i < 200; i++ {
 		tr.Add(p)
 	}
@@ -138,11 +142,11 @@ func TestTreeOutOfBoundsClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := tr.Add(Point{-89, -179})
+	id := tr.Add(region.Point{Lat: -89, Lon: -179})
 	if id == "" {
 		t.Fatal("out-of-bounds add returned empty region")
 	}
-	if got := tr.Locate(Point{89, 179}); got == "" {
+	if got := tr.Locate(region.Point{Lat: 89, Lon: 179}); got == "" {
 		t.Fatal("out-of-bounds locate returned empty region")
 	}
 }
@@ -206,7 +210,7 @@ func TestLoadsByTier(t *testing.T) {
 	}
 	// Hammer one spot past the bound: deeper tiers appear, and the total
 	// across tiers equals the load inserted.
-	p := Point{37.95, 23.72}
+	p := region.Point{Lat: 37.95, Lon: 23.72}
 	for i := 0; i < 40; i++ {
 		tr.Add(p)
 	}

@@ -2,7 +2,7 @@
 // vocabulary for every mutation a task undergoes (submit → assign →
 // revoke/reassign → complete/expire → forget, §III.A) plus the per-round
 // scheduling summary, fanned out from a single Bus that every consumer —
-// the write-ahead journal, the trace recorder, the observability
+// the write-ahead journal, the /trace.csv ring, the observability
 // collectors, the wire protocol's watch-events stream — shares.
 //
 // Ordering contract: task-lifecycle events are published by the engine's

@@ -24,6 +24,32 @@ type Tally struct {
 var revokeCauses = [...]string{taskq.CauseEq2, taskq.CauseDetach, taskq.CauseDeregister,
 	taskq.CauseRecoverySweep, taskq.CauseUndeliverable}
 
+// LossKind names why a task missed its deadline. The terminal event's own
+// record decides it: whether the task expired or completed late, and how
+// many assignments it was granted — every attempt before the last ended in
+// a revocation, and a binding the transport refused counts as an attempt.
+type LossKind string
+
+// The loss kinds, from the scheduler's point of view.
+const (
+	// LossQueued: the task expired without any worker ever holding it —
+	// matcher queueing, worker shortage (Greedy's collapse mode) or the
+	// admission plane's shedder.
+	LossQueued LossKind = "expired-in-queue"
+	// LossAbandoned: a single worker held it to a late completion and the
+	// monitor never intervened — undetected delay (Traditional's mode).
+	LossAbandoned LossKind = "late-never-rescued"
+	// LossRescueLate: revoked at least once but the final worker still
+	// finished late — rescue started too late or repeated delays.
+	LossRescueLate LossKind = "late-despite-rescue"
+	// LossRescueExpired: assigned at least once and then expired without a
+	// completion — rescue found no viable worker in time.
+	LossRescueExpired LossKind = "expired-despite-rescue"
+)
+
+// LossKinds lists the kinds in report order.
+var LossKinds = [...]LossKind{LossQueued, LossAbandoned, LossRescueLate, LossRescueExpired}
+
 // Ledger folds the lifecycle event stream into counters and load gauges.
 // Observe is the only code in the tree that decides which event moves
 // which counter: the live engine, journal replay and the admission plane
@@ -34,6 +60,7 @@ type Ledger struct {
 	received, assigned, completed, onTime, expired, shed, reassigned atomic.Int64
 
 	revoked    [len(revokeCauses)]atomic.Int64 // this process only; not persisted
+	missed     [len(LossKinds)]atomic.Int64    // this process only; not persisted
 	unassigned atomic.Int64                    // gauge: live tasks waiting in the pool
 }
 
@@ -63,9 +90,12 @@ func (l *Ledger) Observe(ev Event) {
 		l.completed.Add(1)
 		if ev.Record.MetDeadline() {
 			l.onTime.Add(1)
+		} else {
+			l.miss(false, ev.Record.Attempts)
 		}
 	case KindExpire:
 		l.expired.Add(1)
+		l.miss(true, ev.Record.Attempts)
 		if ev.Cause == taskq.CauseShed {
 			l.shed.Add(1)
 		}
@@ -75,6 +105,21 @@ func (l *Ledger) Observe(ev Event) {
 			l.unassigned.Add(-1)
 		}
 	}
+}
+
+// miss counts one terminal event that missed its deadline: an expiry, or a
+// late completion after the given number of assignments.
+func (l *Ledger) miss(expired bool, attempts int) {
+	kind := LossRescueLate
+	switch {
+	case expired && attempts == 0:
+		kind = LossQueued
+	case expired:
+		kind = LossRescueExpired
+	case attempts == 1:
+		kind = LossAbandoned
+	}
+	l.missed[slices.Index(LossKinds[:], kind)].Add(1)
 }
 
 // Counts snapshots the lifecycle counters.
@@ -116,6 +161,15 @@ func (l *Ledger) Unassigned() int64 { return l.unassigned.Load() }
 func (l *Ledger) Revoked(cause string) int64 {
 	if i := slices.Index(revokeCauses[:], cause); i >= 0 {
 		return l.revoked[i].Load()
+	}
+	return 0
+}
+
+// Missed reports how many tasks were observed missing their deadline in
+// the given way since the process started.
+func (l *Ledger) Missed(kind LossKind) int64 {
+	if i := slices.Index(LossKinds[:], kind); i >= 0 {
+		return l.missed[i].Load()
 	}
 	return 0
 }

@@ -14,7 +14,6 @@ import (
 	"react/internal/region"
 	"react/internal/sim"
 	"react/internal/taskq"
-	"react/internal/trace"
 	"react/internal/workload"
 )
 
@@ -42,9 +41,6 @@ type ScenarioConfig struct {
 	MonitorPeriod time.Duration
 	DrainGrace    time.Duration // extra virtual time for stragglers after the last arrival
 	Area          region.Rect
-	// Trace, when non-nil, records every task lifecycle event for offline
-	// analysis (queue waits, reassignment chains, loss phases).
-	Trace *trace.Recorder
 	// DeadlineMin/Max override the task deadline band (zero: the paper's
 	// 60-120 s derived from the case study). Used by the sensitivity sweep.
 	DeadlineMin time.Duration
@@ -115,6 +111,10 @@ type ScenarioResult struct {
 	WorkerExecP50  float64 // median final-worker execution seconds
 	WorkerExecP95  float64 // tail final-worker execution seconds
 
+	// Ledger is the engine's fold of the run's lifecycle events: the
+	// counters above come from it, and Missed(kind) attributes each miss.
+	Ledger *event.Ledger
+
 	OnTimeSeries   *metrics.Series // (received, cumulative on-time) — Fig. 5
 	PositiveSeries *metrics.Series // (received, cumulative positive) — Fig. 6
 }
@@ -142,8 +142,7 @@ func (r ScenarioResult) PositiveFraction() float64 {
 // code the live server runs. This harness only hosts the engine on the
 // virtual clock: engine ticks become simulation events, the modelled matcher
 // latency of DESIGN.md §2 is charged through Config.Latency/Config.Defer,
-// and a tap on the engine's event spine feeds the figure counters and the
-// trace recorder.
+// and a tap on the engine's event spine sums the modelled matcher time.
 func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	cfg = cfg.Normalize()
 	eng := sim.New(cfg.Seed)
@@ -232,16 +231,12 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		},
 	})
 
-	// The modelled matcher time and the trace recorder ride the event
-	// spine (the lifecycle counts are read off the engine's ledger at the
-	// end). The sim is single-threaded, so a synchronous tap mutating res
-	// is safe.
+	// The modelled matcher time rides the event spine (the lifecycle counts
+	// are read off the engine's ledger at the end). The sim is
+	// single-threaded, so a synchronous tap mutating res is safe.
 	re.Events().Tap(func(ev event.Event) {
 		if ev.Kind == event.KindBatch {
 			res.MatcherBusy += ev.Batch.Latency.Seconds()
-		}
-		if cfg.Trace != nil {
-			cfg.Trace.Handle(ev)
 		}
 	})
 
@@ -346,9 +341,10 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	re.ExpireAllDue()
 
 	st := re.Stats()
+	res.Ledger = re.Ledger()
 	res.Expired = int(st.Expired)
 	res.Batches = int(st.Batches)
-	res.Reassignments = int(re.Ledger().Revoked(taskq.CauseEq2))
+	res.Reassignments = int(res.Ledger.Revoked(taskq.CauseEq2))
 	res.MeanWorkerExec = workerExec.Mean()
 	res.MeanTotalExec = totalExec.Mean()
 	res.MeanAttempts = attempts.Mean()

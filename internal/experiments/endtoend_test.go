@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/trace"
+	"react/internal/event"
 )
 
 // smallScenario keeps unit tests fast: 150 workers, 2 tasks/s, 600 tasks
@@ -135,75 +135,65 @@ func TestAttemptsTracked(t *testing.T) {
 	}
 }
 
+// TestTraceConsistentWithCounters: the harness's own figure counters and
+// the engine's ledger (what replaced the per-task trace) count one run the
+// same way.
 func TestTraceConsistentWithCounters(t *testing.T) {
-	rec := trace.NewRecorder()
-	cfg := smallScenario(REACTTechnique(1000, 31), 31)
-	cfg.Trace = rec
-	res := RunScenario(cfg)
-	sum := rec.Summarize()
-	if sum.Tasks != res.Received {
-		t.Fatalf("trace tasks %d != received %d", sum.Tasks, res.Received)
+	res := RunScenario(smallScenario(REACTTechnique(1000, 31), 31))
+	n := res.Ledger.Counts()
+	if int(n.Received) != res.Received {
+		t.Fatalf("ledger received %d != %d", n.Received, res.Received)
 	}
-	if sum.Completed != res.CompletedOnTime+res.CompletedLate {
-		t.Fatalf("trace completed %d != %d", sum.Completed, res.CompletedOnTime+res.CompletedLate)
+	if int(n.Completed) != res.CompletedOnTime+res.CompletedLate {
+		t.Fatalf("ledger completed %d != %d", n.Completed, res.CompletedOnTime+res.CompletedLate)
 	}
-	if sum.Expired != res.Expired {
-		t.Fatalf("trace expired %d != %d", sum.Expired, res.Expired)
+	if int(n.Expired) != res.Expired {
+		t.Fatalf("ledger expired %d != %d", n.Expired, res.Expired)
 	}
-	if sum.Open != 0 {
-		t.Fatalf("trace left %d open tasks", sum.Open)
+	if open := res.Ledger.InFlight(); open != 0 {
+		t.Fatalf("ledger left %d open tasks", open)
 	}
-	if sum.TotalRevoked != res.Reassignments {
-		t.Fatalf("trace revoked %d != reassignments %d", sum.TotalRevoked, res.Reassignments)
-	}
-	if sum.MaxAttempts != res.MaxAttempts && sum.MaxAttempts < res.MaxAttempts {
-		t.Fatalf("trace max attempts %d below result %d", sum.MaxAttempts, res.MaxAttempts)
-	}
-	if sum.MeanQueueWait <= 0 {
-		t.Fatalf("mean queue wait = %v", sum.MeanQueueWait)
-	}
-	// Every completed lifecycle names its final worker.
-	for _, l := range rec.Lifecycles() {
-		if l.Done && !l.Expired && l.FinalWorker == "" {
-			t.Fatalf("completed task %s without final worker", l.Task)
-		}
+	// The sim has no detaches or refused bindings: every revocation is the
+	// Eq. 2 monitor's.
+	if int(n.Reassigned) != res.Reassignments {
+		t.Fatalf("ledger revoked %d != reassignments %d", n.Reassigned, res.Reassignments)
 	}
 }
 
+// losses reads a finished run's miss attribution off its ledger.
+func losses(res ScenarioResult) (sum int, byKind map[event.LossKind]int) {
+	byKind = make(map[event.LossKind]int)
+	for _, k := range event.LossKinds {
+		byKind[k] = int(res.Ledger.Missed(k))
+		sum += byKind[k]
+	}
+	return sum, byKind
+}
+
 func TestLossAttributionPartitionsMisses(t *testing.T) {
-	rec := trace.NewRecorder()
-	cfg := smallScenario(REACTTechnique(1000, 61), 61)
-	cfg.Trace = rec
-	res := RunScenario(cfg)
-	losses := AttributeLosses(rec)
-	if losses.Open != 0 {
-		t.Fatalf("open lifecycles after drain: %d", losses.Open)
+	res := RunScenario(smallScenario(REACTTechnique(1000, 61), 61))
+	if open := res.Ledger.InFlight(); open != 0 {
+		t.Fatalf("open lifecycles after drain: %d", open)
 	}
-	if losses.Met != res.CompletedOnTime {
-		t.Fatalf("met %d != on-time %d", losses.Met, res.CompletedOnTime)
+	n := res.Ledger.Counts()
+	if int(n.OnTime) != res.CompletedOnTime {
+		t.Fatalf("met %d != on-time %d", n.OnTime, res.CompletedOnTime)
 	}
-	if losses.Missed != res.CompletedLate+res.Expired {
-		t.Fatalf("missed %d != late+expired %d", losses.Missed, res.CompletedLate+res.Expired)
+	missed := int(n.Completed - n.OnTime + n.Expired)
+	if missed != res.CompletedLate+res.Expired {
+		t.Fatalf("missed %d != late+expired %d", missed, res.CompletedLate+res.Expired)
 	}
-	var sum int
-	for _, n := range losses.ByKind {
-		sum += n
-	}
-	if sum != losses.Missed {
-		t.Fatalf("kinds sum %d != missed %d", sum, losses.Missed)
+	if sum, byKind := losses(res); sum != missed {
+		t.Fatalf("kinds %+v sum to %d != missed %d", byKind, sum, missed)
 	}
 
 	// Traditional: no monitor, so no rescue categories at all, and nothing
 	// expires in queue at this stable scale.
-	recT := trace.NewRecorder()
-	cfgT := smallScenario(TraditionalTechnique(61), 61)
-	cfgT.Trace = recT
-	RunScenario(cfgT)
-	lt := AttributeLosses(recT)
-	if lt.ByKind[LossRescueLate] != 0 || lt.ByKind[LossRescueExpired] != 0 {
-		t.Fatalf("traditional has rescue losses: %+v", lt.ByKind)
+	_, lt := losses(RunScenario(smallScenario(TraditionalTechnique(61), 61)))
+	if lt[event.LossRescueLate] != 0 || lt[event.LossRescueExpired] != 0 {
+		t.Fatalf("traditional has rescue losses: %+v", lt)
 	}
-	if lt.ByKind[LossAbandoned] == 0 {
+	if lt[event.LossAbandoned] == 0 {
 		t.Fatal("traditional shows no abandoned-late losses")
 	}
 }
@@ -275,7 +265,7 @@ func TestLossReportRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"react", "greedy", "traditional", string(LossQueued)} {
+	for _, want := range []string{"react", "greedy", "traditional", string(event.LossQueued)} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("loss report missing %q:\n%s", want, out)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -107,21 +108,46 @@ func TestScaleConfigMismatchedListsTruncated(t *testing.T) {
 }
 
 func TestFigureReportsRender(t *testing.T) {
-	fig3, fig4 := Figures34(MatchBenchConfig{
-		Workers:    30,
-		TaskCounts: []int{5},
-		Cycles:     []int{100},
-		Seed:       2,
-	})
-	for _, r := range []FigureReport{fig3, fig4} {
-		var b strings.Builder
-		if err := r.Write(&b); err != nil {
-			t.Fatal(err)
+	for _, hungarian := range []bool{false, true} {
+		fig3, fig4 := Figures34(MatchBenchConfig{
+			Workers:    30,
+			TaskCounts: []int{5},
+			Cycles:     []int{100},
+			Seed:       2,
+			Hungarian:  hungarian,
+		})
+		for _, r := range []FigureReport{fig3, fig4} {
+			var b strings.Builder
+			if err := r.Write(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			if !strings.Contains(out, r.ID) || !strings.Contains(out, "greedy") {
+				t.Fatalf("%s rendered without content:\n%s", r.ID, out)
+			}
+			// The optimality gap rides Figure 4 only, and only when the
+			// exact solver ran.
+			if want := hungarian && r.ID == "fig4"; strings.Contains(out, "gap_pct") != want {
+				t.Fatalf("%s (hungarian %v): gap_pct column present = %v:\n%s", r.ID, hungarian, !want, out)
+			}
 		}
-		out := b.String()
-		if !strings.Contains(out, r.ID) || !strings.Contains(out, "greedy") {
-			t.Fatalf("%s rendered without content:\n%s", r.ID, out)
-		}
+	}
+}
+
+// TestLossReportMatchesGolden pins `reactsim -losses -quick -seed 7`: the
+// attribution the ledger folds from terminal events is, byte for byte, the
+// table the per-task timeline recorder it replaced produced.
+func TestLossReportMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/golden_losses_seed7.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := LossReport(ScenarioConfig{Workers: 150, Rate: 2, TargetTasks: 600}, 7).Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("losses report diverges from testdata/golden_losses_seed7.txt:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

@@ -1,82 +1,27 @@
 package experiments
 
 import (
+	"react/internal/event"
 	"react/internal/metrics"
-	"react/internal/trace"
 )
 
 // Loss attribution: every task that missed its deadline did so for one of a
-// small set of reasons, and the lifecycle trace contains enough to name it.
-// This is the diagnostic the paper's prose reasons about informally ("the
-// majority of the missed deadlines is observed before the needed tasks for
-// the system training have been completed"; "when the tasks are eventually
-// assigned to a worker they have already expired") — here it is computed.
+// small set of reasons (event.LossKind), and the engine's ledger names it
+// from the terminal event alone. This is the diagnostic the paper's prose
+// reasons about informally ("the majority of the missed deadlines is
+// observed before the needed tasks for the system training have been
+// completed"; "when the tasks are eventually assigned to a worker they have
+// already expired") — here it is computed, by the same fold a live reactd
+// exports as react_deadline_miss_total.
 
-// LossKind classifies one missed deadline.
-type LossKind string
-
-// Loss kinds, from the scheduler's point of view.
-const (
-	// LossQueued: the task expired without any worker ever holding it —
-	// matcher queueing or worker shortage (Greedy's collapse mode).
-	LossQueued LossKind = "expired-in-queue"
-	// LossAbandoned: a single worker held it to a late completion and the
-	// monitor never intervened — undetected delay (Traditional's mode).
-	LossAbandoned LossKind = "late-never-rescued"
-	// LossRescueLate: the monitor revoked at least once but the final
-	// worker still finished late — rescue started too late or repeated
-	// delays.
-	LossRescueLate LossKind = "late-despite-rescue"
-	// LossRescueExpired: revoked at least once and then expired without a
-	// new completion — rescue found no viable worker in time.
-	LossRescueExpired LossKind = "expired-despite-rescue"
-)
-
-// Losses is the attribution table for one run.
-type Losses struct {
-	Total  int // terminal tasks
-	Met    int // completed on time
-	Missed int // failed the deadline, by any route
-	Open   int // non-terminal lifecycles (0 after a drained run)
-	ByKind map[LossKind]int
-}
-
-// AttributeLosses classifies every lifecycle in the trace. The trace must
-// come from a run that records the Late flag on completions (RunScenario
-// does).
-func AttributeLosses(rec *trace.Recorder) Losses {
-	l := Losses{ByKind: make(map[LossKind]int)}
-	for _, lc := range rec.Lifecycles() {
-		if !lc.Done {
-			l.Open++
-			continue
-		}
-		l.Total++
-		if !lc.Expired && !lc.Late {
-			l.Met++
-			continue
-		}
-		l.Missed++
-		switch {
-		case lc.Expired && lc.Attempts == 0:
-			l.ByKind[LossQueued]++
-		case lc.Expired:
-			l.ByKind[LossRescueExpired]++
-		case lc.Revocations == 0:
-			l.ByKind[LossAbandoned]++
-		default:
-			l.ByKind[LossRescueLate]++
-		}
-	}
-	return l
-}
-
-// LossReport runs the §V.C scenario for the three techniques with tracing
-// enabled and renders the attribution — the "why did each miss happen"
-// companion to Figure 5.
+// LossReport runs the §V.C scenario for the three techniques and renders
+// each run's ledger — the "why did each miss happen" companion to Figure 5.
 func LossReport(template ScenarioConfig, seed int64) FigureReport {
-	t := metrics.NewTable("technique", "met", "missed", string(LossQueued),
-		string(LossAbandoned), string(LossRescueLate), string(LossRescueExpired))
+	cols := []string{"technique", "met", "missed"}
+	for _, k := range event.LossKinds {
+		cols = append(cols, string(k))
+	}
+	t := metrics.NewTable(cols...)
 	for _, mk := range []func(int64) Technique{
 		func(s int64) Technique { return REACTTechnique(0, s) },
 		func(s int64) Technique { return GreedyTechnique() },
@@ -85,13 +30,13 @@ func LossReport(template ScenarioConfig, seed int64) FigureReport {
 		cfg := template
 		cfg.Seed = seed
 		cfg.Technique = mk(seed)
-		rec := trace.NewRecorder()
-		cfg.Trace = rec
 		res := RunScenario(cfg)
-		losses := AttributeLosses(rec)
-		t.AddRow(res.Technique, losses.Met, losses.Missed,
-			losses.ByKind[LossQueued], losses.ByKind[LossAbandoned],
-			losses.ByKind[LossRescueLate], losses.ByKind[LossRescueExpired])
+		n := res.Ledger.Counts()
+		row := []any{res.Technique, n.OnTime, n.Completed - n.OnTime + n.Expired}
+		for _, k := range event.LossKinds {
+			row = append(row, res.Ledger.Missed(k))
+		}
+		t.AddRow(row...)
 	}
 	return FigureReport{
 		ID:    "losses",

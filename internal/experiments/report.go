@@ -35,14 +35,30 @@ func (r FigureReport) Write(w io.Writer) error {
 }
 
 // Figures34 runs the matcher sweep once and renders Figure 3 (wall time)
-// and Figure 4 (output weight).
+// and Figure 4 (output weight). With cfg.Hungarian, Figure 4 gains a
+// gap_pct column: how far each heuristic's weight falls short of the exact
+// optimum at that task count.
 func Figures34(cfg MatchBenchConfig) (fig3, fig4 FigureReport) {
 	points := RunMatchBench(cfg)
 	t3 := metrics.NewTable("algorithm", "cycles", "tasks", "edges", "time_ms")
-	t4 := metrics.NewTable("algorithm", "cycles", "tasks", "weight", "matched")
+	cols4 := []string{"algorithm", "cycles", "tasks", "weight", "matched"}
+	optimum := map[int]float64{} // by task count
+	if cfg.Hungarian {
+		cols4 = append(cols4, "gap_pct")
+		for _, p := range points {
+			if p.Algorithm == "hungarian" {
+				optimum[p.Tasks] = p.Weight
+			}
+		}
+	}
+	t4 := metrics.NewTable(cols4...)
 	for _, p := range points {
 		t3.AddRow(p.Algorithm, p.Cycles, p.Tasks, p.Edges, float64(p.Elapsed.Microseconds())/1000)
-		t4.AddRow(p.Algorithm, p.Cycles, p.Tasks, p.Weight, p.Matched)
+		row := []any{p.Algorithm, p.Cycles, p.Tasks, p.Weight, p.Matched}
+		if opt := optimum[p.Tasks]; opt > 0 {
+			row = append(row, 100*(1-p.Weight/opt))
+		}
+		t4.AddRow(row...)
 	}
 	fig3 = FigureReport{
 		ID:    "fig3",

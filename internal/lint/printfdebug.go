@@ -4,10 +4,10 @@ import "go/ast"
 
 // PrintfDebug forbids fmt.Print* and log.* output in internal/
 // packages. The middleware's observable surface is internal/metrics and
-// internal/trace — structured, deterministic, assertable in tests. A
-// stray fmt.Println in a server loop interleaves nondeterministically
-// with real output, corrupts the byte-identical reports reactsim
-// promises, and is invisible to the trace-based experiments.
+// the internal/event spine — structured, deterministic, assertable in
+// tests. A stray fmt.Println in a server loop interleaves
+// nondeterministically with real output, corrupts the byte-identical
+// reports reactsim promises, and is invisible to every spine consumer.
 //
 // Test files are exempt: Example tests require fmt output by contract.
 // cmd/ and examples/ are user-facing programs and print freely.
@@ -26,7 +26,7 @@ var forbiddenPrintFuncs = map[string]map[string]bool{
 
 func (PrintfDebug) Name() string { return "printfdebug" }
 func (PrintfDebug) Doc() string {
-	return "forbid fmt.Print*/log.* in internal/; route output through internal/metrics or internal/trace"
+	return "forbid fmt.Print*/log.* in internal/; route output through internal/metrics or the internal/event spine"
 }
 
 func (d PrintfDebug) Run(p *Pass) {
@@ -58,7 +58,7 @@ func (d PrintfDebug) Run(p *Pass) {
 			}
 			if funcs, ok := names[id.Name]; ok && funcs[sel.Sel.Name] {
 				p.Reportf(d.Name(), call.Pos(),
-					"%s.%s writes unstructured output from the middleware; use internal/metrics or internal/trace",
+					"%s.%s writes unstructured output from the middleware; use internal/metrics or the internal/event spine",
 					id.Name, sel.Sel.Name)
 			}
 			return true

@@ -172,14 +172,6 @@ func (r *Registry) Register(name, help, kind string, src Exposer, labels ...Labe
 	return nil
 }
 
-// MustRegister is Register that panics on error — registration mistakes
-// are programming bugs and surface at startup, not at scrape time.
-func (r *Registry) MustRegister(name, help, kind string, src Exposer, labels ...Label) {
-	if err := r.Register(name, help, kind, src, labels...); err != nil {
-		panic(err)
-	}
-}
-
 // RegisterCounter registers a Counter under name.
 func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) error {
 	return r.Register(name, help, KindCounter, c, labels...)

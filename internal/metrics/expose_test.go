@@ -102,8 +102,12 @@ func TestHistogramSumTracksClamp(t *testing.T) {
 	}
 	h.Observe(-3) // clamps to 0
 	h.Observe(2)
-	if got := h.Sum(); got != 2 {
-		t.Fatalf("Sum = %v, want 2 (negative samples clamp to 0)", got)
+	var b strings.Builder
+	if err := h.ExposeMetric(&b, "h", nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "h_sum 2\n") {
+		t.Fatalf("want h_sum 2 (negative samples clamp to 0) in:\n%s", b.String())
 	}
 }
 

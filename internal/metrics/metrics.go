@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -136,14 +135,6 @@ func (h *Histogram) Observe(x float64) {
 	h.sum += x
 }
 
-// Sum reports the total of all observed samples (after the non-negative
-// clamp) — the _sum series of the histogram's text exposition.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Count reports total samples.
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
@@ -214,16 +205,6 @@ func (s *Series) At(i int) (x, y float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.xs[i], s.ys[i]
-}
-
-// Last returns the final point, or zeros when empty.
-func (s *Series) Last() (x, y float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.xs) == 0 {
-		return 0, 0
-	}
-	return s.xs[len(s.xs)-1], s.ys[len(s.ys)-1]
 }
 
 // WriteCSV emits "name,x,y" rows.
@@ -350,31 +331,4 @@ func spaces(n int) string {
 		b[i] = ' '
 	}
 	return string(b)
-}
-
-// SortRows orders the table's rows by the numeric value of column col; rows
-// whose cell fails to parse sort last in input order.
-func (t *Table) SortRows(col int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, aerr := parseFloat(t.rows[i], col)
-		b, berr := parseFloat(t.rows[j], col)
-		if aerr != nil {
-			return false
-		}
-		if berr != nil {
-			return true
-		}
-		return a < b
-	})
-}
-
-func parseFloat(row []string, col int) (float64, error) {
-	if col >= len(row) {
-		return 0, fmt.Errorf("no column %d", col)
-	}
-	var v float64
-	_, err := fmt.Sscanf(row[col], "%g", &v)
-	return v, err
 }

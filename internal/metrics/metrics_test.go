@@ -151,9 +151,6 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("deadline-met")
-	if x, y := s.Last(); x != 0 || y != 0 {
-		t.Fatal("empty Last should be zeros")
-	}
 	for i := 0; i < 10; i++ {
 		s.Add(float64(i), float64(i*i))
 	}
@@ -162,9 +159,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	if x, y := s.At(3); x != 3 || y != 9 {
 		t.Fatalf("At(3) = %v,%v", x, y)
-	}
-	if x, y := s.Last(); x != 9 || y != 81 {
-		t.Fatalf("Last = %v,%v", x, y)
 	}
 	if s.Name() != "deadline-met" {
 		t.Fatalf("Name = %q", s.Name())
@@ -238,20 +232,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableSortRows(t *testing.T) {
-	tb := NewTable("n", "v")
-	tb.AddRow(30, "c")
-	tb.AddRow(10, "a")
-	tb.AddRow(20, "b")
-	tb.SortRows(0)
-	var b strings.Builder
-	tb.Write(&b)
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if !strings.HasPrefix(lines[1], "10") || !strings.HasPrefix(lines[3], "30") {
-		t.Fatalf("sort failed:\n%s", b.String())
-	}
-}
-
 func TestSeriesConcurrent(t *testing.T) {
 	s := NewSeries("c")
 	var wg sync.WaitGroup
@@ -261,7 +241,7 @@ func TestSeriesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				s.Add(float64(i), float64(i))
-				s.Last()
+				s.Len()
 			}
 		}()
 	}

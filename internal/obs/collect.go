@@ -179,6 +179,16 @@ func (c *EngineCollector) Register(reg *metrics.Registry, eng *engine.Engine, la
 		"revocations caused by worker detach", revoked(taskq.CauseDetach), labels...); err != nil {
 		return err
 	}
+	// Missed deadlines by cause, likewise since this process started: the
+	// attribution reactsim -losses prints, read off the same ledger.
+	for _, kind := range event.LossKinds {
+		causeLabels := append(append([]metrics.Label(nil), labels...), metrics.L("cause", string(kind)))
+		if err := reg.RegisterCounterFunc("react_deadline_miss_total",
+			"tasks that expired or completed late, by what the scheduler did with them",
+			func() float64 { return float64(eng.Ledger().Missed(kind)) }, causeLabels...); err != nil {
+			return err
+		}
+	}
 
 	// Event-spine health: fan-out volume, subscriber overflow drops, and
 	// the live subscriber count, read off the bus at scrape time.

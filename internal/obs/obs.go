@@ -24,7 +24,6 @@ import (
 
 	"react/internal/clock"
 	"react/internal/metrics"
-	"react/internal/trace"
 )
 
 // contentTypeMetrics is the Prometheus text exposition format version the
@@ -41,10 +40,10 @@ type Options struct {
 	// empty region list. Called per request; must be safe for concurrent
 	// use and cheap (reactd lists the transport's running region servers).
 	Regions func() []Source
-	// Trace backs /trace.csv with the recorder's retained timeline
-	// (reactd wires a bounded recorder tapping the event spine). Nil
-	// serves 503 on /trace.csv.
-	Trace *trace.Recorder
+	// Trace backs /trace.csv with the ring's retained timeline (reactd
+	// taps it onto every region's event spine). Nil serves 503 on
+	// /trace.csv.
+	Trace *TraceRing
 	// Logf receives serve-loop errors. Nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -167,7 +166,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Trace == nil {
-		http.Error(w, "no trace recorder configured", http.StatusServiceUnavailable)
+		http.Error(w, "no trace ring configured", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
@@ -227,9 +226,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is log.
 		s.logf("obs: /statusz: %v", err)
 	}
-}
-
-// StaticRegions adapts a fixed set of sources to Options.Regions.
-func StaticRegions(srcs ...Source) func() []Source {
-	return func() []Source { return srcs }
 }

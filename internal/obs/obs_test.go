@@ -57,7 +57,7 @@ func newTestServer(t *testing.T, eng *engine.Engine, clk clock.Clock, col *Engin
 	return NewServer(Options{
 		Clock:    clk,
 		Registry: reg,
-		Regions:  StaticRegions(Source{ID: "all", Engine: eng}),
+		Regions:  func() []Source { return []Source{{ID: "all", Engine: eng}} },
 	})
 }
 
@@ -85,6 +85,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`react_taskq_unassigned_highwater{region="all",shard=`,
 		`react_workers_known{region="all"} 1`,
 		`# HELP react_engine_reassign_eq2_total`,
+		`# TYPE react_deadline_miss_total counter`,
+		`react_deadline_miss_total{region="all",cause="expired-in-queue"} 0`,
+		`react_deadline_miss_total{region="all",cause="late-never-rescued"} 0`,
+		`react_deadline_miss_total{region="all",cause="late-despite-rescue"} 0`,
+		`react_deadline_miss_total{region="all",cause="expired-despite-rescue"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in exposition:\n%s", want, body)
@@ -113,6 +118,9 @@ func TestReassignCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Back in the pool after four attempts, t1 then dies at its deadline.
+	clk.Advance(2 * time.Hour)
+	eng.TickExpiry()
 	srv := newTestServer(t, eng, clk, col)
 	_, body := get(t, srv.Handler(), "/metrics")
 	// Causes outside the two exported ones count only toward the total.
@@ -120,6 +128,8 @@ func TestReassignCounters(t *testing.T) {
 		`react_engine_reassign_eq2_total{region="all"} 1`,
 		`react_engine_reassign_detach_total{region="all"} 2`,
 		`react_engine_tasks_reassigned_total{region="all"} 4`,
+		`react_deadline_miss_total{region="all",cause="expired-despite-rescue"} 1`,
+		`react_deadline_miss_total{region="all",cause="expired-in-queue"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in exposition:\n%s", want, body)
@@ -183,7 +193,7 @@ func TestStatuszWorkerLimit(t *testing.T) {
 	}
 	srv := NewServer(Options{
 		Clock:   clk,
-		Regions: StaticRegions(Source{ID: "all", Engine: eng}),
+		Regions: func() []Source { return []Source{{ID: "all", Engine: eng}} },
 	})
 
 	_, body := get(t, srv.Handler(), "/statusz?workers=2")

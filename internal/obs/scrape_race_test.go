@@ -47,7 +47,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	obs := NewServer(Options{
 		Clock:    clock.System{},
 		Registry: reg,
-		Regions:  StaticRegions(Source{ID: "all", Engine: ws.Core().Engine()}),
+		Regions:  func() []Source { return []Source{{ID: "all", Engine: ws.Core().Engine()}} },
 		Logf:     t.Logf,
 	})
 	if err := obs.Start("127.0.0.1:0"); err != nil {

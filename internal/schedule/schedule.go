@@ -79,14 +79,18 @@ func Blend(terms ...Term) WeightFunc {
 	}
 }
 
+// The training rule's two fixed numbers (§IV.A).
+const (
+	traineeTasks = 3   // z: completions before a new worker stops getting every edge
+	maxWeight    = 1.0 // the weight of a trainee (or NoPruning) edge
+)
+
 // Config parameterizes graph construction and batching. The zero value is
 // completed by Normalize with the paper's experimental settings.
 type Config struct {
 	Weight        WeightFunc    // edge weight function (default QualityWeight)
 	EdgeProbBound float64       // Eq. 3 lower bound for instantiating an edge (default 0.1)
-	TraineeTasks  int           // z: assignments granted to new workers at max weight (default 3)
 	MinHistory    int           // samples required before the model is trusted (default 3)
-	MaxWeight     float64       // weight assigned to trainee edges (default 1.0)
 	BatchBound    int           // run a batch once unassigned tasks exceed this (default 10)
 	BatchPeriod   time.Duration // and at least this often regardless (default 5s)
 	// NoPruning disables the Eq. 3 probability filter and the quality
@@ -104,14 +108,8 @@ func (c Config) Normalize() Config {
 	if c.EdgeProbBound <= 0 {
 		c.EdgeProbBound = 0.1
 	}
-	if c.TraineeTasks <= 0 {
-		c.TraineeTasks = 3
-	}
 	if c.MinHistory <= 0 {
 		c.MinHistory = profile.DefaultMinHistory
-	}
-	if c.MaxWeight <= 0 {
-		c.MaxWeight = 1.0
 	}
 	if c.BatchBound <= 0 {
 		c.BatchBound = 10
@@ -167,7 +165,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		if workerIdx[wi] < 0 {
 			continue
 		}
-		trainee := w.Trainee(cfg.TraineeTasks)
+		trainee := w.Trainee(traineeTasks)
 		model, hasModel := w.Model(cfg.MinHistory)
 		if trainee {
 			st.Trainees++
@@ -183,11 +181,11 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 			var weight float64
 			switch {
 			case cfg.NoPruning:
-				weight = cfg.MaxWeight
+				weight = maxWeight
 			case trainee || !hasModel:
 				// Training rule (§IV.A): instantiate edges with every task
 				// at the maximum weight so the profile gets built.
-				weight = cfg.MaxWeight
+				weight = maxWeight
 			default:
 				ttd := t.Deadline.Sub(now).Seconds()
 				if p := model.ProbMeetDeadline(ttd); p < cfg.EdgeProbBound {

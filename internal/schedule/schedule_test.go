@@ -39,8 +39,8 @@ func task(id string, deadline time.Duration, now time.Time) taskq.Task {
 
 func TestNormalizeDefaults(t *testing.T) {
 	c := Config{}.Normalize()
-	if c.Weight == nil || c.EdgeProbBound != 0.1 || c.TraineeTasks != 3 ||
-		c.MinHistory != 3 || c.MaxWeight != 1.0 || c.BatchBound != 10 ||
+	if c.Weight == nil || c.EdgeProbBound != 0.1 ||
+		c.MinHistory != 3 || c.BatchBound != 10 ||
 		c.BatchPeriod != 5*time.Second {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
@@ -205,7 +205,7 @@ func TestBuildGraphSkipsDuplicateIDs(t *testing.T) {
 	b := seasonedWorker("b", []float64{1, 1, 1, 1}, 1) // accuracy 0.25
 	workers := []*profile.Profile{a, a, b}
 	tasks := []taskq.Task{task("t1", time.Hour, now), task("t1", time.Hour, now), task("t2", time.Hour, now)}
-	g, st := BuildGraph(Config{TraineeTasks: 1}, workers, tasks, now)
+	g, st := BuildGraph(Config{}, workers, tasks, now)
 	if g == nil {
 		t.Fatal("BuildGraph gave up on a snapshot with duplicate ids")
 	}
@@ -286,8 +286,8 @@ func TestQuickSurvivingEdgesMeetBound(t *testing.T) {
 		for i := 0; i < g.NumEdges(); i++ {
 			e := g.Edge(i)
 			w := workers[e.Worker]
-			if w.Trainee(cfg.TraineeTasks) {
-				if e.Weight != cfg.MaxWeight {
+			if w.Trainee(traineeTasks) {
+				if e.Weight != maxWeight {
 					return false
 				}
 				continue

@@ -73,12 +73,11 @@ func (q *eventQueue) Pop() any {
 
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
-	clk    *clock.Virtual
-	queue  eventQueue
-	seq    uint64
-	seed   int64
-	fired  uint64
-	tracer func(at time.Time, name string)
+	clk   *clock.Virtual
+	queue eventQueue
+	seq   uint64
+	seed  int64
+	fired uint64
 }
 
 // New returns an engine whose clock starts at clock.Epoch and whose RNG
@@ -102,13 +101,6 @@ func (e *Engine) Now() time.Time { return e.clk.Now() }
 // Pending reports the number of events still queued (including cancelled
 // events not yet drained).
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// Fired reports how many events have been delivered so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// SetTracer installs a hook invoked for every delivered event; useful in
-// tests and for debugging schedules. A nil tracer disables tracing.
-func (e *Engine) SetTracer(fn func(at time.Time, name string)) { e.tracer = fn }
 
 // Schedule queues fn to run at the given instant. Scheduling in the past is
 // clamped to the current instant (the event fires on the next step). The
@@ -163,9 +155,6 @@ func (e *Engine) Step() bool {
 		e.clk.Set(t.at)
 		t.fired = true
 		e.fired++
-		if e.tracer != nil {
-			e.tracer(t.at, t.name)
-		}
 		t.fn(t.at)
 		return true
 	}

@@ -190,20 +190,18 @@ func (cl *Client) readLoop() {
 		if err != nil {
 			continue // tolerate junk; the next frame resynchronizes
 		}
-		// Push payloads are pre-pointed decode scratch, so presence is the
-		// payload's key field, not pointer nilness; the pushQueue copies
-		// the value, never the scratch pointer.
+		// The pushQueue copies the value, never the scratch pointer.
 		switch m.Type {
 		case "assignment":
-			if m.Assignment.TaskID != "" {
+			if m.Assignment != nil {
 				cl.assignments.push(*m.Assignment)
 			}
 		case "result":
-			if m.Result.TaskID != "" {
+			if m.Result != nil {
 				cl.results.push(*m.Result)
 			}
 		case "event":
-			if m.Event.Kind != "" {
+			if m.Event != nil {
 				cl.events.push(*m.Event)
 			}
 		default: // ok / error responses

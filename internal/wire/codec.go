@@ -341,15 +341,13 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 }
 
 // decodeScratch is one connection's reusable decode state: the Message, the
-// hot push/submit payloads and the two optional booleans are preallocated
-// once and re-filled frame after frame, so steady-state decode allocates the
-// frame's strings and nothing else. A frame that omits a pre-pointed payload
-// leaves it zero — presence checks on the read paths therefore test the
-// payload's key field (task id, event kind), which a meaningful frame always
-// carries, instead of pointer nilness.
+// hot push/submit payloads and the two optional booleans live here and are
+// re-filled frame after frame, so steady-state decode of a canonical-form
+// frame allocates the frame's strings and nothing else. A payload pointer in
+// the returned Message is non-nil exactly when the frame carried that key.
 //
 // Not safe for concurrent use; each read loop owns one. The returned
-// *Message, its pre-pointed payloads and Available/Positive are valid only
+// *Message, its scratch-backed payloads and Available/Positive are valid only
 // until the next decode call — anything that outlives the loop iteration (a
 // response handed to a waiting caller) must be copied with the
 // scratch-backed pointers cleared (see Client.readLoop).
@@ -363,25 +361,15 @@ type decodeScratch struct {
 	positive  bool
 }
 
-func (d *decodeScratch) reset() {
-	d.task = TaskPayload{}
-	d.assign = AssignmentPayload{}
-	d.result = ResultPayload{}
-	d.event = EventPayload{}
-	d.msg = Message{
-		Task:       &d.task,
-		Assignment: &d.assign,
-		Result:     &d.result,
-		Event:      &d.event,
-	}
-}
+func (d *decodeScratch) reset() { d.msg = Message{} }
 
 // decode parses one frame into the scratch message. A frame in canonical
 // form — what AppendFrame writes for Message and the hot payloads — is read
 // by decodeFast; anything else (stats/regions/status replies, hand-typed
 // frames, escaped or non-ASCII text, malformed input) is read by
-// encoding/json into a fresh scratch, so what is accepted, the error text and
-// the partial fill are encoding/json's: on error the partially filled message
+// encoding/json into a cleared message (its payloads freshly allocated: that
+// path is cold), so what is accepted, the error text and the partial fill are
+// encoding/json's: on error the partially filled message
 // is still returned, and the server's error reply echoes whatever Seq the
 // frame managed to carry.
 func (d *decodeScratch) decode(data []byte) (*Message, error) {
@@ -422,7 +410,9 @@ func (d *decodeScratch) decodeFast(data []byte) bool {
 		m.Available = &d.available
 	}
 	if c.Has(`,"task":`) {
+		d.task = TaskPayload{}
 		p := &d.task
+		m.Task = p
 		c.Expect(`{"id":`)
 		p.ID = c.Str()
 		c.Expect(`,"lat":`)
@@ -456,7 +446,9 @@ func (d *decodeScratch) decodeFast(data []byte) bool {
 		m.Code = c.Str()
 	}
 	if c.Has(`,"assignment":`) {
+		d.assign = AssignmentPayload{}
 		p := &d.assign
+		m.Assignment = p
 		c.Expect(`{"task_id":`)
 		p.TaskID = c.Str()
 		c.Expect(`,"worker_id":`)
@@ -476,7 +468,9 @@ func (d *decodeScratch) decodeFast(data []byte) bool {
 		c.Expect(`}`)
 	}
 	if c.Has(`,"result":`) {
+		d.result = ResultPayload{}
 		p := &d.result
+		m.Result = p
 		c.Expect(`{"task_id":`)
 		p.TaskID = c.Str()
 		if c.Has(`,"worker_id":`) {
@@ -494,7 +488,9 @@ func (d *decodeScratch) decodeFast(data []byte) bool {
 	// stats, regions and status replies are not hot: their keys fail the next
 	// Expect and the frame goes to encoding/json.
 	if c.Has(`,"event":`) {
+		d.event = EventPayload{}
 		p := &d.event
+		m.Event = p
 		c.Expect(`{"seq":`)
 		p.Seq = c.Uint(math.MaxUint64)
 		c.Expect(`,"kind":`)

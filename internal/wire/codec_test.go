@@ -73,10 +73,9 @@ func codecCorpus() []Message {
 	}
 }
 
-// normalizePresence maps a decoded message onto the presence semantics the
-// read loops use: a pre-pointed payload whose key field is zero means "not
-// in the frame" and becomes nil, so scratch-decoded and pointer-decoded
-// messages compare equal.
+// normalizePresence maps a payload whose key field is zero onto "not in the
+// frame" (nil): no handler acts on such a payload, so the round-trip and fuzz
+// comparisons do not tell the two apart.
 func normalizePresence(m Message) Message {
 	if m.Task != nil && m.Task.ID == "" {
 		m.Task = nil
@@ -205,7 +204,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second decode: %v", err)
 	}
-	if m.Assignment.TaskID != "" {
+	if m.Assignment != nil {
 		t.Errorf("assignment payload leaked across decode calls: %+v", m.Assignment)
 	}
 	if m.Event.Kind != "expired" || m.Event.TaskID != "t2" {
@@ -239,10 +238,10 @@ func TestDecodeScratchReuse(t *testing.T) {
 }
 
 // decodeBothWays runs one line (no trailing newline, as bufio.Scanner hands
-// it over) through the fast path alone and through encoding/json into an
-// equally pre-pointed scratch, and fails unless the fast path either declined
-// or produced exactly what encoding/json did. It reports whether the fast
-// path was taken.
+// it over) through the fast path alone and through encoding/json, and fails
+// unless the fast path either declined or produced exactly what encoding/json
+// did — payload pointers nil for the same keys included. It reports whether
+// the fast path was taken.
 func decodeBothWays(t *testing.T, line []byte) (fast bool) {
 	t.Helper()
 	var viaFast, viaStd decodeScratch
@@ -254,7 +253,7 @@ func decodeBothWays(t *testing.T, line []byte) (fast bool) {
 		if stdErr != nil {
 			t.Fatalf("fast path accepts %q, encoding/json rejects it: %v", line, stdErr)
 		}
-		if got, want := normalizePresence(viaFast.msg), normalizePresence(viaStd.msg); !reflect.DeepEqual(got, want) {
+		if got, want := viaFast.msg, viaStd.msg; !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast path and encoding/json disagree on %q:\nfast: %+v\n std: %+v", line, got, want)
 		}
 	}
@@ -264,7 +263,7 @@ func decodeBothWays(t *testing.T, line []byte) (fast bool) {
 	if (err == nil) != (stdErr == nil) || (err != nil && err.Error() != stdErr.Error()) {
 		t.Fatalf("decode(%q) = %v, encoding/json says %v", line, err, stdErr)
 	}
-	if got, want := normalizePresence(*m), normalizePresence(viaStd.msg); !reflect.DeepEqual(got, want) {
+	if got, want := *m, viaStd.msg; !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode(%q):\n got %+v\nwant %+v", line, got, want)
 	}
 	return fast
@@ -331,6 +330,23 @@ func TestDecodeFastMatchesJSON(t *testing.T) {
 		``,
 	} {
 		decodeBothWays(t, []byte(line))
+	}
+
+	// Presence is pointer nilness on both paths: after a frame carrying a
+	// payload, a frame omitting it decodes to a nil pointer whether the
+	// fast path (first line) or encoding/json (second) reads it.
+	for _, line := range []string{`{"type":"ok","seq":7}`, `{"type":"ok", "seq":7}`} {
+		var scr decodeScratch
+		for _, f := range hotTaskFrames() {
+			frame := AppendFrame(nil, &f.m)
+			if _, err := scr.decode(frame[:len(frame)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := scr.decode([]byte(line))
+		if err != nil || m.Task != nil || m.Assignment != nil || m.Result != nil || m.Event != nil {
+			t.Errorf("decode(%q) = %+v, %v; want every payload pointer nil", line, m, err)
+		}
 	}
 }
 

@@ -146,6 +146,3 @@ func (s *Stream) Take() taskq.Task {
 	s.next = s.next.Add(s.Arrival.Next(s.rng))
 	return t
 }
-
-// Emitted reports how many tasks the stream has produced.
-func (s *Stream) Emitted() int { return s.seq }

@@ -127,9 +127,6 @@ func TestStreamOrderingAndRate(t *testing.T) {
 		}
 		prev = at
 	}
-	if s.Emitted() != 100 {
-		t.Fatalf("Emitted = %d", s.Emitted())
-	}
 	// Constant 10/s ⇒ 100 tasks span 10s ending at Epoch+10s.
 	if want := clock.Epoch.Add(10 * time.Second); !prev.Equal(want) {
 		t.Fatalf("last arrival %v, want %v", prev, want)
