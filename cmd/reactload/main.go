@@ -32,7 +32,7 @@ import (
 	"time"
 
 	"react/internal/core"
-	"react/internal/dynassign"
+	"react/internal/engine"
 	"react/internal/faultnet"
 	"react/internal/journal"
 	"react/internal/loadgen"
@@ -108,7 +108,7 @@ func serverOptions() core.Options {
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
-		Monitor:       dynassign.Monitor{Threshold: 0.1},
+		Monitor:       engine.Monitor{Threshold: 0.1},
 	}
 }
 

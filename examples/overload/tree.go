@@ -192,12 +192,24 @@ func (t *Tree) leaf(p region.Point) *node {
 	return n
 }
 
+// quadrants splits r into four equal sub-rectangles (row-major from the
+// min corner). Together they tile r exactly.
+func quadrants(r region.Rect) [4]region.Rect {
+	c := r.Center()
+	return [4]region.Rect{
+		{MinLat: r.MinLat, MinLon: r.MinLon, MaxLat: c.Lat, MaxLon: c.Lon},
+		{MinLat: r.MinLat, MinLon: c.Lon, MaxLat: c.Lat, MaxLon: r.MaxLon},
+		{MinLat: c.Lat, MinLon: r.MinLon, MaxLat: r.MaxLat, MaxLon: c.Lon},
+		{MinLat: c.Lat, MinLon: c.Lon, MaxLat: r.MaxLat, MaxLon: r.MaxLon},
+	}
+}
+
 // split divides a leaf into four children and distributes its load evenly
 // among them — the best estimate available without re-resolving every
 // registered point; callers re-Add on their next touch, converging the
 // counts.
 func (t *Tree) split(n *node) {
-	quads := n.bounds.Quadrants()
+	quads := quadrants(n.bounds)
 	var children [4]*node
 	per := n.load / 4
 	rem := n.load % 4

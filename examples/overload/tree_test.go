@@ -230,3 +230,34 @@ func TestLoadsByTier(t *testing.T) {
 		t.Fatalf("no splits despite overload: %v", tiers)
 	}
 }
+
+func TestQuadrantsTileExactly(t *testing.T) {
+	r := athens
+	quads := quadrants(r)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		p := r.RandomPoint(rng)
+		hits := 0
+		for _, q := range quads {
+			if q.Contains(p) {
+				hits++
+			}
+		}
+		// A point on an internal boundary belongs to exactly one quadrant
+		// thanks to the half-open convention.
+		if hits != 1 {
+			t.Fatalf("point %v in %d quadrants", p, hits)
+		}
+	}
+	// The shared center belongs to exactly the SE quadrant.
+	c := r.Center()
+	hits := 0
+	for _, q := range quads {
+		if q.Contains(c) {
+			hits++
+		}
+	}
+	if hits != 1 {
+		t.Fatalf("center in %d quadrants, want 1", hits)
+	}
+}

@@ -27,9 +27,10 @@
 // interval/√count cadence — bounding queue delay for the tasks that
 // remain instead of letting every deadline rot in the pool.
 //
-// All load signals are fed from the engine's event spine via Tap (never
-// by polling the engine), so the controller adds no locking to the
-// scheduling hot path. Every decision is typed (Decision / Status) and
+// The load signals are the engine's own: the controller reads the
+// event.Ledger the engine folds from its spine (Attach), and its Tap adds
+// only the pooled execution-time model, so it never polls or locks the
+// engine. Every decision is typed (Decision / Status) and
 // surfaces to clients through the wire layer's submit reply; shed
 // victims carry taskq.CauseShed through the spine, journal, and tail
 // watchers. See docs/ADMISSION.md.
@@ -117,8 +118,8 @@ func (e *RejectionError) Error() string {
 // keeps the deterministic simulation figures byte-identical.
 type Config struct {
 	// Clock supplies time for bucket refill, sojourn measurement, and
-	// probability horizons. Defaults to the system clock; hosts with a
-	// virtual clock must inject it.
+	// probability horizons. The engine fills in its own when unset; a
+	// bare controller defaults to the system clock.
 	Clock clock.Clock
 	// ProbFloor rejects tasks whose predicted deadline-meeting
 	// probability falls below it. 0 disables the gate; 0.2 is a
@@ -141,9 +142,10 @@ type Config struct {
 	// (default 500ms). ShedTarget < 0 disables shedding.
 	ShedTarget   time.Duration
 	ShedInterval time.Duration
-	// Workers reports the online worker count for the capacity estimate
-	// (typically profile.Registry.CountConnected). Nil treats capacity
-	// as unknown: the probability gate then ignores queue delay.
+	// Workers reports the online worker count for the capacity estimate;
+	// the engine fills in its registry's CountConnected when unset. Nil
+	// on a bare controller treats capacity as unknown: the probability
+	// gate then ignores queue delay.
 	Workers func() int
 }
 
@@ -176,9 +178,11 @@ type Controller struct {
 	cfg Config
 	clk clock.Clock
 
-	// ledger holds the load signals — live population, unassigned backlog,
-	// shed count — fed by Tap and seeded by crash recovery, like the engine's.
-	ledger event.Ledger
+	// ledger is where the load signals — live population, unassigned
+	// backlog, shed count — are read: the attached engine's, so the gates
+	// and Stats can never disagree, and recovery seeds one. Empty until
+	// Attach.
+	ledger *event.Ledger
 
 	// fitMu guards the pooled fleet execution-time fitter. Tap updates
 	// it on every completion; Decide reads a Model from it.
@@ -206,18 +210,20 @@ type Controller struct {
 	observer func(Decision)
 }
 
-// New creates a controller. Attach it to an engine with
-// eng.Events().Tap(c.Tap) before traffic starts.
+// New creates a controller reading an empty ledger. The one a region runs
+// is built and attached by engine.New, from engine.Config.Admission.
 func New(cfg Config) *Controller {
 	cfg = cfg.normalize()
-	return &Controller{cfg: cfg, clk: cfg.Clock, buckets: make(map[string]*bucket)}
+	return &Controller{cfg: cfg, clk: cfg.Clock, ledger: new(event.Ledger), buckets: make(map[string]*bucket)}
 }
 
 // Config reports the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Ledger exposes the controller's load signals, for recovery to seed.
-func (c *Controller) Ledger() *event.Ledger { return &c.ledger }
+// Attach points the load signals at l, the ledger of the engine this
+// controller fronts. Call it before traffic starts, alongside tapping Tap
+// into the same engine's spine.
+func (c *Controller) Attach(l *event.Ledger) { c.ledger = l }
 
 // SetObserver installs fn as the per-decision observer (nil clears it).
 func (c *Controller) SetObserver(fn func(Decision)) {

@@ -13,18 +13,26 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// warm feeds n identical completions of the given execution time through
-// the tap, as the spine would, so the fleet model leaves its cold state.
+// publish stands in for the engine's spine: the ledger the controller
+// reads folds the event first, then the controller's tap sees it — the
+// engine's tap order.
+func publish(c *Controller, ev event.Event) {
+	c.ledger.Observe(ev)
+	c.Tap(ev)
+}
+
+// warm publishes n identical completions of the given execution time, as
+// the spine would, so the fleet model leaves its cold state.
 func warm(c *Controller, n int, exec time.Duration) {
 	for i := 0; i < n; i++ {
-		c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
+		publish(c, event.Event{Kind: event.KindComplete, Record: taskq.Record{
 			AssignedAt: t0,
 			FinishedAt: t0.Add(exec),
 		}})
 		// Completions decrement inflight; balance with a submit+assign so
 		// warming does not drive the load gauges negative.
-		c.Tap(event.Event{Kind: event.KindSubmit})
-		c.Tap(event.Event{Kind: event.KindAssign})
+		publish(c, event.Event{Kind: event.KindSubmit})
+		publish(c, event.Event{Kind: event.KindAssign})
 	}
 }
 
@@ -128,7 +136,7 @@ func TestProbabilityFloor(t *testing.T) {
 		// 100 waiting tasks / 10 workers x 1s median = ~10s of queue ahead;
 		// a 3s deadline is now hopeless.
 		for i := 0; i < 100; i++ {
-			c.Tap(event.Event{Kind: event.KindSubmit})
+			publish(c, event.Event{Kind: event.KindSubmit})
 		}
 		d := c.Decide("r", task("t2", ttd, clk))
 		if d.Status != StatusRejectedProbability {
@@ -257,7 +265,7 @@ func TestMaxInflightCeiling(t *testing.T) {
 		if d := c.Decide("r", task("t", time.Hour, clk)); !d.Admitted() {
 			t.Fatalf("submission %d under ceiling rejected: %+v", i, d)
 		}
-		c.Tap(event.Event{Kind: event.KindSubmit})
+		publish(c, event.Event{Kind: event.KindSubmit})
 	}
 	d := c.Decide("r", task("t", time.Hour, clk))
 	if d.Status != StatusRejectedRate {
@@ -268,8 +276,8 @@ func TestMaxInflightCeiling(t *testing.T) {
 	}
 
 	// One completion frees a slot.
-	c.Tap(event.Event{Kind: event.KindAssign})
-	c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
+	publish(c, event.Event{Kind: event.KindAssign})
+	publish(c, event.Event{Kind: event.KindComplete, Record: taskq.Record{
 		AssignedAt: t0, FinishedAt: t0.Add(2 * time.Second),
 	}})
 	if d := c.Decide("r", task("t", time.Hour, clk)); !d.Admitted() {
@@ -279,7 +287,7 @@ func TestMaxInflightCeiling(t *testing.T) {
 	// A warm model sizes the drain hint to the fleet median (clamped).
 	warm(c, 40, 2*time.Second)
 	for c.ledger.InFlight() < 3 {
-		c.Tap(event.Event{Kind: event.KindSubmit})
+		publish(c, event.Event{Kind: event.KindSubmit})
 	}
 	d = c.Decide("r", task("t", time.Hour, clk))
 	if d.Status != StatusRejectedRate {

@@ -9,8 +9,8 @@ import (
 
 // Pool is the slice of the engine the shedder needs: the unassigned
 // snapshot (oldest submission first, the order taskq already guarantees)
-// and the shed operation itself. *engine.Engine satisfies it via a thin
-// adapter in the host (core wires its own engine in).
+// and the shed operation itself. *engine.TaskStore satisfies it; the
+// engine's Tick hands the shedder its own store.
 type Pool interface {
 	// Unassigned snapshots the tasks waiting for a worker, oldest
 	// submission first.
@@ -20,8 +20,7 @@ type Pool interface {
 }
 
 // TickShed runs one pass of the CoDel-style queue-delay shedder and
-// returns how many tasks it shed. Hosts call it periodically (the live
-// server from its poll loop, the overload bench between arrivals).
+// returns how many tasks it shed. Engine.Tick ends with it.
 //
 // The controlled quantity is the sojourn time of the oldest unassigned
 // task — how long the head of the pool has waited for a worker. CoDel's

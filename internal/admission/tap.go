@@ -2,19 +2,16 @@ package admission
 
 import "react/internal/event"
 
-// Tap is the controller's event-spine observer: attach it with
-// Engine.Events().Tap(c.Tap). It feeds the load signals every admission
-// decision reads — the ledger's live population, unassigned backlog and
-// shed count, and the pooled fleet execution-time fitter — from the same
-// lossless, per-task-ordered stream the journal trusts, so the controller
-// never polls (or locks) the engine.
+// Tap is the controller's event-spine observer. It feeds the one signal
+// the engine's ledger does not carry — the pooled fleet execution-time
+// fitter behind the probability gate — from the same lossless,
+// per-task-ordered stream the journal trusts.
 //
 // Taps run under the task store's shard locks: this must stay fast, must
-// not block, and must not call back into the engine. Everything here is
-// a handful of atomic adds plus, on completions only, one short mutex
-// hold to fold the sample into the fitter.
+// not block, and must not call back into the engine. It is a no-op except
+// on completions, which take one short mutex hold to fold the sample into
+// the fitter.
 func (c *Controller) Tap(ev event.Event) {
-	c.ledger.Observe(ev)
 	if ev.Kind != event.KindComplete {
 		return
 	}

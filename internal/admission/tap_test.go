@@ -12,33 +12,42 @@ import (
 )
 
 func TestTapLoadAccounting(t *testing.T) {
+	// The load gauges are the attached ledger's: the test feeds the ledger
+	// it hands the controller, as the engine's spine does, and reads the
+	// gauges back through the controller.
+	var led event.Ledger
 	c := New(Config{Clock: clock.NewVirtual(t0)})
+	c.Attach(&led)
 	check := func(wantIn, wantUn int64, step string) {
 		t.Helper()
-		if in, un := c.Loads(); in != wantIn || un != wantUn {
+		in, un := c.Loads()
+		if in != wantIn || un != wantUn {
 			t.Fatalf("%s: inflight=%d unassigned=%d, want %d %d", step, in, un, wantIn, wantUn)
+		}
+		if in != led.InFlight() || un != led.Unassigned() {
+			t.Fatalf("%s: controller reads %d/%d, its ledger holds %d/%d", step, in, un, led.InFlight(), led.Unassigned())
 		}
 	}
 
-	c.Tap(event.Event{Kind: event.KindSubmit})
-	c.Tap(event.Event{Kind: event.KindSubmit})
+	publish(c, event.Event{Kind: event.KindSubmit})
+	publish(c, event.Event{Kind: event.KindSubmit})
 	check(2, 2, "two submits")
 
-	c.Tap(event.Event{Kind: event.KindAssign})
+	publish(c, event.Event{Kind: event.KindAssign})
 	check(2, 1, "assign moves one off the pool")
 
-	c.Tap(event.Event{Kind: event.KindRevoke})
+	publish(c, event.Event{Kind: event.KindRevoke})
 	check(2, 2, "revoke returns it")
 
-	c.Tap(event.Event{Kind: event.KindAssign})
-	c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
+	publish(c, event.Event{Kind: event.KindAssign})
+	publish(c, event.Event{Kind: event.KindComplete, Record: taskq.Record{
 		AssignedAt: t0, FinishedAt: t0.Add(time.Second),
 	}})
 	check(1, 1, "completion retires the assigned task")
 
 	// A pool-resident expiry (AssignedAt zero) drains both gauges; the
 	// shed cause additionally bumps the shed counter.
-	c.Tap(event.Event{Kind: event.KindExpire, Cause: taskq.CauseShed, Record: taskq.Record{}})
+	publish(c, event.Event{Kind: event.KindExpire, Cause: taskq.CauseShed, Record: taskq.Record{}})
 	check(0, 0, "pool-resident shed expiry")
 	if _, _, _, shed := c.Counters(); shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", shed)
@@ -46,17 +55,17 @@ func TestTapLoadAccounting(t *testing.T) {
 
 	// An assigned-expiry (end-of-run sweep) was already off the unassigned
 	// count; only inflight drops.
-	c.Tap(event.Event{Kind: event.KindSubmit})
-	c.Tap(event.Event{Kind: event.KindAssign})
-	c.Tap(event.Event{Kind: event.KindExpire, Record: taskq.Record{AssignedAt: t0}})
+	publish(c, event.Event{Kind: event.KindSubmit})
+	publish(c, event.Event{Kind: event.KindAssign})
+	publish(c, event.Event{Kind: event.KindExpire, Record: taskq.Record{AssignedAt: t0}})
 	check(0, 0, "assigned expiry")
 	if _, _, _, shed := c.Counters(); shed != 1 {
 		t.Fatal("plain expiry must not count as shed")
 	}
 
 	// Batch and forget events carry no load signal.
-	c.Tap(event.Event{Kind: event.KindBatch})
-	c.Tap(event.Event{Kind: event.KindForget})
+	publish(c, event.Event{Kind: event.KindBatch})
+	publish(c, event.Event{Kind: event.KindForget})
 	check(0, 0, "batch/forget ignored")
 }
 
@@ -67,6 +76,12 @@ func TestTapFeedsFleetModel(t *testing.T) {
 	}
 	// Zero-exec completions (never-assigned records) must not pollute it.
 	c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{}})
+	// The tap feeds the model and nothing else: on a controller nobody
+	// attached, no event moves a load gauge.
+	c.Tap(event.Event{Kind: event.KindSubmit})
+	if in, un := c.Loads(); in != 0 || un != 0 {
+		t.Fatalf("tap alone moved the load gauges to %d/%d", in, un)
+	}
 	for i := 0; i < 3; i++ {
 		c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
 			AssignedAt: t0, FinishedAt: t0.Add(2 * time.Second),
@@ -118,7 +133,10 @@ func TestTapConcurrent(t *testing.T) {
 		Workers:       func() int { return 4 },
 	})
 	c.SetObserver(func(Decision) {})
+	var led event.Ledger
+	c.Attach(&led)
 	bus := event.NewBus()
+	bus.Tap(led.Observe)
 	bus.Tap(c.Tap)
 
 	var wg sync.WaitGroup

@@ -49,11 +49,8 @@ func (m *Matching) Selected(e int32) bool {
 // WorkerEdge returns the selected edge at worker w, or -1.
 func (m *Matching) WorkerEdge(w int32) int32 { return m.workerMatch[w] }
 
-// TaskEdge returns the selected edge at task t, or -1.
-func (m *Matching) TaskEdge(t int32) int32 { return m.taskMatch[t] }
-
 // Add selects edge e. It fails with ErrEdgeConflict if either endpoint is
-// already matched (the caller inspects WorkerEdge/TaskEdge to find the
+// already matched (the caller asks Conflicts for the
 // conflicting edges, as Algorithm 1's g(x')=0 branch requires) and with
 // ErrEdgeRange / ErrDuplicateEdge for invalid or already-selected edges.
 func (m *Matching) Add(e int32) error {

@@ -53,13 +53,10 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 		}
 	}
 
-	// The ledgers pick up where the replayed log left off, so the sweep
-	// below and all traffic after it count themselves as they will replay.
-	tally, pool := st.Stats.Counts(), s.eng.Tasks().UnassignedCount()
-	s.eng.Ledger().Seed(tally, pool)
-	if s.adm != nil {
-		s.adm.Ledger().Seed(tally, pool)
-	}
+	// The ledger — counters and the admission gates' load signals alike —
+	// picks up where the replayed log left off, so the sweep below and all
+	// traffic after it count themselves as they will replay.
+	s.eng.Ledger().Seed(st.Stats.Counts(), s.eng.Tasks().UnassignedCount())
 
 	// Journal from here on, as a synchronous tap on the event spine: taps
 	// fire under the shard lock, so the WAL inherits the per-task total
@@ -75,7 +72,7 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 	})
 
 	// Sweep orphaned assignments back to the pool — journaled through the
-	// tap just installed, and counted by the ledgers as reassignments (the
+	// tap just installed, and counted by the ledger as reassignments (the
 	// same accounting a worker disconnect gets).
 	for _, rec := range s.eng.Tasks().AssignedTasks() {
 		if err := s.eng.Tasks().Unassign(rec.Task.ID, taskq.CauseRecoverySweep, 0); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"react/internal/admission"
 	"react/internal/clock"
+	"react/internal/event"
 	"react/internal/journal"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -283,7 +284,7 @@ func TestReplayEqualsLive(t *testing.T) {
 	if err := eng.DetachWorker("ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Shed("bounced"); err != nil {
+	if err := eng.Tasks().Shed("bounced"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,11 +297,8 @@ func TestReplayEqualsLive(t *testing.T) {
 	submit("waiting", 10*time.Minute)
 
 	live := srv.Stats()
-	want := Stats{Received: 7, Assigned: 6, Completed: 3, OnTime: 2, Expired: 2, Shed: 1, Reassigned: 2}
-	lifecycle := func(s Stats) Stats {
-		return Stats{Received: s.Received, Assigned: s.Assigned, Completed: s.Completed, OnTime: s.OnTime,
-			Expired: s.Expired, Shed: s.Shed, Reassigned: s.Reassigned}
-	}
+	want := event.Tally{Received: 7, Assigned: 6, Completed: 3, OnTime: 2, Expired: 2, Shed: 1, Reassigned: 2}
+	lifecycle := func(s Stats) event.Tally { return s.Tally }
 	if lifecycle(live) != want {
 		t.Fatalf("live stats %+v, want %+v", lifecycle(live), want)
 	}

@@ -1,11 +1,11 @@
 // Package core assembles the four REACT components (Figure 1) into the
-// deployable region server. The control logic itself — batch trigger, WBGM
-// scheduling, assignment application, Eq. 2 monitoring, expiry, retention —
-// lives in internal/engine and is shared verbatim with the deterministic
-// harness in internal/experiments; core adds what a live deployment needs
-// on top: lifecycle goroutines that tick the engine against a real clock,
-// and per-worker assignment feeds (channels) behind the engine's Deliver
-// hook.
+// deployable region server. The control logic itself — admission gates,
+// batch trigger, WBGM scheduling, assignment application, Eq. 2 monitoring,
+// expiry, shedding, retention — lives in internal/engine and is shared
+// verbatim with the deterministic harness in internal/experiments; core
+// adds what a live deployment needs on top: lifecycle goroutines that tick
+// the engine against a real clock, and per-worker assignment feeds
+// (channels) behind the engine's Deliver hook.
 //
 // It still accepts any clock.Clock, so integration tests drive it with a
 // virtual clock.
@@ -19,7 +19,6 @@ import (
 
 	"react/internal/admission"
 	"react/internal/clock"
-	"react/internal/dynassign"
 	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/journal"
@@ -42,7 +41,7 @@ type Options struct {
 	Clock         clock.Clock      // default clock.System{}
 	Matcher       matching.Matcher // default REACT with adaptive cycles
 	Schedule      schedule.Config  // batching, pruning, weights
-	Monitor       dynassign.Monitor
+	Monitor       engine.Monitor
 	MonitorPeriod time.Duration // Eq. 2 sweep period (default 1s)
 	BatchPoll     time.Duration // batch-trigger poll period (default 200ms)
 	QueueDepth    int           // per-worker assignment channel depth (default 8)
@@ -63,12 +62,10 @@ type Options struct {
 	// should set it (reactd defaults to 1h).
 	Retention time.Duration
 
-	// Admission, when non-nil, enables the overload-protection plane
-	// (internal/admission): every Submit passes its gates, the CoDel
-	// shedder runs on the batch-poll cadence, and the controller's
-	// MaxInflight doubles as the engine's hard queue ceiling. The config's
-	// Clock and Workers fields are filled in from the server's own when
-	// unset. Nil keeps the paper's admit-everything behaviour.
+	// Admission, when non-nil, enables the engine's overload-protection
+	// plane (engine.Config.Admission): every Submit passes its gates and
+	// the CoDel shedder runs on the batch-poll cadence. Nil keeps the
+	// paper's admit-everything behaviour.
 	Admission *admission.Config
 }
 
@@ -91,17 +88,10 @@ func (o Options) normalize() Options {
 // ErrStopped rejects calls on a server whose Stop has run.
 var ErrStopped = errors.New("core: server stopped")
 
-// Stats is a snapshot of the server's counters.
+// Stats is a snapshot of the server's counters: the engine's, plus two
+// worker gauges.
 type Stats struct {
-	Received    int64
-	Assigned    int64
-	Completed   int64
-	OnTime      int64
-	Expired     int64
-	Shed        int64 // evicted by the admission shedder (also counted in Expired)
-	Reassigned  int64
-	Batches     int64
-	MatcherTime time.Duration
+	engine.Stats
 	// WorkersOnline counts connected workers (busy or idle). WorkersKnown
 	// counts every profile the server remembers, including detached
 	// workers whose history is retained for their return.
@@ -137,9 +127,8 @@ type Region struct {
 type Server struct {
 	opts      Options
 	eng       *engine.Engine
-	adm       *admission.Controller // non-nil when Options.Admission set
-	store     *journal.Store        // non-nil once EnablePersistence ran
-	expireSub *event.Subscription   // non-nil once Start ran with OnResult set
+	store     *journal.Store      // non-nil once EnablePersistence ran
+	expireSub *event.Subscription // non-nil once Start ran with OnResult set
 
 	mu     sync.Mutex // guards closed and feeds
 	feeds  map[string]chan Assignment
@@ -156,41 +145,23 @@ func New(opts Options) *Server {
 		feeds: make(map[string]chan Assignment),
 		stop:  make(chan struct{}),
 	}
-	ecfg := engine.Config{
+	s.eng = engine.New(engine.Config{
 		Clock:     opts.Clock,
 		Matcher:   opts.Matcher,
 		Schedule:  opts.Schedule,
 		Monitor:   opts.Monitor,
 		Shards:    opts.Shards,
 		Retention: opts.Retention,
-	}
-	if opts.Admission != nil {
-		// The controller's ceiling is also installed as the engine's hard
-		// queue bound, so even submissions that bypass admission (internal
-		// paths) cannot push the live population past it.
-		ecfg.MaxInflight = opts.Admission.MaxInflight
-	}
-	s.eng = engine.New(ecfg, engine.Hooks{
+		Admission: opts.Admission,
+	}, engine.Hooks{
 		Deliver: s.deliver,
 	})
-	if opts.Admission != nil {
-		acfg := *opts.Admission
-		if acfg.Clock == nil {
-			acfg.Clock = opts.Clock
-		}
-		if acfg.Workers == nil {
-			reg := s.eng.Workers()
-			acfg.Workers = reg.CountConnected
-		}
-		s.adm = admission.New(acfg)
-		s.eng.Events().Tap(s.adm.Tap)
-	}
 	return s
 }
 
 // Admission exposes the overload-protection controller (nil when
 // admission is disabled) for observability wiring.
-func (s *Server) Admission() *admission.Controller { return s.adm }
+func (s *Server) Admission() *admission.Controller { return s.eng.Admission() }
 
 // Events exposes the engine's lifecycle event spine — the wire layer's
 // watch-events stream and the observability collectors feed from it.
@@ -342,20 +313,10 @@ func (s *Server) Submit(t taskq.Task) error {
 	return err
 }
 
-// SubmitFrom places a task into the system on behalf of requester,
-// running the admission gates first when the plane is enabled. The
-// decision is returned alongside the error so transports can surface
-// the status and retry-after hint; on rejection the error is a typed
-// *admission.RejectionError and the task never reaches the store.
+// SubmitFrom places a task into the system on behalf of requester; see
+// engine.Engine.SubmitFrom for the gates and the typed rejection.
 func (s *Server) SubmitFrom(requester string, t taskq.Task) (admission.Decision, error) {
-	if s.adm == nil {
-		return admission.Decision{Status: admission.StatusAdmitted}, s.eng.Submit(t)
-	}
-	d := s.adm.Decide(requester, t)
-	if !d.Admitted() {
-		return d, d.Err()
-	}
-	return d, s.eng.Submit(t)
+	return s.eng.SubmitFrom(requester, t)
 }
 
 // Complete records a worker's answer for a task it holds. The execution
@@ -426,21 +387,8 @@ func (s *Server) TaskStatus(taskID string) (TaskStatus, bool) {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	est := s.eng.Stats()
 	reg := s.eng.Workers()
-	return Stats{
-		Received:      est.Received,
-		Assigned:      est.Assigned,
-		Completed:     est.Completed,
-		OnTime:        est.OnTime,
-		Expired:       est.Expired,
-		Shed:          est.Shed,
-		Reassigned:    est.Reassigned,
-		Batches:       est.Batches,
-		MatcherTime:   est.MatcherTime,
-		WorkersOnline: reg.CountConnected(),
-		WorkersKnown:  reg.Size(),
-	}
+	return Stats{Stats: s.eng.Stats(), WorkersOnline: reg.CountConnected(), WorkersKnown: reg.Size()}
 }
 
 // deliver is the engine's transport hook: push the assignment onto the
@@ -460,7 +408,7 @@ func (s *Server) deliver(a Assignment) bool {
 }
 
 // batchLoop ticks the engine: retention GC, expiry of overdue unassigned
-// tasks, and the batch trigger.
+// tasks, the batch trigger, and the shedder.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	//lint:ignore clockdiscipline the ticker only paces polling; every scheduling decision reads the injected opts.Clock
@@ -473,20 +421,8 @@ func (s *Server) batchLoop() {
 		case <-ticker.C:
 		}
 		s.eng.Tick()
-		if s.adm != nil {
-			// Shedding rides the same cadence as expiry: after the tick has
-			// expired what the clock already killed, CoDel decides whether
-			// the surviving backlog's queue delay warrants shedding more.
-			s.adm.TickShed(enginePool{s.eng})
-		}
 	}
 }
-
-// enginePool adapts the engine to the shedder's Pool seam.
-type enginePool struct{ eng *engine.Engine }
-
-func (p enginePool) Unassigned() []taskq.Task { return p.eng.Tasks().Unassigned() }
-func (p enginePool) Shed(taskID string) error { return p.eng.Shed(taskID) }
 
 // monitorLoop runs the Eq. 2 sweep.
 func (s *Server) monitorLoop() {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/dynassign"
 	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/region"
@@ -205,7 +204,7 @@ func TestMonitorReassignsFromDelayedWorker(t *testing.T) {
 	opts := fastOptions()
 	// Monitor with tight threshold; worker history says tasks take ~50ms,
 	// so holding one for >1s collapses Eq. 2.
-	opts.Monitor = dynassign.Monitor{Threshold: 0.5, MinHistory: 3}
+	opts.Monitor = engine.Monitor{Threshold: 0.5, MinHistory: 3}
 	s := New(opts)
 	sub := s.Events().Subscribe(16, func(ev event.Event) bool {
 		return ev.Kind == event.KindRevoke && ev.Cause == taskq.CauseEq2

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/dynassign"
+	"react/internal/engine"
 )
 
 // TestServerChurnUnderRace hammers one server with everything that can
@@ -29,7 +29,7 @@ func TestServerChurnUnderRace(t *testing.T) {
 	// An aggressive monitor makes the Eq. 2 sweep actually contend with
 	// submissions and completions instead of idling between them.
 	opts.MonitorPeriod = time.Millisecond
-	opts.Monitor = dynassign.Monitor{}.Normalize()
+	opts.Monitor = engine.Monitor{}.Normalize()
 	var results atomic.Int64
 	opts.OnResult = func(Result) { results.Add(1) }
 

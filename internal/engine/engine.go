@@ -1,11 +1,13 @@
 // Package engine is the transport-agnostic REACT scheduling engine: the
 // paper's four components (profiling, task management, scheduling, dynamic
-// assignment) wired into one control loop that owns the batch trigger, edge
-// construction and WBGM invocation, assignment application, the Eq. 2
-// monitor sweep, unassigned-task expiry, and terminal-record retention.
+// assignment) wired into one control loop that owns every decision on a
+// task's path — the admission gates in front of the store (SubmitFrom),
+// the batch trigger, edge construction and WBGM invocation, assignment
+// application, the Eq. 2 monitor (monitor.go), unassigned-task expiry,
+// the overload shedder, and terminal-record retention.
 //
 // The engine has no goroutines, timers, or sockets of its own — it is
-// driven entirely by explicit calls (Submit, Complete, Feedback,
+// driven entirely by explicit calls (SubmitFrom, Complete, Feedback,
 // AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch). That lets two
 // very different hosts share it verbatim:
 //
@@ -37,8 +39,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"react/internal/admission"
 	"react/internal/clock"
-	"react/internal/dynassign"
 	"react/internal/event"
 	"react/internal/matching"
 	"react/internal/profile"
@@ -87,7 +89,7 @@ type Config struct {
 	Clock    clock.Clock      // default clock.System{}
 	Matcher  matching.Matcher // default REACT with adaptive cycles
 	Schedule schedule.Config  // batching, pruning, weights
-	Monitor  dynassign.Monitor
+	Monitor  Monitor          // Eq. 2 reassignment policy
 	// Shards stripes the task bookkeeping; default GOMAXPROCS. The stripe
 	// count never changes observable behaviour (snapshots re-sort
 	// globally), only lock contention.
@@ -95,10 +97,14 @@ type Config struct {
 	// Retention bounds how long terminal task records are kept for late
 	// Feedback. Zero keeps everything.
 	Retention time.Duration
-	// MaxInflight caps the live (unassigned + assigned) task population: a
-	// Submit that would exceed it fails with ErrQueueFull. Zero means
-	// unbounded — the paper's original intake behaviour.
-	MaxInflight int
+	// Admission, when non-nil, puts the overload-protection plane
+	// (internal/admission) in front of the store: SubmitFrom runs its
+	// gates, Tick ends with its CoDel shedder, and its MaxInflight is also
+	// the hard ceiling behind ErrQueueFull. The controller runs on the
+	// engine's clock, registry and ledger; the config's Clock and Workers
+	// are filled in from those when unset. Nil keeps the paper's
+	// admit-everything intake.
+	Admission *admission.Config
 	// Latency models the matcher's wall time for one batch (the analytic
 	// model of DESIGN.md §2). Nil charges nothing: the batch applies with
 	// the real elapsed time already spent.
@@ -135,8 +141,8 @@ var (
 	// instead of silently losing the accuracy update.
 	ErrNoWorker = errors.New("engine: no worker to credit feedback to")
 	// ErrQueueFull rejects a Submit that would push the live task
-	// population past Config.MaxInflight. Retryable: capacity frees as
-	// tasks complete or expire.
+	// population past Config.Admission.MaxInflight. Retryable: capacity
+	// frees as tasks complete or expire.
 	ErrQueueFull = errors.New("engine: queue full")
 )
 
@@ -159,6 +165,7 @@ type Engine struct {
 	workers *profile.Registry
 	tasks   *TaskStore
 	bus     *event.Bus
+	adm     *admission.Controller // nil unless Config.Admission is set
 
 	// batchMu serializes the trigger check and the scheduling round
 	// (planBatch). inFlight is set from the moment a round is planned
@@ -195,6 +202,18 @@ func New(cfg Config, hooks Hooks) *Engine {
 	e.tasks.setSink(func(tev taskq.Event) {
 		e.bus.Publish(event.FromTask(tev))
 	})
+	if cfg.Admission != nil {
+		acfg := *cfg.Admission
+		if acfg.Clock == nil {
+			acfg.Clock = cfg.Clock
+		}
+		if acfg.Workers == nil {
+			acfg.Workers = e.workers.CountConnected
+		}
+		e.adm = admission.New(acfg)
+		e.adm.Attach(&e.ledger)
+		e.bus.Tap(e.adm.Tap)
+	}
 	return e
 }
 
@@ -209,28 +228,44 @@ func (e *Engine) Tasks() *TaskStore { return e.tasks }
 // the event package contract before choosing.
 func (e *Engine) Events() *event.Bus { return e.bus }
 
-// Ledger exposes the lifecycle counters and load gauges behind Stats.
+// Ledger exposes the lifecycle counters and load gauges behind Stats —
+// the same ledger the admission gates read.
 func (e *Engine) Ledger() *event.Ledger { return &e.ledger }
 
-// Submit places a task into the system. With Config.MaxInflight set, a
-// submission that would exceed the live-task ceiling fails with
-// ErrQueueFull before touching the store.
+// Admission exposes the overload-protection controller (nil when
+// Config.Admission is unset) for observability wiring.
+func (e *Engine) Admission() *admission.Controller { return e.adm }
+
+// SubmitFrom places a task into the system on behalf of requester,
+// running the admission gates first when the plane is enabled ("" is
+// exempt from the per-requester rate limit but not from the ceiling or
+// the probability floor). The decision is returned alongside the error so
+// transports can surface the status and retry-after hint; on rejection
+// the error is a typed *admission.RejectionError and the task reaches
+// neither the store nor the spine.
+func (e *Engine) SubmitFrom(requester string, t taskq.Task) (admission.Decision, error) {
+	if e.adm == nil {
+		return admission.Decision{Status: admission.StatusAdmitted}, e.Submit(t)
+	}
+	d := e.adm.Decide(requester, t)
+	if !d.Admitted() {
+		return d, d.Err()
+	}
+	return d, e.Submit(t)
+}
+
+// Submit places a task into the store past the gates — the path for a
+// host without an admission plane. With one configured, its ceiling still
+// holds here as a check-then-act backstop: a submission that would exceed
+// MaxInflight fails with ErrQueueFull before touching the store.
 func (e *Engine) Submit(t taskq.Task) error {
-	if e.cfg.MaxInflight > 0 {
-		if n := e.ledger.InFlight(); n >= int64(e.cfg.MaxInflight) {
-			return fmt.Errorf("%w: %d tasks in flight (ceiling %d)", ErrQueueFull, n, e.cfg.MaxInflight)
+	if e.adm != nil {
+		ceiling := int64(e.adm.Config().MaxInflight)
+		if n := e.ledger.InFlight(); ceiling > 0 && n >= ceiling {
+			return fmt.Errorf("%w: %d tasks in flight (ceiling %d)", ErrQueueFull, n, ceiling)
 		}
 	}
 	return e.tasks.Submit(t)
-}
-
-// Shed terminates an unassigned task on admission control's orders. The
-// record lands as Expired (the requester-visible outcome of never being
-// served) but the spine event carries taskq.CauseShed, so the ledger
-// counts it under both Expired and Shed.
-func (e *Engine) Shed(taskID string) error {
-	_, err := e.tasks.Shed(taskID)
-	return err
 }
 
 // AttachWorker registers a new worker, initially available.
@@ -258,8 +293,7 @@ func (e *Engine) DetachWorker(id string) error {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		e.tasks.Unassign(taskID, taskq.CauseDetach, 0) // fails only if the task just went terminal
-		p.MarkIdle()
+		e.release(taskID, p, taskq.CauseDetach, 0)
 	}
 	p.SetAvailable(false)
 	return nil
@@ -297,9 +331,7 @@ func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record
 	}
 	if p, ok := e.workers.Get(workerID); ok {
 		p.RecordExecTime(final.ExecTime().Seconds())
-		if p.CurrentTask() == taskID {
-			p.MarkIdle()
-		}
+		e.release(taskID, p, "", 0)
 	}
 	res := Result{
 		TaskID:      taskID,
@@ -341,13 +373,18 @@ func (e *Engine) Stats() Stats {
 }
 
 // Tick runs one full maintenance pass — retention GC, unassigned-task
-// expiry, then the batch trigger — in the order the live server's poll loop
-// needs. Event-driven hosts call the individual ticks on their own cadences
-// instead.
+// expiry, the batch trigger, then the overload shedder — in the order the
+// live server's poll loop needs: once the tick has expired what the clock
+// already killed, CoDel decides whether the surviving backlog's queue
+// delay warrants shedding more. Event-driven hosts call the individual
+// ticks on their own cadences instead.
 func (e *Engine) Tick() {
 	e.TickRetention()
 	e.TickExpiry()
 	e.TryBatch()
+	if e.adm != nil {
+		e.adm.TickShed(e.tasks)
+	}
 }
 
 // TickRetention garbage-collects terminal task records older than the
@@ -376,15 +413,26 @@ func (e *Engine) ExpireAllDue() { e.tasks.ExpireDue() }
 func (e *Engine) TickMonitor() {
 	now := e.cfg.Clock.Now()
 	for _, d := range e.cfg.Monitor.Sweep(e.workers, e.tasks, now) {
-		if !d.Reassign {
-			continue
+		if d.Reassign {
+			p, _ := e.workers.Get(d.Worker) // nil when the worker departed
+			e.release(d.TaskID, p, taskq.CauseEq2, d.Probability)
 		}
-		if err := e.tasks.Unassign(d.TaskID, taskq.CauseEq2, d.Probability); err != nil {
-			continue
-		}
-		if p, ok := e.workers.Get(d.Worker); ok && p.CurrentTask() == d.TaskID {
-			p.MarkIdle()
-		}
+	}
+}
+
+// release ends worker p's hold on a task — the one place a binding is
+// undone. With a cause the task first returns to the pool as a revocation
+// (which fails only if it just went terminal or another path already
+// revoked it); with none it has just completed in the worker's hands.
+// The idle mark is guarded, so of two releases racing — a detach, a
+// refused delivery, a late Complete — the second is a no-op. p is nil
+// when the worker left the registry.
+func (e *Engine) release(taskID string, p *profile.Profile, cause string, prob float64) {
+	if cause != "" {
+		e.tasks.Unassign(taskID, cause, prob)
+	}
+	if p != nil && p.CurrentTask() == taskID {
+		p.MarkIdle()
 	}
 }
 
@@ -531,12 +579,8 @@ func (e *Engine) applyAssignments(bindings []binding) {
 		p.MarkBusy(b.taskID)
 		if e.hooks.Deliver != nil && !e.hooks.Deliver(a) {
 			// Transport refused (feed full, worker detached mid-delivery):
-			// revoke, which uncounts the assignment. The detach path may already
-			// have unassigned and idled, so both cleanups tolerate a no-op.
-			e.tasks.Unassign(b.taskID, taskq.CauseUndeliverable, 0)
-			if p.CurrentTask() == b.taskID {
-				p.MarkIdle()
-			}
+			// revoke, which uncounts the assignment.
+			e.release(b.taskID, p, taskq.CauseUndeliverable, 0)
 		}
 	}
 }

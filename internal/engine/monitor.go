@@ -1,12 +1,4 @@
-// Package dynassign is REACT's Dynamic Assignment Component (§III.A,
-// §IV.B): it watches every executing task and, using only the worker's
-// profile, estimates Eq. 2 — the probability that the execution time lands
-// between the time already elapsed and the time remaining to the deadline.
-// When that probability drops below a threshold (10% in the paper's
-// experiments) the worker has almost certainly delayed or abandoned the
-// task, and the component removes the assignment so the Scheduling
-// Component can find a better match while there is still time.
-package dynassign
+package engine
 
 import (
 	"time"
@@ -14,6 +6,15 @@ import (
 	"react/internal/profile"
 	"react/internal/taskq"
 )
+
+// This file is REACT's Dynamic Assignment Component (§III.A, §IV.B): it
+// watches every executing task and, using only the worker's profile,
+// estimates Eq. 2 — the probability that the execution time lands between
+// the time already elapsed and the time remaining to the deadline. When
+// that probability drops below a threshold (10% in the paper's
+// experiments) the worker has almost certainly delayed or abandoned the
+// task, and TickMonitor removes the assignment so the next round can find
+// a better match while there is still time.
 
 // DefaultThreshold is the reassignment probability bound used in §V.C.
 const DefaultThreshold = 0.10
@@ -41,6 +42,9 @@ type Reason string
 
 // Decision reasons, in the order the monitor checks them.
 const (
+	// ReasonNoWorker marks tasks whose worker left the system entirely;
+	// they are reassigned unless already expired.
+	ReasonNoWorker  Reason = "worker departed"
 	ReasonNoHistory Reason = "insufficient history" // training phase, model inactive
 	ReasonExpired   Reason = "deadline expired"     // no worker can do better now
 	ReasonHealthy   Reason = "probability above threshold"
@@ -86,14 +90,8 @@ func (m Monitor) Evaluate(p *profile.Profile, rec taskq.Record, now time.Time) D
 	return d
 }
 
-// WorkerDirectory is the worker-lookup surface the sweep needs; satisfied
-// by *profile.Registry.
-type WorkerDirectory interface {
-	Get(id string) (*profile.Profile, bool)
-}
-
 // AssignedSource is the executing-task snapshot the sweep walks; satisfied
-// by *taskq.Manager and the engine's sharded task store.
+// by the engine's TaskStore and a bare *taskq.Manager.
 type AssignedSource interface {
 	AssignedTasks() []taskq.Record
 }
@@ -101,7 +99,7 @@ type AssignedSource interface {
 // Sweep evaluates every currently assigned task. Workers missing from the
 // registry (departed mid-task) are reported for reassignment with
 // ReasonNoWorker.
-func (m Monitor) Sweep(reg WorkerDirectory, tm AssignedSource, now time.Time) []Decision {
+func (m Monitor) Sweep(reg *profile.Registry, tm AssignedSource, now time.Time) []Decision {
 	m = m.Normalize()
 	records := tm.AssignedTasks()
 	out := make([]Decision, 0, len(records))
@@ -120,7 +118,3 @@ func (m Monitor) Sweep(reg WorkerDirectory, tm AssignedSource, now time.Time) []
 	}
 	return out
 }
-
-// ReasonNoWorker marks tasks whose worker left the system entirely; they
-// are reassigned unless already expired.
-const ReasonNoWorker Reason = "worker departed"

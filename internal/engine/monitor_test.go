@@ -1,4 +1,4 @@
-package dynassign
+package engine
 
 import (
 	"testing"
@@ -35,7 +35,7 @@ func assignedRecord(taskID, worker string, assignedAt time.Time, deadline time.D
 	}
 }
 
-func TestNormalizeDefaults(t *testing.T) {
+func TestMonitorNormalizeDefaults(t *testing.T) {
 	m := Monitor{}.Normalize()
 	if m.Threshold != DefaultThreshold || m.MinHistory != profile.DefaultMinHistory {
 		t.Fatalf("defaults = %+v", m)
@@ -116,7 +116,7 @@ func TestCustomThreshold(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
+func TestMonitorSweep(t *testing.T) {
 	clk := clock.NewVirtual(clock.Epoch)
 	tm := taskq.NewManager(clk)
 	reg := profile.NewRegistry()
@@ -177,7 +177,7 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-func TestSweepGhostExpired(t *testing.T) {
+func TestMonitorSweepGhostExpired(t *testing.T) {
 	clk := clock.NewVirtual(clock.Epoch)
 	tm := taskq.NewManager(clk)
 	reg := profile.NewRegistry()

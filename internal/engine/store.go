@@ -81,10 +81,13 @@ func (s *TaskStore) Complete(taskID string) (taskq.Record, error) {
 // MarkGraded records that the requester's feedback has been consumed.
 func (s *TaskStore) MarkGraded(taskID string) error { return s.shard(taskID).MarkGraded(taskID) }
 
-// Shed terminates an unassigned task on admission control's orders (see
-// taskq.Manager.Shed), returning the final record.
-func (s *TaskStore) Shed(taskID string) (taskq.Record, error) {
-	return s.shard(taskID).Shed(taskID)
+// Shed terminates an unassigned task on admission control's orders: the
+// record lands as Expired but the spine event carries taskq.CauseShed, so
+// the ledger counts it under both (see taskq.Manager.Shed). With
+// Unassigned it makes the store the admission.Pool the shedder works on.
+func (s *TaskStore) Shed(taskID string) error {
+	_, err := s.shard(taskID).Shed(taskID)
+	return err
 }
 
 // Unassigned snapshots the tasks waiting for a worker, oldest submission

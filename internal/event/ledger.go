@@ -52,10 +52,11 @@ var LossKinds = [...]LossKind{LossQueued, LossAbandoned, LossRescueLate, LossRes
 
 // Ledger folds the lifecycle event stream into counters and load gauges.
 // Observe is the only code in the tree that decides which event moves
-// which counter: the live engine, journal replay and the admission plane
-// each feed a Ledger and read it back, so a replayed log counts exactly
-// what the live run counted. The zero value is ready. Every method is
-// atomics only — Observe runs as a bus tap, under the task's shard lock.
+// which counter: the live engine and journal replay each feed a Ledger and
+// read it back, so a replayed log counts exactly what the live run
+// counted, and the admission gates read the engine's. The zero value is
+// ready. Every method is atomics only — Observe runs as a bus tap, under
+// the task's shard lock.
 type Ledger struct {
 	received, assigned, completed, onTime, expired, shed, reassigned atomic.Int64
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"react/internal/crowd"
-	"react/internal/dynassign"
 	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/metrics"
@@ -214,7 +213,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		Clock:    eng.Clock(),
 		Matcher:  cfg.Technique.Matcher,
 		Schedule: cfg.Technique.ScheduleConfig(cfg.BatchBound, cfg.BatchPeriod),
-		Monitor:  dynassign.Monitor{Threshold: cfg.MonitorThreshold},
+		Monitor:  engine.Monitor{Threshold: cfg.MonitorThreshold},
 		Shards:   1,
 		Latency:  cfg.Technique.Cost,
 		Defer: func(d time.Duration, fn func(now time.Time)) {

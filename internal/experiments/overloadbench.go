@@ -141,15 +141,9 @@ type completion struct {
 	worker string
 }
 
-// overloadPool adapts the engine to the shedder's Pool seam.
-type overloadPool struct{ eng *engine.Engine }
-
-func (p overloadPool) Unassigned() []taskq.Task { return p.eng.Tasks().Unassigned() }
-func (p overloadPool) Shed(taskID string) error { return p.eng.Shed(taskID) }
-
 // runOverloadArm simulates one arm: open-loop arrivals at rate per
 // second against a fresh fleet, workers serving power-law execution
-// times, with an optional admission plane in front of Submit. The
+// times, with the engine's admission plane on when acfg is set. The
 // matcher is the paper's "traditional" uniform pairing (§V.C) with edge
 // pruning off — the point of the experiment is what the admission plane
 // does for a scheduler that is itself deadline-blind.
@@ -167,7 +161,7 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 			BatchPeriod: time.Second,
 		},
 		Shards:    1,
-		Retention: time.Minute,
+		Admission: acfg,
 	}, engine.Hooks{
 		Deliver: func(a engine.Assignment) bool {
 			delivered = append(delivered, a)
@@ -180,16 +174,7 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		}
 	}
 
-	var ctl *admission.Controller
-	if acfg != nil {
-		a := *acfg
-		a.Clock = clk
-		a.Workers = func() int { return cfg.Workers }
-		ctl = admission.New(a)
-		eng.Events().Tap(ctl.Tap)
-	}
-
-	res := OverloadArmResult{Name: name, Admission: ctl != nil}
+	res := OverloadArmResult{Name: name, Admission: acfg != nil}
 	var pending []completion
 	const dt = 50 * time.Millisecond
 	ticks := int(cfg.Duration / dt)
@@ -219,19 +204,17 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 				Reward:   1,
 			}
 			res.Offered++
-			if ctl != nil {
-				if d := ctl.Decide("load", t); !d.Admitted() {
-					continue
-				}
+			d, err := eng.SubmitFrom("load", t)
+			if !d.Admitted() {
+				continue
 			}
-			if err := eng.Submit(t); err != nil {
+			if err != nil {
 				return OverloadArmResult{}, err
 			}
 			res.Submitted++
 		}
 
-		eng.TickExpiry()
-		eng.TryBatch()
+		eng.Tick()
 		for _, a := range delivered {
 			c := completion{at: now.Add(execTimeFor(a.TaskID)), taskID: a.TaskID, worker: a.WorkerID}
 			at := sort.Search(len(pending), func(j int) bool {
@@ -245,16 +228,13 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 			pending[at] = c
 		}
 		delivered = delivered[:0]
-		if ctl != nil {
-			ctl.TickShed(overloadPool{eng})
-		}
 	}
 
 	st := eng.Stats()
 	res.Completed = st.Completed
 	res.OnTime = st.OnTime
 	res.Expired = st.Expired
-	if ctl != nil {
+	if ctl := eng.Admission(); ctl != nil {
 		_, res.RejectedProbability, res.RejectedRate, res.Shed = ctl.Counters()
 	}
 	res.GoodputPerSec = float64(st.OnTime) / cfg.Duration.Seconds()

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"sort"
 	"testing"
 )
@@ -114,4 +116,25 @@ func taskID(i int) string {
 		byte('0' + i/1000000%10), byte('0' + i/100000%10), byte('0' + i/10000%10),
 		byte('0' + i/1000%10), byte('0' + i/100%10), byte('0' + i/10%10), byte('0' + i%10),
 	})
+}
+
+// TestOverloadBenchMatchesGolden pins the default run byte for byte to the
+// result recorded before the admission wiring moved into the engine: the
+// proof that moving the wiring moved no decision.
+func TestOverloadBenchMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_overloadbench.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunOverloadBench(OverloadBenchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("overload bench diverged from testdata/golden_overloadbench.json:\n got %s\nwant %s", got, want)
+	}
 }

@@ -149,19 +149,6 @@ func (p *Proxy) SetDelay(d time.Duration) {
 	p.delay = d
 }
 
-// SetDropRate changes the per-chunk reset probability (clamped to [0,1]).
-func (p *Proxy) SetDropRate(r float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r < 0 {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	p.dropRate = r
-}
-
 // SetTarget points future connections at a new backend — the proxy-side
 // half of a server restart. Existing links keep their old backend until
 // they die (usually because the old server closed them).

@@ -40,11 +40,10 @@ type ClockTaint struct {
 func NewClockTaint() *ClockTaint {
 	return &ClockTaint{
 		SinkPrefixes: []string{
-			"internal/engine", "internal/schedule", "internal/dynassign",
-			"internal/taskq", "internal/sim", "internal/experiments",
-			"internal/matching", "internal/core", "internal/federation",
-			"internal/loadgen", "internal/profile", "internal/crowd",
-			"internal/workload",
+			"internal/engine", "internal/schedule", "internal/taskq",
+			"internal/sim", "internal/experiments", "internal/matching",
+			"internal/core", "internal/federation", "internal/loadgen",
+			"internal/profile", "internal/crowd", "internal/workload",
 		},
 		AllowPrefixes:       []string{"examples"},
 		SourceAllowPrefixes: []string{"internal/clock"},

@@ -6,7 +6,7 @@ import (
 
 	"react/internal/admission"
 	"react/internal/core"
-	"react/internal/dynassign"
+	"react/internal/engine"
 	"react/internal/faultnet"
 	"react/internal/schedule"
 	"react/internal/wire"
@@ -22,7 +22,7 @@ func startServer(t *testing.T, adm *admission.Config) *wire.Server {
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
-		Monitor:       dynassign.Monitor{Threshold: 0.1},
+		Monitor:       engine.Monitor{Threshold: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 
 	"react/internal/clock"
 	"react/internal/core"
-	"react/internal/dynassign"
+	"react/internal/engine"
 	"react/internal/loadgen"
 	"react/internal/metrics"
 	"react/internal/schedule"
@@ -29,7 +29,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
-		Monitor:       dynassign.Monitor{Threshold: 0.1},
+		Monitor:       engine.Monitor{Threshold: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,18 +72,6 @@ func (r Rect) Center() Point {
 	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
 }
 
-// Quadrants splits r into four equal sub-rectangles (NW, NE, SW, SE order is
-// row-major from the min corner). Together they tile r exactly.
-func (r Rect) Quadrants() [4]Rect {
-	c := r.Center()
-	return [4]Rect{
-		{r.MinLat, r.MinLon, c.Lat, c.Lon},
-		{r.MinLat, c.Lon, c.Lat, r.MaxLon},
-		{c.Lat, r.MinLon, r.MaxLat, c.Lon},
-		{c.Lat, c.Lon, r.MaxLat, r.MaxLon},
-	}
-}
-
 // RandomPoint draws a uniform point inside r.
 func (r Rect) RandomPoint(rng *rand.Rand) Point {
 	return Point{

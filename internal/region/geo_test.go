@@ -89,37 +89,6 @@ func TestRectContainsHalfOpen(t *testing.T) {
 	}
 }
 
-func TestQuadrantsTileExactly(t *testing.T) {
-	r := athens
-	quads := r.Quadrants()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		p := r.RandomPoint(rng)
-		hits := 0
-		for _, q := range quads {
-			if q.Contains(p) {
-				hits++
-			}
-		}
-		// A point on an internal boundary belongs to exactly one quadrant
-		// thanks to the half-open convention.
-		if hits != 1 {
-			t.Fatalf("point %v in %d quadrants", p, hits)
-		}
-	}
-	// The shared center belongs to exactly the SE quadrant.
-	c := r.Center()
-	hits := 0
-	for _, q := range quads {
-		if q.Contains(c) {
-			hits++
-		}
-	}
-	if hits != 1 {
-		t.Fatalf("center in %d quadrants, want 1", hits)
-	}
-}
-
 func TestRandomPointStaysInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5000; i++ {

@@ -233,7 +233,7 @@ func toAssignmentPayload(a core.Assignment, now time.Time) *AssignmentPayload {
 		Description: a.Description,
 		Lat:         a.Location.Lat,
 		Lon:         a.Location.Lon,
-		DeadlineMS:  int64(time.Until(a.Deadline) / time.Millisecond),
+		DeadlineMS:  int64(a.Deadline.Sub(now) / time.Millisecond),
 		Reward:      a.Reward,
 	}
 }

@@ -552,3 +552,25 @@ func TestCallTimerSurvivesReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignmentPayloadDeadlineFromNow pins that the pushed deadline is
+// measured from the instant the caller passes, not from the wall clock.
+func TestAssignmentPayloadDeadlineFromNow(t *testing.T) {
+	at := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC) // far from any wall clock
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration // after at
+		want     int64
+	}{
+		{"ahead", 90 * time.Second, 90000},
+		{"sub-millisecond truncates", 1500 * time.Microsecond, 1},
+		{"already past", -2 * time.Second, -2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := toAssignmentPayload(core.Assignment{TaskID: "t", Deadline: at.Add(tc.deadline)}, at)
+			if p.DeadlineMS != tc.want {
+				t.Fatalf("DeadlineMS = %d, want %d", p.DeadlineMS, tc.want)
+			}
+		})
+	}
+}
