@@ -52,10 +52,11 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Fault-injection suite: drives the wire layer through resets, delays,
-# partitions, idle-deadline expiry, and a full server restart (via
-# internal/faultnet) under the race detector, plus the resilient load
-# run. `reactload -chaos` is the same scenario as a live command.
+# Fault-injection suite under the race detector, via internal/faultnet:
+# the wire layer through delays and idle-deadline expiry, and loadgen's
+# resilient sessions through connection resets and a full server restart
+# recovered from its journal. `reactload -chaos` is the restart scenario
+# as a live command.
 chaos:
 	$(GO) test -race -run 'Chaos|Proxy|Resilient' ./internal/wire ./internal/faultnet ./internal/loadgen
 

@@ -136,7 +136,7 @@ func setupChaos(cfg *loadgen.Config) (func(), error) {
 		os.RemoveAll(dataDir)
 		return nil, err
 	}
-	proxy, err := faultnet.New(faultnet.Config{Target: srv.Addr(), Seed: cfg.Seed})
+	proxy, err := faultnet.New(faultnet.Config{Target: srv.Addr()})
 	if err != nil {
 		srv.Close()
 		os.RemoveAll(dataDir)

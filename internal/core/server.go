@@ -394,13 +394,14 @@ func (s *Server) Stats() Stats {
 // deliver is the engine's transport hook: push the assignment onto the
 // worker's feed without blocking. A missing feed (nil: never ready) or a
 // full one refuses the delivery, which makes the engine revoke the binding
-// rather than let the task rot in a channel.
+// rather than let the task rot in a channel. The send happens under mu,
+// which dropFeed holds to close the feed: a detach racing a round must not
+// turn this send into one on a closed channel.
 func (s *Server) deliver(a Assignment) bool {
 	s.mu.Lock()
-	feed := s.feeds[a.WorkerID]
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	select {
-	case feed <- a:
+	case s.feeds[a.WorkerID] <- a:
 		return true
 	default:
 		return false

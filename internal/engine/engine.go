@@ -316,16 +316,14 @@ func (e *Engine) DeregisterWorker(id string) error {
 // time feeds the worker's power-law model immediately; the accuracy update
 // waits for requester Feedback. The final task record is returned alongside
 // the requester-facing result for callers that need the full bookkeeping
-// (attempts, timings).
+// (attempts, timings). The holder is checked under the shard lock that
+// finishes the task, so a revoked worker's late answer fails with
+// ErrNotAssigned even if the task was rebound in the meantime.
 func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record, error) {
-	rec, ok := e.tasks.Get(taskID)
-	if !ok {
-		return Result{}, taskq.Record{}, fmt.Errorf("%w: %q", taskq.ErrUnknownTask, taskID)
+	final, err := e.tasks.shard(taskID).Complete(taskID, workerID)
+	if errors.Is(err, taskq.ErrBadState) {
+		return Result{}, taskq.Record{}, fmt.Errorf("%w: %v", ErrNotAssigned, err)
 	}
-	if rec.Status != taskq.Assigned || rec.Worker != workerID {
-		return Result{}, taskq.Record{}, fmt.Errorf("%w: task %q held by %q", ErrNotAssigned, taskID, rec.Worker)
-	}
-	final, err := e.tasks.Complete(taskID)
 	if err != nil {
 		return Result{}, taskq.Record{}, err
 	}

@@ -235,6 +235,49 @@ func TestCompleteLifecycle(t *testing.T) {
 	}
 }
 
+// TestLateCompleteAfterRebind: the Eq. 2 monitor revokes A's task and a
+// round rebinds it to B. A's late answer must not finish B's binding —
+// which would credit B's exec time to A and leave B busy on a terminal
+// task — while B's own answer completes normally and frees B.
+func TestLateCompleteAfterRebind(t *testing.T) {
+	h := newHarness(t, Hooks{}, 1)
+	mustAttach(t, h.eng, "A")
+	mustSubmit(t, h.eng, testTask("t1", h.clk))
+	h.eng.TryBatch()
+	h.flush()
+	a, _ := h.eng.Workers().Get("A")
+	if a.CurrentTask() != "t1" {
+		t.Fatalf("A holds %q, want t1", a.CurrentTask())
+	}
+	h.eng.release("t1", a, taskq.CauseEq2, 0.05)
+	a.SetAvailable(false) // keep the next round from handing t1 straight back
+	mustAttach(t, h.eng, "B")
+	h.clk.Advance(2 * time.Second)
+	h.eng.TryBatch()
+	h.flush()
+	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
+		t.Fatalf("after rebind: %+v, want assigned to B", rec)
+	}
+
+	if _, _, err := h.eng.Complete("t1", "A", "late"); !errors.Is(err, ErrNotAssigned) {
+		t.Fatalf("late complete by A: err = %v, want ErrNotAssigned", err)
+	}
+	b, _ := h.eng.Workers().Get("B")
+	if b.CurrentTask() != "t1" {
+		t.Fatalf("B holds %q after A's refused complete, want t1", b.CurrentTask())
+	}
+	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
+		t.Fatalf("A's refused complete moved the record: %+v", rec)
+	}
+	res, _, err := h.eng.Complete("t1", "B", "answer")
+	if err != nil || res.WorkerID != "B" {
+		t.Fatalf("Complete by B = %+v, %v", res, err)
+	}
+	if cur := b.CurrentTask(); cur != "" {
+		t.Fatalf("B still busy on %q after completing", cur)
+	}
+}
+
 // TestFeedbackNoWorker covers the satellite fix: feedback for a task nobody
 // can be credited for must be rejected, not silently swallowed.
 func TestFeedbackNoWorker(t *testing.T) {

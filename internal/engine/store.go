@@ -73,9 +73,10 @@ func (s *TaskStore) Unassign(taskID, cause string, prob float64) error {
 	return s.shard(taskID).Unassign(taskID, cause, prob)
 }
 
-// Complete finishes an assigned task and returns the final record.
+// Complete finishes an assigned task, whoever holds it, and returns the
+// final record.
 func (s *TaskStore) Complete(taskID string) (taskq.Record, error) {
-	return s.shard(taskID).Complete(taskID)
+	return s.shard(taskID).Complete(taskID, "")
 }
 
 // MarkGraded records that the requester's feedback has been consumed.

@@ -32,7 +32,7 @@ func TestLedgerAttributesMisses(t *testing.T) {
 	}
 	complete := func(r run, after time.Duration) {
 		r.clk.Advance(after)
-		if _, err := r.m.Complete("t"); err != nil {
+		if _, err := r.m.Complete("t", ""); err != nil {
 			t.Fatal(err)
 		}
 	}

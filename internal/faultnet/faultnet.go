@@ -1,30 +1,24 @@
 // Package faultnet is a fault-injecting TCP proxy for exercising the wire
 // layer's resilience machinery. It sits between REACT clients and a region
-// server and, on command or by seeded chance, delays traffic, hard-resets
-// connections (RST, not FIN — the peer sees an error, not a clean close),
-// blackholes a partition, or retargets to a different backend after a
-// server restart. The chaos tests in internal/wire and the `reactload
-// -chaos` harness drive their failure scenarios through it; production
-// code never imports this package.
+// server and, on command, delays traffic, hard-resets connections (RST,
+// not FIN — the peer sees an error, not a clean close), or retargets to a
+// different backend after a server restart. The chaos tests in
+// internal/wire and internal/loadgen and the `reactload -chaos` harness
+// drive their failure scenarios through it; production code never imports
+// this package.
 //
-// All randomness is seeded and all waiting goes through an injected
-// clock.Sleeper, so a chaos run's fault schedule is reproducible.
+// Faults fire only when a test calls for them, and all waiting goes
+// through an injected clock.Sleeper.
 package faultnet
 
 import (
 	"errors"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"react/internal/clock"
 )
-
-// partitionPoll is how often an in-flight transfer re-checks whether a
-// partition has been healed (or imposed). Coarse is fine: partitions in
-// chaos tests last tens to hundreds of milliseconds.
-const partitionPoll = 2 * time.Millisecond
 
 // Config parameterizes a Proxy. Target is required; everything else has a
 // usable zero value.
@@ -40,23 +34,16 @@ type Config struct {
 	// Delay is added to every chunk in both directions.
 	Delay time.Duration
 
-	// DropRate in [0,1] is the per-chunk probability of hard-resetting
-	// the connection instead of forwarding.
-	DropRate float64
-
-	// Seed drives the drop-rate dice.
-	Seed int64
-
-	// Clock is the timebase for delays and partition polling (default
-	// the system clock; tests may slow or virtualize it).
+	// Clock is the timebase for delays (default the system clock; tests
+	// may slow or virtualize it).
 	Clock clock.Sleeper
 }
 
 // Stats are the proxy's lifetime counters.
 type Stats struct {
 	Accepted int64 // connections accepted and linked to the target
-	Refused  int64 // connections rejected (partitioned, or target down)
-	Resets   int64 // connections hard-reset by fault injection
+	Refused  int64 // connections rejected (target down, or proxy closing)
+	Resets   int64 // connections hard-reset by ResetAll
 	BytesUp  int64 // client→server bytes forwarded
 	BytesDn  int64 // server→client bytes forwarded
 }
@@ -66,15 +53,12 @@ type Proxy struct {
 	ln  net.Listener
 	clk clock.Sleeper
 
-	mu          sync.Mutex
-	target      string
-	delay       time.Duration
-	dropRate    float64
-	rng         *rand.Rand
-	partitioned bool
-	links       map[*link]struct{}
-	stats       Stats
-	closed      bool
+	mu     sync.Mutex
+	target string
+	delay  time.Duration
+	links  map[*link]struct{}
+	stats  Stats
+	closed bool
 
 	wg sync.WaitGroup
 }
@@ -125,13 +109,11 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		ln:       ln,
-		clk:      cfg.Clock,
-		target:   cfg.Target,
-		delay:    cfg.Delay,
-		dropRate: cfg.DropRate,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		links:    make(map[*link]struct{}),
+		ln:     ln,
+		clk:    cfg.Clock,
+		target: cfg.Target,
+		delay:  cfg.Delay,
+		links:  make(map[*link]struct{}),
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -156,16 +138,6 @@ func (p *Proxy) SetTarget(addr string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.target = addr
-}
-
-// Partition blackholes the proxy: existing links stall mid-transfer (no
-// FIN, no RST — bytes just stop, exactly what a routing failure looks
-// like) and new connections are refused. Healing the partition releases
-// stalled transfers; connections refused meanwhile must redial.
-func (p *Proxy) Partition(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.partitioned = on
 }
 
 // ResetAll hard-resets every live link and reports how many were cut.
@@ -220,10 +192,9 @@ func (p *Proxy) acceptLoop() {
 			return // listener closed
 		}
 		p.mu.Lock()
-		refuse := p.partitioned || p.closed
-		target := p.target
+		closed, target := p.closed, p.target
 		p.mu.Unlock()
-		if refuse {
+		if closed {
 			p.refuse(c)
 			continue
 		}
@@ -263,34 +234,19 @@ func (p *Proxy) dropLink(l *link) {
 	delete(p.links, l)
 }
 
-// faults samples the current fault settings for one chunk: the delay to
-// impose, whether the chunk triggers a reset, and whether a partition is
-// in force.
-func (p *Proxy) faults() (delay time.Duration, reset, partitioned bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dropRate > 0 && p.rng.Float64() < p.dropRate {
-		p.stats.Resets++
-		reset = true
-	}
-	return p.delay, reset, p.partitioned
-}
-
-func (p *Proxy) partitionedNow() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.partitioned
-}
-
-func (p *Proxy) countBytes(counter *int64, n int) {
+// take counts a chunk of n bytes about to be forwarded — before the
+// write, so a reply the peer has already read is never missing from Stats
+// — and returns the delay to impose on it.
+func (p *Proxy) take(counter *int64, n int) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	*counter += int64(n)
+	return p.delay
 }
 
-// pipe forwards src→dst chunk by chunk, applying the proxy's fault policy
-// to each chunk. It owns one direction of one link; either direction
-// dying tears down the whole link.
+// pipe forwards src→dst chunk by chunk, delaying each by the current
+// setting. It owns one direction of one link; either direction dying
+// tears down the whole link.
 func (p *Proxy) pipe(l *link, src, dst net.Conn, counter *int64) {
 	defer p.wg.Done()
 	defer p.dropLink(l)
@@ -299,23 +255,12 @@ func (p *Proxy) pipe(l *link, src, dst net.Conn, counter *int64) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			delay, reset, _ := p.faults()
-			if reset {
-				l.reset()
-				return
-			}
-			if delay > 0 {
+			if delay := p.take(counter, n); delay > 0 {
 				p.clk.Sleep(delay)
-			}
-			// A partition stalls the transfer without closing anything:
-			// poll until it heals or the link is torn down under us.
-			for p.partitionedNow() {
-				p.clk.Sleep(partitionPoll)
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			p.countBytes(counter, n)
 		}
 		if err != nil {
 			return

@@ -15,10 +15,16 @@
 // loop — so the same run drives a plain server at the stable rate and a
 // `reactd -admission` at ten times it.
 //
-// With Resilient set, every connection is a wire.ReconnectingClient and the
-// requester reconciles outstanding tasks through the task-status query, so
-// a run survives injected connection faults and even a server restart —
-// the harness behind `reactload -chaos`.
+// Every connection is a session: one loop per worker and one for the
+// requester's result feed, the same loop in both modes. A plain run ends
+// at its first dial, register or submit transport error. With Resilient
+// set, a session whose connection drops redials and sets itself up again
+// — a worker re-registers, and the server re-attaches the id with its
+// learned history; the requester re-watches — and the requester
+// reconciles outstanding tasks through the task-status query, so a run
+// survives injected connection faults and even a server restart: the
+// harness behind `reactload -chaos`. This loop is the in-tree
+// implementation of docs/PROTOCOL.md's reconnect handshake.
 package loadgen
 
 import (
@@ -35,6 +41,18 @@ import (
 	"react/internal/workload"
 )
 
+// A resilient session redials with exponential backoff from redialBase to
+// redialMax under ±50 % seeded jitter, so a crowd dropped by one fault
+// does not redial in phase, and gives up after maxOutage without one.
+const (
+	redialBase = 20 * time.Millisecond
+	redialMax  = time.Second
+	maxOutage  = 30 * time.Second
+)
+
+// errStopped ends a session that would redial after its run finished.
+var errStopped = errors.New("loadgen: run stopped")
+
 // Config parameterizes one load run. Zero fields take defaults.
 type Config struct {
 	Addr     string  // region server address (required)
@@ -45,12 +63,12 @@ type Config struct {
 	Compress float64 // time compression factor (default 100)
 	Logf     func(format string, args ...any)
 
-	// Resilient switches every connection to a wire.ReconnectingClient
-	// and turns on requester-side reconciliation: results whose push was
-	// lost to an outage are recovered via the task-status query, and
-	// tasks the server never saw (submission cut mid-flight, or a restart
-	// wiped the queue) are resubmitted. A resilient run is the way to
-	// drive a server that is being deliberately broken underneath it.
+	// Resilient makes every session redial when its connection drops and
+	// turns on requester-side reconciliation: results whose push was lost
+	// to an outage are recovered via the task-status query, and tasks the
+	// server never saw (submission cut mid-flight, or a restart wiped the
+	// queue) are resubmitted. A resilient run is the way to drive a server
+	// that is being deliberately broken underneath it.
 	Resilient bool
 
 	// OnSubmit, if set, is called after each successful submission with
@@ -58,9 +76,9 @@ type Config struct {
 	// faults at chosen points in the run.
 	OnSubmit func(n int)
 
-	// Clock is the timebase for pacing, deadlines, and the wall-time
-	// report (default clock.System{}). Injectable so the generator obeys
-	// the same clock discipline as the rest of the module.
+	// Clock is the timebase for pacing, deadlines, redial backoff and the
+	// wall-time report (default clock.System{}). Injectable so the
+	// generator obeys the same clock discipline as the rest of the module.
 	Clock clock.Sleeper
 }
 
@@ -114,49 +132,6 @@ type Report struct {
 	Mismatched  int64 // responses that matched no request — MUST be 0
 }
 
-// client is the connection surface the generator drives, satisfied by both
-// *wire.Client and *wire.ReconnectingClient.
-type client interface {
-	Register(workerID string, lat, lon float64) error
-	Assignments() <-chan wire.AssignmentPayload
-	Complete(taskID, workerID, answer string) error
-	Watch() error
-	Results() <-chan wire.ResultPayload
-	Feedback(taskID string, positive bool) error
-	Submit(t wire.TaskPayload) error
-	Stats() (wire.StatsPayload, error)
-	TaskStatus(taskID string) (wire.TaskStatusPayload, error)
-	Metrics() wire.ClientMetrics
-	Close() error
-}
-
-// dial opens one connection in the run's chosen mode. Resilient dials
-// return immediately and connect in the background; the first call blocks
-// until the session is up.
-func (c Config) dial(seed int64) (client, error) {
-	if !c.Resilient {
-		return wire.Dial(c.Addr)
-	}
-	return wire.DialReconnecting(wire.ReconnectConfig{
-		Addr:      c.Addr,
-		Seed:      seed,
-		BaseDelay: 20 * time.Millisecond,
-		MaxDelay:  time.Second,
-		MaxOutage: 30 * time.Second,
-		Logf:      c.Logf,
-	})
-}
-
-// gather folds one connection's wire metrics into the report.
-func gather(rep *Report, c client) {
-	m := c.Metrics()
-	rep.Stale += m.StaleResponses
-	rep.Mismatched += m.MismatchedResponses
-	if rc, ok := c.(*wire.ReconnectingClient); ok {
-		rep.Reconnects += rc.Reconnects()
-	}
-}
-
 // countRejection files a submit error under the admission gate that
 // produced it; false means the error is not an admission verdict.
 func (r *Report) countRejection(err error) bool {
@@ -177,100 +152,80 @@ func (r *Report) countRejection(err error) bool {
 	return true
 }
 
-// Run executes the load: Workers worker connections with crowd behaviours,
+// run is one Run's shared state. The submitting goroutine owns rep's
+// submission counters; mu guards everything the sessions touch.
+type run struct {
+	cfg Config
+	wg  sync.WaitGroup // one per session loop
+
+	mu          sync.Mutex
+	rep         Report
+	outstanding map[string]wire.TaskPayload // submitted, no terminal state seen yet
+	req         *wire.Client                // the requester's current session
+	live        map[*wire.Client]bool       // open sessions, closed by stop
+	stopped     bool
+}
+
+// Run executes the load: Workers worker sessions with crowd behaviours,
 // one watching requester, Tasks submissions at the configured rate.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.normalize()
 	start := cfg.Clock.Now()
+	r := &run{
+		cfg:         cfg,
+		outstanding: make(map[string]wire.TaskPayload, cfg.Tasks),
+		live:        make(map[*wire.Client]bool),
+	}
+	defer r.stop()
 
-	// Crowd connections, spread uniformly over the same area the task
+	// Crowd sessions, spread uniformly over the same area the task
 	// generator uses so multi-region backends see workers in every cell.
 	gen := workload.Generator{Prefix: fmt.Sprintf("load-%d", cfg.Seed)}.Normalize()
 	locRng := rand.New(rand.NewSource(cfg.Seed ^ 0x10c))
 	behaviors := crowd.NewPopulation(cfg.Workers, rand.New(rand.NewSource(cfg.Seed)))
-	var wg sync.WaitGroup
-	workers := make([]client, 0, cfg.Workers)
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
 	for i, b := range behaviors {
-		cl, err := cfg.dial(cfg.Seed ^ int64(i+1)<<20)
-		if err != nil {
-			return Report{}, fmt.Errorf("loadgen: worker dial: %w", err)
-		}
-		workers = append(workers, cl)
 		id := fmt.Sprintf("load-w%03d", i)
 		loc := gen.Area.RandomPoint(locRng)
-		if err := cl.Register(id, loc.Lat, loc.Lon); err != nil {
-			return Report{}, fmt.Errorf("loadgen: register %s: %w", id, err)
+		register := func(cl *wire.Client) error { return cl.Register(id, loc.Lat, loc.Lon) }
+		jitter := rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)<<20))
+		cl, err := r.connect(jitter, register)
+		if err != nil {
+			return Report{}, fmt.Errorf("loadgen: worker %s: %w", id, err)
 		}
-		wg.Add(1)
-		go func(id string, cl client, b crowd.Behavior, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i*2654435761)))
+		r.wg.Add(1)
+		go r.session(cl, jitter, register, func(cl *wire.Client) {
 			for a := range cl.Assignments() {
-				exec := time.Duration(float64(b.ExecTime(rng)) / cfg.Compress)
-				cfg.Clock.Sleep(exec)
+				cfg.Clock.Sleep(time.Duration(float64(b.ExecTime(rng)) / cfg.Compress))
 				// Reassigned tasks fail Complete; that is expected traffic.
+				// One lost with its connection is the server's to recover:
+				// the detach returns the task to the pool.
 				cl.Complete(a.TaskID, id, "synthetic answer")
 			}
-		}(id, cl, b, cfg.Seed^int64(i*2654435761))
+		})
 	}
 
-	// Requester connection: watch results, grade them.
-	req, err := cfg.dial(cfg.Seed ^ 0x5e90)
+	// Requester session: watch results, grade them.
+	watch := func(cl *wire.Client) error {
+		if err := cl.Watch(); err != nil {
+			return err
+		}
+		r.mu.Lock()
+		r.req = cl
+		r.mu.Unlock()
+		return nil
+	}
+	jitter := rand.New(rand.NewSource(cfg.Seed ^ 0x5e90))
+	req, err := r.connect(jitter, watch)
 	if err != nil {
-		return Report{}, fmt.Errorf("loadgen: requester dial: %w", err)
+		return Report{}, fmt.Errorf("loadgen: requester: %w", err)
 	}
-	defer req.Close()
-	if err := req.Watch(); err != nil {
-		return Report{}, err
-	}
-
-	var rep Report
-	var mu sync.Mutex
-	// outstanding tracks every submitted task until a terminal state is
-	// observed — by result push, or (resilient runs) by status query.
-	outstanding := make(map[string]wire.TaskPayload, cfg.Tasks)
-	// settle records one terminal observation; idempotent per task so a
-	// push racing a reconciling status query cannot double-count.
-	settle := func(taskID string, expired, metDeadline bool, reconciled bool) {
-		mu.Lock()
-		if _, open := outstanding[taskID]; !open {
-			mu.Unlock()
-			return
+	r.wg.Add(1)
+	go r.session(req, jitter, watch, func(cl *wire.Client) {
+		for res := range cl.Results() {
+			r.settle(res.TaskID, res.Expired, res.MetDeadline, false)
 		}
-		delete(outstanding, taskID)
-		rep.Results++
-		switch {
-		case expired:
-			rep.Expired++
-		case metDeadline:
-			rep.OnTime++
-		default:
-			rep.Late++
-		}
-		if reconciled {
-			rep.Reconciled++
-		}
-		mu.Unlock()
-		if !expired {
-			if err := req.Feedback(taskID, metDeadline); err == nil && metDeadline {
-				mu.Lock()
-				rep.Positive++
-				mu.Unlock()
-			}
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range req.Results() {
-			settle(r.TaskID, r.Expired, r.MetDeadline, false)
-		}
-	}()
+	})
 
 	// Submission loop: compressed constant-rate stream with the §V.C
 	// deadline band.
@@ -288,88 +243,217 @@ func Run(cfg Config) (Report, error) {
 			Category:    task.Category,
 			Description: task.Description,
 		}
-		mu.Lock()
-		outstanding[payload.ID] = payload
-		mu.Unlock()
-		switch err := req.Submit(payload); {
+		r.mu.Lock()
+		r.outstanding[payload.ID] = payload
+		r.mu.Unlock()
+		switch err := r.requester().Submit(payload); {
 		case err == nil:
-		case rep.countRejection(err):
+		case r.rep.countRejection(err):
 			// Turned away at the door: counted and left behind — retrying
 			// would close the loop.
-			mu.Lock()
-			delete(outstanding, payload.ID)
-			mu.Unlock()
+			r.mu.Lock()
+			delete(r.outstanding, payload.ID)
+			r.mu.Unlock()
 			cfg.Clock.Sleep(gap)
 			continue
 		case !cfg.Resilient:
-			return rep, fmt.Errorf("loadgen: submit: %w", err)
+			return Report{}, fmt.Errorf("loadgen: submit: %w", err)
 		default:
 			// Ambiguous failure (timeout, conn cut mid-send): the server
 			// may or may not have the task. Leave it outstanding — the
 			// reconcile pass resubmits if the server reports "unknown".
 			cfg.Logf("loadgen: submit %s unconfirmed: %v", payload.ID, err)
 		}
-		rep.Submitted++
+		r.rep.Submitted++
 		if cfg.OnSubmit != nil {
-			cfg.OnSubmit(rep.Submitted)
+			cfg.OnSubmit(r.rep.Submitted)
 		}
 		cfg.Clock.Sleep(gap)
 	}
-	cfg.Logf("loadgen: submitted %d tasks, draining", rep.Submitted)
+	cfg.Logf("loadgen: submitted %d tasks, draining", r.rep.Submitted)
 
-	// Drain: wait for every submission to terminate (bounded). Resilient
-	// runs get a wider window — recovery from injected faults (backoff,
-	// idle-deadline detection, restart) happens in uncompressed time.
+	// Drain: wait for every submission to terminate (bounded), then read
+	// the server's counters. Resilient runs get a wider window — recovery
+	// from injected faults (backoff, idle-deadline detection, restart)
+	// happens in uncompressed time — and retry the closing stats query on
+	// a fresh session within it.
 	window := time.Duration(float64(3*time.Minute) / cfg.Compress * 2)
 	if cfg.Resilient && window < 15*time.Second {
 		window = 15 * time.Second
 	}
 	deadline := cfg.Clock.Now().Add(window)
-	for cfg.Clock.Now().Before(deadline) {
-		mu.Lock()
-		open := len(outstanding)
-		mu.Unlock()
-		if open == 0 {
-			break
-		}
-		if cfg.Resilient {
-			reconcile(cfg, req, &mu, outstanding, &rep, settle)
+	var stats wire.StatsPayload
+	for {
+		r.mu.Lock()
+		open := len(r.outstanding)
+		r.mu.Unlock()
+		late := !cfg.Clock.Now().Before(deadline)
+		if open == 0 || late {
+			if stats, err = r.requester().Stats(); err == nil || !cfg.Resilient || late {
+				break
+			}
+		} else if cfg.Resilient {
+			r.reconcile()
 		}
 		cfg.Clock.Sleep(10 * time.Millisecond)
 	}
-	stats, err := req.Stats()
-	for _, w := range workers {
-		gather(&rep, w)
-		w.Close()
-	}
-	wg.Wait()
-	// Close the requester feed and wait for the result collector so every
-	// rep field is settled before the final read.
-	gather(&rep, req)
-	req.Close()
-	<-done
+	r.stop()
 	if err == nil {
-		rep.Server = stats
+		r.rep.Server = stats
 	}
-	mu.Lock()
-	rep.Unresolved = len(outstanding)
-	mu.Unlock()
-	rep.Wall = cfg.Clock.Now().Sub(start)
-	return rep, nil
+	r.rep.Unresolved = len(r.outstanding)
+	r.rep.Wall = cfg.Clock.Now().Sub(start)
+	return r.rep, nil
+}
+
+// session is one connection's life for the whole run: drain its feed until
+// the connection drops and add its wire counters to the report, then —
+// resilient runs only — redial and set up again.
+func (r *run) session(cl *wire.Client, jitter *rand.Rand, setup func(*wire.Client) error, drain func(*wire.Client)) {
+	defer r.wg.Done()
+	for {
+		drain(cl)
+		cl.Close()
+		m := cl.Metrics()
+		r.mu.Lock()
+		delete(r.live, cl)
+		r.rep.Stale += m.StaleResponses
+		r.rep.Mismatched += m.MismatchedResponses
+		r.mu.Unlock()
+		if !r.cfg.Resilient {
+			return
+		}
+		var err error
+		if cl, err = r.connect(jitter, setup); err != nil {
+			if !errors.Is(err, errStopped) {
+				r.cfg.Logf("loadgen: session lost: %v", err)
+			}
+			return
+		}
+		r.mu.Lock()
+		r.rep.Reconnects++
+		r.mu.Unlock()
+	}
+}
+
+// connect opens a session: dial, then setup (register or watch). A plain
+// run gets one attempt. A resilient one retries with backoff for up to
+// maxOutage: a restarting server refuses the dial, and one that has not
+// yet noticed the old connection die refuses the register as already
+// connected.
+func (r *run) connect(jitter *rand.Rand, setup func(*wire.Client) error) (*wire.Client, error) {
+	start := r.cfg.Clock.Now()
+	for delay := redialBase; ; delay = min(2*delay, redialMax) {
+		cl, err := r.dial(setup)
+		if err == nil || errors.Is(err, errStopped) || !r.cfg.Resilient {
+			return cl, err
+		}
+		if r.cfg.Clock.Now().Sub(start) > maxOutage {
+			return nil, fmt.Errorf("%s unreachable for %v: %w", r.cfg.Addr, maxOutage, err)
+		}
+		r.cfg.Logf("loadgen: redial %s: %v", r.cfg.Addr, err)
+		r.cfg.Clock.Sleep(time.Duration(float64(delay) * (0.5 + jitter.Float64())))
+	}
+}
+
+// dial makes one attempt at a session and, unless the run has stopped,
+// records it as live so stop can close it.
+func (r *run) dial(setup func(*wire.Client) error) (*wire.Client, error) {
+	r.mu.Lock()
+	stopped := r.stopped
+	r.mu.Unlock()
+	if stopped {
+		return nil, errStopped
+	}
+	cl, err := wire.Dial(r.cfg.Addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := setup(cl); err != nil {
+		cl.Close()
+		return nil, err
+	}
+	r.mu.Lock()
+	stopped = r.stopped
+	if !stopped {
+		r.live[cl] = true
+	}
+	r.mu.Unlock()
+	if stopped {
+		cl.Close()
+		return nil, errStopped
+	}
+	return cl, nil
+}
+
+// stop ends the run: every live session is closed, none redials, and once
+// the session loops have returned every report field is settled.
+func (r *run) stop() {
+	r.mu.Lock()
+	r.stopped = true
+	live := make([]*wire.Client, 0, len(r.live))
+	for cl := range r.live {
+		live = append(live, cl)
+	}
+	r.mu.Unlock()
+	for _, cl := range live {
+		cl.Close()
+	}
+	r.wg.Wait()
+}
+
+// requester is the requester's current session. While it is being
+// redialed this is the dead one, whose calls fail at once into the paths
+// that already recover them.
+func (r *run) requester() *wire.Client {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.req
+}
+
+// settle records one terminal observation; idempotent per task so a push
+// racing a reconciling status query cannot double-count.
+func (r *run) settle(taskID string, expired, metDeadline, reconciled bool) {
+	r.mu.Lock()
+	if _, open := r.outstanding[taskID]; !open {
+		r.mu.Unlock()
+		return
+	}
+	delete(r.outstanding, taskID)
+	r.rep.Results++
+	switch {
+	case expired:
+		r.rep.Expired++
+	case metDeadline:
+		r.rep.OnTime++
+	default:
+		r.rep.Late++
+	}
+	if reconciled {
+		r.rep.Reconciled++
+	}
+	req := r.req
+	r.mu.Unlock()
+	if !expired {
+		if err := req.Feedback(taskID, metDeadline); err == nil && metDeadline {
+			r.mu.Lock()
+			r.rep.Positive++
+			r.mu.Unlock()
+		}
+	}
 }
 
 // reconcile resolves outstanding tasks whose result push was lost to an
 // outage: terminal states are settled from the status query, and tasks the
 // server has no record of are resubmitted with a fresh deadline.
-func reconcile(cfg Config, req client, mu *sync.Mutex,
-	outstanding map[string]wire.TaskPayload, rep *Report,
-	settle func(taskID string, expired, metDeadline, reconciled bool)) {
-	mu.Lock()
-	open := make([]wire.TaskPayload, 0, len(outstanding))
-	for _, p := range outstanding {
+func (r *run) reconcile() {
+	r.mu.Lock()
+	open := make([]wire.TaskPayload, 0, len(r.outstanding))
+	for _, p := range r.outstanding {
 		open = append(open, p)
 	}
-	mu.Unlock()
+	req := r.req
+	r.mu.Unlock()
 	for _, p := range open {
 		st, err := req.TaskStatus(p.ID)
 		if err != nil {
@@ -377,18 +461,18 @@ func reconcile(cfg Config, req client, mu *sync.Mutex,
 		}
 		switch st.State {
 		case "completed":
-			settle(p.ID, false, st.MetDeadline, true)
+			r.settle(p.ID, false, st.MetDeadline, true)
 		case "expired":
-			settle(p.ID, true, false, true)
+			r.settle(p.ID, true, false, true)
 		case "unknown":
 			// The server never saw it (cut submission) or lost it (task
 			// state is in-memory; a restart wipes the queue). Resubmit.
 			err := req.Submit(p)
 			if err == nil {
-				mu.Lock()
-				rep.Resubmitted++
-				mu.Unlock()
-				cfg.Logf("loadgen: resubmitted %s", p.ID)
+				r.mu.Lock()
+				r.rep.Resubmitted++
+				r.mu.Unlock()
+				r.cfg.Logf("loadgen: resubmitted %s", p.ID)
 			} else if errors.Is(err, wire.ErrTimeout) ||
 				strings.Contains(err.Error(), "duplicate") {
 				continue // ambiguous or raced a concurrent resubmit; retry next pass

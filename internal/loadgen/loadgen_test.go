@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/faultnet"
+	"react/internal/journal"
 	"react/internal/schedule"
 	"react/internal/wire"
 )
@@ -17,18 +19,22 @@ import (
 // admission plane on.
 func startServer(t *testing.T, adm *admission.Config) *wire.Server {
 	t.Helper()
-	s, err := wire.Serve("127.0.0.1:0", core.Options{
-		Admission:     adm,
-		BatchPoll:     5 * time.Millisecond,
-		MonitorPeriod: 20 * time.Millisecond,
-		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
-		Monitor:       engine.Monitor{Threshold: 0.1},
-	})
+	s, err := wire.Serve("127.0.0.1:0", serverOptions(adm))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+func serverOptions(adm *admission.Config) core.Options {
+	return core.Options{
+		Admission:     adm,
+		BatchPoll:     5 * time.Millisecond,
+		MonitorPeriod: 20 * time.Millisecond,
+		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
+		Monitor:       engine.Monitor{Threshold: 0.1},
+	}
 }
 
 func TestLoadRunCompletes(t *testing.T) {
@@ -72,36 +78,49 @@ func TestLoadRunCompletes(t *testing.T) {
 // TestLoadRunCountsAdmissionRejections drives a server whose rate gate
 // admits almost nothing: the run must count the typed rejections and carry
 // on, and every task that was admitted must still reach a terminal state.
+// Both modes leave a rejection behind, so loadgen's count is the server's
+// count — no submission is silently re-presented.
 func TestLoadRunCountsAdmissionRejections(t *testing.T) {
-	s := startServer(t, &admission.Config{RequesterRate: 1, RequesterBurst: 1})
-	rep, err := Run(Config{
-		Addr:     s.Addr(),
-		Workers:  5,
-		Rate:     50,
-		Tasks:    20,
-		Seed:     3,
-		Compress: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RejectedRate == 0 {
-		t.Fatalf("rate gate never engaged: %+v", rep)
-	}
-	if got := rep.Submitted + rep.RejectedRate + rep.RejectedProbability + rep.QueueFull; got != 20 {
-		t.Fatalf("offered load not conserved: %d accounted for, want 20: %+v", got, rep)
-	}
-	if rep.Results != rep.Submitted || rep.Unresolved != 0 {
-		t.Fatalf("admitted tasks left open: %+v", rep)
-	}
-	if rep.Server.Received != int64(rep.Submitted) {
-		t.Fatalf("server saw %d, accepted %d", rep.Server.Received, rep.Submitted)
+	for _, tc := range []struct {
+		name      string
+		resilient bool
+	}{{"plain", false}, {"resilient", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, &admission.Config{RequesterRate: 1, RequesterBurst: 1})
+			rep, err := Run(Config{
+				Addr:      s.Addr(),
+				Workers:   5,
+				Rate:      50,
+				Tasks:     20,
+				Seed:      3,
+				Compress:  200,
+				Resilient: tc.resilient,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RejectedRate == 0 {
+				t.Fatalf("rate gate never engaged: %+v", rep)
+			}
+			if _, _, rejectedRate, _ := s.Core().Admission().Counters(); int64(rep.RejectedRate) != rejectedRate {
+				t.Fatalf("loadgen counted %d rate rejections, the server made %d: %+v", rep.RejectedRate, rejectedRate, rep)
+			}
+			if got := rep.Submitted + rep.RejectedRate + rep.RejectedProbability + rep.QueueFull; got != 20 {
+				t.Fatalf("offered load not conserved: %d accounted for, want 20: %+v", got, rep)
+			}
+			if rep.Results != rep.Submitted || rep.Unresolved != 0 {
+				t.Fatalf("admitted tasks left open: %+v", rep)
+			}
+			if rep.Server.Received != int64(rep.Submitted) {
+				t.Fatalf("server saw %d, accepted %d", rep.Server.Received, rep.Submitted)
+			}
+		})
 	}
 }
 
 func TestLoadRunResilientSurvivesResets(t *testing.T) {
 	s := startServer(t, nil)
-	proxy, err := faultnet.New(faultnet.Config{Target: s.Addr(), Seed: 9})
+	proxy, err := faultnet.New(faultnet.Config{Target: s.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +157,77 @@ func TestLoadRunResilientSurvivesResets(t *testing.T) {
 	}
 	if rep.OnTime+rep.Late+rep.Expired != rep.Results {
 		t.Fatalf("result accounting broken: %+v", rep)
+	}
+}
+
+// TestLoadRunResilientSurvivesRestart is `reactload -chaos`'s restart: a
+// journaled server behind the proxy stops at two thirds of the submissions
+// and a new one recovers from the same data dir on another port. Every
+// session must redial through the retargeted proxy, every task must
+// resolve, and the recovered server must know every worker again.
+func TestLoadRunResilientSurvivesRestart(t *testing.T) {
+	dataDir := t.TempDir()
+	serve := func() *wire.Server {
+		t.Helper()
+		store, err := journal.Open(journal.Options{Dir: dataDir, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := wire.ServeDurable("127.0.0.1:0", serverOptions(nil), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	srv := serve()
+	proxy, err := faultnet.New(faultnet.Config{Target: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+
+	const workers, tasks = 8, 30
+	rep, err := Run(Config{
+		Addr:      proxy.Addr(),
+		Workers:   workers,
+		Rate:      5,
+		Tasks:     tasks,
+		Seed:      4,
+		Compress:  200,
+		Resilient: true,
+		Logf:      t.Logf,
+		OnSubmit: func(n int) {
+			if n == 2*tasks/3 {
+				srv.Close() // flushes and closes the journal
+				srv = serve()
+				proxy.SetTarget(srv.Addr())
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != tasks {
+		t.Fatalf("submitted %d", rep.Submitted)
+	}
+	if rep.Unresolved != 0 {
+		t.Fatalf("%d tasks unresolved across the restart: %+v", rep.Unresolved, rep)
+	}
+	if rep.Mismatched != 0 {
+		t.Fatalf("response correlation broke: %+v", rep)
+	}
+	if rep.Reconnects < 1 {
+		t.Fatalf("server restarted but no reconnects recorded: %+v", rep)
+	}
+	if rep.OnTime+rep.Late+rep.Expired != rep.Results {
+		t.Fatalf("result accounting broken: %+v", rep)
+	}
+	for i := 0; i < workers; i++ {
+		id := fmt.Sprintf("load-w%03d", i)
+		if _, ok := srv.Core().Workers().Get(id); !ok {
+			t.Errorf("recovered server does not know worker %s", id)
+		}
 	}
 }
 

@@ -109,10 +109,13 @@ func (m *refManager) Unassign(id, cause string, prob float64) error {
 	return nil
 }
 
-func (m *refManager) Complete(id string) (Record, error) {
+func (m *refManager) Complete(id, worker string) (Record, error) {
 	r, err := m.in(id, Assigned)
 	if err != nil {
 		return Record{}, err
+	}
+	if worker != "" && r.Worker != worker {
+		return Record{}, ErrBadState
 	}
 	r.Status, r.FinishedAt = Completed, m.clk.Now()
 	m.emit(EvComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)
@@ -246,9 +249,13 @@ func runModel(t *testing.T, seed int64, ops int) {
 			id := pick()
 			sameErr(step, "unassign", m.Unassign(id, CauseEq2, 0.25), ref.Unassign(id, CauseEq2, 0.25))
 		case op < 15:
-			id := pick()
-			g, gerr := m.Complete(id)
-			w, werr := ref.Complete(id)
+			// Half the completions name a holder, often the wrong one.
+			id, by := pick(), ""
+			if rng.Intn(2) == 0 {
+				by = fmt.Sprintf("w%d", rng.Intn(5))
+			}
+			g, gerr := m.Complete(id, by)
+			w, werr := ref.Complete(id, by)
 			sameErr(step, "complete", gerr, werr)
 			same(step, "complete", g, w)
 		case op < 16:
@@ -365,7 +372,7 @@ func BenchmarkLifecycle(b *testing.B) {
 			if err := m.Assign(id, "w"); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := m.Complete(id); err != nil {
+			if _, err := m.Complete(id, ""); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -375,7 +375,10 @@ func (m *Manager) Unassign(taskID, cause string, prob float64) error {
 
 // Complete finishes an assigned task and returns the final record. The
 // caller decides whether the completion beat the deadline via MetDeadline.
-func (m *Manager) Complete(taskID string) (Record, error) {
+// A non-empty worker must be the current holder: the check shares the
+// lock with the mutation, so a worker whose binding was revoked and
+// handed to another cannot finish the new holder's. "" accepts any.
+func (m *Manager) Complete(taskID, worker string) (Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, ok := m.records[taskID]
@@ -384,6 +387,9 @@ func (m *Manager) Complete(taskID string) (Record, error) {
 	}
 	if r.Status != Assigned {
 		return Record{}, fmt.Errorf("%w: complete %q while %v", ErrBadState, taskID, r.Status)
+	}
+	if worker != "" && r.Worker != worker {
+		return Record{}, fmt.Errorf("%w: complete %q by %q, held by %q", ErrBadState, taskID, worker, r.Worker)
 	}
 	m.finish(r, Completed, m.clk.Now())
 	m.emit(EvComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)

@@ -82,7 +82,7 @@ func TestAssignCompleteLifecycle(t *testing.T) {
 		t.Fatalf("record after assign: %+v", r)
 	}
 	clk.Advance(15 * time.Second)
-	rec, err := m.Complete("t1")
+	rec, err := m.Complete("t1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCompleteAfterDeadlineMisses(t *testing.T) {
 	m.Submit(testTask("t1", 30*time.Second))
 	m.Assign("t1", "bob")
 	clk.Advance(45 * time.Second)
-	rec, err := m.Complete("t1")
+	rec, err := m.Complete("t1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStateMachineRejections(t *testing.T) {
 	if err := m.Unassign("t1", CauseWorker, 0); !errors.Is(err, ErrBadState) {
 		t.Fatalf("unassign unassigned err = %v", err)
 	}
-	if _, err := m.Complete("t1"); !errors.Is(err, ErrBadState) {
+	if _, err := m.Complete("t1", ""); !errors.Is(err, ErrBadState) {
 		t.Fatalf("complete unassigned err = %v", err)
 	}
 	if err := m.Assign("nope", "w"); !errors.Is(err, ErrUnknownTask) {
@@ -127,9 +127,34 @@ func TestStateMachineRejections(t *testing.T) {
 	if err := m.Assign("t1", "w2"); !errors.Is(err, ErrBadState) {
 		t.Fatalf("double assign err = %v", err)
 	}
-	m.Complete("t1")
+	m.Complete("t1", "")
 	if err := m.Unassign("t1", CauseWorker, 0); !errors.Is(err, ErrBadState) {
 		t.Fatalf("unassign completed err = %v", err)
+	}
+}
+
+// TestCompleteChecksHolder: a completion naming a worker other than the
+// holder — a revoked worker answering after its task was rebound — is
+// refused without touching the binding or emitting an event.
+func TestCompleteChecksHolder(t *testing.T) {
+	m, _ := newTestManager()
+	var events []Event
+	m.SetSink(func(ev Event) { events = append(events, ev) })
+	m.Submit(testTask("t1", time.Minute))
+	m.Assign("t1", "bob")
+	before := len(events)
+	if _, err := m.Complete("t1", "alice"); !errors.Is(err, ErrBadState) {
+		t.Fatalf("non-holder complete err = %v, want ErrBadState", err)
+	}
+	if r, _ := m.Get("t1"); r.Status != Assigned || r.Worker != "bob" {
+		t.Fatalf("record after refused complete: %+v", r)
+	}
+	if len(events) != before {
+		t.Fatalf("refused complete emitted %d events", len(events)-before)
+	}
+	rec, err := m.Complete("t1", "bob")
+	if err != nil || rec.Status != Completed || rec.Worker != "bob" {
+		t.Fatalf("holder complete = %+v, %v", rec, err)
 	}
 }
 
@@ -244,7 +269,7 @@ func TestConcurrentSubmitAssign(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := m.Complete(id); err != nil {
+				if _, err := m.Complete(id, ""); err != nil {
 					t.Error(err)
 					return
 				}
@@ -278,7 +303,7 @@ func TestExpireUnassignedLeavesAssignedRunning(t *testing.T) {
 		t.Fatalf("expired = %+v", expired)
 	}
 	// The assigned task is still running and completes late.
-	rec, err := m.Complete("running")
+	rec, err := m.Complete("running", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +322,11 @@ func TestForgetTerminatedBefore(t *testing.T) {
 	m.Submit(testTask("old", 10*time.Minute))
 	m.Assign("old", "w")
 	clk.Advance(10 * time.Second)
-	m.Complete("old")
+	m.Complete("old", "")
 	m.Submit(testTask("recent", 10*time.Minute))
 	m.Assign("recent", "w")
 	clk.Advance(time.Minute)
-	m.Complete("recent")
+	m.Complete("recent", "")
 	m.Submit(testTask("live", 10*time.Minute))
 	m.Assign("live", "w")
 
@@ -354,7 +379,7 @@ func TestQuickCountsStayConsistent(t *testing.T) {
 				}
 			case 3:
 				if len(ids) > 0 {
-					m.Complete(ids[int(op)%len(ids)])
+					m.Complete(ids[int(op)%len(ids)], "")
 				}
 			case 4:
 				clk.Advance(time.Duration(op) * time.Second)
@@ -395,7 +420,7 @@ func TestMarkGradedOnce(t *testing.T) {
 		t.Fatalf("grade before completion err = %v", err)
 	}
 	m.Assign("t1", "w")
-	m.Complete("t1")
+	m.Complete("t1", "")
 	if err := m.MarkGraded("t1"); err != nil {
 		t.Fatal(err)
 	}

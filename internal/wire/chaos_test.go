@@ -2,9 +2,10 @@ package wire
 
 // Chaos tests: drive the wire layer through injected network faults — the
 // failure modes §I of the paper attributes to a mobile crowd (abrupt
-// disconnections, dead peers, partitions) plus a full server restart —
-// and assert that sequence correlation, reconnection, and the idle
-// deadline actually deliver the resilience they promise.
+// disconnections, slow links, dead peers) — and assert that sequence
+// correlation, drop detection, the idle deadline and keepalives deliver
+// the resilience they promise. Redialing with backoff across resets and a
+// server restart is loadgen's resilient mode, tested there.
 
 import (
 	"encoding/json"
@@ -12,26 +13,16 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
-	"react/internal/core"
 	"react/internal/faultnet"
-	"react/internal/journal"
-	"react/internal/schedule"
 )
-
-func fastOptions() core.Options {
-	return core.Options{
-		BatchPoll:     5 * time.Millisecond,
-		MonitorPeriod: 50 * time.Millisecond,
-		Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: 10 * time.Millisecond},
-	}
-}
 
 func startProxy(t *testing.T, target string) *faultnet.Proxy {
 	t.Helper()
-	p, err := faultnet.New(faultnet.Config{Target: target, Seed: 42})
+	p, err := faultnet.New(faultnet.Config{Target: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,21 +30,157 @@ func startProxy(t *testing.T, target string) *faultnet.Proxy {
 	return p
 }
 
-func dialReconnecting(t *testing.T, addr string, seed int64) *ReconnectingClient {
-	t.Helper()
-	rc, err := DialReconnecting(ReconnectConfig{
-		Addr:        addr,
-		Seed:        seed,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    200 * time.Millisecond,
-		MaxOutage:   30 * time.Second,
-		CallTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+// redial opens a fresh session and sets it up, retrying until deadline or
+// stop: a server that has not yet noticed the old connection die refuses a
+// worker's register as already connected.
+func redial(addr string, deadline time.Time, stop <-chan struct{}, setup func(*Client) error) (*Client, error) {
+	for {
+		c, err := Dial(addr)
+		if err == nil {
+			if err = setup(c); err == nil {
+				return c, nil
+			}
+			c.Close()
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("redial %s: %w", addr, err)
+		}
+		select {
+		case <-stop:
+			return nil, err
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
-	t.Cleanup(func() { rc.Close() })
-	return rc
+}
+
+// TestChaosConnectionResetsDuringLoad cuts every live connection twice in
+// the middle of a run. Each drop must surface on the plain client — its
+// feeds close, its calls fail rather than hang — and a fresh session must
+// pick up where the old one left off: the detached worker's held task goes
+// back to the pool and is reassigned once it registers again, and the
+// requester resolves results lost to the outage by status query. No task
+// may be lost and no response may be taken for another call's.
+func TestChaosConnectionResetsDuringLoad(t *testing.T) {
+	s := startServer(t)
+	p := startProxy(t, s.Addr())
+	deadline := time.Now().Add(30 * time.Second)
+
+	var (
+		mu         sync.Mutex
+		mismatched int64
+		reconnects int
+		workerErr  error
+	)
+	retire := func(c *Client) {
+		c.Close()
+		mu.Lock()
+		mismatched += c.Metrics().MismatchedResponses
+		mu.Unlock()
+	}
+	stop := make(chan struct{})
+	connect := func(setup func(*Client) error) *Client {
+		t.Helper()
+		c, err := redial(p.Addr(), deadline, stop, setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	register := func(c *Client) error { return c.Register("grinder", 37.98, 23.73) }
+	worker := connect(register)
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		for {
+			for a := range worker.Assignments() {
+				worker.Complete(a.TaskID, "grinder", "ok") // lost to a reset, the task is reassigned
+			}
+			retire(worker)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c, err := redial(p.Addr(), deadline, stop, register)
+			mu.Lock()
+			if err != nil {
+				workerErr = err
+			} else {
+				reconnects++
+			}
+			mu.Unlock()
+			if err != nil {
+				return
+			}
+			worker = c
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		p.ResetAll()
+		<-workerDone
+	})
+
+	watch := func(c *Client) error { return c.Watch() }
+	requester := connect(watch)
+	const n = 12
+	pending := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("r%02d", i)
+		if err := requester.Submit(testTask(id)); err != nil {
+			t.Fatalf("submit %s: %v", id, err)
+		}
+		pending[id] = true
+		if i == 3 || i == 7 {
+			p.ResetAll() // cut every live connection mid-run
+			for r := range requester.Results() { // drains until the drop closes the feed
+				delete(pending, r.TaskID)
+			}
+			if err := requester.Ping(); err == nil {
+				t.Fatal("call on a reset connection succeeded")
+			}
+			retire(requester)
+			requester = connect(watch)
+			mu.Lock()
+			reconnects++
+			mu.Unlock()
+		}
+	}
+
+	// Resolve by result push when the watch is up, by status query when a
+	// push was lost to an outage.
+	for len(pending) > 0 && time.Now().Before(deadline) {
+		select {
+		case r := <-requester.Results():
+			delete(pending, r.TaskID)
+		case <-time.After(200 * time.Millisecond):
+			for id := range pending {
+				st, err := requester.TaskStatus(id)
+				if err != nil {
+					continue
+				}
+				if st.State == "completed" || st.State == "expired" {
+					delete(pending, id)
+				}
+			}
+		}
+	}
+	retire(requester)
+	mu.Lock()
+	defer mu.Unlock()
+	if workerErr != nil {
+		t.Fatalf("worker session lost: %v", workerErr)
+	}
+	if len(pending) > 0 {
+		t.Fatalf("unresolved tasks after resets: %v", pending)
+	}
+	if reconnects < 2 {
+		t.Fatalf("two resets were injected but only %d sessions were re-established", reconnects)
+	}
+	if mismatched != 0 {
+		t.Fatalf("%d responses taken for another call's", mismatched)
+	}
 }
 
 // TestChaosSeqCorrelationAfterTimeout is the regression test for the
@@ -139,214 +266,6 @@ func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
 	}
 	if m := c2.Metrics(); m.StaleResponses != 1 || m.MismatchedResponses != 0 {
 		t.Fatalf("unstamped response not counted stale: %+v", m)
-	}
-}
-
-// TestChaosServerRestartZeroLostTasks runs a worker and a requester
-// through the proxy, restarts the server under them (new port, state
-// recovered from the write-ahead journal — the reactd crash/deploy
-// cycle), retargets the proxy, and requires every task from both halves
-// of the run to complete with the worker's learned history intact.
-// Tasks submitted just before the restart are still in flight when the
-// first server stops; recovery must return them to the pool so the
-// second half resolves them.
-func TestChaosServerRestartZeroLostTasks(t *testing.T) {
-	dataDir := t.TempDir()
-	store1, err := journal.Open(journal.Options{Dir: dataDir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, _, err := ServeDurable("127.0.0.1:0", fastOptions(), store1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := startProxy(t, s1.Addr())
-
-	worker := dialReconnecting(t, p.Addr(), 1)
-	if err := worker.Register("veteran", 37.98, 23.73); err != nil {
-		t.Fatal(err)
-	}
-	requester := dialReconnecting(t, p.Addr(), 2)
-	if err := requester.Watch(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The worker answers everything it is handed, across reconnects: the
-	// stable assignment feed hides the outages.
-	go func() {
-		for a := range worker.Assignments() {
-			worker.Complete(a.TaskID, "veteran", "ok")
-		}
-	}()
-
-	runBatch := func(ids []string) {
-		t.Helper()
-		for _, id := range ids {
-			if err := requester.Submit(testTask(id)); err != nil {
-				t.Fatalf("submit %s: %v", id, err)
-			}
-		}
-		want := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			want[id] = true
-		}
-		deadline := time.After(20 * time.Second)
-		for len(want) > 0 {
-			select {
-			case r := <-requester.Results():
-				if want[r.TaskID] {
-					delete(want, r.TaskID)
-					requester.Feedback(r.TaskID, true)
-				}
-			case <-deadline:
-				t.Fatalf("tasks never completed: %v", want)
-			}
-		}
-	}
-
-	runBatch([]string{"t1", "t2", "t3", "t4"})
-
-	// Submit the next batch and stop the server before waiting on it: these
-	// tasks are in flight — some assigned, some still pooled — when the
-	// journal takes its final flush and the process "dies".
-	inflight := []string{"t5", "t6", "t7", "t8"}
-	for _, id := range inflight {
-		if err := requester.Submit(testTask(id)); err != nil {
-			t.Fatalf("submit %s: %v", id, err)
-		}
-	}
-
-	// Restart: stop the server (flush-before-shutdown closes the journal),
-	// recover a new one on a different port from the same data dir, and
-	// retarget the proxy. No profile snapshot/restore hack: the worker's
-	// history and every task come back from the write-ahead log.
-	s1.Close()
-	store2, err := journal.Open(journal.Options{Dir: dataDir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, sum, err := ServeDurable("127.0.0.1:0", fastOptions(), store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s2.Close() })
-	if sum.Workers != 1 {
-		t.Fatalf("recovered %d workers, want 1", sum.Workers)
-	}
-	if sum.Tasks < len(inflight) {
-		t.Fatalf("recovered %d tasks, want at least the in-flight batch of %d",
-			sum.Tasks, len(inflight))
-	}
-	p.SetTarget(s2.Addr())
-
-	// Resolve the in-flight batch: by result push when the re-established
-	// watch catches it, by status query when the push was lost to the
-	// restart outage.
-	pending := make(map[string]bool, len(inflight))
-	for _, id := range inflight {
-		pending[id] = true
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for len(pending) > 0 && time.Now().Before(deadline) {
-		select {
-		case r := <-requester.Results():
-			delete(pending, r.TaskID)
-		case <-time.After(200 * time.Millisecond):
-			for id := range pending {
-				st, err := requester.TaskStatus(id)
-				if err != nil {
-					continue
-				}
-				if st.State == "completed" || st.State == "expired" {
-					delete(pending, id)
-				}
-			}
-		}
-	}
-	if len(pending) > 0 {
-		t.Fatalf("in-flight tasks lost across restart: %v", pending)
-	}
-
-	runBatch([]string{"t9", "t10", "t11", "t12"})
-
-	if worker.Reconnects() < 1 || requester.Reconnects() < 1 {
-		t.Fatalf("reconnects: worker=%d requester=%d",
-			worker.Reconnects(), requester.Reconnects())
-	}
-	prof, ok := s2.Core().Workers().Get("veteran")
-	if !ok {
-		t.Fatal("profile lost across restart")
-	}
-	if prof.Finished() < 8 {
-		t.Fatalf("history across restart: finished = %d, want >= 8", prof.Finished())
-	}
-	if m := requester.Metrics(); m.MismatchedResponses != 0 {
-		t.Fatalf("requester mismatches: %+v", m)
-	}
-}
-
-// TestChaosConnectionResetsDuringLoad injects hard resets mid-run and
-// requires every submitted task to reach a terminal state, using the
-// task-status query to reconcile any results lost while the requester's
-// watch subscription was down.
-func TestChaosConnectionResetsDuringLoad(t *testing.T) {
-	s := startServer(t)
-	p := startProxy(t, s.Addr())
-
-	worker := dialReconnecting(t, p.Addr(), 3)
-	if err := worker.Register("grinder", 37.98, 23.73); err != nil {
-		t.Fatal(err)
-	}
-	requester := dialReconnecting(t, p.Addr(), 4)
-	if err := requester.Watch(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for a := range worker.Assignments() {
-			worker.Complete(a.TaskID, "grinder", "ok")
-		}
-	}()
-
-	const n = 12
-	pending := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("r%02d", i)
-		if err := requester.Submit(testTask(id)); err != nil {
-			t.Fatalf("submit %s: %v", id, err)
-		}
-		pending[id] = true
-		if i == 3 || i == 7 {
-			p.ResetAll() // cut every live connection mid-run
-		}
-	}
-
-	// Resolve by result push when the watch is up, by status query when a
-	// push was lost to an outage.
-	deadline := time.Now().Add(30 * time.Second)
-	for len(pending) > 0 && time.Now().Before(deadline) {
-		select {
-		case r := <-requester.Results():
-			delete(pending, r.TaskID)
-		case <-time.After(200 * time.Millisecond):
-			for id := range pending {
-				st, err := requester.TaskStatus(id)
-				if err != nil {
-					continue
-				}
-				if st.State == "completed" || st.State == "expired" {
-					delete(pending, id)
-				}
-			}
-		}
-	}
-	if len(pending) > 0 {
-		t.Fatalf("unresolved tasks after resets: %v", pending)
-	}
-	if worker.Reconnects()+requester.Reconnects() < 1 {
-		t.Fatal("resets were injected but nobody reconnected")
-	}
-	if m := requester.Metrics(); m.MismatchedResponses != 0 {
-		t.Fatalf("requester mismatches: %+v", m)
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 
 // ServerError is an "error" response from the server: the request was
 // delivered and rejected. Connection-level failures (closed sockets, call
-// timeouts) are reported as other error types — that distinction is how
-// ReconnectingClient decides which failures are worth retrying on a fresh
-// connection.
+// timeouts) are reported as other error types; what to do about either is
+// the caller's decision — the client's job ends at reporting it.
 type ServerError struct {
 	msg string
 	// Code is the server's machine-readable error class (one of the
@@ -26,22 +25,6 @@ type ServerError struct {
 }
 
 func (e *ServerError) Error() string { return "wire: " + e.msg }
-
-// Retryable reports whether the same request is worth retrying later:
-// true for capacity/rate rejections (which clear as load drains), false
-// for permanent classes (duplicate id, past deadline, probability floor)
-// and for unclassified errors.
-func (e *ServerError) Retryable() bool {
-	return e.Code == CodeQueueFull || e.Code == CodeRejectedRate
-}
-
-// RetryAfter is the server's retry hint (0 when it sent none).
-func (e *ServerError) RetryAfter() time.Duration {
-	if e.Admission == nil {
-		return 0
-	}
-	return time.Duration(e.Admission.RetryAfterMS) * time.Millisecond
-}
 
 // ErrTimeout wraps a call whose response did not arrive within the call
 // timeout. The connection stays open: the late response, if it ever

@@ -226,7 +226,7 @@ func TestFederationAdmissionVerdicts(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != CodeRejectedRate {
 			t.Fatalf("submit %d: err = %v, want a %s rejection", i, err, CodeRejectedRate)
 		}
-		if adm == nil || adm.Status != CodeRejectedRate || adm.RetryAfterMS <= 0 || se.RetryAfter() <= 0 {
+		if adm == nil || adm.Status != CodeRejectedRate || adm.RetryAfterMS <= 0 || se.Admission != adm {
 			t.Fatalf("submit %d: verdict = %+v, want %s with a retry-after hint", i, adm, CodeRejectedRate)
 		}
 		rejected++
