@@ -3,7 +3,7 @@
 GO ?= go
 # Packages with real goroutine concurrency; the race detector gates them
 # on every change.
-RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission
+RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission ./internal/profile ./internal/loadgen
 # Packages whose statement coverage must not fall below COVER_FLOOR; the
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
@@ -53,7 +53,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Fault-injection suite under the race detector, via internal/faultnet:
-# the wire layer through delays and idle-deadline expiry, and loadgen's
+# the wire layer through resets, a slow peer and idle-deadline expiry, and loadgen's
 # resilient sessions through connection resets and a full server restart
 # recovered from its journal. `reactload -chaos` is the restart scenario
 # as a live command.

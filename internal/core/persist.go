@@ -7,7 +7,6 @@ import (
 
 	"react/internal/event"
 	"react/internal/journal"
-	"react/internal/region"
 	"react/internal/taskq"
 )
 
@@ -58,12 +57,14 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 	// traffic after it count themselves as they will replay.
 	s.eng.Ledger().Seed(st.Stats.Counts(), s.eng.Tasks().UnassignedCount())
 
-	// Journal from here on, as a synchronous tap on the event spine: taps
-	// fire under the shard lock, so the WAL inherits the per-task total
-	// order, and Append never blocks (it only buffers), so holding that
-	// lock is safe. Errors are not actionable here: the store has already
-	// logged its sticky failure, and a dead disk must degrade durability,
-	// not availability.
+	// Journal from here on, as a synchronous tap on the event spine — the
+	// journal's only writer: task-lifecycle events and the worker-level
+	// facts (attach, feedback, deregister) alike. Lifecycle taps fire under
+	// the shard lock, so the WAL inherits the per-task total order, and
+	// Append never blocks (it only buffers), so holding that lock is safe.
+	// Errors are not actionable here: the store has already logged its
+	// sticky failure, and a dead disk must degrade durability, not
+	// availability.
 	s.store = store
 	s.eng.Events().Tap(func(ev event.Event) {
 		if rec, ok := journal.FromEvent(ev); ok {
@@ -80,17 +81,4 @@ func (s *Server) EnablePersistence(store *journal.Store) (journal.Summary, error
 		}
 	}
 	return sum, nil
-}
-
-// journalAppend writes one engine-level record when persistence is
-// enabled. Task-lifecycle records flow through the taskq sink instead.
-func (s *Server) journalAppend(rec journal.Record) {
-	if s.store != nil {
-		_ = s.store.Append(rec)
-	}
-}
-
-// journalAttach records a worker registration.
-func (s *Server) journalAttach(id string, loc region.Point) {
-	s.journalAppend(journal.Record{Kind: journal.KindAttach, Worker: id, Lat: loc.Lat, Lon: loc.Lon})
 }

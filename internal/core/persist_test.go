@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -204,11 +205,33 @@ func openJournaled(t *testing.T, dir string, opts Options) *Server {
 	return srv
 }
 
+// workerState is what a worker profile has learned, as replay must
+// reproduce it.
+type workerState struct {
+	loc      region.Point
+	samples  int
+	accuracy float64
+	graded   bool
+}
+
+// workerStates reads every profile the server knows, keyed by id.
+func workerStates(s *Server) map[string]workerState {
+	out := map[string]workerState{}
+	for _, p := range s.Workers().All() {
+		acc, graded := p.Accuracy("ocr")
+		out[p.ID()] = workerState{loc: p.Location(), samples: p.FitSamples(), accuracy: acc, graded: graded}
+	}
+	return out
+}
+
 // TestReplayEqualsLive drives a journaled server through every cause the
 // ledger's fold distinguishes, then requires recovery to report the same
 // lifecycle counters the live server did: replay and live run one fold
 // (event.Ledger.Observe), so a restart changes only Reassigned, and only
-// by the recovery sweep's own journaled revocations.
+// by the recovery sweep's own journaled revocations. The worker profiles
+// recover the same way: workers attached, graded and deregistered through
+// the engine as well as through the server come back exactly as the live
+// registry held them (profile.Registry.Observe is the other fold), offline.
 func TestReplayEqualsLive(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -256,6 +279,28 @@ func TestReplayEqualsLive(t *testing.T) {
 	round("on-time-2", "w1")
 	complete("on-time-2", 5*time.Second)
 
+	// Grades through the server and through the engine; two workers that
+	// come and go between rounds, each attached one way and deregistered
+	// the other.
+	if err := srv.Feedback("on-time-1", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Feedback("late", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.RegisterWorker("passer", loc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.DeregisterWorker("passer"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AttachWorker("visitor", loc); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.DeregisterWorker("visitor"); err != nil {
+		t.Fatal(err)
+	}
+
 	// Eq. 2 revoke, then the same task dies in the pool at its deadline.
 	submit("doomed", 10*time.Minute)
 	round("doomed", "w1")
@@ -302,6 +347,22 @@ func TestReplayEqualsLive(t *testing.T) {
 	if lifecycle(live) != want {
 		t.Fatalf("live stats %+v, want %+v", lifecycle(live), want)
 	}
+	liveWorkers := workerStates(srv)
+	if w1 := liveWorkers["w1"]; len(liveWorkers) != 2 || w1.samples != 3 || !w1.graded || w1.accuracy != 0.5 {
+		t.Fatalf("live workers %+v, want w1 (3 samples, graded 1 of 2) and ghost", liveWorkers)
+	}
+	if _, ok := liveWorkers["ghost"]; !ok {
+		t.Fatalf("live workers %+v, want ghost among them", liveWorkers)
+	}
+	sameWorkers := func(step string, s *Server) {
+		t.Helper()
+		if got := workerStates(s); !reflect.DeepEqual(got, liveWorkers) {
+			t.Fatalf("%s: workers %+v, want the live %+v", step, got, liveWorkers)
+		}
+		if n := s.Workers().CountConnected(); n != 0 {
+			t.Fatalf("%s: %d restored workers online, want all offline", step, n)
+		}
+	}
 	srv.Stop()
 
 	// First recovery: everything equal, plus the sweep of "held".
@@ -310,6 +371,7 @@ func TestReplayEqualsLive(t *testing.T) {
 	if got := lifecycle(srv2.Stats()); got != want {
 		t.Fatalf("recovered stats %+v, want live + one swept assignment %+v", got, want)
 	}
+	sameWorkers("first recovery", srv2)
 	srv2.Stop()
 
 	// Second recovery: the sweep was journaled, so it is not counted twice.
@@ -318,6 +380,7 @@ func TestReplayEqualsLive(t *testing.T) {
 	if got := lifecycle(srv3.Stats()); got != want {
 		t.Fatalf("stats after the second recovery %+v, want %+v", got, want)
 	}
+	sameWorkers("second recovery", srv3)
 }
 
 // TestAdmissionLoadSurvivesRecovery pins that a recovered server's

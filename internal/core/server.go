@@ -252,19 +252,9 @@ func (s *Server) RegisterWorker(id string, loc region.Point) (<-chan Assignment,
 	if _, live := s.feeds[id]; live {
 		return nil, fmt.Errorf("core: worker %q already connected", id)
 	}
-	if p, known := s.eng.Workers().Get(id); !known {
-		if _, err := s.eng.AttachWorker(id, loc); err != nil {
-			return nil, err
-		}
-	} else {
-		if loc.Valid() {
-			p.SetLocation(loc)
-		}
-		if _, err := s.eng.ReattachWorker(id); err != nil {
-			return nil, err
-		}
+	if _, err := s.eng.AttachWorker(id, loc); err != nil {
+		return nil, err
 	}
-	s.journalAttach(id, loc)
 	ch := make(chan Assignment, s.opts.QueueDepth)
 	s.feeds[id] = ch
 	return ch, nil
@@ -276,7 +266,6 @@ func (s *Server) DeregisterWorker(id string) error {
 	if err := s.eng.DeregisterWorker(id); err != nil {
 		return err
 	}
-	s.journalAppend(journal.Record{Kind: journal.KindDeregister, Worker: id})
 	s.dropFeed(id)
 	return nil
 }
@@ -340,23 +329,7 @@ func (s *Server) Complete(taskID, workerID, answer string) (Result, error) {
 // unassigned) or whose worker deregistered returns ErrNoWorker without
 // consuming the grade.
 func (s *Server) Feedback(taskID string, positive bool) error {
-	if err := s.eng.Feedback(taskID, positive); err != nil {
-		return err
-	}
-	if s.store != nil {
-		// The grade mutated worker accuracy (Eq. 1) and the task's Graded
-		// flag — state the taskq sink cannot observe, journaled here.
-		if rec, ok := s.eng.Tasks().Get(taskID); ok {
-			s.journalAppend(journal.Record{
-				Kind:     journal.KindFeedback,
-				TaskID:   taskID,
-				Worker:   rec.Worker,
-				Category: rec.Task.Category,
-				Positive: positive,
-			})
-		}
-	}
-	return nil
+	return s.eng.Feedback(taskID, positive)
 }
 
 // TaskStatus is a point-in-time view of one task's lifecycle, served to

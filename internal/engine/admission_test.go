@@ -176,9 +176,7 @@ func TestAdmissionReadsTheEnginesLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("revoke")
-	if _, err := e.ReattachWorker("w1"); err != nil {
-		t.Fatal(err)
-	}
+	mustAttach(t, e, "w1")
 	clk.Advance(time.Second)
 	e.Tick() // rebinds one task; the shedder arms on what still waits
 	check("reassign")

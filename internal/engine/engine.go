@@ -194,7 +194,10 @@ func New(cfg Config, hooks Hooks) *Engine {
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 	}
 	// The ledger taps first: every later consumer finds the counters moved.
+	// The worker profiles learn from the same stream journal replay feeds
+	// them, so completions and grades reach them one way only.
 	e.bus.Tap(e.ledger.Observe)
+	e.bus.Tap(e.workers.Observe)
 	// Lifecycle events flow shard sink → spine bus. The sink fires under
 	// the shard's lock, so the bus stamps Seq before any second mutation
 	// of the same task can start — the per-task total order every spine
@@ -268,19 +271,25 @@ func (e *Engine) Submit(t taskq.Task) error {
 	return e.tasks.Submit(t)
 }
 
-// AttachWorker registers a new worker, initially available.
+// AttachWorker makes a worker available: a new id is registered at loc; a
+// known one — detached earlier, or restored from the journal — comes back
+// with its learned history, and moves to loc when loc is valid. Workers
+// have "short connectivity cycles" (§I), so returning is the common case.
+// Either way the attach is published on the spine.
 func (e *Engine) AttachWorker(id string, loc region.Point) (*profile.Profile, error) {
-	return e.workers.Register(id, loc)
-}
-
-// ReattachWorker marks a known (e.g. snapshot-restored or previously
-// detached) worker available again.
-func (e *Engine) ReattachWorker(id string) (*profile.Profile, error) {
-	p, ok := e.workers.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
+	p, known := e.workers.Get(id)
+	if !known {
+		var err error
+		if p, err = e.workers.Register(id, loc); err != nil {
+			return nil, err
+		}
+	} else {
+		if loc.Valid() {
+			p.SetLocation(loc)
+		}
+		p.SetAvailable(true)
 	}
-	p.SetAvailable(true)
+	e.bus.Publish(event.Event{Kind: event.KindAttach, Worker: id, At: e.cfg.Clock.Now(), Loc: loc})
 	return p, nil
 }
 
@@ -299,22 +308,27 @@ func (e *Engine) DetachWorker(id string) error {
 	return nil
 }
 
-// DeregisterWorker removes a worker and its history entirely. Any task it
-// held returns to the pool.
+// DeregisterWorker removes a worker and its history entirely, and
+// publishes the departure. Any task it held returns to the pool.
 func (e *Engine) DeregisterWorker(id string) error {
 	p, ok := e.workers.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		e.tasks.Unassign(taskID, taskq.CauseDeregister, 0) // fails only if the task just went terminal
+		e.release(taskID, p, taskq.CauseDeregister, 0)
 	}
-	return e.workers.Deregister(id)
+	if err := e.workers.Deregister(id); err != nil {
+		return err
+	}
+	e.bus.Publish(event.Event{Kind: event.KindDeregister, Worker: id, At: e.cfg.Clock.Now()})
+	return nil
 }
 
 // Complete records a worker's answer for a task it holds. The execution
-// time feeds the worker's power-law model immediately; the accuracy update
-// waits for requester Feedback. The final task record is returned alongside
+// time feeds the worker's power-law model through the spine's complete
+// event (profile.Registry.Observe); the accuracy update waits for
+// requester Feedback. The final task record is returned alongside
 // the requester-facing result for callers that need the full bookkeeping
 // (attempts, timings). The holder is checked under the shard lock that
 // finishes the task, so a revoked worker's late answer fails with
@@ -328,7 +342,6 @@ func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record
 		return Result{}, taskq.Record{}, err
 	}
 	if p, ok := e.workers.Get(workerID); ok {
-		p.RecordExecTime(final.ExecTime().Seconds())
 		e.release(taskID, p, "", 0)
 	}
 	res := Result{
@@ -341,11 +354,11 @@ func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record
 	return res, final, nil
 }
 
-// Feedback records the requester's verdict on a completed task, updating
-// the worker's per-category accuracy (Eq. 1). A task can be graded once.
-// When the task has no worker to credit — it expired unassigned, or the
-// worker deregistered — Feedback returns ErrNoWorker without consuming the
-// grade.
+// Feedback records the requester's verdict on a completed task and
+// publishes it; the worker's per-category accuracy (Eq. 1) learns it from
+// the spine. A task can be graded once. When the task has no worker to
+// credit — it expired unassigned, or the worker deregistered — Feedback
+// returns ErrNoWorker without consuming the grade.
 func (e *Engine) Feedback(taskID string, positive bool) error {
 	rec, ok := e.tasks.Get(taskID)
 	if !ok {
@@ -354,14 +367,15 @@ func (e *Engine) Feedback(taskID string, positive bool) error {
 	if rec.Worker == "" {
 		return fmt.Errorf("%w: task %q never reached a worker", ErrNoWorker, taskID)
 	}
-	p, okW := e.workers.Get(rec.Worker)
-	if !okW {
+	if _, ok := e.workers.Get(rec.Worker); !ok {
 		return fmt.Errorf("%w: worker %q left before feedback for task %q", ErrNoWorker, rec.Worker, taskID)
 	}
 	if err := e.tasks.MarkGraded(taskID); err != nil {
 		return err
 	}
-	p.RecordFeedback(rec.Task.Category, positive)
+	rec.Graded = true
+	e.bus.Publish(event.Event{Kind: event.KindFeedback, Task: taskID, Worker: rec.Worker,
+		At: e.cfg.Clock.Now(), Positive: positive, Record: rec})
 	return nil
 }
 
@@ -423,8 +437,8 @@ func (e *Engine) TickMonitor() {
 // (which fails only if it just went terminal or another path already
 // revoked it); with none it has just completed in the worker's hands.
 // The idle mark is guarded, so of two releases racing — a detach, a
-// refused delivery, a late Complete — the second is a no-op. p is nil
-// when the worker left the registry.
+// deregister, a refused delivery, a late Complete — the second is a
+// no-op. p is nil when the worker left the registry.
 func (e *Engine) release(taskID string, p *profile.Profile, cause string, prob float64) {
 	if cause != "" {
 		e.tasks.Unassign(taskID, cause, prob)

@@ -158,9 +158,7 @@ func TestDetachDuringBatch(t *testing.T) {
 			}
 
 			// Invariant 3: a reattached worker can pick the task up again.
-			if _, err := h.eng.ReattachWorker("w1"); err != nil {
-				t.Fatalf("ReattachWorker: %v", err)
-			}
+			mustAttach(t, h.eng, "w1")
 			h.clk.Advance(2 * time.Second) // let the period trigger re-arm
 			h.eng.TryBatch()
 			h.flush()
@@ -232,6 +230,67 @@ func TestCompleteLifecycle(t *testing.T) {
 	// Grading twice is rejected too.
 	if err := h.eng.Feedback("t1", true); err == nil {
 		t.Fatal("double feedback accepted")
+	}
+}
+
+// TestWorkerFactsArePublished pins the worker-level spine events — what
+// the journal records and the profiles learn from: an attach (first or
+// returning; a returning worker keeps its place unless it reports a valid
+// new one), a grade, and a deregister that returns the held task.
+func TestWorkerFactsArePublished(t *testing.T) {
+	h := newHarness(t, Hooks{}, 1)
+	var seen []event.Event
+	h.eng.Events().Tap(func(ev event.Event) {
+		if ev.Kind != event.KindBatch && (!ev.Kind.Lifecycle() || ev.Kind == event.KindRevoke) {
+			seen = append(seen, ev)
+		}
+	})
+	athens, nowhere := region.Point{Lat: 38.0, Lon: 23.7}, region.Point{Lat: 91}
+	if _, err := h.eng.AttachWorker("w1", athens); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, h.eng, testTask("t1", h.clk))
+	h.eng.TryBatch()
+	h.flush()
+	h.clk.Advance(10 * time.Second)
+	if _, _, err := h.eng.Complete("t1", "w1", "answer"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.eng.Feedback("t1", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.eng.DetachWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.eng.AttachWorker("w1", nowhere)
+	if err != nil || !p.Available() || p.Location() != athens || p.FitSamples() != 1 {
+		t.Fatalf("returning w1: available=%v at %v with %d samples (err %v); want its history back in place",
+			p.Available(), p.Location(), p.FitSamples(), err)
+	}
+	mustSubmit(t, h.eng, testTask("t2", h.clk))
+	h.clk.Advance(2 * time.Second)
+	h.eng.TryBatch()
+	h.flush()
+	if err := h.eng.DeregisterWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []string
+	for _, ev := range seen {
+		got = append(got, fmt.Sprintf("%v %s %s", ev.Kind, ev.Task, ev.Worker))
+	}
+	want := []string{"attach  w1", "feedback t1 w1", "attach  w1", "revoke t2 w1", "deregister  w1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("worker facts %q, want %q", got, want)
+	}
+	if fb := seen[1]; fb.Positive || !fb.Record.Graded || fb.Record.Task.Category != "photo" {
+		t.Fatalf("feedback event %+v, want a negative grade of the graded photo task", fb)
+	}
+	if seen[0].Loc != athens || seen[2].Loc != nowhere {
+		t.Fatalf("attach locations %v, %v; want each as the worker reported it", seen[0].Loc, seen[2].Loc)
+	}
+	if rec, _ := h.eng.Tasks().Get("t2"); rec.Status != taskq.Unassigned {
+		t.Fatalf("t2 after its worker deregistered: %v, want back in the pool", rec.Status)
 	}
 }
 

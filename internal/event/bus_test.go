@@ -10,13 +10,16 @@ import (
 
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
-		KindSubmit:   "submit",
-		KindAssign:   "assign",
-		KindRevoke:   "revoke",
-		KindComplete: "complete",
-		KindExpire:   "expire",
-		KindForget:   "forget",
-		KindBatch:    "batch",
+		KindSubmit:     "submit",
+		KindAssign:     "assign",
+		KindRevoke:     "revoke",
+		KindComplete:   "complete",
+		KindExpire:     "expire",
+		KindForget:     "forget",
+		KindFeedback:   "feedback",
+		KindAttach:     "attach",
+		KindDeregister: "deregister",
+		KindBatch:      "batch",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -26,20 +29,27 @@ func TestKindStrings(t *testing.T) {
 	if Kind(0).String() != "kind(0)" {
 		t.Errorf("zero kind = %q", Kind(0).String())
 	}
+	// The journal writes these numbers to disk.
+	if KindFeedback != 7 || KindAttach != 8 || KindDeregister != 9 || KindBatch != 10 {
+		t.Errorf("kind numbers moved: feedback %d attach %d deregister %d batch %d",
+			KindFeedback, KindAttach, KindDeregister, KindBatch)
+	}
 	for k := KindSubmit; k <= KindForget; k++ {
 		if !k.Lifecycle() {
 			t.Errorf("%v should be lifecycle", k)
 		}
 	}
-	if KindBatch.Lifecycle() {
-		t.Error("batch is not lifecycle")
+	for _, k := range []Kind{KindFeedback, KindAttach, KindDeregister, KindBatch} {
+		if k.Lifecycle() {
+			t.Errorf("%v is not lifecycle", k)
+		}
 	}
 	for _, k := range []Kind{KindComplete, KindExpire, KindForget} {
 		if !k.Terminal() {
 			t.Errorf("%v should be terminal", k)
 		}
 	}
-	for _, k := range []Kind{KindSubmit, KindAssign, KindRevoke, KindBatch} {
+	for _, k := range []Kind{KindSubmit, KindAssign, KindRevoke, KindFeedback, KindAttach, KindDeregister, KindBatch} {
 		if k.Terminal() {
 			t.Errorf("%v should not be terminal", k)
 		}

@@ -1,9 +1,12 @@
-// Package event is REACT's typed task-lifecycle event spine: one Event
-// vocabulary for every mutation a task undergoes (submit → assign →
-// revoke/reassign → complete/expire → forget, §III.A) plus the per-round
-// scheduling summary, fanned out from a single Bus that every consumer —
-// the write-ahead journal, the /trace.csv ring, the observability
-// collectors, the wire protocol's watch-events stream — shares.
+// Package event is REACT's typed event spine: one Event vocabulary for
+// every mutation a task undergoes (submit → assign → revoke/reassign →
+// complete/expire → forget, §III.A), for the worker-level facts the
+// Profiling Component learns from (attach, requester feedback,
+// deregister), and for the per-round scheduling summary, fanned out from
+// a single Bus that every consumer — the write-ahead journal, the worker
+// profiles, the /trace.csv ring, the observability collectors, the wire
+// protocol's watch-events stream — shares. Every durable fact is an
+// event: the journal has no other writer.
 //
 // Ordering contract: task-lifecycle events are published by the engine's
 // taskq sink while the task's shard mutex is held, so no second mutation
@@ -12,6 +15,8 @@
 // bus-wide counter: it is strictly increasing per task, but events of
 // *different* tasks (striped onto different shards) may be published
 // concurrently, so Seq is not a global wall-clock order across tasks.
+// The worker-level kinds are published by the engine call that made the
+// change, after it took effect and with no shard lock held.
 //
 // Delivery contract: taps (Bus.Tap) are synchronous and lossless — they
 // run inside the publishing call, under the shard lock for lifecycle
@@ -28,24 +33,30 @@ import (
 	"fmt"
 	"time"
 
+	"react/internal/region"
 	"react/internal/taskq"
 )
 
-// Kind classifies a spine event.
+// Kind classifies a spine event. The numbers of the journaled kinds (1–9)
+// are the write-ahead journal's on-disk record kinds, so they never move.
 type Kind uint8
 
 // The event vocabulary. The task-lifecycle kinds (Submit through Forget)
 // mirror taskq.EventKind one-to-one and carry the full post-mutation
-// record; Batch summarizes one scheduling round and carries BatchStats
-// instead.
+// record. Feedback, Attach and Deregister are worker-level facts the task
+// store cannot observe. Batch summarizes one scheduling round and carries
+// BatchStats instead; it is not journaled.
 const (
-	KindSubmit   Kind = iota + 1 // task entered the repository
-	KindAssign                   // scheduler bound the task to a worker
-	KindRevoke                   // assignment taken back (see Event.Cause)
-	KindComplete                 // worker delivered an answer
-	KindExpire                   // deadline passed; task left unserved
-	KindForget                   // terminal record garbage-collected
-	KindBatch                    // one scheduling round ran
+	KindSubmit     Kind = iota + 1 // task entered the repository
+	KindAssign                     // scheduler bound the task to a worker
+	KindRevoke                     // assignment taken back (see Event.Cause)
+	KindComplete                   // worker delivered an answer
+	KindExpire                     // deadline passed; task left unserved
+	KindForget                     // terminal record garbage-collected
+	KindFeedback                   // requester graded a completed task
+	KindAttach                     // worker registered or came back
+	KindDeregister                 // worker left, with its history
+	KindBatch                      // one scheduling round ran
 )
 
 // String names the kind for logs, CSV, and the wire protocol.
@@ -63,6 +74,12 @@ func (k Kind) String() string {
 		return "expire"
 	case KindForget:
 		return "forget"
+	case KindFeedback:
+		return "feedback"
+	case KindAttach:
+		return "attach"
+	case KindDeregister:
+		return "deregister"
 	case KindBatch:
 		return "batch"
 	default:
@@ -71,7 +88,7 @@ func (k Kind) String() string {
 }
 
 // Lifecycle reports whether the kind narrates one task's lifecycle (as
-// opposed to a scheduling-round summary).
+// opposed to a worker-level fact or a scheduling-round summary).
 func (k Kind) Lifecycle() bool { return k >= KindSubmit && k <= KindForget }
 
 // Terminal reports whether the kind ends a task's timeline: after a
@@ -95,17 +112,21 @@ type BatchStats struct {
 }
 
 // Event is one spine event. Lifecycle kinds fill Task/Worker/Record;
-// KindBatch fills Batch and leaves the task fields zero.
+// Feedback fills Task/Worker/Positive/Record; Attach fills Worker/Loc and
+// Deregister Worker alone; KindBatch fills Batch and leaves the task
+// fields zero.
 type Event struct {
 	// Seq is stamped by the bus at publish time: strictly increasing,
 	// totally ordered per task (see the package ordering contract).
 	Seq  uint64
 	Kind Kind
-	// Task is the subject task's id ("" for KindBatch).
+	// Task is the subject task's id ("" for KindBatch and the worker-level
+	// Attach/Deregister).
 	Task string
 	// Worker is the worker involved: the assignee on Assign, the holder
 	// whose binding was taken on Revoke, the answerer on Complete, the
-	// last holder (possibly "") on Expire/Forget.
+	// last holder (possibly "") on Expire/Forget, the graded worker on
+	// Feedback, the subject of Attach/Deregister.
 	Worker string
 	// At is the instant the mutation took effect, read from the engine's
 	// injected clock — identical between a live run and a virtual-clock
@@ -122,6 +143,11 @@ type Event struct {
 	// stood just before removal) — the same physiological payload the
 	// journal persists, so any consumer can derive state without replay.
 	Record taskq.Record
+	// Loc is where an attaching worker says it is (KindAttach only; an
+	// invalid point keeps a returning worker's last location).
+	Loc region.Point
+	// Positive is the requester's verdict (KindFeedback only).
+	Positive bool
 	// Batch is non-nil only for KindBatch.
 	Batch *BatchStats
 }

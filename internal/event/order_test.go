@@ -133,7 +133,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 					// exercising the Revoke path concurrently with batches.
 					wid := fmt.Sprintf("w%d", (g+i)%workers)
 					_ = eng.DetachWorker(wid)
-					_, _ = eng.ReattachWorker(wid)
+					_, _ = eng.AttachWorker(wid, region.Point{Lat: 38, Lon: 23.7})
 				}
 			}
 		}(g)

@@ -1,14 +1,12 @@
 // Package faultnet is a fault-injecting TCP proxy for exercising the wire
 // layer's resilience machinery. It sits between REACT clients and a region
-// server and, on command, delays traffic, hard-resets connections (RST,
-// not FIN — the peer sees an error, not a clean close), or retargets to a
-// different backend after a server restart. The chaos tests in
-// internal/wire and internal/loadgen and the `reactload -chaos` harness
-// drive their failure scenarios through it; production code never imports
-// this package.
+// server and, on command, hard-resets connections (RST, not FIN — the
+// peer sees an error, not a clean close) or retargets to a different
+// backend after a server restart. The chaos tests in internal/wire and
+// internal/loadgen and the `reactload -chaos` harness drive their failure
+// scenarios through it; production code never imports this package.
 //
-// Faults fire only when a test calls for them, and all waiting goes
-// through an injected clock.Sleeper.
+// Faults fire only when a test calls for them.
 package faultnet
 
 import (
@@ -16,8 +14,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"react/internal/clock"
 )
 
 // Config parameterizes a Proxy. Target is required; everything else has a
@@ -30,13 +26,6 @@ type Config struct {
 	// Target is the backend the proxy forwards to. Retargetable at
 	// runtime with SetTarget (the server-restart scenario).
 	Target string
-
-	// Delay is added to every chunk in both directions.
-	Delay time.Duration
-
-	// Clock is the timebase for delays (default the system clock; tests
-	// may slow or virtualize it).
-	Clock clock.Sleeper
 }
 
 // Stats are the proxy's lifetime counters.
@@ -50,12 +39,10 @@ type Stats struct {
 
 // Proxy is a running fault-injection proxy. Safe for concurrent use.
 type Proxy struct {
-	ln  net.Listener
-	clk clock.Sleeper
+	ln net.Listener
 
 	mu     sync.Mutex
 	target string
-	delay  time.Duration
 	links  map[*link]struct{}
 	stats  Stats
 	closed bool
@@ -101,18 +88,13 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System{}
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
 	p := &Proxy{
 		ln:     ln,
-		clk:    cfg.Clock,
 		target: cfg.Target,
-		delay:  cfg.Delay,
 		links:  make(map[*link]struct{}),
 	}
 	p.wg.Add(1)
@@ -122,14 +104,6 @@ func New(cfg Config) (*Proxy, error) {
 
 // Addr is the address clients should dial instead of the real server.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// SetDelay changes the per-chunk forwarding delay for existing and future
-// connections.
-func (p *Proxy) SetDelay(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.delay = d
-}
 
 // SetTarget points future connections at a new backend — the proxy-side
 // half of a server restart. Existing links keep their old backend until
@@ -235,18 +209,15 @@ func (p *Proxy) dropLink(l *link) {
 }
 
 // take counts a chunk of n bytes about to be forwarded — before the
-// write, so a reply the peer has already read is never missing from Stats
-// — and returns the delay to impose on it.
-func (p *Proxy) take(counter *int64, n int) time.Duration {
+// write, so a reply the peer has already read is never missing from Stats.
+func (p *Proxy) take(counter *int64, n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	*counter += int64(n)
-	return p.delay
 }
 
-// pipe forwards src→dst chunk by chunk, delaying each by the current
-// setting. It owns one direction of one link; either direction dying
-// tears down the whole link.
+// pipe forwards src→dst chunk by chunk. It owns one direction of one
+// link; either direction dying tears down the whole link.
 func (p *Proxy) pipe(l *link, src, dst net.Conn, counter *int64) {
 	defer p.wg.Done()
 	defer p.dropLink(l)
@@ -255,9 +226,7 @@ func (p *Proxy) pipe(l *link, src, dst net.Conn, counter *int64) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if delay := p.take(counter, n); delay > 0 {
-				p.clk.Sleep(delay)
-			}
+			p.take(counter, n)
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"react/internal/canon"
+	"react/internal/event"
 	"react/internal/taskq"
 )
 
@@ -258,7 +259,7 @@ func decodeRecordFast(payload []byte, r *Record, task *taskq.Record) bool {
 	d.Expect(`{"seq":`)
 	r.Seq = d.Uint(math.MaxUint64)
 	d.Expect(`,"kind":`)
-	r.Kind = Kind(d.Uint(math.MaxUint8))
+	r.Kind = event.Kind(d.Uint(math.MaxUint8))
 	if d.Has(`,"task":`) {
 		r.Task = task
 		decTaskRecord(&d, task)

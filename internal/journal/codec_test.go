@@ -168,12 +168,12 @@ func TestAppendSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	defer s.Close()
 	recs := []Record{
-		{Kind: KindSubmit, Task: taskRec("t0000001", taskq.Unassigned, "")},
-		{Kind: KindAssign, Task: taskRec("t0000001", taskq.Assigned, "w1")},
-		{Kind: KindUnassign, Cause: taskq.CauseEq2, Task: taskRec("t0000001", taskq.Unassigned, "")},
-		{Kind: KindComplete, Task: taskRec("t0000001", taskq.Completed, "w1")},
-		{Kind: KindFeedback, TaskID: "t0000001", Worker: "w1", Category: "ocr", Positive: true},
-		{Kind: KindForget, TaskID: "t0000001"},
+		{Kind: event.KindSubmit, Task: taskRec("t0000001", taskq.Unassigned, "")},
+		{Kind: event.KindAssign, Task: taskRec("t0000001", taskq.Assigned, "w1")},
+		{Kind: event.KindRevoke, Cause: taskq.CauseEq2, Task: taskRec("t0000001", taskq.Unassigned, "")},
+		{Kind: event.KindComplete, Task: taskRec("t0000001", taskq.Completed, "w1")},
+		{Kind: event.KindFeedback, TaskID: "t0000001", Worker: "w1", Category: "ocr", Positive: true},
+		{Kind: event.KindForget, TaskID: "t0000001"},
 	}
 	const runs = 200
 	for buffer := 0; buffer < 2; buffer++ { // the one being filled, and the spare

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"react/internal/event"
 	"react/internal/taskq"
 )
 
@@ -21,7 +22,7 @@ func mixedStream(first, n int) []Record {
 	var recs []Record
 	if first == 0 {
 		for w := 0; w < 4; w++ {
-			recs = append(recs, Record{Kind: KindAttach, Worker: fmt.Sprintf("w%d", w), Lat: 40 + float64(w)/7, Lon: -74})
+			recs = append(recs, Record{Kind: event.KindAttach, Worker: fmt.Sprintf("w%d", w), Lat: 40 + float64(w)/7, Lon: -74})
 		}
 	}
 	for i := first; i < first+n; i++ {
@@ -37,27 +38,27 @@ func mixedStream(first, n int) []Record {
 			}
 			return r
 		}
-		recs = append(recs, Record{Kind: KindSubmit, Task: at(taskq.Unassigned, "")})
+		recs = append(recs, Record{Kind: event.KindSubmit, Task: at(taskq.Unassigned, "")})
 		switch i % 5 {
 		case 0: // shed before anyone held it
-			recs = append(recs, Record{Kind: KindExpire, Cause: taskq.CauseShed, Task: at(taskq.Expired, "")})
+			recs = append(recs, Record{Kind: event.KindExpire, Cause: taskq.CauseShed, Task: at(taskq.Expired, "")})
 			continue
 		case 1: // revoked once, then completed by the next worker
 			recs = append(recs,
-				Record{Kind: KindAssign, Task: at(taskq.Assigned, "w3")},
-				Record{Kind: KindUnassign, Cause: taskq.CauseEq2, Task: at(taskq.Unassigned, "")})
+				Record{Kind: event.KindAssign, Task: at(taskq.Assigned, "w3")},
+				Record{Kind: event.KindRevoke, Cause: taskq.CauseEq2, Task: at(taskq.Unassigned, "")})
 		}
 		recs = append(recs,
-			Record{Kind: KindAssign, Task: at(taskq.Assigned, worker)},
-			Record{Kind: KindComplete, Task: at(taskq.Completed, worker)})
+			Record{Kind: event.KindAssign, Task: at(taskq.Assigned, worker)},
+			Record{Kind: event.KindComplete, Task: at(taskq.Completed, worker)})
 		if i%3 == 0 {
-			recs = append(recs, Record{Kind: KindFeedback, TaskID: id, Worker: worker, Category: "ocr", Positive: i%2 == 0})
+			recs = append(recs, Record{Kind: event.KindFeedback, TaskID: id, Worker: worker, Category: "ocr", Positive: i%2 == 0})
 		}
 		if i >= 30 {
-			recs = append(recs, Record{Kind: KindForget, TaskID: fmt.Sprintf("t%05d", i-30)})
+			recs = append(recs, Record{Kind: event.KindForget, TaskID: fmt.Sprintf("t%05d", i-30)})
 		}
 		if i == 57 {
-			recs = append(recs, Record{Kind: KindDeregister, Worker: "w3"})
+			recs = append(recs, Record{Kind: event.KindDeregister, Worker: "w3"})
 		}
 	}
 	return recs
@@ -341,7 +342,7 @@ func BenchmarkCompact(b *testing.B) {
 	}
 	defer s.Close()
 	s.TakeRecovered()
-	if err := s.Append(Record{Kind: KindAttach, Worker: "w1", Lat: 40, Lon: -74}); err != nil {
+	if err := s.Append(Record{Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74}); err != nil {
 		b.Fatal(err)
 	}
 	next := 0
@@ -351,16 +352,16 @@ func BenchmarkCompact(b *testing.B) {
 		for start := s.Stats().Bytes; s.Stats().Bytes-start < bytes; next++ {
 			id := fmt.Sprintf("t%07d", next)
 			for _, rec := range []Record{
-				{Kind: KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
-				{Kind: KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
-				{Kind: KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
+				{Kind: event.KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
+				{Kind: event.KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
+				{Kind: event.KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
 			} {
 				if err := s.Append(rec); err != nil {
 					b.Fatal(err)
 				}
 			}
 			if next >= 20000 {
-				if err := s.Append(Record{Kind: KindForget, TaskID: fmt.Sprintf("t%07d", next-20000)}); err != nil {
+				if err := s.Append(Record{Kind: event.KindForget, TaskID: fmt.Sprintf("t%07d", next-20000)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -399,9 +400,9 @@ func BenchmarkAppend(b *testing.B) {
 	defer s.Close()
 	s.TakeRecovered()
 	recs := []Record{
-		{Kind: KindSubmit, Task: taskRec("t0000001", taskq.Unassigned, "")},
-		{Kind: KindAssign, Task: taskRec("t0000001", taskq.Assigned, "w1")},
-		{Kind: KindComplete, Task: taskRec("t0000001", taskq.Completed, "w1")},
+		{Kind: event.KindSubmit, Task: taskRec("t0000001", taskq.Unassigned, "")},
+		{Kind: event.KindAssign, Task: taskRec("t0000001", taskq.Assigned, "w1")},
+		{Kind: event.KindComplete, Task: taskRec("t0000001", taskq.Completed, "w1")},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -429,13 +430,13 @@ func BenchmarkReplaySegment(b *testing.B) {
 	lifecycleOf := func(i int) []Record {
 		id := fmt.Sprintf("t%07d", i)
 		return []Record{
-			{Kind: KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
-			{Kind: KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
-			{Kind: KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
-			{Kind: KindForget, TaskID: fmt.Sprintf("t%07d", i-20000)},
+			{Kind: event.KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
+			{Kind: event.KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
+			{Kind: event.KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
+			{Kind: event.KindForget, TaskID: fmt.Sprintf("t%07d", i-20000)},
 		}
 	}
-	attach := Record{Kind: KindAttach, Worker: "w1", Lat: 40, Lon: -74}
+	attach := Record{Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74}
 	if err := st.Apply(attach); err != nil {
 		b.Fatal(err)
 	}

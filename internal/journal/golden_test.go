@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"react/internal/event"
 	"react/internal/taskq"
 )
 
@@ -37,61 +38,61 @@ func goldenRecords() []Record {
 		}
 	}
 	recs := []Record{
-		{Kind: KindAttach, Worker: "w1", Lat: 40.7128, Lon: -74.006},
-		{Kind: KindAttach, Worker: "w2", Lat: -33.5, Lon: 151.25},
-		{Kind: KindAttach, Worker: "w3"}, // null island: lat and lon omitted
+		{Kind: event.KindAttach, Worker: "w1", Lat: 40.7128, Lon: -74.006},
+		{Kind: event.KindAttach, Worker: "w2", Lat: -33.5, Lon: 151.25},
+		{Kind: event.KindAttach, Worker: "w3"}, // null island: lat and lon omitted
 
-		{Kind: KindSubmit, Task: task("t1", nil)},
-		{Kind: KindAssign, Task: task("t1", held("w1", 1, 1500*time.Millisecond+7))},
-		{Kind: KindUnassign, Cause: taskq.CauseEq2, Task: task("t1", func(r *taskq.Record) { r.Attempts = 1 })},
-		{Kind: KindAssign, Task: task("t1", held("w2", 2, 3*time.Second))},
-		{Kind: KindComplete, Task: task("t1", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t1", nil)},
+		{Kind: event.KindAssign, Task: task("t1", held("w1", 1, 1500*time.Millisecond+7))},
+		{Kind: event.KindRevoke, Cause: taskq.CauseEq2, Task: task("t1", func(r *taskq.Record) { r.Attempts = 1 })},
+		{Kind: event.KindAssign, Task: task("t1", held("w2", 2, 3*time.Second))},
+		{Kind: event.KindComplete, Task: task("t1", func(r *taskq.Record) {
 			held("w2", 2, 3*time.Second)(r)
 			r.Status, r.FinishedAt = taskq.Completed, at(3*time.Second+123456789)
 		})},
-		{Kind: KindFeedback, TaskID: "t1", Worker: "w2", Category: "ocr", Positive: true},
+		{Kind: event.KindFeedback, TaskID: "t1", Worker: "w2", Category: "ocr", Positive: true},
 
 		// Floats: tiny and huge take the exponent form, with encoding/json's
 		// "e-07" → "e-7" clean-up; negative zero keeps its sign.
-		{Kind: KindSubmit, Task: task("t2", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t2", func(r *taskq.Record) {
 			r.Task.Reward, r.Task.Location.Lat, r.Task.Location.Lon = 1e-7, -89.99999999, math.Copysign(0, -1)
 		})},
-		{Kind: KindExpire, Cause: taskq.CauseShed, Task: task("t2", func(r *taskq.Record) {
+		{Kind: event.KindExpire, Cause: taskq.CauseShed, Task: task("t2", func(r *taskq.Record) {
 			r.Task.Reward, r.Task.Location.Lat, r.Task.Location.Lon = 1e-7, -89.99999999, math.Copysign(0, -1)
 			r.Status, r.FinishedAt = taskq.Expired, at(20*time.Millisecond)
 		})},
-		{Kind: KindSubmit, Task: task("t3", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t3", func(r *taskq.Record) {
 			r.Task.Reward, r.Task.Location.Lat, r.Task.Location.Lon = 1.5e21, 2.5e-9, 999999999999999900000
 		})},
-		{Kind: KindExpire, Task: task("t3", func(r *taskq.Record) { // the deadline's doing: no cause
+		{Kind: event.KindExpire, Task: task("t3", func(r *taskq.Record) { // the deadline's doing: no cause
 			r.Task.Reward, r.Task.Location.Lat, r.Task.Location.Lon = 1.5e21, 2.5e-9, 999999999999999900000
 			r.Status, r.FinishedAt = taskq.Expired, at(time.Minute)
 		})},
-		{Kind: KindSubmit, Task: task("t4", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t4", func(r *taskq.Record) {
 			r.Task.Reward, r.Task.Location.Lat = -3.25, 0.000001
 			r.Task.Description = "count the cars" // plain: stays on the fast path
 		})},
 
 		// Strings the codec declines: JSON escapes, HTML escapes, non-ASCII.
-		{Kind: KindSubmit, Task: task("t5", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t5", func(r *taskq.Record) {
 			r.Task.Description = "scan <receipt> & say \"total\"\n\tper line \\ page"
 		})},
-		{Kind: KindSubmit, Task: task("t6", func(r *taskq.Record) {
+		{Kind: event.KindSubmit, Task: task("t6", func(r *taskq.Record) {
 			r.Task.Category = "café"
 			// A zoned deadline, as a server running outside UTC stamps it.
 			r.Task.Deadline = at(time.Hour).In(time.FixedZone("", -5*3600))
 			r.Task.Submitted = at(250 * time.Millisecond).In(time.FixedZone("", 5*3600+1800))
 		})},
-		{Kind: KindAssign, Task: task("t5", func(r *taskq.Record) {
+		{Kind: event.KindAssign, Task: task("t5", func(r *taskq.Record) {
 			r.Task.Description = "scan <receipt> & say \"total\"\n\tper line \\ page"
 			held("w1", 1, 4*time.Second)(r)
 		})},
-		{Kind: KindFeedback, TaskID: "t4", Worker: "w1", Category: "q&a"},
-		{Kind: KindFeedback, TaskID: "t3", Worker: "w2", Category: "ocr"}, // negative: positive omitted
+		{Kind: event.KindFeedback, TaskID: "t4", Worker: "w1", Category: "q&a"},
+		{Kind: event.KindFeedback, TaskID: "t3", Worker: "w2", Category: "ocr"}, // negative: positive omitted
 
-		{Kind: KindForget, TaskID: "t2"},
-		{Kind: KindDeregister, Worker: "w3"},
-		{Kind: KindAttach, Worker: "wé", Lat: 1e-7, Lon: -2.5e-7},
+		{Kind: event.KindForget, TaskID: "t2"},
+		{Kind: event.KindDeregister, Worker: "w3"},
+		{Kind: event.KindAttach, Worker: "wé", Lat: 1e-7, Lon: -2.5e-7},
 	}
 	for i := range recs {
 		recs[i].Seq = uint64(i + 1)

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"react/internal/event"
+	"react/internal/region"
 	"react/internal/taskq"
 )
 
@@ -80,14 +82,14 @@ func lifecycle(n int) []Record {
 	var recs []Record
 	seq := uint64(0)
 	next := func() uint64 { seq++; return seq }
-	recs = append(recs, Record{Seq: next(), Kind: KindAttach, Worker: "w1", Lat: 40, Lon: -74})
+	recs = append(recs, Record{Seq: next(), Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74})
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("t%03d", i)
 		recs = append(recs,
-			Record{Seq: next(), Kind: KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
-			Record{Seq: next(), Kind: KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
-			Record{Seq: next(), Kind: KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
-			Record{Seq: next(), Kind: KindFeedback, TaskID: id, Worker: "w1", Category: "ocr", Positive: true},
+			Record{Seq: next(), Kind: event.KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
+			Record{Seq: next(), Kind: event.KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
+			Record{Seq: next(), Kind: event.KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
+			Record{Seq: next(), Kind: event.KindFeedback, TaskID: id, Worker: "w1", Category: "ocr", Positive: true},
 		)
 	}
 	return recs
@@ -210,13 +212,13 @@ func TestStateApply(t *testing.T) {
 		t.Fatal("feedback did not mark task graded")
 	}
 	// Forget removes, deregister drops the worker.
-	if err := st.Apply(Record{Seq: 100, Kind: KindForget, TaskID: "t000"}); err != nil {
+	if err := st.Apply(Record{Seq: 100, Kind: event.KindForget, TaskID: "t000"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Tasks["t000"]; ok {
 		t.Fatal("forget did not remove the task")
 	}
-	if err := st.Apply(Record{Seq: 101, Kind: KindDeregister, Worker: "w1"}); err != nil {
+	if err := st.Apply(Record{Seq: 101, Kind: event.KindDeregister, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Profiles.Size() != 0 {
@@ -394,8 +396,8 @@ func TestStoreRefusesMidLogCorruption(t *testing.T) {
 func TestStoreRefusesSequenceGap(t *testing.T) {
 	dir := t.TempDir()
 	buf := frames(t,
-		Record{Seq: 1, Kind: KindSubmit, Task: taskRec("a", taskq.Unassigned, "")},
-		Record{Seq: 3, Kind: KindSubmit, Task: taskRec("b", taskq.Unassigned, "")},
+		Record{Seq: 1, Kind: event.KindSubmit, Task: taskRec("a", taskq.Unassigned, "")},
+		Record{Seq: 3, Kind: event.KindSubmit, Task: taskRec("b", taskq.Unassigned, "")},
 	)
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), buf, 0o644); err != nil {
 		t.Fatal(err)
@@ -456,7 +458,7 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatalf("compactions: %d, want 1", got)
 	}
 	// More records after the compaction land in the new segment.
-	if err := s.Append(Record{Kind: KindSubmit, Task: taskRec("after", taskq.Unassigned, "")}); err != nil {
+	if err := s.Append(Record{Kind: event.KindSubmit, Task: taskRec("after", taskq.Unassigned, "")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -519,7 +521,7 @@ func TestStoreAppendAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(Record{Kind: KindSubmit, Task: taskRec("x", taskq.Unassigned, "")}); err == nil {
+	if err := s.Append(Record{Kind: event.KindSubmit, Task: taskRec("x", taskq.Unassigned, "")}); err == nil {
 		t.Fatal("Append after Close succeeded")
 	}
 }
@@ -539,7 +541,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			for i := 0; i < per; i++ {
 				id := fmt.Sprintf("w%d-t%d", w, i)
-				if err := s.Append(Record{Kind: KindSubmit, Task: taskRec(id, taskq.Unassigned, "")}); err != nil {
+				if err := s.Append(Record{Kind: event.KindSubmit, Task: taskRec(id, taskq.Unassigned, "")}); err != nil {
 					done <- err
 					return
 				}
@@ -569,9 +571,9 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(mustFrames(lifecycle(2)...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	seed := mustFrames(Record{Seq: 1, Kind: KindAttach, Worker: "w", Lat: 1, Lon: 2})
+	seed := mustFrames(Record{Seq: 1, Kind: event.KindAttach, Worker: "w", Lat: 1, Lon: 2})
 	f.Add(seed[:len(seed)-3])
-	f.Add(mustFrames(Record{Seq: 1, Kind: KindUnassign, Task: taskRec("t", taskq.Unassigned, ""), Cause: taskq.CauseEq2}))
+	f.Add(mustFrames(Record{Seq: 1, Kind: event.KindRevoke, Task: taskRec("t", taskq.Unassigned, ""), Cause: taskq.CauseEq2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, torn, err := decodeFrames(data)
 		if err != nil {
@@ -594,48 +596,63 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
-// TestKindStringAndFromEvent pins the log-facing names and the spine
-// event → WAL record mapping, including the not-journaled verdict for
-// batch summaries and unknown event kinds.
+// TestKindStringAndFromEvent pins the on-disk kind numbers (a record's kind
+// is its spine event's) and the spine event → WAL record mapping: the task
+// kinds carry the record, forget and the worker-level kinds exactly the
+// arguments they always carried, and batch summaries and unknown kinds are
+// neither journaled nor accepted from a log.
 func TestKindStringAndFromEvent(t *testing.T) {
-	names := map[Kind]string{
-		KindSubmit: "submit", KindAssign: "assign", KindUnassign: "unassign",
-		KindComplete: "complete", KindExpire: "expire", KindForget: "forget",
-		KindFeedback: "feedback", KindAttach: "attach", KindDeregister: "deregister",
+	onDisk := map[event.Kind]string{
+		1: "submit", 2: "assign", 3: "revoke", 4: "complete", 5: "expire",
+		6: "forget", 7: "feedback", 8: "attach", 9: "deregister",
 	}
-	for k, want := range names {
+	for k, want := range onDisk {
 		if got := k.String(); got != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
+			t.Errorf("kind %d is %q, want %q", k, got, want)
 		}
 	}
-	if got := Kind(0).String(); got == "" {
-		t.Error("unknown kind must still name itself for logs")
-	}
 
-	rec := *taskRec("t1", taskq.Assigned, "w1")
-	pairs := map[event.Kind]Kind{
-		event.KindSubmit: KindSubmit, event.KindAssign: KindAssign,
-		event.KindRevoke: KindUnassign, event.KindComplete: KindComplete,
-		event.KindExpire: KindExpire,
-	}
-	for ek, want := range pairs {
-		got, ok := FromEvent(event.Event{Kind: ek, Task: "t1", Record: rec})
-		if !ok || got.Kind != want || got.Task == nil || got.Task.Task.ID != "t1" {
-			t.Errorf("FromEvent(%v) = %+v ok=%v, want kind %v carrying t1", ek, got, ok, want)
+	rec := *taskRec("t1", taskq.Completed, "w1")
+	for _, ek := range []event.Kind{event.KindSubmit, event.KindAssign, event.KindRevoke,
+		event.KindComplete, event.KindExpire} {
+		got, ok := FromEvent(event.Event{Kind: ek, Task: "t1", Worker: "w1", Record: rec})
+		if !ok || got.Kind != ek || got.Task == nil || got.Task.Task.ID != "t1" ||
+			got.TaskID != "" || got.Worker != "" || got.Category != "" {
+			t.Errorf("FromEvent(%v) = %+v ok=%v, want kind %v carrying t1 and nothing else", ek, got, ok, ek)
 		}
 		if err := got.validate(); err != nil {
 			t.Errorf("FromEvent(%v) does not validate: %v", ek, err)
 		}
 	}
-	forget, ok := FromEvent(event.Event{Kind: event.KindForget, Task: "t1", Record: rec})
-	if !ok || forget.Kind != KindForget || forget.TaskID != "t1" || forget.Task != nil {
-		t.Errorf("forget mapping = %+v ok=%v", forget, ok)
+	at := rec.FinishedAt
+	for _, tc := range []struct {
+		ev   event.Event
+		want Record
+	}{
+		{event.Event{Kind: event.KindForget, Task: "t1", Worker: "w1", At: at, Record: rec},
+			Record{Kind: event.KindForget, TaskID: "t1"}},
+		{event.Event{Kind: event.KindFeedback, Task: "t1", Worker: "w1", At: at, Positive: true, Record: rec},
+			Record{Kind: event.KindFeedback, TaskID: "t1", Worker: "w1", Category: "ocr", Positive: true}},
+		{event.Event{Kind: event.KindAttach, Worker: "w1", At: at, Loc: region.Point{Lat: 40, Lon: -74}},
+			Record{Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74}},
+		{event.Event{Kind: event.KindDeregister, Worker: "w1", At: at},
+			Record{Kind: event.KindDeregister, Worker: "w1"}},
+	} {
+		got, ok := FromEvent(tc.ev)
+		if !ok || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("FromEvent(%v) = %+v ok=%v, want %+v", tc.ev.Kind, got, ok, tc.want)
+		}
+		if err := got.validate(); err != nil {
+			t.Errorf("FromEvent(%v) does not validate: %v", tc.ev.Kind, err)
+		}
 	}
-	if _, ok := FromEvent(event.Event{Kind: event.KindBatch}); ok {
-		t.Error("batch summaries must not be journaled")
-	}
-	if _, ok := FromEvent(event.Event{}); ok {
-		t.Error("unknown event kind must not map to a journal record")
+	for _, k := range []event.Kind{0, event.KindBatch, event.KindBatch + 1} {
+		if _, ok := FromEvent(event.Event{Kind: k, Batch: &event.BatchStats{}}); ok {
+			t.Errorf("%v events must not be journaled", k)
+		}
+		if err := (Record{Kind: k, Task: &rec, TaskID: "t1", Worker: "w1"}).validate(); err == nil {
+			t.Errorf("a %v record is accepted from a log", k)
+		}
 	}
 }
 
@@ -732,7 +749,7 @@ func TestStoreErrAndObserver(t *testing.T) {
 		}
 		observed++
 	})
-	if err := s.Append(Record{Kind: KindAttach, Worker: "w1", Lat: 40, Lon: -74}); err != nil {
+	if err := s.Append(Record{Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {

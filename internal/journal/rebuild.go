@@ -10,8 +10,9 @@ import (
 )
 
 // State is rebuilt scheduling state: the task registry as plain records,
-// the worker profiles, and the lifecycle counters — the same event.Ledger
-// fold the live engine runs, so replay cannot count differently (batch
+// the worker profiles, and the lifecycle counters. Profiles and counters
+// learn through the folds the live engine taps (profile.Registry.Observe,
+// event.Ledger), so replay cannot learn or count differently (batch
 // counts and matcher wall time are not journaled and reset across a
 // recovery). It is produced by replaying a snapshot plus WAL records and
 // consumed either by recovery (bulk-loaded into a fresh engine) or by
@@ -38,32 +39,27 @@ func NewState() *State {
 // hand-edited log.
 func (s *State) Apply(r Record) error {
 	switch r.Kind {
-	case KindSubmit, KindAssign, KindUnassign, KindComplete, KindExpire:
-		s.Tasks[r.Task.Task.ID] = *r.Task
-		s.Stats.Observe(r.event())
-		if r.Kind == KindComplete {
-			// Mirror the live engine: a completion feeds the worker's
-			// power-law execution-time model immediately.
-			if p, ok := s.Profiles.Get(r.Task.Worker); ok {
-				p.RecordExecTime(r.Task.ExecTime().Seconds())
-			}
-		}
-	case KindForget:
+	case event.KindSubmit, event.KindAssign, event.KindRevoke, event.KindComplete, event.KindExpire:
+		// The live engine's folds, in its tap order: the counters, then the
+		// profiles (a completion feeds the answerer's execution-time model).
+		ev := r.event()
+		s.Tasks[ev.Task] = ev.Record
+		s.Stats.Observe(ev)
+		s.Profiles.Observe(ev)
+	case event.KindForget:
 		delete(s.Tasks, r.TaskID)
-	case KindFeedback:
+	case event.KindFeedback:
 		// The grade credits the worker's per-category accuracy (Eq. 1) and
 		// marks the task graded so a replayed server still rejects double
 		// grading. A missing task is normal (retention may have forgotten
 		// it between the grade and the crash); a missing worker means the
 		// worker deregistered afterwards, and its history went with it.
-		if p, ok := s.Profiles.Get(r.Worker); ok {
-			p.RecordFeedback(r.Category, r.Positive)
-		}
+		s.Profiles.Observe(r.event())
 		if rec, ok := s.Tasks[r.TaskID]; ok {
 			rec.Graded = true
 			s.Tasks[r.TaskID] = rec
 		}
-	case KindAttach:
+	case event.KindAttach:
 		loc := region.Point{Lat: r.Lat, Lon: r.Lon}
 		if _, err := s.Profiles.Register(r.Worker, loc); err != nil {
 			// Already present: the worker was restored from the snapshot
@@ -74,7 +70,7 @@ func (s *State) Apply(r Record) error {
 				return fmt.Errorf("journal: replay attach %q: %w", r.Worker, err)
 			}
 		}
-	case KindDeregister:
+	case event.KindDeregister:
 		if err := s.Profiles.Deregister(r.Worker); err != nil {
 			return fmt.Errorf("journal: replay deregister: %w", err)
 		}

@@ -1,16 +1,20 @@
 // Package journal makes a region server's scheduling state durable: a
-// per-shard-ordered write-ahead log of task-lifecycle mutations plus
+// per-shard-ordered write-ahead log of the engine's event spine plus
 // periodic snapshot compaction, so a crashed reactd restarts with every
-// in-flight task instead of relying on clients to resubmit.
+// in-flight task and every learned worker profile instead of relying on
+// clients to resubmit.
 //
 // The design splits into three layers:
 //
-//   - Records (this file): each WAL entry carries the FULL post-mutation
-//     task record — physiological redo logging — so replay is a pure
-//     upsert. No replayed operation can fail a lifecycle check, no clock
-//     needs rewinding, and the final state of a task is simply its last
-//     record. Per-task ordering is guaranteed at the source: taskq emits
-//     events under the shard mutex, before the mutating call returns.
+//   - Records (this file): one record per spine event, made by FromEvent
+//     and nowhere else; the record kind is the event.Kind. A task-state
+//     record carries the FULL post-mutation task record — physiological
+//     redo logging — so replay is a pure upsert. No replayed operation can
+//     fail a lifecycle check, no clock needs rewinding, and the final state
+//     of a task is simply its last record. Per-task ordering is guaranteed
+//     at the source: taskq emits events under the shard mutex, before the
+//     mutating call returns. Replay (rebuild.go) feeds records back, as
+//     events, through the same folds the live engine taps.
 //     On disk a record is JSON, byte for byte what encoding/json makes of
 //     the struct, but written and read by a hand-written codec (codec.go)
 //     that allocates nothing on the append path and hands whatever falls
@@ -35,66 +39,25 @@ import (
 	"fmt"
 
 	"react/internal/event"
+	"react/internal/region"
 	"react/internal/taskq"
 )
 
-// Kind discriminates WAL records.
-type Kind uint8
-
-// Record kinds. The task-lifecycle kinds (Submit through Forget) mirror
-// taskq.EventKind and carry the full record; Feedback, Attach, and
-// Deregister are engine-level facts the task store cannot observe.
-const (
-	KindSubmit Kind = iota + 1
-	KindAssign
-	KindUnassign
-	KindComplete
-	KindExpire
-	KindForget
-	KindFeedback
-	KindAttach
-	KindDeregister
-)
-
-// String names the kind for logs and errors.
-func (k Kind) String() string {
-	switch k {
-	case KindSubmit:
-		return "submit"
-	case KindAssign:
-		return "assign"
-	case KindUnassign:
-		return "unassign"
-	case KindComplete:
-		return "complete"
-	case KindExpire:
-		return "expire"
-	case KindForget:
-		return "forget"
-	case KindFeedback:
-		return "feedback"
-	case KindAttach:
-		return "attach"
-	case KindDeregister:
-		return "deregister"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Record is one WAL entry. Seq is assigned by the store at append time and
-// is strictly contiguous within a log: recovery treats a gap as data loss
-// and refuses to start.
+// Record is one WAL entry: one spine event, with the event's kind as the
+// record kind (event.KindSubmit through event.KindDeregister; batch
+// summaries are recomputed, not journaled). Seq is assigned by the store
+// at append time and is strictly contiguous within a log: recovery treats
+// a gap as data loss and refuses to start.
 type Record struct {
-	Seq  uint64 `json:"seq"`
-	Kind Kind   `json:"kind"`
+	Seq  uint64     `json:"seq"`
+	Kind event.Kind `json:"kind"`
 
 	// Task carries the full post-mutation record for the task-lifecycle
 	// kinds (nil for KindForget and the worker-level kinds).
 	Task *taskq.Record `json:"task,omitempty"`
 
 	// Cause is the spine event's taskq.Cause* where counting depends on it:
-	// every KindUnassign, and a KindExpire the deadline did not cause (a
+	// every KindRevoke, and a KindExpire the deadline did not cause (a
 	// shed). Absent everywhere else, and in logs older than the field.
 	Cause string `json:"cause,omitempty"`
 
@@ -113,56 +76,58 @@ type Record struct {
 
 // FromEvent derives the WAL record for a spine event. The second return
 // is false for events that are not journaled (scheduling-round
-// summaries): batches are recomputed, not replayed. The event's Record
-// is the full post-mutation state, so the WAL entry is exactly the
-// physiological redo payload replay needs. (Assign-then-return keeps it
-// inlinable, so a caller that only inspects the result never allocates rec.)
-func FromEvent(ev event.Event) (Record, bool) {
+// summaries): batches are recomputed, not replayed. A task-state event's
+// Record is the full post-mutation state, so the WAL entry is exactly the
+// physiological redo payload replay needs; forget and the worker-level
+// kinds carry their arguments instead. (The shape — assign, fall through,
+// bare return — keeps it inlinable, so a caller that only inspects the
+// result never allocates rec.)
+func FromEvent(ev event.Event) (r Record, ok bool) {
 	rec := ev.Record
-	r := Record{Task: &rec}
+	r = Record{Kind: ev.Kind, Task: &rec}
 	switch ev.Kind {
-	case event.KindSubmit:
-		r.Kind = KindSubmit
-	case event.KindAssign:
-		r.Kind = KindAssign
-	case event.KindRevoke:
-		r.Kind, r.Cause = KindUnassign, ev.Cause
-	case event.KindComplete:
-		r.Kind = KindComplete
-	case event.KindExpire:
-		r.Kind = KindExpire
-		if ev.Cause != taskq.CauseDeadline {
+	case event.KindSubmit, event.KindAssign, event.KindComplete:
+	case event.KindRevoke, event.KindExpire:
+		if ev.Cause != taskq.CauseDeadline { // never a revocation's cause
 			r.Cause = ev.Cause
 		}
+	case event.KindFeedback, event.KindAttach, event.KindDeregister:
+		r = Record{Kind: ev.Kind, Worker: ev.Worker, Category: rec.Task.Category,
+			Positive: ev.Positive, Lat: ev.Loc.Lat, Lon: ev.Loc.Lon}
+		fallthrough
 	case event.KindForget:
-		return Record{Kind: KindForget, TaskID: ev.Task}, true
+		r.Task, r.TaskID = nil, ev.Task
 	default:
-		return Record{}, false
+		return // not journaled
 	}
 	return r, true
 }
 
-// event is FromEvent's inverse for the five task-state kinds: the spine
-// event a replayed record stands for, as far as event.Ledger.Observe
-// reads it (kind, cause, post-mutation record).
+// event is FromEvent's inverse: the spine event a replayed record stands
+// for, as far as the folds replay runs (event.Ledger.Observe,
+// profile.Registry.Observe) read it.
 func (r Record) event() event.Event {
-	kinds := [...]event.Kind{KindSubmit: event.KindSubmit, KindAssign: event.KindAssign,
-		KindUnassign: event.KindRevoke, KindComplete: event.KindComplete, KindExpire: event.KindExpire}
-	return event.Event{Kind: kinds[r.Kind], Task: r.Task.Task.ID, Cause: r.Cause, Record: *r.Task}
+	ev := event.Event{Kind: r.Kind, Task: r.TaskID, Worker: r.Worker, Cause: r.Cause,
+		Loc: region.Point{Lat: r.Lat, Lon: r.Lon}, Positive: r.Positive}
+	ev.Record.Task.Category = r.Category
+	if r.Task != nil {
+		ev.Task, ev.Worker, ev.Record = r.Task.Task.ID, r.Task.Worker, *r.Task
+	}
+	return ev
 }
 
 // validate rejects records that could not be replayed.
 func (r Record) validate() error {
 	switch r.Kind {
-	case KindSubmit, KindAssign, KindUnassign, KindComplete, KindExpire:
+	case event.KindSubmit, event.KindAssign, event.KindRevoke, event.KindComplete, event.KindExpire:
 		if r.Task == nil || r.Task.Task.ID == "" {
 			return fmt.Errorf("journal: %v record without task state", r.Kind)
 		}
-	case KindForget, KindFeedback:
+	case event.KindForget, event.KindFeedback:
 		if r.TaskID == "" {
 			return fmt.Errorf("journal: %v record without task id", r.Kind)
 		}
-	case KindAttach, KindDeregister:
+	case event.KindAttach, event.KindDeregister:
 		if r.Worker == "" {
 			return fmt.Errorf("journal: %v record without worker id", r.Kind)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"react/internal/clock"
+	"react/internal/event"
 	"react/internal/journal"
 	"react/internal/metrics"
 	"react/internal/taskq"
@@ -26,7 +27,7 @@ func TestJournalMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := taskq.Record{Task: taskq.Task{ID: "t1", Reward: 1}, Status: taskq.Unassigned}
-	if err := store.Append(journal.Record{Kind: journal.KindSubmit, Task: &rec}); err != nil {
+	if err := store.Append(journal.Record{Kind: event.KindSubmit, Task: &rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Sync(); err != nil {

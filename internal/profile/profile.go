@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"react/internal/event"
 	"react/internal/powerlaw"
 	"react/internal/region"
 )
@@ -364,6 +365,29 @@ func (r *Registry) Available() []*Profile {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
+}
+
+// Observe is the profiling component's fold over the event spine: a
+// completion feeds the answerer's power-law execution-time model, a
+// requester's grade the worker's Eq. 1 accuracy in the task's category.
+// The live engine taps it and journal replay calls it, so a recovered
+// profile has learned exactly what the live one did. An event for a worker
+// the registry no longer knows is dropped: its history left with it.
+// As a tap it runs under the task's shard lock; it takes the registry's
+// read lock and one profile's mutex, nothing else.
+func (r *Registry) Observe(ev event.Event) {
+	if ev.Kind != event.KindComplete && ev.Kind != event.KindFeedback {
+		return
+	}
+	p, ok := r.Get(ev.Worker)
+	if !ok {
+		return
+	}
+	if ev.Kind == event.KindComplete {
+		p.RecordExecTime(ev.Record.ExecTime().Seconds())
+	} else {
+		p.RecordFeedback(ev.Record.Task.Category, ev.Positive)
+	}
 }
 
 // All snapshots every registered worker, sorted by id.

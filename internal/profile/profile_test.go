@@ -7,8 +7,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"react/internal/event"
 	"react/internal/region"
+	"react/internal/taskq"
 )
 
 var athens = region.Point{Lat: 37.98, Lon: 23.73}
@@ -294,6 +297,42 @@ func TestTwoPhaseEquivalentToCombined(t *testing.T) {
 	ba, _ := b.Accuracy("photo")
 	if aa != ba {
 		t.Fatalf("accuracy differs: %v vs %v", aa, ba)
+	}
+}
+
+// TestObserveFoldsCompletionsAndGrades pins the registry's spine fold: a
+// completion is an execution-time sample for the answerer, a grade an Eq. 1
+// verdict in the task's category, and every other kind — or an event for a
+// worker the registry does not know — changes nothing.
+func TestObserveFoldsCompletionsAndGrades(t *testing.T) {
+	r := NewRegistry()
+	p, err := r.Register("alice", athens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	done := taskq.Record{Task: taskq.Task{ID: "t1", Category: "traffic"}, Status: taskq.Completed,
+		Worker: "alice", AssignedAt: t0, FinishedAt: t0.Add(8 * time.Second)}
+	for _, ev := range []event.Event{
+		{Kind: event.KindComplete, Task: "t1", Worker: "alice", Record: done},
+		{Kind: event.KindFeedback, Task: "t1", Worker: "alice", Positive: true, Record: done},
+		{Kind: event.KindFeedback, Task: "t1", Worker: "alice", Record: done},
+		{Kind: event.KindAssign, Task: "t1", Worker: "alice", Record: done},
+		{Kind: event.KindForget, Task: "t1", Worker: "alice", Record: done},
+		{Kind: event.KindAttach, Worker: "alice", Loc: region.Point{Lat: 1, Lon: 2}},
+		{Kind: event.KindComplete, Task: "t2", Worker: "bob", Record: done},
+		{Kind: event.KindFeedback, Task: "t2", Worker: "bob", Positive: true, Record: done},
+	} {
+		r.Observe(ev)
+	}
+	if m, ok := p.Model(1); !ok || m.N != 1 || m.Kmin != 8 {
+		t.Fatalf("model = %+v, %v; want one 8 s sample", m, ok)
+	}
+	if acc, ok := p.Accuracy("traffic"); !ok || acc != 0.5 || p.Finished() != 2 {
+		t.Fatalf("accuracy = %v, %v over %d; want 0.5 over 2", acc, ok, p.Finished())
+	}
+	if p.Location() != athens || r.Size() != 1 {
+		t.Fatalf("fold touched membership or location: %v, %d workers", p.Location(), r.Size())
 	}
 }
 

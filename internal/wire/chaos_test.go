@@ -133,7 +133,7 @@ func TestChaosConnectionResetsDuringLoad(t *testing.T) {
 		}
 		pending[id] = true
 		if i == 3 || i == 7 {
-			p.ResetAll() // cut every live connection mid-run
+			p.ResetAll()                         // cut every live connection mid-run
 			for r := range requester.Results() { // drains until the drop closes the feed
 				delete(pending, r.TaskID)
 			}
@@ -183,6 +183,28 @@ func TestChaosConnectionResetsDuringLoad(t *testing.T) {
 	}
 }
 
+// scriptedPeer serves one connection with script, which reads requests
+// from dec and writes raw frames to w, then holds the connection until the
+// client closes it. It returns the address to dial.
+func scriptedPeer(t *testing.T, script func(dec *json.Decoder, w io.Writer)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		script(json.NewDecoder(nc), nc)
+		io.Copy(io.Discard, nc)
+	}()
+	return ln.Addr().String()
+}
+
 // TestChaosSeqCorrelationAfterTimeout is the regression test for the
 // response-desync bug: a call that times out leaves its response in
 // flight; when that response finally lands it must be recognized as stale
@@ -191,38 +213,49 @@ func TestChaosConnectionResetsDuringLoad(t *testing.T) {
 // Stats(), whose real (stats-bearing) response would then desync every
 // call after it.
 func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
-	s := startServer(t)
-	p := startProxy(t, s.Addr())
-	c, err := Dial(p.Addr())
+	// A slow peer: it holds the ping's answer until the ping has timed
+	// out, and sends it ahead of the next call's own.
+	timedOut := make(chan struct{})
+	addr := scriptedPeer(t, func(dec *json.Decoder, w io.Writer) {
+		var ping, stats Message
+		if dec.Decode(&ping) != nil {
+			return
+		}
+		<-timedOut
+		fmt.Fprintf(w, `{"type":"ok","seq":%d}`+"\n", ping.Seq)
+		if dec.Decode(&stats) != nil {
+			return
+		}
+		fmt.Fprintf(w, `{"type":"ok","seq":%d,"stats":{"workers_online":3}}`+"\n", stats.Seq)
+	})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := c.Ping(); err != nil { // warm the link fault-free
-		t.Fatal(err)
-	}
+	c.SetKeepalive(-1) // the script answers exactly the calls below
 
-	p.SetDelay(250 * time.Millisecond) // round trip ≈500ms
+	var release sync.Once
+	answerLate := func() { release.Do(func() { close(timedOut) }) }
+	t.Cleanup(answerLate) // a failing test still lets the peer finish
+
 	c.SetCallTimeout(50 * time.Millisecond)
 	if err := c.Ping(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("delayed ping error = %v, want ErrTimeout", err)
 	}
-
-	// Let the late response land and park in the response buffer.
 	c.SetCallTimeout(5 * time.Second)
-	p.SetDelay(0)
-	time.Sleep(700 * time.Millisecond)
+	answerLate()
 
 	// The next call must skip the stale frame and get its own answer.
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatalf("call after timed-out call: %v", err)
 	}
-	if st.WorkersOnline != 0 {
+	if st.WorkersOnline != 3 {
 		t.Fatalf("stats desynced: %+v", st)
 	}
 	m := c.Metrics()
-	if m.StaleResponses < 1 {
+	if m.StaleResponses != 1 {
 		t.Fatalf("stale response not detected: %+v", m)
 	}
 	if m.MismatchedResponses != 0 {
@@ -233,26 +266,15 @@ func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
 	// call with a bare, seq-less frame (carrying a bogus payload) before
 	// the stamped one; the client must count the first stale and return
 	// the second — accepting it positionally is the same desync.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
+	addr = scriptedPeer(t, func(dec *json.Decoder, w io.Writer) {
 		var req Message
-		if json.NewDecoder(nc).Decode(&req) != nil {
+		if dec.Decode(&req) != nil {
 			return
 		}
-		fmt.Fprintf(nc, `{"type":"ok","stats":{"workers_online":99}}`+"\n")
-		fmt.Fprintf(nc, `{"type":"ok","seq":%d,"stats":{"workers_online":7}}`+"\n", req.Seq)
-		io.Copy(io.Discard, nc) // hold the connection until the client closes
-	}()
-	c2, err := Dial(ln.Addr().String())
+		fmt.Fprintf(w, `{"type":"ok","stats":{"workers_online":99}}`+"\n")
+		fmt.Fprintf(w, `{"type":"ok","seq":%d,"stats":{"workers_online":7}}`+"\n", req.Seq)
+	})
+	c2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,6 +83,62 @@ func TestWatchEventsStreamsTaskTimeline(t *testing.T) {
 	}
 }
 
+// TestWatchEventsSkipsWorkerFacts pins what the stream does with the
+// worker-level spine kinds: a register, a grade and a deregister are
+// journaled facts, not steps of a task's timeline, so an unscoped stream
+// forwards no frame for them and the task's lifecycle frames are exactly
+// what they would be without them.
+func TestWatchEventsSkipsWorkerFacts(t *testing.T) {
+	s := startServer(t)
+
+	watcher := dial(t, s)
+	if err := watcher.WatchEvents(""); err != nil {
+		t.Fatal(err)
+	}
+	worker := dial(t, s)
+	if err := worker.Register("alice", 37.98, 23.73); err != nil {
+		t.Fatal(err)
+	}
+	requester := dial(t, s)
+	if err := requester.Submit(testTask("t1")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-worker.Assignments():
+	case <-time.After(5 * time.Second):
+		t.Fatal("assignment never arrived")
+	}
+	if err := worker.Complete("t1", "alice", "yes"); err != nil {
+		t.Fatal(err)
+	}
+	if err := requester.Feedback("t1", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := worker.Deregister(); err != nil {
+		t.Fatal(err)
+	}
+	// Each call above returned after its event was published, and the
+	// stream is FIFO: once the marker's submit arrives, any frame for the
+	// worker facts would already have been read.
+	if err := requester.Submit(testTask("marker")); err != nil {
+		t.Fatal(err)
+	}
+
+	var frames []string
+	deadline := time.After(5 * time.Second)
+	for len(frames) == 0 || frames[len(frames)-1] != "marker:submit" {
+		select {
+		case ev := <-watcher.Events():
+			frames = append(frames, ev.TaskID+":"+ev.Kind)
+		case <-deadline:
+			t.Fatalf("marker never streamed; got %v", frames)
+		}
+	}
+	if got, want := strings.Join(frames, " "), "t1:submit t1:assign t1:complete marker:submit"; got != want {
+		t.Fatalf("stream = %s, want %s", got, want)
+	}
+}
+
 func TestWatchEventsUnfiltered(t *testing.T) {
 	s := startServer(t)
 
