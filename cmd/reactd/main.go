@@ -268,15 +268,13 @@ func serveGrid(addr, gridSpec, areaSpec string, opts core.Options, ow *obsWiring
 	if err != nil {
 		return nil, err
 	}
-	var relay wire.ResultRelay
-	opts.OnResult = relay.Wrap(opts.OnResult)
 	coord := federation.New(g, func(regionID string) *core.Server {
 		log.Printf("reactd: starting region server %s", regionID)
 		s := core.New(opts)
 		ow.wireRegion(regionID, s)
 		return s
 	})
-	return wire.ServeRegions(addr, coord, &relay)
+	return wire.ServeRegions(addr, coord)
 }
 
 // sources lists the running region servers as /statusz rows.

@@ -35,14 +35,6 @@ func main() {
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 2, BatchPeriod: 30 * time.Millisecond},
-		OnResult: func(r core.Result) {
-			if r.Expired || !r.MetDeadline {
-				return // late answers don't make it into the vote
-			}
-			if err := votes.Vote(r.TaskID, r.Answer); err != nil {
-				log.Printf("stray result %s: %v", r.TaskID, err)
-			}
-		},
 	})
 	srv.Start()
 	defer srv.Stop()
@@ -78,8 +70,16 @@ func main() {
 				if vote {
 					answer = "yes"
 				}
-				if _, err := srv.Complete(a.TaskID, id, answer); err == nil {
-					srv.Feedback(a.TaskID, true)
+				r, err := srv.Complete(a.TaskID, id, answer)
+				if err != nil {
+					continue
+				}
+				srv.Feedback(a.TaskID, true)
+				if !r.MetDeadline {
+					continue // late answers don't make it into the vote
+				}
+				if err := votes.Vote(r.TaskID, r.Answer); err != nil {
+					log.Printf("stray result %s: %v", r.TaskID, err)
 				}
 			}
 		}(id, careful)

@@ -47,15 +47,6 @@ type Options struct {
 	QueueDepth    int           // per-worker assignment channel depth (default 8)
 	Shards        int           // task bookkeeping stripes (default GOMAXPROCS)
 
-	// OnResult, if set, is invoked for every terminating task (completion
-	// or expiry). Completions call it inline from Complete; expiries are
-	// pumped from a bounded event-spine subscription by a server
-	// goroutine, so a burst beyond the buffer drops notifications rather
-	// than stalling the expiry tick (requesters reconcile via TaskStatus).
-	// Implementations must not block. Richer observation — revocations,
-	// batch summaries, full timelines — subscribes to Events() directly.
-	OnResult func(Result)
-
 	// Retention bounds how long terminal task records are kept for late
 	// Feedback and diagnostics before being garbage-collected. Zero keeps
 	// everything (suits tests and short-lived tools); long-running servers
@@ -125,10 +116,9 @@ type Region struct {
 // Server is one REACT region server: the shared scheduling engine plus the
 // live-deployment shell (ticker goroutines, channel feeds).
 type Server struct {
-	opts      Options
-	eng       *engine.Engine
-	store     *journal.Store      // non-nil once EnablePersistence ran
-	expireSub *event.Subscription // non-nil once Start ran with OnResult set
+	opts  Options
+	eng   *engine.Engine
+	store *journal.Store // non-nil once EnablePersistence ran
 
 	mu     sync.Mutex // guards closed and feeds
 	feeds  map[string]chan Assignment
@@ -176,36 +166,11 @@ func (s *Server) Tasks() *engine.TaskStore { return s.eng.Tasks() }
 // Engine exposes the shared scheduling engine itself.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// Start launches the batch and monitor loops, plus the expiry-result
-// pump when OnResult is set.
+// Start launches the batch and monitor loops.
 func (s *Server) Start() {
-	if s.opts.OnResult != nil {
-		sub := s.eng.Events().Subscribe(expirePumpDepth, func(ev event.Event) bool {
-			return ev.Kind == event.KindExpire
-		})
-		s.expireSub = sub
-		s.wg.Add(1)
-		go s.expirePump(sub)
-	}
 	s.wg.Add(2)
 	go s.batchLoop()
 	go s.monitorLoop()
-}
-
-// expirePumpDepth bounds the expiry-notification backlog. A tick that
-// expires more tasks than this while the pump is behind drops the
-// overflow (counted on the subscription) instead of blocking the engine.
-const expirePumpDepth = 1024
-
-// expirePump forwards expiry events to the requester-facing OnResult
-// callback, off the engine's tick goroutine.
-func (s *Server) expirePump(sub *event.Subscription) {
-	defer s.wg.Done()
-	for ev := range sub.C() {
-		s.opts.OnResult(Result{
-			TaskID: ev.Task, FinishedAt: ev.Record.FinishedAt, Expired: true,
-		})
-	}
 }
 
 // Stop terminates the loops, closes every worker feed, and — when
@@ -221,9 +186,6 @@ func (s *Server) Stop() {
 	s.closed = true
 	close(s.stop)
 	s.mu.Unlock()
-	if s.expireSub != nil {
-		s.expireSub.Close() // ends the expiry pump's range
-	}
 	s.wg.Wait()
 	s.mu.Lock()
 	for id, ch := range s.feeds {
@@ -313,13 +275,7 @@ func (s *Server) SubmitFrom(requester string, t taskq.Task) (admission.Decision,
 // waits for requester Feedback.
 func (s *Server) Complete(taskID, workerID, answer string) (Result, error) {
 	res, _, err := s.eng.Complete(taskID, workerID, answer)
-	if err != nil {
-		return Result{}, err
-	}
-	if s.opts.OnResult != nil {
-		s.opts.OnResult(res)
-	}
-	return res, nil
+	return res, err
 }
 
 // Feedback records the requester's verdict on a completed task, updating
@@ -330,32 +286,6 @@ func (s *Server) Complete(taskID, workerID, answer string) (Result, error) {
 // consuming the grade.
 func (s *Server) Feedback(taskID string, positive bool) error {
 	return s.eng.Feedback(taskID, positive)
-}
-
-// TaskStatus is a point-in-time view of one task's lifecycle, served to
-// requesters reconciling their outstanding tasks after a reconnect (a
-// result pushed while the watcher was disconnected is gone for good).
-type TaskStatus struct {
-	TaskID      string
-	State       taskq.Status
-	Worker      string // current or last worker
-	MetDeadline bool   // meaningful when State == taskq.Completed
-}
-
-// TaskStatus reports the lifecycle state of a task; ok is false when the
-// task was never submitted here or its terminal record has already been
-// garbage-collected past the retention window.
-func (s *Server) TaskStatus(taskID string) (TaskStatus, bool) {
-	rec, ok := s.eng.Tasks().Get(taskID)
-	if !ok {
-		return TaskStatus{}, false
-	}
-	return TaskStatus{
-		TaskID:      taskID,
-		State:       rec.Status,
-		Worker:      rec.Worker,
-		MetDeadline: rec.Status == taskq.Completed && rec.MetDeadline(),
-	}, true
 }
 
 // Stats snapshots the counters.

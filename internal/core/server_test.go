@@ -124,19 +124,12 @@ func TestFeedbackUpdatesAccuracy(t *testing.T) {
 }
 
 func TestExpiryNotifiesRequester(t *testing.T) {
-	var expired atomic.Int32
-	opts := fastOptions()
-	opts.OnResult = func(r Result) {
-		if r.Expired {
-			expired.Add(1)
-		}
-	}
-	s := New(opts)
+	s := New(fastOptions())
 	s.Start()
 	defer s.Stop()
 	// No workers registered: the task must expire unassigned.
 	s.Submit(newTask("t1", 50*time.Millisecond))
-	waitFor(t, 2*time.Second, func() bool { return expired.Load() == 1 })
+	waitFor(t, 2*time.Second, func() bool { return s.Stats().Expired == 1 })
 	if st := s.Stats(); st.Expired != 1 {
 		t.Fatalf("stats = %+v", st)
 	}

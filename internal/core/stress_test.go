@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,8 +29,6 @@ func TestServerChurnUnderRace(t *testing.T) {
 	// submissions and completions instead of idling between them.
 	opts.MonitorPeriod = time.Millisecond
 	opts.Monitor = engine.Monitor{}.Normalize()
-	var results atomic.Int64
-	opts.OnResult = func(Result) { results.Add(1) }
 
 	s := New(opts)
 	s.Start()
@@ -124,16 +121,17 @@ func TestServerChurnUnderRace(t *testing.T) {
 
 	// Every submitted task must terminate: completed or expired.
 	total := int64(requesters * perRequester)
+	terminated := func() int64 { st := s.Stats(); return st.Completed + st.Expired }
 	deadline := time.Now().Add(20 * time.Second)
-	for results.Load() < total && time.Now().Before(deadline) {
+	for terminated() < total && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
 	st := s.Stats()
-	if results.Load() != total {
-		t.Fatalf("only %d/%d tasks terminated (stats %+v)", results.Load(), total, st)
+	if done := st.Completed + st.Expired; done != total {
+		t.Fatalf("only %d/%d tasks terminated (stats %+v)", done, total, st)
 	}
 	if st.Received != total {
 		t.Errorf("Received = %d, want %d", st.Received, total)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,17 +23,15 @@ func startFederation(t *testing.T, adm *admission.Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var relay ResultRelay
 	coord := federation.New(grid, func(regionID string) *core.Server {
 		return core.New(core.Options{
 			BatchPoll:     5 * time.Millisecond,
 			MonitorPeriod: 50 * time.Millisecond,
 			Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: 10 * time.Millisecond},
 			Admission:     adm,
-			OnResult:      relay.Wrap(nil),
 		})
 	})
-	s, err := ServeRegions("127.0.0.1:0", coord, &relay)
+	s, err := ServeRegions("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestFederationOverTCP(t *testing.T) {
 	if err := ne.Complete("t-ne", "northeast", "clear roads"); err != nil {
 		t.Fatal(err)
 	}
-	// Result pushes flow from the region server through the relay.
+	// The completing connection pushes the result to watchers.
 	select {
 	case r := <-req.Results():
 		if r.TaskID != "t-ne" || !r.MetDeadline {
@@ -388,6 +387,32 @@ func TestFederationUnknownTaskMatchesLoneServer(t *testing.T) {
 	}
 }
 
+// A region the coordinator first starts after a requester began watching
+// still pushes its expiries to that watcher.
+func TestFederationExpiryInLateRegion(t *testing.T) {
+	s := startFederation(t, nil)
+	req := dial(t, s)
+	if err := req.Watch(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Regions()); n != 0 {
+		t.Fatalf("%d regions running before the first submit", n)
+	}
+	task := neTask("late")
+	task.DeadlineMS = 50 // no worker anywhere: it must expire
+	if err := req.Submit(task); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-req.Results():
+		if r.TaskID != "late" || !r.Expired {
+			t.Fatalf("result = %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("expiry in a lazily started region never reached the watcher")
+	}
+}
+
 // Task ids are unique across a federation as they are on a lone server.
 func TestFederationCrossRegionDuplicateTask(t *testing.T) {
 	s := startFederation(t, nil)
@@ -416,5 +441,53 @@ func TestFederationCrossRegionDuplicateTask(t *testing.T) {
 	}
 	if st, err := req.TaskStatus("dup"); err != nil || st.State != "unassigned" {
 		t.Fatalf("status of dup = %+v, %v; want the first submit's unassigned record", st, err)
+	}
+}
+
+// Two first submits of one id racing into different cells must not both
+// land: the cross-region duplicate check and the submit are one step.
+func TestFederationConcurrentDuplicateSubmit(t *testing.T) {
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	s := startFederation(t, nil)
+	clients := [2]*Client{dial(t, s), dial(t, s)}
+	place := [2]func(string) TaskPayload{neTask, swTask}
+	for i := 0; i < rounds; i++ {
+		id := fmt.Sprintf("race-%d", i)
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for k := range clients {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				<-start
+				errs[k] = clients[k].Submit(place[k](id))
+			}(k)
+		}
+		close(start)
+		wg.Wait()
+		accepted := 0
+		for _, err := range errs {
+			var se *ServerError
+			switch {
+			case err == nil:
+				accepted++
+			case !errors.As(err, &se) || se.Code != CodeDuplicateTask:
+				t.Fatalf("%s: err = %v, want nil or code %s", id, err, CodeDuplicateTask)
+			}
+		}
+		if accepted != 1 {
+			t.Fatalf("%s: %d of two racing submits accepted, want exactly one", id, accepted)
+		}
+	}
+	var received int64
+	for _, r := range s.Regions() {
+		received += r.Server.Stats().Received
+	}
+	if received != int64(rounds) {
+		t.Fatalf("received across regions = %d after %d rounds", received, rounds)
 	}
 }

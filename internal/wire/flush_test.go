@@ -223,8 +223,7 @@ func TestBroadcastStormRace(t *testing.T) {
 	if testing.Short() {
 		watchers = 64
 	}
-	var relay ResultRelay
-	s, err := ServeRegions("127.0.0.1:0", single{core.New(core.Options{})}, &relay)
+	s, err := ServeRegions("127.0.0.1:0", single{core.New(core.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +257,7 @@ func TestBroadcastStormRace(t *testing.T) {
 		}(i, cl)
 	}
 	for i := 0; i < results; i++ {
-		relay.Publish(core.Result{TaskID: fmt.Sprintf("t%04d", i), WorkerID: "w", Answer: "y", MetDeadline: true})
+		s.broadcast(Message{Type: "result", Result: &ResultPayload{TaskID: fmt.Sprintf("t%04d", i), WorkerID: "w", Answer: "y", MetDeadline: true}})
 	}
 	wg.Wait()
 }

@@ -43,44 +43,6 @@ func (s single) At(region.Point) (*core.Server, error) { return s.Server, nil }
 func (s single) OfTask(string) (*core.Server, bool)    { return s.Server, true }
 func (s single) Regions() []core.Region                { return []core.Region{{ID: "all", Server: s.Server}} }
 
-// ResultRelay forwards region-server results to a transport installed
-// later — region servers are constructed (with their OnResult hook) before
-// the listener exists. Build each server with relay.Wrap(userHook) as its
-// result hook, then hand the relay to ServeRegions.
-type ResultRelay struct {
-	mu sync.Mutex
-	fn func(core.Result)
-}
-
-// Wrap returns the OnResult hook to build a region server with: the
-// caller's own hook (nil for none) runs first, then the relay publishes.
-func (r *ResultRelay) Wrap(user func(core.Result)) func(core.Result) {
-	if user == nil {
-		return r.Publish
-	}
-	return func(res core.Result) {
-		user(res)
-		r.Publish(res)
-	}
-}
-
-// Publish forwards a result to the attached transport (drops it when none
-// is attached yet).
-func (r *ResultRelay) Publish(res core.Result) {
-	r.mu.Lock()
-	fn := r.fn
-	r.mu.Unlock()
-	if fn != nil {
-		fn(res)
-	}
-}
-
-func (r *ResultRelay) attach(fn func(core.Result)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fn = fn
-}
-
 // DefaultIdleTimeout is the server's per-connection read deadline: a
 // connection that sends nothing — not even a keepalive ping — for this
 // long is presumed dead and torn down, which detaches its worker and
@@ -95,6 +57,16 @@ const DefaultIdleTimeout = 90 * time.Second
 // behind drops frames (counted on the bus) rather than blocking the shard
 // lock under which events are published.
 const eventWatchDepth = 1024
+
+// expiryPumpDepth bounds one region's expiry-push backlog. A tick that
+// expires more tasks than this while the pump is behind drops the overflow
+// (counted on the bus) instead of blocking the engine; requesters
+// reconcile through the task-status query.
+const expiryPumpDepth = 1024
+
+// idStripes is the number of per-task-id locks that make a submit's
+// cross-region duplicate check and the submit itself one step.
+const idStripes = 64
 
 // Server exposes region servers over TCP.
 type Server struct {
@@ -118,6 +90,14 @@ type Server struct {
 	// count, syscall latency in seconds) — how the observability plane
 	// builds its frames-per-flush and flush-latency histograms.
 	flushObs atomic.Value // func(frames, bytes int, latencySeconds float64)
+
+	// pumps maps each region server seen so far to the subscription its
+	// expiry pump drains (*core.Server → *event.Subscription). Read without
+	// mu on every register and submit; written under mu.
+	pumps sync.Map
+
+	// ids serialise submits of the same task id (striped by FNV-1a).
+	ids [idStripes]sync.Mutex
 
 	mu       sync.Mutex
 	watchers map[*conn]struct{}
@@ -190,21 +170,18 @@ type conn struct {
 }
 
 // ServeDurable starts one region server listening on addr (e.g.
-// "127.0.0.1:7341" or ":0" for an ephemeral port): the core server
-// is constructed from opts with its result hook wired to watcher broadcast,
-// and started. With a store it adds crash recovery: the journal store's
-// recovered state is bulk-loaded into the fresh region server before it
-// starts, every subsequent mutation is write-ahead journaled, and Close
-// flushes the journal after the last connection drains. The returned
-// summary says what was recovered, for startup logs. A nil store serves
-// without persistence.
+// "127.0.0.1:7341" or ":0" for an ephemeral port): the core server is
+// constructed from opts, started, and served by ServeRegions. With a store
+// it adds crash recovery: the journal store's recovered state is
+// bulk-loaded into the fresh region server before it starts, every
+// subsequent mutation is write-ahead journaled, and Close flushes the
+// journal after the last connection drains. The returned summary says what
+// was recovered, for startup logs. A nil store serves without persistence.
 //
 // The store must come straight from journal.Open — its recovered state is
 // consumed here. On error the store is left open; the caller owns closing
 // it.
 func ServeDurable(addr string, opts core.Options, store *journal.Store) (*Server, journal.Summary, error) {
-	var relay ResultRelay
-	opts.OnResult = relay.Wrap(opts.OnResult)
 	cs := core.New(opts)
 	var sum journal.Summary
 	if store != nil {
@@ -214,7 +191,7 @@ func ServeDurable(addr string, opts core.Options, store *journal.Store) (*Server
 		}
 	}
 	cs.Start()
-	s, err := ServeRegions(addr, single{cs}, &relay)
+	s, err := ServeRegions(addr, single{cs})
 	if err != nil {
 		cs.Stop() // closes the journal store too
 		return nil, sum, err
@@ -229,10 +206,12 @@ func Serve(addr string, opts core.Options) (*Server, error) {
 }
 
 // ServeRegions exposes already-running region servers (e.g. behind a
-// federation coordinator) on addr. The relay must be the one whose Wrap
-// built the servers' result hooks; pass nil when no result pushes are
-// needed.
-func ServeRegions(addr string, rs Regions, relay *ResultRelay) (*Server, error) {
+// federation coordinator) on addr. Watchers get every task's result: a
+// completion is pushed by the connection that completed it, an expiry by
+// the transport's expiry pump on the task's region — one per region
+// server, opened here for the running ones and on first sight for regions
+// the resolver starts later.
+func ServeRegions(addr string, rs Regions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -243,10 +222,8 @@ func ServeRegions(addr string, rs Regions, relay *ResultRelay) (*Server, error) 
 		conns:    make(map[*conn]struct{}),
 	}
 	s.idle.Store(int64(DefaultIdleTimeout))
-	if relay != nil {
-		relay.attach(func(r core.Result) {
-			s.broadcast(Message{Type: "result", Result: toResultPayload(r)})
-		})
+	for _, r := range rs.Regions() {
+		s.pumpExpiries(r.Server)
 	}
 	s.ln = ln
 	s.wg.Add(1)
@@ -281,6 +258,57 @@ func (s *Server) Stats() core.Stats {
 	return total
 }
 
+// at resolves a location's region server, starting the region's expiry
+// pump the first time the transport sees it.
+func (s *Server) at(loc region.Point) (*core.Server, error) {
+	cs, err := s.regions.At(loc)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := s.pumps.Load(cs); !ok {
+		s.pumpExpiries(cs)
+	}
+	return cs, nil
+}
+
+// pumpExpiries opens cs's expiry subscription and its pump goroutine,
+// unless one is open already or the transport is closed.
+func (s *Server) pumpExpiries(cs *core.Server) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.pumps.Load(cs); ok || s.closed {
+		return
+	}
+	sub := cs.Events().Subscribe(expiryPumpDepth, func(ev event.Event) bool {
+		return ev.Kind == event.KindExpire
+	})
+	s.pumps.Store(cs, sub)
+	s.wg.Add(1)
+	go s.expiryPump(sub)
+}
+
+// expiryPump pushes a result frame to every watcher for each expiry on one
+// region, off the engine's tick goroutine; it ends when Close closes sub.
+func (s *Server) expiryPump(sub *event.Subscription) {
+	defer s.wg.Done()
+	for ev := range sub.C() {
+		s.broadcast(Message{Type: "result", Result: &ResultPayload{TaskID: ev.Task, Expired: true}})
+	}
+}
+
+// idLock is the stripe lock for a task id.
+func (s *Server) idLock(id string) *sync.Mutex {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * prime32
+	}
+	return &s.ids[h%idStripes]
+}
+
 // ofTask resolves the region server holding a task. A task no region holds
 // answers what a lone server answers.
 func (s *Server) ofTask(taskID string) (*core.Server, error) {
@@ -308,6 +336,10 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.c.Close()
 	}
+	s.pumps.Range(func(_, sub any) bool {
+		sub.(*event.Subscription).Close() // ends that region's expiry pump
+		return true
+	})
 	s.wg.Wait()
 	s.regions.Stop()
 	return err
@@ -456,7 +488,7 @@ func (c *conn) handle(m *Message) {
 			return
 		}
 		loc := region.Point{Lat: m.Lat, Lon: m.Lon}
-		cs, err := s.regions.At(loc)
+		cs, err := s.at(loc)
 		if err != nil {
 			c.reply(m.Seq, err)
 			return
@@ -526,7 +558,7 @@ func (c *conn) handle(m *Message) {
 		}
 		//lint:ignore clocktaint the live server stamps real arrival time on submitted tasks by definition; replayable runs go through the sim harness
 		t := m.Task.Task(time.Now())
-		cs, err := s.regions.At(t.Location)
+		cs, err := s.at(t.Location)
 		if err != nil {
 			c.reply(m.Seq, err)
 			return
@@ -534,7 +566,12 @@ func (c *conn) handle(m *Message) {
 		// Task ids are unique across a federation as they are on a lone
 		// server: a second submit of an id another region still holds is a
 		// duplicate (same-region duplicates are the task store's own check).
+		// The id's stripe lock makes the check and the submit one step, so
+		// two first submits racing into different regions cannot both land.
+		idMu := s.idLock(t.ID)
+		idMu.Lock()
 		if owner, ok := s.regions.OfTask(t.ID); ok && owner != cs {
+			idMu.Unlock()
 			c.reply(m.Seq, fmt.Errorf("%w: %q", taskq.ErrDuplicateTask, t.ID))
 			return
 		}
@@ -543,6 +580,7 @@ func (c *conn) handle(m *Message) {
 		// hint. With admission off the Admission field simply never
 		// appears, which is what keeps old clients working.
 		d, err := cs.SubmitFrom(c.requester(), t)
+		idMu.Unlock()
 		reply := Message{Type: "ok", Seq: m.Seq}
 		if err != nil {
 			c.srv.errorsSent.Add(1)
@@ -560,7 +598,11 @@ func (c *conn) handle(m *Message) {
 		}
 		cs, err := s.ofTask(m.TaskID)
 		if err == nil {
-			_, err = cs.Complete(m.TaskID, m.Worker, m.Answer)
+			var res core.Result
+			if res, err = cs.Complete(m.TaskID, m.Worker, m.Answer); err == nil {
+				// Watchers hear the answer before the worker hears ok.
+				s.broadcast(Message{Type: "result", Result: toResultPayload(res)})
+			}
 		}
 		c.reply(m.Seq, err)
 
@@ -590,10 +632,10 @@ func (c *conn) handle(m *Message) {
 		}
 		payload := &TaskStatusPayload{TaskID: m.TaskID, State: "unknown"}
 		if cs, ok := s.regions.OfTask(m.TaskID); ok {
-			if st, ok := cs.TaskStatus(m.TaskID); ok {
-				payload.State = st.State.String()
-				payload.Worker = st.Worker
-				payload.MetDeadline = st.MetDeadline
+			if rec, ok := cs.Tasks().Get(m.TaskID); ok {
+				payload.State = rec.Status.String()
+				payload.Worker = rec.Worker
+				payload.MetDeadline = rec.Status == taskq.Completed && rec.MetDeadline()
 			}
 		}
 		c.send(Message{Type: "ok", Seq: m.Seq, Status: payload})

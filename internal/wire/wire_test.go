@@ -101,6 +101,29 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 }
 
+// A task that expires unassigned reaches a watching requester as an
+// expired result, pushed by the region's expiry pump.
+func TestExpiryResultPush(t *testing.T) {
+	s := startServer(t)
+	requester := dial(t, s)
+	if err := requester.Watch(); err != nil {
+		t.Fatal(err)
+	}
+	task := testTask("t-expire")
+	task.DeadlineMS = 50 // no worker is registered: it must expire
+	if err := requester.Submit(task); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-requester.Results():
+		if r.TaskID != "t-expire" || !r.Expired || r.MetDeadline || r.WorkerID != "" {
+			t.Fatalf("result = %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("expiry result never arrived")
+	}
+}
+
 func TestServerErrorsSurfaceToClient(t *testing.T) {
 	s := startServer(t)
 	c := dial(t, s)
