@@ -127,7 +127,7 @@ func TestGoldenFiles(t *testing.T) {
 	}
 
 	st := NewState()
-	if _, err := walkFrames(wal, func(r *Record) error { return st.Apply(*r) }); err != nil {
+	if _, err := walkFrames(bytes.NewReader(wal), func(r *Record) error { return st.Apply(*r) }); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,10 +66,11 @@ func mixedStream(first, n int) []Record {
 	return recs
 }
 
-// locked runs fn holding the store's disk-work lock, as compaction does.
+// locked runs fn holding the compacting token, as a rebuild does: after
+// any rebuild in flight has finished, and with none starting until fn returns.
 func (s *Store) locked(fn func()) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
+	s.compacting <- struct{}{}
+	defer func() { <-s.compacting }()
 	fn()
 }
 
@@ -111,7 +114,7 @@ func TestWarmCompactionMatchesCold(t *testing.T) {
 	warm, cold := open(), open()
 	var compactions, warmRuns int64
 	for _, rec := range mixedStream(0, 400) {
-		// A commit per record: both stores cross the threshold on the same
+		// A commit per record: both stores cross the trigger on the same
 		// record whichever goroutine performs the commit.
 		for _, s := range []*Store{warm, cold} {
 			if err := s.Append(rec); err != nil {
@@ -121,6 +124,9 @@ func TestWarmCompactionMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Each store's rebuild runs beside its commits: wait it out, so the
+		// next crossing seals on the same record in both.
+		warm.locked(func() {})
 		cold.locked(func() { cold.replica = nil })
 		n := warm.Stats().Compactions
 		if c := cold.Stats().Compactions; c != n {
@@ -287,20 +293,7 @@ func TestCrashBetweenSealAndPublish(t *testing.T) {
 	last := s.Stats().LastSeq
 	_, snap := snapshotBytes(t, s)
 
-	crashed := t.TempDir()
-	entries, err := os.ReadDir(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(live, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crashed, e.Name()), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	crashed := copyDir(t, live)
 	if err := os.WriteFile(filepath.Join(crashed, segmentName(last+1)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +323,176 @@ func TestCrashBetweenSealAndPublish(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(crashed, snapshotTmp)); !os.IsNotExist(err) {
 		t.Fatalf("recovery left %s behind: %v", snapshotTmp, err)
 	}
+}
+
+// copyDir copies the store directory dir, as a crash would leave it, into a
+// new temporary directory.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	crashed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return crashed
+}
+
+// TestCommitsContinueDuringCompaction holds a size-triggered rebuild at its
+// start and requires group commits to go on beside it: Sync returns, and
+// the records appended meanwhile survive a crash taken while the rebuild is
+// still held — a copy of the directory, reopened.
+func TestCommitsContinueDuringCompaction(t *testing.T) {
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	rebuildHook = func() {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	defer func() { rebuildHook = nil }()
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, CompactBytes: 4 << 10, FsyncInterval: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer free() // before Close, which waits for the rebuild
+	s.TakeRecovered()
+	// commit syncs, failing the test if the commit waits for the rebuild.
+	commit := func() {
+		t.Helper()
+		synced := make(chan error, 1)
+		go func() { synced <- s.Sync() }()
+		select {
+		case err := <-synced:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Sync blocked behind the compaction")
+		}
+	}
+	first, second := mixedStream(0, 40), mixedStream(40, 40)
+	appendAll(t, s, first)
+	commit() // crosses CompactBytes: seals, starts the rebuild
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the commit past CompactBytes started no rebuild")
+	}
+	appendAll(t, s, second)
+	commit()
+	crashed := copyDir(t, dir)
+	free()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openTest(t, crashed)
+	defer r.Close()
+	all := append(first, second...)
+	if sum := r.Summary(); sum.LastSeq != uint64(len(all)) || sum.TornBytes != 0 {
+		t.Fatalf("recovered through %d with %d torn bytes, want %d and 0", sum.LastSeq, sum.TornBytes, len(all))
+	}
+	want := NewState()
+	for i, rec := range all {
+		rec.Seq = uint64(i + 1)
+		if err := want.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := r.TakeRecovered()
+	if len(got.Tasks) != len(want.Tasks) || got.Stats.Counts() != want.Stats.Counts() {
+		t.Fatalf("recovered %d tasks %+v, want %d tasks %+v",
+			len(got.Tasks), got.Stats.Counts(), len(want.Tasks), want.Stats.Counts())
+	}
+}
+
+// TestCompactionIsAmortized churns a stream whose retained set is far larger
+// than CompactBytes, so every snapshot outweighs the trigger's floor. The
+// snapshot bytes compactions write must stay within the WAL bytes appended
+// plus one snapshot (and CompactBytes), and after every commit the WAL past
+// the snapshot within the trigger plus one commit. The test waits out each
+// commit's rebuild before appending again, so no appends land during one and
+// the bound's term for them is zero.
+func TestCompactionIsAmortized(t *testing.T) {
+	const compactBytes, retained, tasks, perCommit = 8 << 10, 500, 4000, 50
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, CompactBytes: compactBytes, FsyncInterval: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.TakeRecovered()
+	appendAll(t, s, []Record{{Kind: event.KindAttach, Worker: "w1", Lat: 40, Lon: -74}})
+
+	// walPast sums the segment files on disk: the active one, and the one a
+	// rebuild in flight has yet to delete.
+	walPast := func() (n int64) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if info, err := e.Info(); err == nil && strings.HasPrefix(e.Name(), "wal-") {
+				n += info.Size()
+			}
+		}
+		return n
+	}
+	var written, compactions int64
+	for next := 0; next < tasks; {
+		for end := next + perCommit; next < end; next++ {
+			id := fmt.Sprintf("t%07d", next)
+			appendAll(t, s, []Record{
+				{Kind: event.KindSubmit, Task: taskRec(id, taskq.Unassigned, "")},
+				{Kind: event.KindAssign, Task: taskRec(id, taskq.Assigned, "w1")},
+				{Kind: event.KindComplete, Task: taskRec(id, taskq.Completed, "w1")},
+			})
+			if next >= retained {
+				appendAll(t, s, []Record{{Kind: event.KindForget, TaskID: fmt.Sprintf("t%07d", next-retained)}})
+			}
+		}
+		trigger := max(compactBytes, s.Stats().SnapshotBytes)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if past := walPast(); past > trigger+fsyncBytes {
+			t.Fatalf("after %d tasks: %d WAL bytes past the snapshot, trigger %d + one commit %d",
+				next, past, trigger, fsyncBytes)
+		}
+		s.locked(func() {}) // the rebuild this commit started, if any
+		if st := s.Stats(); st.Compactions != compactions {
+			if st.Compactions != compactions+1 {
+				t.Fatalf("one commit ran %d compactions", st.Compactions-compactions)
+			}
+			written += st.SnapshotBytes
+			compactions = st.Compactions
+		}
+	}
+	st := s.Stats()
+	if st.SnapshotBytes < 10*compactBytes || compactions < 5 {
+		t.Fatalf("%d compactions of a %d-byte snapshot: the stream does not exercise the trigger",
+			compactions, st.SnapshotBytes)
+	}
+	if limit := st.Bytes + st.SnapshotBytes + compactBytes; written > limit {
+		t.Fatalf("compactions wrote %d snapshot bytes for %d WAL bytes appended (limit %d)",
+			written, st.Bytes, limit)
+	}
+	t.Logf("%d compactions wrote %d snapshot bytes for %d WAL bytes", compactions, written, st.Bytes)
 }
 
 // BenchmarkCompact times one compaction of a full 4 MiB segment onto a

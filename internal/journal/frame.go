@@ -1,10 +1,13 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 
 	"react/internal/taskq"
 )
@@ -77,42 +80,79 @@ func decodeFrame(buf []byte, off int, rec *Record, task *taskq.Record) (next int
 	return off + frameHeaderLen + n, true
 }
 
-// walkFrames walks buf from the start, handing fn every valid frame in
-// order, and returns the number of trailing bytes that form a torn tail.
-// The record fn receives, and the task state it points to, are reused for
-// the next frame: fn copies what it keeps. An error from fn ends the walk
-// and is returned as is. If the walk stops before the end but another valid
-// frame with a larger sequence number exists anywhere beyond the stop
-// point, the damage is mid-log and the error wraps ErrCorrupt.
-func walkFrames(buf []byte, fn func(*Record) error) (tornBytes int, err error) {
+// walkBufBytes is the read buffer walkFrames streams a log through: a
+// segment grows to the size of a snapshot, and is never held in memory whole.
+const walkBufBytes = 64 << 10
+
+// walkFrames reads r from the start, handing fn every valid frame in order,
+// and returns the number of trailing bytes that form a torn tail. Frames are
+// read through a walkBufBytes buffer into one reused frame buffer; the record
+// fn receives, and the task state it points to, are reused for the next
+// frame too: fn copies what it keeps (decoded strings are copies already).
+// An error from fn ends the walk and is returned as is. If the walk stops
+// before the end but another valid frame with a larger sequence number
+// exists anywhere beyond the stop point, the damage is mid-log and the error
+// wraps ErrCorrupt.
+func walkFrames(r io.Reader, fn func(*Record) error) (tornBytes int, err error) {
 	var (
 		rec     Record
 		task    taskq.Record
 		lastSeq uint64
+		off     int
 	)
-	off := 0
-	for off < len(buf) {
-		next, ok := decodeFrame(buf, off, &rec, &task)
-		if !ok {
-			break
+	br := bufio.NewReaderSize(r, walkBufBytes)
+	frame := make([]byte, frameHeaderLen)
+	for {
+		got, rerr := io.ReadFull(br, frame[:frameHeaderLen])
+		if rerr == io.EOF {
+			return 0, nil // the log ends on a frame boundary
+		}
+		if rerr == nil {
+			if n := int(binary.LittleEndian.Uint32(frame)); n > 0 && n <= maxRecordBytes {
+				frame = slices.Grow(frame[:frameHeaderLen], n)[:frameHeaderLen+n]
+				got, rerr = io.ReadFull(br, frame[frameHeaderLen:])
+				got += frameHeaderLen
+			}
+		}
+		if rerr == io.EOF {
+			rerr = io.ErrUnexpectedEOF // a header with no payload behind it
+		}
+		if rerr != nil && rerr != io.ErrUnexpectedEOF {
+			return 0, fmt.Errorf("journal: read log: %w", rerr)
+		}
+		if _, ok := decodeFrame(frame[:got], 0, &rec, &task); !ok {
+			// The frame at off is damaged. Only now is the rest of the log read
+			// in, to probe it for survivors.
+			rest, rerr := io.ReadAll(br)
+			if rerr != nil {
+				return 0, fmt.Errorf("journal: read log: %w", rerr)
+			}
+			return probeDamage(append(frame[:got], rest...), off, lastSeq)
 		}
 		if err := fn(&rec); err != nil {
 			return 0, err
 		}
-		lastSeq, off = rec.Seq, next
+		lastSeq, off = rec.Seq, off+got
 	}
-	if off == len(buf) {
-		return 0, nil
-	}
-	// Scan the damaged region for any later frame that still checks out.
+}
+
+// probeDamage judges a walk that stopped at a frame it could not read: tail
+// is the log from that frame (at offset off) to the end, lastSeq the last
+// record read before it. A torn tail is reported as its length; any later
+// frame that still checks out means the damage is mid-log.
+func probeDamage(tail []byte, off int, lastSeq uint64) (tornBytes int, err error) {
+	var (
+		rec  Record
+		task taskq.Record
+	)
 	// A CRC32C + JSON + sequence match on random garbage is vanishingly
 	// unlikely, so a hit means real records lie beyond the damage.
-	for probe := off + 1; probe+frameHeaderLen < len(buf); probe++ {
-		if _, ok := decodeFrame(buf, probe, &rec, &task); ok && rec.Seq > lastSeq {
+	for probe := 1; probe+frameHeaderLen < len(tail); probe++ {
+		if _, ok := decodeFrame(tail, probe, &rec, &task); ok && rec.Seq > lastSeq {
 			return 0, fmt.Errorf(
 				"%w: unreadable bytes at offset %d but a valid frame (seq %d) survives at offset %d",
-				ErrCorrupt, off, rec.Seq, probe)
+				ErrCorrupt, off, rec.Seq, off+probe)
 		}
 	}
-	return len(buf) - off, nil
+	return len(tail), nil
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"react/internal/event"
@@ -63,10 +65,15 @@ func frameAt(buf []byte, off int) (rec Record, next int, ok bool) {
 	return rec, next, ok
 }
 
-// decodeFrames collects what walkFrames hands out, each record with a task
-// state of its own.
+// decodeFrames collects what walkFrames hands out for buf, each record with
+// a task state of its own.
 func decodeFrames(buf []byte) (recs []Record, tornBytes int, err error) {
-	tornBytes, err = walkFrames(buf, func(r *Record) error {
+	return decodeFramesFrom(bytes.NewReader(buf))
+}
+
+// decodeFramesFrom is decodeFrames over any reader.
+func decodeFramesFrom(r io.Reader) (recs []Record, tornBytes int, err error) {
+	tornBytes, err = walkFrames(r, func(r *Record) error {
 		rec := *r
 		if r.Task != nil {
 			task := *r.Task
@@ -565,7 +572,9 @@ func TestStoreConcurrentAppend(t *testing.T) {
 }
 
 // FuzzJournalDecode hammers the frame decoder with arbitrary bytes: it
-// must never panic, and whatever it accepts must re-encode to frames the
+// must never panic, it must read the same records, torn tail and error
+// class however the reader chunks the bytes (the walker streams through a
+// bounded buffer), and whatever it accepts must re-encode to frames the
 // decoder accepts again (decode∘encode = identity on the accepted set).
 func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -574,8 +583,34 @@ func FuzzJournalDecode(f *testing.F) {
 	seed := mustFrames(Record{Seq: 1, Kind: event.KindAttach, Worker: "w", Lat: 1, Lon: 2})
 	f.Add(seed[:len(seed)-3])
 	f.Add(mustFrames(Record{Seq: 1, Kind: event.KindRevoke, Task: taskRec("t", taskq.Unassigned, ""), Cause: taskq.CauseEq2}))
+	pristine := mustFrames(lifecycle(3)...)
+	f.Add(append(bytes.Clone(pristine), 0xde, 0xad, 0xbe, 0xef, 0x01)) // torn tail
+	midLog := bytes.Clone(pristine)
+	midLog[20] ^= 0xff // damage with valid frames beyond it
+	f.Add(midLog)
+	// A frame straddling the walker's buffer, and the log cut inside it.
+	var long []byte
+	for _, rec := range lifecycle(80) {
+		if len(long) > walkBufBytes {
+			break
+		}
+		long = append(long, mustFrames(rec)...)
+	}
+	f.Add(long)
+	f.Add(long[:walkBufBytes+1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, torn, err := decodeFrames(data)
+		for name, r := range map[string]io.Reader{
+			"one byte": iotest.OneByteReader(bytes.NewReader(data)),
+			"half":     iotest.HalfReader(bytes.NewReader(data)),
+		} {
+			got, gotTorn, gotErr := decodeFramesFrom(r)
+			if gotTorn != torn || (gotErr == nil) != (err == nil) ||
+				errors.Is(gotErr, ErrCorrupt) != errors.Is(err, ErrCorrupt) || !reflect.DeepEqual(got, recs) {
+				t.Fatalf("%s reads: %d records torn=%d err=%v; whole reads: %d records torn=%d err=%v",
+					name, len(got), gotTorn, gotErr, len(recs), torn, err)
+			}
+		}
 		if err != nil {
 			return
 		}

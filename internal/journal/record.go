@@ -22,17 +22,19 @@
 //     to encoding/json: one format, two implementations of it.
 //   - Framing and the WAL (frame.go, store.go): length-prefixed,
 //     CRC32C-checked frames appended to segment files with group-commit
-//     fsync batching. Recovery distinguishes a torn tail (the crash
-//     window — truncated and reported) from mid-log corruption (valid
+//     fsync batching, and read back by one walker that streams a file
+//     through a bounded buffer. Recovery distinguishes a torn tail (the
+//     crash window — truncated and reported) from mid-log corruption (valid
 //     frames found beyond the damage — refused loudly).
 //   - Snapshots and compaction (snapshot.go, rebuild.go): a snapshot is
 //     always produced by replaying sealed, immutable segments offline —
 //     never by racing a live engine — so it is exact at a known sequence
-//     boundary and recovery applies only records strictly after it. The
-//     rebuild runs on the flusher goroutine, so while it lasts the loss
-//     window is that compaction, not one fsync interval; sealing, carrying
-//     on committing, and rebuilding beside it is the follow-up
-//     (docs/PERSISTENCE.md, Durability policy).
+//     boundary and recovery applies only records strictly after it. A
+//     segment is sealed once it is as large as the last snapshot (or
+//     Options.CompactBytes), so a compaction writes no more than was
+//     appended since the last one; the flusher only seals, and the rebuild
+//     runs on a goroutine of its own beside the commits, so the loss window
+//     stays one fsync interval (docs/PERSISTENCE.md).
 package journal
 
 import (

@@ -44,32 +44,37 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016x.snap",
 const snapshotTmp = "snapshot.tmp"
 
 // writeSnapshot persists st as the snapshot covering sequence numbers
-// 1..seq and returns the final path.
-func writeSnapshot(dir string, st *State, seq uint64) (string, error) {
+// 1..seq and returns the final path and the file's size.
+func writeSnapshot(dir string, st *State, seq uint64) (string, int64, error) {
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", fmt.Errorf("journal: create snapshot: %w", err)
+		return "", 0, fmt.Errorf("journal: create snapshot: %w", err)
 	}
 	if err := encodeSnapshot(f, st, seq); err != nil {
 		f.Close()
-		return "", err
+		return "", 0, err
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		f.Close()
+		return "", 0, fmt.Errorf("journal: size snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return "", fmt.Errorf("journal: fsync snapshot: %w", err)
+		return "", 0, fmt.Errorf("journal: fsync snapshot: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("journal: close snapshot: %w", err)
+		return "", 0, fmt.Errorf("journal: close snapshot: %w", err)
 	}
 	path := filepath.Join(dir, snapshotName(seq))
 	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("journal: publish snapshot: %w", err)
+		return "", 0, fmt.Errorf("journal: publish snapshot: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
-		return "", err
+		return "", 0, err
 	}
-	return path, nil
+	return path, size, nil
 }
 
 // encodeSnapshot streams st to w in the snapshot format, a buffer's worth
@@ -93,7 +98,7 @@ func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
 	})
 	if err == nil {
 		line = append(line, '\n')
-		err = writeLine(bw, line)
+		_, err = bw.Write(line)
 	}
 	if err != nil {
 		return fmt.Errorf("journal: encode snapshot header: %w", err)
@@ -102,7 +107,7 @@ func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
 		rec := st.Tasks[id]
 		if line, err = appendTaskRecord(line[:0], &rec); err == nil {
 			line = append(line, '\n')
-			err = writeLine(bw, line)
+			_, err = bw.Write(line)
 		}
 		if err != nil {
 			return fmt.Errorf("journal: encode snapshot task %q: %w", id, err)
@@ -111,21 +116,13 @@ func encodeSnapshot(w io.Writer, st *State, seq uint64) error {
 	if err := st.Profiles.WriteSnapshot(bw); err != nil {
 		return err
 	}
-	if err := writeLine(bw, []byte(snapshotTrailer)); err != nil {
+	if _, err := bw.WriteString(snapshotTrailer); err != nil {
 		return fmt.Errorf("journal: encode snapshot trailer: %w", err)
 	}
-	//lint:ignore blockingunderlock same temp-file write under flushMu as writeLine
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("journal: write snapshot: %w", err)
 	}
 	return nil
-}
-
-// writeLine writes one newline-terminated snapshot line.
-func writeLine(bw *bufio.Writer, line []byte) error {
-	//lint:ignore blockingunderlock real file I/O: this writes the snapshot temp file with flushMu held. flushMu is the disk-work serializer — it never nests inside mu, so appends go on — and holding it across the offline rebuild is the design (docs/PERSISTENCE.md)
-	_, err := bw.Write(line)
-	return err
 }
 
 // readSnapshot loads a snapshot file, returning the rebuilt state and the

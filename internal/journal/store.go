@@ -3,7 +3,7 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,15 +24,17 @@ import (
 // ever touching the disk. A flusher goroutine group-commits the buffer:
 // it writes and fsyncs on a time interval (Options.FsyncInterval) or as
 // soon as the buffer passes fsyncBytes. The durability window is
-// therefore one fsync interval — or one compaction, which the same
-// goroutine runs when a commit crosses CompactBytes; the wire layer's
-// resubmit-on-unknown reconciliation covers exactly that window (see
-// docs/PERSISTENCE.md).
+// therefore one fsync interval; the wire layer's resubmit-on-unknown
+// reconciliation covers exactly that window (see docs/PERSISTENCE.md).
 //
-// When the active segment passes Options.CompactBytes it is sealed and a
-// snapshot is rebuilt OFFLINE by replaying the sealed, immutable segments
-// into the state the previous snapshot holds — never by reading the live
-// engine — so the snapshot is exact at a known sequence boundary.
+// When a commit leaves the active segment at least as large as the last
+// snapshot (and Options.CompactBytes), the flusher seals the segment and a
+// compactor goroutine rebuilds the snapshot OFFLINE, beside the commits, by
+// replaying the sealed, immutable segment into the state the previous
+// snapshot holds — never by reading the live engine — so the snapshot is
+// exact at a known sequence boundary. Sizing the trigger by the snapshot
+// keeps the bytes a compaction writes within the WAL bytes appended since
+// the last one.
 type Store struct {
 	dir  string
 	clk  clock.Clock
@@ -50,14 +52,22 @@ type Store struct {
 	err         error // sticky: first I/O failure, journaling stops
 	closed      bool
 
-	// flushMu serializes disk work (flush, compaction). Never acquired
+	// flushMu serializes the commit path: a group commit, and sealing the
+	// active segment once a commit crosses the trigger. Never acquired
 	// while holding mu; flush takes the buffer under mu, then writes.
 	flushMu     sync.Mutex
 	spare       []byte // the buffer the last group commit wrote out, swapped back in by the next
 	lastFlushed uint64 // highest seq durable in the active segment
-	snapPath    string
-	snapSeq     uint64
-	sealed      []string // sealed segments since the last snapshot
+
+	// compacting holds a token while a compaction is in flight — at most
+	// one. The token's holder owns the fields below: it seals segments
+	// (under flushMu as well) and rebuilds the snapshot from them holding
+	// no mutex at all, so commits go on beside the rebuild.
+	compacting chan struct{}
+	snapPath   string
+	snapSeq    uint64
+	sealed     []string // sealed segments not yet folded into the snapshot
+	sealedSeq  uint64   // last seq in the sealed segments; snapSeq when there are none
 	// replica is the State compaction last wrote out as the snapshot at
 	// snapSeq, kept so the next compaction replays only the sealed segments
 	// into it instead of re-reading its own snapshot. Derived from durable
@@ -79,8 +89,10 @@ type Store struct {
 	fsyncNanos  atomic.Int64
 	compactions atomic.Int64
 	segBytes    atomic.Int64
+	snapBytes   atomic.Int64 // size of the current snapshot file
 	failed      atomic.Bool
 	fsyncObs    atomic.Value // func(seconds float64)
+	compactObs  atomic.Value // func(seconds float64)
 }
 
 // Options configures Open.
@@ -93,10 +105,13 @@ type Options struct {
 	// FsyncInterval bounds how long an acknowledged append may sit in
 	// memory before it is durable. Default 25ms.
 	FsyncInterval time.Duration
-	// CompactBytes seals the active segment and rebuilds the snapshot
-	// once the segment grows past this size. Default 4MiB.
+	// CompactBytes is the floor of the compaction trigger: the active
+	// segment is sealed and the snapshot rebuilt once the segment reaches
+	// this size or the size of the current snapshot, whichever is larger.
+	// Default 4MiB.
 	CompactBytes int64
-	// Logf receives recovery and failure reports. Defaults to log.Printf.
+	// Logf receives recovery and failure reports. Defaults to a log/slog
+	// warning with component=journal and dir attributes.
 	Logf func(format string, args ...any)
 }
 
@@ -106,7 +121,7 @@ const (
 	// bytes accumulate.
 	fsyncBytes = 256 << 10
 	// maxSpareBytes keeps one oversized burst (appends pile up behind a
-	// compaction) from pinning its buffer as the spare for good.
+	// slow fsync) from pinning its buffer as the spare for good.
 	maxSpareBytes       = 4 * fsyncBytes
 	defaultCompactBytes = 4 << 20
 )
@@ -123,15 +138,16 @@ type Summary struct {
 
 // Stats is a point-in-time counter snapshot for the observability plane.
 type Stats struct {
-	Records      int64 // records appended since Open
-	Bytes        int64 // frame bytes appended since Open
-	Fsyncs       int64 // group commits performed
-	FsyncNanos   int64 // cumulative fsync latency
-	Compactions  int64 // snapshot rebuilds performed
-	PendingBytes int   // bytes buffered, not yet durable
-	SegmentBytes int64 // bytes in the active segment
-	LastSeq      uint64
-	Failed       bool // sticky I/O failure: journaling has stopped
+	Records       int64 // records appended since Open
+	Bytes         int64 // frame bytes appended since Open
+	Fsyncs        int64 // group commits performed
+	FsyncNanos    int64 // cumulative fsync latency
+	Compactions   int64 // snapshot rebuilds performed
+	PendingBytes  int   // bytes buffered, not yet durable
+	SegmentBytes  int64 // bytes in the active segment
+	SnapshotBytes int64 // size of the current snapshot
+	LastSeq       uint64
+	Failed        bool // sticky I/O failure: journaling has stopped
 }
 
 var errClosed = errors.New("journal: store closed")
@@ -157,7 +173,8 @@ func Open(opts Options) (*Store, error) {
 		opts.CompactBytes = defaultCompactBytes
 	}
 	if opts.Logf == nil {
-		opts.Logf = log.Printf
+		logger := slog.Default().With("component", "journal", "dir", opts.Dir)
+		opts.Logf = func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) }
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create data dir: %w", err)
@@ -182,7 +199,7 @@ func Open(opts Options) (*Store, error) {
 	// Write the recovered state back as a fresh snapshot and start a new
 	// empty segment, then delete everything older. Recovery is thereby
 	// idempotent: a crash at any point here re-recovers to the same state.
-	newSnap, err := writeSnapshot(opts.Dir, st, last)
+	newSnap, snapBytes, err := writeSnapshot(opts.Dir, st, last)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +230,10 @@ func Open(opts Options) (*Store, error) {
 		f:           f,
 		activePath:  activePath,
 		lastFlushed: last,
+		compacting:  make(chan struct{}, 1),
 		snapPath:    newSnap,
 		snapSeq:     last,
+		sealedSeq:   last,
 		kick:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		recovered:   st,
@@ -227,6 +246,7 @@ func Open(opts Options) (*Store, error) {
 			LastSeq:     last,
 		},
 	}
+	s.snapBytes.Store(snapBytes)
 	if torn > 0 {
 		opts.Logf("journal: truncated %d unreadable bytes from the crash tail (records past the last group commit)", torn)
 	}
@@ -294,11 +314,11 @@ func replaySegments(st *State, snapSeq uint64, segs []string, allowTornTail bool
 	last = snapSeq
 	for i, path := range segs {
 		base := filepath.Base(path)
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return last, records, torn, fmt.Errorf("journal: read segment: %w", rerr)
+		f, oerr := os.Open(path)
+		if oerr != nil {
+			return last, records, torn, fmt.Errorf("journal: read segment: %w", oerr)
 		}
-		t, werr := walkFrames(raw, func(rec *Record) error {
+		t, werr := walkFrames(f, func(rec *Record) error {
 			if rec.Seq <= snapSeq {
 				return nil
 			}
@@ -313,6 +333,7 @@ func replaySegments(st *State, snapSeq uint64, segs []string, allowTornTail bool
 			records++
 			return nil
 		})
+		f.Close() // only read
 		if werr != nil {
 			return last, records, torn, fmt.Errorf("journal: segment %s: %w", base, werr)
 		}
@@ -344,8 +365,7 @@ func (s *Store) Summary() Summary { return s.summary }
 // Append sequences rec and buffers its frame. It performs no I/O and, for a
 // record in canonical form, no allocation, so it is safe to call from a
 // taskq sink holding a shard lock; durability follows within one fsync
-// interval (or sooner, once fsyncBytes accumulate; later, behind a
-// compaction).
+// interval (or sooner, once fsyncBytes accumulate).
 func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	if s.err != nil {
@@ -431,6 +451,7 @@ func (s *Store) flushLocked() error {
 	s.pendingRecs = 0
 	f := s.f
 	boundary := s.seq
+	closing := s.closed // Close's final commit seals nothing
 	s.mu.Unlock()
 	start := s.clk.Now()
 	_, err := f.Write(buf)
@@ -450,20 +471,54 @@ func (s *Store) flushLocked() error {
 		obs(elapsed.Seconds())
 	}
 	s.lastFlushed = boundary
-	if s.segBytes.Add(int64(len(buf))) >= s.opts.CompactBytes {
-		if err := s.compactLocked(); err != nil {
-			return s.fail(err)
-		}
+	if s.segBytes.Add(int64(len(buf))) >= max(s.opts.CompactBytes, s.snapBytes.Load()) && !closing {
+		return s.startCompaction()
 	}
 	return nil
 }
 
+// startCompaction seals the active segment and hands the rebuild to a
+// goroutine of its own. While a rebuild is still in flight it does nothing:
+// the segment stays over the trigger, and the next commit tries again.
+// Callers hold flushMu.
+func (s *Store) startCompaction() error {
+	select {
+	case s.compacting <- struct{}{}:
+	default:
+		return nil
+	}
+	if err := s.sealLocked(); err != nil {
+		// Hand back the token just taken; a select, so that holding flushMu
+		// here is visibly non-blocking.
+		select {
+		case <-s.compacting:
+		default:
+		}
+		return s.fail(err)
+	}
+	s.wg.Add(1)
+	go s.compactor()
+	return nil
+}
+
+// compactor runs the rebuild a commit sealed for, then hands the token
+// back. A failure is sticky, as any journal I/O failure is.
+func (s *Store) compactor() {
+	defer s.wg.Done()
+	if err := s.rebuild(); err != nil {
+		s.fail(err)
+	}
+	<-s.compacting
+}
+
 // Compact forces a segment seal and snapshot rebuild, as the size trigger
-// would. Mostly for tests and operational tooling.
+// would, and returns once the new snapshot is published — after the rebuild
+// already in flight, if there is one. Mostly for tests and operational
+// tooling.
 func (s *Store) Compact() error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	s.compacting <- struct{}{}
+	defer func() { <-s.compacting }()
+	if err := s.flush(); err != nil {
 		return err
 	}
 	if err := s.compactLocked(); err != nil {
@@ -472,42 +527,77 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// compactLocked seals the active segment and rebuilds the snapshot at the
-// last durable sequence number by replaying the sealed segments into the
-// previous snapshot's state — offline state only, never the live engine,
-// so the new snapshot is exact at the boundary. That state is the replica
-// the last compaction kept; without one it is read back from the snapshot
-// file. Callers hold flushMu.
+// compactLocked seals the active segment and rebuilds the snapshot through
+// it. Callers hold the compacting token.
 func (s *Store) compactLocked() error {
-	boundary := s.lastFlushed
-	if boundary == s.snapSeq {
-		return nil // nothing durable beyond the snapshot yet
+	s.flushMu.Lock()
+	err := s.sealLocked()
+	s.flushMu.Unlock()
+	if err != nil {
+		return err
 	}
+	return s.rebuild()
+}
 
-	// Seal: swap in a fresh segment so appends continue; the old file is
-	// now immutable (everything through boundary was just fsynced).
+// sealLocked swaps in a fresh segment so appends continue, and queues the
+// old one for the rebuild: everything in it through lastFlushed was just
+// fsynced, so the file is immutable from here on. It seals nothing while
+// the active segment holds no durable record. Callers hold flushMu and the
+// compacting token.
+func (s *Store) sealLocked() error {
+	boundary := s.lastFlushed
+	if boundary == s.sealedSeq {
+		return nil
+	}
 	newPath := filepath.Join(s.dir, segmentName(boundary+1))
 	nf, err := os.OpenFile(newPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: create segment: %w", err)
 	}
+	// The next commits land in the new file before the rebuild's own
+	// directory sync: make its entry durable first.
+	if err := syncDir(s.dir); err != nil {
+		nf.Close()
+		return err
+	}
 	s.mu.Lock()
-	old := s.f
-	oldPath := s.activePath
-	s.f = nf
-	s.activePath = newPath
+	old, oldPath := s.f, s.activePath
+	s.f, s.activePath = nf, newPath
 	s.mu.Unlock()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("journal: close sealed segment: %w", err)
 	}
 	s.sealed = append(s.sealed, oldPath)
+	s.sealedSeq = boundary
 	s.segBytes.Store(0)
+	return nil
+}
 
-	// Rebuild offline and publish the new snapshot, then delete inputs. The
-	// replica is taken out of the store for the duration: an error below
-	// leaves none behind, so a half-applied one is never reused.
+// rebuildHook, set only by tests, runs as each rebuild starts.
+var rebuildHook func()
+
+// rebuild folds the sealed segments into a new snapshot at the sealed
+// boundary by replaying them into the previous snapshot's state — offline
+// state only, never the live engine, so the new snapshot is exact at the
+// boundary — then publishes it and deletes its inputs. That state is the
+// replica the last rebuild kept; without one it is read back from the
+// snapshot file. Callers hold the compacting token and no mutex: the
+// rebuild touches only files no commit writes and the fields the token
+// owns.
+func (s *Store) rebuild() error {
+	boundary := s.sealedSeq
+	if boundary == s.snapSeq {
+		return nil // nothing sealed since the snapshot
+	}
+	if rebuildHook != nil {
+		rebuildHook()
+	}
+	start := s.clk.Now()
+	// The replica is taken out of the store for the duration: an error
+	// below leaves none behind, so a half-applied one is never reused.
 	st, snapSeq := s.replica, s.snapSeq
 	s.replica = nil
+	var err error
 	if st == nil {
 		if st, snapSeq, err = readSnapshot(s.snapPath); err != nil {
 			return err
@@ -520,12 +610,13 @@ func (s *Store) compactLocked() error {
 	if last != boundary {
 		return fmt.Errorf("%w: compaction replayed through %d, expected boundary %d", ErrCorrupt, last, boundary)
 	}
-	newSnap, err := writeSnapshot(s.dir, st, boundary)
+	newSnap, size, err := writeSnapshot(s.dir, st, boundary)
 	if err != nil {
 		return err
 	}
 	oldSnap := s.snapPath
 	s.snapPath, s.snapSeq = newSnap, boundary
+	s.snapBytes.Store(size)
 	for _, p := range append(s.sealed, oldSnap) {
 		if err := os.Remove(p); err != nil {
 			return fmt.Errorf("journal: remove compacted %s: %w", filepath.Base(p), err)
@@ -537,6 +628,9 @@ func (s *Store) compactLocked() error {
 	}
 	s.replica = st
 	s.compactions.Add(1)
+	if obs, _ := s.compactObs.Load().(func(float64)); obs != nil {
+		obs(s.clk.Now().Sub(start).Seconds())
+	}
 	return nil
 }
 
@@ -571,6 +665,15 @@ func (s *Store) SetFsyncObserver(fn func(seconds float64)) {
 	}
 }
 
+// SetCompactionObserver installs a callback receiving each snapshot
+// rebuild's duration in seconds, from the start of its replay to the
+// deletion of its inputs.
+func (s *Store) SetCompactionObserver(fn func(seconds float64)) {
+	if fn != nil {
+		s.compactObs.Store(fn)
+	}
+}
+
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -578,22 +681,24 @@ func (s *Store) Stats() Stats {
 	last := s.seq
 	s.mu.Unlock()
 	return Stats{
-		Records:      s.records.Load(),
-		Bytes:        s.bytes.Load(),
-		Fsyncs:       s.fsyncs.Load(),
-		FsyncNanos:   s.fsyncNanos.Load(),
-		Compactions:  s.compactions.Load(),
-		PendingBytes: pending,
-		SegmentBytes: s.segBytes.Load(),
-		LastSeq:      last,
-		Failed:       s.failed.Load(),
+		Records:       s.records.Load(),
+		Bytes:         s.bytes.Load(),
+		Fsyncs:        s.fsyncs.Load(),
+		FsyncNanos:    s.fsyncNanos.Load(),
+		Compactions:   s.compactions.Load(),
+		PendingBytes:  pending,
+		SegmentBytes:  s.segBytes.Load(),
+		SnapshotBytes: s.snapBytes.Load(),
+		LastSeq:       last,
+		Failed:        s.failed.Load(),
 	}
 }
 
-// Close stops the flusher, performs a final group commit so every
-// acknowledged append is durable, and closes the active segment. The
-// flush-before-shutdown ordering is the caller's contract: stop producing
-// appends (engine loops, connections) before calling Close.
+// Close stops the flusher, waits for a rebuild in flight, performs a final
+// group commit so every acknowledged append is durable, and closes the
+// active segment. The flush-before-shutdown ordering is the caller's
+// contract: stop producing appends (engine loops, connections), and calling
+// Sync or Compact, before calling Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -603,7 +708,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.done)
-	s.wg.Wait()
+	s.wg.Wait() // the flusher, then the compactor it may have started
 	ferr := s.flush()
 	s.mu.Lock()
 	f := s.f

@@ -14,10 +14,20 @@ const (
 	fsyncHistogramBuckets = 200
 )
 
+// compactionHistogramWidth/Buckets shape the snapshot-rebuild duration
+// histogram: 10 ms buckets up to 2 s, overflow beyond. A rebuild runs beside
+// the group commits, so its length is not the loss window; it bounds how
+// long the sealed segment lingers and how stale the snapshot is.
+const (
+	compactionHistogramWidth   = 0.01
+	compactionHistogramBuckets = 200
+)
+
 // RegisterJournal adds a write-ahead journal's counters, depth gauges, and
-// group-commit fsync latency histogram to reg, plus constant gauges for
-// what this process recovered at startup. It installs the store's fsync
-// observer; call it once per store.
+// group-commit fsync latency and compaction duration histograms to reg,
+// plus constant gauges for what this process recovered at startup. It
+// installs the store's fsync and compaction observers; call it once per
+// store.
 func RegisterJournal(reg *metrics.Registry, store *journal.Store, labels ...metrics.Label) error {
 	snap := func(read func(journal.Stats) float64) func() float64 {
 		return func() float64 { return read(store.Stats()) }
@@ -43,6 +53,7 @@ func RegisterJournal(reg *metrics.Registry, store *journal.Store, labels ...metr
 	}{
 		{"react_journal_pending_bytes", "bytes buffered but not yet durable (the loss window)", func(s journal.Stats) float64 { return float64(s.PendingBytes) }},
 		{"react_journal_segment_bytes", "bytes in the active WAL segment since the last compaction", func(s journal.Stats) float64 { return float64(s.SegmentBytes) }},
+		{"react_journal_snapshot_bytes", "size of the current snapshot; the segment is compacted once it grows this large", func(s journal.Stats) float64 { return float64(s.SnapshotBytes) }},
 		{"react_journal_last_seq", "highest sequence number appended", func(s journal.Stats) float64 { return float64(s.LastSeq) }},
 		{"react_journal_failed", "1 after a sticky I/O failure stopped journaling", func(s journal.Stats) float64 {
 			if s.Failed {
@@ -77,14 +88,26 @@ func RegisterJournal(reg *metrics.Registry, store *journal.Store, labels ...metr
 		}
 	}
 
-	h, err := metrics.NewHistogram(fsyncHistogramWidth, fsyncHistogramBuckets)
-	if err != nil {
-		panic(err) // constants above are valid by construction
+	histograms := []struct {
+		name, help  string
+		width       float64
+		buckets     int
+		setObserver func(func(float64))
+	}{
+		{"react_journal_fsync_latency_seconds", "group-commit fsync latency per flush",
+			fsyncHistogramWidth, fsyncHistogramBuckets, store.SetFsyncObserver},
+		{"react_journal_compaction_seconds", "snapshot rebuild duration per compaction, beside the group commits",
+			compactionHistogramWidth, compactionHistogramBuckets, store.SetCompactionObserver},
 	}
-	if err := reg.RegisterHistogram("react_journal_fsync_latency_seconds",
-		"group-commit fsync latency per flush", h, labels...); err != nil {
-		return err
+	for _, hs := range histograms {
+		h, err := metrics.NewHistogram(hs.width, hs.buckets)
+		if err != nil {
+			panic(err) // constants above are valid by construction
+		}
+		if err := reg.RegisterHistogram(hs.name, hs.help, h, labels...); err != nil {
+			return err
+		}
+		hs.setObserver(h.Observe)
 	}
-	store.SetFsyncObserver(h.Observe)
 	return nil
 }

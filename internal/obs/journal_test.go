@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,9 +13,10 @@ import (
 	"react/internal/taskq"
 )
 
-// TestJournalMetrics drives a journal store through an append and a sync,
-// scrapes the plane, and checks the WAL counters, the recovery gauges,
-// and the fsync latency histogram all appear with live values.
+// TestJournalMetrics drives a journal store through an append, a sync and
+// a compaction, scrapes the plane, and checks the WAL counters, the
+// snapshot size, the recovery gauges, and the fsync latency and compaction
+// duration histograms all appear with live values.
 func TestJournalMetrics(t *testing.T) {
 	store, err := journal.Open(journal.Options{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
@@ -33,6 +35,13 @@ func TestJournalMetrics(t *testing.T) {
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if err := store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes := store.Stats().SnapshotBytes
+	if snapBytes == 0 {
+		t.Fatal("a compacted store reports no snapshot bytes")
+	}
 
 	srv := NewServer(Options{Clock: clock.NewVirtual(clock.Epoch), Registry: reg})
 	code, body := get(t, srv.Handler(), "/metrics")
@@ -48,6 +57,10 @@ func TestJournalMetrics(t *testing.T) {
 		"react_journal_recovered_workers 0",
 		"# TYPE react_journal_fsync_latency_seconds histogram",
 		"react_journal_fsync_latency_seconds_count 1",
+		"react_journal_compactions_total 1",
+		fmt.Sprintf("react_journal_snapshot_bytes %d", snapBytes),
+		"# TYPE react_journal_compaction_seconds histogram",
+		"react_journal_compaction_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in exposition:\n%s", want, body)

@@ -38,7 +38,6 @@ func (r *Registry) WriteSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, p := range r.All() {
 		snap := p.snapshot()
-		//lint:ignore blockingunderlock the journal calls this with flushMu, its disk-work serializer, held and the snapshot temp file (buffered) as w — real file I/O, deliberate (docs/PERSISTENCE.md); no profile lock is held here
 		if err := enc.Encode(snap); err != nil {
 			return fmt.Errorf("profile: snapshot %q: %w", p.ID(), err)
 		}
@@ -74,7 +73,6 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (restored int, err error) {
 	dec := json.NewDecoder(rd)
 	for {
 		var s workerSnapshot
-		//lint:ignore blockingunderlock the journal calls this with its compaction lock held and an in-memory reader as rd — deliberate (docs/PERSISTENCE.md); no profile lock is held here
 		if err := dec.Decode(&s); err == io.EOF {
 			return restored, nil
 		} else if err != nil {
