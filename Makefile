@@ -3,7 +3,7 @@
 GO ?= go
 # Packages with real goroutine concurrency; the race detector gates them
 # on every change.
-RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission ./internal/profile ./internal/loadgen
+RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federation ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission ./internal/profile ./internal/loadgen ./internal/bipartite
 # Packages whose statement coverage must not fall below COVER_FLOOR; the
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federat
 COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission
 COVER_FLOOR = 70
 
-.PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci
+.PHONY: all build fmt-check lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci
 
 all: build lint test
 
@@ -23,12 +23,18 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every tracked Go file outside testdata/ must be gofmt-clean; the lint
+# fixtures under testdata/ are deliberately left as written.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs $$($(GO) env GOROOT)/bin/gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; echo "run gofmt -w on them"; exit 1; fi
+
 # reactlint is the project-specific suite (docs/LINTING.md). Both tiers:
 # syntactic (clock discipline, seeded randomness, lock hygiene, goroutine
 # lifecycle, dropped errors, print-debugging) and typed (lock-order
 # deadlock detection, hook reentrancy, blocking-under-lock,
 # interprocedural clock/RNG taint). Exits non-zero on any finding.
-lint: vet
+lint: vet fmt-check
 	$(GO) run ./cmd/reactlint ./...
 
 # Just the typed dataflow tier (type-checks the module; slower than the
@@ -99,8 +105,9 @@ bench:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Short fuzz budgets over the frame codec, the journal decoder and the
-# journal record codec (against encoding/json) — the nightly workflow's
+# Short fuzz budgets over the frame codec, the journal decoder, the
+# journal record codec (against encoding/json) and Eq. 3's log-space
+# pruning test (against the verbatim probability) — the nightly workflow's
 # fast leg, runnable locally. FUZZTIME scales it.
 FUZZTIME ?= 30s
 fuzz:
@@ -108,6 +115,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMessageDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzDeadlineCut -fuzztime $(FUZZTIME) ./internal/powerlaw
 
 # Coverage floor: whole-repo profile (coverage.out is the CI artifact),
 # then per-package floors on the packages named in COVER_PKGS.

@@ -52,7 +52,7 @@ func TestVictimIndex(t *testing.T) {
 		want    int
 	}{
 		{"single", []taskq.Task{mk("a", time.Second)}, 0},
-		{"earliest deadline wins", []taskq.Task{mk("a", 3 * time.Second), mk("b", time.Second), mk("c", 2 * time.Second)}, 1},
+		{"earliest deadline wins", []taskq.Task{mk("a", 3*time.Second), mk("b", time.Second), mk("c", 2*time.Second)}, 1},
 		{"tie broken by smaller id", []taskq.Task{mk("b", time.Second), mk("a", time.Second)}, 1},
 		{"tie keeps first when already smallest", []taskq.Task{mk("a", time.Second), mk("b", time.Second)}, 0},
 	}

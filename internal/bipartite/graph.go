@@ -11,6 +11,7 @@ package bipartite
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Errors reported by graph construction and matching mutation.
@@ -33,13 +34,17 @@ type Edge struct {
 }
 
 // Graph is an immutable-after-build weighted bipartite graph. Build one with
-// a Builder; the matcher packages then operate on indices only.
+// a Builder; the matcher packages then operate on indices only. It is safe
+// for concurrent reads, TaskEdges included.
 type Graph struct {
 	workerIDs []string
 	taskIDs   []string
 	edges     []Edge
-	byWorker  [][]int32 // edge indices incident to each worker
-	byTask    [][]int32 // edge indices incident to each task
+	// byTask lists the edge indices incident to each task. Algorithm 1 draws
+	// edges uniformly and never walks a vertex, so the lists are laid out by
+	// the first TaskEdges call, not by Build.
+	taskOnce sync.Once
+	byTask   [][]int32
 }
 
 // Builder accumulates vertices and edges for a Graph. The zero value is
@@ -166,35 +171,25 @@ func (b *Builder) layoutSeen() {
 
 // Build finalizes the graph. The builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		workerIDs: b.workerIDs,
-		taskIDs:   b.taskIDs,
-		edges:     b.edges,
-		byWorker:  make([][]int32, len(b.workerIDs)),
-		byTask:    make([][]int32, len(b.taskIDs)),
+	return &Graph{workerIDs: b.workerIDs, taskIDs: b.taskIDs, edges: b.edges}
+}
+
+// indexTasks lays out byTask: a two-pass fill keeps the lists in one
+// allocation, each in edge order.
+func (g *Graph) indexTasks() {
+	g.byTask = make([][]int32, len(g.taskIDs))
+	deg := make([]int32, len(g.taskIDs))
+	for _, e := range g.edges {
+		deg[e.Task]++
 	}
-	// Two-pass fill keeps the incidence lists in single allocations.
-	wDeg := make([]int32, len(b.workerIDs))
-	tDeg := make([]int32, len(b.taskIDs))
-	for _, e := range b.edges {
-		wDeg[e.Worker]++
-		tDeg[e.Task]++
+	pool := make([]int32, 0, len(g.edges))
+	for i, d := range deg {
+		g.byTask[i] = pool[len(pool) : len(pool) : len(pool)+int(d)]
+		pool = pool[:len(pool)+int(d)]
 	}
-	wPool := make([]int32, 0, len(b.edges))
-	tPool := make([]int32, 0, len(b.edges))
-	for i, d := range wDeg {
-		g.byWorker[i] = wPool[len(wPool) : len(wPool) : len(wPool)+int(d)]
-		wPool = wPool[:len(wPool)+int(d)]
-	}
-	for i, d := range tDeg {
-		g.byTask[i] = tPool[len(tPool) : len(tPool) : len(tPool)+int(d)]
-		tPool = tPool[:len(tPool)+int(d)]
-	}
-	for i, e := range b.edges {
-		g.byWorker[e.Worker] = append(g.byWorker[e.Worker], int32(i))
+	for i, e := range g.edges {
 		g.byTask[e.Task] = append(g.byTask[e.Task], int32(i))
 	}
-	return g
 }
 
 // NumWorkers reports |U|.
@@ -212,11 +207,12 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // Edges exposes the edge slice; callers must not mutate it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// WorkerEdges lists the edge indices incident to worker w.
-func (g *Graph) WorkerEdges(w int32) []int32 { return g.byWorker[w] }
-
-// TaskEdges lists the edge indices incident to task t.
-func (g *Graph) TaskEdges(t int32) []int32 { return g.byTask[t] }
+// TaskEdges lists the edge indices incident to task t, in edge order. The
+// first call on a graph builds every task's list.
+func (g *Graph) TaskEdges(t int32) []int32 {
+	g.taskOnce.Do(g.indexTasks)
+	return g.byTask[t]
+}
 
 // WorkerID resolves a worker index back to its identifier.
 func (g *Graph) WorkerID(w int32) string { return g.workerIDs[w] }

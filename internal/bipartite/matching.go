@@ -90,18 +90,20 @@ func (m *Matching) Remove(e int32) error {
 }
 
 // Conflicts returns the selected edges that share an endpoint with edge e
-// (at most two: one at the worker, one at the task). A selected e conflicts
-// only with itself and yields nil.
-func (m *Matching) Conflicts(e int32) []int32 {
+// in out[:n]: at most two, the one at the worker first, then the one at the
+// task. A selected e conflicts only with itself and yields n = 0. The array
+// result keeps Algorithm 1's cycle free of allocation.
+func (m *Matching) Conflicts(e int32) (out [2]int32, n int) {
 	edge := m.g.Edge(int(e))
-	var out []int32
 	if we := m.workerMatch[edge.Worker]; we != -1 && we != e {
-		out = append(out, we)
+		out[n] = we
+		n++
 	}
 	if te := m.taskMatch[edge.Task]; te != -1 && te != e {
-		out = append(out, te)
+		out[n] = te
+		n++
 	}
-	return out
+	return out, n
 }
 
 // Pairs lists the selected edges.

@@ -347,6 +347,25 @@ func TestQuickHungarianDominates(t *testing.T) {
 	}
 }
 
+// TestMatchAllocsIndependentOfCycles pins Algorithm 1's cycle, and the
+// Metropolis baseline's, to zero allocations: a match allocates its state
+// up front and then nothing per cycle, so 20 k cycles cost what 1 k do.
+func TestMatchAllocsIndependentOfCycles(t *testing.T) {
+	g := randomGraph(40, 40, 0.6, 11)
+	for _, name := range []string{"react", "metropolis"} {
+		allocs := func(cycles int) float64 {
+			var m Matcher = REACT{Cycles: cycles}
+			if name == "metropolis" {
+				m = Metropolis{Cycles: cycles}
+			}
+			return testing.AllocsPerRun(5, func() { m.Match(g) })
+		}
+		if short, long := allocs(1_000), allocs(20_000); short != long {
+			t.Errorf("%s: %v allocs at 1k cycles, %v at 20k", name, short, long)
+		}
+	}
+}
+
 func BenchmarkREACT1000Cycles100x100(b *testing.B) {
 	g := bipartite.Full(100, 100, func(w, tk int) float64 { return float64((w*101+tk)%100) / 100 })
 	b.ReportAllocs()

@@ -62,8 +62,9 @@ func (a Metropolis) Match(g *bipartite.Graph) (*bipartite.Matching, Stats) {
 			}
 			continue
 		}
-		conflicts := m.Conflicts(ei)
-		if len(conflicts) == 0 {
+		out, n := m.Conflicts(ei)
+		conflicts := out[:n]
+		if n == 0 {
 			m.Add(ei)
 			st.Adds++
 			continue

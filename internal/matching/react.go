@@ -68,8 +68,9 @@ func (a REACT) Match(g *bipartite.Graph) (*bipartite.Matching, Stats) {
 			}
 			continue
 		}
-		conflicts := m.Conflicts(ei)
-		if len(conflicts) == 0 {
+		out, n := m.Conflicts(ei)
+		conflicts := out[:n]
+		if n == 0 {
 			// g(x') = g(x) + w ≥ g(x): always accept.
 			m.Add(ei)
 			st.Adds++

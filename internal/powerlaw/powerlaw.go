@@ -15,7 +15,11 @@
 //	Eq. 3  Pr(Exec < TTD)        = 1 − P(TTD)               (edge pruning)
 //	Eq. 2  Pr(t < Exec < TTD)    = 1 − (P(TTD) + (1 − P(t))) (reassignment)
 //
-// Both are exposed verbatim so the scheduler code reads like the paper.
+// Both are exposed verbatim. The scheduler asks Eq. 3 once per (worker, task)
+// pair against a fixed bound, so Model.DeadlineCut prepares that question in
+// log space — z = (1−α)(ln TTD − ln k_min) against ln(1−bound), no math.Pow —
+// and hands every case where the two forms could disagree back to
+// ProbMeetDeadline, so its verdict is always the verbatim one.
 package powerlaw
 
 import (
@@ -199,6 +203,73 @@ func (m Model) ProbMeetDeadline(timeToDeadline float64) float64 {
 		return 0
 	}
 	return 1 - m.CCDF(timeToDeadline)
+}
+
+// Eq. 3's log-space decision. With z = (1−α)(ln TTD − ln k_min),
+// ProbMeetDeadline(TTD) < bound is 1 − e^z < bound, i.e. z > ln(1−bound).
+// Computed z is off by at most ≈ 2e-11 anywhere in float64's range (each
+// logarithm to an ulp, scaled by α−1 ≤ MaxAlpha−1) and ProbMeetDeadline's
+// own rounding moves its verdict by less than 1e-12 in z while 1−bound ≥
+// 0.001, so outside cutBand both sides of the comparison agree; inside it the
+// exact form decides.
+const (
+	cutBand     = 1e-9
+	cutMaxBound = 0.999 // above it 1−bound is too small for the error argument
+	cutMaxRatio = 1e300 // TTD/k_min beyond this may overflow to +Inf in CCDF
+)
+
+// DeadlineCut is Eq. 3's pruning test for one model against one bound,
+// prepared once so that each (worker, task) pair costs two subtractions, a
+// multiply and a few compares instead of a math.Pow. Build it with
+// Model.DeadlineCut.
+type DeadlineCut struct {
+	m             Model
+	bound         float64
+	oneMinusAlpha float64
+	lnKmin        float64
+	lnKeep        float64 // ln(1−bound): z above it prunes
+	maxTTD        float64 // k_min·cutMaxRatio: beyond it the exact form decides
+	fast          bool    // the error argument holds for this model and bound
+}
+
+// DeadlineCut prepares the Eq. 3 test ProbMeetDeadline(ttd) < bound. The
+// fast path applies to a fitted model (1 < α ≤ MaxAlpha, finite k_min > 0)
+// and a bound in (0, 0.999]; any other model or bound makes every Prunes
+// call the exact form.
+func (m Model) DeadlineCut(bound float64) DeadlineCut {
+	c := DeadlineCut{m: m, bound: bound}
+	c.fast = bound > 0 && bound <= cutMaxBound &&
+		m.Alpha > 1 && m.Alpha <= MaxAlpha &&
+		m.Kmin > 0 && !math.IsInf(m.Kmin, 0)
+	if c.fast {
+		c.oneMinusAlpha = 1 - m.Alpha
+		c.lnKmin = math.Log(m.Kmin)
+		c.lnKeep = math.Log(1 - bound)
+		c.maxTTD = m.Kmin * cutMaxRatio
+	}
+	return c
+}
+
+// Prunes reports exactly ProbMeetDeadline(ttd) < bound, given lnTTD =
+// math.Log(ttd) (callers testing one deadline against many models take the
+// logarithm once). TTD at or below k_min always prunes; otherwise the
+// log-space comparison decides unless z lies within cutBand of ln(1−bound)
+// or ttd exceeds k_min·1e300, where ProbMeetDeadline itself is evaluated.
+func (c DeadlineCut) Prunes(ttd, lnTTD float64) bool {
+	if !c.fast || ttd > c.maxTTD {
+		return c.m.ProbMeetDeadline(ttd) < c.bound
+	}
+	if ttd <= c.m.Kmin { // Eq. 3 is 0 here, and the bound is positive
+		return true
+	}
+	d := c.oneMinusAlpha*(lnTTD-c.lnKmin) - c.lnKeep
+	if d > cutBand {
+		return true
+	}
+	if d < -cutBand {
+		return false
+	}
+	return c.m.ProbMeetDeadline(ttd) < c.bound // in the band, or NaN
 }
 
 // ProbWindow is Eq. 2: the probability that the execution time lands in the

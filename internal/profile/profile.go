@@ -147,14 +147,13 @@ func (p *Profile) SetRewardRange(min, max float64) {
 	p.rewardMin, p.rewardMax = min, max
 }
 
-// AcceptsReward reports whether a task reward passes the worker's range.
-func (p *Profile) AcceptsReward(reward float64) bool {
+// RewardRange reports the range SetRewardRange last set. A task reward r
+// passes it when max ≤ 0 (the filter is off) or min ≤ r ≤ max; the scheduler
+// reads it once per worker per round and applies that test to every task.
+func (p *Profile) RewardRange() (min, max float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.rewardMax <= 0 {
-		return true
-	}
-	return reward >= p.rewardMin && reward <= p.rewardMax
+	return p.rewardMin, p.rewardMax
 }
 
 // RecordCompletion stores one finished task: its category, the execution

@@ -182,19 +182,16 @@ func TestModelSkipsNonPositiveExecTimes(t *testing.T) {
 
 func TestRewardRange(t *testing.T) {
 	var p Profile
-	if !p.AcceptsReward(0.01) {
-		t.Fatal("default profile should accept any reward")
+	if min, max := p.RewardRange(); min != 0 || max != 0 {
+		t.Fatalf("default range = [%v, %v], want the disabled [0, 0]", min, max)
 	}
 	p.SetRewardRange(0.05, 0.50)
-	if p.AcceptsReward(0.01) || p.AcceptsReward(0.60) {
-		t.Fatal("out-of-range reward accepted")
-	}
-	if !p.AcceptsReward(0.05) || !p.AcceptsReward(0.50) || !p.AcceptsReward(0.25) {
-		t.Fatal("in-range reward rejected")
+	if min, max := p.RewardRange(); min != 0.05 || max != 0.50 {
+		t.Fatalf("range = [%v, %v], want [0.05, 0.5]", min, max)
 	}
 	p.SetRewardRange(0, 0) // disable again
-	if !p.AcceptsReward(99) {
-		t.Fatal("disabled range still filtering")
+	if _, max := p.RewardRange(); max > 0 {
+		t.Fatalf("disabled range reads max %v", max)
 	}
 }
 

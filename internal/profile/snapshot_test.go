@@ -54,8 +54,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("model drifted: %+v vs %+v", srcModel, dstModel)
 	}
 	// Reward range preserved.
-	if a.AcceptsReward(0.01) || !a.AcceptsReward(0.25) {
-		t.Fatal("reward range lost")
+	if min, max := a.RewardRange(); min != 0.05 || max != 0.50 {
+		t.Fatalf("reward range = [%v, %v], want [0.05, 0.5]", min, max)
 	}
 	// Location preserved.
 	if a.Location() != athens {

@@ -7,9 +7,17 @@
 // reward-range filter — and defines the weight functions and the batching
 // knobs (Config). The round itself — trigger, match, apply — is
 // internal/engine's.
+//
+// BuildGraph does per pair only what depends on the pair. A task's time to
+// deadline and its logarithm are taken once per round; a worker's trainee
+// flag, model and reward range are read once per round and its model turned
+// into a powerlaw.DeadlineCut; the pair then costs the reward test, Eq. 3 in
+// log space (exactly ProbMeetDeadline's verdict) and, for a surviving edge,
+// the weight function. docs/ENGINE.md, "What a round costs", has the table.
 package schedule
 
 import (
+	"math"
 	"time"
 
 	"react/internal/bipartite"
@@ -161,12 +169,26 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		}
 		taskIdx[i] = vi
 	}
+	// Per task, once per round: the time to deadline and its logarithm, the
+	// task's half of every Eq. 3 test.
+	perTask := make([]float64, 2*len(tasks))
+	ttd, lnTTD := perTask[:len(tasks)], perTask[len(tasks):]
+	for i, t := range tasks {
+		ttd[i] = t.Deadline.Sub(now).Seconds()
+		lnTTD[i] = math.Log(ttd[i])
+	}
 	for wi, w := range workers {
 		if workerIdx[wi] < 0 {
 			continue
 		}
+		// Per worker, once per round: the trainee flag, the fitted model and
+		// the reward range, read before the worker's row, so a grade landing
+		// mid-round reaches the whole row or none of it.
 		trainee := w.Trainee(traineeTasks)
 		model, hasModel := w.Model(cfg.MinHistory)
+		rewardMin, rewardMax := w.RewardRange()
+		unmodelled := cfg.NoPruning || trainee || !hasModel
+		cut := model.DeadlineCut(cfg.EdgeProbBound)
 		if trainee {
 			st.Trainees++
 		}
@@ -174,21 +196,18 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 			if taskIdx[ti] < 0 {
 				continue
 			}
-			if !w.AcceptsReward(t.Reward) {
+			if !(rewardMax <= 0 || t.Reward >= rewardMin && t.Reward <= rewardMax) {
 				st.PrunedReward++
 				continue
 			}
 			var weight float64
-			switch {
-			case cfg.NoPruning:
+			if unmodelled {
+				// NoPruning, or the training rule (§IV.A): instantiate edges
+				// with every task at the maximum weight so the profile gets
+				// built.
 				weight = maxWeight
-			case trainee || !hasModel:
-				// Training rule (§IV.A): instantiate edges with every task
-				// at the maximum weight so the profile gets built.
-				weight = maxWeight
-			default:
-				ttd := t.Deadline.Sub(now).Seconds()
-				if p := model.ProbMeetDeadline(ttd); p < cfg.EdgeProbBound {
+			} else {
+				if cut.Prunes(ttd[ti], lnTTD[ti]) {
 					st.PrunedProb++
 					continue
 				}

@@ -2,12 +2,15 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"react/internal/bipartite"
 	"react/internal/clock"
 	"react/internal/profile"
 	"react/internal/region"
@@ -156,15 +159,124 @@ func TestBuildGraphRewardRange(t *testing.T) {
 	p := seasonedWorker("w", []float64{5, 6, 7}, 3)
 	p.SetRewardRange(0.10, 1.0)
 	now := clock.Epoch
-	cheap := task("cheap", time.Minute, now) // reward 0.05 below range
-	rich := task("rich", time.Minute, now)
-	rich.Reward = 0.25
-	g, st := BuildGraph(Config{}, []*profile.Profile{p}, []taskq.Task{cheap, rich}, now)
-	if g.NumEdges() != 1 || st.PrunedReward != 1 {
-		t.Fatalf("edges = %d pruned = %d", g.NumEdges(), st.PrunedReward)
+	var tasks []taskq.Task
+	for _, reward := range []float64{0.05, 0.10, 0.25, 1.0, 1.01} {
+		tk := task(fmt.Sprint(reward), time.Minute, now)
+		tk.Reward = reward
+		tasks = append(tasks, tk)
 	}
-	if g.TaskID(g.Edge(0).Task) != "rich" {
-		t.Fatal("wrong edge survived the reward filter")
+	kept := func(g *bipartite.Graph) (ids []string) {
+		for _, e := range g.Edges() {
+			ids = append(ids, g.TaskID(e.Task))
+		}
+		return ids
+	}
+	// The range is closed at both ends.
+	g, st := BuildGraph(Config{}, []*profile.Profile{p}, tasks, now)
+	if got, want := kept(g), []string{"0.1", "0.25", "1"}; !reflect.DeepEqual(got, want) || st.PrunedReward != 2 {
+		t.Fatalf("kept %v (pruned %d), want %v (pruned 2)", got, st.PrunedReward, want)
+	}
+	// A zero max switches the filter off.
+	p.SetRewardRange(0.10, 0)
+	g, st = BuildGraph(Config{}, []*profile.Profile{p}, tasks, now)
+	if g.NumEdges() != len(tasks) || st.PrunedReward != 0 {
+		t.Fatalf("disabled filter: %d edges, pruned %d", g.NumEdges(), st.PrunedReward)
+	}
+}
+
+// referenceBuild is BuildGraph written the obvious way: every pair asks the
+// profile and the verbatim Eq. 3 (ProbMeetDeadline) afresh. Snapshots must be
+// free of duplicate ids.
+func referenceBuild(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now time.Time) ([]bipartite.Edge, BuildStats) {
+	cfg = cfg.Normalize()
+	st := BuildStats{Workers: len(workers), Tasks: len(tasks)}
+	var edges []bipartite.Edge
+	for wi, w := range workers {
+		if w.Trainee(traineeTasks) {
+			st.Trainees++
+		}
+		for ti, t := range tasks {
+			if min, max := w.RewardRange(); !(max <= 0 || t.Reward >= min && t.Reward <= max) {
+				st.PrunedReward++
+				continue
+			}
+			weight := maxWeight
+			model, ok := w.Model(cfg.MinHistory)
+			if !cfg.NoPruning && !w.Trainee(traineeTasks) && ok {
+				if model.ProbMeetDeadline(t.Deadline.Sub(now).Seconds()) < cfg.EdgeProbBound {
+					st.PrunedProb++
+					continue
+				}
+				weight = math.Min(math.Max(cfg.Weight(w, t), 0), 1)
+			}
+			edges = append(edges, bipartite.Edge{Worker: int32(wi), Task: int32(ti), Weight: weight})
+			st.Edges++
+		}
+	}
+	return edges, st
+}
+
+// TestBuildGraphMatchesPairwiseReference requires BuildGraph's edge list —
+// order, endpoints, weights — and its stats to equal referenceBuild's over
+// random fleets of trainees, unmodelled veterans, modelled workers and
+// reward-ranged workers, with deadlines that include ones placed on a
+// worker's Eq. 3 threshold to the nanosecond, and past ones.
+func TestBuildGraphMatchesPairwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	now := clock.Epoch
+	for round := 0; round < 300; round++ {
+		cfg := Config{EdgeProbBound: []float64{0, 0.05, 0.1, 0.5, 0.9, 0.999}[rng.Intn(6)]}
+		switch rng.Intn(5) {
+		case 0:
+			cfg.NoPruning = true
+		case 1:
+			cfg.Weight = DistanceWeight(5)
+		case 2:
+			cfg.MinHistory = 1 + rng.Intn(6)
+		}
+		reg := profile.NewRegistry()
+		workers := make([]*profile.Profile, 1+rng.Intn(12))
+		for i := range workers {
+			p, _ := reg.Register(fmt.Sprintf("w%02d", i), region.Point{Lat: 37.9 + rng.Float64()/10, Lon: 23.7})
+			for k, n := 0, rng.Intn(9); k < n; k++ {
+				exec := 0.2 + rng.ExpFloat64()*10
+				switch rng.Intn(4) {
+				case 0: // timing only: a modelled trainee
+					p.RecordExecTime(exec)
+				case 1: // grade only: a veteran with no model
+					p.RecordFeedback("traffic", rng.Intn(2) == 0)
+				default:
+					p.RecordCompletion([]string{"traffic", "photo"}[rng.Intn(2)], exec, rng.Intn(3) > 0)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				lo := rng.Float64() / 4
+				p.SetRewardRange(lo, lo+rng.Float64()/4)
+			}
+			workers[i] = p
+		}
+		tasks := make([]taskq.Task, 1+rng.Intn(12))
+		for j := range tasks {
+			ttd := time.Duration(rng.Int63n(int64(120*time.Second))) - 5*time.Second
+			if m, ok := workers[rng.Intn(len(workers))].Model(1); ok && rng.Intn(2) == 0 {
+				bound := Config{EdgeProbBound: cfg.EdgeProbBound}.Normalize().EdgeProbBound
+				th := m.Quantile(bound) // Eq. 3 = bound exactly here
+				if th < 1e6 {
+					ttd = time.Duration(th*1e9) + time.Duration(rng.Intn(5)-2)
+				}
+			}
+			tasks[j] = task(fmt.Sprintf("t%02d", j), ttd, now)
+			tasks[j].Reward = rng.Float64() / 2
+			tasks[j].Location = region.Point{Lat: 37.9 + rng.Float64()/10, Lon: 23.7}
+		}
+		g, st := BuildGraph(cfg, workers, tasks, now)
+		wantEdges, wantSt := referenceBuild(cfg, workers, tasks, now)
+		if !slices.Equal(g.Edges(), wantEdges) {
+			t.Fatalf("round %d: edges\n got %v\nwant %v", round, g.Edges(), wantEdges)
+		}
+		if st != wantSt {
+			t.Fatalf("round %d: stats %+v, want %+v", round, st, wantSt)
+		}
 	}
 }
 
@@ -305,6 +417,28 @@ func TestQuickSurvivingEdgesMeetBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildGraphAllocsIndependentOfShape pins what a round allocates to a
+// constant: the builder, the per-task deadline table and the graph, never
+// anything per worker or per pair.
+func TestBuildGraphAllocsIndependentOfShape(t *testing.T) {
+	now := clock.Epoch
+	allocs := func(nWorkers, nTasks int) float64 {
+		workers := make([]*profile.Profile, nWorkers)
+		for i := range workers {
+			workers[i] = seasonedWorker(fmt.Sprintf("w%03d", i), []float64{1, 2, 3, 2, 1}, 4)
+		}
+		workers[0].SetRewardRange(0.01, 0.02)
+		tasks := make([]taskq.Task, nTasks)
+		for i := range tasks {
+			tasks[i] = task(fmt.Sprintf("t%03d", i), time.Duration(i)*time.Second, now)
+		}
+		return testing.AllocsPerRun(5, func() { BuildGraph(Config{}, workers, tasks, now) })
+	}
+	if small, large := allocs(30, 20), allocs(120, 40); small != large {
+		t.Fatalf("BuildGraph allocates %v times at 30×20 but %v at 120×40", small, large)
 	}
 }
 
