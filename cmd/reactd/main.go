@@ -25,7 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -33,9 +33,8 @@ import (
 
 	"react/internal/admission"
 	"react/internal/clock"
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/event"
-	"react/internal/federation"
 	"react/internal/journal"
 	"react/internal/matching"
 	"react/internal/metrics"
@@ -54,21 +53,21 @@ type obsWiring struct {
 	trace *obs.TraceRing // backs /trace.csv; nil with -trace-cap 0
 }
 
-// wireRegion hangs reactd's per-region plumbing on one region server —
-// "all" in single-region mode, each grid cell from the federation factory:
-// the Eq. 2 revocation log, and with -http the region's collector (its own
-// series set under the region label), admission metrics and the
-// /trace.csv tap. The Eq. 2 log reads a bounded event-spine subscription
-// off the engine's tick goroutines; it lives for the process, and a
-// logging stall beyond the buffer drops log lines, never scheduling work.
-func (ow *obsWiring) wireRegion(id string, cs *core.Server) {
-	eng := cs.Engine()
+// wireRegion hangs reactd's per-region plumbing on one region — "all" in
+// single-region mode, each grid cell as ServeGrid starts it: the Eq. 2
+// revocation log, and with -http the region's collector (its own series
+// set under the region label), admission metrics and the /trace.csv tap.
+// The Eq. 2 log reads a bounded event-spine subscription off the engine's
+// tick goroutines; it lives for the process, and a logging stall beyond
+// the buffer drops log lines, never scheduling work.
+func (ow *obsWiring) wireRegion(r *wire.Region) {
+	eng := r.Engine()
 	sub := eng.Events().Subscribe(256, func(ev event.Event) bool {
 		return ev.Kind == event.KindRevoke && ev.Cause == taskq.CauseEq2
 	})
 	go func() {
 		for ev := range sub.C() {
-			log.Printf("reassign task=%s worker=%s eq2=%.3f", ev.Task, ev.Worker, ev.Prob)
+			slog.Info("reassign", "region", r.ID, "task", ev.Task, "worker", ev.Worker, "eq2", ev.Prob)
 		}
 	}()
 	if ow == nil {
@@ -76,14 +75,14 @@ func (ow *obsWiring) wireRegion(id string, cs *core.Server) {
 	}
 	col := obs.NewEngineCollector()
 	col.Attach(eng)
-	if err := col.Register(ow.reg, eng, metrics.L("region", id)); err != nil {
+	if err := col.Register(ow.reg, eng, metrics.L("region", r.ID)); err != nil {
 		// Duplicate registration is a wiring bug, not an operational
 		// condition; surface it loudly but keep serving tasks.
-		log.Printf("reactd: metrics for region %s: %v", id, err)
+		slog.Error("reactd: region metrics", "region", r.ID, "err", err)
 	}
-	if adm := cs.Admission(); adm != nil {
-		if err := obs.RegisterAdmission(ow.reg, adm, metrics.L("region", id)); err != nil {
-			log.Printf("reactd: admission metrics for region %s: %v", id, err)
+	if adm := eng.Admission(); adm != nil {
+		if err := obs.RegisterAdmission(ow.reg, adm, metrics.L("region", r.ID)); err != nil {
+			slog.Error("reactd: admission metrics", "region", r.ID, "err", err)
 		}
 	}
 	if ow.trace != nil {
@@ -137,7 +136,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := core.Options{
+	cfg := engine.Config{
 		Matcher:       matcher,
 		MonitorPeriod: *monitorPeriod,
 		Retention:     *retention,
@@ -148,15 +147,15 @@ func main() {
 			EdgeProbBound: *probBound,
 		},
 	}
-	opts.Monitor.Threshold = *threshold
+	cfg.Monitor.Threshold = *threshold
 	if *admissionOn {
-		opts.Admission = &admission.Config{
+		cfg.Admission = &admission.Config{
 			ProbFloor:     *admitFloor,
 			MaxInflight:   *maxInflight,
 			RequesterRate: *admitRate,
 		}
 	} else if *maxInflight > 0 || *admitFloor > 0 || *admitRate > 0 {
-		log.Print("reactd: -max-inflight/-admit-floor/-admit-rate have no effect without -admission")
+		slog.Warn("reactd: -max-inflight/-admit-floor/-admit-rate have no effect without -admission")
 	}
 
 	var ow *obsWiring
@@ -171,42 +170,39 @@ func main() {
 	var store *journal.Store
 	var err error
 	if *grid != "" {
-		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
+		srv, err = serveGrid(*addr, *grid, *area, cfg, ow)
 	} else {
 		if *dataDir != "" {
-			store, err = journal.Open(journal.Options{
-				Dir:           *dataDir,
-				FsyncInterval: *fsyncInterval,
-				Logf:          log.Printf,
-			})
+			// The journal's default Logf reports through slog.
+			store, err = journal.Open(journal.Options{Dir: *dataDir, FsyncInterval: *fsyncInterval})
 			if err != nil {
-				log.Fatalf("reactd: %v", err)
+				fatal("reactd: open journal", "dir", *dataDir, "err", err)
 			}
 		}
 		var sum journal.Summary
-		srv, sum, err = wire.ServeDurable(*addr, opts, store) // nil store: no persistence
+		srv, sum, err = wire.ServeDurable(*addr, cfg, store) // nil store: no persistence
 		if err == nil {
 			if store != nil {
-				log.Printf("reactd: journal %s: recovered %d tasks, %d workers (snapshot seq %d, %d tail records, %d torn bytes dropped)",
-					*dataDir, sum.Tasks, sum.Workers, sum.SnapshotSeq, sum.TailRecords, sum.TornBytes)
+				slog.Info("reactd: journal recovered", "dir", *dataDir, "tasks", sum.Tasks, "workers", sum.Workers,
+					"snapshot_seq", sum.SnapshotSeq, "tail_records", sum.TailRecords, "torn_bytes", sum.TornBytes)
 			}
-			ow.wireRegion("all", srv.Core())
+			ow.wireRegion(srv.Core())
 		}
 	}
 	if err != nil {
-		log.Fatalf("reactd: %v", err)
+		fatal("reactd: serve", "err", err)
 	}
 	srv.SetIdleTimeout(*idleTimeout)
-	log.Printf("reactd: listening on %s (matcher=%s, grid=%q)", srv.Addr(), *matcherName, *grid)
+	slog.Info("reactd: listening", "addr", srv.Addr(), "matcher", *matcherName, "grid", *grid)
 
 	var plane *obs.Server
 	if ow != nil {
 		if err := obs.RegisterWireServer(ow.reg, srv); err != nil {
-			log.Fatalf("reactd: wire metrics: %v", err)
+			fatal("reactd: wire metrics", "err", err)
 		}
 		if store != nil {
 			if err := obs.RegisterJournal(ow.reg, store); err != nil {
-				log.Fatalf("reactd: journal metrics: %v", err)
+				fatal("reactd: journal metrics", "err", err)
 			}
 		}
 		plane = obs.NewServer(obs.Options{
@@ -214,12 +210,12 @@ func main() {
 			Registry: ow.reg,
 			Regions:  func() []obs.Source { return sources(srv.Regions()) },
 			Trace:    ow.trace,
-			Logf:     log.Printf,
+			Logf:     func(format string, args ...any) { slog.Error(fmt.Sprintf(format, args...)) },
 		})
 		if err := plane.Start(*httpAddr); err != nil {
-			log.Fatalf("reactd: %v", err)
+			fatal("reactd: observability plane", "err", err)
 		}
-		log.Printf("reactd: observability plane on http://%s (/metrics /statusz /trace.csv /debug/pprof/)", plane.Addr())
+		slog.Info("reactd: observability plane (/metrics /statusz /trace.csv /debug/pprof/)", "addr", "http://"+plane.Addr())
 	}
 
 	if *statsEvery > 0 {
@@ -228,9 +224,9 @@ func main() {
 			defer ticker.Stop()
 			for range ticker.C {
 				st := srv.Stats()
-				log.Printf("stats received=%d assigned=%d completed=%d ontime=%d expired=%d reassigned=%d batches=%d workers=%d known=%d",
-					st.Received, st.Assigned, st.Completed, st.OnTime,
-					st.Expired, st.Reassigned, st.Batches, st.WorkersOnline, st.WorkersKnown)
+				slog.Info("stats", "received", st.Received, "assigned", st.Assigned, "completed", st.Completed,
+					"ontime", st.OnTime, "expired", st.Expired, "reassigned", st.Reassigned, "batches", st.Batches,
+					"workers", st.WorkersOnline, "known", st.WorkersKnown)
 			}
 		}()
 	}
@@ -238,23 +234,28 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Print("reactd: shutting down")
+	slog.Info("reactd: shutting down")
 	if plane != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := plane.Shutdown(ctx); err != nil {
-			log.Printf("reactd: observability shutdown: %v", err)
+			slog.Error("reactd: observability shutdown", "err", err)
 		}
 		cancel()
 	}
 	if err := srv.Close(); err != nil {
-		log.Printf("reactd: close: %v", err)
+		slog.Error("reactd: close", "err", err)
 	}
 }
 
-// serveGrid hosts one region server per grid cell behind a single port,
-// routing by geography — the paper's spatial decomposition as a deployment
-// flag.
-func serveGrid(addr, gridSpec, areaSpec string, opts core.Options, ow *obsWiring) (*wire.Server, error) {
+// fatal logs msg with its attributes and exits non-zero.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
+}
+
+// serveGrid hosts one region per grid cell behind a single port, routing
+// by geography — the paper's spatial decomposition as a deployment flag.
+func serveGrid(addr, gridSpec, areaSpec string, cfg engine.Config, ow *obsWiring) (*wire.Server, error) {
 	var rows, cols int
 	if _, err := fmt.Sscanf(gridSpec, "%dx%d", &rows, &cols); err != nil {
 		return nil, fmt.Errorf("bad -grid %q (want RxC): %v", gridSpec, err)
@@ -268,20 +269,17 @@ func serveGrid(addr, gridSpec, areaSpec string, opts core.Options, ow *obsWiring
 	if err != nil {
 		return nil, err
 	}
-	coord := federation.New(g, func(regionID string) *core.Server {
-		log.Printf("reactd: starting region server %s", regionID)
-		s := core.New(opts)
-		ow.wireRegion(regionID, s)
-		return s
+	return wire.ServeGrid(addr, g, cfg, func(r *wire.Region) {
+		slog.Info("reactd: starting region", "region", r.ID)
+		ow.wireRegion(r)
 	})
-	return wire.ServeRegions(addr, coord)
 }
 
-// sources lists the running region servers as /statusz rows.
-func sources(rs []core.Region) []obs.Source {
+// sources lists the running regions as /statusz rows.
+func sources(rs []*wire.Region) []obs.Source {
 	out := make([]obs.Source, len(rs))
 	for i, r := range rs {
-		out[i] = obs.Source{ID: r.ID, Engine: r.Server.Engine(), Admission: r.Server.Admission()}
+		out[i] = obs.Source{ID: r.ID, Engine: r.Engine(), Admission: r.Admission()}
 	}
 	return out
 }

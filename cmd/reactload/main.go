@@ -27,11 +27,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"time"
 
-	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/faultnet"
 	"react/internal/journal"
@@ -58,7 +57,7 @@ func main() {
 		Tasks:    *tasks,
 		Seed:     *seed,
 		Compress: *compress,
-		Logf:     log.Printf,
+		Logf:     func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
 	}
 
 	var cleanup func()
@@ -66,7 +65,7 @@ func main() {
 		var err error
 		cleanup, err = setupChaos(&cfg)
 		if err != nil {
-			log.Fatalf("reactload: chaos setup: %v", err)
+			fatal("reactload: chaos setup", "err", err)
 		}
 	}
 
@@ -75,7 +74,7 @@ func main() {
 		cleanup()
 	}
 	if err != nil {
-		log.Fatalf("reactload: %v", err)
+		fatal("reactload: run", "err", err)
 	}
 	fmt.Printf("submitted   %d\nrejected    %d rate, %d probability, %d queue-full\nresults     %d\non-time     %d (%.1f%%)\nlate        %d\nexpired     %d\npositive    %d\nwall time   %v\n",
 		rep.Submitted, rep.RejectedRate, rep.RejectedProbability, rep.QueueFull,
@@ -101,10 +100,16 @@ func main() {
 	}
 }
 
-// serverOptions are compressed to match the load generator's time scale,
+// fatal logs msg with its attributes and exits non-zero.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
+}
+
+// serverConfig is compressed to match the load generator's time scale,
 // like a reactd started with fast loop periods.
-func serverOptions() core.Options {
-	return core.Options{
+func serverConfig() engine.Config {
+	return engine.Config{
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},
@@ -125,12 +130,12 @@ func setupChaos(cfg *loadgen.Config) (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := journal.Open(journal.Options{Dir: dataDir, Logf: log.Printf})
+	store, err := journal.Open(journal.Options{Dir: dataDir})
 	if err != nil {
 		os.RemoveAll(dataDir)
 		return nil, err
 	}
-	srv, _, err := wire.ServeDurable("127.0.0.1:0", serverOptions(), store)
+	srv, _, err := wire.ServeDurable("127.0.0.1:0", serverConfig(), store)
 	if err != nil {
 		store.Close()
 		os.RemoveAll(dataDir)
@@ -157,24 +162,24 @@ func setupChaos(cfg *loadgen.Config) (func(), error) {
 		switch n {
 		case resetAt:
 			cut := proxy.ResetAll()
-			log.Printf("chaos: hard-reset %d connections at task %d", cut, n)
+			slog.Info("chaos: hard-reset connections", "conns", cut, "at_task", n)
 		case restartAt:
 			srv.Close() // flushes and closes the journal
-			next, err := journal.Open(journal.Options{Dir: dataDir, Logf: log.Printf})
+			next, err := journal.Open(journal.Options{Dir: dataDir})
 			if err != nil {
-				log.Printf("chaos: journal recovery failed: %v", err)
+				slog.Error("chaos: journal recovery failed", "err", err)
 				return
 			}
-			nextSrv, sum, err := wire.ServeDurable("127.0.0.1:0", serverOptions(), next)
+			nextSrv, sum, err := wire.ServeDurable("127.0.0.1:0", serverConfig(), next)
 			if err != nil {
 				next.Close()
-				log.Printf("chaos: restart failed: %v", err)
+				slog.Error("chaos: restart failed", "err", err)
 				return
 			}
 			proxy.SetTarget(nextSrv.Addr())
 			srv = nextSrv
-			log.Printf("chaos: server restarted on %s, recovered %d tasks and %d workers from the journal (seq %d)",
-				nextSrv.Addr(), sum.Tasks, sum.Workers, sum.LastSeq)
+			slog.Info("chaos: server restarted from the journal", "addr", nextSrv.Addr(),
+				"tasks", sum.Tasks, "workers", sum.Workers, "seq", sum.LastSeq)
 		}
 	}
 	return func() {

@@ -20,10 +20,10 @@
 //     monitor in internal/engine — the four server components of Figure 1
 //   - internal/engine    — the whole scheduler: admission gates, the
 //     scheduling round (trigger → prune → match → apply), the monitor and
-//     the task store, shared by the simulator and the live server
-//   - internal/core      — the deployable region server
-//   - internal/wire      — the JSON/TCP protocol (PlanetLab substitute)
-//   - internal/federation — multi-region routing by geography
+//     the task store, shared by the simulator and the live server; one
+//     engine is one region, and Start runs its live tick loops
+//   - internal/wire      — the JSON/TCP protocol (PlanetLab substitute),
+//     hosting one region's engine or a grid of them routed by geography
 //   - internal/region    — spatial decomposition: haversine, the region grid
 //   - internal/event     — the lifecycle event spine and the ledger that
 //     folds it into counters and missed-deadline attribution
@@ -31,7 +31,7 @@
 //     internal/loadgen, internal/experiments — the evaluation substrate
 //     that regenerates every figure of the paper
 //
-// Binaries: cmd/reactd (region server), cmd/reactctl (client CLI),
+// Binaries: cmd/reactd (the server), cmd/reactctl (client CLI),
 // cmd/reactsim (figure regeneration, matcher sweeps), cmd/reactload (live
 // load). Runnable scenarios live under examples/. The benchmarks in bench_test.go
 // regenerate each figure via `go test -bench`.

@@ -16,7 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/region"
 	"react/internal/schedule"
 	"react/internal/taskq"
@@ -31,13 +31,22 @@ const (
 func main() {
 	votes := NewCollector(0) // strict-majority quorum
 
-	srv := core.New(core.Options{
+	// Each validator's assignments arrive on its own channel (one slot: a
+	// busy worker is offered nothing more); every channel exists before
+	// Start, so the rounds only ever read the map.
+	feeds := map[string]chan engine.Assignment{}
+	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 2, BatchPeriod: 30 * time.Millisecond},
-	})
-	srv.Start()
-	defer srv.Stop()
+	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+		select {
+		case feeds[a.WorkerID] <- a:
+			return true
+		default:
+			return false
+		}
+	}})
 
 	loc := region.Point{Lat: 37.98, Lon: 23.73}
 	rng := rand.New(rand.NewSource(99))
@@ -47,8 +56,9 @@ func main() {
 	for i := 0; i < 12; i++ {
 		id := fmt.Sprintf("validator-%02d", i)
 		careful := i < 9
-		feed, err := srv.RegisterWorker(id, loc)
-		if err != nil {
+		feed := make(chan engine.Assignment, 1)
+		feeds[id] = feed
+		if _, err := eng.AttachWorker(id, loc); err != nil {
 			log.Fatal(err)
 		}
 		wg.Add(1)
@@ -70,11 +80,11 @@ func main() {
 				if vote {
 					answer = "yes"
 				}
-				r, err := srv.Complete(a.TaskID, id, answer)
+				r, _, err := eng.Complete(a.TaskID, id, answer)
 				if err != nil {
 					continue
 				}
-				srv.Feedback(a.TaskID, true)
+				eng.Feedback(a.TaskID, true)
 				if !r.MetDeadline {
 					continue // late answers don't make it into the vote
 				}
@@ -84,6 +94,7 @@ func main() {
 			}
 		}(id, careful)
 	}
+	eng.Start()
 
 	// Six candidate images; half genuinely match the query. Each becomes a
 	// poll of `replicas` validation tasks.
@@ -108,7 +119,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, task := range tasks {
-			if err := srv.Submit(task); err != nil {
+			if err := eng.Submit(task); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -127,9 +138,12 @@ func main() {
 		fmt.Printf("%-8s %-6v %d/%d     %-8v %-7v %v\n",
 			v.PollID, truth[v.PollID], v.Votes, v.Total, verdict, v.Quorum, ok)
 	}
-	st := srv.Stats()
+	st := eng.Stats()
 	fmt.Printf("verdicts correct: %d/%d; validations on time %d/%d within the %v SLA\n",
 		correct, nCandidates, st.OnTime, nCandidates*replicas, searchSLA)
-	srv.Stop()
+	eng.Stop() // no round runs after this, so the feeds can close
+	for _, feed := range feeds {
+		close(feed)
+	}
 	wg.Wait()
 }

@@ -1,7 +1,7 @@
-// Quickstart: embed a REACT region server in-process, run five goroutine
-// workers against it, submit twenty deadline-bound tasks, and print the
-// outcome. This is the smallest complete use of the middleware: register
-// workers, submit tasks, drain assignment feeds, complete, grade.
+// Quickstart: embed a REACT scheduling engine in-process, run five
+// goroutine workers against it, submit twenty deadline-bound tasks, and
+// print the outcome. This is the smallest complete use of the middleware:
+// attach workers, submit tasks, drain assignment feeds, complete, grade.
 package main
 
 import (
@@ -12,34 +12,45 @@ import (
 	"sync/atomic"
 	"time"
 
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/region"
 	"react/internal/schedule"
 	"react/internal/taskq"
 )
 
 func main() {
-	// A server with snappy loops: quickstart tasks live for seconds, not
-	// minutes.
-	srv := core.New(core.Options{
+	// Each worker's assignments arrive on its own channel: the Deliver hook
+	// is the transport. A busy worker is offered nothing until its task is
+	// done, so one slot is enough; a refused delivery would put the task
+	// back in the pool. The loops are snappy: quickstart tasks live for
+	// seconds, not minutes.
+	feeds := map[string]chan engine.Assignment{}
+	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 50 * time.Millisecond},
-	})
-	srv.Start()
-	defer srv.Stop()
+	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+		select {
+		case feeds[a.WorkerID] <- a:
+			return true
+		default:
+			return false
+		}
+	}})
 
 	athens := region.Point{Lat: 37.98, Lon: 23.73}
 	var completed atomic.Int32
 	var wg sync.WaitGroup
 
 	// Five workers with different speeds. Each drains its assignment feed,
-	// "works" for its personal duration, and submits an answer.
+	// "works" for its personal duration, and submits an answer. Every feed
+	// exists before Start, so the rounds only ever read the map.
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("worker-%d", i)
 		speed := time.Duration(20+30*i) * time.Millisecond
-		feed, err := srv.RegisterWorker(id, athens)
-		if err != nil {
+		feed := make(chan engine.Assignment, 1)
+		feeds[id] = feed
+		if _, err := eng.AttachWorker(id, athens); err != nil {
 			log.Fatal(err)
 		}
 		wg.Add(1)
@@ -48,20 +59,21 @@ func main() {
 			for a := range feed {
 				time.Sleep(speed)
 				answer := fmt.Sprintf("done by %s", a.WorkerID)
-				if _, err := srv.Complete(a.TaskID, a.WorkerID, answer); err == nil {
+				if _, _, err := eng.Complete(a.TaskID, a.WorkerID, answer); err == nil {
 					completed.Add(1)
 					// The requester grades timely work positively, which
 					// feeds the Eq. 1 quality weights for future batches.
-					srv.Feedback(a.TaskID, true)
+					eng.Feedback(a.TaskID, true)
 				}
 			}
 		}()
 	}
+	eng.Start()
 
 	// Twenty tasks with 2-second deadlines.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		err := srv.Submit(taskq.Task{
+		err := eng.Submit(taskq.Task{
 			ID:          fmt.Sprintf("task-%02d", i),
 			Location:    athens,
 			Deadline:    time.Now().Add(2 * time.Second),
@@ -79,13 +91,16 @@ func main() {
 	for completed.Load() < 20 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	srv.Stop() // closes feeds so the workers exit
+	eng.Stop() // no round runs after this, so the feeds can close
+	for _, feed := range feeds {
+		close(feed)
+	}
 	wg.Wait()
 
-	st := srv.Stats()
+	st := eng.Stats()
 	fmt.Printf("submitted 20 tasks → completed %d, on time %d, batches %d, matcher time %v\n",
 		st.Completed, st.OnTime, st.Batches, st.MatcherTime.Round(time.Microsecond))
-	for _, p := range srv.Workers().All() {
+	for _, p := range eng.Workers().All() {
 		acc, _ := p.OverallAccuracy()
 		fmt.Printf("  %s finished %d tasks (accuracy %.2f)\n", p.ID(), p.Finished(), acc)
 	}

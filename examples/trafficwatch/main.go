@@ -15,7 +15,7 @@ import (
 	"sync"
 	"time"
 
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/region"
 	"react/internal/schedule"
 	"react/internal/taskq"
@@ -30,7 +30,11 @@ func main() {
 		schedule.Term{Coef: 0.5, Fn: schedule.QualityWeight},
 		schedule.Term{Coef: 0.5, Fn: schedule.DistanceWeight(8)},
 	)
-	srv := core.New(core.Options{
+	// Each commuter's assignments arrive on its own channel (one slot: a
+	// busy worker is offered nothing more); every channel exists before
+	// Start, so the rounds only ever read the map.
+	feeds := map[string]chan engine.Assignment{}
+	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 100 * time.Millisecond,
 		Schedule: schedule.Config{
@@ -38,9 +42,14 @@ func main() {
 			BatchBound:  4,
 			BatchPeriod: 50 * time.Millisecond,
 		},
-	})
-	srv.Start()
-	defer srv.Stop()
+	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+		select {
+		case feeds[a.WorkerID] <- a:
+			return true
+		default:
+			return false
+		}
+	}})
 
 	rng := rand.New(rand.NewSource(7))
 	var mu sync.Mutex
@@ -55,26 +64,27 @@ func main() {
 		id := fmt.Sprintf("commuter-%02d", i)
 		loc := athens.RandomPoint(rng)
 		workerLoc[id] = loc
-		feed, err := srv.RegisterWorker(id, loc)
+		feed := make(chan engine.Assignment, 1)
+		feeds[id] = feed
+		p, err := eng.AttachWorker(id, loc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if p, ok := srv.Workers().Get(id); ok {
-			for k := 0; k < 3; k++ {
-				p.RecordCompletion("traffic", 0.02+0.01*float64(k), true)
-			}
+		for k := 0; k < 3; k++ {
+			p.RecordCompletion("traffic", 0.02+0.01*float64(k), true)
 		}
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
 			for a := range feed {
 				time.Sleep(time.Duration(10+rng.Intn(30)) * time.Millisecond)
-				if _, err := srv.Complete(a.TaskID, id, "light traffic"); err == nil {
-					srv.Feedback(a.TaskID, true)
+				if _, _, err := eng.Complete(a.TaskID, id, "light traffic"); err == nil {
+					eng.Feedback(a.TaskID, true)
 				}
 			}
 		}(id)
 	}
+	eng.Start()
 
 	// Road segments of interest: eight well-known spots.
 	segments := []struct {
@@ -91,7 +101,7 @@ func main() {
 		{"Ring Road W", region.Point{Lat: 38.00, Lon: 23.65}},
 	}
 	for i, seg := range segments {
-		err := srv.Submit(taskq.Task{
+		err := eng.Submit(taskq.Task{
 			ID:          fmt.Sprintf("seg-%d-%s", i, seg.name),
 			Location:    seg.loc,
 			Deadline:    time.Now().Add(5 * time.Second),
@@ -107,7 +117,7 @@ func main() {
 	// Let the batcher assign and workers answer.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := srv.Stats(); int(st.Completed) == len(segments) {
+		if st := eng.Stats(); int(st.Completed) == len(segments) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -121,7 +131,7 @@ func main() {
 	var answers []answer
 	for i, seg := range segments {
 		id := fmt.Sprintf("seg-%d-%s", i, seg.name)
-		rec, ok := srv.Tasks().Get(id)
+		rec, ok := eng.Tasks().Get(id)
 		if !ok || rec.Status != taskq.Completed {
 			continue
 		}
@@ -141,6 +151,9 @@ func main() {
 		fmt.Printf("answered %d/%d segments, mean distance %.1f km (city spans ~30 km)\n",
 			len(answers), len(segments), sum/float64(len(answers)))
 	}
-	srv.Stop()
+	eng.Stop() // no round runs after this, so the feeds can close
+	for _, feed := range feeds {
+		close(feed)
+	}
 	wg.Wait()
 }

@@ -6,17 +6,20 @@
 // application, the Eq. 2 monitor (monitor.go), unassigned-task expiry,
 // the overload shedder, and terminal-record retention.
 //
-// The engine has no goroutines, timers, or sockets of its own — it is
-// driven entirely by explicit calls (SubmitFrom, Complete, Feedback,
-// AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch). That lets two
-// very different hosts share it verbatim:
+// Every decision runs inside an explicit call (SubmitFrom, Complete,
+// Feedback, AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch); the
+// engine owns no sockets, and its only goroutines are the two tickers
+// Start launches, which do nothing but make the Tick and TickMonitor calls
+// on a wall-clock cadence (live.go). That lets two very different hosts
+// share it verbatim:
 //
-//   - internal/core runs it against a real clock, calling Tick and
-//     TickMonitor from ticker goroutines and delivering assignments over
-//     channels via the Deliver hook;
-//   - internal/experiments schedules the same calls as discrete events on
-//     sim.Engine's virtual clock, injecting the modelled matcher latency of
-//     DESIGN.md §2 through Config.Latency/Config.Defer.
+//   - internal/wire runs one engine per region against a real clock: it
+//     calls Start, and its Deliver hook writes each assignment straight
+//     into the worker's connection;
+//   - internal/experiments never calls Start: it schedules the same calls
+//     as discrete events on sim.Engine's virtual clock, injecting the
+//     modelled matcher latency of DESIGN.md §2 through
+//     Config.Latency/Config.Defer.
 //
 // The CI determinism gate (same-seed figure runs byte-identical, diffed
 // against a pre-refactor golden series in testdata/) is the proof both
@@ -77,8 +80,9 @@ type Result struct {
 // load-bearing — its return value decides whether a binding sticks.
 type Hooks struct {
 	// Deliver hands a freshly applied assignment to the transport. Returning
-	// false (worker unreachable, feed full) makes the engine revoke the
-	// binding: the task returns to the pool and the worker is marked idle.
+	// false (no route to the worker, or its connection has failed) makes the
+	// engine revoke the binding: the task returns to the pool and the worker
+	// is marked idle.
 	// A nil Deliver accepts every assignment. Deliver is invoked with no
 	// engine lock held and must not re-enter TryBatch.
 	Deliver func(Assignment) bool
@@ -114,11 +118,27 @@ type Config struct {
 	// clock pays the charge; nil applies assignments synchronously (live
 	// mode). Defer must only schedule fn, never run it inline.
 	Defer func(d time.Duration, fn func(now time.Time))
+	// BatchPoll and MonitorPeriod pace the loops Start launches: Tick every
+	// BatchPoll (default 200ms), TickMonitor every MonitorPeriod (default
+	// 1s). A host that never calls Start ignores them.
+	BatchPoll     time.Duration
+	MonitorPeriod time.Duration
+	// QueueDepth is read by no code. It is kept only so that the benchmark
+	// module's core.Options literal, which names it, still compiles:
+	// assignments go straight into the worker's connection, and a busy
+	// worker is offered nothing until its task is released.
+	QueueDepth int
 }
 
 func (c Config) normalize() Config {
 	if c.Clock == nil {
 		c.Clock = clock.System{}
+	}
+	if c.BatchPoll <= 0 {
+		c.BatchPoll = 200 * time.Millisecond
+	}
+	if c.MonitorPeriod <= 0 {
+		c.MonitorPeriod = time.Second
 	}
 	if c.Matcher == nil {
 		c.Matcher = matching.REACT{Adaptive: true}
@@ -179,6 +199,11 @@ type Engine struct {
 	ledger    event.Ledger // lifecycle counters; the bus's first tap
 	batches   atomic.Int64
 	matcherNs atomic.Int64
+
+	// The live loops (live.go): stop ends them, loops waits for them.
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
 }
 
 // New creates an engine. The first batch is considered due immediately
@@ -192,6 +217,7 @@ func New(cfg Config, hooks Hooks) *Engine {
 		tasks:   NewTaskStore(cfg.Clock, cfg.Shards),
 		bus:     event.NewBus(),
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
+		stop:    make(chan struct{}),
 	}
 	// The ledger taps first: every later consumer finds the counters moved.
 	// The worker profiles learn from the same stream journal replay feeds
@@ -590,8 +616,8 @@ func (e *Engine) applyAssignments(bindings []binding) {
 		// the worker permanently.
 		p.MarkBusy(b.taskID)
 		if e.hooks.Deliver != nil && !e.hooks.Deliver(a) {
-			// Transport refused (feed full, worker detached mid-delivery):
-			// revoke, which uncounts the assignment.
+			// Transport refused (worker detached mid-delivery, connection
+			// failed): revoke, which uncounts the assignment.
 			e.release(b.taskID, p, taskq.CauseUndeliverable, 0)
 		}
 	}

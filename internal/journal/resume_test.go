@@ -1,4 +1,4 @@
-package core
+package journal
 
 import (
 	"errors"
@@ -8,13 +8,74 @@ import (
 
 	"react/internal/admission"
 	"react/internal/clock"
+	"react/internal/engine"
 	"react/internal/event"
-	"react/internal/journal"
 	"react/internal/region"
 	"react/internal/taskq"
 )
 
-// TestPersistenceRoundtrip drives a journaled server through a full task
+// host is the least a live host adds to a resumed engine: the journal it
+// closes after the engine stops, and a route table its Deliver hook
+// checks, so a worker attached on the engine alone — with no route, like a
+// worker with no connection — refuses delivery.
+type host struct {
+	*engine.Engine
+	store  *Store
+	routes map[string]bool
+}
+
+// openHost opens (or recovers) dir into a fresh, not-started engine on cfg.
+// No Start: the tests drive the engine directly, so every timing comes
+// from the virtual clock.
+func openHost(t *testing.T, dir string, cfg engine.Config) (*host, Summary) {
+	t.Helper()
+	store, err := Open(Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &host{store: store, routes: map[string]bool{}}
+	h.Engine = engine.New(cfg, engine.Hooks{Deliver: func(a engine.Assignment) bool { return h.routes[a.WorkerID] }})
+	sum, err := Resume(store, h.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, sum
+}
+
+// attach routes a worker, then attaches it.
+func (h *host) attach(t *testing.T, id string, loc region.Point) {
+	t.Helper()
+	h.routes[id] = true
+	if _, err := h.AttachWorker(id, loc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// detach unroutes a worker, then detaches it.
+func (h *host) detach(t *testing.T, id string) {
+	t.Helper()
+	delete(h.routes, id)
+	if err := h.DetachWorker(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deregister unroutes a worker, then deregisters it.
+func (h *host) deregister(t *testing.T, id string) {
+	t.Helper()
+	delete(h.routes, id)
+	if err := h.DeregisterWorker(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// close stops the engine, then closes the journal (flush-before-shutdown).
+func (h *host) close() {
+	h.Stop()
+	h.store.Close()
+}
+
+// TestPersistenceRoundtrip drives a journaled engine through a full task
 // lifecycle, stops it (flush-before-shutdown), and recovers twice: once to
 // check every invariant — completed tasks stay completed and graded,
 // in-flight assignments return to the pool, counters and worker history
@@ -23,89 +84,69 @@ import (
 // recovers the post-sweep state, not the pre-sweep one).
 func TestPersistenceRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	clk := clock.NewVirtual(epoch)
+	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	cfg := engine.Config{Clock: clk}
 	task := func(id string) taskq.Task {
 		return taskq.Task{ID: id, Deadline: clk.Now().Add(time.Minute), Reward: 1, Category: "ocr"}
 	}
+	loc := region.Point{Lat: 40, Lon: -74}
 
-	store, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{Clock: clk})
-	sum, err := srv.EnablePersistence(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, sum := openHost(t, dir, cfg)
 	if sum.Tasks != 0 || sum.Workers != 0 {
 		t.Fatalf("fresh dir recovered %+v", sum)
 	}
-	// No Start: the test drives the engine directly so every timing comes
-	// from the virtual clock.
-	if _, err := srv.RegisterWorker("w1", region.Point{Lat: 40, Lon: -74}); err != nil {
-		t.Fatal(err)
-	}
+	h.attach(t, "w1", loc)
 	for _, id := range []string{"t1", "t2", "t3", "t4"} {
-		if err := srv.Submit(task(id)); err != nil {
+		if err := h.Submit(task(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// t1 runs to completion and is graded; t2 is mid-flight at "crash"
 	// time; t3/t4 never left the pool.
-	if err := srv.Tasks().Assign("t1", "w1"); err != nil {
+	if err := h.Tasks().Assign("t1", "w1"); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if _, err := srv.Complete("t1", "w1", "answer"); err != nil {
+	if _, _, err := h.Complete("t1", "w1", "answer"); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Feedback("t1", true); err != nil {
+	if err := h.Feedback("t1", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Tasks().Assign("t2", "w1"); err != nil {
+	if err := h.Tasks().Assign("t2", "w1"); err != nil {
 		t.Fatal(err)
 	}
-	srv.Stop() // flushes and closes the journal
+	h.close()
 
-	store2, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := New(Options{Clock: clk})
-	sum2, err := srv2.EnablePersistence(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2, sum2 := openHost(t, dir, cfg)
 	if sum2.Tasks != 4 || sum2.Workers != 1 {
 		t.Fatalf("recovered %+v, want 4 tasks 1 worker", sum2)
 	}
-
-	rec, ok := srv2.Tasks().Get("t1")
+	rec, ok := h2.Tasks().Get("t1")
 	if !ok || rec.Status != taskq.Completed || !rec.Graded || !rec.MetDeadline() {
 		t.Fatalf("t1 after recovery: %+v", rec)
 	}
-	if err := srv2.Feedback("t1", true); err == nil {
+	if err := h2.Feedback("t1", true); err == nil {
 		t.Fatal("double grading allowed after recovery")
 	}
-	rec, ok = srv2.Tasks().Get("t2")
+	rec, ok = h2.Tasks().Get("t2")
 	if !ok || rec.Status != taskq.Unassigned || rec.Attempts != 1 {
 		t.Fatalf("t2 should be swept back to the pool with its attempt kept: %+v", rec)
 	}
 	for _, id := range []string{"t3", "t4"} {
-		if rec, ok := srv2.Tasks().Get(id); !ok || rec.Status != taskq.Unassigned {
+		if rec, ok := h2.Tasks().Get(id); !ok || rec.Status != taskq.Unassigned {
 			t.Fatalf("%s after recovery: %+v", id, rec)
 		}
 	}
-	stats := srv2.Stats()
+	stats := h2.Stats()
 	if stats.Received != 4 || stats.Assigned != 2 || stats.Completed != 1 ||
 		stats.OnTime != 1 || stats.Reassigned != 1 {
 		t.Fatalf("recovered stats: %+v", stats)
 	}
-	if stats.WorkersKnown != 1 || stats.WorkersOnline != 0 {
-		t.Fatalf("restored worker should be known but offline: %+v", stats)
+	if known, online := h2.Workers().Size(), h2.Workers().CountConnected(); known != 1 || online != 0 {
+		t.Fatalf("restored worker should be known but offline: %d known, %d online", known, online)
 	}
-	p, ok := srv2.Workers().Get("w1")
+	p, ok := h2.Workers().Get("w1")
 	if !ok {
 		t.Fatal("worker profile lost")
 	}
@@ -115,32 +156,33 @@ func TestPersistenceRoundtrip(t *testing.T) {
 	if p.FitSamples() != 1 {
 		t.Fatalf("execution-time history after recovery: %d samples, want 1", p.FitSamples())
 	}
-	if _, err := srv2.RegisterWorker("w1", region.Point{Lat: 40, Lon: -74}); err != nil {
-		t.Fatalf("restored worker cannot reconnect: %v", err)
+	h2.attach(t, "w1", loc) // a restored worker reconnects under its id
+	if !p.Available() {
+		t.Fatal("restored worker still offline after reconnecting")
 	}
-	if _, err := srv2.RegisterWorker("w1", region.Point{Lat: 40, Lon: -74}); err == nil {
-		t.Fatal("second live connection for a reconnected worker accepted")
-	}
-	srv2.Stop()
+	h2.close()
 
 	// Second crash: the sweep that unassigned t2 must itself have been
 	// journaled, so recovery converges instead of replaying a stale state.
-	store3, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv3 := New(Options{Clock: clk})
-	if _, err := srv3.EnablePersistence(store3); err != nil {
-		t.Fatal(err)
-	}
-	defer srv3.Stop()
-	rec, ok = srv3.Tasks().Get("t2")
+	h3, _ := openHost(t, dir, cfg)
+	defer h3.close()
+	rec, ok = h3.Tasks().Get("t2")
 	if !ok || rec.Status != taskq.Unassigned {
 		t.Fatalf("t2 after second recovery: %+v", rec)
 	}
-	stats = srv3.Stats()
+	stats = h3.Stats()
 	if stats.Received != 4 || stats.Reassigned != 1 {
 		t.Fatalf("stats after second recovery: %+v", stats)
+	}
+}
+
+// TestResumeTwiceRefused pins that a store's recovered state is consumed
+// by the first Resume.
+func TestResumeTwiceRefused(t *testing.T) {
+	h, _ := openHost(t, t.TempDir(), engine.Config{})
+	defer h.close()
+	if _, err := Resume(h.store, engine.New(engine.Config{}, engine.Hooks{})); err == nil {
+		t.Fatal("second Resume of one store accepted")
 	}
 }
 
@@ -148,61 +190,25 @@ func TestPersistenceRoundtrip(t *testing.T) {
 // journaled: the departed worker must not resurrect on recovery.
 func TestPersistenceDeregisterSurvives(t *testing.T) {
 	dir := t.TempDir()
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	cfg := engine.Config{Clock: clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))}
 
-	store, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{Clock: clk})
-	if _, err := srv.EnablePersistence(store); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.RegisterWorker("w1", region.Point{Lat: 1, Lon: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.RegisterWorker("w2", region.Point{Lat: 3, Lon: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.DeregisterWorker("w1"); err != nil {
-		t.Fatal(err)
-	}
-	srv.Stop()
+	h, _ := openHost(t, dir, cfg)
+	h.attach(t, "w1", region.Point{Lat: 1, Lon: 2})
+	h.attach(t, "w2", region.Point{Lat: 3, Lon: 4})
+	h.deregister(t, "w1")
+	h.close()
 
-	store2, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := New(Options{Clock: clk})
-	sum, err := srv2.EnablePersistence(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Stop()
+	h2, sum := openHost(t, dir, cfg)
+	defer h2.close()
 	if sum.Workers != 1 {
 		t.Fatalf("recovered %d workers, want 1", sum.Workers)
 	}
-	if _, ok := srv2.Workers().Get("w1"); ok {
+	if _, ok := h2.Workers().Get("w1"); ok {
 		t.Fatal("deregistered worker resurrected by recovery")
 	}
-	if _, ok := srv2.Workers().Get("w2"); !ok {
+	if _, ok := h2.Workers().Get("w2"); !ok {
 		t.Fatal("registered worker lost")
 	}
-}
-
-// openJournaled opens (or recovers) dir into a fresh, not-started server on
-// the virtual clock.
-func openJournaled(t *testing.T, dir string, opts Options) *Server {
-	t.Helper()
-	store, err := journal.Open(journal.Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(opts)
-	if _, err := srv.EnablePersistence(store); err != nil {
-		t.Fatal(err)
-	}
-	return srv
 }
 
 // workerState is what a worker profile has learned, as replay must
@@ -214,35 +220,34 @@ type workerState struct {
 	graded   bool
 }
 
-// workerStates reads every profile the server knows, keyed by id.
-func workerStates(s *Server) map[string]workerState {
+// workerStates reads every profile the engine knows, keyed by id.
+func workerStates(e *engine.Engine) map[string]workerState {
 	out := map[string]workerState{}
-	for _, p := range s.Workers().All() {
+	for _, p := range e.Workers().All() {
 		acc, graded := p.Accuracy("ocr")
 		out[p.ID()] = workerState{loc: p.Location(), samples: p.FitSamples(), accuracy: acc, graded: graded}
 	}
 	return out
 }
 
-// TestReplayEqualsLive drives a journaled server through every cause the
+// TestReplayEqualsLive drives a journaled engine through every cause the
 // ledger's fold distinguishes, then requires recovery to report the same
-// lifecycle counters the live server did: replay and live run one fold
+// lifecycle counters the live engine did: replay and live run one fold
 // (event.Ledger.Observe), so a restart changes only Reassigned, and only
 // by the recovery sweep's own journaled revocations. The worker profiles
-// recover the same way: workers attached, graded and deregistered through
-// the engine as well as through the server come back exactly as the live
-// registry held them (profile.Registry.Observe is the other fold), offline.
+// recover the same way: workers attached, graded and deregistered with
+// and without a route come back exactly as the live registry held them
+// (profile.Registry.Observe is the other fold), offline.
 func TestReplayEqualsLive(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	opts := Options{Clock: clk}
+	cfg := engine.Config{Clock: clk}
 	loc := region.Point{Lat: 40, Lon: -74}
-	srv := openJournaled(t, dir, opts)
-	eng := srv.Engine()
+	h, _ := openHost(t, dir, cfg)
 
 	submit := func(id string, ttl time.Duration) {
 		t.Helper()
-		if err := srv.Submit(taskq.Task{ID: id, Deadline: clk.Now().Add(ttl), Reward: 1, Category: "ocr"}); err != nil {
+		if err := h.Submit(taskq.Task{ID: id, Deadline: clk.Now().Add(ttl), Reward: 1, Category: "ocr"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,21 +256,19 @@ func TestReplayEqualsLive(t *testing.T) {
 	round := func(id, wantWorker string) {
 		t.Helper()
 		clk.Advance(5 * time.Second)
-		eng.TryBatch()
-		if rec, _ := srv.Tasks().Get(id); rec.Worker != wantWorker {
+		h.TryBatch()
+		if rec, _ := h.Tasks().Get(id); rec.Worker != wantWorker {
 			t.Fatalf("after the round %s is held by %q (%v), want %q", id, rec.Worker, rec.Status, wantWorker)
 		}
 	}
 	complete := func(id string, after time.Duration) {
 		t.Helper()
 		clk.Advance(after)
-		if _, err := srv.Complete(id, "w1", "answer"); err != nil {
+		if _, _, err := h.Complete(id, "w1", "answer"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := srv.RegisterWorker("w1", loc); err != nil {
-		t.Fatal(err)
-	}
+	h.attach(t, "w1", loc)
 
 	// Delivered assignments: two on-time completions and a late one — also
 	// the three samples Eq. 2 needs before it acts on w1.
@@ -279,146 +282,137 @@ func TestReplayEqualsLive(t *testing.T) {
 	round("on-time-2", "w1")
 	complete("on-time-2", 5*time.Second)
 
-	// Grades through the server and through the engine; two workers that
-	// come and go between rounds, each attached one way and deregistered
+	// Two grades; two workers that come and go between rounds, each
+	// attached one way (with a route, on the engine alone) and deregistered
 	// the other.
-	if err := srv.Feedback("on-time-1", true); err != nil {
+	if err := h.Feedback("on-time-1", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feedback("late", false); err != nil {
+	if err := h.Feedback("late", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.RegisterWorker("passer", loc); err != nil {
+	h.attach(t, "passer", loc)
+	if err := h.DeregisterWorker("passer"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.DeregisterWorker("passer"); err != nil {
+	if _, err := h.AttachWorker("visitor", loc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AttachWorker("visitor", loc); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.DeregisterWorker("visitor"); err != nil {
-		t.Fatal(err)
-	}
+	h.deregister(t, "visitor")
 
 	// Eq. 2 revoke, then the same task dies in the pool at its deadline.
 	submit("doomed", 10*time.Minute)
 	round("doomed", "w1")
 	clk.Advance(9 * time.Minute)
-	eng.TickMonitor()
-	if got := eng.Ledger().Revoked(taskq.CauseEq2); got != 1 {
+	h.TickMonitor()
+	if got := h.Ledger().Revoked(taskq.CauseEq2); got != 1 {
 		t.Fatalf("Eq. 2 revocations = %d, want 1", got)
 	}
 	clk.Advance(2 * time.Minute)
-	eng.TickExpiry()
+	h.TickExpiry()
 
-	// Detach revoke; then an assignment the transport refuses (ghost is
-	// attached on the engine but has no feed); then a shed.
+	// Detach revoke; then an assignment the host refuses (ghost is
+	// attached on the engine but has no route); then a shed.
 	submit("bounced", 10*time.Minute)
 	round("bounced", "w1")
-	if err := srv.DetachWorker("w1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.AttachWorker("ghost", loc); err != nil {
+	h.detach(t, "w1")
+	if _, err := h.AttachWorker("ghost", loc); err != nil {
 		t.Fatal(err)
 	}
 	round("bounced", "")
-	if got := eng.Ledger().Revoked(taskq.CauseUndeliverable); got != 1 {
+	if got := h.Ledger().Revoked(taskq.CauseUndeliverable); got != 1 {
 		t.Fatalf("undeliverable revocations = %d, want 1", got)
 	}
-	if err := eng.DetachWorker("ghost"); err != nil {
+	if err := h.DetachWorker("ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Tasks().Shed("bounced"); err != nil {
+	if err := h.Tasks().Shed("bounced"); err != nil {
 		t.Fatal(err)
 	}
 
 	// What the crash finds: one task in w1's hands, one in the pool.
-	if _, err := srv.RegisterWorker("w1", loc); err != nil {
-		t.Fatal(err)
-	}
+	h.attach(t, "w1", loc)
 	submit("held", 10*time.Minute)
 	round("held", "w1")
 	submit("waiting", 10*time.Minute)
 
-	live := srv.Stats()
+	live := h.Stats()
 	want := event.Tally{Received: 7, Assigned: 6, Completed: 3, OnTime: 2, Expired: 2, Shed: 1, Reassigned: 2}
-	lifecycle := func(s Stats) event.Tally { return s.Tally }
-	if lifecycle(live) != want {
-		t.Fatalf("live stats %+v, want %+v", lifecycle(live), want)
+	if live.Tally != want {
+		t.Fatalf("live stats %+v, want %+v", live.Tally, want)
 	}
-	liveWorkers := workerStates(srv)
+	liveWorkers := workerStates(h.Engine)
 	if w1 := liveWorkers["w1"]; len(liveWorkers) != 2 || w1.samples != 3 || !w1.graded || w1.accuracy != 0.5 {
 		t.Fatalf("live workers %+v, want w1 (3 samples, graded 1 of 2) and ghost", liveWorkers)
 	}
 	if _, ok := liveWorkers["ghost"]; !ok {
 		t.Fatalf("live workers %+v, want ghost among them", liveWorkers)
 	}
-	sameWorkers := func(step string, s *Server) {
+	sameWorkers := func(step string, e *engine.Engine) {
 		t.Helper()
-		if got := workerStates(s); !reflect.DeepEqual(got, liveWorkers) {
+		if got := workerStates(e); !reflect.DeepEqual(got, liveWorkers) {
 			t.Fatalf("%s: workers %+v, want the live %+v", step, got, liveWorkers)
 		}
-		if n := s.Workers().CountConnected(); n != 0 {
+		if n := e.Workers().CountConnected(); n != 0 {
 			t.Fatalf("%s: %d restored workers online, want all offline", step, n)
 		}
 	}
-	srv.Stop()
+	h.close()
 
 	// First recovery: everything equal, plus the sweep of "held".
-	srv2 := openJournaled(t, dir, opts)
+	h2, _ := openHost(t, dir, cfg)
 	want.Reassigned++
-	if got := lifecycle(srv2.Stats()); got != want {
+	if got := h2.Stats().Tally; got != want {
 		t.Fatalf("recovered stats %+v, want live + one swept assignment %+v", got, want)
 	}
-	sameWorkers("first recovery", srv2)
-	srv2.Stop()
+	sameWorkers("first recovery", h2.Engine)
+	h2.close()
 
 	// Second recovery: the sweep was journaled, so it is not counted twice.
-	srv3 := openJournaled(t, dir, opts)
-	defer srv3.Stop()
-	if got := lifecycle(srv3.Stats()); got != want {
+	h3, _ := openHost(t, dir, cfg)
+	defer h3.close()
+	if got := h3.Stats().Tally; got != want {
 		t.Fatalf("stats after the second recovery %+v, want %+v", got, want)
 	}
-	sameWorkers("second recovery", srv3)
+	sameWorkers("second recovery", h3.Engine)
 }
 
-// TestAdmissionLoadSurvivesRecovery pins that a recovered server's
+// TestAdmissionLoadSurvivesRecovery pins that a recovered engine's
 // admission gauges describe the recovered population: seeded from the
 // journal, drained (never below zero) as those tasks expire, and binding
 // the MaxInflight ceiling with the gate's own typed verdict.
 func TestAdmissionLoadSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	opts := Options{Clock: clk, Admission: &admission.Config{MaxInflight: 4}}
+	cfg := engine.Config{Clock: clk, Admission: &admission.Config{MaxInflight: 4}}
 	task := func(id string) taskq.Task {
 		return taskq.Task{ID: id, Deadline: clk.Now().Add(time.Minute), Reward: 1, Category: "ocr"}
 	}
-	srv := openJournaled(t, dir, opts)
+	h, _ := openHost(t, dir, cfg)
 	for _, id := range []string{"a", "b", "c"} {
-		if err := srv.Submit(task(id)); err != nil {
+		if _, err := h.SubmitFrom("", task(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.Stop()
+	h.close()
 
-	srv = openJournaled(t, dir, opts)
-	defer srv.Stop()
-	u, a, _, _ := srv.Tasks().Counts()
-	if in, un := srv.Admission().Loads(); u != 3 || in != int64(u+a) || un != int64(u) {
+	h, _ = openHost(t, dir, cfg)
+	defer h.close()
+	u, a, _, _ := h.Tasks().Counts()
+	if in, un := h.Admission().Loads(); u != 3 || in != int64(u+a) || un != int64(u) {
 		t.Fatalf("recovered loads %d/%d, store holds %d unassigned + %d assigned", in, un, u, a)
 	}
 	clk.Advance(2 * time.Minute)
-	srv.Engine().TickExpiry()
-	if in, un := srv.Admission().Loads(); in != 0 || un != 0 {
+	h.TickExpiry()
+	if in, un := h.Admission().Loads(); in != 0 || un != 0 {
 		t.Fatalf("loads after the recovered tasks expired: %d/%d, want 0/0", in, un)
 	}
 	for _, id := range []string{"d", "e", "f", "g"} {
-		if err := srv.Submit(task(id)); err != nil {
+		if _, err := h.SubmitFrom("", task(id)); err != nil {
 			t.Fatalf("submit %s below the ceiling: %v", id, err)
 		}
 	}
-	d, err := srv.SubmitFrom("", task("h"))
+	d, err := h.SubmitFrom("", task("h"))
 	var rej *admission.RejectionError
 	if !errors.As(err, &rej) || d.Status != admission.StatusRejectedRate || d.RetryAfter <= 0 {
 		t.Fatalf("fifth submit: decision %+v, err %v; want the admission ceiling's rejected_rate with a retry-after", d, err)

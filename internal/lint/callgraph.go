@@ -79,7 +79,7 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 	}
 	// Second pass: index every value stored into a func-typed struct
 	// field, module-wide. This is what connects e.hooks.Deliver(...) in
-	// the engine back to core.Server.deliver.
+	// the engine back to wire.Region.deliver.
 	for _, tp := range tm.List {
 		for _, file := range tp.Files {
 			g.indexFieldStores(tp, file)

@@ -6,7 +6,7 @@ import (
 )
 
 // The typed tier needs flow sensitivity for exactly one reason: patterns
-// like core.Server.Stop — unlock, then block on a WaitGroup — are
+// like wire.Server.Close — unlock, then block on a WaitGroup — are
 // correct, and a flow-insensitive "function holds lock X somewhere"
 // approximation would flag them. cfgBlock/funcCFG are a deliberately
 // small basic-block CFG over statements: enough structure for a may-held

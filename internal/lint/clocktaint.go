@@ -42,7 +42,7 @@ func NewClockTaint() *ClockTaint {
 		SinkPrefixes: []string{
 			"internal/engine", "internal/schedule", "internal/taskq",
 			"internal/sim", "internal/experiments", "internal/matching",
-			"internal/core", "internal/federation", "internal/loadgen",
+			"internal/loadgen",
 			"internal/profile", "internal/crowd", "internal/workload",
 		},
 		AllowPrefixes:       []string{"examples"},

@@ -16,7 +16,7 @@ import (
 //  1. Per function: a forward may-held dataflow over the basic-block CFG
 //     (union at joins). `defer mu.Unlock()` never kills, so a lock held
 //     to function exit stays in the set; an explicit early Unlock kills
-//     on that path only — which is what lets core.Server.Stop (unlock,
+//     on that path only — which is what lets wire.Server.Close (unlock,
 //     then WaitGroup.Wait) pass.
 //  2. Across functions: a fixpoint propagating entry-held sets along
 //     call edges — entry(callee) ⊇ entry(caller) ∪ heldAtSite. `go`

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"react/internal/admission"
-	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/faultnet"
 	"react/internal/journal"
@@ -27,8 +26,8 @@ func startServer(t *testing.T, adm *admission.Config) *wire.Server {
 	return s
 }
 
-func serverOptions(adm *admission.Config) core.Options {
-	return core.Options{
+func serverOptions(adm *admission.Config) engine.Config {
+	return engine.Config{
 		Admission:     adm,
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,

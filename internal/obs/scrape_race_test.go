@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"react/internal/clock"
-	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/loadgen"
 	"react/internal/metrics"
@@ -25,7 +24,7 @@ import (
 
 func TestScrapeUnderLoad(t *testing.T) {
 	col := NewEngineCollector()
-	ws, err := wire.Serve("127.0.0.1:0", core.Options{
+	ws, err := wire.Serve("127.0.0.1:0", engine.Config{
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 20 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 20 * time.Millisecond},

@@ -9,29 +9,36 @@ import (
 	"time"
 
 	"react/internal/admission"
-	"react/internal/core"
-	"react/internal/federation"
+	"react/internal/engine"
 	"react/internal/region"
 	"react/internal/schedule"
 )
 
-// startFederation serves a 2×2 multi-region coordinator over TCP; adm, when
-// non-nil, gives every region server its own admission plane.
-func startFederation(t *testing.T, adm *admission.Config) *Server {
+// twoByTwo decomposes a 4°×4° box into four regions.
+func twoByTwo(t *testing.T) *region.Grid {
 	t.Helper()
-	grid, err := region.NewGrid(region.Rect{MinLat: 0, MinLon: 0, MaxLat: 4, MaxLon: 4}, 2, 2)
+	g, err := region.NewGrid(region.Rect{MinLat: 0, MinLon: 0, MaxLat: 4, MaxLon: 4}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := federation.New(grid, func(regionID string) *core.Server {
-		return core.New(core.Options{
-			BatchPoll:     5 * time.Millisecond,
-			MonitorPeriod: 50 * time.Millisecond,
-			Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: 10 * time.Millisecond},
-			Admission:     adm,
-		})
-	})
-	s, err := ServeRegions("127.0.0.1:0", coord)
+	return g
+}
+
+// fastConfig makes a region's loops hum in tests; adm, when non-nil, gives
+// every region its own admission plane.
+func fastConfig(adm *admission.Config) engine.Config {
+	return engine.Config{
+		BatchPoll:     5 * time.Millisecond,
+		MonitorPeriod: 50 * time.Millisecond,
+		Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: 10 * time.Millisecond},
+		Admission:     adm,
+	}
+}
+
+// startFederation serves a 2×2 grid of regions over TCP.
+func startFederation(t *testing.T, adm *admission.Config) *Server {
+	t.Helper()
+	s, err := ServeGrid("127.0.0.1:0", twoByTwo(t), fastConfig(adm), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,9 +492,199 @@ func TestFederationConcurrentDuplicateSubmit(t *testing.T) {
 	}
 	var received int64
 	for _, r := range s.Regions() {
-		received += r.Server.Stats().Received
+		received += r.Stats().Received
 	}
 	if received != int64(rounds) {
 		t.Fatalf("received across regions = %d after %d rounds", received, rounds)
+	}
+}
+
+var (
+	southWest = region.Point{Lat: 0.5, Lon: 0.5}
+	northEast = region.Point{Lat: 3.5, Lon: 3.5}
+)
+
+// at resolves loc's region, failing the test when the server refuses.
+func at(t *testing.T, s *Server, loc region.Point) *Region {
+	t.Helper()
+	r, err := s.at(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func regionIDs(s *Server) []string {
+	var ids []string
+	for _, r := range s.Regions() {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+func TestFederationLazyRegions(t *testing.T) {
+	s := startFederation(t, nil)
+	if got := len(s.Regions()); got != 0 {
+		t.Fatalf("regions before traffic = %d", got)
+	}
+	sw := at(t, s, southWest)
+	if got := regionIDs(s); len(got) != 1 || got[0] != "r0c0" {
+		t.Fatalf("regions = %v", got)
+	}
+	if again := at(t, s, region.Point{Lat: 0.7, Lon: 0.9}); again != sw {
+		t.Fatal("second lookup in the same cell started a second region")
+	}
+	if ne := at(t, s, northEast); ne == sw {
+		t.Fatal("distinct cells share a region")
+	}
+	if got := regionIDs(s); len(got) != 2 || got[0] != "r0c0" || got[1] != "r1c1" {
+		t.Fatalf("regions after cross-region traffic = %v, want sorted [r0c0 r1c1]", got)
+	}
+}
+
+func TestFederationSameRegionTaskCompletes(t *testing.T) {
+	s := startFederation(t, nil)
+	w := dial(t, s)
+	if err := w.Register("alice", southWest.Lat, southWest.Lon); err != nil {
+		t.Fatal(err)
+	}
+	req := dial(t, s)
+	if err := req.Submit(swTask("t1")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-w.Assignments():
+		if a.TaskID != "t1" {
+			t.Fatalf("assignment = %+v", a)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("same-region assignment never arrived")
+	}
+	// The task's route is the region that holds it.
+	if owner, ok := s.holder("t1"); !ok || owner != at(t, s, southWest) {
+		t.Fatalf("holder(t1) = %v, %v; want the south-west region", owner, ok)
+	}
+	if err := w.Complete("t1", "alice", "ok"); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := req.TaskStatus("t1"); st.State != "completed" || !st.MetDeadline {
+		t.Fatalf("status = %+v", st)
+	}
+	if err := req.Feedback("t1", true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFederationCrossRegionIsolation(t *testing.T) {
+	s := startFederation(t, nil)
+	// Worker in r0c0; task in r1c1 — the worker must never receive it.
+	w := dial(t, s)
+	if err := w.Register("homebody", southWest.Lat, southWest.Lon); err != nil {
+		t.Fatal(err)
+	}
+	if err := dial(t, s).Submit(neTask("far")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-w.Assignments():
+		t.Fatalf("cross-region assignment leaked: %+v", a)
+	case <-time.After(300 * time.Millisecond):
+	}
+	// The far task is still waiting in its own region.
+	far := at(t, s, northEast)
+	if owner, ok := s.holder("far"); !ok || owner != far {
+		t.Fatalf("holder(far) = %v, %v; want the north-east region", owner, ok)
+	}
+	if st := far.Stats(); st.Received != 1 || st.Assigned != 0 {
+		t.Fatalf("far region stats = %+v", st)
+	}
+}
+
+func TestFederationAggregatedStats(t *testing.T) {
+	s := startFederation(t, nil)
+	cells := []region.Point{
+		{Lat: 0.5, Lon: 0.5}, {Lat: 0.5, Lon: 3.5},
+		{Lat: 3.5, Lon: 0.5}, {Lat: 3.5, Lon: 3.5},
+	}
+	req := dial(t, s)
+	var wg sync.WaitGroup
+	for i, loc := range cells {
+		id := fmt.Sprintf("w%d", i)
+		w := dial(t, s)
+		if err := w.Register(id, loc.Lat, loc.Lon); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := range w.Assignments() {
+				w.Complete(a.TaskID, id, "done")
+			}
+		}()
+		task := TaskPayload{ID: fmt.Sprintf("t%d", i), Lat: loc.Lat, Lon: loc.Lon, DeadlineMS: 60_000, Category: "traffic"}
+		if err := req.Submit(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && s.Stats().Completed != 4 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := s.Stats()
+	if st.Received != 4 || st.Completed != 4 || st.WorkersOnline != 4 {
+		t.Fatalf("aggregate stats = %+v", st)
+	}
+	if len(s.Regions()) != 4 {
+		t.Fatalf("regions = %v", regionIDs(s))
+	}
+	s.Close() // drops the worker connections, closing their feeds
+	wg.Wait()
+}
+
+func TestFederationUnknownTaskRouting(t *testing.T) {
+	s := startFederation(t, nil)
+	if _, ok := s.holder("ghost"); ok {
+		t.Fatal("unknown task resolved with no region running")
+	}
+	if err := dial(t, s).Submit(swTask("real")); err != nil {
+		t.Fatal(err)
+	}
+	at(t, s, northEast)
+	if _, ok := s.holder("ghost"); ok {
+		t.Fatal("unknown task resolved to a region")
+	}
+	if _, ok := s.holder("real"); !ok {
+		t.Fatal("held task did not resolve")
+	}
+}
+
+func TestFederationClosedAfterClose(t *testing.T) {
+	s, err := ServeGrid("127.0.0.1:0", twoByTwo(t), fastConfig(nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := at(t, s, southWest)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	// Neither a running region nor a new one is handed out after Close.
+	for _, loc := range []region.Point{southWest, {Lat: 3.9, Lon: 3.9}} {
+		if _, err := s.at(loc); !errors.Is(err, ErrClosed) {
+			t.Fatalf("at(%v) after Close: err = %v, want ErrClosed", loc, err)
+		}
+	}
+	// The region that was running is itself stopped: its loops tick no
+	// more, so an overdue task stays unexpired.
+	task := swTask("t").Task(time.Now())
+	task.Deadline = time.Now().Add(time.Millisecond)
+	if err := running.Submit(task); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // ten poll periods
+	if st := running.Stats(); st.Expired != 0 {
+		t.Fatalf("a stopped region still ticks: stats = %+v", st)
 	}
 }

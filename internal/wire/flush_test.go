@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/core"
+	"react/internal/engine"
 )
 
 // memConn is a net.Conn sink for coalescer tests: Write appends to an
@@ -214,7 +214,7 @@ func TestConnWriterDeadlineWindow(t *testing.T) {
 }
 
 // TestBroadcastStormRace floods 1024 watcher connections through the real
-// transport (over an idle region server) and coalescing writers; under -race it is the concurrency gate
+// transport (over an idle region) and coalescing writers; under -race it is the concurrency gate
 // for the broadcast fan-out path (encode-once frame sharing, per-conn
 // flushers, inline replies racing pushes). Every watcher must see every
 // frame — coalescing may merge writes, never drop or reorder them.
@@ -223,7 +223,7 @@ func TestBroadcastStormRace(t *testing.T) {
 	if testing.Short() {
 		watchers = 64
 	}
-	s, err := ServeRegions("127.0.0.1:0", single{core.New(core.Options{})})
+	s, err := Serve("127.0.0.1:0", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"react/internal/admission"
-	"react/internal/core"
 	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/journal"
@@ -19,29 +19,6 @@ import (
 	"react/internal/region"
 	"react/internal/taskq"
 )
-
-// Regions says which region server a request belongs to. The transport
-// always serves a *core.Server; the resolver only picks it — so a region
-// behind a federation.Coordinator answers exactly like a lone one.
-type Regions interface {
-	// At returns the server owning the location's region, starting it on
-	// first use; core.ErrStopped after Stop.
-	At(loc region.Point) (*core.Server, error)
-	// OfTask returns the server whose task store holds the task.
-	OfTask(taskID string) (*core.Server, bool)
-	// Regions lists the running servers, sorted by region id.
-	Regions() []core.Region
-	// Stop shuts every region server down.
-	Stop()
-}
-
-// single is the one-region resolver: every location and every task belongs
-// to the lone server, listed as region "all".
-type single struct{ *core.Server }
-
-func (s single) At(region.Point) (*core.Server, error) { return s.Server, nil }
-func (s single) OfTask(string) (*core.Server, bool)    { return s.Server, true }
-func (s single) Regions() []core.Region                { return []core.Region{{ID: "all", Server: s.Server}} }
 
 // DefaultIdleTimeout is the server's per-connection read deadline: a
 // connection that sends nothing — not even a keepalive ping — for this
@@ -68,10 +45,75 @@ const expiryPumpDepth = 1024
 // cross-region duplicate check and the submit itself one step.
 const idStripes = 64
 
-// Server exposes region servers over TCP.
+// eng lets Region embed the engine under an unexported field name, so the
+// engine's methods are promoted while Region.Engine still names it.
+type eng = engine.Engine
+
+// Region is one running region: its id ("all" for the lone region of
+// Serve/ServeDurable, the grid cell id under ServeGrid) and the REACT
+// engine that schedules it, whose methods it promotes.
+type Region struct {
+	ID string
+	*eng
+
+	// routes maps each registered worker id to the connection that
+	// registered it (*conn): where deliver writes the worker's assignments.
+	routes sync.Map
+	// expiries feeds the region's expiry pump; Close closes it.
+	expiries *event.Subscription
+}
+
+// Engine is the region's scheduling engine.
+func (r *Region) Engine() *engine.Engine { return r.eng }
+
+// deliver is the region engine's Deliver hook: it encodes the assignment
+// and queues it on the worker's connection. The enqueue is memory-only —
+// the connection's flusher writes the socket — so a scheduling round never
+// blocks on a peer. A worker with no route (its connection is gone or
+// going) or whose connection has failed refuses the delivery, and the
+// engine revokes the binding.
+func (r *Region) deliver(a engine.Assignment) bool {
+	c, ok := r.routes.Load(a.WorkerID)
+	if !ok {
+		return false
+	}
+	fb := encodeFrame(&Message{Type: "assignment", Assignment: toAssignmentPayload(a, time.Now())})
+	err := c.(*conn).w.enqueue(fb.b, false)
+	fb.release()
+	return err == nil
+}
+
+// register routes worker id to c, then attaches it: the first round that
+// finds the worker available also finds its connection. A returning worker
+// (journal-recovered, or one whose old connection is gone) re-attaches
+// under its id and keeps its learned history; a second session while
+// another connection still routes the id is refused.
+func (r *Region) register(id string, loc region.Point, c *conn) error {
+	if _, live := r.routes.LoadOrStore(id, c); live {
+		return fmt.Errorf("wire: worker %q already connected", id)
+	}
+	if _, err := r.AttachWorker(id, loc); err != nil {
+		r.routes.Delete(id)
+		return err
+	}
+	return nil
+}
+
+// Server exposes REACT regions over TCP.
 type Server struct {
-	regions Regions
-	ln      net.Listener
+	ln net.Listener
+
+	// cfg configures every region's engine. grid is nil for the lone
+	// region of Serve/ServeDurable, which lone names; under ServeGrid,
+	// regions start on first use and onStart (may be nil) sees each one
+	// before its engine starts.
+	cfg     engine.Config
+	grid    *region.Grid
+	onStart func(*Region)
+	lone    *Region
+
+	// store, when set, is closed by Close once every engine has stopped.
+	store *journal.Store
 
 	idle atomic.Int64 // per-connection read deadline (ns); <=0 disables
 
@@ -91,15 +133,11 @@ type Server struct {
 	// builds its frames-per-flush and flush-latency histograms.
 	flushObs atomic.Value // func(frames, bytes int, latencySeconds float64)
 
-	// pumps maps each region server seen so far to the subscription its
-	// expiry pump drains (*core.Server → *event.Subscription). Read without
-	// mu on every register and submit; written under mu.
-	pumps sync.Map
-
 	// ids serialise submits of the same task id (striped by FNV-1a).
 	ids [idStripes]sync.Mutex
 
 	mu       sync.Mutex
+	regions  map[string]*Region
 	watchers map[*conn]struct{}
 	conns    map[*conn]struct{}
 	wg       sync.WaitGroup
@@ -162,73 +200,121 @@ type conn struct {
 	w      *connWriter   // coalesces every outbound frame (flush.go)
 	scr    decodeScratch // reusable decode state; readLoop-only
 	worker string        // non-empty once registered
-	cs     *core.Server  // the region server worker registered on: the connection is the worker's route
+	region *Region       // the region worker registered on, which routes it here
 	srv    *Server
 
 	evMu   sync.Mutex
 	evSubs []*event.Subscription // non-empty after watch-events
 }
 
-// ServeDurable starts one region server listening on addr (e.g.
-// "127.0.0.1:7341" or ":0" for an ephemeral port): the core server is
-// constructed from opts, started, and served by ServeRegions. With a store
-// it adds crash recovery: the journal store's recovered state is
-// bulk-loaded into the fresh region server before it starts, every
-// subsequent mutation is write-ahead journaled, and Close flushes the
-// journal after the last connection drains. The returned summary says what
-// was recovered, for startup logs. A nil store serves without persistence.
+// ServeDurable serves one region, "all", on addr (e.g. "127.0.0.1:7341" or
+// ":0" for an ephemeral port): its engine is built from cfg and started.
+// With a store it adds crash recovery: journal.Resume bulk-loads the
+// store's recovered state into the fresh engine before it starts, every
+// subsequent mutation is write-ahead journaled, and Close closes the store
+// after the last connection drains and the engine stops. The returned
+// summary says what was recovered, for startup logs. A nil store serves
+// without persistence.
 //
 // The store must come straight from journal.Open — its recovered state is
-// consumed here. On error the store is left open; the caller owns closing
+// consumed here. On error the store is left open: the caller owns closing
 // it.
-func ServeDurable(addr string, opts core.Options, store *journal.Store) (*Server, journal.Summary, error) {
-	cs := core.New(opts)
+func ServeDurable(addr string, cfg engine.Config, store *journal.Store) (*Server, journal.Summary, error) {
 	var sum journal.Summary
+	r := newRegion("all", cfg)
 	if store != nil {
 		var err error
-		if sum, err = cs.EnablePersistence(store); err != nil {
+		if sum, err = journal.Resume(store, r.Engine()); err != nil {
 			return nil, sum, err
 		}
 	}
-	cs.Start()
-	s, err := ServeRegions(addr, single{cs})
+	s, err := listen(addr, cfg)
 	if err != nil {
-		cs.Stop() // closes the journal store too
 		return nil, sum, err
 	}
+	s.lone, s.store = r, store
+	s.startRegion(r)
+	s.accept()
 	return s, sum, nil
 }
 
 // Serve is ServeDurable without a journal.
-func Serve(addr string, opts core.Options) (*Server, error) {
-	s, _, err := ServeDurable(addr, opts, nil)
+func Serve(addr string, cfg engine.Config) (*Server, error) {
+	s, _, err := ServeDurable(addr, cfg, nil)
 	return s, err
 }
 
-// ServeRegions exposes already-running region servers (e.g. behind a
-// federation coordinator) on addr. Watchers get every task's result: a
-// completion is pushed by the connection that completed it, an expiry by
-// the transport's expiry pump on the task's region — one per region
-// server, opened here for the running ones and on first sight for regions
-// the resolver starts later.
-func ServeRegions(addr string, rs Regions) (*Server, error) {
+// ServeGrid serves one region per cell of grid on addr — §III.A's
+// decomposition: each region's engine matches only the tasks and workers
+// located inside it, which "reduces the size of the matching problem
+// without affecting the output". A region starts the first time a
+// register or submit locates into its cell, from cfg; onStart, when
+// non-nil, sees it before its engine starts (per-region observability).
+// onStart runs under the lock that starts regions, so it must not call
+// back into the Server.
+func ServeGrid(addr string, grid *region.Grid, cfg engine.Config, onStart func(*Region)) (*Server, error) {
+	s, err := listen(addr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.grid, s.onStart = grid, onStart
+	s.accept()
+	return s, nil
+}
+
+// listen opens the listener of a Server that has no region yet.
+func listen(addr string, cfg engine.Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		regions:  rs,
+		ln:       ln,
+		cfg:      cfg,
+		regions:  make(map[string]*Region),
 		watchers: make(map[*conn]struct{}),
 		conns:    make(map[*conn]struct{}),
 	}
 	s.idle.Store(int64(DefaultIdleTimeout))
-	for _, r := range rs.Regions() {
-		s.pumpExpiries(r.Server)
-	}
-	s.ln = ln
+	return s, nil
+}
+
+// accept starts serving connections.
+func (s *Server) accept() {
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+}
+
+// newRegion builds a region whose engine delivers straight into its
+// registered workers' connections. Anything that must precede the first
+// tick — journal recovery, per-region observability — goes between this
+// and startRegion.
+func newRegion(id string, cfg engine.Config) *Region {
+	r := &Region{ID: id}
+	r.eng = engine.New(cfg, engine.Hooks{Deliver: r.deliver})
+	return r
+}
+
+// startRegion opens r's expiry pump, which pushes a result frame to every
+// watcher for each expiry, starts its engine's live loops, and lists it.
+// Callers hold s.mu, or run before accept.
+func (s *Server) startRegion(r *Region) {
+	r.expiries = r.Events().Subscribe(expiryPumpDepth, func(ev event.Event) bool {
+		return ev.Kind == event.KindExpire
+	})
+	s.wg.Add(1)
+	go s.expiryPump(r.expiries)
+	r.Start()
+	s.regions[r.ID] = r
+}
+
+// expiryPump pushes a result frame to every watcher for each expiry on one
+// region, off the engine's tick goroutine; it ends when Close closes sub.
+func (s *Server) expiryPump(sub *event.Subscription) {
+	defer s.wg.Done()
+	for ev := range sub.C() {
+		s.broadcast(Message{Type: "result", Result: &ResultPayload{TaskID: ev.Task, Expired: true}})
+	}
 }
 
 // Addr reports the listening address.
@@ -239,61 +325,80 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // adopt the new value at their next frame.
 func (s *Server) SetIdleTimeout(d time.Duration) { s.idle.Store(int64(d)) }
 
-// Core exposes the lone region server of a single-region deployment
-// (Serve, ServeDurable); it is nil when a coordinator resolves regions.
-func (s *Server) Core() *core.Server {
-	one, _ := s.regions.(single)
-	return one.Server
+// Core is the lone region of Serve/ServeDurable; nil under ServeGrid.
+func (s *Server) Core() *Region { return s.lone }
+
+// Regions lists the running regions, sorted by region id.
+func (s *Server) Regions() []*Region {
+	s.mu.Lock()
+	out := make([]*Region, 0, len(s.regions))
+	for _, r := range s.regions {
+		out = append(out, r)
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
-// Regions lists the running region servers, sorted by region id.
-func (s *Server) Regions() []core.Region { return s.regions.Regions() }
-
-// Stats sums the counters of every running region server.
-func (s *Server) Stats() core.Stats {
-	var total core.Stats
-	for _, r := range s.regions.Regions() {
-		total.Add(r.Server.Stats())
+// Stats sums the counters of every running region.
+func (s *Server) Stats() StatsPayload {
+	var total StatsPayload
+	for _, r := range s.Regions() {
+		total.add(r)
 	}
 	return total
 }
 
-// at resolves a location's region server, starting the region's expiry
-// pump the first time the transport sees it.
-func (s *Server) at(loc region.Point) (*core.Server, error) {
-	cs, err := s.regions.At(loc)
-	if err != nil {
-		return nil, err
+// at resolves a location's region: the lone one, or under ServeGrid the
+// location's grid cell, started on first use. ErrClosed after Close.
+func (s *Server) at(loc region.Point) (*Region, error) {
+	if s.lone != nil {
+		return s.lone, nil
 	}
-	if _, ok := s.pumps.Load(cs); !ok {
-		s.pumpExpiries(cs)
+	id := s.grid.Locate(loc)
+	s.mu.Lock()
+	r, ok := s.regions[id]
+	closed := s.closed
+	s.mu.Unlock()
+	switch {
+	case closed:
+		return nil, ErrClosed
+	case ok:
+		return r, nil
 	}
-	return cs, nil
-}
-
-// pumpExpiries opens cs's expiry subscription and its pump goroutine,
-// unless one is open already or the transport is closed.
-func (s *Server) pumpExpiries(cs *core.Server) {
+	// Build outside the lock; of two first lookups racing, the one that
+	// lists its region first wins, and the other's engine, never started,
+	// is dropped.
+	fresh := newRegion(id, s.cfg)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.pumps.Load(cs); ok || s.closed {
-		return
+	if s.closed {
+		return nil, ErrClosed
 	}
-	sub := cs.Events().Subscribe(expiryPumpDepth, func(ev event.Event) bool {
-		return ev.Kind == event.KindExpire
-	})
-	s.pumps.Store(cs, sub)
-	s.wg.Add(1)
-	go s.expiryPump(sub)
+	if r, ok := s.regions[id]; ok {
+		return r, nil
+	}
+	if s.onStart != nil {
+		s.onStart(fresh)
+	}
+	s.startRegion(fresh)
+	return fresh, nil
 }
 
-// expiryPump pushes a result frame to every watcher for each expiry on one
-// region, off the engine's tick goroutine; it ends when Close closes sub.
-func (s *Server) expiryPump(sub *event.Subscription) {
-	defer s.wg.Done()
-	for ev := range sub.C() {
-		s.broadcast(Message{Type: "result", Result: &ResultPayload{TaskID: ev.Task, Expired: true}})
+// holder resolves the region holding a task. The lone region answers for
+// every task, known or not; under ServeGrid it is the running region whose
+// store holds the task, and ok is false when none does (never submitted,
+// or forgotten past its region's retention window).
+func (s *Server) holder(taskID string) (r *Region, ok bool) {
+	if s.lone != nil {
+		return s.lone, true
 	}
+	for _, r := range s.Regions() {
+		if _, ok := r.Tasks().Get(taskID); ok {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // idLock is the stripe lock for a task id.
@@ -309,17 +414,19 @@ func (s *Server) idLock(id string) *sync.Mutex {
 	return &s.ids[h%idStripes]
 }
 
-// ofTask resolves the region server holding a task. A task no region holds
-// answers what a lone server answers.
-func (s *Server) ofTask(taskID string) (*core.Server, error) {
-	if cs, ok := s.regions.OfTask(taskID); ok {
-		return cs, nil
+// ofTask resolves the region holding a task. A task no region holds
+// answers what the lone region answers.
+func (s *Server) ofTask(taskID string) (*Region, error) {
+	if r, ok := s.holder(taskID); ok {
+		return r, nil
 	}
 	return nil, fmt.Errorf("%w: %q", taskq.ErrUnknownTask, taskID)
 }
 
-// Close stops accepting, drops every connection, and stops the region
-// servers.
+// Close stops accepting, drops every connection and expiry pump, stops
+// every region's engine, and only then closes the journal store, so its
+// final group commit captures every mutation the engines made on the way
+// down (flush-before-shutdown ordering). It is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -336,12 +443,18 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.c.Close()
 	}
-	s.pumps.Range(func(_, sub any) bool {
-		sub.(*event.Subscription).Close() // ends that region's expiry pump
-		return true
-	})
+	// The region set is final: at starts none once closed.
+	regions := s.Regions()
+	for _, r := range regions {
+		r.expiries.Close() // ends that region's expiry pump
+	}
 	s.wg.Wait()
-	s.regions.Stop()
+	for _, r := range regions {
+		r.Stop()
+	}
+	if s.store != nil {
+		s.store.Close()
+	}
 	return err
 }
 
@@ -415,7 +528,7 @@ func (c *conn) reply(seq uint64, err error) {
 	c.send(Message{Type: "ok", Seq: seq})
 }
 
-// errCode maps a region server's error to its stable wire code ("" for errors
+// errCode maps a region's error to its stable wire code ("" for errors
 // with no defined class).
 func errCode(err error) string {
 	var rej *admission.RejectionError
@@ -488,41 +601,25 @@ func (c *conn) handle(m *Message) {
 			return
 		}
 		loc := region.Point{Lat: m.Lat, Lon: m.Lon}
-		cs, err := s.at(loc)
-		if err != nil {
-			c.reply(m.Seq, err)
-			return
+		r, err := s.at(loc)
+		if err == nil {
+			err = r.register(m.Worker, loc, c)
 		}
-		// A returning worker (journal-recovered, or one whose old connection
-		// is gone) re-attaches under its id and keeps its learned history;
-		// a second *live* connection is refused.
-		feed, err := cs.RegisterWorker(m.Worker, loc)
-		if err != nil {
-			c.reply(m.Seq, err)
-			return
+		if err == nil {
+			c.worker, c.region = m.Worker, r
 		}
-		c.worker, c.cs = m.Worker, cs
-		c.reply(m.Seq, nil)
-		// Forward assignments until the feed closes (deregistration or
-		// server stop).
-		//lint:ignore nakedgoroutine the forwarder's lifetime is the feed channel: the backend closes it on deregister/detach/stop
-		go func() {
-			for a := range feed {
-				if err := c.send(Message{Type: "assignment", Assignment: toAssignmentPayload(a, time.Now())}); err != nil {
-					c.c.Close()
-					return
-				}
-			}
-		}()
+		c.reply(m.Seq, err)
 
 	case "deregister":
 		if c.worker == "" {
 			c.reply(m.Seq, errors.New("deregister: connection has no registered worker"))
 			return
 		}
-		worker, cs := c.worker, c.cs
-		c.worker, c.cs = "", nil // teardown must not deregister twice
-		c.reply(m.Seq, cs.DeregisterWorker(worker))
+		worker, r := c.worker, c.region
+		c.worker, c.region = "", nil // teardown must not deregister twice
+		// Unroute, then deregister: see teardown.
+		r.routes.Delete(worker)
+		c.reply(m.Seq, r.DeregisterWorker(worker))
 
 	case "location":
 		p, ok := c.profile()
@@ -558,19 +655,19 @@ func (c *conn) handle(m *Message) {
 		}
 		//lint:ignore clocktaint the live server stamps real arrival time on submitted tasks by definition; replayable runs go through the sim harness
 		t := m.Task.Task(time.Now())
-		cs, err := s.at(t.Location)
+		r, err := s.at(t.Location)
 		if err != nil {
 			c.reply(m.Seq, err)
 			return
 		}
-		// Task ids are unique across a federation as they are on a lone
-		// server: a second submit of an id another region still holds is a
+		// Task ids are unique across a grid's regions as they are in a lone
+		// region: a second submit of an id another region still holds is a
 		// duplicate (same-region duplicates are the task store's own check).
 		// The id's stripe lock makes the check and the submit one step, so
 		// two first submits racing into different regions cannot both land.
 		idMu := s.idLock(t.ID)
 		idMu.Lock()
-		if owner, ok := s.regions.OfTask(t.ID); ok && owner != cs {
+		if owner, ok := s.holder(t.ID); ok && owner != r {
 			idMu.Unlock()
 			c.reply(m.Seq, fmt.Errorf("%w: %q", taskq.ErrDuplicateTask, t.ID))
 			return
@@ -579,14 +676,14 @@ func (c *conn) handle(m *Message) {
 		// the probability, error frames the typed status plus a retry-after
 		// hint. With admission off the Admission field simply never
 		// appears, which is what keeps old clients working.
-		d, err := cs.SubmitFrom(c.requester(), t)
+		d, err := r.SubmitFrom(c.requester(), t)
 		idMu.Unlock()
 		reply := Message{Type: "ok", Seq: m.Seq}
 		if err != nil {
 			c.srv.errorsSent.Add(1)
 			reply = Message{Type: "error", Seq: m.Seq, Error: err.Error(), Code: errCode(err)}
 		}
-		if cs.Admission() != nil && (err == nil || !d.Admitted()) {
+		if r.Admission() != nil && (err == nil || !d.Admitted()) {
 			reply.Admission = toAdmissionPayload(d)
 		}
 		c.send(reply)
@@ -596,10 +693,10 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("complete: missing task or worker id"))
 			return
 		}
-		cs, err := s.ofTask(m.TaskID)
+		r, err := s.ofTask(m.TaskID)
 		if err == nil {
-			var res core.Result
-			if res, err = cs.Complete(m.TaskID, m.Worker, m.Answer); err == nil {
+			var res engine.Result
+			if res, _, err = r.Complete(m.TaskID, m.Worker, m.Answer); err == nil {
 				// Watchers hear the answer before the worker hears ok.
 				s.broadcast(Message{Type: "result", Result: toResultPayload(res)})
 			}
@@ -611,9 +708,9 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("feedback: missing task id or verdict"))
 			return
 		}
-		cs, err := s.ofTask(m.TaskID)
+		r, err := s.ofTask(m.TaskID)
 		if err == nil {
-			err = cs.Feedback(m.TaskID, *m.Positive)
+			err = r.Feedback(m.TaskID, *m.Positive)
 		}
 		c.reply(m.Seq, err)
 
@@ -631,8 +728,8 @@ func (c *conn) handle(m *Message) {
 			return
 		}
 		payload := &TaskStatusPayload{TaskID: m.TaskID, State: "unknown"}
-		if cs, ok := s.regions.OfTask(m.TaskID); ok {
-			if rec, ok := cs.Tasks().Get(m.TaskID); ok {
+		if r, ok := s.holder(m.TaskID); ok {
+			if rec, ok := r.Tasks().Get(m.TaskID); ok {
 				payload.State = rec.Status.String()
 				payload.Worker = rec.Worker
 				payload.MetDeadline = rec.Status == taskq.Completed && rec.MetDeadline()
@@ -652,14 +749,14 @@ func (c *conn) handle(m *Message) {
 		// design: a client that cannot keep up loses frames (counted on the
 		// bus), never stalls the engine.
 		taskID := m.TaskID
-		sources := s.regions.Regions()
+		sources := s.Regions()
 		if taskID == "" {
 			if len(sources) != 1 {
 				c.reply(m.Seq, fmt.Errorf("watch-events: an unscoped stream needs exactly one running region, have %d; pass a task id", len(sources)))
 				return
 			}
-		} else if cs, ok := s.regions.OfTask(taskID); ok {
-			sources = []core.Region{{Server: cs}}
+		} else if r, ok := s.holder(taskID); ok {
+			sources = []*Region{r}
 		}
 		filter := func(ev event.Event) bool {
 			if !ev.Kind.Lifecycle() {
@@ -669,7 +766,7 @@ func (c *conn) handle(m *Message) {
 		}
 		subs := make([]*event.Subscription, len(sources))
 		for i, r := range sources {
-			subs[i] = r.Server.Events().Subscribe(eventWatchDepth, filter)
+			subs[i] = r.Events().Subscribe(eventWatchDepth, filter)
 		}
 		c.evMu.Lock()
 		prev := c.evSubs
@@ -691,10 +788,11 @@ func (c *conn) handle(m *Message) {
 		}
 
 	case "regions":
-		rs := s.regions.Regions()
+		rs := s.Regions()
 		regions := make([]RegionStatsPayload, len(rs))
 		for i, r := range rs {
-			regions[i] = RegionStatsPayload{Region: r.ID, Stats: *toStatsPayload(r.Server.Stats())}
+			regions[i].Region = r.ID
+			regions[i].Stats.add(r)
 		}
 		c.send(Message{Type: "ok", Seq: m.Seq, Regions: regions})
 
@@ -705,20 +803,21 @@ func (c *conn) handle(m *Message) {
 		c.reply(m.Seq, nil)
 
 	case "stats":
-		c.send(Message{Type: "ok", Seq: m.Seq, Stats: toStatsPayload(s.Stats())})
+		st := s.Stats()
+		c.send(Message{Type: "ok", Seq: m.Seq, Stats: &st})
 
 	default:
 		c.reply(m.Seq, errors.New("unknown message type "+m.Type))
 	}
 }
 
-// profile is the registered worker's profile on the region server this
+// profile is the registered worker's profile on the region this
 // connection registered it on; ok is false for a connection with no worker.
 func (c *conn) profile() (*profile.Profile, bool) {
 	if c.worker == "" {
 		return nil, false
 	}
-	return c.cs.Workers().Get(c.worker)
+	return c.region.Workers().Get(c.worker)
 }
 
 func closeAll(subs []*event.Subscription) {
@@ -741,10 +840,15 @@ func (c *conn) teardown() {
 	if c.worker != "" && !closed {
 		// A vanished worker's held task goes back to the pool; the profile
 		// survives the disconnect so a later register reconnects with its
-		// learned history intact. Detach before the socket closes: a peer
-		// that observes the close (and, say, reconnects under the same id)
-		// may rely on the detach having happened.
-		c.cs.DetachWorker(c.worker)
+		// learned history intact. Unroute, then detach: a round that binds
+		// the worker after the route is gone is refused at delivery and
+		// revoked, and one that bound it before has set the busy mark
+		// DetachWorker releases — either way no task stays assigned to a
+		// worker with no connection. Both happen before the socket closes:
+		// a peer that observes the close (and, say, reconnects under the
+		// same id) may rely on the detach having happened.
+		c.region.routes.Delete(c.worker)
+		c.region.DetachWorker(c.worker)
 	}
 	// Flush-on-close before the socket drops: a reply enqueued just before
 	// the peer's EOF (deregister, a final stats answer) still reaches a
@@ -754,7 +858,8 @@ func (c *conn) teardown() {
 	c.c.Close()
 }
 
-// ErrClosed is returned by client operations after Close.
+// ErrClosed is returned by client operations after Close, and by a server
+// asked to start a region after its Close.
 var ErrClosed = errors.New("wire: connection closed")
 
 var _ io.Closer = (*Server)(nil)

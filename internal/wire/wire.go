@@ -1,13 +1,16 @@
-// Package wire deploys a REACT region server over TCP, standing in for the
-// paper's PlanetLab deployment: requesters and workers connect from
-// anywhere, speak newline-delimited JSON, and the server pushes assignments
-// to registered workers and results to watching requesters. cmd/reactd
-// hosts the server; cmd/reactctl and the examples use the client.
+// Package wire deploys REACT over TCP, standing in for the paper's
+// PlanetLab deployment: requesters and workers connect from anywhere, speak
+// newline-delimited JSON, and the server pushes assignments to registered
+// workers and results to watching requesters. cmd/reactd hosts the server;
+// cmd/reactctl and the examples use the client.
 //
-// The server side always talks to a *core.Server. A Regions resolver — the
-// lone server itself, or a federation.Coordinator under `reactd -grid` —
-// only says which one owns a location or holds a task, so a region behind
-// a coordinator answers every request exactly like a lone one.
+// A region is an *engine.Engine, and the server hosts every region's
+// engine itself: one region, "all", under Serve/ServeDurable, or one per
+// grid cell under ServeGrid (§III.A's multi-server deployment, each region
+// started on first use). Every request goes to the region that owns its
+// location or holds its task, so a region of a grid answers exactly like a
+// lone one. An engine's Deliver hook writes each assignment straight into
+// the worker's connection.
 //
 // Protocol: each line is one Message. Clients send requests
 // (register/submit/complete/feedback/watch/watch-events/stats); the server
@@ -20,7 +23,7 @@ import (
 	"time"
 
 	"react/internal/admission"
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -213,7 +216,7 @@ func (p TaskPayload) Task(now time.Time) taskq.Task {
 	}
 }
 
-// AssignmentPayload is the wire form of core.Assignment.
+// AssignmentPayload is the wire form of engine.Assignment.
 type AssignmentPayload struct {
 	TaskID      string  `json:"task_id"`
 	WorkerID    string  `json:"worker_id"`
@@ -225,7 +228,7 @@ type AssignmentPayload struct {
 	Reward      float64 `json:"reward"`
 }
 
-func toAssignmentPayload(a core.Assignment, now time.Time) *AssignmentPayload {
+func toAssignmentPayload(a engine.Assignment, now time.Time) *AssignmentPayload {
 	return &AssignmentPayload{
 		TaskID:      a.TaskID,
 		WorkerID:    a.WorkerID,
@@ -238,7 +241,7 @@ func toAssignmentPayload(a core.Assignment, now time.Time) *AssignmentPayload {
 	}
 }
 
-// ResultPayload is the wire form of core.Result.
+// ResultPayload is the wire form of engine.Result.
 type ResultPayload struct {
 	TaskID      string `json:"task_id"`
 	WorkerID    string `json:"worker_id,omitempty"`
@@ -247,7 +250,7 @@ type ResultPayload struct {
 	Expired     bool   `json:"expired"`
 }
 
-func toResultPayload(r core.Result) *ResultPayload {
+func toResultPayload(r engine.Result) *ResultPayload {
 	return &ResultPayload{
 		TaskID:      r.TaskID,
 		WorkerID:    r.WorkerID,
@@ -257,7 +260,8 @@ func toResultPayload(r core.Result) *ResultPayload {
 	}
 }
 
-// StatsPayload is the wire form of core.Stats.
+// StatsPayload is the wire form of one region's engine.Stats plus its two
+// worker gauges, or of their sum over every running region.
 type StatsPayload struct {
 	Received      int64 `json:"received"`
 	Assigned      int64 `json:"assigned"`
@@ -271,17 +275,19 @@ type StatsPayload struct {
 	WorkersKnown  int   `json:"workers_known"`
 }
 
-func toStatsPayload(s core.Stats) *StatsPayload {
-	return &StatsPayload{
-		Received:      s.Received,
-		Assigned:      s.Assigned,
-		Completed:     s.Completed,
-		OnTime:        s.OnTime,
-		Expired:       s.Expired,
-		Shed:          s.Shed,
-		Reassigned:    s.Reassigned,
-		Batches:       s.Batches,
-		WorkersOnline: s.WorkersOnline,
-		WorkersKnown:  s.WorkersKnown,
-	}
+// add accumulates one region's counters and worker gauges: WorkersOnline
+// counts connected workers (busy or idle), WorkersKnown every profile the
+// region remembers, including detached workers kept for their return.
+func (p *StatsPayload) add(r *Region) {
+	st, reg := r.Stats(), r.Workers()
+	p.Received += st.Received
+	p.Assigned += st.Assigned
+	p.Completed += st.Completed
+	p.OnTime += st.OnTime
+	p.Expired += st.Expired
+	p.Shed += st.Shed
+	p.Reassigned += st.Reassigned
+	p.Batches += st.Batches
+	p.WorkersOnline += reg.CountConnected()
+	p.WorkersKnown += reg.Size()
 }

@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"react/internal/core"
+	"react/internal/engine"
 	"react/internal/schedule"
 )
 
 func startServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", core.Options{
+	s, err := Serve("127.0.0.1:0", engine.Config{
 		BatchPoll:     5 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: 10 * time.Millisecond},
@@ -590,7 +590,7 @@ func TestAssignmentPayloadDeadlineFromNow(t *testing.T) {
 		{"already past", -2 * time.Second, -2000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := toAssignmentPayload(core.Assignment{TaskID: "t", Deadline: at.Add(tc.deadline)}, at)
+			p := toAssignmentPayload(engine.Assignment{TaskID: "t", Deadline: at.Add(tc.deadline)}, at)
 			if p.DeadlineMS != tc.want {
 				t.Fatalf("DeadlineMS = %d, want %d", p.DeadlineMS, tc.want)
 			}
