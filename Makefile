@@ -4,6 +4,10 @@ GO ?= go
 # Packages with real goroutine concurrency; the race detector gates them
 # on every change.
 RACE_PKGS = ./internal/engine ./internal/wire ./internal/taskq ./internal/faultnet ./internal/obs ./internal/journal ./internal/event ./internal/admission ./internal/profile ./internal/loadgen ./internal/bipartite
+# Examples whose workers run on goroutines against a live engine: `make
+# race` runs each under the race detector too. overload is left out: it
+# has no goroutine workers and takes half a minute under -race.
+RACE_EXAMPLES = ./examples/quickstart ./examples/imagesearch ./examples/trafficwatch
 # Packages whose statement coverage must not fall below COVER_FLOOR; the
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
@@ -66,6 +70,9 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	@for ex in $(RACE_EXAMPLES); do \
+		echo "$(GO) run -race $$ex"; $(GO) run -race $$ex > /dev/null || exit 1; \
+	done
 
 # Fault-injection suite under the race detector, via internal/faultnet:
 # the wire layer through resets, a slow peer and idle-deadline expiry, and loadgen's

@@ -16,8 +16,9 @@
 //   - internal/matching  — REACT (Algorithm 1), Metropolis, Greedy, Uniform,
 //     and an exact Hungarian reference solver
 //   - internal/powerlaw  — the paper's execution-time model (Eqs. 2 and 3)
-//   - internal/profile, internal/taskq, internal/schedule and the Eq. 2
-//     monitor in internal/engine — the four server components of Figure 1
+//   - internal/profile, the task store in internal/engine (its vocabulary
+//     in internal/taskq), internal/schedule and the Eq. 2 monitor in
+//     internal/engine — the four server components of Figure 1
 //   - internal/engine    — the whole scheduler: admission gates, the
 //     scheduling round (trigger → prune → match → apply), the monitor and
 //     the task store, shared by the simulator and the live server; one

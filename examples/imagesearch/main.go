@@ -49,7 +49,6 @@ func main() {
 	}})
 
 	loc := region.Point{Lat: 37.98, Lon: 23.73}
-	rng := rand.New(rand.NewSource(99))
 
 	// Validators: mostly careful (right 90% of the time), a few sloppy.
 	var wg sync.WaitGroup
@@ -61,6 +60,9 @@ func main() {
 		if _, err := eng.AttachWorker(id, loc); err != nil {
 			log.Fatal(err)
 		}
+		// Each validator draws from its own seeded stream: a *rand.Rand is
+		// not safe for concurrent use.
+		rng := rand.New(rand.NewSource(99 + int64(i)))
 		wg.Add(1)
 		go func(id string, careful bool) {
 			defer wg.Done()

@@ -73,11 +73,14 @@ func main() {
 		for k := 0; k < 3; k++ {
 			p.RecordCompletion("traffic", 0.02+0.01*float64(k), true)
 		}
+		// Each commuter draws from its own seeded stream: a *rand.Rand is
+		// not safe for concurrent use.
+		pace := rand.New(rand.NewSource(100 + int64(i)))
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
 			for a := range feed {
-				time.Sleep(time.Duration(10+rng.Intn(30)) * time.Millisecond)
+				time.Sleep(time.Duration(10+pace.Intn(30)) * time.Millisecond)
 				if _, _, err := eng.Complete(a.TaskID, id, "light traffic"); err == nil {
 					eng.Feedback(a.TaskID, true)
 				}

@@ -25,7 +25,7 @@
 // against a pre-refactor golden series in testdata/) is the proof both
 // drive modes execute one logic.
 //
-// Task bookkeeping is striped across Config.Shards taskq shards (see
+// Task bookkeeping is striped across Config.Shards shards (see
 // TaskStore), so completions, feedback and submissions arriving
 // concurrently contend on one stripe's lock, not on a global one or on a
 // running batch. The lifecycle counters are not the engine's: an
@@ -95,8 +95,8 @@ type Config struct {
 	Schedule schedule.Config  // batching, pruning, weights
 	Monitor  Monitor          // Eq. 2 reassignment policy
 	// Shards stripes the task bookkeeping; default GOMAXPROCS. The stripe
-	// count never changes observable behaviour (snapshots re-sort
-	// globally), only lock contention.
+	// count never changes observable behaviour (snapshots sort globally),
+	// only lock contention.
 	Shards int
 	// Retention bounds how long terminal task records are kept for late
 	// Feedback. Zero keeps everything.
@@ -210,12 +210,13 @@ type Engine struct {
 // (lastRun is backdated one period).
 func New(cfg Config, hooks Hooks) *Engine {
 	cfg = cfg.normalize()
+	bus := event.NewBus()
 	e := &Engine{
 		cfg:     cfg,
 		hooks:   hooks,
 		workers: profile.NewRegistry(),
-		tasks:   NewTaskStore(cfg.Clock, cfg.Shards),
-		bus:     event.NewBus(),
+		tasks:   newTaskStore(cfg.Clock, cfg.Shards, bus),
+		bus:     bus,
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 		stop:    make(chan struct{}),
 	}
@@ -224,13 +225,6 @@ func New(cfg Config, hooks Hooks) *Engine {
 	// them, so completions and grades reach them one way only.
 	e.bus.Tap(e.ledger.Observe)
 	e.bus.Tap(e.workers.Observe)
-	// Lifecycle events flow shard sink → spine bus. The sink fires under
-	// the shard's lock, so the bus stamps Seq before any second mutation
-	// of the same task can start — the per-task total order every spine
-	// consumer relies on.
-	e.tasks.setSink(func(tev taskq.Event) {
-		e.bus.Publish(event.FromTask(tev))
-	})
 	if cfg.Admission != nil {
 		acfg := *cfg.Admission
 		if acfg.Clock == nil {
@@ -360,7 +354,7 @@ func (e *Engine) DeregisterWorker(id string) error {
 // finishes the task, so a revoked worker's late answer fails with
 // ErrNotAssigned even if the task was rebound in the meantime.
 func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record, error) {
-	final, err := e.tasks.shard(taskID).Complete(taskID, workerID)
+	final, err := e.tasks.complete(taskID, workerID)
 	if errors.Is(err, taskq.ErrBadState) {
 		return Result{}, taskq.Record{}, fmt.Errorf("%w: %v", ErrNotAssigned, err)
 	}
@@ -556,14 +550,13 @@ func (e *Engine) planBatch() *round {
 	r := &round{
 		bindings: make([]binding, len(pairs)),
 		stats: event.BatchStats{
-			Workers:      len(avail),
-			Tasks:        len(unassigned),
-			Edges:        build.Edges,
-			PrunedProb:   build.PrunedProb,
-			PrunedReward: build.PrunedReward,
-			Cycles:       ms.Cycles,
-			Assignments:  len(pairs),
-			Elapsed:      elapsed,
+			Workers:     len(avail),
+			Tasks:       len(unassigned),
+			Edges:       build.Edges,
+			PrunedProb:  build.PrunedProb,
+			Cycles:      ms.Cycles,
+			Assignments: len(pairs),
+			Elapsed:     elapsed,
 		},
 	}
 	if e.cfg.Latency != nil {

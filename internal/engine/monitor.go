@@ -91,7 +91,7 @@ func (m Monitor) Evaluate(p *profile.Profile, rec taskq.Record, now time.Time) D
 }
 
 // AssignedSource is the executing-task snapshot the sweep walks; satisfied
-// by the engine's TaskStore and a bare *taskq.Manager.
+// by the engine's TaskStore.
 type AssignedSource interface {
 	AssignedTasks() []taskq.Record
 }

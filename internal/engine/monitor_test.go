@@ -118,7 +118,7 @@ func TestCustomThreshold(t *testing.T) {
 
 func TestMonitorSweep(t *testing.T) {
 	clk := clock.NewVirtual(clock.Epoch)
-	tm := taskq.NewManager(clk)
+	tm := NewTaskStore(clk, 1)
 	reg := profile.NewRegistry()
 
 	// steady: typically finishes in 50-90s, so at the sweep instant (60s
@@ -179,7 +179,7 @@ func TestMonitorSweep(t *testing.T) {
 
 func TestMonitorSweepGhostExpired(t *testing.T) {
 	clk := clock.NewVirtual(clock.Epoch)
-	tm := taskq.NewManager(clk)
+	tm := NewTaskStore(clk, 1)
 	reg := profile.NewRegistry()
 	p, _ := reg.Register("ghost", athens)
 	_ = p

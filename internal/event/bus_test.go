@@ -3,9 +3,6 @@ package event
 import (
 	"sync"
 	"testing"
-	"time"
-
-	"react/internal/taskq"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -52,35 +49,6 @@ func TestKindStrings(t *testing.T) {
 	for _, k := range []Kind{KindSubmit, KindAssign, KindRevoke, KindFeedback, KindAttach, KindDeregister, KindBatch} {
 		if k.Terminal() {
 			t.Errorf("%v should not be terminal", k)
-		}
-	}
-}
-
-func TestFromTaskMapsEveryKind(t *testing.T) {
-	rec := taskq.Record{Task: taskq.Task{ID: "t1"}, Attempts: 2}
-	at := time.Unix(100, 0)
-	pairs := map[taskq.EventKind]Kind{
-		taskq.EvSubmit:   KindSubmit,
-		taskq.EvAssign:   KindAssign,
-		taskq.EvUnassign: KindRevoke,
-		taskq.EvComplete: KindComplete,
-		taskq.EvExpire:   KindExpire,
-		taskq.EvForget:   KindForget,
-	}
-	for tk, ek := range pairs {
-		ev := FromTask(taskq.Event{
-			Kind: tk, Record: rec, At: at,
-			Worker: "w1", Cause: taskq.CauseEq2, Prob: 0.3,
-		})
-		if ev.Kind != ek || ev.Task != "t1" || ev.Worker != "w1" ||
-			!ev.At.Equal(at) || ev.Cause != taskq.CauseEq2 || ev.Prob != 0.3 {
-			t.Errorf("FromTask(%v) = %+v", tk, ev)
-		}
-		if ev.Seq != 0 {
-			t.Errorf("FromTask must leave Seq for Publish, got %d", ev.Seq)
-		}
-		if ev.Record.Attempts != 2 {
-			t.Errorf("record not carried: %+v", ev.Record)
 		}
 	}
 }

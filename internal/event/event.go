@@ -9,12 +9,13 @@
 // event: the journal has no other writer.
 //
 // Ordering contract: task-lifecycle events are published by the engine's
-// taskq sink while the task's shard mutex is held, so no second mutation
-// of the same task can begin until the first has been sequenced. That
-// gives every consumer a per-task total order for free. Seq is a single
-// bus-wide counter: it is strictly increasing per task, but events of
-// *different* tasks (striped onto different shards) may be published
-// concurrently, so Seq is not a global wall-clock order across tasks.
+// task store (engine.TaskStore) while the task's shard mutex is held, so
+// no second mutation of the same task can begin until the first has been
+// sequenced. That gives every consumer a per-task total order for free.
+// Seq is a single bus-wide counter: it is strictly increasing per task,
+// but events of *different* tasks (striped onto different shards) may be
+// published concurrently, so Seq is not a global wall-clock order across
+// tasks.
 // The worker-level kinds are published by the engine call that made the
 // change, after it took effect and with no shard lock held.
 //
@@ -42,9 +43,9 @@ import (
 type Kind uint8
 
 // The event vocabulary. The task-lifecycle kinds (Submit through Forget)
-// mirror taskq.EventKind one-to-one and carry the full post-mutation
-// record. Feedback, Attach and Deregister are worker-level facts the task
-// store cannot observe. Batch summarizes one scheduling round and carries
+// are the task store's mutations and carry the full post-mutation record.
+// Feedback, Attach and Deregister are worker-level facts the task store
+// cannot observe. Batch summarizes one scheduling round and carries
 // BatchStats instead; it is not journaled.
 const (
 	KindSubmit     Kind = iota + 1 // task entered the repository
@@ -100,15 +101,14 @@ func (k Kind) Terminal() bool {
 
 // BatchStats describes one completed scheduling round (KindBatch).
 type BatchStats struct {
-	Workers      int           // available workers in the snapshot
-	Tasks        int           // unassigned tasks in the snapshot
-	Edges        int           // edges instantiated by Eq. 3 construction
-	PrunedProb   int           // edges dropped by the probability bound
-	PrunedReward int           // edges dropped by the reward-range filter
-	Cycles       int           // matcher iterations consumed
-	Assignments  int           // bindings the matcher proposed
-	Elapsed      time.Duration // measured matcher wall time
-	Latency      time.Duration // modelled latency charged via Config.Defer (0 live)
+	Workers     int           // available workers in the snapshot
+	Tasks       int           // unassigned tasks in the snapshot
+	Edges       int           // edges instantiated by Eq. 3 construction
+	PrunedProb  int           // edges dropped by the probability bound
+	Cycles      int           // matcher iterations consumed
+	Assignments int           // bindings the matcher proposed
+	Elapsed     time.Duration // measured matcher wall time
+	Latency     time.Duration // modelled latency charged via Config.Defer (0 live)
 }
 
 // Event is one spine event. Lifecycle kinds fill Task/Worker/Record;
@@ -150,33 +150,4 @@ type Event struct {
 	Positive bool
 	// Batch is non-nil only for KindBatch.
 	Batch *BatchStats
-}
-
-// FromTask lifts a taskq sink event into the spine vocabulary. Seq is
-// left zero; Bus.Publish stamps it.
-func FromTask(ev taskq.Event) Event {
-	var k Kind
-	switch ev.Kind {
-	case taskq.EvSubmit:
-		k = KindSubmit
-	case taskq.EvAssign:
-		k = KindAssign
-	case taskq.EvUnassign:
-		k = KindRevoke
-	case taskq.EvComplete:
-		k = KindComplete
-	case taskq.EvExpire:
-		k = KindExpire
-	case taskq.EvForget:
-		k = KindForget
-	}
-	return Event{
-		Kind:   k,
-		Task:   ev.Record.Task.ID,
-		Worker: ev.Worker,
-		At:     ev.At,
-		Cause:  ev.Cause,
-		Prob:   ev.Prob,
-		Record: ev.Record,
-	}
 }

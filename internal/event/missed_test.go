@@ -5,19 +5,20 @@ import (
 	"time"
 
 	"react/internal/clock"
+	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/journal"
 	"react/internal/taskq"
 )
 
-// TestLedgerAttributesMisses drives a real taskq.Manager through every way
+// TestLedgerAttributesMisses drives a real engine's task store through every way
 // a task can end and checks the ledger names the miss from the terminal
 // event alone — and that the same records, replayed through journal.State,
 // are attributed identically.
 func TestLedgerAttributesMisses(t *testing.T) {
 	const deadline = time.Minute
 	type run struct {
-		m   *taskq.Manager
+		m   *engine.TaskStore
 		clk *clock.Virtual
 	}
 	assign := func(r run, worker string) {
@@ -32,7 +33,7 @@ func TestLedgerAttributesMisses(t *testing.T) {
 	}
 	complete := func(r run, after time.Duration) {
 		r.clk.Advance(after)
-		if _, err := r.m.Complete("t", ""); err != nil {
+		if _, err := r.m.Complete("t"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,18 +75,18 @@ func TestLedgerAttributesMisses(t *testing.T) {
 			expire(r)
 		}, event.LossRescueExpired},
 		{"shed", func(r run) {
-			if _, err := r.m.Shed("t"); err != nil {
+			if err := r.m.Shed("t"); err != nil {
 				t.Fatal(err)
 			}
 		}, event.LossQueued},
 	}
 	for _, c := range cases {
 		clk := clock.NewVirtual(clock.Epoch)
-		m := taskq.NewManager(clk)
+		eng := engine.New(engine.Config{Clock: clk}, engine.Hooks{})
+		m := eng.Tasks()
 		var live event.Ledger
 		replayed := journal.NewState()
-		m.SetSink(func(tev taskq.Event) {
-			ev := event.FromTask(tev)
+		eng.Events().Tap(func(ev event.Event) {
 			live.Observe(ev)
 			rec, ok := journal.FromEvent(ev)
 			if !ok {

@@ -44,7 +44,7 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	// encoding/json gets a copy that shares no memory with rec — strings
 	// cloned, task state copied — so that the existence of this fallback
 	// does not make every caller's record escape to the heap: FromEvent's
-	// task state stays on the sink's stack.
+	// task state stays on the tap's stack.
 	cp := Record{
 		Seq: rec.Seq, Kind: rec.Kind,
 		Cause: strings.Clone(rec.Cause), TaskID: strings.Clone(rec.TaskID),

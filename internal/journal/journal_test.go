@@ -20,7 +20,7 @@ import (
 
 var testEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// taskRec builds a full post-mutation record, as the taskq sink would emit.
+// taskRec builds a full post-mutation record, as the task store would publish.
 func taskRec(id string, status taskq.Status, worker string) *taskq.Record {
 	r := &taskq.Record{
 		Task: taskq.Task{

@@ -32,8 +32,8 @@ func NewState() *State {
 }
 
 // Apply replays one record. Task-lifecycle records are pure upserts — the
-// record carries the full post-mutation state, and the taskq sink's
-// under-lock emission guarantees per-task order — so Apply cannot reject a
+// record carries the full post-mutation state, and the task store's
+// under-lock publishing guarantees per-task order — so Apply cannot reject a
 // record for being in the "wrong" state; it only fails on records that
 // reference impossible worker state, which indicates a corrupt or
 // hand-edited log.

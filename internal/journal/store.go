@@ -20,10 +20,10 @@ import (
 // segment files plus a snapshot, under a single data directory.
 //
 // Appends are memory-only — frames accumulate in a buffer under a mutex,
-// so the taskq sink can call Append while holding a shard lock without
-// ever touching the disk. A flusher goroutine group-commits the buffer:
-// it writes and fsyncs on a time interval (Options.FsyncInterval) or as
-// soon as the buffer passes fsyncBytes. The durability window is
+// so the journal's spine tap can call Append under a task-store shard
+// lock without ever touching the disk. A flusher goroutine group-commits
+// the buffer: it writes and fsyncs on a time interval
+// (Options.FsyncInterval) or as soon as the buffer passes fsyncBytes. The durability window is
 // therefore one fsync interval; the wire layer's resubmit-on-unknown
 // reconciliation covers exactly that window (see docs/PERSISTENCE.md).
 //
@@ -40,8 +40,8 @@ type Store struct {
 	clk  clock.Clock
 	opts Options
 
-	// mu guards the append state. Hold it only for memory work: the taskq
-	// sink calls Append under a shard lock, so anything slower than a
+	// mu guards the append state. Hold it only for memory work: the spine
+	// tap calls Append under a shard lock, so anything slower than a
 	// buffer append here would serialize the engine on the disk.
 	mu          sync.Mutex
 	seq         uint64 // last assigned sequence number
@@ -364,8 +364,8 @@ func (s *Store) Summary() Summary { return s.summary }
 
 // Append sequences rec and buffers its frame. It performs no I/O and, for a
 // record in canonical form, no allocation, so it is safe to call from a
-// taskq sink holding a shard lock; durability follows within one fsync
-// interval (or sooner, once fsyncBytes accumulate).
+// spine tap running under a task-store shard lock; durability follows
+// within one fsync interval (or sooner, once fsyncBytes accumulate).
 func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	if s.err != nil {

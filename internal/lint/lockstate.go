@@ -23,8 +23,8 @@ import (
 //     edges contribute nothing (a new goroutine starts lock-free);
 //     deferred calls contribute the set held at registration.
 //
-// Lock identity is a "class", not an instance: every m.mu of every
-// *taskq.Manager is one class "taskq.Manager.mu". That is exactly the
+// Lock identity is a "class", not an instance: every sh.mu of every
+// *engine.shard is one class "engine.shard.mu". That is exactly the
 // granularity a lock-ordering convention is written at, and it makes
 // shard-stripe locks (many instances, one class) analyzable. The
 // instance-blind over-approximation is deliberate.

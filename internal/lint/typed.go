@@ -46,7 +46,7 @@ type TypedModule struct {
 
 // relPosOf locates pos in whichever package owns the file, falling back
 // to a root-relative path. Typed analyzers report across package
-// boundaries (a lock acquired in engine, held into taskq), so position
+// boundaries (a lock acquired in engine, held into event), so position
 // rendering cannot assume the reporting package owns the file.
 func (tm *TypedModule) relPosOf(pos token.Pos) (file string, line, col int) {
 	p := tm.Fset.Position(pos)

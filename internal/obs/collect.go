@@ -60,7 +60,6 @@ type EngineCollector struct {
 	batchWorkers   *metrics.Welford   // available workers per round
 	batchEdges     *metrics.Welford   // Eq. 3 edges instantiated per round
 	prunedProb     metrics.Counter    // edges dropped by the probability bound
-	prunedReward   metrics.Counter    // edges dropped by the reward-range filter
 }
 
 // NewEngineCollector creates a collector with empty instruments.
@@ -107,7 +106,6 @@ func (c *EngineCollector) HandleEvent(ev event.Event) {
 	c.batchWorkers.Observe(float64(b.Workers))
 	c.batchEdges.Observe(float64(b.Edges))
 	c.prunedProb.Add(int64(b.PrunedProb))
-	c.prunedReward.Add(int64(b.PrunedReward))
 }
 
 // Register adds the collector's instruments plus the engine's own counters
@@ -160,10 +158,6 @@ func (c *EngineCollector) Register(reg *metrics.Registry, eng *engine.Engine, la
 	}
 	if err := reg.RegisterCounter("react_engine_edges_pruned_prob_total",
 		"edges dropped by the Eq. 3 probability bound", &c.prunedProb, labels...); err != nil {
-		return err
-	}
-	if err := reg.RegisterCounter("react_engine_edges_pruned_reward_total",
-		"edges dropped by the reward-range filter", &c.prunedReward, labels...); err != nil {
 		return err
 	}
 	// Reassignments by cause since this process started (recovery sweeps

@@ -50,8 +50,6 @@ type Profile struct {
 	positive   int // totals across categories
 	finished   int
 	fitter     powerlaw.Fitter
-	rewardMin  float64 // reward-range extension (§III.C); 0,0 disables
-	rewardMax  float64
 	// connected is the owning registry's count of available profiles; every
 	// flip of available moves it (setAvailable). Nil once deregistered.
 	connected *atomic.Int64
@@ -136,24 +134,6 @@ func (p *Profile) CurrentTask() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.busyTask
-}
-
-// SetRewardRange enables the reward-range extension: the scheduler will not
-// instantiate edges to tasks whose reward falls outside [min, max]. A zero
-// max disables the filter.
-func (p *Profile) SetRewardRange(min, max float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rewardMin, p.rewardMax = min, max
-}
-
-// RewardRange reports the range SetRewardRange last set. A task reward r
-// passes it when max ≤ 0 (the filter is off) or min ≤ r ≤ max; the scheduler
-// reads it once per worker per round and applies that test to every task.
-func (p *Profile) RewardRange() (min, max float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rewardMin, p.rewardMax
 }
 
 // RecordCompletion stores one finished task: its category, the execution

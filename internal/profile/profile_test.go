@@ -180,21 +180,6 @@ func TestModelSkipsNonPositiveExecTimes(t *testing.T) {
 	}
 }
 
-func TestRewardRange(t *testing.T) {
-	var p Profile
-	if min, max := p.RewardRange(); min != 0 || max != 0 {
-		t.Fatalf("default range = [%v, %v], want the disabled [0, 0]", min, max)
-	}
-	p.SetRewardRange(0.05, 0.50)
-	if min, max := p.RewardRange(); min != 0.05 || max != 0.50 {
-		t.Fatalf("range = [%v, %v], want [0.05, 0.5]", min, max)
-	}
-	p.SetRewardRange(0, 0) // disable again
-	if _, max := p.RewardRange(); max > 0 {
-		t.Fatalf("disabled range reads max %v", max)
-	}
-}
-
 func TestSetLocation(t *testing.T) {
 	var p Profile
 	loc := region.Point{Lat: 40.64, Lon: 22.94}

@@ -28,8 +28,6 @@ type workerSnapshot struct {
 	FitN       int               `json:"fit_n"`
 	FitSumLog  float64           `json:"fit_sum_log"`
 	FitMin     float64           `json:"fit_min"`
-	RewardMin  float64           `json:"reward_min,omitempty"`
-	RewardMax  float64           `json:"reward_max,omitempty"`
 }
 
 // WriteSnapshot streams every worker's persistent state to w, sorted by
@@ -49,11 +47,9 @@ func (p *Profile) snapshot() workerSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := workerSnapshot{
-		ID:        p.id,
-		Lat:       p.location.Lat,
-		Lon:       p.location.Lon,
-		RewardMin: p.rewardMin,
-		RewardMax: p.rewardMax,
+		ID:  p.id,
+		Lat: p.location.Lat,
+		Lon: p.location.Lon,
 	}
 	s.FitN, s.FitSumLog, s.FitMin = p.fitter.State()
 	if len(p.categories) > 0 {
@@ -107,7 +103,6 @@ func (r *Registry) restore(s workerSnapshot) (*Profile, error) {
 	defer p.mu.Unlock()
 	p.setAvailable(false) // not reconnected yet
 	p.fitter = *fitter
-	p.rewardMin, p.rewardMax = s.RewardMin, s.RewardMax
 	for cat, pf := range s.Categories {
 		positive, finished := pf[0], pf[1]
 		if positive < 0 || finished < positive {

@@ -130,12 +130,11 @@ func (c Config) Normalize() Config {
 
 // BuildStats describes one graph construction.
 type BuildStats struct {
-	Workers      int
-	Tasks        int
-	Edges        int
-	PrunedProb   int // edges dropped by the Eq. 3 bound
-	PrunedReward int // edges dropped by the reward-range filter
-	Trainees     int // workers granted full edges at max weight
+	Workers    int
+	Tasks      int
+	Edges      int
+	PrunedProb int // edges dropped by the Eq. 3 bound
+	Trainees   int // workers granted full edges at max weight
 }
 
 // BuildGraph constructs the weighted bipartite graph for one batch at the
@@ -181,12 +180,11 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		if workerIdx[wi] < 0 {
 			continue
 		}
-		// Per worker, once per round: the trainee flag, the fitted model and
-		// the reward range, read before the worker's row, so a grade landing
-		// mid-round reaches the whole row or none of it.
+		// Per worker, once per round: the trainee flag and the fitted model,
+		// read before the worker's row, so a grade landing mid-round reaches
+		// the whole row or none of it.
 		trainee := w.Trainee(traineeTasks)
 		model, hasModel := w.Model(cfg.MinHistory)
-		rewardMin, rewardMax := w.RewardRange()
 		unmodelled := cfg.NoPruning || trainee || !hasModel
 		cut := model.DeadlineCut(cfg.EdgeProbBound)
 		if trainee {
@@ -194,10 +192,6 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		}
 		for ti, t := range tasks {
 			if taskIdx[ti] < 0 {
-				continue
-			}
-			if !(rewardMax <= 0 || t.Reward >= rewardMin && t.Reward <= rewardMax) {
-				st.PrunedReward++
 				continue
 			}
 			var weight float64

@@ -155,35 +155,6 @@ func TestBuildGraphPrunesByEq3(t *testing.T) {
 	}
 }
 
-func TestBuildGraphRewardRange(t *testing.T) {
-	p := seasonedWorker("w", []float64{5, 6, 7}, 3)
-	p.SetRewardRange(0.10, 1.0)
-	now := clock.Epoch
-	var tasks []taskq.Task
-	for _, reward := range []float64{0.05, 0.10, 0.25, 1.0, 1.01} {
-		tk := task(fmt.Sprint(reward), time.Minute, now)
-		tk.Reward = reward
-		tasks = append(tasks, tk)
-	}
-	kept := func(g *bipartite.Graph) (ids []string) {
-		for _, e := range g.Edges() {
-			ids = append(ids, g.TaskID(e.Task))
-		}
-		return ids
-	}
-	// The range is closed at both ends.
-	g, st := BuildGraph(Config{}, []*profile.Profile{p}, tasks, now)
-	if got, want := kept(g), []string{"0.1", "0.25", "1"}; !reflect.DeepEqual(got, want) || st.PrunedReward != 2 {
-		t.Fatalf("kept %v (pruned %d), want %v (pruned 2)", got, st.PrunedReward, want)
-	}
-	// A zero max switches the filter off.
-	p.SetRewardRange(0.10, 0)
-	g, st = BuildGraph(Config{}, []*profile.Profile{p}, tasks, now)
-	if g.NumEdges() != len(tasks) || st.PrunedReward != 0 {
-		t.Fatalf("disabled filter: %d edges, pruned %d", g.NumEdges(), st.PrunedReward)
-	}
-}
-
 // referenceBuild is BuildGraph written the obvious way: every pair asks the
 // profile and the verbatim Eq. 3 (ProbMeetDeadline) afresh. Snapshots must be
 // free of duplicate ids.
@@ -196,10 +167,6 @@ func referenceBuild(cfg Config, workers []*profile.Profile, tasks []taskq.Task, 
 			st.Trainees++
 		}
 		for ti, t := range tasks {
-			if min, max := w.RewardRange(); !(max <= 0 || t.Reward >= min && t.Reward <= max) {
-				st.PrunedReward++
-				continue
-			}
 			weight := maxWeight
 			model, ok := w.Model(cfg.MinHistory)
 			if !cfg.NoPruning && !w.Trainee(traineeTasks) && ok {
@@ -218,8 +185,8 @@ func referenceBuild(cfg Config, workers []*profile.Profile, tasks []taskq.Task, 
 
 // TestBuildGraphMatchesPairwiseReference requires BuildGraph's edge list —
 // order, endpoints, weights — and its stats to equal referenceBuild's over
-// random fleets of trainees, unmodelled veterans, modelled workers and
-// reward-ranged workers, with deadlines that include ones placed on a
+// random fleets of trainees, unmodelled veterans and modelled workers,
+// with deadlines that include ones placed on a
 // worker's Eq. 3 threshold to the nanosecond, and past ones.
 func TestBuildGraphMatchesPairwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
@@ -248,10 +215,6 @@ func TestBuildGraphMatchesPairwiseReference(t *testing.T) {
 				default:
 					p.RecordCompletion([]string{"traffic", "photo"}[rng.Intn(2)], exec, rng.Intn(3) > 0)
 				}
-			}
-			if rng.Intn(3) == 0 {
-				lo := rng.Float64() / 4
-				p.SetRewardRange(lo, lo+rng.Float64()/4)
 			}
 			workers[i] = p
 		}
@@ -430,7 +393,6 @@ func TestBuildGraphAllocsIndependentOfShape(t *testing.T) {
 		for i := range workers {
 			workers[i] = seasonedWorker(fmt.Sprintf("w%03d", i), []float64{1, 2, 3, 2, 1}, 4)
 		}
-		workers[0].SetRewardRange(0.01, 0.02)
 		tasks := make([]taskq.Task, nTasks)
 		for i := range tasks {
 			tasks[i] = task(fmt.Sprintf("t%03d", i), time.Duration(i)*time.Second, now)

@@ -1,8 +1,9 @@
-package taskq
+package taskq_test
 
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -10,21 +11,38 @@ import (
 	"time"
 
 	"react/internal/clock"
+	"react/internal/engine"
+	"react/internal/event"
+	. "react/internal/taskq"
 )
 
-// refManager is the model the indexed Manager is checked against: one map
-// and a full scan for every question, the way the manager itself answered
-// before it kept status indexes. Multi-record passes emit in the order the
-// manager documents: expiry by id, retention by (FinishedAt, id).
+// refManager is the model the sharded, indexed engine.TaskStore is checked
+// against: one map and a full scan for every question, the way the
+// registry answered before it kept status indexes. Multi-record passes
+// publish in the order the store documents: shard by shard (FNV-1a of the
+// id, modulo the shard count), and within a shard expiry by id, retention
+// by (FinishedAt, id).
 type refManager struct {
 	clk    clock.Clock
+	shards int
 	recs   map[string]*Record
-	hw     int
-	events []Event
+	hw     []int // per shard
+	events []event.Event
 }
 
-func (m *refManager) emit(kind EventKind, r *Record, at time.Time, worker, cause string, prob float64) {
-	m.events = append(m.events, Event{Kind: kind, Record: *r, At: at, Worker: worker, Cause: cause, Prob: prob})
+func (m *refManager) emit(kind event.Kind, r *Record, at time.Time, worker, cause string, prob float64) {
+	m.events = append(m.events, event.Event{Kind: kind, Task: r.Task.ID, Record: *r, At: at, Worker: worker, Cause: cause, Prob: prob})
+}
+
+func (m *refManager) shardOf(id string) int {
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return int(h.Sum32() % uint32(m.shards))
+}
+
+// byShard stably reorders rs shard by shard, keeping each shard's order.
+func (m *refManager) byShard(rs []*Record) {
+	sort.SliceStable(rs, func(i, j int) bool { return m.shardOf(rs[i].Task.ID) < m.shardOf(rs[j].Task.ID) })
 }
 
 func (m *refManager) scan(keep func(*Record) bool) []*Record {
@@ -39,8 +57,14 @@ func (m *refManager) scan(keep func(*Record) bool) []*Record {
 }
 
 func (m *refManager) noteHW() {
-	if u, _, _, _ := m.Counts(); u > m.hw {
-		m.hw = u
+	u := make([]int, m.shards)
+	for id, r := range m.recs {
+		if r.Status == Unassigned {
+			u[m.shardOf(id)]++
+		}
+	}
+	for i, n := range u {
+		m.hw[i] = max(m.hw[i], n)
 	}
 }
 
@@ -70,7 +94,7 @@ func (m *refManager) Submit(t Task) error {
 	r := &Record{Task: t}
 	m.recs[t.ID] = r
 	m.noteHW()
-	m.emit(EvSubmit, r, now, "", CauseSubmit, 0)
+	m.emit(event.KindSubmit, r, now, "", CauseSubmit, 0)
 	return nil
 }
 
@@ -93,7 +117,7 @@ func (m *refManager) Assign(id, worker string) error {
 	}
 	r.Status, r.Worker, r.AssignedAt = Assigned, worker, m.clk.Now()
 	r.Attempts++
-	m.emit(EvAssign, r, r.AssignedAt, worker, CauseBatch, 0)
+	m.emit(event.KindAssign, r, r.AssignedAt, worker, CauseBatch, 0)
 	return nil
 }
 
@@ -105,7 +129,7 @@ func (m *refManager) Unassign(id, cause string, prob float64) error {
 	worker := r.Worker
 	r.Status, r.Worker, r.AssignedAt = Unassigned, "", time.Time{}
 	m.noteHW()
-	m.emit(EvUnassign, r, m.clk.Now(), worker, cause, prob)
+	m.emit(event.KindRevoke, r, m.clk.Now(), worker, cause, prob)
 	return nil
 }
 
@@ -118,30 +142,34 @@ func (m *refManager) Complete(id, worker string) (Record, error) {
 		return Record{}, ErrBadState
 	}
 	r.Status, r.FinishedAt = Completed, m.clk.Now()
-	m.emit(EvComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)
+	m.emit(event.KindComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)
 	return *r, nil
 }
 
-func (m *refManager) Shed(id string) (Record, error) {
+func (m *refManager) Shed(id string) error {
 	r, err := m.in(id, Unassigned)
 	if err != nil {
-		return Record{}, err
+		return err
 	}
 	r.Status, r.FinishedAt = Expired, m.clk.Now()
-	m.emit(EvExpire, r, r.FinishedAt, r.Worker, CauseShed, 0)
-	return *r, nil
+	m.emit(event.KindExpire, r, r.FinishedAt, r.Worker, CauseShed, 0)
+	return nil
 }
 
 func (m *refManager) expire(includeAssigned bool) []Record {
 	now := m.clk.Now()
-	var out []Record
-	for _, r := range m.scan(func(r *Record) bool {
+	due := m.scan(func(r *Record) bool {
 		live := r.Status == Unassigned || includeAssigned && r.Status == Assigned
 		return live && !r.Task.Deadline.After(now)
-	}) {
+	})
+	var out []Record
+	for _, r := range due {
 		r.Status, r.FinishedAt = Expired, now
-		m.emit(EvExpire, r, now, r.Worker, CauseDeadline, 0)
 		out = append(out, *r)
+	}
+	m.byShard(due)
+	for _, r := range due {
+		m.emit(event.KindExpire, r, now, r.Worker, CauseDeadline, 0)
 	}
 	return out
 }
@@ -150,9 +178,10 @@ func (m *refManager) ForgetTerminatedBefore(cutoff time.Time) int {
 	now := m.clk.Now()
 	victims := m.scan(func(r *Record) bool { return r.Status >= Completed && r.FinishedAt.Before(cutoff) })
 	sort.SliceStable(victims, func(i, j int) bool { return victims[i].FinishedAt.Before(victims[j].FinishedAt) })
+	m.byShard(victims)
 	for _, r := range victims {
 		delete(m.recs, r.Task.ID)
-		m.emit(EvForget, r, now, r.Worker, CauseRetention, 0)
+		m.emit(event.KindForget, r, now, r.Worker, CauseRetention, 0)
 	}
 	return len(victims)
 }
@@ -182,23 +211,32 @@ func (m *refManager) Counts() (u, a, c, e int) {
 	return n[Unassigned], n[Assigned], n[Completed], n[Expired]
 }
 
-// TestModelAgainstFullScan drives the manager and the full-scan model
-// through the same seeded operation stream on one virtual clock and
-// requires identical return values, snapshot orders, counts, high-water
-// mark and sink event stream after every step.
+// TestModelAgainstFullScan drives an engine's store and the full-scan
+// model through the same seeded operation stream on one virtual clock, at
+// one and at four shards, and requires identical return values, snapshot
+// orders, counts, per-shard high-water marks and spine event stream (read
+// through a bus tap) after every step.
 func TestModelAgainstFullScan(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runModel(t, seed, 4000) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for _, shards := range []int{1, 4} {
+				runModel(t, seed, 4000, shards)
+			}
+		})
 	}
 }
 
-func runModel(t *testing.T, seed int64, ops int) {
+func runModel(t *testing.T, seed int64, ops, shards int) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := clock.NewVirtual(clock.Epoch)
-	m := NewManager(clk)
-	ref := &refManager{clk: clk, recs: map[string]*Record{}}
-	var got []Event
-	m.SetSink(func(ev Event) { got = append(got, ev) })
+	eng := engine.New(engine.Config{Clock: clk, Shards: shards}, engine.Hooks{})
+	m := eng.Tasks()
+	ref := &refManager{clk: clk, shards: shards, recs: map[string]*Record{}, hw: make([]int, shards)}
+	var got []event.Event
+	eng.Events().Tap(func(ev event.Event) {
+		ev.Seq = 0
+		got = append(got, ev)
+	})
 
 	var ids []string // every id ever used: forgotten ones exercise ErrUnknownTask
 	pick := func() string {
@@ -223,13 +261,13 @@ func runModel(t *testing.T, seed int64, ops int) {
 	sameErr := func(step int, op string, g, w error) {
 		t.Helper()
 		if (g == nil) != (w == nil) || (w != nil && !errors.Is(g, w)) {
-			t.Fatalf("step %d %s: err = %v, model %v", step, op, g, w)
+			t.Fatalf("%d shards, step %d %s: err = %v, model %v", shards, step, op, g, w)
 		}
 	}
 	same := func(step int, op string, g, w any) {
 		t.Helper()
 		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("step %d %s:\n got   %+v\n model %+v", step, op, g, w)
+			t.Fatalf("%d shards, step %d %s:\n got   %+v\n model %+v", shards, step, op, g, w)
 		}
 	}
 
@@ -249,21 +287,25 @@ func runModel(t *testing.T, seed int64, ops int) {
 			id := pick()
 			sameErr(step, "unassign", m.Unassign(id, CauseEq2, 0.25), ref.Unassign(id, CauseEq2, 0.25))
 		case op < 15:
-			// Half the completions name a holder, often the wrong one.
+			// Half the completions name a holder, often the wrong one; the
+			// engine refuses a wrong holder as ErrNotAssigned.
 			id, by := pick(), ""
 			if rng.Intn(2) == 0 {
 				by = fmt.Sprintf("w%d", rng.Intn(5))
 			}
-			g, gerr := m.Complete(id, by)
+			var g Record
+			var gerr error
+			if by == "" {
+				g, gerr = m.Complete(id)
+			} else if _, g, gerr = eng.Complete(id, by, ""); errors.Is(gerr, engine.ErrNotAssigned) {
+				gerr = ErrBadState
+			}
 			w, werr := ref.Complete(id, by)
 			sameErr(step, "complete", gerr, werr)
 			same(step, "complete", g, w)
 		case op < 16:
 			id := pick()
-			g, gerr := m.Shed(id)
-			w, werr := ref.Shed(id)
-			sameErr(step, "shed", gerr, werr)
-			same(step, "shed", g, w)
+			sameErr(step, "shed", m.Shed(id), ref.Shed(id))
 		case op < 17:
 			same(step, "expire-unassigned", m.ExpireUnassigned(), ref.expire(false))
 		case op < 18:
@@ -288,7 +330,7 @@ func runModel(t *testing.T, seed int64, ops int) {
 		}
 
 		if len(got) != len(ref.events) {
-			t.Fatalf("step %d: %d events, model %d", step, len(got), len(ref.events))
+			t.Fatalf("%d shards, step %d: %d events, model %d", shards, step, len(got), len(ref.events))
 		}
 		for i := range got {
 			same(step, fmt.Sprintf("event %d of %d", i, len(got)), got[i], ref.events[i])
@@ -299,11 +341,15 @@ func runModel(t *testing.T, seed int64, ops int) {
 		gu, ga, gc, ge := m.Counts()
 		wu, wa, wc, we := ref.Counts()
 		same(step, "counts", [4]int{gu, ga, gc, ge}, [4]int{wu, wa, wc, we})
-		same(step, "high-water", m.UnassignedHighWater(), ref.hw)
+		hw := make([]int, shards)
+		for i, st := range m.ShardStats() {
+			hw[i] = st.UnassignedHighWater
+		}
+		same(step, "high-water", hw, ref.hw)
 		id := pick()
 		g, ok := m.Get(id)
 		if w := ref.recs[id]; ok != (w != nil) || ok && !reflect.DeepEqual(g, *w) {
-			t.Fatalf("step %d get %q: got %+v %v, model %+v", step, id, g, ok, w)
+			t.Fatalf("%d shards, step %d get %q: got %+v %v, model %+v", shards, step, id, g, ok, w)
 		}
 	}
 	if u, a, c, e := m.Counts(); u+a+c+e == 0 || len(ids) < ops/4 {
@@ -314,71 +360,56 @@ func runModel(t *testing.T, seed int64, ops int) {
 // TestRestoreTerminalOrder bulk-loads terminal records whose FinishedAt is
 // out of order and partly equal, as a recovered snapshot (sorted by id, not
 // by time) presents them: retention must still drop exactly the records
-// before the cutoff, oldest first, ties by id.
+// before the cutoff, each shard oldest first, ties by id.
 func TestRestoreTerminalOrder(t *testing.T) {
-	m, clk := newTestManager()
-	finished := map[string]int{"a": 40, "b": 10, "c": 30, "d": 10, "e": 20, "f": 30, "g": 50}
-	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g"} {
-		status := Completed
-		if id == "d" || id == "f" {
-			status = Expired
-		}
-		rec := Record{Task: testTask(id, time.Minute), Status: status,
-			FinishedAt: clock.Epoch.Add(time.Duration(finished[id]) * time.Second)}
-		if err := m.Restore(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clk.Advance(2 * time.Minute)
-	var forgot []string
-	m.SetSink(func(ev Event) {
-		if ev.Kind != EvForget {
-			t.Errorf("unexpected event kind %d", ev.Kind)
-		}
-		forgot = append(forgot, ev.Record.Task.ID)
-	})
-	if n := m.ForgetTerminatedBefore(clock.Epoch.Add(30 * time.Second)); n != 3 {
-		t.Fatalf("removed %d, want 3 (cutoff is exclusive)", n)
-	}
-	if n := m.ForgetTerminatedBefore(clock.Epoch.Add(41 * time.Second)); n != 3 {
-		t.Fatalf("second pass removed %d, want 3", n)
-	}
-	if want := []string{"b", "d", "e", "c", "f", "a"}; !reflect.DeepEqual(forgot, want) {
-		t.Fatalf("forget order = %v, want %v", forgot, want)
-	}
-	if _, _, c, e := m.Counts(); c != 1 || e != 0 {
-		t.Fatalf("left completed=%d expired=%d, want 1/0", c, e)
-	}
-	if _, ok := m.Get("g"); !ok {
-		t.Fatal("record past the cutoff was dropped")
-	}
-}
-
-// BenchmarkLifecycle times Submit+Assign+Complete of one task on a manager
-// already retaining 20 000 terminal records: the point operations pay for
-// the status indexes here, the periodic passes collect.
-func BenchmarkLifecycle(b *testing.B) {
-	m := NewManager(clock.System{})
-	deadline := clock.System{}.Now().Add(time.Hour)
-	ids := make([]string, 20000+b.N)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("t%07d", i)
-	}
-	run := func(ids []string) {
-		for _, id := range ids {
-			if err := m.Submit(Task{ID: id, Deadline: deadline}); err != nil {
-				b.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		clk := clock.NewVirtual(clock.Epoch)
+		eng := engine.New(engine.Config{Clock: clk, Shards: shards}, engine.Hooks{})
+		m := eng.Tasks()
+		finished := map[string]int{"a": 40, "b": 10, "c": 30, "d": 10, "e": 20, "f": 30, "g": 50}
+		for _, id := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+			status := Completed
+			if id == "d" || id == "f" {
+				status = Expired
 			}
-			if err := m.Assign(id, "w"); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := m.Complete(id, ""); err != nil {
-				b.Fatal(err)
+			rec := Record{Task: testTask(id, time.Minute), Status: status,
+				FinishedAt: clock.Epoch.Add(time.Duration(finished[id]) * time.Second)}
+			if err := m.Restore(rec); err != nil {
+				t.Fatal(err)
 			}
 		}
+		clk.Advance(2 * time.Minute)
+		var forgot []string
+		eng.Events().Tap(func(ev event.Event) {
+			if ev.Kind != event.KindForget {
+				t.Errorf("unexpected event kind %v", ev.Kind)
+			}
+			forgot = append(forgot, ev.Task)
+		})
+		if n := m.ForgetTerminatedBefore(clock.Epoch.Add(30 * time.Second)); n != 3 {
+			t.Fatalf("%d shards: removed %d, want 3 (cutoff is exclusive)", shards, n)
+		}
+		if n := m.ForgetTerminatedBefore(clock.Epoch.Add(41 * time.Second)); n != 3 {
+			t.Fatalf("%d shards: second pass removed %d, want 3", shards, n)
+		}
+		// Oldest first, ties by id, shard by shard within each pass.
+		ref := &refManager{shards: shards}
+		first := []*Record{{Task: Task{ID: "b"}}, {Task: Task{ID: "d"}}, {Task: Task{ID: "e"}}}
+		second := []*Record{{Task: Task{ID: "c"}}, {Task: Task{ID: "f"}}, {Task: Task{ID: "a"}}}
+		ref.byShard(first)
+		ref.byShard(second)
+		var want []string
+		for _, r := range append(first, second...) {
+			want = append(want, r.Task.ID)
+		}
+		if !reflect.DeepEqual(forgot, want) {
+			t.Fatalf("%d shards: forget order = %v, want %v", shards, forgot, want)
+		}
+		if _, _, c, e := m.Counts(); c != 1 || e != 0 {
+			t.Fatalf("%d shards: left completed=%d expired=%d, want 1/0", shards, c, e)
+		}
+		if _, ok := m.Get("g"); !ok {
+			t.Fatalf("%d shards: record past the cutoff was dropped", shards)
+		}
 	}
-	run(ids[:20000])
-	b.ReportAllocs()
-	b.ResetTimer()
-	run(ids[20000:])
 }

@@ -1,4 +1,6 @@
-package taskq
+// The tests of this package drive engine.TaskStore, the registry that
+// keeps taskq's records, through the vocabulary defined here.
+package taskq_test
 
 import (
 	"errors"
@@ -10,12 +12,17 @@ import (
 	"time"
 
 	"react/internal/clock"
+	"react/internal/engine"
+	"react/internal/event"
 	"react/internal/region"
+	. "react/internal/taskq"
 )
 
-func newTestManager() (*Manager, *clock.Virtual) {
+// newTestManager returns a four-shard store: every snapshot order and
+// count asserted below is the same at any shard count.
+func newTestManager() (*engine.TaskStore, *clock.Virtual) {
 	clk := clock.NewVirtual(clock.Epoch)
-	return NewManager(clk), clk
+	return engine.NewTaskStore(clk, 4), clk
 }
 
 func testTask(id string, deadline time.Duration) Task {
@@ -82,7 +89,7 @@ func TestAssignCompleteLifecycle(t *testing.T) {
 		t.Fatalf("record after assign: %+v", r)
 	}
 	clk.Advance(15 * time.Second)
-	rec, err := m.Complete("t1", "")
+	rec, err := m.Complete("t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +109,7 @@ func TestCompleteAfterDeadlineMisses(t *testing.T) {
 	m.Submit(testTask("t1", 30*time.Second))
 	m.Assign("t1", "bob")
 	clk.Advance(45 * time.Second)
-	rec, err := m.Complete("t1", "")
+	rec, err := m.Complete("t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +124,7 @@ func TestStateMachineRejections(t *testing.T) {
 	if err := m.Unassign("t1", CauseWorker, 0); !errors.Is(err, ErrBadState) {
 		t.Fatalf("unassign unassigned err = %v", err)
 	}
-	if _, err := m.Complete("t1", ""); !errors.Is(err, ErrBadState) {
+	if _, err := m.Complete("t1"); !errors.Is(err, ErrBadState) {
 		t.Fatalf("complete unassigned err = %v", err)
 	}
 	if err := m.Assign("nope", "w"); !errors.Is(err, ErrUnknownTask) {
@@ -127,7 +134,7 @@ func TestStateMachineRejections(t *testing.T) {
 	if err := m.Assign("t1", "w2"); !errors.Is(err, ErrBadState) {
 		t.Fatalf("double assign err = %v", err)
 	}
-	m.Complete("t1", "")
+	m.Complete("t1")
 	if err := m.Unassign("t1", CauseWorker, 0); !errors.Is(err, ErrBadState) {
 		t.Fatalf("unassign completed err = %v", err)
 	}
@@ -137,14 +144,15 @@ func TestStateMachineRejections(t *testing.T) {
 // holder — a revoked worker answering after its task was rebound — is
 // refused without touching the binding or emitting an event.
 func TestCompleteChecksHolder(t *testing.T) {
-	m, _ := newTestManager()
-	var events []Event
-	m.SetSink(func(ev Event) { events = append(events, ev) })
+	eng := engine.New(engine.Config{Clock: clock.NewVirtual(clock.Epoch), Shards: 4}, engine.Hooks{})
+	m := eng.Tasks()
+	var events []event.Event
+	eng.Events().Tap(func(ev event.Event) { events = append(events, ev) })
 	m.Submit(testTask("t1", time.Minute))
 	m.Assign("t1", "bob")
 	before := len(events)
-	if _, err := m.Complete("t1", "alice"); !errors.Is(err, ErrBadState) {
-		t.Fatalf("non-holder complete err = %v, want ErrBadState", err)
+	if _, _, err := eng.Complete("t1", "alice", ""); !errors.Is(err, engine.ErrNotAssigned) {
+		t.Fatalf("non-holder complete err = %v, want ErrNotAssigned", err)
 	}
 	if r, _ := m.Get("t1"); r.Status != Assigned || r.Worker != "bob" {
 		t.Fatalf("record after refused complete: %+v", r)
@@ -152,7 +160,7 @@ func TestCompleteChecksHolder(t *testing.T) {
 	if len(events) != before {
 		t.Fatalf("refused complete emitted %d events", len(events)-before)
 	}
-	rec, err := m.Complete("t1", "bob")
+	_, rec, err := eng.Complete("t1", "bob", "")
 	if err != nil || rec.Status != Completed || rec.Worker != "bob" {
 		t.Fatalf("holder complete = %+v, %v", rec, err)
 	}
@@ -269,7 +277,7 @@ func TestConcurrentSubmitAssign(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := m.Complete(id, ""); err != nil {
+				if _, err := m.Complete(id); err != nil {
 					t.Error(err)
 					return
 				}
@@ -303,7 +311,7 @@ func TestExpireUnassignedLeavesAssignedRunning(t *testing.T) {
 		t.Fatalf("expired = %+v", expired)
 	}
 	// The assigned task is still running and completes late.
-	rec, err := m.Complete("running", "")
+	rec, err := m.Complete("running")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +330,11 @@ func TestForgetTerminatedBefore(t *testing.T) {
 	m.Submit(testTask("old", 10*time.Minute))
 	m.Assign("old", "w")
 	clk.Advance(10 * time.Second)
-	m.Complete("old", "")
+	m.Complete("old")
 	m.Submit(testTask("recent", 10*time.Minute))
 	m.Assign("recent", "w")
 	clk.Advance(time.Minute)
-	m.Complete("recent", "")
+	m.Complete("recent")
 	m.Submit(testTask("live", 10*time.Minute))
 	m.Assign("live", "w")
 
@@ -358,7 +366,7 @@ func TestForgetTerminatedBefore(t *testing.T) {
 func TestQuickCountsStayConsistent(t *testing.T) {
 	f := func(ops []uint8) bool {
 		clk := clock.NewVirtual(clock.Epoch)
-		m := NewManager(clk)
+		m := engine.NewTaskStore(clk, 4)
 		next := 0
 		ids := []string{}
 		for _, op := range ops {
@@ -379,7 +387,7 @@ func TestQuickCountsStayConsistent(t *testing.T) {
 				}
 			case 3:
 				if len(ids) > 0 {
-					m.Complete(ids[int(op)%len(ids)], "")
+					m.Complete(ids[int(op)%len(ids)])
 				}
 			case 4:
 				clk.Advance(time.Duration(op) * time.Second)
@@ -420,7 +428,7 @@ func TestMarkGradedOnce(t *testing.T) {
 		t.Fatalf("grade before completion err = %v", err)
 	}
 	m.Assign("t1", "w")
-	m.Complete("t1", "")
+	m.Complete("t1")
 	if err := m.MarkGraded("t1"); err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +445,10 @@ func TestMarkGradedOnce(t *testing.T) {
 }
 
 func TestUnassignedHighWater(t *testing.T) {
-	m, _ := newTestManager()
-	if hw := m.UnassignedHighWater(); hw != 0 {
+	// The mark is per shard; one shard holds the whole backlog here.
+	m := engine.NewTaskStore(clock.NewVirtual(clock.Epoch), 1)
+	highWater := func() int { return m.ShardStats()[0].UnassignedHighWater }
+	if hw := highWater(); hw != 0 {
 		t.Fatalf("fresh manager high-water = %d, want 0", hw)
 	}
 	for i := 0; i < 3; i++ {
@@ -446,7 +456,7 @@ func TestUnassignedHighWater(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hw := m.UnassignedHighWater(); hw != 3 {
+	if hw := highWater(); hw != 3 {
 		t.Fatalf("high-water after 3 submissions = %d, want 3", hw)
 	}
 	// Draining the backlog must not lower the mark.
@@ -455,7 +465,7 @@ func TestUnassignedHighWater(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hw := m.UnassignedHighWater(); hw != 3 {
+	if hw := highWater(); hw != 3 {
 		t.Fatalf("high-water after drain = %d, want 3", hw)
 	}
 	// A return to the pool counts toward a new peak: 2 in pool < 3, then
@@ -468,7 +478,7 @@ func TestUnassignedHighWater(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hw := m.UnassignedHighWater(); hw != 4 {
+	if hw := highWater(); hw != 4 {
 		t.Fatalf("high-water after refill = %d, want 4", hw)
 	}
 }
