@@ -93,21 +93,18 @@ recovery:
 # Two same-seed simulation runs must produce byte-identical reports —
 # the reproducibility property the linter exists to protect. Figures
 # 3/4 are excluded: they measure real matcher wall time by design.
-# Figure 5 is additionally diffed against a checked-in golden file so
-# refactors of the scheduling path can't silently shift the numbers, and
-# so is the -losses table (the ledger's miss attribution).
+# Each figure is additionally diffed against a checked-in golden file
+# (testdata/golden_fig<N>_seed7.txt) so refactors of the scheduling path
+# can't silently shift the numbers, and so is the -losses table (the
+# ledger's miss attribution).
 determinism:
 	$(GO) build -o /tmp/reactsim-determinism ./cmd/reactsim
 	@for fig in 5 6 7 8 9 10; do \
 		/tmp/reactsim-determinism -fig $$fig -quick -seed 7 > /tmp/reactsim-det-a || exit 1; \
 		/tmp/reactsim-determinism -fig $$fig -quick -seed 7 > /tmp/reactsim-det-b || exit 1; \
 		cmp /tmp/reactsim-det-a /tmp/reactsim-det-b || { echo "fig $$fig NOT deterministic"; exit 1; }; \
-		if [ $$fig = 5 ]; then \
-			cmp /tmp/reactsim-det-a testdata/golden_fig5_seed7.txt || { echo "fig 5 DIVERGES from testdata/golden_fig5_seed7.txt"; exit 1; }; \
-			echo "fig 5: byte-identical + matches golden"; \
-		else \
-			echo "fig $$fig: byte-identical"; \
-		fi; \
+		cmp /tmp/reactsim-det-a testdata/golden_fig$${fig}_seed7.txt || { echo "fig $$fig DIVERGES from testdata/golden_fig$${fig}_seed7.txt"; exit 1; }; \
+		echo "fig $$fig: byte-identical + matches golden"; \
 	done
 	@/tmp/reactsim-determinism -losses -quick -seed 7 | cmp - testdata/golden_losses_seed7.txt || { \
 		echo "losses table DIVERGES from testdata/golden_losses_seed7.txt"; exit 1; }

@@ -27,7 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"math/rand"
 	"os"
 	"time"
@@ -49,14 +49,14 @@ func main() {
 	// port is busy or firewalled.
 	if cmd == "top" {
 		if err := runTop(args); err != nil {
-			log.Fatalf("reactctl: %v", err)
+			fatal("reactctl: top", "err", err)
 		}
 		return
 	}
 
 	client, err := wire.Dial(*addr)
 	if err != nil {
-		log.Fatalf("reactctl: dial %s: %v", *addr, err)
+		fatal("reactctl: dial", "addr", *addr, "err", err)
 	}
 	defer client.Close()
 
@@ -80,8 +80,14 @@ func main() {
 	}
 	if err != nil {
 		client.Close()
-		log.Fatalf("reactctl: %v", err)
+		fatal("reactctl: "+cmd, "err", err)
 	}
+}
+
+// fatal logs msg with its attributes and exits 1.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
 }
 
 func usage() {
@@ -186,19 +192,19 @@ func runWork(c *wire.Client, args []string) error {
 	if err := c.Register(*id, *lat, *lon); err != nil {
 		return err
 	}
-	log.Printf("worker %s online; waiting for assignments", *id)
+	slog.Info("worker online; waiting for assignments", "worker", *id)
 	rng := rand.New(rand.NewSource(*seed))
 	for a := range c.Assignments() {
 		exec := b.ExecTime(rng)
-		log.Printf("assigned %s (%s, %.0fs left) — working %v",
-			a.TaskID, a.Category, float64(a.DeadlineMS)/1000, exec)
+		slog.Info("assigned", "task", a.TaskID, "category", a.Category,
+			"left", time.Duration(a.DeadlineMS)*time.Millisecond, "working", exec)
 		time.Sleep(exec)
 		answer := fmt.Sprintf("answer to %q from %s", a.Description, *id)
 		if err := c.Complete(a.TaskID, *id, answer); err != nil {
-			log.Printf("complete %s: %v (likely reassigned)", a.TaskID, err)
+			slog.Warn("complete refused (likely reassigned)", "task", a.TaskID, "err", err)
 			continue
 		}
-		log.Printf("completed %s", a.TaskID)
+		slog.Info("completed", "task", a.TaskID)
 	}
 	// The assignment stream only closes when the connection dies; a worker
 	// that stops serving by accident must not report success.
@@ -216,9 +222,9 @@ func runTail(c *wire.Client, args []string) error {
 		return err
 	}
 	if *id != "" {
-		log.Printf("tailing task %s (exits at its terminal event)", *id)
+		slog.Info("tailing task (exits at its terminal event)", "task", *id)
 	} else {
-		log.Print("tailing all lifecycle events (ctrl-c to stop)")
+		slog.Info("tailing all lifecycle events (ctrl-c to stop)")
 	}
 	fmt.Printf("%-8s %-21s %-9s %-16s %-12s %s\n",
 		"seq", "at", "kind", "task", "worker", "detail")
@@ -251,7 +257,7 @@ func runWatch(c *wire.Client) error {
 	if err := c.Watch(); err != nil {
 		return err
 	}
-	log.Print("watching results (ctrl-c to stop)")
+	slog.Info("watching results (ctrl-c to stop)")
 	feedbackErrs := 0
 	for r := range c.Results() {
 		switch {
@@ -260,13 +266,13 @@ func runWatch(c *wire.Client) error {
 		case r.MetDeadline:
 			fmt.Printf("ON-TIME  %s by %s: %s\n", r.TaskID, r.WorkerID, r.Answer)
 			if err := c.Feedback(r.TaskID, true); err != nil {
-				log.Printf("feedback %s: %v", r.TaskID, err)
+				slog.Warn("feedback refused", "task", r.TaskID, "err", err)
 				feedbackErrs++
 			}
 		default:
 			fmt.Printf("LATE     %s by %s: %s\n", r.TaskID, r.WorkerID, r.Answer)
 			if err := c.Feedback(r.TaskID, false); err != nil {
-				log.Printf("feedback %s: %v", r.TaskID, err)
+				slog.Warn("feedback refused", "task", r.TaskID, "err", err)
 				feedbackErrs++
 			}
 		}

@@ -68,8 +68,8 @@ func render(st obs.Status) {
 	fmt.Printf("reactd at %s, up %s\n", st.Now, time.Duration(st.UptimeSeconds*float64(time.Second)).Round(time.Second))
 	for _, r := range st.Regions {
 		e := r.Engine
-		fmt.Printf("\nregion %s: workers %d online / %d known, backlog %d, retained %d\n",
-			r.ID, r.WorkersOnline, r.WorkersKnown, r.TasksBacklog, r.TasksRetained)
+		fmt.Printf("\nregion %s: workers %d online / %d known, backlog %d (peak %d), retained %d\n",
+			r.ID, r.WorkersOnline, r.WorkersKnown, r.TasksBacklog, r.TasksBacklogHighWater, r.TasksRetained)
 		fmt.Printf("  received %d  assigned %d  completed %d  on-time %d  expired %d  reassigned %d\n",
 			e.Received, e.Assigned, e.Completed, e.OnTime, e.Expired, e.Reassigned)
 		fmt.Printf("  batches %d  matcher %.3fs total\n", e.Batches, e.MatcherTimeSeconds)
@@ -85,14 +85,6 @@ func render(st obs.Status) {
 				a.Admitted, a.RejectedProbability, a.RejectedRate, a.Shed)
 			for _, b := range a.Buckets {
 				fmt.Printf("  admission: bucket %-12s %.1f/%.1f tokens\n", b.Requester, b.Fill, b.Burst)
-			}
-		}
-
-		if len(r.Shards) > 0 {
-			fmt.Printf("  %-6s %-11s %-9s %-9s %s\n", "shard", "unassigned", "assigned", "terminal", "highwater")
-			for _, s := range r.Shards {
-				fmt.Printf("  %-6d %-11d %-9d %-9d %d\n",
-					s.Shard, s.Unassigned, s.Assigned, s.Terminal, s.UnassignedHighWater)
 			}
 		}
 

@@ -106,7 +106,6 @@ func main() {
 	grid := flag.String("grid", "", "multi-region mode: \"RxC\" decomposition of -area (e.g. 2x2); empty = single region")
 	area := flag.String("area", "37.8,23.5,38.2,24.0", "geographic area as minLat,minLon,maxLat,maxLon (multi-region mode)")
 	idleTimeout := flag.Duration("idle-timeout", wire.DefaultIdleTimeout, "drop connections silent for this long (0 disables); clients keepalive-ping well under it")
-	shards := flag.Int("shards", 0, "task-bookkeeping stripes in the scheduling engine (0 = GOMAXPROCS)")
 	httpAddr := flag.String("http", "", "observability plane listen address (e.g. :9090); empty disables /metrics, /statusz, /debug/pprof")
 	traceCap := flag.Int("trace-cap", 65536, "lifecycle events retained for /trace.csv (0 disables; needs -http)")
 	admissionOn := flag.Bool("admission", false, "enable deadline-aware admission control and overload shedding (docs/ADMISSION.md)")
@@ -140,7 +139,6 @@ func main() {
 		Matcher:       matcher,
 		MonitorPeriod: *monitorPeriod,
 		Retention:     *retention,
-		Shards:        *shards,
 		Schedule: schedule.Config{
 			BatchBound:    *batchBound,
 			BatchPeriod:   *batchPeriod,
@@ -279,7 +277,7 @@ func serveGrid(addr, gridSpec, areaSpec string, cfg engine.Config, ow *obsWiring
 func sources(rs []*wire.Region) []obs.Source {
 	out := make([]obs.Source, len(rs))
 	for i, r := range rs {
-		out[i] = obs.Source{ID: r.ID, Engine: r.Engine(), Admission: r.Admission()}
+		out[i] = obs.Source{ID: r.ID, Engine: r.Engine()}
 	}
 	return out
 }

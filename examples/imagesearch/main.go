@@ -34,14 +34,14 @@ func main() {
 	// Each validator's assignments arrive on its own channel (one slot: a
 	// busy worker is offered nothing more); every channel exists before
 	// Start, so the rounds only ever read the map.
-	feeds := map[string]chan engine.Assignment{}
+	feeds := map[string]chan taskq.Record{}
 	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 2, BatchPeriod: 30 * time.Millisecond},
-	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+	}, engine.Hooks{Deliver: func(rec taskq.Record) bool {
 		select {
-		case feeds[a.WorkerID] <- a:
+		case feeds[rec.Worker] <- rec:
 			return true
 		default:
 			return false
@@ -55,7 +55,7 @@ func main() {
 	for i := 0; i < 12; i++ {
 		id := fmt.Sprintf("validator-%02d", i)
 		careful := i < 9
-		feed := make(chan engine.Assignment, 1)
+		feed := make(chan taskq.Record, 1)
 		feeds[id] = feed
 		if _, err := eng.AttachWorker(id, loc); err != nil {
 			log.Fatal(err)
@@ -66,11 +66,11 @@ func main() {
 		wg.Add(1)
 		go func(id string, careful bool) {
 			defer wg.Done()
-			for a := range feed {
+			for rec := range feed {
 				time.Sleep(time.Duration(20+rng.Intn(80)) * time.Millisecond)
 				// Ground truth is encoded in the task description; careful
 				// workers read it, sloppy ones often guess.
-				vote := strings.Contains(a.Description, "[match]")
+				vote := strings.Contains(rec.Task.Description, "[match]")
 				p := 0.9
 				if !careful {
 					p = 0.55
@@ -82,16 +82,16 @@ func main() {
 				if vote {
 					answer = "yes"
 				}
-				r, _, err := eng.Complete(a.TaskID, id, answer)
+				final, err := eng.Complete(rec.Task.ID, id)
 				if err != nil {
 					continue
 				}
-				eng.Feedback(a.TaskID, true)
-				if !r.MetDeadline {
+				eng.Feedback(rec.Task.ID, true)
+				if !final.MetDeadline() {
 					continue // late answers don't make it into the vote
 				}
-				if err := votes.Vote(r.TaskID, r.Answer); err != nil {
-					log.Printf("stray result %s: %v", r.TaskID, err)
+				if err := votes.Vote(rec.Task.ID, answer); err != nil {
+					log.Printf("stray result %s: %v", rec.Task.ID, err)
 				}
 			}
 		}(id, careful)

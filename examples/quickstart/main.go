@@ -24,14 +24,14 @@ func main() {
 	// done, so one slot is enough; a refused delivery would put the task
 	// back in the pool. The loops are snappy: quickstart tasks live for
 	// seconds, not minutes.
-	feeds := map[string]chan engine.Assignment{}
+	feeds := map[string]chan taskq.Record{}
 	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 50 * time.Millisecond,
 		Schedule:      schedule.Config{BatchBound: 3, BatchPeriod: 50 * time.Millisecond},
-	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+	}, engine.Hooks{Deliver: func(rec taskq.Record) bool {
 		select {
-		case feeds[a.WorkerID] <- a:
+		case feeds[rec.Worker] <- rec:
 			return true
 		default:
 			return false
@@ -48,7 +48,7 @@ func main() {
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("worker-%d", i)
 		speed := time.Duration(20+30*i) * time.Millisecond
-		feed := make(chan engine.Assignment, 1)
+		feed := make(chan taskq.Record, 1)
 		feeds[id] = feed
 		if _, err := eng.AttachWorker(id, athens); err != nil {
 			log.Fatal(err)
@@ -56,14 +56,13 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for a := range feed {
+			for rec := range feed {
 				time.Sleep(speed)
-				answer := fmt.Sprintf("done by %s", a.WorkerID)
-				if _, _, err := eng.Complete(a.TaskID, a.WorkerID, answer); err == nil {
+				if _, err := eng.Complete(rec.Task.ID, rec.Worker); err == nil {
 					completed.Add(1)
 					// The requester grades timely work positively, which
 					// feeds the Eq. 1 quality weights for future batches.
-					eng.Feedback(a.TaskID, true)
+					eng.Feedback(rec.Task.ID, true)
 				}
 			}
 		}()

@@ -33,7 +33,7 @@ func main() {
 	// Each commuter's assignments arrive on its own channel (one slot: a
 	// busy worker is offered nothing more); every channel exists before
 	// Start, so the rounds only ever read the map.
-	feeds := map[string]chan engine.Assignment{}
+	feeds := map[string]chan taskq.Record{}
 	eng := engine.New(engine.Config{
 		BatchPoll:     10 * time.Millisecond,
 		MonitorPeriod: 100 * time.Millisecond,
@@ -42,9 +42,9 @@ func main() {
 			BatchBound:  4,
 			BatchPeriod: 50 * time.Millisecond,
 		},
-	}, engine.Hooks{Deliver: func(a engine.Assignment) bool {
+	}, engine.Hooks{Deliver: func(rec taskq.Record) bool {
 		select {
-		case feeds[a.WorkerID] <- a:
+		case feeds[rec.Worker] <- rec:
 			return true
 		default:
 			return false
@@ -64,7 +64,7 @@ func main() {
 		id := fmt.Sprintf("commuter-%02d", i)
 		loc := athens.RandomPoint(rng)
 		workerLoc[id] = loc
-		feed := make(chan engine.Assignment, 1)
+		feed := make(chan taskq.Record, 1)
 		feeds[id] = feed
 		p, err := eng.AttachWorker(id, loc)
 		if err != nil {
@@ -79,10 +79,10 @@ func main() {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			for a := range feed {
+			for rec := range feed {
 				time.Sleep(time.Duration(10+pace.Intn(30)) * time.Millisecond)
-				if _, _, err := eng.Complete(a.TaskID, id, "light traffic"); err == nil {
-					eng.Feedback(a.TaskID, true)
+				if _, err := eng.Complete(rec.Task.ID, id); err == nil {
+					eng.Feedback(rec.Task.ID, true)
 				}
 			}
 		}(id)

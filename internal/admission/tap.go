@@ -7,7 +7,7 @@ import "react/internal/event"
 // fitter behind the probability gate — from the same lossless,
 // per-task-ordered stream the journal trusts.
 //
-// Taps run under the task store's shard locks: this must stay fast, must
+// Taps run under the task store's lock: this must stay fast, must
 // not block, and must not call back into the engine. It is a no-op except
 // on completions, which take one short mutex hold to fold the sample into
 // the fitter.

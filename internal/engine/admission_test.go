@@ -21,7 +21,6 @@ func newGated(acfg admission.Config) (*Engine, *clock.Virtual, *[]event.Event) {
 		Clock:     clk,
 		Matcher:   matching.Greedy{},
 		Schedule:  schedule.Config{BatchBound: 1, BatchPeriod: time.Second},
-		Shards:    2,
 		Admission: &acfg,
 	}, Hooks{})
 	var seen []event.Event
@@ -120,7 +119,7 @@ func TestSubmitFromRunsGates(t *testing.T) {
 	// Probability: w1's 10 s completion warms the fleet model, after which
 	// a 100 ms deadline is hopeless and an hour is not.
 	clk.Advance(10 * time.Second)
-	if _, _, err := e.Complete("a1", "w1", "ok"); err != nil {
+	if _, err := e.Complete("a1", "w1"); err != nil {
 		t.Fatal(err)
 	}
 	hopeless := testTask("d1", clk)
@@ -136,7 +135,7 @@ func TestSubmitFromRunsGates(t *testing.T) {
 	}
 
 	// Without a plane SubmitFrom admits everything and Tick sheds nothing.
-	bare := New(Config{Clock: clk, Shards: 1}, Hooks{})
+	bare := New(Config{Clock: clk}, Hooks{})
 	if bare.Admission() != nil {
 		t.Fatal("engine without Config.Admission has a controller")
 	}
@@ -181,7 +180,7 @@ func TestAdmissionReadsTheEnginesLedger(t *testing.T) {
 	e.Tick() // rebinds one task; the shedder arms on what still waits
 	check("reassign")
 	held, _ := e.Workers().Get("w1")
-	if _, _, err := e.Complete(held.CurrentTask(), "w1", "ok"); err != nil {
+	if _, err := e.Complete(held.CurrentTask(), "w1"); err != nil {
 		t.Fatal(err)
 	}
 	check("complete")

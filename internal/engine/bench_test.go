@@ -8,14 +8,14 @@ import (
 	"react/internal/clock"
 )
 
-// tickEngine builds a two-shard engine with a retention window, holding
+// tickEngine builds an engine with a retention window, holding
 // `live` tasks in workers' hands and `terminal` completed records inside
 // the window, none of them due for anything: the state a maintenance tick
 // finds almost every time it runs.
 func tickEngine(tb testing.TB, live, terminal int) *Engine {
 	tb.Helper()
 	clk := clock.NewVirtual(testEpoch)
-	eng := New(Config{Clock: clk, Shards: 2, Retention: time.Hour}, Hooks{})
+	eng := New(Config{Clock: clk, Retention: time.Hour}, Hooks{})
 	for i := 0; i < live+terminal; i++ {
 		task := testTask(fmt.Sprintf("t%05d", i), clk)
 		if err := eng.Submit(task); err != nil {

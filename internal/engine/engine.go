@@ -25,18 +25,15 @@
 // against a pre-refactor golden series in testdata/) is the proof both
 // drive modes execute one logic.
 //
-// Task bookkeeping is striped across Config.Shards shards (see
-// TaskStore), so completions, feedback and submissions arriving
-// concurrently contend on one stripe's lock, not on a global one or on a
-// running batch. The lifecycle counters are not the engine's: an
-// event.Ledger folds them from the spine (see Stats). The maintenance
-// ticks cost what is live or due — docs/ENGINE.md, "What a tick costs".
+// Task bookkeeping is one registry under one lock (see TaskStore). The
+// lifecycle counters are not the engine's: an event.Ledger folds them
+// from the spine (see Stats). The maintenance ticks cost what is live or
+// due — docs/ENGINE.md, "What a tick costs".
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,40 +49,18 @@ import (
 	"react/internal/taskq"
 )
 
-// Assignment is the notification a worker receives when the scheduler binds
-// a task to them.
-type Assignment struct {
-	TaskID      string
-	WorkerID    string
-	Category    string
-	Description string
-	Location    region.Point
-	Deadline    time.Time
-	Reward      float64
-	AssignedAt  time.Time // instant the binding was applied (staleness checks)
-}
-
-// Result is delivered to the requester side when a task terminates.
-type Result struct {
-	TaskID      string
-	WorkerID    string // "" when the task expired unassigned
-	Answer      string
-	FinishedAt  time.Time
-	MetDeadline bool
-	Expired     bool
-}
-
 // Hooks is the engine's transport seam. Observation moved to the event
 // spine (Events); the only hook left is the delivery path, which is
 // load-bearing — its return value decides whether a binding sticks.
 type Hooks struct {
-	// Deliver hands a freshly applied assignment to the transport. Returning
-	// false (no route to the worker, or its connection has failed) makes the
-	// engine revoke the binding: the task returns to the pool and the worker
-	// is marked idle.
+	// Deliver hands the record of a freshly applied binding — its Task,
+	// Worker and AssignedAt — to the transport. Returning false (no route
+	// to the worker, or its connection has failed) makes the engine revoke
+	// the binding: the task returns to the pool and the worker is marked
+	// idle.
 	// A nil Deliver accepts every assignment. Deliver is invoked with no
 	// engine lock held and must not re-enter TryBatch.
-	Deliver func(Assignment) bool
+	Deliver func(taskq.Record) bool
 }
 
 // Config parameterizes an Engine. Zero fields take the paper's defaults.
@@ -94,9 +69,9 @@ type Config struct {
 	Matcher  matching.Matcher // default REACT with adaptive cycles
 	Schedule schedule.Config  // batching, pruning, weights
 	Monitor  Monitor          // Eq. 2 reassignment policy
-	// Shards stripes the task bookkeeping; default GOMAXPROCS. The stripe
-	// count never changes observable behaviour (snapshots sort globally),
-	// only lock contention.
+	// Shards is read by no code. It is kept only so that the benchmark
+	// module, which names it, still compiles (ROADMAP item 8): the task
+	// store is one registry under one lock.
 	Shards int
 	// Retention bounds how long terminal task records are kept for late
 	// Feedback. Zero keeps everything.
@@ -145,9 +120,6 @@ func (c Config) normalize() Config {
 	}
 	c.Schedule = c.Schedule.Normalize()
 	c.Monitor = c.Monitor.Normalize()
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -215,7 +187,7 @@ func New(cfg Config, hooks Hooks) *Engine {
 		cfg:     cfg,
 		hooks:   hooks,
 		workers: profile.NewRegistry(),
-		tasks:   newTaskStore(cfg.Clock, cfg.Shards, bus),
+		tasks:   newTaskStore(cfg.Clock, bus),
 		bus:     bus,
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 		stop:    make(chan struct{}),
@@ -243,11 +215,11 @@ func New(cfg Config, hooks Hooks) *Engine {
 // Workers exposes the profiling component.
 func (e *Engine) Workers() *profile.Registry { return e.workers }
 
-// Tasks exposes the sharded task-management component.
+// Tasks exposes the task-management component.
 func (e *Engine) Tasks() *TaskStore { return e.tasks }
 
-// Events exposes the lifecycle event spine. Taps run under the shard
-// locks (lossless, ordered); subscriptions are bounded and lossy. See
+// Events exposes the lifecycle event spine. Taps run under the store
+// lock (lossless, ordered); subscriptions are bounded and lossy. See
 // the event package contract before choosing.
 func (e *Engine) Events() *event.Bus { return e.bus }
 
@@ -345,33 +317,26 @@ func (e *Engine) DeregisterWorker(id string) error {
 	return nil
 }
 
-// Complete records a worker's answer for a task it holds. The execution
-// time feeds the worker's power-law model through the spine's complete
-// event (profile.Registry.Observe); the accuracy update waits for
-// requester Feedback. The final task record is returned alongside
-// the requester-facing result for callers that need the full bookkeeping
-// (attempts, timings). The holder is checked under the shard lock that
-// finishes the task, so a revoked worker's late answer fails with
-// ErrNotAssigned even if the task was rebound in the meantime.
-func (e *Engine) Complete(taskID, workerID, answer string) (Result, taskq.Record, error) {
+// Complete records that a worker finished a task it holds and returns the
+// final record (attempts, timings; MetDeadline says whether it beat the
+// deadline). The execution time feeds the worker's power-law model
+// through the spine's complete event (profile.Registry.Observe); the
+// accuracy update waits for requester Feedback. The holder is checked
+// under the store lock that finishes the task, so a revoked worker's late
+// answer fails with ErrNotAssigned even if the task was rebound in the
+// meantime.
+func (e *Engine) Complete(taskID, workerID string) (taskq.Record, error) {
 	final, err := e.tasks.complete(taskID, workerID)
 	if errors.Is(err, taskq.ErrBadState) {
-		return Result{}, taskq.Record{}, fmt.Errorf("%w: %v", ErrNotAssigned, err)
+		return taskq.Record{}, fmt.Errorf("%w: %v", ErrNotAssigned, err)
 	}
 	if err != nil {
-		return Result{}, taskq.Record{}, err
+		return taskq.Record{}, err
 	}
 	if p, ok := e.workers.Get(workerID); ok {
 		e.release(taskID, p, "", 0)
 	}
-	res := Result{
-		TaskID:      taskID,
-		WorkerID:    workerID,
-		Answer:      answer,
-		FinishedAt:  final.FinishedAt,
-		MetDeadline: final.MetDeadline(),
-	}
-	return res, final, nil
+	return final, nil
 }
 
 // Feedback records the requester's verdict on a completed task and
@@ -588,27 +553,16 @@ func (e *Engine) applyAssignments(bindings []binding) {
 		if !ok || !p.Available() {
 			continue // worker detached after the snapshot
 		}
-		if err := e.tasks.Assign(b.taskID, b.workerID); err != nil {
+		rec, err := e.tasks.assign(b.taskID, b.workerID)
+		if err != nil {
 			continue // expired or re-bound while the matcher ran
-		}
-		rec, _ := e.tasks.Get(b.taskID)
-		t := rec.Task
-		a := Assignment{
-			TaskID:      b.taskID,
-			WorkerID:    b.workerID,
-			Category:    t.Category,
-			Description: t.Description,
-			Location:    t.Location,
-			Deadline:    t.Deadline,
-			Reward:      t.Reward,
-			AssignedAt:  rec.AssignedAt,
 		}
 		// Mark busy BEFORE the assignment becomes visible to the transport:
 		// a fast worker may Complete the task (and clear the busy mark)
 		// before this call returns, and marking busy afterwards would wedge
 		// the worker permanently.
 		p.MarkBusy(b.taskID)
-		if e.hooks.Deliver != nil && !e.hooks.Deliver(a) {
+		if e.hooks.Deliver != nil && !e.hooks.Deliver(rec) {
 			// Transport refused (worker detached mid-delivery, connection
 			// failed): revoke, which uncounts the assignment.
 			e.release(b.taskID, p, taskq.CauseUndeliverable, 0)

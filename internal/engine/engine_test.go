@@ -36,14 +36,13 @@ type harness struct {
 	pending []func(now time.Time)
 }
 
-func newHarness(t *testing.T, hooks Hooks, shards int) *harness {
+func newHarness(t *testing.T, hooks Hooks) *harness {
 	t.Helper()
 	h := &harness{clk: clock.NewVirtual(testEpoch)}
 	h.eng = New(Config{
 		Clock:    h.clk,
 		Matcher:  matching.Greedy{},
 		Schedule: schedule.Config{BatchBound: 10, BatchPeriod: time.Second},
-		Shards:   shards,
 		Defer: func(d time.Duration, fn func(now time.Time)) {
 			h.pending = append(h.pending, fn)
 		},
@@ -76,7 +75,7 @@ func TestDetachDuringBatch(t *testing.T) {
 			// the apply must notice the snapshot is stale and skip.
 			name: "during deferred latency window",
 			run: func(t *testing.T) *harness {
-				h := newHarness(t, Hooks{}, 1)
+				h := newHarness(t, Hooks{})
 				mustAttach(t, h.eng, "w1")
 				mustSubmit(t, h.eng, testTask("t1", h.clk))
 				h.eng.TryBatch()
@@ -99,17 +98,17 @@ func TestDetachDuringBatch(t *testing.T) {
 				var h *harness
 				refused := false
 				h = newHarness(t, Hooks{
-					Deliver: func(a Assignment) bool {
+					Deliver: func(rec taskq.Record) bool {
 						if refused {
 							return true // the reattached worker accepts normally
 						}
 						refused = true
-						if err := h.eng.DetachWorker(a.WorkerID); err != nil {
+						if err := h.eng.DetachWorker(rec.Worker); err != nil {
 							t.Errorf("DetachWorker in Deliver: %v", err)
 						}
 						return false
 					},
-				}, 1)
+				})
 				mustAttach(t, h.eng, "w1")
 				mustSubmit(t, h.eng, testTask("t1", h.clk))
 				h.eng.TryBatch()
@@ -121,7 +120,7 @@ func TestDetachDuringBatch(t *testing.T) {
 			// Detach after a clean delivery: the held task must come back.
 			name: "after delivery while executing",
 			run: func(t *testing.T) *harness {
-				h := newHarness(t, Hooks{}, 1)
+				h := newHarness(t, Hooks{})
 				mustAttach(t, h.eng, "w1")
 				mustSubmit(t, h.eng, testTask("t1", h.clk))
 				h.eng.TryBatch()
@@ -187,25 +186,25 @@ func mustSubmit(t *testing.T, e *Engine, task taskq.Task) {
 // TestCompleteLifecycle walks submit → assign → complete → feedback and
 // checks the counters and profile updates land.
 func TestCompleteLifecycle(t *testing.T) {
-	var delivered []Assignment
+	var delivered []taskq.Record
 	h := newHarness(t, Hooks{
-		Deliver: func(a Assignment) bool { delivered = append(delivered, a); return true },
-	}, 1)
+		Deliver: func(rec taskq.Record) bool { delivered = append(delivered, rec); return true },
+	})
 	mustAttach(t, h.eng, "w1")
 	mustSubmit(t, h.eng, testTask("t1", h.clk))
 	h.eng.TryBatch()
 	h.flush()
-	if len(delivered) != 1 || delivered[0].TaskID != "t1" || delivered[0].WorkerID != "w1" {
+	if len(delivered) != 1 || delivered[0].Task.ID != "t1" || delivered[0].Worker != "w1" {
 		t.Fatalf("delivered = %+v, want one t1→w1", delivered)
 	}
 
 	h.clk.Advance(10 * time.Second)
-	res, final, err := h.eng.Complete("t1", "w1", "answer")
+	final, err := h.eng.Complete("t1", "w1")
 	if err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	if !res.MetDeadline || res.WorkerID != "w1" {
-		t.Fatalf("result = %+v, want on-time by w1", res)
+	if !final.MetDeadline() || final.Worker != "w1" || final.Status != taskq.Completed {
+		t.Fatalf("final = %+v, want completed on time by w1", final)
 	}
 	if got := final.ExecTime(); got != 10*time.Second {
 		t.Fatalf("exec time = %v, want 10s", got)
@@ -224,7 +223,7 @@ func TestCompleteLifecycle(t *testing.T) {
 	}
 
 	// Completing twice, or as the wrong worker, is rejected.
-	if _, _, err := h.eng.Complete("t1", "w1", "again"); !errors.Is(err, ErrNotAssigned) {
+	if _, err := h.eng.Complete("t1", "w1"); !errors.Is(err, ErrNotAssigned) {
 		t.Fatalf("double complete: err = %v, want ErrNotAssigned", err)
 	}
 	// Grading twice is rejected too.
@@ -238,7 +237,7 @@ func TestCompleteLifecycle(t *testing.T) {
 // returning; a returning worker keeps its place unless it reports a valid
 // new one), a grade, and a deregister that returns the held task.
 func TestWorkerFactsArePublished(t *testing.T) {
-	h := newHarness(t, Hooks{}, 1)
+	h := newHarness(t, Hooks{})
 	var seen []event.Event
 	h.eng.Events().Tap(func(ev event.Event) {
 		if ev.Kind != event.KindBatch && (!ev.Kind.Lifecycle() || ev.Kind == event.KindRevoke) {
@@ -253,7 +252,7 @@ func TestWorkerFactsArePublished(t *testing.T) {
 	h.eng.TryBatch()
 	h.flush()
 	h.clk.Advance(10 * time.Second)
-	if _, _, err := h.eng.Complete("t1", "w1", "answer"); err != nil {
+	if _, err := h.eng.Complete("t1", "w1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.eng.Feedback("t1", false); err != nil {
@@ -299,7 +298,7 @@ func TestWorkerFactsArePublished(t *testing.T) {
 // which would credit B's exec time to A and leave B busy on a terminal
 // task — while B's own answer completes normally and frees B.
 func TestLateCompleteAfterRebind(t *testing.T) {
-	h := newHarness(t, Hooks{}, 1)
+	h := newHarness(t, Hooks{})
 	mustAttach(t, h.eng, "A")
 	mustSubmit(t, h.eng, testTask("t1", h.clk))
 	h.eng.TryBatch()
@@ -318,7 +317,7 @@ func TestLateCompleteAfterRebind(t *testing.T) {
 		t.Fatalf("after rebind: %+v, want assigned to B", rec)
 	}
 
-	if _, _, err := h.eng.Complete("t1", "A", "late"); !errors.Is(err, ErrNotAssigned) {
+	if _, err := h.eng.Complete("t1", "A"); !errors.Is(err, ErrNotAssigned) {
 		t.Fatalf("late complete by A: err = %v, want ErrNotAssigned", err)
 	}
 	b, _ := h.eng.Workers().Get("B")
@@ -328,9 +327,9 @@ func TestLateCompleteAfterRebind(t *testing.T) {
 	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
 		t.Fatalf("A's refused complete moved the record: %+v", rec)
 	}
-	res, _, err := h.eng.Complete("t1", "B", "answer")
-	if err != nil || res.WorkerID != "B" {
-		t.Fatalf("Complete by B = %+v, %v", res, err)
+	final, err := h.eng.Complete("t1", "B")
+	if err != nil || final.Worker != "B" {
+		t.Fatalf("Complete by B = %+v, %v", final, err)
 	}
 	if cur := b.CurrentTask(); cur != "" {
 		t.Fatalf("B still busy on %q after completing", cur)
@@ -340,7 +339,7 @@ func TestLateCompleteAfterRebind(t *testing.T) {
 // TestFeedbackNoWorker covers the satellite fix: feedback for a task nobody
 // can be credited for must be rejected, not silently swallowed.
 func TestFeedbackNoWorker(t *testing.T) {
-	h := newHarness(t, Hooks{}, 1)
+	h := newHarness(t, Hooks{})
 
 	// An expired-unassigned task has no worker at all.
 	mustSubmit(t, h.eng, testTask("t-exp", h.clk))
@@ -356,7 +355,7 @@ func TestFeedbackNoWorker(t *testing.T) {
 	mustSubmit(t, h.eng, testTask("t-done", h.clk))
 	h.eng.TryBatch()
 	h.flush()
-	if _, _, err := h.eng.Complete("t-done", "w1", ""); err != nil {
+	if _, err := h.eng.Complete("t-done", "w1"); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	if err := h.eng.DeregisterWorker("w1"); err != nil {
@@ -374,7 +373,7 @@ func TestFeedbackNoWorker(t *testing.T) {
 // nothing unassigned; the first round due at once; afterwards due only when
 // the backlog exceeds BatchBound or a full BatchPeriod has passed.
 func TestTrigger(t *testing.T) {
-	h := newHarness(t, Hooks{}, 1) // BatchBound 10, BatchPeriod 1s
+	h := newHarness(t, Hooks{}) // BatchBound 10, BatchPeriod 1s
 	for w := 0; w < 32; w++ {
 		mustAttach(t, h.eng, fmt.Sprintf("w%02d", w))
 	}
@@ -416,9 +415,9 @@ func TestRunBatchEndToEnd(t *testing.T) {
 		matching.REACT{Cycles: 200, Rand: rand.New(rand.NewSource(1))},
 	} {
 		clk := clock.NewVirtual(testEpoch)
-		var delivered []Assignment
-		eng := New(Config{Clock: clk, Matcher: m, Shards: 1}, Hooks{
-			Deliver: func(a Assignment) bool { delivered = append(delivered, a); return true },
+		var delivered []taskq.Record
+		eng := New(Config{Clock: clk, Matcher: m}, Hooks{
+			Deliver: func(rec taskq.Record) bool { delivered = append(delivered, rec); return true },
 		})
 		var rounds []event.BatchStats
 		eng.Events().Tap(func(ev event.Event) {
@@ -440,16 +439,21 @@ func TestRunBatchEndToEnd(t *testing.T) {
 		mustSubmit(t, eng, task)
 		eng.TryBatch()
 
-		if len(delivered) != 1 || delivered[0].TaskID != "t1" {
+		if len(delivered) != 1 || delivered[0].Task.ID != "t1" {
 			t.Fatalf("%s delivered %+v, want exactly t1", m.Name(), delivered)
 		}
-		a := delivered[0]
-		if m.Name() == "greedy" && a.WorkerID != "good" {
-			t.Fatalf("greedy picked %q, want good", a.WorkerID)
+		rec := delivered[0]
+		if m.Name() == "greedy" && rec.Worker != "good" {
+			t.Fatalf("greedy picked %q, want good", rec.Worker)
 		}
-		if a.Category != task.Category || a.Description != task.Description || a.Location != task.Location ||
-			!a.Deadline.Equal(task.Deadline) || a.Reward != task.Reward || !a.AssignedAt.Equal(clk.Now()) {
-			t.Fatalf("%s assignment %+v does not carry task %+v", m.Name(), a, task)
+		// Deliver gets the record the store bound: the bare task plus its
+		// binding, exactly what a Get right after the round returns.
+		task.Submitted = clk.Now()
+		if rec.Task != task || rec.Status != taskq.Assigned || !rec.AssignedAt.Equal(clk.Now()) || rec.Attempts != 1 {
+			t.Fatalf("%s delivered %+v, want task %+v bound now", m.Name(), rec, task)
+		}
+		if got, _ := eng.Tasks().Get("t1"); got != rec {
+			t.Fatalf("%s delivered %+v, store holds %+v", m.Name(), rec, got)
 		}
 		if len(rounds) != 1 {
 			t.Fatalf("%s published %d round summaries, want 1", m.Name(), len(rounds))
@@ -460,90 +464,21 @@ func TestRunBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTaskStoreShardingInvariance checks the refactor's core promise: shard
-// count changes lock layout, never observable behaviour or ordering.
-func TestTaskStoreShardingInvariance(t *testing.T) {
-	clk1 := clock.NewVirtual(testEpoch)
-	clk8 := clock.NewVirtual(testEpoch)
-	one := NewTaskStore(clk1, 1)
-	eight := NewTaskStore(clk8, 8)
-	for i := 0; i < 100; i++ {
-		task := taskq.Task{
-			ID:       fmt.Sprintf("task%03d", i),
-			Deadline: testEpoch.Add(time.Duration(60+i) * time.Second),
-			Reward:   float64(i),
-		}
-		if err := one.Submit(task); err != nil {
-			t.Fatal(err)
-		}
-		if err := eight.Submit(task); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i += 3 {
-		id := fmt.Sprintf("task%03d", i)
-		if err := one.Assign(id, "w"); err != nil {
-			t.Fatal(err)
-		}
-		if err := eight.Assign(id, "w"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ua1, ua8 := one.Unassigned(), eight.Unassigned()
-	if len(ua1) != len(ua8) {
-		t.Fatalf("unassigned: %d vs %d", len(ua1), len(ua8))
-	}
-	for i := range ua1 {
-		if ua1[i].ID != ua8[i].ID {
-			t.Fatalf("unassigned order diverges at %d: %s vs %s", i, ua1[i].ID, ua8[i].ID)
-		}
-	}
-	as1, as8 := one.AssignedTasks(), eight.AssignedTasks()
-	if len(as1) != len(as8) {
-		t.Fatalf("assigned: %d vs %d", len(as1), len(as8))
-	}
-	for i := range as1 {
-		if as1[i].Task.ID != as8[i].Task.ID {
-			t.Fatalf("assigned order diverges at %d", i)
-		}
-	}
-	u1, a1, c1, e1 := one.Counts()
-	u8, a8, c8, e8 := eight.Counts()
-	if u1 != u8 || a1 != a8 || c1 != c8 || e1 != e8 {
-		t.Fatalf("counts diverge: %d/%d/%d/%d vs %d/%d/%d/%d", u1, a1, c1, e1, u8, a8, c8, e8)
-	}
-
-	// Expiry returns the same records in the same order.
-	clk1.Advance(3 * time.Minute)
-	clk8.Advance(3 * time.Minute)
-	ex1, ex8 := one.ExpireUnassigned(), eight.ExpireUnassigned()
-	if len(ex1) != len(ex8) {
-		t.Fatalf("expired: %d vs %d", len(ex1), len(ex8))
-	}
-	for i := range ex1 {
-		if ex1[i].Task.ID != ex8[i].Task.ID {
-			t.Fatalf("expiry order diverges at %d", i)
-		}
-	}
-}
-
-// TestConcurrentPipeline hammers a sharded engine from many goroutines so
-// the race detector can vet the lock layout: submissions, completions,
+// TestConcurrentPipeline hammers an engine from many goroutines so the
+// race detector can vet the lock layout: submissions, completions,
 // feedback, monitor sweeps, and batches all in flight together.
 func TestConcurrentPipeline(t *testing.T) {
 	clk := clock.NewVirtual(testEpoch)
-	feeds := make(map[string]chan Assignment)
+	feeds := make(map[string]chan taskq.Record)
 	var eng *Engine
 	eng = New(Config{
 		Clock:    clk,
 		Matcher:  matching.Greedy{},
 		Schedule: schedule.Config{BatchBound: 1, BatchPeriod: time.Millisecond},
-		Shards:   8,
 	}, Hooks{
-		Deliver: func(a Assignment) bool {
+		Deliver: func(rec taskq.Record) bool {
 			select {
-			case feeds[a.WorkerID] <- a:
+			case feeds[rec.Worker] <- rec:
 				return true
 			default:
 				return false
@@ -553,7 +488,7 @@ func TestConcurrentPipeline(t *testing.T) {
 	const workers = 8
 	for w := 0; w < workers; w++ {
 		id := fmt.Sprintf("w%d", w)
-		feeds[id] = make(chan Assignment, 4)
+		feeds[id] = make(chan taskq.Record, 4)
 		mustAttach(t, eng, id)
 	}
 
@@ -568,11 +503,11 @@ func TestConcurrentPipeline(t *testing.T) {
 				select {
 				case <-done:
 					return
-				case a := <-feeds[id]:
-					if _, _, err := eng.Complete(a.TaskID, id, "ok"); err == nil {
+				case rec := <-feeds[id]:
+					if _, err := eng.Complete(rec.Task.ID, id); err == nil {
 						// Concurrent grading may race task GC; losing one
 						// grade is the test's point.
-						eng.Feedback(a.TaskID, true)
+						eng.Feedback(rec.Task.ID, true)
 					}
 				}
 			}

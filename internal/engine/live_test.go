@@ -55,32 +55,32 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 type feedHost struct {
 	*Engine
 	mu    sync.Mutex // guards feeds and the sends into them
-	feeds map[string]chan Assignment
+	feeds map[string]chan taskq.Record
 }
 
 func newFeedHost(t *testing.T, cfg Config) *feedHost {
 	t.Helper()
-	h := &feedHost{feeds: map[string]chan Assignment{}}
+	h := &feedHost{feeds: map[string]chan taskq.Record{}}
 	h.Engine = New(cfg, Hooks{Deliver: h.deliver})
 	h.Start()
 	t.Cleanup(h.Stop)
 	return h
 }
 
-func (h *feedHost) deliver(a Assignment) bool {
+func (h *feedHost) deliver(rec taskq.Record) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	select {
-	case h.feeds[a.WorkerID] <- a:
+	case h.feeds[rec.Worker] <- rec:
 		return true
 	default:
 		return false
 	}
 }
 
-func (h *feedHost) register(t *testing.T, id string) <-chan Assignment {
+func (h *feedHost) register(t *testing.T, id string) <-chan taskq.Record {
 	t.Helper()
-	feed := make(chan Assignment, 1)
+	feed := make(chan taskq.Record, 1)
 	h.mu.Lock()
 	h.feeds[id] = feed
 	h.mu.Unlock()
@@ -106,14 +106,14 @@ func (h *feedHost) deregister(id string) error {
 }
 
 // recv waits for one assignment on feed.
-func recv(t *testing.T, feed <-chan Assignment) Assignment {
+func recv(t *testing.T, feed <-chan taskq.Record) taskq.Record {
 	t.Helper()
 	select {
-	case a := <-feed:
-		return a
+	case rec := <-feed:
+		return rec
 	case <-time.After(2 * time.Second):
 		t.Fatal("assignment never delivered")
-		return Assignment{}
+		return taskq.Record{}
 	}
 }
 
@@ -152,18 +152,18 @@ func TestAssignmentDeliveredToWorker(t *testing.T) {
 	if err := h.Submit(liveTask("t1", time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	a := recv(t, feed)
-	if a.TaskID != "t1" || a.WorkerID != "alice" || a.Category != "traffic" {
-		t.Fatalf("assignment = %+v", a)
+	rec := recv(t, feed)
+	if rec.Task.ID != "t1" || rec.Worker != "alice" || rec.Task.Category != "traffic" {
+		t.Fatalf("assignment = %+v", rec)
 	}
 
-	// Complete and verify stats and result plumbing.
-	res, _, err := h.Complete("t1", "alice", "yes, jammed")
+	// Complete and verify stats and the final record.
+	final, err := h.Complete("t1", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.MetDeadline || res.Answer != "yes, jammed" {
-		t.Fatalf("result = %+v", res)
+	if !final.MetDeadline() || final.Status != taskq.Completed {
+		t.Fatalf("final = %+v", final)
 	}
 	st := h.Stats()
 	if st.Received != 1 || st.Assigned != 1 || st.Completed != 1 || st.OnTime != 1 {
@@ -176,13 +176,13 @@ func TestCompleteWrongWorkerRejected(t *testing.T) {
 	feed := h.register(t, "alice")
 	h.register(t, "mallory")
 	h.Submit(liveTask("t1", time.Minute))
-	if a := recv(t, feed); a.TaskID != "t1" {
-		t.Fatalf("assignment = %+v", a)
+	if rec := recv(t, feed); rec.Task.ID != "t1" {
+		t.Fatalf("assignment = %+v", rec)
 	}
-	if _, _, err := h.Complete("t1", "mallory", "fake"); !errors.Is(err, ErrNotAssigned) {
+	if _, err := h.Complete("t1", "mallory"); !errors.Is(err, ErrNotAssigned) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := h.Complete("ghost", "alice", "x"); !errors.Is(err, taskq.ErrUnknownTask) {
+	if _, err := h.Complete("ghost", "alice"); !errors.Is(err, taskq.ErrUnknownTask) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -195,7 +195,7 @@ func TestFeedbackUpdatesAccuracy(t *testing.T) {
 	if err := h.Feedback("t1", true); err == nil {
 		t.Fatal("feedback before completion accepted")
 	}
-	h.Complete("t1", "alice", "answer")
+	h.Complete("t1", "alice")
 	if err := h.Feedback("t1", true); err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestDeregisterReturnsHeldTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedB := h.register(t, "bob")
-	if a := recv(t, feedB); a.TaskID != "t1" {
-		t.Fatalf("bob received %+v", a)
+	if rec := recv(t, feedB); rec.Task.ID != "t1" {
+		t.Fatalf("bob received %+v", rec)
 	}
 	if _, ok := <-feedA; ok {
 		t.Fatal("alice's feed not closed")
@@ -264,9 +264,9 @@ func TestMonitorReassignsFromDelayedWorker(t *testing.T) {
 	// Build history: three quick completions.
 	for i := 0; i < 3; i++ {
 		h.Submit(liveTask(fmt.Sprintf("warm%d", i), time.Minute))
-		a := recv(t, feed)
+		rec := recv(t, feed)
 		time.Sleep(30 * time.Millisecond)
-		if _, _, err := h.Complete(a.TaskID, "flake", "ok"); err != nil {
+		if _, err := h.Complete(rec.Task.ID, "flake"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,11 +290,11 @@ func TestConcurrentSubmittersAndWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for a := range feed {
+			for rec := range feed {
 				time.Sleep(time.Millisecond)
-				if _, _, err := h.Complete(a.TaskID, id, "done"); err == nil {
+				if _, err := h.Complete(rec.Task.ID, id); err == nil {
 					completed.Add(1)
-					h.Feedback(a.TaskID, true)
+					h.Feedback(rec.Task.ID, true)
 				}
 			}
 		}()
@@ -322,8 +322,8 @@ func TestRetentionGarbageCollectsTerminalTasks(t *testing.T) {
 	h := newFeedHost(t, cfg)
 	feed := h.register(t, "alice")
 	h.Submit(liveTask("t1", time.Minute))
-	a := recv(t, feed)
-	h.Complete(a.TaskID, "alice", "done")
+	rec := recv(t, feed)
+	h.Complete(rec.Task.ID, "alice")
 	// After retention elapses the batch loop sweeps the record away.
 	waitFor(t, 2*time.Second, func() bool {
 		_, ok := h.Tasks().Get("t1")
@@ -339,8 +339,8 @@ func TestDoubleFeedbackRejected(t *testing.T) {
 	h := newFeedHost(t, fastConfig())
 	feed := h.register(t, "alice")
 	h.Submit(liveTask("t1", time.Minute))
-	a := recv(t, feed)
-	h.Complete(a.TaskID, "alice", "ok")
+	rec := recv(t, feed)
+	h.Complete(rec.Task.ID, "alice")
 	if err := h.Feedback("t1", true); err != nil {
 		t.Fatal(err)
 	}
@@ -363,13 +363,13 @@ func TestDoubleFeedbackRejected(t *testing.T) {
 func TestTeardownInsideDeliveryRevokesOnce(t *testing.T) {
 	routes := map[string]bool{}
 	var h *harness
-	h = newHarness(t, Hooks{Deliver: func(a Assignment) bool {
-		delete(routes, a.WorkerID)
-		if err := h.eng.DetachWorker(a.WorkerID); err != nil {
+	h = newHarness(t, Hooks{Deliver: func(rec taskq.Record) bool {
+		delete(routes, rec.Worker)
+		if err := h.eng.DetachWorker(rec.Worker); err != nil {
 			t.Errorf("DetachWorker in Deliver: %v", err)
 		}
-		return routes[a.WorkerID]
-	}}, 1)
+		return routes[rec.Worker]
+	}})
 	var revokes []event.Event
 	h.eng.Events().Tap(func(ev event.Event) {
 		if ev.Kind == event.KindRevoke {

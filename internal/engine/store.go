@@ -19,30 +19,21 @@ import (
 // reads the unassigned set from here; the Dynamic Assignment Component
 // returns tasks here when it predicts a deadline miss.
 //
-// The registry is striped across N shards keyed by an FNV-1a hash of the
-// task id. Point operations (Submit, Get, Assign, Complete, ...) touch
-// exactly one shard, so completions and submissions arriving concurrently
-// with a running batch contend on 1/N of the locks a single registry would
-// force them through. Snapshot operations (Unassigned, AssignedTasks, the
-// expiries) collect from every shard and sort once, so every observable
-// ordering is identical whatever the shard count — the property the
-// determinism gate relies on.
+// It is one registry under one mutex, as the paper has one per region
+// server; the repo scales by regions (wire.ServeGrid), not by striping a
+// region's store. Every record sits in exactly one index besides the id
+// map: the unordered set of its live status (live[Unassigned],
+// live[Assigned]) or the terminal heap. The periodic passes — the
+// scheduler's and shedder's Unassigned, the monitor's AssignedTasks,
+// expiry, retention — walk only their index, so they cost what is live or
+// due, never what is retained.
 //
 // Every lifecycle mutation is published on the engine's event bus while
-// the task's shard mutex is held, so no second mutation of the same task
-// can start until the bus has stamped the first: the per-task total order
-// every spine consumer relies on. A bare NewTaskStore publishes nothing.
+// mu is held, so the order the bus stamps Seq in is the order the store
+// applied the mutations, across tasks as well as within one: the order
+// every spine consumer, the journal included, sees. A bare NewTaskStore
+// publishes nothing.
 type TaskStore struct {
-	shards []*shard
-}
-
-// shard is one stripe of the store. Every record sits in exactly one index
-// besides the id map: the unordered set of its live status
-// (live[Unassigned], live[Assigned]) or the terminal heap. The periodic
-// passes — the scheduler's and shedder's Unassigned, the monitor's
-// AssignedTasks, expiry, retention — walk only their index, so they cost
-// what is live or due, never what is retained.
-type shard struct {
 	clk     clock.Clock
 	bus     *event.Bus // nil publishes nothing
 	mu      sync.Mutex
@@ -56,11 +47,11 @@ type shard struct {
 	unassignedHW int
 }
 
-// entry is a record plus its place in the shard's status index.
+// entry is a record plus its place in the store's status index.
 type entry struct {
 	taskq.Record
-	// pos is the entry's index in shard.live[Status] while the task is
-	// Unassigned or Assigned, and in shard.done once it is terminal.
+	// pos is the entry's index in TaskStore.live[Status] while the task is
+	// Unassigned or Assigned, and in TaskStore.done once it is terminal.
 	pos int
 }
 
@@ -93,55 +84,29 @@ func (h *doneHeap) Pop() any {
 	return e
 }
 
-// NewTaskStore creates a store with n shards reading time from clk. n below
-// 1 is treated as 1. It publishes nothing; Engine.New builds its store on
-// the engine's bus.
-func NewTaskStore(clk clock.Clock, n int) *TaskStore { return newTaskStore(clk, n, nil) }
+// NewTaskStore creates a store reading time from clk. It publishes nothing;
+// Engine.New builds its store on the engine's bus. The second argument is
+// read by no code: it is kept only so that the benchmark module, which
+// passes a stripe count, still compiles (ROADMAP item 8).
+func NewTaskStore(clk clock.Clock, _ int) *TaskStore { return newTaskStore(clk, nil) }
 
-func newTaskStore(clk clock.Clock, n int, bus *event.Bus) *TaskStore {
-	if n < 1 {
-		n = 1
-	}
-	s := &TaskStore{shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = &shard{clk: clk, bus: bus, records: make(map[string]*entry)}
-	}
-	return s
+func newTaskStore(clk clock.Clock, bus *event.Bus) *TaskStore {
+	return &TaskStore{clk: clk, bus: bus, records: make(map[string]*entry)}
 }
 
-// Shards reports the stripe count.
-func (s *TaskStore) Shards() int { return len(s.shards) }
-
-// shard routes a task id to its stripe (FNV-1a, inlined to keep the hot
-// path allocation-free).
-func (s *TaskStore) shard(id string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * prime32
-	}
-	return s.shards[h%uint32(len(s.shards))]
-}
-
-// publish puts one lifecycle event on the spine. Callers hold sh.mu, so
-// taps run under the shard lock and must not call back into the store.
-func (sh *shard) publish(kind event.Kind, e *entry, at time.Time, worker, cause string, prob float64) {
-	if sh.bus != nil {
-		sh.bus.Publish(event.Event{Kind: kind, Task: e.Task.ID, Worker: worker, At: at,
+// publish puts one lifecycle event on the spine. Callers hold s.mu, so
+// taps run under the store lock and must not call back into the store.
+func (s *TaskStore) publish(kind event.Kind, e *entry, at time.Time, worker, cause string, prob float64) {
+	if s.bus != nil {
+		s.bus.Publish(event.Event{Kind: kind, Task: e.Task.ID, Worker: worker, At: at,
 			Cause: cause, Prob: prob, Record: e.Record})
 	}
 }
 
 // lookup finds a record and checks its status for operation op. Callers
-// hold sh.mu.
-func (sh *shard) lookup(id, op string, want taskq.Status) (*entry, error) {
-	e, ok := sh.records[id]
+// hold s.mu.
+func (s *TaskStore) lookup(id, op string, want taskq.Status) (*entry, error) {
+	e, ok := s.records[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", taskq.ErrUnknownTask, id)
 	}
@@ -152,22 +117,22 @@ func (sh *shard) lookup(id, op string, want taskq.Status) (*entry, error) {
 }
 
 // index files e under its current status. A terminal entry is ordered by
-// FinishedAt, which must be set first. Callers hold sh.mu.
-func (sh *shard) index(e *entry) {
+// FinishedAt, which must be set first. Callers hold s.mu.
+func (s *TaskStore) index(e *entry) {
 	if e.Status > taskq.Assigned {
-		heap.Push(&sh.done, e)
+		heap.Push(&s.done, e)
 		return
 	}
-	set := &sh.live[e.Status]
+	set := &s.live[e.Status]
 	e.pos = len(*set)
 	*set = append(*set, e)
 }
 
 // unindex takes a live entry out of its status set: the last element moves
 // into its place. Terminal entries only ever leave through retention's
-// heap.Pop. Callers hold sh.mu.
-func (sh *shard) unindex(e *entry) {
-	set := &sh.live[e.Status]
+// heap.Pop. Callers hold s.mu.
+func (s *TaskStore) unindex(e *entry) {
+	set := &s.live[e.Status]
 	last := len(*set) - 1
 	moved := (*set)[last]
 	(*set)[e.pos], moved.pos = moved, e.pos
@@ -176,38 +141,38 @@ func (sh *shard) unindex(e *entry) {
 }
 
 // insert registers a new entry: id map, status index, counts, high-water
-// mark. Callers hold sh.mu.
-func (sh *shard) insert(e *entry) {
-	sh.records[e.Task.ID] = e
-	sh.index(e)
-	sh.counts[e.Status]++
-	sh.noteHighWater()
+// mark. Callers hold s.mu.
+func (s *TaskStore) insert(e *entry) {
+	s.records[e.Task.ID] = e
+	s.index(e)
+	s.counts[e.Status]++
+	s.noteHighWater()
 }
 
-func (sh *shard) noteHighWater() {
-	if sh.counts[taskq.Unassigned] > sh.unassignedHW {
-		sh.unassignedHW = sh.counts[taskq.Unassigned]
+func (s *TaskStore) noteHighWater() {
+	if s.counts[taskq.Unassigned] > s.unassignedHW {
+		s.unassignedHW = s.counts[taskq.Unassigned]
 	}
 }
 
 // transition moves a live record to status to, index and counts included.
-// Callers hold sh.mu.
-func (sh *shard) transition(e *entry, to taskq.Status) {
-	sh.unindex(e)
-	sh.counts[e.Status]--
-	sh.counts[to]++
+// Callers hold s.mu.
+func (s *TaskStore) transition(e *entry, to taskq.Status) {
+	s.unindex(e)
+	s.counts[e.Status]--
+	s.counts[to]++
 	e.Status = to
-	sh.index(e)
+	s.index(e)
 	if to == taskq.Unassigned {
-		sh.noteHighWater()
+		s.noteHighWater()
 	}
 }
 
 // finish is transition to a terminal status: it stamps FinishedAt first,
-// which is what orders the record in the terminal heap. Callers hold sh.mu.
-func (sh *shard) finish(e *entry, to taskq.Status, at time.Time) {
+// which is what orders the record in the terminal heap. Callers hold s.mu.
+func (s *TaskStore) finish(e *entry, to taskq.Status, at time.Time) {
 	e.FinishedAt = at
-	sh.transition(e, to)
+	s.transition(e, to)
 }
 
 // Restore inserts a record verbatim — status, worker, timestamps, attempt
@@ -222,63 +187,68 @@ func (s *TaskStore) Restore(r taskq.Record) error {
 	if r.Status < taskq.Unassigned || r.Status > taskq.Expired {
 		return fmt.Errorf("%w: restore %q with status %d", taskq.ErrBadState, r.Task.ID, int(r.Status))
 	}
-	sh := s.shard(r.Task.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.records[r.Task.ID]; dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.records[r.Task.ID]; dup {
 		return fmt.Errorf("%w: %q", taskq.ErrDuplicateTask, r.Task.ID)
 	}
-	sh.insert(&entry{Record: r})
+	s.insert(&entry{Record: r})
 	return nil
 }
 
 // Submit registers a new unassigned task. The task's Submitted field is
 // stamped with the current instant; its deadline must lie in the future.
 func (s *TaskStore) Submit(t taskq.Task) error {
-	sh := s.shard(t.ID)
-	now := sh.clk.Now()
+	now := s.clk.Now()
 	if !t.Deadline.After(now) {
 		return fmt.Errorf("%w: task %q deadline %v at %v", taskq.ErrPastDeadline, t.ID, t.Deadline, now)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.records[t.ID]; dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.records[t.ID]; dup {
 		return fmt.Errorf("%w: %q", taskq.ErrDuplicateTask, t.ID)
 	}
 	t.Submitted = now
 	e := &entry{Record: taskq.Record{Task: t, Status: taskq.Unassigned}}
-	sh.insert(e)
-	sh.publish(event.KindSubmit, e, now, "", taskq.CauseSubmit, 0)
+	s.insert(e)
+	s.publish(event.KindSubmit, e, now, "", taskq.CauseSubmit, 0)
 	return nil
 }
 
 // Get returns a copy of the record for id.
 func (s *TaskStore) Get(id string) (taskq.Record, bool) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.records[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.records[id]
 	if !ok {
 		return taskq.Record{}, false
 	}
 	return e.Record, true
 }
 
-// Assign binds an unassigned task to a worker, stamping AssignedAt.
+// Assign binds an unassigned task to a worker, stamping AssignedAt. It
+// returns only the error because the benchmark module calls it that way
+// (ROADMAP item 8); the engine binds through assign.
 func (s *TaskStore) Assign(taskID, workerID string) error {
-	sh := s.shard(taskID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := sh.lookup(taskID, "assign", taskq.Unassigned)
+	_, err := s.assign(taskID, workerID)
+	return err
+}
+
+// assign is Assign returning the record it bound, so the engine hands the
+// transport the binding it made without a second trip through the lock.
+func (s *TaskStore) assign(taskID, workerID string) (taskq.Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.lookup(taskID, "assign", taskq.Unassigned)
 	if err != nil {
-		return err
+		return taskq.Record{}, err
 	}
-	sh.transition(e, taskq.Assigned)
+	s.transition(e, taskq.Assigned)
 	e.Worker = workerID
-	e.AssignedAt = sh.clk.Now()
+	e.AssignedAt = s.clk.Now()
 	e.Attempts++
-	sh.publish(event.KindAssign, e, e.AssignedAt, workerID, taskq.CauseBatch, 0)
-	return nil
+	s.publish(event.KindAssign, e, e.AssignedAt, workerID, taskq.CauseBatch, 0)
+	return e.Record, nil
 }
 
 // Unassign returns an assigned task to the pool (worker abandoned it, or
@@ -287,18 +257,17 @@ func (s *TaskStore) Assign(taskID, workerID string) error {
 // the taskq.Cause* constants); prob is the Eq. 2 completion probability
 // for CauseEq2 revocations (0 otherwise). Both ride on the revoke event.
 func (s *TaskStore) Unassign(taskID, cause string, prob float64) error {
-	sh := s.shard(taskID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := sh.lookup(taskID, "unassign", taskq.Assigned)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.lookup(taskID, "unassign", taskq.Assigned)
 	if err != nil {
 		return err
 	}
 	worker := e.Worker
-	sh.transition(e, taskq.Unassigned)
+	s.transition(e, taskq.Unassigned)
 	e.Worker = ""
 	e.AssignedAt = time.Time{}
-	sh.publish(event.KindRevoke, e, sh.clk.Now(), worker, cause, prob)
+	s.publish(event.KindRevoke, e, s.clk.Now(), worker, cause, prob)
 	return nil
 }
 
@@ -312,18 +281,17 @@ func (s *TaskStore) Complete(taskID string) (taskq.Record, error) { return s.com
 // binding was revoked and handed to another cannot finish the new
 // holder's.
 func (s *TaskStore) complete(taskID, worker string) (taskq.Record, error) {
-	sh := s.shard(taskID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := sh.lookup(taskID, "complete", taskq.Assigned)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.lookup(taskID, "complete", taskq.Assigned)
 	if err != nil {
 		return taskq.Record{}, err
 	}
 	if worker != "" && e.Worker != worker {
 		return taskq.Record{}, fmt.Errorf("%w: complete %q by %q, held by %q", taskq.ErrBadState, taskID, worker, e.Worker)
 	}
-	sh.finish(e, taskq.Completed, sh.clk.Now())
-	sh.publish(event.KindComplete, e, e.FinishedAt, e.Worker, taskq.CauseWorker, 0)
+	s.finish(e, taskq.Completed, s.clk.Now())
+	s.publish(event.KindComplete, e, e.FinishedAt, e.Worker, taskq.CauseWorker, 0)
 	return e.Record, nil
 }
 
@@ -331,10 +299,9 @@ func (s *TaskStore) complete(taskID, worker string) (taskq.Record, error) {
 // been consumed, exactly once: a second call fails, protecting the Eq. 1
 // accuracy counters from double grading.
 func (s *TaskStore) MarkGraded(taskID string) error {
-	sh := s.shard(taskID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := sh.lookup(taskID, "grade", taskq.Completed)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.lookup(taskID, "grade", taskq.Completed)
 	if err != nil {
 		return err
 	}
@@ -354,28 +321,24 @@ func (s *TaskStore) MarkGraded(taskID string) error {
 // runs to completion. With Unassigned it makes the store the
 // admission.Pool the shedder works on.
 func (s *TaskStore) Shed(taskID string) error {
-	sh := s.shard(taskID)
-	now := sh.clk.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := sh.lookup(taskID, "shed", taskq.Unassigned)
+	now := s.clk.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.lookup(taskID, "shed", taskq.Unassigned)
 	if err != nil {
 		return err
 	}
-	sh.finish(e, taskq.Expired, now)
-	sh.publish(event.KindExpire, e, now, e.Worker, taskq.CauseShed, 0)
+	s.finish(e, taskq.Expired, now)
+	s.publish(event.KindExpire, e, now, e.Worker, taskq.CauseShed, 0)
 	return nil
 }
 
 // Unassigned snapshots the tasks waiting for a worker, oldest submission
-// first (ties broken by id). The result is allocated once at the summed
-// backlog: this runs on the per-batch hot path, where growing the slice by
-// repeated append costs a realloc-and-copy per doubling.
+// first (ties broken by id). The slice is allocated before the lock is
+// taken and sorted after it is released, so the scheduler's snapshot holds
+// up a completion only for the copy itself.
 func (s *TaskStore) Unassigned() []taskq.Task {
-	out := make([]taskq.Task, 0, s.UnassignedCount())
-	for _, sh := range s.shards {
-		out = sh.appendUnassigned(out)
-	}
+	out := s.appendUnassigned(make([]taskq.Task, 0, s.UnassignedCount()))
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Submitted.Equal(out[j].Submitted) {
 			return out[i].Submitted.Before(out[j].Submitted)
@@ -385,39 +348,31 @@ func (s *TaskStore) Unassigned() []taskq.Task {
 	return out
 }
 
-func (sh *shard) appendUnassigned(out []taskq.Task) []taskq.Task {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.live[taskq.Unassigned] {
+func (s *TaskStore) appendUnassigned(out []taskq.Task) []taskq.Task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.live[taskq.Unassigned] {
 		out = append(out, e.Task)
 	}
 	return out
 }
 
 // AssignedTasks snapshots the records currently executing, sorted by task
-// id, for the Eq. 2 monitor.
+// id, for the Eq. 2 monitor. Like Unassigned it allocates before the lock
+// and sorts after it.
 func (s *TaskStore) AssignedTasks() []taskq.Record {
-	out := make([]taskq.Record, 0, s.count(taskq.Assigned))
-	for _, sh := range s.shards {
-		out = sh.appendAssigned(out)
-	}
-	sortByID(out)
+	out := s.appendAssigned(make([]taskq.Record, 0, s.count(taskq.Assigned)))
+	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
 }
 
-func (sh *shard) appendAssigned(out []taskq.Record) []taskq.Record {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.live[taskq.Assigned] {
+func (s *TaskStore) appendAssigned(out []taskq.Record) []taskq.Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.live[taskq.Assigned] {
 		out = append(out, e.Record)
 	}
 	return out
-}
-
-func sortByID(recs []taskq.Record) {
-	if len(recs) > 1 {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Task.ID < recs[j].Task.ID })
-	}
 }
 
 // ExpireDue transitions every non-terminal task whose deadline has passed
@@ -433,27 +388,16 @@ func (s *TaskStore) ExpireDue() []taskq.Record { return s.expire(true) }
 // repository — the fate of the Greedy approach's queued tasks in §V.C.
 func (s *TaskStore) ExpireUnassigned() []taskq.Record { return s.expire(false) }
 
-// expire publishes shard by shard, each shard's expiries in id order.
-// Nothing is allocated when nothing is due: expiry runs every tick, and a
-// tick with nothing due must cost nothing.
+// expire finishes and publishes the due set in id order. Nothing is
+// allocated when nothing is due: expiry runs every tick, and a tick with
+// nothing due must cost nothing.
 func (s *TaskStore) expire(includeAssigned bool) []taskq.Record {
-	var out []taskq.Record
-	for _, sh := range s.shards {
-		out = sh.expire(out, includeAssigned)
-	}
-	if len(s.shards) > 1 {
-		sortByID(out)
-	}
-	return out
-}
-
-func (sh *shard) expire(out []taskq.Record, includeAssigned bool) []taskq.Record {
-	now := sh.clk.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sets := sh.live[:1]
+	now := s.clk.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sets := s.live[:1]
 	if includeAssigned {
-		sets = sh.live[:]
+		sets = s.live[:]
 	}
 	var due []*entry
 	for _, set := range sets {
@@ -463,102 +407,78 @@ func (sh *shard) expire(out []taskq.Record, includeAssigned bool) []taskq.Record
 			}
 		}
 	}
-	if len(due) > 1 {
-		sort.Slice(due, func(i, j int) bool { return due[i].Task.ID < due[j].Task.ID })
+	if len(due) == 0 {
+		return nil
 	}
-	for _, e := range due {
-		sh.finish(e, taskq.Expired, now)
-		sh.publish(event.KindExpire, e, now, e.Worker, taskq.CauseDeadline, 0)
-		out = append(out, e.Record)
+	sort.Slice(due, func(i, j int) bool { return due[i].Task.ID < due[j].Task.ID })
+	out := make([]taskq.Record, len(due))
+	for i, e := range due {
+		s.finish(e, taskq.Expired, now)
+		s.publish(event.KindExpire, e, now, e.Worker, taskq.CauseDeadline, 0)
+		out[i] = e.Record
 	}
 	return out
 }
 
 // ForgetTerminatedBefore drops every completed or expired task whose
-// terminal instant precedes cutoff, returning how many were removed. A
-// long-running server calls this periodically to bound registry memory;
-// REACT's own components never read terminal records after the requester
-// has been notified. Each shard drops its records oldest first, ties by id.
+// terminal instant precedes cutoff, oldest first, ties by id, returning
+// how many were removed. A long-running server calls this periodically to
+// bound registry memory; REACT's own components never read terminal
+// records after the requester has been notified.
 func (s *TaskStore) ForgetTerminatedBefore(cutoff time.Time) int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.forget(cutoff)
-	}
-	return n
-}
-
-func (sh *shard) forget(cutoff time.Time) int {
-	now := sh.clk.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	now := s.clk.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	removed := 0
-	for len(sh.done) > 0 && sh.done[0].FinishedAt.Before(cutoff) {
-		e := heap.Pop(&sh.done).(*entry)
-		sh.counts[e.Status]--
-		delete(sh.records, e.Task.ID)
-		sh.publish(event.KindForget, e, now, e.Worker, taskq.CauseRetention, 0)
+	for len(s.done) > 0 && s.done[0].FinishedAt.Before(cutoff) {
+		e := heap.Pop(&s.done).(*entry)
+		s.counts[e.Status]--
+		delete(s.records, e.Task.ID)
+		s.publish(event.KindForget, e, now, e.Worker, taskq.CauseRetention, 0)
 		removed++
 	}
 	return removed
 }
 
-// UnassignedCount sums the per-shard backlog — the batch trigger reads this
-// on every arrival.
+// UnassignedCount is the backlog — the batch trigger reads this on every
+// arrival.
 func (s *TaskStore) UnassignedCount() int { return s.count(taskq.Unassigned) }
 
-// count sums the shards' records in status st.
 func (s *TaskStore) count(st taskq.Status) int {
-	n := 0
-	for _, sh := range s.shards {
-		c, _ := sh.depth()
-		n += c[st]
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counts[st]
 }
 
-// Counts sums how many tasks are in each state across shards.
+// Counts reports how many tasks are in each state.
 func (s *TaskStore) Counts() (unassigned, assigned, completed, expired int) {
-	for _, sh := range s.shards {
-		c, _ := sh.depth()
-		unassigned += c[taskq.Unassigned]
-		assigned += c[taskq.Assigned]
-		completed += c[taskq.Completed]
-		expired += c[taskq.Expired]
-	}
-	return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.counts
+	return c[taskq.Unassigned], c[taskq.Assigned], c[taskq.Completed], c[taskq.Expired]
 }
 
-// depth is one consistent read of a shard's per-status counts and its
-// unassigned high-water mark.
-func (sh *shard) depth() (counts [4]int, unassignedHW int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.counts, sh.unassignedHW
-}
-
-// ShardStat is one stripe's depth snapshot for the observability plane.
+// ShardStat is the store's depth snapshot for the observability plane.
+// Its name is kept only so that the benchmark module still compiles
+// (ROADMAP item 8).
 type ShardStat struct {
-	Shard               int // stripe index
 	Unassigned          int // tasks waiting for a worker
 	Assigned            int // tasks in a worker's hands
 	Terminal            int // completed + expired records still retained
-	UnassignedHighWater int // peak unassigned backlog ever held by this stripe
+	UnassignedHighWater int // peak unassigned backlog ever held
 }
 
-// ShardStats snapshots every stripe's depths and high-water marks, in
-// stripe order. Each shard is locked independently, so the rows are not a
-// single consistent cut — fine for monitoring, wrong for accounting.
+// ShardStats returns the store's depths and high-water mark as one
+// consistent row, which the observability plane reads. It is a slice only
+// because the benchmark module ranges over it (ROADMAP item 8).
 func (s *TaskStore) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		c, hw := sh.depth()
-		out[i] = ShardStat{
-			Shard:               i,
-			Unassigned:          c[taskq.Unassigned],
-			Assigned:            c[taskq.Assigned],
-			Terminal:            c[taskq.Completed] + c[taskq.Expired],
-			UnassignedHighWater: hw,
-		}
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.counts
+	return []ShardStat{{
+		Unassigned:          c[taskq.Unassigned],
+		Assigned:            c[taskq.Assigned],
+		Terminal:            c[taskq.Completed] + c[taskq.Expired],
+		UnassignedHighWater: s.unassignedHW,
+	}}
 }

@@ -9,8 +9,8 @@ import (
 // tiers with opposite guarantees:
 //
 //   - Taps are synchronous and lossless. They run inside Publish — for
-//     lifecycle events, under the publishing task's shard mutex — so
-//     they see every event in per-task order with no buffer in between.
+//     lifecycle events, under the task store's mutex — so they see every
+//     lifecycle event in Seq order with no buffer in between.
 //     The price is the publisher's lock: a tap must be fast, must not
 //     block, and must not call back into the engine.
 //   - Subscriptions are asynchronous and bounded. Publish performs a
@@ -18,7 +18,7 @@ import (
 //     drops the event and bumps the drop counters. A wedged socket or a
 //     slow logger can therefore never stall the scheduler.
 //
-// Publish is safe for concurrent use (shards publish independently).
+// Publish is safe for concurrent use.
 // Install taps before traffic starts: Tap is safe to call concurrently
 // with Publish, but events published before the tap landed are gone.
 type Bus struct {

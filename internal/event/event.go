@@ -9,18 +9,18 @@
 // event: the journal has no other writer.
 //
 // Ordering contract: task-lifecycle events are published by the engine's
-// task store (engine.TaskStore) while the task's shard mutex is held, so
-// no second mutation of the same task can begin until the first has been
-// sequenced. That gives every consumer a per-task total order for free.
-// Seq is a single bus-wide counter: it is strictly increasing per task,
-// but events of *different* tasks (striped onto different shards) may be
-// published concurrently, so Seq is not a global wall-clock order across
-// tasks.
-// The worker-level kinds are published by the engine call that made the
-// change, after it took effect and with no shard lock held.
+// task store (engine.TaskStore) while its one mutex is held, so no second
+// mutation can begin until the first has been sequenced. Seq is a single
+// bus-wide counter, and lifecycle events reach every tap in strictly
+// increasing Seq, across tasks as well as within one: Seq order is the
+// order the store applied the mutations and the order the journal writes
+// them. The worker-level kinds and the round summary are published by the
+// engine call that made the change, after it took effect and with no store
+// lock held, so their Seq may fall between lifecycle events published
+// concurrently.
 //
 // Delivery contract: taps (Bus.Tap) are synchronous and lossless — they
-// run inside the publishing call, under the shard lock for lifecycle
+// run inside the publishing call, under the store lock for lifecycle
 // events, and therefore must be fast, non-blocking, and must never call
 // back into the engine. Subscriptions (Bus.Subscribe) are asynchronous
 // and bounded: publishing never blocks on a slow subscriber; events that

@@ -56,7 +56,7 @@ var LossKinds = [...]LossKind{LossQueued, LossAbandoned, LossRescueLate, LossRes
 // read it back, so a replayed log counts exactly what the live run
 // counted, and the admission gates read the engine's. The zero value is
 // ready. Every method is atomics only — Observe runs as a bus tap, under
-// the task's shard lock.
+// the task store's lock.
 type Ledger struct {
 	received, assigned, completed, onTime, expired, shed, reassigned atomic.Int64
 

@@ -1,9 +1,10 @@
 package event_test
 
-// The per-task total-order property test: lifecycle events are published
-// under the owning shard's mutex, so every consumer must observe each
-// task's timeline as a legal state machine with strictly increasing Seq,
-// no matter how many goroutines mutate different tasks concurrently.
+// The total-order property test: lifecycle events are published under the
+// task store's one mutex, so every consumer must observe them in strictly
+// increasing Seq across tasks, and each task's timeline as a legal state
+// machine, no matter how many goroutines mutate different tasks
+// concurrently.
 // Run with -race: the tap below is the concurrency probe.
 
 import (
@@ -26,6 +27,7 @@ import (
 // consumer uses; the ordering property must hold regardless.
 type timelineChecker struct {
 	mu      sync.Mutex
+	last    uint64 // Seq of the last lifecycle event, any task
 	lastSeq map[string]uint64
 	state   map[string]event.Kind // last lifecycle kind per task
 	errs    []string
@@ -67,6 +69,12 @@ func (tc *timelineChecker) handle(ev event.Event) {
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	// Across tasks too: the store publishes under its one lock, so the
+	// order taps see is Seq order, which is the order the journal writes.
+	if ev.Seq <= tc.last {
+		tc.failf("seq %d (%v of %s) after %d: lifecycle events out of Seq order", ev.Seq, ev.Kind, ev.Task, tc.last)
+	}
+	tc.last = ev.Seq
 	if last := tc.lastSeq[ev.Task]; ev.Seq <= last {
 		tc.failf("task %s: seq %d after %d (%v)", ev.Task, ev.Seq, last, ev.Kind)
 	}
@@ -92,7 +100,6 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 		Clock:    clk,
 		Matcher:  matching.Greedy{},
 		Schedule: schedule.Config{BatchBound: 64, BatchPeriod: time.Second},
-		Shards:   4,
 	}, engine.Hooks{})
 	eng.Events().Tap(tc.handle)
 
@@ -103,7 +110,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 	}
 
 	// Goroutines submit distinct task sets, run scheduling rounds, complete
-	// what got assigned, and churn workers — all interleaved across shards.
+	// what got assigned, and churn workers — all interleaved.
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -126,7 +133,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 				// Complete whatever this task got; "not assigned / wrong
 				// worker" errors are expected interleavings, not failures.
 				if rec, ok := eng.Tasks().Get(id); ok && rec.Worker != "" {
-					_, _, _ = eng.Complete(id, rec.Worker, "a")
+					_, _ = eng.Complete(id, rec.Worker)
 				}
 				if i%16 == 7 {
 					// Churn a worker: detach revokes its held task (if any),
@@ -149,7 +156,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 			for i := 0; i < tasksPerGoro; i++ {
 				id := fmt.Sprintf("g%d-t%d", g, i)
 				if rec, ok := eng.Tasks().Get(id); ok && rec.Status == taskq.Assigned {
-					if _, _, err := eng.Complete(id, rec.Worker, "a"); err == nil {
+					if _, err := eng.Complete(id, rec.Worker); err == nil {
 						progressed = true
 					}
 				}

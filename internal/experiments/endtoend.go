@@ -160,10 +160,6 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	execRng := eng.Rand("exec")
 	fbRng := eng.Rand("feedback")
 
-	// The engine runs on the simulation's virtual clock with a single task
-	// shard: one event fires at a time, so striping buys nothing, and one
-	// shard keeps snapshot order trivially identical to the live layout
-	// (the store re-sorts globally either way).
 	var re *engine.Engine
 
 	// completeTask fires when a worker finishes; stale events (task
@@ -175,9 +171,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 			current := okT && rec.Status == taskq.Assigned &&
 				rec.Worker == workerID && rec.AssignedAt.Equal(assignedAt)
 			if current {
-				result, final, err := re.Complete(taskID, workerID, "")
+				final, err := re.Complete(taskID, workerID)
 				if err == nil {
-					met := result.MetDeadline
+					met := final.MetDeadline()
 					pos := behaviors[workerID].PositiveFeedback(fbRng, met)
 					re.Feedback(taskID, pos) // ErrNoWorker impossible: sim workers never deregister
 					if met {
@@ -214,7 +210,6 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		Matcher:  cfg.Technique.Matcher,
 		Schedule: cfg.Technique.ScheduleConfig(cfg.BatchBound, cfg.BatchPeriod),
 		Monitor:  engine.Monitor{Threshold: cfg.MonitorThreshold},
-		Shards:   1,
 		Latency:  cfg.Technique.Cost,
 		Defer: func(d time.Duration, fn func(now time.Time)) {
 			eng.After(d, "batch-apply", fn)
@@ -223,9 +218,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 		// Drawing exec times here — inside the engine's sorted-order
 		// apply — keeps the RNG stream, and with it the whole run,
 		// deterministic.
-		Deliver: func(a engine.Assignment) bool {
-			exec := behaviors[a.WorkerID].ExecTime(execRng)
-			eng.After(exec, "complete", completeTask(a.WorkerID, a.TaskID, a.AssignedAt))
+		Deliver: func(rec taskq.Record) bool {
+			exec := behaviors[rec.Worker].ExecTime(execRng)
+			eng.After(exec, "complete", completeTask(rec.Worker, rec.Task.ID, rec.AssignedAt))
 			return true
 		},
 	})

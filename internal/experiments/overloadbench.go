@@ -152,7 +152,7 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 	start := clk.Now()
 	loc := region.Point{Lat: 38, Lon: 23.7}
 
-	var delivered []engine.Assignment
+	var delivered []taskq.Record
 	eng := engine.New(engine.Config{
 		Clock:   clk,
 		Matcher: matching.Uniform{Rand: rand.New(rand.NewSource(cfg.Seed))},
@@ -160,11 +160,10 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 			BatchBound:  1,
 			BatchPeriod: time.Second,
 		},
-		Shards:    1,
 		Admission: acfg,
 	}, engine.Hooks{
-		Deliver: func(a engine.Assignment) bool {
-			delivered = append(delivered, a)
+		Deliver: func(rec taskq.Record) bool {
+			delivered = append(delivered, rec)
 			return true
 		},
 	})
@@ -187,7 +186,7 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		for len(pending) > 0 && !pending[0].at.After(now) {
 			c := pending[0]
 			pending = pending[1:]
-			_, _, _ = eng.Complete(c.taskID, c.worker, "ok") //nolint — a shed/raced task is simply gone
+			_, _ = eng.Complete(c.taskID, c.worker) //nolint — a shed/raced task is simply gone
 		}
 
 		// Open-loop arrivals: the offered schedule never slows down for
@@ -215,8 +214,8 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		}
 
 		eng.Tick()
-		for _, a := range delivered {
-			c := completion{at: now.Add(execTimeFor(a.TaskID)), taskID: a.TaskID, worker: a.WorkerID}
+		for _, rec := range delivered {
+			c := completion{at: now.Add(execTimeFor(rec.Task.ID)), taskID: rec.Task.ID, worker: rec.Worker}
 			at := sort.Search(len(pending), func(j int) bool {
 				if !pending[j].at.Equal(c.at) {
 					return pending[j].at.After(c.at)
@@ -241,9 +240,7 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 	if res.Offered > 0 {
 		res.GoodputPerOffered = float64(st.OnTime) / float64(res.Offered)
 	}
-	for _, sh := range eng.Tasks().ShardStats() {
-		res.UnassignedHighWater += sh.UnassignedHighWater
-	}
+	res.UnassignedHighWater = eng.Tasks().ShardStats()[0].UnassignedHighWater
 	return res, nil
 }
 

@@ -158,7 +158,7 @@ func TestGoldenFiles(t *testing.T) {
 
 // TestAppendSteadyStateAllocatesNothing: with both group-commit buffers
 // grown, a canonical-form record is sequenced, encoded and framed without a
-// single allocation — the sink runs under a taskq shard lock.
+// single allocation — the sink runs under the task store's lock.
 func TestAppendSteadyStateAllocatesNothing(t *testing.T) {
 	// The flusher never fires on its own here, and the appends below stay
 	// under fsyncBytes, so no commit races the measurement.

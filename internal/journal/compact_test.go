@@ -554,7 +554,7 @@ func BenchmarkCompact(b *testing.B) {
 // BenchmarkAppend times the hot path alone: one task-lifecycle record
 // sequenced, encoded and framed into an open store's buffer. Group commits
 // happen with the timer stopped, before the buffer reaches the early-commit
-// size. allocs/op is the point — the sink runs under a taskq shard lock.
+// size. allocs/op is the point — the sink runs under the task store's lock.
 func BenchmarkAppend(b *testing.B) {
 	s, err := Open(Options{Dir: b.TempDir(), FsyncInterval: time.Hour, CompactBytes: 1 << 40, Logf: b.Logf})
 	if err != nil {

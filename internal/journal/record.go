@@ -1,5 +1,5 @@
 // Package journal makes a region server's scheduling state durable: a
-// per-shard-ordered write-ahead log of the engine's event spine plus
+// store-ordered write-ahead log of the engine's event spine plus
 // periodic snapshot compaction, so a crashed reactd restarts with every
 // in-flight task and every learned worker profile instead of relying on
 // clients to resubmit.
@@ -11,8 +11,8 @@
 //     record carries the FULL post-mutation task record — physiological
 //     redo logging — so replay is a pure upsert. No replayed operation can
 //     fail a lifecycle check, no clock needs rewinding, and the final state
-//     of a task is simply its last record. Per-task ordering is guaranteed
-//     at the source: taskq emits events under the shard mutex, before the
+//     of a task is simply its last record. Ordering is guaranteed at the
+//     source: the task store publishes events under its mutex, before the
 //     mutating call returns. Replay (rebuild.go) feeds records back, as
 //     events, through the same folds the live engine taps.
 //     On disk a record is JSON, byte for byte what encoding/json makes of

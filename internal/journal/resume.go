@@ -58,7 +58,7 @@ func Resume(store *Store, eng *engine.Engine) (Summary, error) {
 	// Journal from here on, as a synchronous tap on the event spine — the
 	// journal's only writer: task-lifecycle events and the worker-level
 	// facts (attach, feedback, deregister) alike. Lifecycle taps fire under
-	// the shard lock, so the WAL inherits the per-task total order, and
+	// the task store's lock, so the WAL inherits the store's order, and
 	// Append never blocks (it only buffers), so holding that lock is safe.
 	// Errors are not actionable here: the store has already logged its
 	// sticky failure, and a dead disk must degrade durability, not

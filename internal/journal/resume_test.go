@@ -34,7 +34,7 @@ func openHost(t *testing.T, dir string, cfg engine.Config) (*host, Summary) {
 		t.Fatal(err)
 	}
 	h := &host{store: store, routes: map[string]bool{}}
-	h.Engine = engine.New(cfg, engine.Hooks{Deliver: func(a engine.Assignment) bool { return h.routes[a.WorkerID] }})
+	h.Engine = engine.New(cfg, engine.Hooks{Deliver: func(rec taskq.Record) bool { return h.routes[rec.Worker] }})
 	sum, err := Resume(store, h.Engine)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestPersistenceRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if _, _, err := h.Complete("t1", "w1", "answer"); err != nil {
+	if _, err := h.Complete("t1", "w1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Feedback("t1", true); err != nil {
@@ -264,7 +264,7 @@ func TestReplayEqualsLive(t *testing.T) {
 	complete := func(id string, after time.Duration) {
 		t.Helper()
 		clk.Advance(after)
-		if _, _, err := h.Complete(id, "w1", "answer"); err != nil {
+		if _, err := h.Complete(id, "w1"); err != nil {
 			t.Fatal(err)
 		}
 	}

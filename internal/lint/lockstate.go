@@ -23,10 +23,10 @@ import (
 //     edges contribute nothing (a new goroutine starts lock-free);
 //     deferred calls contribute the set held at registration.
 //
-// Lock identity is a "class", not an instance: every sh.mu of every
-// *engine.shard is one class "engine.shard.mu". That is exactly the
-// granularity a lock-ordering convention is written at, and it makes
-// shard-stripe locks (many instances, one class) analyzable. The
+// Lock identity is a "class", not an instance: every s.mu of every
+// *engine.TaskStore is one class "engine.TaskStore.mu". That is exactly
+// the granularity a lock-ordering convention is written at, and it makes
+// striped locks (many instances, one class) analyzable. The
 // instance-blind over-approximation is deliberate.
 
 type lockClass struct {

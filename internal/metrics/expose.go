@@ -21,8 +21,8 @@ import (
 )
 
 // Label is one name/value pair attached to a metric series. Several series
-// may share a family name as long as their label sets differ (per-shard
-// depths, per-region engines).
+// may share a family name as long as their label sets differ (per-region
+// engines).
 type Label struct {
 	Key, Value string
 }

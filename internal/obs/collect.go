@@ -1,13 +1,11 @@
 // Collectors bridge the running system into the metrics.Registry: engine
 // counters (the ledger's, including the per-cause revocation split) become
-// counter families read at scrape time, per-shard task depths become
+// counter families read at scrape time, the task store's depths become
 // labelled gauges, and the engine's event spine feeds the round-shape
 // histograms no polling snapshot could reconstruct.
 package obs
 
 import (
-	"fmt"
-
 	"react/internal/admission"
 	"react/internal/engine"
 	"react/internal/event"
@@ -109,8 +107,9 @@ func (c *EngineCollector) HandleEvent(ev event.Event) {
 }
 
 // Register adds the collector's instruments plus the engine's own counters
-// and per-shard depths to reg. The labels (e.g. region="athens-ne") are
-// attached to every family, so several engines can share one registry.
+// and the task store's depths to reg. The labels (e.g.
+// region="athens-ne") are attached to every family, so several engines can
+// share one registry.
 // Registration errors are programming bugs (duplicate names/labels) and
 // are returned for the caller to fail fast on.
 func (c *EngineCollector) Register(reg *metrics.Registry, eng *engine.Engine, labels ...metrics.Label) error {
@@ -215,31 +214,26 @@ func (c *EngineCollector) Register(reg *metrics.Registry, eng *engine.Engine, la
 		return err
 	}
 
-	// Per-shard taskq depths and high-water marks. The shard count is
-	// fixed at engine construction, so the series set is stable.
+	// Task-store depths and high-water mark.
 	store := eng.Tasks()
-	for i := 0; i < store.Shards(); i++ {
-		i := i
-		shardLabels := append(append([]metrics.Label(nil), labels...), metrics.L("shard", fmt.Sprintf("%d", i)))
-		depth := func(read func(engine.ShardStat) float64) func() float64 {
-			return func() float64 { return read(store.ShardStats()[i]) }
-		}
-		if err := reg.RegisterGauge("react_taskq_unassigned",
-			"tasks waiting for a worker, per stripe", depth(func(s engine.ShardStat) float64 { return float64(s.Unassigned) }), shardLabels...); err != nil {
-			return err
-		}
-		if err := reg.RegisterGauge("react_taskq_assigned",
-			"tasks in a worker's hands, per stripe", depth(func(s engine.ShardStat) float64 { return float64(s.Assigned) }), shardLabels...); err != nil {
-			return err
-		}
-		if err := reg.RegisterGauge("react_taskq_terminal",
-			"completed+expired records retained, per stripe", depth(func(s engine.ShardStat) float64 { return float64(s.Terminal) }), shardLabels...); err != nil {
-			return err
-		}
-		if err := reg.RegisterGauge("react_taskq_unassigned_highwater",
-			"peak unassigned backlog ever held, per stripe", depth(func(s engine.ShardStat) float64 { return float64(s.UnassignedHighWater) }), shardLabels...); err != nil {
-			return err
-		}
+	depth := func(read func(engine.ShardStat) int) func() float64 {
+		return func() float64 { return float64(read(store.ShardStats()[0])) }
+	}
+	if err := reg.RegisterGauge("react_taskq_unassigned",
+		"tasks waiting for a worker", depth(func(s engine.ShardStat) int { return s.Unassigned }), labels...); err != nil {
+		return err
+	}
+	if err := reg.RegisterGauge("react_taskq_assigned",
+		"tasks in a worker's hands", depth(func(s engine.ShardStat) int { return s.Assigned }), labels...); err != nil {
+		return err
+	}
+	if err := reg.RegisterGauge("react_taskq_terminal",
+		"completed+expired records retained", depth(func(s engine.ShardStat) int { return s.Terminal }), labels...); err != nil {
+		return err
+	}
+	if err := reg.RegisterGauge("react_taskq_unassigned_highwater",
+		"peak unassigned backlog ever held", depth(func(s engine.ShardStat) int { return s.UnassignedHighWater }), labels...); err != nil {
+		return err
 	}
 	return nil
 }

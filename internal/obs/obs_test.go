@@ -28,7 +28,6 @@ func newTestEngine(t *testing.T) (*engine.Engine, *clock.Virtual, *EngineCollect
 	col := NewEngineCollector()
 	eng := engine.New(engine.Config{
 		Clock:    clk,
-		Shards:   2,
 		Schedule: schedule.Config{BatchBound: 1},
 	}, engine.Hooks{})
 	col.Attach(eng)
@@ -82,7 +81,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`react_engine_batches_total{region="all"} 1`,
 		`# TYPE react_engine_matcher_latency_seconds histogram`,
 		`react_engine_matcher_latency_seconds_count{region="all"} 1`,
-		`react_taskq_unassigned_highwater{region="all",shard=`,
+		`react_taskq_unassigned_highwater{region="all"} 1`,
 		`react_workers_known{region="all"} 1`,
 		`# HELP react_engine_reassign_eq2_total`,
 		`# TYPE react_deadline_miss_total counter`,
@@ -165,8 +164,8 @@ func TestStatuszEndpoint(t *testing.T) {
 	if r.ID != "all" || r.Engine.Received != 1 || r.WorkersKnown != 1 {
 		t.Errorf("region snapshot wrong: %+v", r)
 	}
-	if len(r.Shards) != 2 {
-		t.Errorf("shards %d, want 2", len(r.Shards))
+	if r.TasksBacklog != 0 || r.TasksBacklogHighWater != 1 {
+		t.Errorf("backlog %d (peak %d), want 0 (peak 1)", r.TasksBacklog, r.TasksBacklogHighWater)
 	}
 	if len(r.Workers) != 1 {
 		t.Fatalf("workers %d", len(r.Workers))

@@ -17,9 +17,6 @@ const DefaultWorkerLimit = 50
 type Source struct {
 	ID     string
 	Engine *engine.Engine
-	// Admission is the region's admission controller, nil when the
-	// admission plane is disabled.
-	Admission *admission.Controller
 }
 
 // EngineStatus mirrors engine.Stats with JSON tags.
@@ -32,15 +29,6 @@ type EngineStatus struct {
 	Reassigned         int64   `json:"reassigned"`
 	Batches            int64   `json:"batches"`
 	MatcherTimeSeconds float64 `json:"matcher_time_seconds"`
-}
-
-// ShardStatus is one taskq stripe's depth row.
-type ShardStatus struct {
-	Shard               int `json:"shard"`
-	Unassigned          int `json:"unassigned"`
-	Assigned            int `json:"assigned"`
-	Terminal            int `json:"terminal"`
-	UnassignedHighWater int `json:"unassigned_highwater"`
 }
 
 // ModelStatus is a worker's fitted power-law execution model (§IV.B).
@@ -66,7 +54,6 @@ type WorkerStatus struct {
 type RegionStatus struct {
 	ID            string         `json:"id"`
 	Engine        EngineStatus   `json:"engine"`
-	Shards        []ShardStatus  `json:"shards"`
 	WorkersOnline int            `json:"workers_online"`
 	WorkersKnown  int            `json:"workers_known"`
 	WorkersShown  int            `json:"workers_shown"`
@@ -74,6 +61,9 @@ type RegionStatus struct {
 	Workers       []WorkerStatus `json:"workers"`
 	TasksBacklog  int            `json:"tasks_backlog"`
 	TasksRetained int            `json:"tasks_retained"`
+	// TasksBacklogHighWater is the peak unassigned backlog the region's
+	// task store ever held.
+	TasksBacklogHighWater int `json:"tasks_backlog_highwater"`
 	// Admission is the admission plane's snapshot (floor, load gauges,
 	// decision counters, per-requester buckets); absent when disabled.
 	Admission *admission.Snapshot `json:"admission,omitempty"`
@@ -103,17 +93,10 @@ func buildRegion(src Source, workerLimit int) RegionStatus {
 			MatcherTimeSeconds: s.MatcherTime.Seconds(),
 		},
 	}
-	for _, sh := range eng.Tasks().ShardStats() {
-		rs.Shards = append(rs.Shards, ShardStatus{
-			Shard:               sh.Shard,
-			Unassigned:          sh.Unassigned,
-			Assigned:            sh.Assigned,
-			Terminal:            sh.Terminal,
-			UnassignedHighWater: sh.UnassignedHighWater,
-		})
-		rs.TasksBacklog += sh.Unassigned
-		rs.TasksRetained += sh.Terminal
-	}
+	depth := eng.Tasks().ShardStats()[0]
+	rs.TasksBacklog = depth.Unassigned
+	rs.TasksRetained = depth.Terminal
+	rs.TasksBacklogHighWater = depth.UnassignedHighWater
 	workers := eng.Workers()
 	rs.WorkersOnline = workers.CountConnected()
 	all := workers.All()
@@ -127,8 +110,8 @@ func buildRegion(src Source, workerLimit int) RegionStatus {
 	for _, p := range shown {
 		rs.Workers = append(rs.Workers, buildWorker(p))
 	}
-	if src.Admission != nil {
-		snap := src.Admission.Snapshot()
+	if adm := eng.Admission(); adm != nil {
+		snap := adm.Snapshot()
 		rs.Admission = &snap
 	}
 	return rs

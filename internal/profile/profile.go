@@ -352,7 +352,7 @@ func (r *Registry) Available() []*Profile {
 // The live engine taps it and journal replay calls it, so a recovered
 // profile has learned exactly what the live one did. An event for a worker
 // the registry no longer knows is dropped: its history left with it.
-// As a tap it runs under the task's shard lock; it takes the registry's
+// As a tap it runs under the task store's lock; it takes the registry's
 // read lock and one profile's mutex, nothing else.
 func (r *Registry) Observe(ev event.Event) {
 	if ev.Kind != event.KindComplete && ev.Kind != event.KindFeedback {

@@ -3,7 +3,6 @@ package taskq_test
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -16,33 +15,20 @@ import (
 	. "react/internal/taskq"
 )
 
-// refManager is the model the sharded, indexed engine.TaskStore is checked
+// refManager is the model the indexed engine.TaskStore is checked
 // against: one map and a full scan for every question, the way the
 // registry answered before it kept status indexes. Multi-record passes
-// publish in the order the store documents: shard by shard (FNV-1a of the
-// id, modulo the shard count), and within a shard expiry by id, retention
-// by (FinishedAt, id).
+// publish in the order the store documents: expiry by id, retention by
+// (FinishedAt, id).
 type refManager struct {
 	clk    clock.Clock
-	shards int
 	recs   map[string]*Record
-	hw     []int // per shard
+	hw     int
 	events []event.Event
 }
 
 func (m *refManager) emit(kind event.Kind, r *Record, at time.Time, worker, cause string, prob float64) {
 	m.events = append(m.events, event.Event{Kind: kind, Task: r.Task.ID, Record: *r, At: at, Worker: worker, Cause: cause, Prob: prob})
-}
-
-func (m *refManager) shardOf(id string) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(m.shards))
-}
-
-// byShard stably reorders rs shard by shard, keeping each shard's order.
-func (m *refManager) byShard(rs []*Record) {
-	sort.SliceStable(rs, func(i, j int) bool { return m.shardOf(rs[i].Task.ID) < m.shardOf(rs[j].Task.ID) })
 }
 
 func (m *refManager) scan(keep func(*Record) bool) []*Record {
@@ -57,15 +43,13 @@ func (m *refManager) scan(keep func(*Record) bool) []*Record {
 }
 
 func (m *refManager) noteHW() {
-	u := make([]int, m.shards)
-	for id, r := range m.recs {
+	u := 0
+	for _, r := range m.recs {
 		if r.Status == Unassigned {
-			u[m.shardOf(id)]++
+			u++
 		}
 	}
-	for i, n := range u {
-		m.hw[i] = max(m.hw[i], n)
-	}
+	m.hw = max(m.hw, u)
 }
 
 func (m *refManager) Restore(r Record) error {
@@ -166,9 +150,6 @@ func (m *refManager) expire(includeAssigned bool) []Record {
 	for _, r := range due {
 		r.Status, r.FinishedAt = Expired, now
 		out = append(out, *r)
-	}
-	m.byShard(due)
-	for _, r := range due {
 		m.emit(event.KindExpire, r, now, r.Worker, CauseDeadline, 0)
 	}
 	return out
@@ -178,7 +159,6 @@ func (m *refManager) ForgetTerminatedBefore(cutoff time.Time) int {
 	now := m.clk.Now()
 	victims := m.scan(func(r *Record) bool { return r.Status >= Completed && r.FinishedAt.Before(cutoff) })
 	sort.SliceStable(victims, func(i, j int) bool { return victims[i].FinishedAt.Before(victims[j].FinishedAt) })
-	m.byShard(victims)
 	for _, r := range victims {
 		delete(m.recs, r.Task.ID)
 		m.emit(event.KindForget, r, now, r.Worker, CauseRetention, 0)
@@ -212,26 +192,23 @@ func (m *refManager) Counts() (u, a, c, e int) {
 }
 
 // TestModelAgainstFullScan drives an engine's store and the full-scan
-// model through the same seeded operation stream on one virtual clock, at
-// one and at four shards, and requires identical return values, snapshot
-// orders, counts, per-shard high-water marks and spine event stream (read
-// through a bus tap) after every step.
+// model through the same seeded operation stream on one virtual clock and
+// requires identical return values, snapshot orders, counts, high-water
+// mark and spine event stream (read through a bus tap) after every step.
 func TestModelAgainstFullScan(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			for _, shards := range []int{1, 4} {
-				runModel(t, seed, 4000, shards)
-			}
+			runModel(t, seed, 4000)
 		})
 	}
 }
 
-func runModel(t *testing.T, seed int64, ops, shards int) {
+func runModel(t *testing.T, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := clock.NewVirtual(clock.Epoch)
-	eng := engine.New(engine.Config{Clock: clk, Shards: shards}, engine.Hooks{})
+	eng := engine.New(engine.Config{Clock: clk}, engine.Hooks{})
 	m := eng.Tasks()
-	ref := &refManager{clk: clk, shards: shards, recs: map[string]*Record{}, hw: make([]int, shards)}
+	ref := &refManager{clk: clk, recs: map[string]*Record{}}
 	var got []event.Event
 	eng.Events().Tap(func(ev event.Event) {
 		ev.Seq = 0
@@ -261,13 +238,13 @@ func runModel(t *testing.T, seed int64, ops, shards int) {
 	sameErr := func(step int, op string, g, w error) {
 		t.Helper()
 		if (g == nil) != (w == nil) || (w != nil && !errors.Is(g, w)) {
-			t.Fatalf("%d shards, step %d %s: err = %v, model %v", shards, step, op, g, w)
+			t.Fatalf("step %d %s: err = %v, model %v", step, op, g, w)
 		}
 	}
 	same := func(step int, op string, g, w any) {
 		t.Helper()
 		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%d shards, step %d %s:\n got   %+v\n model %+v", shards, step, op, g, w)
+			t.Fatalf("step %d %s:\n got   %+v\n model %+v", step, op, g, w)
 		}
 	}
 
@@ -297,7 +274,7 @@ func runModel(t *testing.T, seed int64, ops, shards int) {
 			var gerr error
 			if by == "" {
 				g, gerr = m.Complete(id)
-			} else if _, g, gerr = eng.Complete(id, by, ""); errors.Is(gerr, engine.ErrNotAssigned) {
+			} else if g, gerr = eng.Complete(id, by); errors.Is(gerr, engine.ErrNotAssigned) {
 				gerr = ErrBadState
 			}
 			w, werr := ref.Complete(id, by)
@@ -330,7 +307,7 @@ func runModel(t *testing.T, seed int64, ops, shards int) {
 		}
 
 		if len(got) != len(ref.events) {
-			t.Fatalf("%d shards, step %d: %d events, model %d", shards, step, len(got), len(ref.events))
+			t.Fatalf("step %d: %d events, model %d", step, len(got), len(ref.events))
 		}
 		for i := range got {
 			same(step, fmt.Sprintf("event %d of %d", i, len(got)), got[i], ref.events[i])
@@ -341,15 +318,11 @@ func runModel(t *testing.T, seed int64, ops, shards int) {
 		gu, ga, gc, ge := m.Counts()
 		wu, wa, wc, we := ref.Counts()
 		same(step, "counts", [4]int{gu, ga, gc, ge}, [4]int{wu, wa, wc, we})
-		hw := make([]int, shards)
-		for i, st := range m.ShardStats() {
-			hw[i] = st.UnassignedHighWater
-		}
-		same(step, "high-water", hw, ref.hw)
+		same(step, "high-water", m.ShardStats()[0].UnassignedHighWater, ref.hw)
 		id := pick()
 		g, ok := m.Get(id)
 		if w := ref.recs[id]; ok != (w != nil) || ok && !reflect.DeepEqual(g, *w) {
-			t.Fatalf("%d shards, step %d get %q: got %+v %v, model %+v", shards, step, id, g, ok, w)
+			t.Fatalf("step %d get %q: got %+v %v, model %+v", step, id, g, ok, w)
 		}
 	}
 	if u, a, c, e := m.Counts(); u+a+c+e == 0 || len(ids) < ops/4 {
@@ -360,56 +333,45 @@ func runModel(t *testing.T, seed int64, ops, shards int) {
 // TestRestoreTerminalOrder bulk-loads terminal records whose FinishedAt is
 // out of order and partly equal, as a recovered snapshot (sorted by id, not
 // by time) presents them: retention must still drop exactly the records
-// before the cutoff, each shard oldest first, ties by id.
+// before the cutoff, oldest first, ties by id.
 func TestRestoreTerminalOrder(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		clk := clock.NewVirtual(clock.Epoch)
-		eng := engine.New(engine.Config{Clock: clk, Shards: shards}, engine.Hooks{})
-		m := eng.Tasks()
-		finished := map[string]int{"a": 40, "b": 10, "c": 30, "d": 10, "e": 20, "f": 30, "g": 50}
-		for _, id := range []string{"a", "b", "c", "d", "e", "f", "g"} {
-			status := Completed
-			if id == "d" || id == "f" {
-				status = Expired
-			}
-			rec := Record{Task: testTask(id, time.Minute), Status: status,
-				FinishedAt: clock.Epoch.Add(time.Duration(finished[id]) * time.Second)}
-			if err := m.Restore(rec); err != nil {
-				t.Fatal(err)
-			}
+	clk := clock.NewVirtual(clock.Epoch)
+	eng := engine.New(engine.Config{Clock: clk}, engine.Hooks{})
+	m := eng.Tasks()
+	finished := map[string]int{"a": 40, "b": 10, "c": 30, "d": 10, "e": 20, "f": 30, "g": 50}
+	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+		status := Completed
+		if id == "d" || id == "f" {
+			status = Expired
 		}
-		clk.Advance(2 * time.Minute)
-		var forgot []string
-		eng.Events().Tap(func(ev event.Event) {
-			if ev.Kind != event.KindForget {
-				t.Errorf("unexpected event kind %v", ev.Kind)
-			}
-			forgot = append(forgot, ev.Task)
-		})
-		if n := m.ForgetTerminatedBefore(clock.Epoch.Add(30 * time.Second)); n != 3 {
-			t.Fatalf("%d shards: removed %d, want 3 (cutoff is exclusive)", shards, n)
+		rec := Record{Task: testTask(id, time.Minute), Status: status,
+			FinishedAt: clock.Epoch.Add(time.Duration(finished[id]) * time.Second)}
+		if err := m.Restore(rec); err != nil {
+			t.Fatal(err)
 		}
-		if n := m.ForgetTerminatedBefore(clock.Epoch.Add(41 * time.Second)); n != 3 {
-			t.Fatalf("%d shards: second pass removed %d, want 3", shards, n)
+	}
+	clk.Advance(2 * time.Minute)
+	var forgot []string
+	eng.Events().Tap(func(ev event.Event) {
+		if ev.Kind != event.KindForget {
+			t.Errorf("unexpected event kind %v", ev.Kind)
 		}
-		// Oldest first, ties by id, shard by shard within each pass.
-		ref := &refManager{shards: shards}
-		first := []*Record{{Task: Task{ID: "b"}}, {Task: Task{ID: "d"}}, {Task: Task{ID: "e"}}}
-		second := []*Record{{Task: Task{ID: "c"}}, {Task: Task{ID: "f"}}, {Task: Task{ID: "a"}}}
-		ref.byShard(first)
-		ref.byShard(second)
-		var want []string
-		for _, r := range append(first, second...) {
-			want = append(want, r.Task.ID)
-		}
-		if !reflect.DeepEqual(forgot, want) {
-			t.Fatalf("%d shards: forget order = %v, want %v", shards, forgot, want)
-		}
-		if _, _, c, e := m.Counts(); c != 1 || e != 0 {
-			t.Fatalf("%d shards: left completed=%d expired=%d, want 1/0", shards, c, e)
-		}
-		if _, ok := m.Get("g"); !ok {
-			t.Fatalf("%d shards: record past the cutoff was dropped", shards)
-		}
+		forgot = append(forgot, ev.Task)
+	})
+	if n := m.ForgetTerminatedBefore(clock.Epoch.Add(30 * time.Second)); n != 3 {
+		t.Fatalf("removed %d, want 3 (cutoff is exclusive)", n)
+	}
+	if n := m.ForgetTerminatedBefore(clock.Epoch.Add(41 * time.Second)); n != 3 {
+		t.Fatalf("second pass removed %d, want 3", n)
+	}
+	// Oldest first, ties by id, within each pass.
+	if want := []string{"b", "d", "e", "c", "f", "a"}; !reflect.DeepEqual(forgot, want) {
+		t.Fatalf("forget order = %v, want %v", forgot, want)
+	}
+	if _, _, c, e := m.Counts(); c != 1 || e != 0 {
+		t.Fatalf("left completed=%d expired=%d, want 1/0", c, e)
+	}
+	if _, ok := m.Get("g"); !ok {
+		t.Fatal("record past the cutoff was dropped")
 	}
 }

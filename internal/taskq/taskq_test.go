@@ -18,11 +18,10 @@ import (
 	. "react/internal/taskq"
 )
 
-// newTestManager returns a four-shard store: every snapshot order and
-// count asserted below is the same at any shard count.
+// newTestManager returns a bare store on a virtual clock.
 func newTestManager() (*engine.TaskStore, *clock.Virtual) {
 	clk := clock.NewVirtual(clock.Epoch)
-	return engine.NewTaskStore(clk, 4), clk
+	return engine.NewTaskStore(clk, 1), clk
 }
 
 func testTask(id string, deadline time.Duration) Task {
@@ -144,14 +143,14 @@ func TestStateMachineRejections(t *testing.T) {
 // holder — a revoked worker answering after its task was rebound — is
 // refused without touching the binding or emitting an event.
 func TestCompleteChecksHolder(t *testing.T) {
-	eng := engine.New(engine.Config{Clock: clock.NewVirtual(clock.Epoch), Shards: 4}, engine.Hooks{})
+	eng := engine.New(engine.Config{Clock: clock.NewVirtual(clock.Epoch)}, engine.Hooks{})
 	m := eng.Tasks()
 	var events []event.Event
 	eng.Events().Tap(func(ev event.Event) { events = append(events, ev) })
 	m.Submit(testTask("t1", time.Minute))
 	m.Assign("t1", "bob")
 	before := len(events)
-	if _, _, err := eng.Complete("t1", "alice", ""); !errors.Is(err, engine.ErrNotAssigned) {
+	if _, err := eng.Complete("t1", "alice"); !errors.Is(err, engine.ErrNotAssigned) {
 		t.Fatalf("non-holder complete err = %v, want ErrNotAssigned", err)
 	}
 	if r, _ := m.Get("t1"); r.Status != Assigned || r.Worker != "bob" {
@@ -160,7 +159,7 @@ func TestCompleteChecksHolder(t *testing.T) {
 	if len(events) != before {
 		t.Fatalf("refused complete emitted %d events", len(events)-before)
 	}
-	_, rec, err := eng.Complete("t1", "bob", "")
+	rec, err := eng.Complete("t1", "bob")
 	if err != nil || rec.Status != Completed || rec.Worker != "bob" {
 		t.Fatalf("holder complete = %+v, %v", rec, err)
 	}
@@ -366,7 +365,7 @@ func TestForgetTerminatedBefore(t *testing.T) {
 func TestQuickCountsStayConsistent(t *testing.T) {
 	f := func(ops []uint8) bool {
 		clk := clock.NewVirtual(clock.Epoch)
-		m := engine.NewTaskStore(clk, 4)
+		m := engine.NewTaskStore(clk, 1)
 		next := 0
 		ids := []string{}
 		for _, op := range ops {
@@ -445,7 +444,6 @@ func TestMarkGradedOnce(t *testing.T) {
 }
 
 func TestUnassignedHighWater(t *testing.T) {
-	// The mark is per shard; one shard holds the whole backlog here.
 	m := engine.NewTaskStore(clock.NewVirtual(clock.Epoch), 1)
 	highWater := func() int { return m.ShardStats()[0].UnassignedHighWater }
 	if hw := highWater(); hw != 0 {

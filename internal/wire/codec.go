@@ -14,7 +14,7 @@ import (
 // encode of the hot frames (assignment, result, event, submit, ok/error)
 // allocates nothing. encoding/json built a fresh buffer and reflected over
 // the struct for every frame, which made the transport — not the engine —
-// the allocation hot path once the scheduler was sharded.
+// the allocation hot path.
 //
 // The encoding mirrors the Message struct tags exactly (field order,
 // omitempty semantics, string escaping sufficient for the

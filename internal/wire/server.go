@@ -31,8 +31,8 @@ const DefaultIdleTimeout = 90 * time.Second
 
 // eventWatchDepth bounds one watch-events subscription's buffer. Deep
 // enough to ride out transient client stalls; a stream that falls further
-// behind drops frames (counted on the bus) rather than blocking the shard
-// lock under which events are published.
+// behind drops frames (counted on the bus) rather than blocking the task
+// store's lock under which events are published.
 const eventWatchDepth = 1024
 
 // expiryPumpDepth bounds one region's expiry-push backlog. A tick that
@@ -72,12 +72,12 @@ func (r *Region) Engine() *engine.Engine { return r.eng }
 // blocks on a peer. A worker with no route (its connection is gone or
 // going) or whose connection has failed refuses the delivery, and the
 // engine revokes the binding.
-func (r *Region) deliver(a engine.Assignment) bool {
-	c, ok := r.routes.Load(a.WorkerID)
+func (r *Region) deliver(rec taskq.Record) bool {
+	c, ok := r.routes.Load(rec.Worker)
 	if !ok {
 		return false
 	}
-	fb := encodeFrame(&Message{Type: "assignment", Assignment: toAssignmentPayload(a, time.Now())})
+	fb := encodeFrame(&Message{Type: "assignment", Assignment: toAssignmentPayload(rec, time.Now())})
 	err := c.(*conn).w.enqueue(fb.b, false)
 	fb.release()
 	return err == nil
@@ -695,10 +695,10 @@ func (c *conn) handle(m *Message) {
 		}
 		r, err := s.ofTask(m.TaskID)
 		if err == nil {
-			var res engine.Result
-			if res, _, err = r.Complete(m.TaskID, m.Worker, m.Answer); err == nil {
+			var final taskq.Record
+			if final, err = r.Complete(m.TaskID, m.Worker); err == nil {
 				// Watchers hear the answer before the worker hears ok.
-				s.broadcast(Message{Type: "result", Result: toResultPayload(res)})
+				s.broadcast(Message{Type: "result", Result: toResultPayload(final, m.Answer)})
 			}
 		}
 		c.reply(m.Seq, err)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"react/internal/admission"
-	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -216,7 +215,8 @@ func (p TaskPayload) Task(now time.Time) taskq.Task {
 	}
 }
 
-// AssignmentPayload is the wire form of engine.Assignment.
+// AssignmentPayload is the wire form of a task the engine bound to a
+// worker.
 type AssignmentPayload struct {
 	TaskID      string  `json:"task_id"`
 	WorkerID    string  `json:"worker_id"`
@@ -228,20 +228,22 @@ type AssignmentPayload struct {
 	Reward      float64 `json:"reward"`
 }
 
-func toAssignmentPayload(a engine.Assignment, now time.Time) *AssignmentPayload {
+func toAssignmentPayload(rec taskq.Record, now time.Time) *AssignmentPayload {
+	t := rec.Task
 	return &AssignmentPayload{
-		TaskID:      a.TaskID,
-		WorkerID:    a.WorkerID,
-		Category:    a.Category,
-		Description: a.Description,
-		Lat:         a.Location.Lat,
-		Lon:         a.Location.Lon,
-		DeadlineMS:  int64(a.Deadline.Sub(now) / time.Millisecond),
-		Reward:      a.Reward,
+		TaskID:      t.ID,
+		WorkerID:    rec.Worker,
+		Category:    t.Category,
+		Description: t.Description,
+		Lat:         t.Location.Lat,
+		Lon:         t.Location.Lon,
+		DeadlineMS:  int64(t.Deadline.Sub(now) / time.Millisecond),
+		Reward:      t.Reward,
 	}
 }
 
-// ResultPayload is the wire form of engine.Result.
+// ResultPayload is the wire form of a task's outcome, pushed to watchers:
+// a completion carries the worker and its answer, an expiry only the id.
 type ResultPayload struct {
 	TaskID      string `json:"task_id"`
 	WorkerID    string `json:"worker_id,omitempty"`
@@ -250,13 +252,12 @@ type ResultPayload struct {
 	Expired     bool   `json:"expired"`
 }
 
-func toResultPayload(r engine.Result) *ResultPayload {
+func toResultPayload(final taskq.Record, answer string) *ResultPayload {
 	return &ResultPayload{
-		TaskID:      r.TaskID,
-		WorkerID:    r.WorkerID,
-		Answer:      r.Answer,
-		MetDeadline: r.MetDeadline,
-		Expired:     r.Expired,
+		TaskID:      final.Task.ID,
+		WorkerID:    final.Worker,
+		Answer:      answer,
+		MetDeadline: final.MetDeadline(),
 	}
 }
 

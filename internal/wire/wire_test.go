@@ -11,6 +11,7 @@ import (
 
 	"react/internal/engine"
 	"react/internal/schedule"
+	"react/internal/taskq"
 )
 
 func startServer(t *testing.T) *Server {
@@ -590,7 +591,7 @@ func TestAssignmentPayloadDeadlineFromNow(t *testing.T) {
 		{"already past", -2 * time.Second, -2000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := toAssignmentPayload(engine.Assignment{TaskID: "t", Deadline: at.Add(tc.deadline)}, at)
+			p := toAssignmentPayload(taskq.Record{Task: taskq.Task{ID: "t", Deadline: at.Add(tc.deadline)}}, at)
 			if p.DeadlineMS != tc.want {
 				t.Fatalf("DeadlineMS = %d, want %d", p.DeadlineMS, tc.want)
 			}
