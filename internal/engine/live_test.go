@@ -173,16 +173,29 @@ func TestAssignmentDeliveredToWorker(t *testing.T) {
 
 func TestCompleteWrongWorkerRejected(t *testing.T) {
 	h := newFeedHost(t, fastConfig())
-	feed := h.register(t, "alice")
-	h.register(t, "mallory")
+	alice := h.register(t, "alice")
+	mallory := h.register(t, "mallory")
 	h.Submit(liveTask("t1", time.Minute))
-	if rec := recv(t, feed); rec.Task.ID != "t1" {
+	// Both are trainees, so the matcher's draw picks the holder; the other
+	// one plays the impostor.
+	var rec taskq.Record
+	select {
+	case rec = <-alice:
+	case rec = <-mallory:
+	case <-time.After(2 * time.Second):
+		t.Fatal("assignment never delivered")
+	}
+	holder, impostor := rec.Worker, "mallory"
+	if holder == "mallory" {
+		impostor = "alice"
+	}
+	if rec.Task.ID != "t1" {
 		t.Fatalf("assignment = %+v", rec)
 	}
-	if _, err := h.Complete("t1", "mallory"); !errors.Is(err, ErrNotAssigned) {
+	if _, err := h.Complete("t1", impostor); !errors.Is(err, ErrNotAssigned) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := h.Complete("ghost", "alice"); !errors.Is(err, taskq.ErrUnknownTask) {
+	if _, err := h.Complete("ghost", holder); !errors.Is(err, taskq.ErrUnknownTask) {
 		t.Fatalf("err = %v", err)
 	}
 }

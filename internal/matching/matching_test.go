@@ -392,3 +392,19 @@ func BenchmarkHungarian100x100(b *testing.B) {
 		Hungarian{}.Match(g)
 	}
 }
+
+// TestNilRandDefaultIsFixedAndCheap pins the default a live engine's
+// matcher runs on: with no RNG, every match replays one stream (two runs
+// agree), and seeding it allocates at most two small objects, not a source
+// table.
+func TestNilRandDefaultIsFixedAndCheap(t *testing.T) {
+	g := randomGraph(30, 30, 0.5, 5)
+	a, sa := REACT{Adaptive: true}.Match(g)
+	b, sb := REACT{Adaptive: true}.Match(g)
+	if a.Weight() != b.Weight() || sa != sb {
+		t.Fatalf("nil-Rand matches diverged: %v/%v vs %v/%v", a.Weight(), sa, b.Weight(), sb)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rngOrDefault(nil).Intn(10) }); allocs > 2 {
+		t.Fatalf("default RNG allocates %v objects per match, want at most 2", allocs)
+	}
+}
