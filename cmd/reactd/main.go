@@ -198,6 +198,9 @@ func main() {
 		if err := obs.RegisterWireServer(ow.reg, srv); err != nil {
 			fatal("reactd: wire metrics", "err", err)
 		}
+		if err := obs.RegisterRuntime(ow.reg); err != nil {
+			fatal("reactd: runtime metrics", "err", err)
+		}
 		if store != nil {
 			if err := obs.RegisterJournal(ow.reg, store); err != nil {
 				fatal("reactd: journal metrics", "err", err)

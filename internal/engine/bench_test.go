@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"react/internal/clock"
+	"react/internal/region"
+	"react/internal/schedule"
+	"react/internal/taskq"
 )
 
 // tickEngine builds an engine with a retention window, holding
@@ -63,5 +66,59 @@ func TestTickNothingDueAllocatesNothing(t *testing.T) {
 		if u, a, c, e := eng.Tasks().Counts(); u != 0 || a != 64 || c != terminal || e != 0 {
 			t.Errorf("%d terminal records: counts after ticks = %d/%d/%d/%d", terminal, u, a, c, e)
 		}
+	}
+}
+
+// BenchmarkRound times one scheduling round as the live engine runs it —
+// plan (snapshot, Eq. 3 graph), match (Alg. 1 on the matcher's default
+// RNG) and apply (bind and deliver) — at the benchmark's capacity round
+// once kicked: 61 seasoned idle workers and 13 waiting tasks. Between
+// rounds, off the clock, the bound tasks complete, retention drops them and
+// 13 fresh tasks arrive.
+func BenchmarkRound(b *testing.B) {
+	const workers, tasks = 61, 13
+	clk := clock.NewVirtual(testEpoch)
+	var bound []taskq.Record
+	eng := New(Config{
+		Clock:     clk,
+		Retention: time.Millisecond,
+		Schedule:  schedule.Config{BatchBound: 10, BatchPeriod: time.Second},
+	}, Hooks{Deliver: func(rec taskq.Record) bool {
+		bound = append(bound, rec)
+		return true
+	}})
+	for w := 0; w < workers; w++ {
+		p, err := eng.AttachWorker(fmt.Sprintf("w%02d", w), region.Point{Lat: 38.0, Lon: 23.7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, exec := range []float64{1, 2, 3, 2, 1} {
+			p.RecordCompletion("photo", exec, i != w%5)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < tasks; j++ {
+			if err := eng.Submit(testTask(fmt.Sprintf("r%07d-%02d", i, j), clk)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		bound = bound[:0]
+		b.StartTimer()
+		eng.TryBatch()
+		b.StopTimer()
+		if len(bound) != tasks {
+			b.Fatalf("round %d bound %d of %d tasks", i, len(bound), tasks)
+		}
+		for _, rec := range bound {
+			if _, err := eng.Complete(rec.Task.ID, rec.Worker); err != nil {
+				b.Fatal(err)
+			}
+		}
+		clk.Advance(2 * time.Millisecond)
+		eng.TickRetention()
+		b.StartTimer()
 	}
 }

@@ -172,10 +172,13 @@ type Engine struct {
 	batches   atomic.Int64
 	matcherNs atomic.Int64
 
-	// The live loops (live.go): stop ends them, loops waits for them.
+	// The live loops (live.go): stop ends them, loops waits for them, and
+	// wake (one slot) asks batchLoop for a round the moment the backlog
+	// half of the trigger holds (kick).
 	stop     chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup
+	wake     chan struct{}
 }
 
 // New creates an engine. The first batch is considered due immediately
@@ -191,6 +194,7 @@ func New(cfg Config, hooks Hooks) *Engine {
 		bus:     bus,
 		lastRun: cfg.Clock.Now().Add(-cfg.Schedule.BatchPeriod),
 		stop:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
 	}
 	// The ledger taps first: every later consumer finds the counters moved.
 	// The worker profiles learn from the same stream journal replay feeds
@@ -260,7 +264,28 @@ func (e *Engine) Submit(t taskq.Task) error {
 			return fmt.Errorf("%w: %d tasks in flight (ceiling %d)", ErrQueueFull, n, ceiling)
 		}
 	}
-	return e.tasks.Submit(t)
+	if err := e.tasks.Submit(t); err != nil {
+		return err
+	}
+	e.kick()
+	return nil
+}
+
+// kick wakes the live batch loop for a round when the backlog half of the
+// §IV.A trigger holds — more than BatchBound tasks unassigned — read off
+// the ledger's gauge, one atomic load. It never blocks: the wake channel
+// has one slot, so kicks that land while a round runs coalesce into the
+// one after it. The period half stays on the BatchPoll ticker. The
+// simulation harness, which never calls Start, calls TryBatch at these
+// same points itself; its kicks fill the slot and go unread.
+func (e *Engine) kick() {
+	if e.ledger.Unassigned() <= int64(e.cfg.Schedule.BatchBound) {
+		return
+	}
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
 }
 
 // AttachWorker makes a worker available: a new id is registered at loc; a
@@ -282,6 +307,7 @@ func (e *Engine) AttachWorker(id string, loc region.Point) (*profile.Profile, er
 		p.SetAvailable(true)
 	}
 	e.bus.Publish(event.Event{Kind: event.KindAttach, Worker: id, At: e.cfg.Clock.Now(), Loc: loc})
+	e.kick()
 	return p, nil
 }
 
@@ -423,7 +449,8 @@ func (e *Engine) TickMonitor() {
 // revoked it); with none it has just completed in the worker's hands.
 // The idle mark is guarded, so of two releases racing — a detach, a
 // deregister, a refused delivery, a late Complete — the second is a
-// no-op. p is nil when the worker left the registry.
+// no-op. p is nil when the worker left the registry. Either way a worker
+// or a task may have come free, so release ends with a kick.
 func (e *Engine) release(taskID string, p *profile.Profile, cause string, prob float64) {
 	if cause != "" {
 		e.tasks.Unassign(taskID, cause, prob)
@@ -431,6 +458,7 @@ func (e *Engine) release(taskID string, p *profile.Profile, cause string, prob f
 	if p != nil && p.CurrentTask() == taskID {
 		p.MarkIdle()
 	}
+	e.kick()
 }
 
 // binding is one matcher proposal: give taskID to workerID.

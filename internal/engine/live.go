@@ -3,11 +3,12 @@ package engine
 import "time"
 
 // Start launches the live loops: Tick every Config.BatchPoll (retention
-// GC, expiry of overdue unassigned tasks, the batch trigger, the shedder)
-// and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep). Call it
-// once, after any recovery and before traffic. A host that drives the
-// ticks itself — the experiments harness on its virtual clock — never
-// calls it.
+// GC, expiry of overdue unassigned tasks, the period half of the batch
+// trigger, the shedder), TryBatch whenever a submit, a release or an
+// attach finds more than BatchBound tasks waiting, and TickMonitor every
+// Config.MonitorPeriod (the Eq. 2 sweep). Call it once, after any recovery
+// and before traffic. A host that drives the ticks itself — the
+// experiments harness on its virtual clock — never calls it.
 func (e *Engine) Start() {
 	e.loops.Add(2)
 	go e.batchLoop()
@@ -21,8 +22,11 @@ func (e *Engine) Stop() {
 	e.loops.Wait()
 }
 
-// batchLoop ticks the engine: retention GC, expiry of overdue unassigned
-// tasks, the batch trigger, and the shedder.
+// batchLoop runs every round the live engine plays. The ticker drives
+// Tick — retention GC, expiry of overdue unassigned tasks, the period half
+// of the batch trigger, and the shedder — and a kick (wake) drives
+// TryBatch alone, so a round starts when the backlog crosses BatchBound,
+// not on the next poll.
 func (e *Engine) batchLoop() {
 	defer e.loops.Done()
 	//lint:ignore clockdiscipline the ticker only paces polling; every scheduling decision reads the injected cfg.Clock
@@ -33,8 +37,10 @@ func (e *Engine) batchLoop() {
 		case <-e.stop:
 			return
 		case <-ticker.C:
+			e.Tick()
+		case <-e.wake:
+			e.TryBatch()
 		}
-		e.Tick()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"react/internal/clock"
 	"react/internal/event"
 	"react/internal/schedule"
 	"react/internal/taskq"
@@ -404,5 +405,123 @@ func TestTeardownInsideDeliveryRevokesOnce(t *testing.T) {
 	}
 	if len(revokes) != 1 || revokes[0].Task != "t1" || revokes[0].Cause != taskq.CauseDetach {
 		t.Fatalf("revokes = %+v, want exactly one detach revoke of t1", revokes)
+	}
+}
+
+// kickBound is the BatchBound of kickHost's engine.
+const kickBound = 3
+
+// kickHost starts an engine on a virtual clock whose ticker never fires
+// within a test (BatchPoll is an hour), so only a kick can start a round.
+// Every delivery lands on the returned channel.
+func kickHost(t *testing.T) (*Engine, *clock.Virtual, <-chan taskq.Record) {
+	t.Helper()
+	clk := clock.NewVirtual(testEpoch)
+	delivered := make(chan taskq.Record, 64)
+	e := New(Config{
+		Clock:         clk,
+		BatchPoll:     time.Hour,
+		MonitorPeriod: time.Hour,
+		Schedule:      schedule.Config{BatchBound: kickBound, BatchPeriod: time.Minute},
+	}, Hooks{Deliver: func(rec taskq.Record) bool {
+		delivered <- rec
+		return true
+	}})
+	e.Start()
+	t.Cleanup(e.Stop)
+	return e, clk, delivered
+}
+
+// awaitDelivery returns the next delivery, failing the test if none comes
+// within d.
+func awaitDelivery(t *testing.T, delivered <-chan taskq.Record, d time.Duration, what string) taskq.Record {
+	t.Helper()
+	select {
+	case rec := <-delivered:
+		return rec
+	case <-time.After(d):
+		t.Fatalf("%s: nothing delivered within %v", what, d)
+		return taskq.Record{}
+	}
+}
+
+// refuseDelivery fails the test if anything is delivered within d.
+func refuseDelivery(t *testing.T, delivered <-chan taskq.Record, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case rec := <-delivered:
+		t.Fatalf("%s: %s delivered to %s", what, rec.Task.ID, rec.Worker)
+	case <-time.After(d):
+	}
+}
+
+// TestSubmitPastBatchBoundRunsRoundBeforePoll: the submit that takes the
+// backlog past BatchBound starts a round at once (§IV.A's trigger), where
+// a polled trigger would wait for the hour-long tick.
+func TestSubmitPastBatchBoundRunsRoundBeforePoll(t *testing.T) {
+	e, clk, delivered := kickHost(t)
+	for w := 0; w <= kickBound; w++ {
+		mustAttach(t, e, fmt.Sprintf("w%d", w))
+	}
+	for i := 0; i <= kickBound; i++ {
+		mustSubmit(t, e, testTask(fmt.Sprintf("t%d", i), clk))
+	}
+	for i := 0; i <= kickBound; i++ {
+		awaitDelivery(t, delivered, time.Second, fmt.Sprintf("task %d of %d", i+1, kickBound+1))
+	}
+}
+
+// TestReleaseWithBacklogKicksRound: with every worker busy and the backlog
+// above the bound, the completion that frees a worker starts the round
+// that hands it the next task.
+func TestReleaseWithBacklogKicksRound(t *testing.T) {
+	e, clk, delivered := kickHost(t)
+	mustAttach(t, e, "w")
+	for i := 0; i < kickBound+2; i++ {
+		mustSubmit(t, e, testTask(fmt.Sprintf("t%d", i), clk))
+	}
+	first := awaitDelivery(t, delivered, time.Second, "first round")
+	refuseDelivery(t, delivered, 50*time.Millisecond, "the only worker is busy")
+	if _, err := e.Complete(first.Task.ID, "w"); err != nil {
+		t.Fatal(err)
+	}
+	if next := awaitDelivery(t, delivered, time.Second, "after the release"); next.Task.ID == first.Task.ID {
+		t.Fatalf("completed task %s delivered again", next.Task.ID)
+	}
+}
+
+// TestBacklogAtBoundWaitsForPeriod: a backlog of exactly BatchBound tasks
+// is the period half's business. No kick — a submit, an attach, a
+// completion — starts a round for it, nor does a tick before BatchPeriod
+// has passed since the last round; the first tick after it does.
+func TestBacklogAtBoundWaitsForPeriod(t *testing.T) {
+	e, clk, delivered := kickHost(t)
+	for w := 0; w <= kickBound; w++ {
+		mustAttach(t, e, fmt.Sprintf("w%d", w))
+	}
+	// One kicked round first, so the period runs from now.
+	for i := 0; i <= kickBound; i++ {
+		mustSubmit(t, e, testTask(fmt.Sprintf("a%d", i), clk))
+	}
+	for i := 0; i <= kickBound; i++ {
+		rec := awaitDelivery(t, delivered, time.Second, "the kicked round")
+		if _, err := e.Complete(rec.Task.ID, rec.Worker); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < kickBound; i++ {
+		task := testTask(fmt.Sprintf("b%d", i), clk)
+		task.Deadline = clk.Now().Add(time.Hour) // outlives the period
+		mustSubmit(t, e, task)
+	}
+	mustAttach(t, e, "late")
+	refuseDelivery(t, delivered, 100*time.Millisecond, "backlog at the bound")
+	clk.Advance(time.Minute - time.Nanosecond)
+	e.Tick()
+	refuseDelivery(t, delivered, 20*time.Millisecond, "a tick before the period")
+	clk.Advance(time.Nanosecond)
+	e.Tick()
+	for i := 0; i < kickBound; i++ {
+		awaitDelivery(t, delivered, time.Second, "the tick after the period")
 	}
 }

@@ -73,27 +73,42 @@ func (w *Welford) ExposeMetric(out io.Writer, name string, labels []Label) error
 // bucket becomes le="+Inf".
 func (h *Histogram) ExposeMetric(w io.Writer, name string, labels []Label) error {
 	h.mu.Lock()
-	buckets := append([]int64(nil), h.buckets...)
+	cum := append([]int64(nil), h.buckets...)
 	total, sum, width := h.total, h.sum, h.width
 	h.mu.Unlock()
-	var cum int64
-	for i, c := range buckets {
-		cum += c
-		le := formatFloat(width * float64(i+1))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name,
-			formatLabels(append(append([]Label(nil), labels...), Label{"le", le})), cum); err != nil {
+	les := make([]float64, len(cum))
+	for i := range cum {
+		les[i] = width * float64(i+1)
+		if i > 0 {
+			cum[i] += cum[i-1]
+		}
+	}
+	return WriteHistogram(w, name, labels, les, cum, sum, total)
+}
+
+// WriteHistogram writes one histogram series: a _bucket sample per upper
+// bound in les carrying the cumulative count in cum, the le="+Inf" bucket
+// (count), then _sum and _count. It is the text form of every histogram
+// the plane serves, whatever keeps the counts.
+func WriteHistogram(w io.Writer, name string, labels []Label, les []float64, cum []int64, sum float64, count int64) error {
+	bucket := func(le string, n int64) error {
+		_, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name,
+			formatLabels(append(append([]Label(nil), labels...), Label{"le", le})), n)
+		return err
+	}
+	for i, le := range les {
+		if err := bucket(formatFloat(le), cum[i]); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name,
-		formatLabels(append(append([]Label(nil), labels...), Label{"le", "+Inf"})), total); err != nil {
+	if err := bucket("+Inf", count); err != nil {
 		return err
 	}
 	ls := formatLabels(labels)
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, ls, formatFloat(sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, ls, total)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, ls, count)
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -277,5 +278,52 @@ func TestStartShutdown(t *testing.T) {
 	// Shutdown again is a no-op.
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuntimeHistogramsOnMetrics scrapes /metrics for the runtime's GC
+// pause and scheduler-latency histograms: each must be a well-formed
+// Prometheus histogram (cumulative buckets that never fall, a +Inf bucket
+// equal to _count) and, after a forced collection, hold samples.
+func TestRuntimeHistogramsOnMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if err := RegisterRuntime(reg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	srv := NewServer(Options{Clock: clock.NewVirtual(clock.Epoch), Registry: reg})
+	code, body := get(t, srv.Handler(), "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	for _, family := range []string{"react_go_gc_pause_seconds", "react_go_sched_latency_seconds"} {
+		if !strings.Contains(body, "# TYPE "+family+" histogram\n") {
+			t.Errorf("%s: no histogram TYPE line", family)
+			continue
+		}
+		var last, inf, count int64 = 0, -1, -1
+		buckets := 0
+		for _, line := range strings.Split(body, "\n") {
+			var n int64
+			switch {
+			case strings.HasPrefix(line, family+`_bucket{le="+Inf"} `):
+				fmt.Sscan(strings.TrimPrefix(line, family+`_bucket{le="+Inf"} `), &inf)
+			case strings.HasPrefix(line, family+"_bucket{"):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+				if n < last {
+					t.Errorf("%s: bucket falls to %d after %d: %q", family, n, last, line)
+				}
+				last = n
+				buckets++
+			case strings.HasPrefix(line, family+"_count "):
+				fmt.Sscan(strings.TrimPrefix(line, family+"_count "), &count)
+			}
+		}
+		if buckets != len(runtimeBounds) || inf != count || count < last {
+			t.Errorf("%s: %d buckets, +Inf %d, _count %d, last finite bucket %d", family, buckets, inf, count, last)
+		}
+		if count <= 0 {
+			t.Errorf("%s: no samples after a forced GC", family)
+		}
 	}
 }

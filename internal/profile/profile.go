@@ -10,7 +10,8 @@ package profile
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +51,10 @@ type Profile struct {
 	positive   int // totals across categories
 	finished   int
 	fitter     powerlaw.Fitter
+	// accuracy is Eq. 1 by category as the last View read it, shared with
+	// every View taken since and never written: a grade drops it (nil) and
+	// the next View builds a fresh one.
+	accuracy []categoryAccuracy
 	// connected is the owning registry's count of available profiles; every
 	// flip of available moves it (setAvailable). Nil once deregistered.
 	connected *atomic.Int64
@@ -153,6 +158,7 @@ func (p *Profile) RecordCompletion(category string, execSeconds float64, positiv
 	}
 	cs.finished++
 	p.finished++
+	p.accuracy = nil
 	if positiveFeedback {
 		cs.positive++
 		p.positive++
@@ -189,6 +195,7 @@ func (p *Profile) RecordFeedback(category string, positive bool) {
 	}
 	cs.finished++
 	p.finished++
+	p.accuracy = nil
 	if positive {
 		cs.positive++
 		p.positive++
@@ -243,6 +250,11 @@ func (p *Profile) Model(minHistory int) (powerlaw.Model, bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.model(minHistory)
+}
+
+// model is Model with p.mu held and minHistory already defaulted.
+func (p *Profile) model(minHistory int) (powerlaw.Model, bool) {
 	if p.fitter.N() < minHistory {
 		return powerlaw.Model{}, false
 	}
@@ -251,6 +263,74 @@ func (p *Profile) Model(minHistory int) (powerlaw.Model, bool) {
 		return powerlaw.Model{}, false
 	}
 	return m, true
+}
+
+// View is one worker as a scheduling round reads it: every fact graph
+// construction and the weight functions use, copied under one hold of the
+// profile's lock. A round takes one View per idle worker, so it pays one
+// lock per worker instead of one or two per surviving edge, and a grade
+// landing mid-round reaches the worker's whole row or none of it. A View
+// never changes once taken.
+type View struct {
+	ID       string
+	Location region.Point
+	Finished int            // graded tasks: the count the training rule reads
+	Model    powerlaw.Model // the fitted execution-time model, when HasModel
+	HasModel bool           // at least minHistory positive samples (see Model)
+	positive int
+	accuracy []categoryAccuracy // the profile's shared table; read only
+}
+
+// categoryAccuracy is one entry of a View's Eq. 1 table. The table is a
+// slice, not a map: a worker is graded in the handful of categories a
+// deployment defines, and a linear scan of those beats hashing the task's
+// category on every surviving edge.
+type categoryAccuracy struct {
+	category string
+	acc      float64
+}
+
+// View snapshots the worker for one scheduling round. minHistory is
+// Model's: below 1 it uses DefaultMinHistory. It allocates only when a
+// grade has landed since the last View, to rebuild the accuracy table.
+func (p *Profile) View(minHistory int) View {
+	if minHistory < 1 {
+		minHistory = DefaultMinHistory
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.accuracy == nil && len(p.categories) > 0 {
+		p.accuracy = make([]categoryAccuracy, 0, len(p.categories))
+		for cat, cs := range p.categories {
+			if cs.finished > 0 {
+				p.accuracy = append(p.accuracy, categoryAccuracy{cat, float64(cs.positive) / float64(cs.finished)})
+			}
+		}
+	}
+	v := View{ID: p.id, Location: p.location, Finished: p.finished, positive: p.positive, accuracy: p.accuracy}
+	v.Model, v.HasModel = p.model(minHistory)
+	return v
+}
+
+// Trainee is Profile.Trainee as of the view.
+func (v *View) Trainee(z int) bool { return v.Finished < z }
+
+// Accuracy is Profile.Accuracy (Eq. 1 for one category) as of the view.
+func (v *View) Accuracy(category string) (acc float64, ok bool) {
+	for _, e := range v.accuracy {
+		if e.category == category {
+			return e.acc, true
+		}
+	}
+	return 0, false
+}
+
+// OverallAccuracy is Profile.OverallAccuracy as of the view.
+func (v *View) OverallAccuracy() (acc float64, ok bool) {
+	if v.Finished == 0 {
+		return 0, false
+	}
+	return float64(v.positive) / float64(v.Finished), true
 }
 
 // FitSamples reports how many positive execution-time samples the
@@ -267,10 +347,17 @@ func (p *Profile) FitSamples() int {
 type Registry struct {
 	mu      sync.RWMutex
 	workers map[string]*Profile
+	// byID holds the same profiles sorted by id, kept in step by Register
+	// and Deregister, so the per-round Available snapshot is a scan, not a
+	// sort.
+	byID []*Profile
 	// connected counts the registered profiles whose available flag is set;
 	// the profiles keep it current themselves (Profile.setAvailable).
 	connected atomic.Int64
 }
+
+// byID orders a sorted profile slice against an id (Registry.byID).
+func byID(p *Profile, id string) int { return strings.Compare(p.id, id) }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -287,6 +374,8 @@ func (r *Registry) Register(id string, loc region.Point) (*Profile, error) {
 	p := &Profile{id: id, location: loc, connected: &r.connected}
 	p.setAvailable(true) // not shared yet: no lock needed
 	r.workers[id] = p
+	i, _ := slices.BinarySearchFunc(r.byID, id, byID)
+	r.byID = slices.Insert(r.byID, i, p)
 	return p, nil
 }
 
@@ -301,6 +390,9 @@ func (r *Registry) Deregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownWorker, id)
 	}
 	delete(r.workers, id)
+	if i, found := slices.BinarySearchFunc(r.byID, id, byID); found {
+		r.byID = slices.Delete(r.byID, i, i+1)
+	}
 	// The profile leaves the count and stops moving it: a holder of the
 	// orphaned pointer can still flip its flag.
 	p.mu.Lock()
@@ -336,13 +428,12 @@ func (r *Registry) CountConnected() int { return int(r.connected.Load()) }
 func (r *Registry) Available() []*Profile {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Profile, 0, len(r.workers))
-	for _, p := range r.workers {
+	out := make([]*Profile, 0, len(r.byID))
+	for _, p := range r.byID {
 		if p.Available() {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -373,10 +464,5 @@ func (r *Registry) Observe(ev event.Event) {
 func (r *Registry) All() []*Profile {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Profile, 0, len(r.workers))
-	for _, p := range r.workers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return append(make([]*Profile, 0, len(r.byID)), r.byID...)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,19 @@ func TestAvailableSnapshotSorted(t *testing.T) {
 	if len(all) != 3 || all[0].ID() != "alice" {
 		t.Fatalf("All() wrong: %d entries", len(all))
 	}
+	// The order is kept through churn, not re-sorted per snapshot.
+	r.Deregister("bob")
+	r.Register("aaron", athens)
+	r.Register("bob", athens)
+	r.Register("dave", athens)
+	r.Deregister("carol")
+	var ids []string
+	for _, p := range r.All() {
+		ids = append(ids, p.ID())
+	}
+	if want := []string{"aaron", "alice", "bob", "dave"}; !slices.Equal(ids, want) {
+		t.Fatalf("order after churn = %v, want %v", ids, want)
+	}
 }
 
 func TestEq1AccuracyPerCategory(t *testing.T) {
@@ -137,6 +151,53 @@ func TestTraineePhase(t *testing.T) {
 	}
 	if p.Trainee(5) != true {
 		t.Fatal("worker with 3 completions should be a trainee at z=5")
+	}
+}
+
+// TestViewReadsWhatTheProfileReports pins a View to the profile's own
+// readers at the moment it was taken, and keeps it there: a grade after the
+// view changes the next view, never this one, and a view with no grade
+// since the last allocates nothing.
+func TestViewReadsWhatTheProfileReports(t *testing.T) {
+	r := NewRegistry()
+	p, _ := r.Register("w", athens)
+	fresh := p.View(3)
+	if _, ok := fresh.Accuracy("traffic"); ok || !fresh.Trainee(3) || fresh.HasModel {
+		t.Fatalf("fresh view = %+v", fresh)
+	}
+	if _, ok := fresh.OverallAccuracy(); ok {
+		t.Fatal("fresh view reports an overall accuracy")
+	}
+	for i, exec := range []float64{2, 3, 4} {
+		p.RecordCompletion("traffic", exec, i > 0)
+	}
+	p.RecordFeedback("photo", true)
+	v := p.View(3)
+	for _, cat := range []string{"traffic", "photo", "ocr"} {
+		want, wantOK := p.Accuracy(cat)
+		if got, ok := v.Accuracy(cat); got != want || ok != wantOK {
+			t.Errorf("%s: view accuracy %v/%v, profile %v/%v", cat, got, ok, want, wantOK)
+		}
+	}
+	wantAll, _ := p.OverallAccuracy()
+	if got, ok := v.OverallAccuracy(); !ok || got != wantAll {
+		t.Errorf("overall: view %v, profile %v", got, wantAll)
+	}
+	m, ok := p.Model(3)
+	if v.Model != m || v.HasModel != ok || v.Trainee(3) != p.Trainee(3) || v.Location != athens || v.ID != "w" {
+		t.Errorf("view = %+v, profile model %+v/%v", v, m, ok)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.View(3) }); allocs != 0 {
+		t.Errorf("View with no new grade allocates %v objects", allocs)
+	}
+	p.RecordFeedback("traffic", false)
+	if acc, _ := v.Accuracy("traffic"); acc != 2.0/3 {
+		t.Errorf("grade after the view moved it: traffic = %v", acc)
+	}
+	if next := p.View(3); next.Finished != 5 {
+		t.Errorf("next view missed the grade: %d graded", next.Finished)
+	} else if acc, _ := next.Accuracy("traffic"); acc != 0.5 {
+		t.Errorf("next view missed the grade: traffic = %v", acc)
 	}
 }
 
@@ -202,6 +263,8 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 				p.Accuracy("traffic")
 				p.Model(3)
 				p.Trainee(3)
+				v := p.View(3)
+				v.Accuracy("traffic")
 			}
 		}(g)
 	}

@@ -9,11 +9,13 @@
 // internal/engine's.
 //
 // BuildGraph does per pair only what depends on the pair. A task's time to
-// deadline and its logarithm are taken once per round; a worker's trainee
-// flag, model and reward range are read once per round and its model turned
-// into a powerlaw.DeadlineCut; the pair then costs the reward test, Eq. 3 in
-// log space (exactly ProbMeetDeadline's verdict) and, for a surviving edge,
-// the weight function. docs/ENGINE.md, "What a round costs", has the table.
+// deadline and its logarithm are taken once per round; a worker is read once
+// per round, as one profile.View (trainee count, model, location, accuracy
+// by category, under one hold of its lock), and its model turned into a
+// powerlaw.DeadlineCut; the pair then costs Eq. 3 in log space (exactly
+// ProbMeetDeadline's verdict) and, for a surviving edge, the weight
+// function, which reads the view. docs/ENGINE.md, "What a round costs", has
+// the table.
 package schedule
 
 import (
@@ -26,16 +28,18 @@ import (
 )
 
 // WeightFunc computes w_ij = F(worker_i, task_j) for an edge under
-// consideration. Implementations must return values in [0, 1]; the matcher
-// relies on non-negative weights.
-type WeightFunc func(w *profile.Profile, t taskq.Task) float64
+// consideration, from the worker's view for this round. Implementations
+// must return values in [0, 1]; the matcher relies on non-negative weights.
+// Both arguments point into the round's snapshots: read them, never write
+// or keep them.
+type WeightFunc func(w *profile.View, t *taskq.Task) float64
 
 // QualityWeight is Eq. 1, the weight function the paper's experiments use:
 // the worker's positive-feedback ratio in the task's category. Workers with
 // no history in the category fall back to their overall accuracy, and
 // with no history at all to neutral 0.5 (the trainee rule usually handles
 // those before this fallback matters).
-func QualityWeight(w *profile.Profile, t taskq.Task) float64 {
+func QualityWeight(w *profile.View, t *taskq.Task) float64 {
 	if acc, ok := w.Accuracy(t.Category); ok {
 		return acc
 	}
@@ -53,8 +57,8 @@ func DistanceWeight(maxKm float64) WeightFunc {
 	if maxKm <= 0 {
 		maxKm = 1
 	}
-	return func(w *profile.Profile, t taskq.Task) float64 {
-		d := w.Location().DistanceKm(t.Location)
+	return func(w *profile.View, t *taskq.Task) float64 {
+		d := w.Location.DistanceKm(t.Location)
 		if d >= maxKm {
 			return 0
 		}
@@ -72,7 +76,7 @@ type Term struct {
 // + 0.3·proximity). Coefficients should sum to at most 1 to keep results in
 // [0, 1]; the blend clamps either way.
 func Blend(terms ...Term) WeightFunc {
-	return func(w *profile.Profile, t taskq.Task) float64 {
+	return func(w *profile.View, t *taskq.Task) float64 {
 		var sum float64
 		for _, term := range terms {
 			sum += term.Coef * term.Fn(w, t)
@@ -176,21 +180,22 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		ttd[i] = t.Deadline.Sub(now).Seconds()
 		lnTTD[i] = math.Log(ttd[i])
 	}
+	var view profile.View
 	for wi, w := range workers {
 		if workerIdx[wi] < 0 {
 			continue
 		}
-		// Per worker, once per round: the trainee flag and the fitted model,
-		// read before the worker's row, so a grade landing mid-round reaches
-		// the whole row or none of it.
-		trainee := w.Trainee(traineeTasks)
-		model, hasModel := w.Model(cfg.MinHistory)
-		unmodelled := cfg.NoPruning || trainee || !hasModel
-		cut := model.DeadlineCut(cfg.EdgeProbBound)
+		// Per worker, once per round: one view, read before the worker's
+		// row, so a grade landing mid-round reaches the whole row or none of
+		// it.
+		view = w.View(cfg.MinHistory)
+		trainee := view.Trainee(traineeTasks)
+		unmodelled := cfg.NoPruning || trainee || !view.HasModel
+		cut := view.Model.DeadlineCut(cfg.EdgeProbBound)
 		if trainee {
 			st.Trainees++
 		}
-		for ti, t := range tasks {
+		for ti := range tasks {
 			if taskIdx[ti] < 0 {
 				continue
 			}
@@ -205,7 +210,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 					st.PrunedProb++
 					continue
 				}
-				weight = cfg.Weight(w, t)
+				weight = cfg.Weight(&view, &tasks[ti])
 				if weight < 0 {
 					weight = 0
 				}

@@ -53,17 +53,18 @@ func TestQualityWeightEq1(t *testing.T) {
 	p := seasonedWorker("w", []float64{5, 6, 7, 8}, 3)
 	now := clock.Epoch
 	tk := task("t", time.Minute, now)
-	if got := QualityWeight(p, tk); got != 0.75 {
+	v := p.View(0)
+	if got := QualityWeight(&v, &tk); got != 0.75 {
 		t.Fatalf("quality = %v, want 0.75", got)
 	}
 	// Unknown category falls back to overall accuracy.
 	tk.Category = "photo"
-	if got := QualityWeight(p, tk); got != 0.75 {
+	if got := QualityWeight(&v, &tk); got != 0.75 {
 		t.Fatalf("fallback quality = %v", got)
 	}
 	// No history at all: neutral.
-	var fresh profile.Profile
-	if got := QualityWeight(&fresh, tk); got != 0.5 {
+	var fresh profile.View
+	if got := QualityWeight(&fresh, &tk); got != 0.5 {
 		t.Fatalf("fresh quality = %v", got)
 	}
 }
@@ -71,39 +72,40 @@ func TestQualityWeightEq1(t *testing.T) {
 func TestDistanceWeight(t *testing.T) {
 	w := DistanceWeight(10)
 	r := profile.NewRegistry()
-	near, _ := r.Register("near", athens)
-	far, _ := r.Register("far", region.Point{Lat: 40.64, Lon: 22.94}) // ~300km away
+	nearP, _ := r.Register("near", athens)
+	farP, _ := r.Register("far", region.Point{Lat: 40.64, Lon: 22.94}) // ~300km away
+	near, far := nearP.View(0), farP.View(0)
 	tk := task("t", time.Minute, clock.Epoch)
-	if got := w(near, tk); got < 0.99 {
+	if got := w(&near, &tk); got < 0.99 {
 		t.Fatalf("near weight = %v", got)
 	}
-	if got := w(far, tk); got != 0 {
+	if got := w(&far, &tk); got != 0 {
 		t.Fatalf("far weight = %v", got)
 	}
 	// maxKm <= 0 is coerced to a sane positive value instead of dividing by zero.
-	if got := DistanceWeight(0)(near, tk); got < 0 || got > 1 {
+	if got := DistanceWeight(0)(&near, &tk); got < 0 || got > 1 {
 		t.Fatalf("coerced weight = %v", got)
 	}
 }
 
 func TestBlend(t *testing.T) {
 	w := Blend(
-		Term{0.6, func(*profile.Profile, taskq.Task) float64 { return 1 }},
-		Term{0.4, func(*profile.Profile, taskq.Task) float64 { return 0.5 }},
+		Term{0.6, func(*profile.View, *taskq.Task) float64 { return 1 }},
+		Term{0.4, func(*profile.View, *taskq.Task) float64 { return 0.5 }},
 	)
-	if got := w(nil, taskq.Task{}); got != 0.8 {
+	if got := w(nil, &taskq.Task{}); got != 0.8 {
 		t.Fatalf("blend = %v, want 0.8", got)
 	}
-	over := Blend(Term{2.0, func(*profile.Profile, taskq.Task) float64 { return 1 }})
-	if got := over(nil, taskq.Task{}); got != 1 {
+	over := Blend(Term{2.0, func(*profile.View, *taskq.Task) float64 { return 1 }})
+	if got := over(nil, &taskq.Task{}); got != 1 {
 		t.Fatalf("clamped blend = %v", got)
 	}
 	// Equal coefficients are representable (the old map API could not).
 	half := Blend(
-		Term{0.5, func(*profile.Profile, taskq.Task) float64 { return 1 }},
-		Term{0.5, func(*profile.Profile, taskq.Task) float64 { return 0 }},
+		Term{0.5, func(*profile.View, *taskq.Task) float64 { return 1 }},
+		Term{0.5, func(*profile.View, *taskq.Task) float64 { return 0 }},
 	)
-	if got := half(nil, taskq.Task{}); got != 0.5 {
+	if got := half(nil, &taskq.Task{}); got != 0.5 {
 		t.Fatalf("equal-coef blend = %v", got)
 	}
 }
@@ -174,7 +176,8 @@ func referenceBuild(cfg Config, workers []*profile.Profile, tasks []taskq.Task, 
 					st.PrunedProb++
 					continue
 				}
-				weight = math.Min(math.Max(cfg.Weight(w, t), 0), 1)
+				view := w.View(cfg.MinHistory)
+				weight = math.Min(math.Max(cfg.Weight(&view, &t), 0), 1)
 			}
 			edges = append(edges, bipartite.Edge{Worker: int32(wi), Task: int32(ti), Weight: weight})
 			st.Edges++
@@ -247,12 +250,12 @@ func TestBuildGraphWeightClamped(t *testing.T) {
 	p := seasonedWorker("w", []float64{5, 6, 7}, 3)
 	now := clock.Epoch
 	tasks := []taskq.Task{task("t", time.Minute, now)}
-	cfg := Config{Weight: func(*profile.Profile, taskq.Task) float64 { return 7.5 }}
+	cfg := Config{Weight: func(*profile.View, *taskq.Task) float64 { return 7.5 }}
 	g, _ := BuildGraph(cfg, []*profile.Profile{p}, tasks, now)
 	if g.Edge(0).Weight != 1 {
 		t.Fatalf("weight not clamped: %v", g.Edge(0).Weight)
 	}
-	cfg = Config{Weight: func(*profile.Profile, taskq.Task) float64 { return -2 }}
+	cfg = Config{Weight: func(*profile.View, *taskq.Task) float64 { return -2 }}
 	g, _ = BuildGraph(cfg, []*profile.Profile{p}, tasks, now)
 	if g.Edge(0).Weight != 0 {
 		t.Fatalf("negative weight not clamped: %v", g.Edge(0).Weight)
@@ -405,11 +408,12 @@ func TestBuildGraphAllocsIndependentOfShape(t *testing.T) {
 }
 
 // BenchmarkBuildGraph times one round's graph construction at the mean round
-// shapes of the benchmark's capacity (53 workers × 39 tasks) and burst
-// (325 × 25) workloads, every worker seasoned so the Eq. 3 path runs.
+// shapes of the benchmark's capacity workload polled (53 workers × 39 tasks)
+// and kicked (61 × 13), and of burst (325 × 25), every worker seasoned so the
+// Eq. 3 path runs.
 func BenchmarkBuildGraph(b *testing.B) {
 	now := clock.Epoch
-	for _, shape := range []struct{ workers, tasks int }{{53, 39}, {325, 25}} {
+	for _, shape := range []struct{ workers, tasks int }{{53, 39}, {61, 13}, {325, 25}} {
 		workers := make([]*profile.Profile, shape.workers)
 		for i := range workers {
 			workers[i] = seasonedWorker(fmt.Sprintf("w%03d", i), []float64{1, 2, 3, 2, 1}, 4)
