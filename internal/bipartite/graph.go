@@ -11,6 +11,7 @@ package bipartite
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -50,11 +51,8 @@ type Graph struct {
 // Builder accumulates vertices and edges for a Graph. The zero value is
 // ready to use.
 type Builder struct {
-	workerIDs []string
-	taskIDs   []string
-	workerIdx map[string]int32
-	taskIdx   map[string]int32
-	edges     []Edge
+	workers, tasks vertexIDs
+	edges          []Edge
 
 	// seen is the duplicate-edge test: bit worker*seenTasks+task of a dense
 	// workers×tasks bitset, sized for the seenWorkers×seenTasks vertices
@@ -71,44 +69,70 @@ type Builder struct {
 // one should grow by doubling instead.
 const maxEdgePresize = 1 << 16
 
+// vertexIDs is one vertex class's ids in insertion order, with an index by
+// id that is built only once the ids stop arriving in increasing order.
+// Schedulers add sorted snapshots (the worker registry and the task store
+// both sort by id), so while index is nil the duplicate test is one
+// comparison with the last id and lookups are a binary search.
+type vertexIDs struct {
+	ids   []string
+	index map[string]int32
+}
+
+// add appends id and returns its index, or false if id is already present.
+func (v *vertexIDs) add(id string) (int32, bool) {
+	n := len(v.ids)
+	if v.index == nil && (n == 0 || v.ids[n-1] < id) {
+		v.ids = append(v.ids, id)
+		return int32(n), true
+	}
+	if v.index == nil {
+		v.index = make(map[string]int32, n+1)
+		for i, x := range v.ids {
+			v.index[x] = int32(i)
+		}
+	}
+	if _, dup := v.index[id]; dup {
+		return 0, false
+	}
+	v.index[id] = int32(n)
+	v.ids = append(v.ids, id)
+	return int32(n), true
+}
+
+// lookup returns id's index.
+func (v *vertexIDs) lookup(id string) (int32, bool) {
+	if v.index != nil {
+		i, ok := v.index[id]
+		return i, ok
+	}
+	i, ok := slices.BinarySearch(v.ids, id)
+	return int32(i), ok
+}
+
 // NewBuilder pre-sizes the builder for the expected vertex counts.
 func NewBuilder(workers, tasks int) *Builder {
 	return &Builder{
-		workerIDs: make([]string, 0, workers),
-		taskIDs:   make([]string, 0, tasks),
-		workerIdx: make(map[string]int32, workers),
-		taskIdx:   make(map[string]int32, tasks),
-	}
-}
-
-func (b *Builder) init() {
-	if b.workerIdx == nil {
-		b.workerIdx = make(map[string]int32)
-		b.taskIdx = make(map[string]int32)
+		workers: vertexIDs{ids: make([]string, 0, workers)},
+		tasks:   vertexIDs{ids: make([]string, 0, tasks)},
 	}
 }
 
 // AddWorker registers a worker vertex and returns its index.
 func (b *Builder) AddWorker(id string) (int32, error) {
-	b.init()
-	if _, ok := b.workerIdx[id]; ok {
+	idx, ok := b.workers.add(id)
+	if !ok {
 		return 0, fmt.Errorf("%w: worker %q", ErrDuplicateID, id)
 	}
-	idx := int32(len(b.workerIDs))
-	b.workerIDs = append(b.workerIDs, id)
-	b.workerIdx[id] = idx
 	return idx, nil
 }
 
 // AddTask registers a task vertex and returns its index.
 func (b *Builder) AddTask(id string) (int32, error) {
-	b.init()
-	if _, ok := b.taskIdx[id]; ok {
+	idx, ok := b.tasks.add(id)
+	if !ok {
 		return 0, fmt.Errorf("%w: task %q", ErrDuplicateID, id)
 	}
-	idx := int32(len(b.taskIDs))
-	b.taskIDs = append(b.taskIDs, id)
-	b.taskIdx[id] = idx
 	return idx, nil
 }
 
@@ -116,12 +140,11 @@ func (b *Builder) AddTask(id string) (int32, error) {
 // non-negative weight. Edges the scheduler prunes (deadline probability
 // below the bound, reward out of range) are simply never added.
 func (b *Builder) AddEdge(workerID, taskID string, weight float64) error {
-	b.init()
-	wi, ok := b.workerIdx[workerID]
+	wi, ok := b.workers.lookup(workerID)
 	if !ok {
 		return fmt.Errorf("%w: worker %q", ErrUnknownVertex, workerID)
 	}
-	ti, ok := b.taskIdx[taskID]
+	ti, ok := b.tasks.lookup(taskID)
 	if !ok {
 		return fmt.Errorf("%w: task %q", ErrUnknownVertex, taskID)
 	}
@@ -130,16 +153,16 @@ func (b *Builder) AddEdge(workerID, taskID string, weight float64) error {
 
 // AddEdgeIdx is AddEdge for callers that kept the vertex indices.
 func (b *Builder) AddEdgeIdx(worker, task int32, weight float64) error {
-	if worker < 0 || int(worker) >= len(b.workerIDs) {
+	if worker < 0 || int(worker) >= len(b.workers.ids) {
 		return fmt.Errorf("%w: worker index %d", ErrUnknownVertex, worker)
 	}
-	if task < 0 || int(task) >= len(b.taskIDs) {
+	if task < 0 || int(task) >= len(b.tasks.ids) {
 		return fmt.Errorf("%w: task index %d", ErrUnknownVertex, task)
 	}
 	if weight < 0 {
 		return fmt.Errorf("%w: %v on (%d,%d)", ErrNegativeWeight, weight, worker, task)
 	}
-	if b.seenWorkers != len(b.workerIDs) || b.seenTasks != len(b.taskIDs) {
+	if b.seenWorkers != len(b.workers.ids) || b.seenTasks != len(b.tasks.ids) {
 		b.layoutSeen()
 	}
 	bit := int(worker)*b.seenTasks + int(task)
@@ -157,7 +180,7 @@ func (b *Builder) AddEdgeIdx(worker, task int32, weight float64) error {
 // first, as every caller in the tree adds them, and again whenever a vertex
 // was added since. The first layout also sizes the edge slice.
 func (b *Builder) layoutSeen() {
-	b.seenWorkers, b.seenTasks = len(b.workerIDs), len(b.taskIDs)
+	b.seenWorkers, b.seenTasks = len(b.workers.ids), len(b.tasks.ids)
 	pairs := b.seenWorkers * b.seenTasks
 	b.seen = make([]uint64, (pairs+63)/64)
 	for _, e := range b.edges {
@@ -171,7 +194,7 @@ func (b *Builder) layoutSeen() {
 
 // Build finalizes the graph. The builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	return &Graph{workerIDs: b.workerIDs, taskIDs: b.taskIDs, edges: b.edges}
+	return &Graph{workerIDs: b.workers.ids, taskIDs: b.tasks.ids, edges: b.edges}
 }
 
 // indexTasks lays out byTask: a two-pass fill keeps the lists in one

@@ -421,3 +421,48 @@ func ExampleMatching_Assignments() {
 	fmt.Printf("%s %s %.1f\n", m.Assignments()["t1"], m.Assignments()["t2"], m.Weight())
 	// Output: w1 w2 1.7
 }
+
+// TestBuilderIDsInAnyOrder drives the vertex index down both of its paths:
+// ids arriving in increasing order (no map: a comparison per add, a binary
+// search per lookup) and, once one arrives out of order, the map. Either
+// way a duplicate is refused, indices follow insertion order, and AddEdge
+// finds every vertex by id.
+func TestBuilderIDsInAnyOrder(t *testing.T) {
+	for _, ids := range [][]string{
+		{"a", "b", "c", "d"},
+		{"b", "c", "a", "d"},
+		{"d", "c", "b", "a"},
+	} {
+		b := NewBuilder(0, 0)
+		for i, id := range ids {
+			if got, err := b.AddWorker(id); err != nil || got != int32(i) {
+				t.Fatalf("%v: AddWorker(%s) = %d, %v", ids, id, got, err)
+			}
+			if got, err := b.AddTask(id); err != nil || got != int32(i) {
+				t.Fatalf("%v: AddTask(%s) = %d, %v", ids, id, got, err)
+			}
+		}
+		for _, id := range []string{ids[0], ids[len(ids)-1]} {
+			if _, err := b.AddWorker(id); !errors.Is(err, ErrDuplicateID) {
+				t.Fatalf("%v: duplicate worker %s: %v", ids, id, err)
+			}
+			if _, err := b.AddTask(id); !errors.Is(err, ErrDuplicateID) {
+				t.Fatalf("%v: duplicate task %s: %v", ids, id, err)
+			}
+		}
+		for _, id := range ids {
+			if err := b.AddEdge(id, id, 1); err != nil {
+				t.Fatalf("%v: AddEdge(%s): %v", ids, id, err)
+			}
+		}
+		if err := b.AddEdge("zz", ids[0], 1); !errors.Is(err, ErrUnknownVertex) {
+			t.Fatalf("%v: unknown worker: %v", ids, err)
+		}
+		g := b.Build()
+		for i, e := range g.Edges() {
+			if g.WorkerID(e.Worker) != ids[i] || g.TaskID(e.Task) != ids[i] {
+				t.Fatalf("%v: edge %d joins %s and %s", ids, i, g.WorkerID(e.Worker), g.TaskID(e.Task))
+			}
+		}
+	}
+}

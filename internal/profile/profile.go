@@ -202,27 +202,16 @@ func (p *Profile) RecordFeedback(category string, positive bool) {
 	}
 }
 
-// Accuracy is Eq. 1 for one category: ΣPositiveTask/ΣFinishedTask. ok is
-// false when the worker has no history in the category and the caller must
-// fall back (trainee rule or overall accuracy).
+// Accuracy is View.Accuracy on a fresh view: Eq. 1 for one category now.
 func (p *Profile) Accuracy(category string) (acc float64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cs := p.categories[category]
-	if cs == nil || cs.finished == 0 {
-		return 0, false
-	}
-	return float64(cs.positive) / float64(cs.finished), true
+	v := p.View(0)
+	return v.Accuracy(category)
 }
 
-// OverallAccuracy aggregates Eq. 1 across categories.
+// OverallAccuracy is View.OverallAccuracy on a fresh view.
 func (p *Profile) OverallAccuracy() (acc float64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.finished == 0 {
-		return 0, false
-	}
-	return float64(p.positive) / float64(p.finished), true
+	v := p.View(0)
+	return v.OverallAccuracy()
 }
 
 // Finished reports the worker's total completed tasks.
@@ -315,7 +304,10 @@ func (p *Profile) View(minHistory int) View {
 // Trainee is Profile.Trainee as of the view.
 func (v *View) Trainee(z int) bool { return v.Finished < z }
 
-// Accuracy is Profile.Accuracy (Eq. 1 for one category) as of the view.
+// Accuracy is Eq. 1 for one category as of the view:
+// ΣPositiveTask/ΣFinishedTask. ok is false when the worker has no history
+// in the category and the caller must fall back (trainee rule or overall
+// accuracy).
 func (v *View) Accuracy(category string) (acc float64, ok bool) {
 	for _, e := range v.accuracy {
 		if e.category == category {
@@ -325,7 +317,7 @@ func (v *View) Accuracy(category string) (acc float64, ok bool) {
 	return 0, false
 }
 
-// OverallAccuracy is Profile.OverallAccuracy as of the view.
+// OverallAccuracy is Eq. 1 across categories as of the view.
 func (v *View) OverallAccuracy() (acc float64, ok bool) {
 	if v.Finished == 0 {
 		return 0, false

@@ -154,10 +154,10 @@ func TestTraineePhase(t *testing.T) {
 	}
 }
 
-// TestViewReadsWhatTheProfileReports pins a View to the profile's own
-// readers at the moment it was taken, and keeps it there: a grade after the
-// view changes the next view, never this one, and a view with no grade
-// since the last allocates nothing.
+// TestViewReadsWhatTheProfileReports pins a View to the profile's state
+// at the moment it was taken, and keeps it there: a grade after the view
+// changes the next view, never this one, and a view with no grade since
+// the last allocates nothing.
 func TestViewReadsWhatTheProfileReports(t *testing.T) {
 	r := NewRegistry()
 	p, _ := r.Register("w", athens)
@@ -173,15 +173,17 @@ func TestViewReadsWhatTheProfileReports(t *testing.T) {
 	}
 	p.RecordFeedback("photo", true)
 	v := p.View(3)
-	for _, cat := range []string{"traffic", "photo", "ocr"} {
-		want, wantOK := p.Accuracy(cat)
-		if got, ok := v.Accuracy(cat); got != want || ok != wantOK {
-			t.Errorf("%s: view accuracy %v/%v, profile %v/%v", cat, got, ok, want, wantOK)
+	for _, c := range []struct {
+		cat  string
+		acc  float64
+		seen bool
+	}{{"traffic", 2.0 / 3, true}, {"photo", 1, true}, {"ocr", 0, false}} {
+		if got, ok := v.Accuracy(c.cat); got != c.acc || ok != c.seen {
+			t.Errorf("%s: view accuracy %v/%v, want %v/%v", c.cat, got, ok, c.acc, c.seen)
 		}
 	}
-	wantAll, _ := p.OverallAccuracy()
-	if got, ok := v.OverallAccuracy(); !ok || got != wantAll {
-		t.Errorf("overall: view %v, profile %v", got, wantAll)
+	if got, ok := v.OverallAccuracy(); !ok || got != 0.75 {
+		t.Errorf("overall: view %v/%v, want 0.75", got, ok)
 	}
 	m, ok := p.Model(3)
 	if v.Model != m || v.HasModel != ok || v.Trainee(3) != p.Trainee(3) || v.Location != athens || v.ID != "w" {

@@ -3,9 +3,8 @@
 // and available workers it builds the weighted bipartite graph —
 // instantiating an edge (worker_i, task_j) only when the worker's fitted
 // power-law model says Pr(ExecTime_ij < TimeToDeadline_ij) clears the
-// application bound (Eq. 3), applying the trainee rule and the optional
-// reward-range filter — and defines the weight functions and the batching
-// knobs (Config). The round itself — trigger, match, apply — is
+// application bound (Eq. 3) and applying the trainee rule — and defines the
+// weight functions and the batching knobs (Config). The round itself — trigger, match, apply — is
 // internal/engine's.
 //
 // BuildGraph does per pair only what depends on the pair. A task's time to
@@ -180,7 +179,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 		ttd[i] = t.Deadline.Sub(now).Seconds()
 		lnTTD[i] = math.Log(ttd[i])
 	}
-	var view profile.View
+	var view profile.View // declared once: the weight function's pointer makes it escape
 	for wi, w := range workers {
 		if workerIdx[wi] < 0 {
 			continue
