@@ -417,7 +417,7 @@ const kickBound = 3
 func kickHost(t *testing.T) (*Engine, *clock.Virtual, <-chan taskq.Record) {
 	t.Helper()
 	clk := clock.NewVirtual(testEpoch)
-	delivered := make(chan taskq.Record, 64)
+	delivered := make(chan taskq.Record, 64) // more than any test delivers: Deliver never blocks a round
 	e := New(Config{
 		Clock:         clk,
 		BatchPoll:     time.Hour,

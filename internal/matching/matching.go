@@ -100,5 +100,6 @@ func rngOrDefault(r *rand.Rand) *rand.Rand {
 // matchers draw from.
 type pcgSource struct{ randv2.PCG }
 
+// Int63 and Seed complete math/rand.Source; Uint64 is PCG's own.
 func (s *pcgSource) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }

@@ -348,8 +348,8 @@ type Registry struct {
 	connected atomic.Int64
 }
 
-// byID orders a sorted profile slice against an id (Registry.byID).
-func byID(p *Profile, id string) int { return strings.Compare(p.id, id) }
+// compareID orders Registry.byID against an id for binary search.
+func compareID(p *Profile, id string) int { return strings.Compare(p.id, id) }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -366,7 +366,7 @@ func (r *Registry) Register(id string, loc region.Point) (*Profile, error) {
 	p := &Profile{id: id, location: loc, connected: &r.connected}
 	p.setAvailable(true) // not shared yet: no lock needed
 	r.workers[id] = p
-	i, _ := slices.BinarySearchFunc(r.byID, id, byID)
+	i, _ := slices.BinarySearchFunc(r.byID, id, compareID)
 	r.byID = slices.Insert(r.byID, i, p)
 	return p, nil
 }
@@ -382,7 +382,7 @@ func (r *Registry) Deregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownWorker, id)
 	}
 	delete(r.workers, id)
-	if i, found := slices.BinarySearchFunc(r.byID, id, byID); found {
+	if i, found := slices.BinarySearchFunc(r.byID, id, compareID); found {
 		r.byID = slices.Delete(r.byID, i, i+1)
 	}
 	// The profile leaves the count and stops moving it: a holder of the

@@ -4,8 +4,8 @@
 // instantiating an edge (worker_i, task_j) only when the worker's fitted
 // power-law model says Pr(ExecTime_ij < TimeToDeadline_ij) clears the
 // application bound (Eq. 3) and applying the trainee rule — and defines the
-// weight functions and the batching knobs (Config). The round itself — trigger, match, apply — is
-// internal/engine's.
+// weight functions and the batching knobs (Config). The round itself —
+// trigger, match, apply — is internal/engine's.
 //
 // BuildGraph does per pair only what depends on the pair. A task's time to
 // deadline and its logarithm are taken once per round; a worker is read once
