@@ -284,7 +284,8 @@ func TestStartShutdown(t *testing.T) {
 // TestRuntimeHistogramsOnMetrics scrapes /metrics for the runtime's GC
 // pause and scheduler-latency histograms: each must be a well-formed
 // Prometheus histogram (cumulative buckets that never fall, a +Inf bucket
-// equal to _count) and, after a forced collection, hold samples.
+// equal to _count) and, after a forced collection, hold samples. The
+// goroutine and memory gauges beside them must each read positive.
 func TestRuntimeHistogramsOnMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	if err := RegisterRuntime(reg); err != nil {
@@ -324,6 +325,27 @@ func TestRuntimeHistogramsOnMetrics(t *testing.T) {
 		}
 		if count <= 0 {
 			t.Errorf("%s: no samples after a forced GC", family)
+		}
+	}
+	// The gauges: goroutines, and the two memory classes a connection's
+	// cost is read from. Each is one positive sample.
+	for _, series := range []string{
+		"react_go_goroutines",
+		`react_go_memory_bytes{class="heap_objects"}`,
+		`react_go_memory_bytes{class="stacks"}`,
+	} {
+		family, _, _ := strings.Cut(series, "{")
+		if !strings.Contains(body, "# TYPE "+family+" gauge\n") {
+			t.Errorf("%s: no gauge TYPE line", family)
+		}
+		var v float64 = -1
+		for _, line := range strings.Split(body, "\n") {
+			if strings.HasPrefix(line, series+" ") {
+				fmt.Sscan(strings.TrimPrefix(line, series+" "), &v)
+			}
+		}
+		if v <= 0 {
+			t.Errorf("%s = %v, want a positive sample", series, v)
 		}
 	}
 }

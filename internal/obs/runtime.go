@@ -9,13 +9,16 @@ import (
 	"react/internal/metrics"
 )
 
-// RegisterRuntime exposes two of the Go runtime's own latency histograms,
-// read from runtime/metrics at scrape time: the stop-the-world pause of
-// each garbage collection, and scheduler latency — how long a runnable
-// goroutine waited for a thread. The engine starts a round as soon as a
-// submit or a release kicks its batch loop, so scheduler latency is the
-// floor under a task's queue wait; these two tell an operator whether a
-// slow round start was the runtime's.
+// RegisterRuntime exposes the Go runtime's own view of the process, read
+// from runtime/metrics at scrape time. Two latency histograms: the
+// stop-the-world pause of each garbage collection, and scheduler latency —
+// how long a runnable goroutine waited for a thread. The engine starts a
+// round as soon as a submit or a release kicks its batch loop, so
+// scheduler latency is the floor under a task's queue wait; these two tell
+// an operator whether a slow round start was the runtime's. And two
+// gauges: live goroutines, and the bytes in heap objects and goroutine
+// stacks, which divided by react_wire_connections_active give what each
+// connection costs.
 func RegisterRuntime(reg *metrics.Registry, labels ...metrics.Label) error {
 	for _, h := range []struct {
 		family, help string
@@ -28,7 +31,35 @@ func RegisterRuntime(reg *metrics.Registry, labels ...metrics.Label) error {
 			return err
 		}
 	}
+	for _, g := range []struct {
+		family, help, class, sample string
+	}{
+		{"react_go_goroutines", "live goroutines (runtime/metrics)", "", "/sched/goroutines:goroutines"},
+		{"react_go_memory_bytes", "bytes in one class of Go memory (runtime/metrics)", "heap_objects", "/memory/classes/heap/objects:bytes"},
+		{"react_go_memory_bytes", "bytes in one class of Go memory (runtime/metrics)", "stacks", "/memory/classes/heap/stacks:bytes"},
+	} {
+		ls := labels
+		if g.class != "" {
+			ls = append(append([]metrics.Label(nil), labels...), metrics.L("class", g.class))
+		}
+		if err := reg.RegisterGauge(g.family, g.help, runtimeGauge(g.sample), ls...); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// runtimeGauge reads one Uint64 runtime metric; a name the running Go
+// version does not know reads 0.
+func runtimeGauge(name string) func() float64 {
+	return func() float64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
+	}
 }
 
 // runtimeBounds are the upper bounds a runtime histogram is folded onto:

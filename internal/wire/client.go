@@ -83,6 +83,8 @@ type Client struct {
 	keepalive   atomic.Int64 // ns; <=0 disables the idle pinger
 	lastSend    atomic.Int64 // unixnano of the last request written
 
+	ka *time.Timer // the keepalive: fires when the next ping is due
+
 	stale      atomic.Int64
 	mismatched atomic.Int64
 	respDrops  atomic.Int64
@@ -113,8 +115,10 @@ func Dial(addr string) (*Client, error) {
 	cl.assignments = newPushQueue[AssignmentPayload](DefaultMaxBacklog, cl.overflowClose)
 	cl.results = newPushQueue[ResultPayload](DefaultMaxBacklog, cl.overflowClose)
 	cl.events = newPushQueue[EventPayload](DefaultMaxBacklog, cl.overflowClose)
+	// The re-arm orders the timer's first callback after this assignment.
+	cl.ka = time.AfterFunc(DefaultKeepalive, cl.keepaliveFire)
+	cl.armKeepalive()
 	go cl.readLoop()
-	go cl.keepaliveLoop()
 	return cl, nil
 }
 
@@ -134,6 +138,7 @@ func (cl *Client) SetKeepalive(d time.Duration) {
 		d = DefaultKeepalive
 	}
 	cl.keepalive.Store(int64(d))
+	cl.armKeepalive()
 }
 
 // Metrics snapshots the connection's health counters.
@@ -153,9 +158,14 @@ func (cl *Client) Metrics() ClientMetrics {
 
 // Close tears down the connection; pending calls fail with ErrClosed.
 // The socket closes first so Close never waits on a wedged peer; the
-// writer is then stopped to reclaim its flusher goroutine.
+// writer is then stopped, and the keepalive disarmed.
 func (cl *Client) Close() error {
-	cl.closeOnce.Do(func() { close(cl.closed); cl.c.Close(); cl.w.close() })
+	cl.closeOnce.Do(func() {
+		close(cl.closed)
+		cl.c.Close()
+		cl.w.close()
+		cl.armKeepalive() // sees closed: stops the timer
+	})
 	return nil
 }
 
@@ -166,7 +176,7 @@ func (cl *Client) overflowClose() { cl.Close() }
 
 func (cl *Client) readLoop() {
 	scanner := bufio.NewScanner(cl.c)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(make([]byte, 0, readBufStart), maxFrameBytes)
 	var scr decodeScratch
 	for scanner.Scan() {
 		m, err := scr.decode(scanner.Bytes())
@@ -210,26 +220,44 @@ func (cl *Client) readLoop() {
 	cl.events.close()
 }
 
-// keepaliveLoop pings whenever the connection has been request-idle for a
-// keepalive interval, so the server's read deadline never fires on a
-// healthy but quiet connection (e.g. a worker waiting for assignments).
-func (cl *Client) keepaliveLoop() {
-	for {
-		d := time.Duration(cl.keepalive.Load())
-		if d <= 0 {
-			d = time.Second // disabled: poll cheaply for re-enablement
-		}
-		timer := time.NewTimer(d)
-		select {
-		case <-cl.closed:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		if kd := time.Duration(cl.keepalive.Load()); kd > 0 &&
-			time.Since(time.Unix(0, cl.lastSend.Load())) >= kd {
-			_ = cl.Ping() // a dead connection surfaces via the read loop
-		}
+// nextPing is how long a client whose last request went out idle ago
+// waits before its next keepalive ping: the rest of the interval kd, so
+// the connection is never request-silent for longer than kd, and zero
+// once that is used up.
+func nextPing(kd, idle time.Duration) time.Duration {
+	if idle >= kd {
+		return 0
+	}
+	return kd - idle
+}
+
+// keepaliveFire is the keepalive timer's callback: it pings if the
+// connection has been request-idle for a whole interval, so the server's
+// read deadline never fires on a healthy but quiet connection (e.g. a
+// worker waiting for assignments), then re-arms for the next one.
+func (cl *Client) keepaliveFire() {
+	if kd := time.Duration(cl.keepalive.Load()); kd > 0 &&
+		time.Since(time.Unix(0, cl.lastSend.Load())) >= kd {
+		_ = cl.Ping() // a dead connection surfaces via the read loop
+	}
+	cl.armKeepalive()
+}
+
+// armKeepalive (re)arms the keepalive timer for the next ping (nextPing
+// from the last request), or stops it when keepalives are disabled or the
+// client is closed. Close closes cl.closed before it calls this, so a
+// callback re-arming concurrently either is stopped by Close or sees
+// closed itself.
+func (cl *Client) armKeepalive() {
+	if kd := time.Duration(cl.keepalive.Load()); kd > 0 {
+		cl.ka.Reset(nextPing(kd, time.Since(time.Unix(0, cl.lastSend.Load()))))
+	} else {
+		cl.ka.Stop()
+	}
+	select {
+	case <-cl.closed:
+		cl.ka.Stop()
+	default:
 	}
 }
 

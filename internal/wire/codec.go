@@ -33,6 +33,15 @@ type frameBuf struct{ b []byte }
 // kilobyte description) from pinning their capacity in the pool forever.
 const maxPooledFrame = 64 << 10
 
+// Both read loops scan frames with a buffer that starts at readBufStart
+// and doubles whenever a frame does not fit, up to maxFrameBytes; a longer
+// line fails the connection. Most frames are a few hundred bytes, so an
+// idle connection holds 4 KiB per side, not the bound.
+const (
+	readBufStart  = 4 << 10
+	maxFrameBytes = 1 << 20
+)
+
 var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
 
 // encodeFrame frames m into a pooled buffer: one JSON object, one

@@ -8,22 +8,24 @@ import (
 )
 
 // This file is the write-coalescing half of the wire hot path: every
-// connection owns a connWriter whose flusher goroutine writes queued
-// frames eagerly, swapping the whole pending buffer out under a mutex and
-// writing it with one syscall (flush-on-close, sticky error). A broadcast
-// of E events to C connections therefore costs O(C) syscalls per flush
-// round instead of O(C×E): while one write syscall is in flight, every
-// frame queued behind it coalesces into the next. It shares no logic with
-// the journal's group committer (internal/journal/store.go), which lingers
-// on an interval and a byte threshold because each of its flushes pays an
-// fsync; a socket write has no such cost to amortize, so there is no
-// linger here and nothing to extract between the two.
+// connection owns a connWriter that swaps the whole pending buffer out
+// under a mutex and writes it with one syscall (flush-on-close, sticky
+// error). A broadcast of E events to C connections therefore costs O(C)
+// syscalls per flush round instead of O(C×E): while one write syscall is
+// in flight, every frame queued behind it coalesces into the next. It
+// shares no logic with the journal's group committer
+// (internal/journal/store.go), which lingers on an interval and a byte
+// threshold because each of its flushes pays an fsync; a socket write has
+// no such cost to amortize, so there is no linger here and nothing to
+// extract between the two.
 //
-// Request/reply traffic takes the inline path instead: enqueue(frame,
-// true) writes synchronously on the caller's goroutine when no writer is
-// active, so a lone RPC pays zero scheduler handoffs — identical latency
-// to the pre-coalescing synchronous write — while concurrent writers
-// still coalesce through the same swap-and-write critical section.
+// Request/reply traffic takes the inline path: enqueue(frame, true)
+// writes synchronously on the caller's goroutine, so a lone RPC pays zero
+// scheduler handoffs, while concurrent writers still coalesce through the
+// same swap-and-write critical section. Pushes (enqueue(frame, false))
+// never write on the caller's goroutine: the first one that finds no
+// drain running starts one, and the drain exits once nothing is pending.
+// An idle connection therefore keeps no writer goroutine at all.
 
 const (
 	// defaultMaxPending bounds one connection's unflushed backlog. A peer
@@ -43,16 +45,16 @@ const (
 )
 
 // writerConfig holds one connection's coalescer bounds; client and server
-// both run the zero value (the defaults above). The flusher runs as soon
-// as any frame is pending, so an idle connection's reply is written
-// immediately and batching emerges only while a write is already in
-// flight. MaxPending and WriteTimeout are seams for the overflow and
-// sticky-error tests.
+// both run the zero value (the defaults above). A drain starts as soon as
+// a push is pending, so an idle connection's push is written immediately
+// and batching emerges only while a write is already in flight.
+// MaxPending and WriteTimeout are seams for the overflow and sticky-error
+// tests.
 type writerConfig struct {
 	MaxPending   int
 	WriteTimeout time.Duration
 	// OnFlush, if set, observes every completed flush (frame count, byte
-	// count, syscall latency). Called from the flushing goroutine.
+	// count, syscall latency). Called on the goroutine that flushed.
 	OnFlush func(frames, bytes int, elapsed time.Duration)
 }
 
@@ -71,43 +73,33 @@ func (cfg writerConfig) normalize() writerConfig {
 var errWriterOverflow = errors.New("wire: write backlog overflow")
 
 // connWriter coalesces outbound frames for one connection. enqueue is
-// memory-only and safe from any goroutine; a single flusher goroutine
-// performs every write syscall. Frames flush in enqueue order, exactly
-// once; close flushes whatever is pending before returning, so the byte
-// stream a peer observes is identical to the pre-coalescing synchronous
-// one.
+// safe from any goroutine; whoever flushes — an inline enqueuer, a drain,
+// close — performs the write syscall, one at a time. Frames flush in
+// enqueue order, exactly once; close flushes whatever is pending before
+// returning, so the byte stream a peer observes is identical to the
+// pre-coalescing synchronous one.
 type connWriter struct {
 	nc  net.Conn
 	cfg writerConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signals writing -> false
-	pending []byte     // frames queued since the last swap
-	frames  int        // frame count in pending
-	spare   []byte     // recycled swap buffer
-	writing bool       // a flush's write syscall is in flight
-	err     error      // sticky: first write failure or overflow
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond // signals writing -> false and draining -> false
+	pending  []byte     // frames queued since the last swap
+	frames   int        // frame count in pending
+	spare    []byte     // recycled swap buffer
+	writing  bool       // a flush's write syscall is in flight
+	draining bool       // a drain goroutine is running
+	err      error      // sticky: first write failure or overflow
+	closed   bool
 
 	// deadline is the write deadline armed on nc. Only the active writer
 	// (writing == true) reads or moves it.
 	deadline time.Time
-
-	kick chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 func newConnWriter(nc net.Conn, cfg writerConfig) *connWriter {
-	w := &connWriter{
-		nc:   nc,
-		cfg:  cfg.normalize(),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
+	w := &connWriter{nc: nc, cfg: cfg.normalize()}
 	w.cond = sync.NewCond(&w.mu)
-	w.wg.Add(1)
-	go w.run()
 	return w
 }
 
@@ -117,11 +109,12 @@ func newConnWriter(nc net.Conn, cfg writerConfig) *connWriter {
 // treat that like the old synchronous write error (the socket is already
 // being torn down).
 //
-// With inline=false enqueue is memory-only and never blocks: the flusher
-// goroutine performs the write. With inline=true the caller flushes
-// synchronously before returning — the right shape for request/reply
-// frames, where the enqueueing goroutine is about to wait for the peer
-// anyway and a scheduler handoff would only add latency.
+// With inline=false enqueue never blocks and never writes: a drain
+// goroutine performs the write, started here if none is running. With
+// inline=true the caller flushes synchronously before returning — the
+// right shape for request/reply frames, where the enqueueing goroutine is
+// about to wait for the peer anyway and a scheduler handoff would only add
+// latency.
 func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -139,6 +132,10 @@ func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	if over {
 		w.err = errWriterOverflow
 	}
+	start := !inline && !over && !w.draining
+	if start {
+		w.draining = true
+	}
 	w.mu.Unlock()
 	if over {
 		// The peer has not read for long enough to pin MaxPending bytes;
@@ -150,39 +147,36 @@ func (w *connWriter) enqueue(frame []byte, inline bool) error {
 	if inline {
 		return w.flush(w.cfg.WriteTimeout)
 	}
-	select {
-	case w.kick <- struct{}{}:
-	default:
+	if start {
+		go w.drain()
 	}
 	return nil
 }
 
-// run is the flusher loop: park until a frame is pending, then write.
-// One flush carries everything that accumulated while the previous write
-// syscall was in flight; a kick that finds the buffer already drained (an
-// inline enqueuer got there first) flushes nothing.
-func (w *connWriter) run() {
-	defer w.wg.Done()
+// drain flushes until nothing is pending, then exits. One flush carries
+// everything that accumulated while the previous write syscall was in
+// flight; a flush that finds the buffer already carried out (an inline
+// enqueuer got there first) writes nothing. Once close has begun, drain
+// leaves what remains to close's bounded final flush.
+func (w *connWriter) drain() {
 	for {
-		select {
-		case <-w.done:
-			// Drain what close() left pending, with a short deadline so
-			// a wedged peer cannot stall teardown.
-			w.flush(closeFlushTimeout)
+		err := w.flush(w.cfg.WriteTimeout)
+		w.mu.Lock()
+		if err != nil || len(w.pending) == 0 || w.closed {
+			w.draining = false
+			w.cond.Broadcast()
+			w.mu.Unlock()
 			return
-		case <-w.kick:
 		}
-		if w.flush(w.cfg.WriteTimeout) != nil {
-			return // sticky error recorded; the socket is closed
-		}
+		w.mu.Unlock()
 	}
 }
 
 // flush swaps the pending buffer out under the mutex and writes it with a
-// single syscall. Both the flusher goroutine and inline enqueuers call
-// it; the writing flag makes exactly one of them the active writer while
-// the rest wait their turn (by which point their frames have usually been
-// carried out by the active writer's swap, and their own flush is empty).
+// single syscall. Drains, inline enqueuers and close all call it; the
+// writing flag makes exactly one of them the active writer while the rest
+// wait their turn (by which point their frames have usually been carried
+// out by the active writer's swap, and their own flush is empty).
 func (w *connWriter) flush(timeout time.Duration) error {
 	w.mu.Lock()
 	for w.writing {
@@ -243,10 +237,10 @@ func (w *connWriter) flush(timeout time.Duration) error {
 	return nil
 }
 
-// close stops the flusher after one final flush of everything enqueued
-// before the call, then returns. It does not close the socket — callers
-// own that — so a graceful teardown can flush, then close, and lose
-// nothing. Idempotent.
+// close waits for a running drain, then flushes everything enqueued
+// before the call with a short deadline, so a wedged peer cannot stall
+// teardown. It does not close the socket — callers own that — so a
+// graceful teardown can flush, then close, and lose nothing. Idempotent.
 func (w *connWriter) close() {
 	w.mu.Lock()
 	if w.closed {
@@ -254,7 +248,11 @@ func (w *connWriter) close() {
 		return
 	}
 	w.closed = true
+	for w.draining {
+		// cond.Wait releases the mutex; the drain's write is bounded by
+		// its write deadline, and it stops once it sees closed.
+		w.cond.Wait()
+	}
 	w.mu.Unlock()
-	close(w.done)
-	w.wg.Wait()
+	w.flush(closeFlushTimeout)
 }

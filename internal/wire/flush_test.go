@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -260,4 +261,39 @@ func TestBroadcastStormRace(t *testing.T) {
 		s.broadcast(Message{Type: "result", Result: &ResultPayload{TaskID: fmt.Sprintf("t%04d", i), WorkerID: "w", Answer: "y", MetDeadline: true}})
 	}
 	wg.Wait()
+}
+
+// TestConnWriterDrainExits pins that an async push starts a drain only
+// while something is pending: once the frames have reached the peer the
+// drain is gone, and the next push starts a fresh one.
+func TestConnWriterDrainExits(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nc := &memConn{}
+	w := newConnWriter(nc, writerConfig{})
+	defer w.close()
+	var want bytes.Buffer
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 10; i++ {
+			frame := []byte(fmt.Sprintf(`{"type":"result","seq":%d}`+"\n", round*10+i))
+			want.Write(frame)
+			if err := w.enqueue(frame, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			w.mu.Lock()
+			draining := w.draining
+			w.mu.Unlock()
+			got, _ := nc.snapshot()
+			if !draining && got == want.String() && runtime.NumGoroutine() <= before {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: draining=%v, %d of %d bytes written, %d goroutines (%d before)",
+					round, draining, len(got), want.Len(), runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }

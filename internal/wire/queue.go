@@ -2,41 +2,51 @@ package wire
 
 import "sync"
 
+// pushSlots is the buffer of a push queue's out channel: how many items a
+// read loop can leave for a consumer that is busy, or already woken but
+// not yet running, without starting a pump. A read that brings a few
+// frames then costs the consumer one wake-up and no other goroutine, so
+// the consumer keeps its place at the front of the scheduler's queue.
+const pushSlots = 16
+
 // pushQueue decouples a connection's read loop from a consumer that may
 // drain slowly: pushes never block (or silently drop) on a full fixed
-// buffer the way the old 32-slot assignment channel did — they append to
-// an accounted in-memory queue that a pump goroutine delivers to a plain
-// channel. Depth and high-water marks are exported through
-// Client.Metrics so overload is visible, and a queue that grows past max
-// fires onOverflow exactly once: wire clients close the connection there,
-// so the server's DetachWorker path recovers any held task instead of
-// the frame rotting in a buffer nobody reads.
+// buffer the way the old 32-slot assignment channel did. A push that finds
+// nothing queued ahead of it sends straight on out — a consumer parked
+// there takes it in one goroutine hop, and otherwise it waits in one of
+// out's pushSlots. Past those it appends to an accounted in-memory queue
+// that a pump goroutine, started on demand and gone once the queue is
+// empty, delivers in order. Depth and high-water marks (out's slots
+// included) are exported through Client.Metrics so overload is visible,
+// and a queue that grows past max fires onOverflow exactly once: wire
+// clients close the connection there, so the server's DetachWorker path
+// recovers any held task instead of the frame rotting in a buffer nobody
+// reads.
 type pushQueue[T any] struct {
 	mu         sync.Mutex
 	buf        []T
+	pumping    bool // a pump is running: it may hold an item not yet delivered
 	closed     bool
 	overflowed bool
 	highWater  int
 	pushed     int64
 
-	wake chan struct{} // 1-buffered pump doorbell
-	dead chan struct{} // closed on close(): stops the pump, parked or not
-	out  chan T
+	dead      chan struct{}  // closed on close(): stops the pump, parked or not
+	pumpWG    sync.WaitGroup // the running pump, if any
+	closeOnce sync.Once
+	out       chan T
 
 	max        int
 	onOverflow func()
 }
 
 func newPushQueue[T any](max int, onOverflow func()) *pushQueue[T] {
-	q := &pushQueue[T]{
-		wake:       make(chan struct{}, 1),
+	return &pushQueue[T]{
 		dead:       make(chan struct{}),
-		out:        make(chan T),
+		out:        make(chan T, pushSlots),
 		max:        max,
 		onOverflow: onOverflow,
 	}
-	go q.pump()
-	return q
 }
 
 // push enqueues one item; it never blocks. Items pushed after close are
@@ -47,61 +57,87 @@ func (q *pushQueue[T]) push(v T) {
 		q.mu.Unlock()
 		return
 	}
-	q.buf = append(q.buf, v)
-	if len(q.buf) > q.highWater {
-		q.highWater = len(q.buf)
-	}
 	q.pushed++
-	over := q.max > 0 && len(q.buf) > q.max && !q.overflowed
+	sent := false
+	if len(q.buf) == 0 && !q.pumping {
+		// Nothing is queued or in flight, so v overtakes nothing: a parked
+		// consumer takes it now, or it waits in a free slot of out.
+		select {
+		case q.out <- v:
+			sent = true
+		default:
+		}
+	}
+	if !sent {
+		q.buf = append(q.buf, v)
+	}
+	d := len(q.out) + len(q.buf)
+	if d > q.highWater {
+		q.highWater = d
+	}
+	over := q.max > 0 && d > q.max && !q.overflowed
 	if over {
 		q.overflowed = true
 	}
+	start := !sent && !q.pumping
+	if start {
+		q.pumping = true
+		q.pumpWG.Add(1)
+	}
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	if start {
+		go q.pump()
 	}
 	if over && q.onOverflow != nil {
 		q.onOverflow()
 	}
 }
 
-// close stops the queue and waits for the pump to exit: once it returns the
-// out channel is closed and nothing further is delivered, exactly like a
-// closed channel — undelivered items are dropped, which is correct because
-// they belonged to a dead connection. Idempotent; every caller returns only
-// after the pump is gone.
+// close stops the queue and waits for the pump to exit, then empties out's
+// slots and closes it: once it returns nothing further is delivered,
+// exactly like a closed channel — undelivered items are dropped, which is
+// correct because they belonged to a dead connection. Idempotent; every
+// caller returns only after the pump is gone and out is closed.
 func (q *pushQueue[T]) close() {
-	q.mu.Lock()
-	first := !q.closed
-	q.closed = true
-	q.mu.Unlock()
-	if first {
+	q.closeOnce.Do(func() {
+		q.mu.Lock()
+		q.closed = true
+		q.mu.Unlock()
 		close(q.dead)
-	}
-	// The pump closes out on its way out. Until then it may be parked on a
-	// send with dead ready beside it, and select picks at random: receiving
-	// here takes (and drops) such an item so that no consumer arriving after
-	// close() can.
-	for range q.out {
-	}
+		// A pump parked on a send with dead ready beside it may still hand
+		// its item over (select picks at random), but only before it
+		// exits, so only before close returns.
+		q.pumpWG.Wait()
+		// Nothing sends on out any more; a consumer receiving meanwhile
+		// only takes an item before close returns.
+		for len(q.out) > 0 {
+			select {
+			case <-q.out:
+			default:
+			}
+		}
+		close(q.out)
+	})
 }
 
+// pump delivers the queue in order and exits once it is empty, or at
+// close (delivery stops immediately — remaining items belonged to a dead
+// connection).
 func (q *pushQueue[T]) pump() {
-	defer close(q.out)
+	defer q.pumpWG.Done()
 	for {
-		v, ok, closed := q.pop()
-		if closed {
+		q.mu.Lock()
+		if q.closed || len(q.buf) == 0 {
+			q.pumping = false
+			q.mu.Unlock()
 			return
 		}
-		if !ok {
-			select {
-			case <-q.wake:
-			case <-q.dead:
-				return
-			}
-			continue
+		v := q.buf[0]
+		q.buf = q.buf[1:]
+		if len(q.buf) == 0 {
+			q.buf = nil // release the drained backing array
 		}
+		q.mu.Unlock()
 		select {
 		case q.out <- v:
 		case <-q.dead:
@@ -110,29 +146,9 @@ func (q *pushQueue[T]) pump() {
 	}
 }
 
-// pop removes the head item; ok reports an item was available, closed
-// reports the queue is closed (delivery stops immediately — remaining
-// items belonged to a dead connection).
-func (q *pushQueue[T]) pop() (v T, ok, closed bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return v, false, true
-	}
-	if len(q.buf) == 0 {
-		return v, false, false
-	}
-	v = q.buf[0]
-	q.buf = q.buf[1:]
-	if len(q.buf) == 0 {
-		q.buf = nil // release the drained backing array
-	}
-	return v, true, false
-}
-
 // depthStats snapshots the queue accounting for Client.Metrics.
 func (q *pushQueue[T]) depthStats() (depth, highWater int, pushed int64, overflowed bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.buf), q.highWater, q.pushed, q.overflowed
+	return len(q.out) + len(q.buf), q.highWater, q.pushed, q.overflowed
 }

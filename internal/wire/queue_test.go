@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -99,4 +100,70 @@ func TestPushQueueCloseIdempotent(t *testing.T) {
 	if depth, _, _, _ := q.depthStats(); depth != 0 {
 		t.Fatalf("push after close buffered an item (depth %d)", depth)
 	}
+}
+
+// TestPushQueueOrderMixedPaths pushes bursts at a consumer that is
+// sometimes parked (a lone push is handed straight over) and sometimes
+// slow (pushes fill out's slots, then queue behind a pump): under -race,
+// every item must arrive exactly once and in push order, whichever path it
+// took, and both paths must have been taken.
+func TestPushQueueOrderMixedPaths(t *testing.T) {
+	const bursts = 200
+	q := newPushQueue[int](0, nil)
+	defer q.close()
+	rng := rand.New(rand.NewSource(38))
+	sizes := make([]int, bursts)
+	slow := make([]bool, bursts)
+	total := 0
+	for i := range sizes {
+		sizes[i] = 1 + rng.Intn(2*pushSlots)
+		slow[i] = rng.Intn(3) == 0
+		total += sizes[i]
+	}
+	acks := make(chan struct{})
+	go func() {
+		next := 0
+		for b, n := range sizes {
+			for j := 0; j < n; j++ {
+				if slow[b] && j == 0 {
+					time.Sleep(100 * time.Microsecond) // let the burst queue up
+				}
+				v, ok := <-q.out
+				if !ok || v != next {
+					t.Errorf("delivery %d: got %d (open %v)", next, v, ok)
+					close(acks)
+					return
+				}
+				next++
+			}
+			acks <- struct{}{}
+		}
+	}()
+	direct, eligible, v := 0, 0, 0
+	for b, n := range sizes {
+		time.Sleep(50 * time.Microsecond) // the consumer parks again
+		for j := 0; j < n; j++ {
+			q.push(v)
+			v++
+			if j == 0 && !slow[b] {
+				eligible++
+				q.mu.Lock()
+				if !q.pumping && len(q.out) == 0 {
+					direct++ // neither queued nor left in a slot: the consumer took it
+				}
+				q.mu.Unlock()
+			}
+		}
+		if _, ok := <-acks; !ok {
+			return
+		}
+	}
+	_, hw, pushed, _ := q.depthStats()
+	if pushed != int64(total) {
+		t.Fatalf("pushed %d, want %d", pushed, total)
+	}
+	if direct == 0 || hw <= pushSlots {
+		t.Fatalf("paths not mixed: %d direct hand-offs, backlog high water %d", direct, hw)
+	}
+	t.Logf("%d of %d bursts to a parked consumer opened with a direct hand-off; backlog high water %d", direct, eligible, hw)
 }

@@ -67,9 +67,9 @@ type Region struct {
 func (r *Region) Engine() *engine.Engine { return r.eng }
 
 // deliver is the region engine's Deliver hook: it encodes the assignment
-// and queues it on the worker's connection. The enqueue is memory-only —
-// the connection's flusher writes the socket — so a scheduling round never
-// blocks on a peer. A worker with no route (its connection is gone or
+// and queues it on the worker's connection. The enqueue never writes — a
+// drain started on the connection's writer does — so a scheduling round
+// never blocks on a peer. A worker with no route (its connection is gone or
 // going) or whose connection has failed refuses the delivery, and the
 // engine revokes the binding.
 func (r *Region) deliver(rec taskq.Record) bool {
@@ -119,7 +119,7 @@ type Server struct {
 
 	// Transport-level health counters, snapshotted by Metrics for the
 	// observability plane. Atomics: the read loops bump them per frame,
-	// the per-connection flushers per flush.
+	// the per-connection writers per flush.
 	connsTotal    atomic.Int64
 	framesRead    atomic.Int64
 	framesWritten atomic.Int64
@@ -465,20 +465,29 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &conn{c: nc, srv: s}
-		c.w = newConnWriter(nc, writerConfig{OnFlush: s.observeFlush})
-		s.connsTotal.Add(1)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
+		if !s.serve(nc) {
 			return
 		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go c.readLoop()
 	}
+}
+
+// serve starts a read loop for one accepted connection; false (with nc
+// closed) once the server is closed.
+func (s *Server) serve(nc net.Conn) bool {
+	c := &conn{c: nc, srv: s}
+	c.w = newConnWriter(nc, writerConfig{OnFlush: s.observeFlush})
+	s.connsTotal.Add(1)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		nc.Close()
+		return false
+	}
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go c.readLoop()
+	return true
 }
 
 func (s *Server) broadcast(m Message) {
@@ -489,7 +498,7 @@ func (s *Server) broadcast(m Message) {
 	}
 	s.mu.Unlock()
 	// Encode once, enqueue the same bytes everywhere: a broadcast to 10k
-	// watchers costs one encode, and each connection's flusher coalesces
+	// watchers costs one encode, and each connection's writer coalesces
 	// it with whatever else is in flight there.
 	fb := encodeFrame(&m)
 	for _, c := range targets {
@@ -505,9 +514,9 @@ func (s *Server) broadcast(m Message) {
 	fb.release()
 }
 
-// send frames m and hands it to the connection's coalescer; the flusher
-// performs the actual write. An error is the writer's sticky failure —
-// the socket is already being torn down.
+// send frames m and writes it through the connection's coalescer, inline
+// on the caller's goroutine. An error is the writer's sticky failure — the
+// socket is already being torn down.
 func (c *conn) send(m Message) error {
 	fb := encodeFrame(&m)
 	err := c.w.enqueue(fb.b, true) // inline: a reply should reach the waiting peer now
@@ -560,17 +569,14 @@ func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.teardown()
 	scanner := bufio.NewScanner(c.c)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(make([]byte, 0, readBufStart), maxFrameBytes)
+	var dl idleDeadline
 	for {
-		// Refresh the idle deadline before every frame: a connection that
+		// Keep the idle deadline ahead of every frame: a connection that
 		// goes silent past it (no requests, no keepalive pings) fails the
 		// next Scan, and teardown detaches its worker within a bounded
 		// interval instead of holding it busy forever.
-		if d := time.Duration(c.srv.idle.Load()); d > 0 {
-			c.c.SetReadDeadline(time.Now().Add(d))
-		} else {
-			c.c.SetReadDeadline(time.Time{})
-		}
+		dl.rearm(c.c, time.Duration(c.srv.idle.Load()), time.Now())
 		if !scanner.Scan() {
 			return // EOF, error, or idle deadline
 		}
@@ -583,6 +589,29 @@ func (c *conn) readLoop() {
 			continue
 		}
 		c.handle(m)
+	}
+}
+
+// idleDeadline is one connection's read deadline, re-armed in a window
+// rather than on every frame: only once more than an eighth of the idle
+// timeout has passed since the last arm, or when SetIdleTimeout changed
+// the timeout. A peer that falls silent is therefore dropped between 7/8
+// of the timeout and all of it after its last frame, and a burst of frames
+// inside the window costs one SetReadDeadline.
+type idleDeadline struct {
+	armedAt  time.Time     // when the deadline was last moved
+	armedFor time.Duration // the timeout it was moved for; <= 0: none armed
+}
+
+func (d *idleDeadline) rearm(nc net.Conn, timeout time.Duration, now time.Time) {
+	if timeout == d.armedFor && (timeout <= 0 || now.Sub(d.armedAt) <= timeout/8) {
+		return
+	}
+	d.armedAt, d.armedFor = now, timeout
+	if timeout > 0 {
+		nc.SetReadDeadline(now.Add(timeout))
+	} else {
+		nc.SetReadDeadline(time.Time{})
 	}
 }
 

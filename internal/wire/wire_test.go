@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -596,5 +598,81 @@ func TestAssignmentPayloadDeadlineFromNow(t *testing.T) {
 				t.Fatalf("DeadlineMS = %d, want %d", p.DeadlineMS, tc.want)
 			}
 		})
+	}
+}
+
+// TestNextPing pins the keepalive rule: the next ping is due a whole
+// interval after the last request, however far into the interval the
+// timer fired, so a client is never request-silent for longer than the
+// interval (a check once per interval could leave it silent for nearly
+// two).
+func TestNextPing(t *testing.T) {
+	const kd = 25 * time.Second
+	for _, tc := range []struct {
+		name string
+		idle time.Duration
+		want time.Duration
+	}{
+		{"request just sent", 0, kd},
+		{"request just after the last check", time.Millisecond, kd - time.Millisecond},
+		{"mid-interval", 10 * time.Second, 15 * time.Second},
+		{"interval used up", kd, 0},
+		{"overdue", 2 * kd, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := nextPing(kd, tc.idle); got != tc.want {
+				t.Fatalf("nextPing(%v, %v) = %v, want %v", kd, tc.idle, got, tc.want)
+			}
+		})
+	}
+}
+
+// deadlineCounter counts the read deadlines a server arms on a connection.
+type deadlineCounter struct {
+	net.Conn
+	arms atomic.Int64
+}
+
+func (c *deadlineCounter) SetReadDeadline(t time.Time) error {
+	c.arms.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestReadDeadlineWindow pins the windowed re-arm of the idle deadline: a
+// burst of frames inside an eighth of the idle timeout costs one
+// SetReadDeadline, and SetIdleTimeout takes effect at the next frame.
+func TestReadDeadlineWindow(t *testing.T) {
+	s := startServer(t)
+	s.SetIdleTimeout(time.Minute)
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	nc := &deadlineCounter{Conn: ours}
+	if !s.serve(nc) {
+		t.Fatal("server refused the connection")
+	}
+	replies := bufio.NewScanner(theirs)
+	ping := func(seq int) {
+		t.Helper()
+		if _, err := fmt.Fprintf(theirs, `{"type":"ping","seq":%d}`+"\n", seq); err != nil {
+			t.Fatal(err)
+		}
+		if !replies.Scan() {
+			t.Fatalf("no reply to ping %d: %v", seq, replies.Err())
+		}
+		if want := fmt.Sprintf(`{"type":"ok","seq":%d}`, seq); replies.Text() != want {
+			t.Fatalf("reply %q, want %q", replies.Text(), want)
+		}
+	}
+	const burst = 64
+	for i := 1; i <= burst; i++ {
+		ping(i)
+	}
+	if n := nc.arms.Load(); n != 1 {
+		t.Fatalf("%d SetReadDeadline calls for a burst of %d frames, want 1", n, burst)
+	}
+	s.SetIdleTimeout(2 * time.Minute)
+	ping(burst + 1)
+	if n := nc.arms.Load(); n != 2 {
+		t.Fatalf("%d SetReadDeadline calls after SetIdleTimeout, want 2", n)
 	}
 }
