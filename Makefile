@@ -12,9 +12,10 @@ RACE_EXAMPLES = ./examples/quickstart ./examples/imagesearch ./examples/trafficw
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
 # crash recovery trusts, the event spine is what every consumer of
-# lifecycle state (journal, obs, wire) now rides on, and the
-# admission plane decides which tasks are turned away at the door.
-COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission
+# lifecycle state (journal, obs, wire) now rides on, the
+# admission plane decides which tasks are turned away at the door, and
+# the profiles hold the laws Eq. 2, Eq. 3 and the admission gates act on.
+COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission internal/profile
 COVER_FLOOR = 70
 
 .PHONY: all build fmt-check shim-check lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci

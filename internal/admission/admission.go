@@ -27,10 +27,12 @@
 // interval/√count cadence — bounding queue delay for the tasks that
 // remain instead of letting every deadline rot in the pool.
 //
-// The load signals are the engine's own: the controller reads the
-// event.Ledger the engine folds from its spine (Attach), and its Tap adds
-// only the pooled execution-time model, so it never polls or locks the
-// engine. Every decision is typed (Decision / Status) and
+// Every signal is the engine's own: the controller reads the clock, the
+// event.Ledger and the profile.Registry the engine binds (Attach) — the
+// load gauges from the ledger, the online worker count and the fleet's
+// pooled execution-time law from the registry — so it keeps no copy of
+// them and never polls or locks the engine. Every decision is typed
+// (Decision / Status) and
 // surfaces to clients through the wire layer's submit reply; shed
 // victims carry taskq.CauseShed through the spine, journal, and tail
 // watchers. See docs/ADMISSION.md.
@@ -44,9 +46,13 @@ import (
 
 	"react/internal/clock"
 	"react/internal/event"
-	"react/internal/powerlaw"
+	"react/internal/profile"
 	"react/internal/taskq"
 )
+
+// minSamples is how many fleet execution-time samples the probability gate
+// needs before it acts: a cold start admits optimistically.
+const minSamples = 30
 
 // Status classifies an admission decision. The strings are wire-visible:
 // they appear verbatim in the submit reply's admission payload and as
@@ -117,77 +123,51 @@ func (e *RejectionError) Error() string {
 // (every gate disabled) — admission is strictly opt-in, which is what
 // keeps the deterministic simulation figures byte-identical.
 type Config struct {
-	// Clock supplies time for bucket refill, sojourn measurement, and
-	// probability horizons. The engine fills in its own when unset; a
-	// bare controller defaults to the system clock.
-	Clock clock.Clock
 	// ProbFloor rejects tasks whose predicted deadline-meeting
 	// probability falls below it. 0 disables the gate; 0.2 is a
 	// reasonable production floor.
 	ProbFloor float64
-	// MinSamples is how many fleet execution-time samples the estimator
-	// needs before the probability gate activates (cold starts admit
-	// optimistically). Default 30.
-	MinSamples int
 	// MaxInflight caps the live (unassigned + assigned) population as
 	// observed from the spine. 0 disables the ceiling.
 	MaxInflight int
-	// RequesterRate is each requester's sustained submissions/second;
-	// RequesterBurst the bucket capacity (default 2×rate, minimum 1).
-	// Rate 0 disables per-requester limiting.
-	RequesterRate  float64
-	RequesterBurst float64
+	// RequesterRate is each requester's sustained submissions/second; its
+	// bucket holds 2×rate tokens, at least 1. Rate 0 disables per-requester
+	// limiting.
+	RequesterRate float64
 	// ShedTarget is the CoDel sojourn target for the oldest unassigned
 	// task (default 5s); ShedInterval the initial drop interval
 	// (default 500ms). ShedTarget < 0 disables shedding.
 	ShedTarget   time.Duration
 	ShedInterval time.Duration
-	// Workers reports the online worker count for the capacity estimate;
-	// the engine fills in its registry's CountConnected when unset. Nil
-	// on a bare controller treats capacity as unknown: the probability
-	// gate then ignores queue delay.
-	Workers func() int
 }
 
 func (c Config) normalize() Config {
-	if c.Clock == nil {
-		c.Clock = clock.System{}
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 30
-	}
 	if c.ShedTarget == 0 {
 		c.ShedTarget = 5 * time.Second
 	}
 	if c.ShedInterval <= 0 {
 		c.ShedInterval = 500 * time.Millisecond
 	}
-	if c.RequesterRate > 0 && c.RequesterBurst < 1 {
-		c.RequesterBurst = 2 * c.RequesterRate
-		if c.RequesterBurst < 1 {
-			c.RequesterBurst = 1
-		}
-	}
 	return c
 }
 
 // Controller is one region's admission plane. All methods are safe for
-// concurrent use; Decide and Tap touch disjoint locks from the engine's,
-// so neither can extend a scheduling critical section.
+// concurrent use; Decide takes none of the engine's locks, so it cannot
+// extend a scheduling critical section.
 type Controller struct {
-	cfg Config
-	clk clock.Clock
+	cfg   Config
+	burst float64 // each requester bucket's capacity: 2×RequesterRate, at least 1
 
-	// ledger is where the load signals — live population, unassigned
-	// backlog, shed count — are read: the attached engine's, so the gates
-	// and Stats can never disagree, and recovery seeds one. Empty until
-	// Attach.
+	// clk, ledger and reg are the attached engine's (Attach): its clock;
+	// its ledger, where the load signals — live population, unassigned
+	// backlog, shed count — are read, so the gates and Stats can never
+	// disagree and recovery seeds one; and its worker registry, which
+	// counts the online workers and pools the fleet's execution-time law.
+	// Until Attach: the system clock, an empty ledger and an empty
+	// registry.
+	clk    clock.Clock
 	ledger *event.Ledger
-
-	// fitMu guards the pooled fleet execution-time fitter. Tap updates
-	// it on every completion; Decide reads a Model from it.
-	fitMu sync.Mutex
-	fit   powerlaw.Fitter
+	reg    *profile.Registry
 
 	// bktMu guards the per-requester token buckets (bucket.go).
 	bktMu   sync.Mutex
@@ -210,20 +190,36 @@ type Controller struct {
 	observer func(Decision)
 }
 
-// New creates a controller reading an empty ledger. The one a region runs
-// is built and attached by engine.New, from engine.Config.Admission.
+// New creates a controller reading the system clock, an empty ledger and
+// an empty registry. The one a region runs is built and attached by
+// engine.New, from engine.Config.Admission.
 func New(cfg Config) *Controller {
 	cfg = cfg.normalize()
-	return &Controller{cfg: cfg, clk: cfg.Clock, ledger: new(event.Ledger), buckets: make(map[string]*bucket)}
+	return &Controller{
+		cfg:     cfg,
+		burst:   max(2*cfg.RequesterRate, 1),
+		clk:     clock.System{},
+		ledger:  new(event.Ledger),
+		reg:     profile.NewRegistry(),
+		buckets: make(map[string]*bucket),
+	}
 }
 
 // Config reports the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Attach points the load signals at l, the ledger of the engine this
-// controller fronts. Call it before traffic starts, alongside tapping Tap
-// into the same engine's spine.
-func (c *Controller) Attach(l *event.Ledger) { c.ledger = l }
+// Attach binds the controller to the engine it fronts: that engine's
+// clock, the ledger its spine folds, and its worker registry, whose own
+// fold (profile.Registry.Observe) pools the fleet's execution times. Call
+// it once, before traffic starts.
+func (c *Controller) Attach(clk clock.Clock, l *event.Ledger, r *profile.Registry) {
+	c.clk, c.ledger, c.reg = clk, l, r
+}
+
+// Tap does nothing: the fleet law lives in the attached registry, which
+// its own spine fold feeds. It is kept for the benchmark module, which
+// still installs it.
+func (c *Controller) Tap(event.Event) {}
 
 // SetObserver installs fn as the per-decision observer (nil clears it).
 func (c *Controller) SetObserver(fn func(Decision)) {
@@ -288,22 +284,16 @@ func (c *Controller) probMeet(ttd time.Duration) (float64, bool) {
 	if ttd <= 0 {
 		return 0, true
 	}
-	c.fitMu.Lock()
-	n := c.fit.N()
-	model, err := c.fit.Model()
-	c.fitMu.Unlock()
-	if n < c.cfg.MinSamples || err != nil {
+	n, model := c.reg.FleetModel()
+	if n < minSamples {
 		return 0, false
 	}
-	budget := ttd.Seconds()
-	if c.cfg.Workers != nil {
-		if w := c.cfg.Workers(); w > 0 {
-			budget -= float64(c.ledger.Unassigned()) / float64(w) * model.Median()
-		} else {
-			// No workers online: nothing can be served before any deadline.
-			return 0, true
-		}
+	w := c.reg.CountConnected()
+	if w <= 0 {
+		// No workers online: nothing can be served before any deadline.
+		return 0, true
 	}
+	budget := ttd.Seconds() - float64(c.ledger.Unassigned())/float64(w)*model.Median()
 	if budget <= 0 {
 		return 0, true
 	}
@@ -314,11 +304,8 @@ func (c *Controller) probMeet(ttd time.Duration) (float64, bool) {
 // service time (the cadence at which in-flight slots free up), or a
 // conservative constant while the model is cold.
 func (c *Controller) drainHint() time.Duration {
-	c.fitMu.Lock()
-	n := c.fit.N()
-	model, err := c.fit.Model()
-	c.fitMu.Unlock()
-	if n < c.cfg.MinSamples || err != nil {
+	n, model := c.reg.FleetModel()
+	if n < minSamples {
 		return time.Second
 	}
 	d := time.Duration(model.Median() * float64(time.Second))
@@ -368,15 +355,12 @@ func (c *Controller) Loads() (inflight, unassigned int64) {
 	return c.ledger.InFlight(), c.ledger.Unassigned()
 }
 
-// FleetModel reports the pooled execution-time model: sample count, and
-// — once warm — the median service time in seconds. ok is false while
-// the model is cold (below MinSamples or unfittable).
+// FleetModel reports the attached registry's pooled execution-time model:
+// sample count, and — once warm — the median service time in seconds. ok
+// is false while the model is cold (fewer than 30 samples).
 func (c *Controller) FleetModel() (samples int, medianSeconds float64, ok bool) {
-	c.fitMu.Lock()
-	samples = c.fit.N()
-	model, err := c.fit.Model()
-	c.fitMu.Unlock()
-	if err != nil || samples < c.cfg.MinSamples {
+	samples, model := c.reg.FleetModel()
+	if samples < minSamples {
 		return samples, 0, false
 	}
 	return samples, model.Median(), true
@@ -394,18 +378,25 @@ func (c *Controller) Snapshot() Snapshot {
 		RejectedProbability: c.rejectedProb.Load(),
 		RejectedRate:        c.rejectedRate.Load(),
 		Shed:                c.ledger.Counts().Shed,
+		WorkersOnline:       c.reg.CountConnected(),
 		Buckets:             c.bucketSnapshot(c.clk.Now()),
 	}
-	if c.cfg.Workers != nil {
-		s.WorkersOnline = c.cfg.Workers()
-	}
-	samples, median, warm := c.FleetModel()
-	s.FleetSamples = samples
-	if warm {
-		s.MedianExecSeconds = median
-		if median > 0 {
-			s.CapacityPerSec = float64(s.WorkersOnline) / median
-		}
-	}
+	s.FleetSamples, s.MedianExecSeconds, _ = c.FleetModel()
+	s.CapacityPerSec = capacity(s.WorkersOnline, s.MedianExecSeconds)
 	return s
+}
+
+// CapacityPerSec estimates the fleet's service rate: online workers over
+// the fleet's median service time, 0 while the model is cold.
+func (c *Controller) CapacityPerSec() float64 {
+	_, median, _ := c.FleetModel()
+	return capacity(c.reg.CountConnected(), median)
+}
+
+// capacity is workers over median, 0 for a cold model (median 0).
+func capacity(workers int, median float64) float64 {
+	if median <= 0 {
+		return 0
+	}
+	return float64(workers) / median
 }

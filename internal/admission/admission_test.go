@@ -8,21 +8,37 @@ import (
 
 	"react/internal/clock"
 	"react/internal/event"
+	"react/internal/profile"
+	"react/internal/region"
 	"react/internal/taskq"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// newCtl builds a controller and binds it as engine.New binds the one a
+// region runs: to clk, a fresh ledger and a fresh worker registry holding
+// the given number of online workers.
+func newCtl(cfg Config, clk clock.Clock, workers int) *Controller {
+	reg := profile.NewRegistry()
+	for i := 0; i < workers; i++ {
+		if _, err := reg.Register(fmt.Sprintf("w%d", i), region.Point{}); err != nil {
+			panic(err) // ids are unique by construction
+		}
+	}
+	c := New(cfg)
+	c.Attach(clk, new(event.Ledger), reg)
+	return c
+}
+
 // publish stands in for the engine's spine: the ledger the controller
-// reads folds the event first, then the controller's tap sees it — the
-// engine's tap order.
+// reads folds the event first, then the registry — the engine's tap order.
 func publish(c *Controller, ev event.Event) {
 	c.ledger.Observe(ev)
-	c.Tap(ev)
+	c.reg.Observe(ev)
 }
 
 // warm publishes n identical completions of the given execution time, as
-// the spine would, so the fleet model leaves its cold state.
+// the spine would, so the registry's fleet model leaves its cold state.
 func warm(c *Controller, n int, exec time.Duration) {
 	for i := 0; i < n; i++ {
 		publish(c, event.Event{Kind: event.KindComplete, Record: taskq.Record{
@@ -42,7 +58,7 @@ func task(id string, ttd time.Duration, clk clock.Clock) taskq.Task {
 
 func TestZeroConfigAdmitsEverything(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk})
+	c := newCtl(Config{}, clk, 0)
 	for i := 0; i < 100; i++ {
 		d := c.Decide("anyone", task("t", time.Nanosecond, clk))
 		if !d.Admitted() {
@@ -62,15 +78,15 @@ func TestProbabilityFloor(t *testing.T) {
 	// Fleet of 10 workers, warm model at 1s per task. The queue-delay
 	// discount is unassigned/workers x median; the floor decides on the
 	// CCDF of the remaining budget.
-	newCtl := func() (*Controller, *clock.Virtual) {
+	gated := func() (*Controller, *clock.Virtual) {
 		clk := clock.NewVirtual(t0)
-		c := New(Config{Clock: clk, ProbFloor: 0.5, Workers: func() int { return 10 }})
+		c := newCtl(Config{ProbFloor: 0.5}, clk, 10)
 		return c, clk
 	}
 
 	t.Run("cold model never rejects", func(t *testing.T) {
-		c, clk := newCtl()
-		warm(c, c.Config().MinSamples-1, time.Second) // one short of warm
+		c, clk := gated()
+		warm(c, minSamples-1, time.Second) // one short of warm
 		if d := c.Decide("r", task("t", time.Nanosecond, clk)); !d.Admitted() {
 			t.Fatalf("cold model rejected: %+v", d)
 		}
@@ -80,7 +96,7 @@ func TestProbabilityFloor(t *testing.T) {
 	})
 
 	t.Run("past deadline rejects at probability zero", func(t *testing.T) {
-		c, clk := newCtl()
+		c, clk := gated()
 		warm(c, 30, time.Second)
 		d := c.Decide("r", task("t", 0, clk))
 		if d.Status != StatusRejectedProbability || d.Probability != 0 {
@@ -96,7 +112,7 @@ func TestProbabilityFloor(t *testing.T) {
 	})
 
 	t.Run("generous deadline admits with probability attached", func(t *testing.T) {
-		c, clk := newCtl()
+		c, clk := gated()
 		warm(c, 30, time.Second)
 		d := c.Decide("r", task("t", time.Hour, clk))
 		if !d.Admitted() {
@@ -108,7 +124,7 @@ func TestProbabilityFloor(t *testing.T) {
 	})
 
 	t.Run("probability is monotone in the deadline", func(t *testing.T) {
-		c, clk := newCtl()
+		c, clk := gated()
 		warm(c, 30, time.Second)
 		prev := -1.0
 		for _, ttd := range []time.Duration{
@@ -127,7 +143,7 @@ func TestProbabilityFloor(t *testing.T) {
 	})
 
 	t.Run("queue backlog flips the verdict", func(t *testing.T) {
-		c, clk := newCtl()
+		c, clk := gated()
 		warm(c, 30, time.Second)
 		ttd := 3 * time.Second
 		if d := c.Decide("r", task("t", ttd, clk)); !d.Admitted() {
@@ -144,9 +160,19 @@ func TestProbabilityFloor(t *testing.T) {
 		}
 	})
 
+	t.Run("an empty fleet serves nothing in time", func(t *testing.T) {
+		clk := clock.NewVirtual(t0)
+		c := newCtl(Config{ProbFloor: 0.5}, clk, 0)
+		warm(c, minSamples, time.Second)
+		d := c.Decide("r", task("t", time.Hour, clk))
+		if d.Status != StatusRejectedProbability || d.Probability != 0 {
+			t.Fatalf("got %+v with no worker online, want rejected_probability at 0", d)
+		}
+	})
+
 	t.Run("floor zero disables the gate", func(t *testing.T) {
 		clk := clock.NewVirtual(t0)
-		c := New(Config{Clock: clk, Workers: func() int { return 10 }})
+		c := newCtl(Config{}, clk, 10)
 		warm(c, 30, time.Second)
 		if d := c.Decide("r", task("t", time.Nanosecond, clk)); !d.Admitted() {
 			t.Fatalf("floor 0 rejected: %+v", d)
@@ -156,7 +182,7 @@ func TestProbabilityFloor(t *testing.T) {
 
 func TestTokenBucket(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, RequesterRate: 2, RequesterBurst: 4})
+	c := newCtl(Config{RequesterRate: 2}, clk, 0) // a burst of 4
 
 	// The burst admits 4 back-to-back; the 5th is rejected with a
 	// retry-after equal to one token's accrual time at 2/s.
@@ -210,19 +236,23 @@ func TestTokenBucket(t *testing.T) {
 }
 
 func TestBucketDefaultBurst(t *testing.T) {
-	c := New(Config{Clock: clock.NewVirtual(t0), RequesterRate: 3})
-	if got := c.Config().RequesterBurst; got != 6 {
-		t.Fatalf("default burst = %v, want 2x rate", got)
+	burst := func(rate float64) float64 {
+		clk := clock.NewVirtual(t0)
+		c := newCtl(Config{RequesterRate: rate}, clk, 0)
+		c.Decide("r", task("t", time.Hour, clk))
+		return c.Snapshot().Buckets[0].Burst
 	}
-	c = New(Config{Clock: clock.NewVirtual(t0), RequesterRate: 0.1})
-	if got := c.Config().RequesterBurst; got != 1 {
-		t.Fatalf("default burst = %v, want minimum 1", got)
+	if got := burst(3); got != 6 {
+		t.Fatalf("burst = %v, want 2x rate", got)
+	}
+	if got := burst(0.1); got != 1 {
+		t.Fatalf("burst = %v, want minimum 1", got)
 	}
 }
 
 func TestBucketEviction(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, RequesterRate: 1, RequesterBurst: 2})
+	c := newCtl(Config{RequesterRate: 1}, clk, 0) // a burst of 2
 	// Fill the table to its cap with requesters that never return. Their
 	// buckets refill to full burst and become evictable.
 	for i := 0; i < maxBuckets; i++ {
@@ -240,7 +270,7 @@ func TestBucketEviction(t *testing.T) {
 
 func TestBucketSnapshotSortedAndRefreshed(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, RequesterRate: 1, RequesterBurst: 2})
+	c := newCtl(Config{RequesterRate: 1}, clk, 0) // a burst of 2
 	c.Decide("zoe", task("t", time.Hour, clk))
 	c.Decide("abe", task("t", time.Hour, clk))
 	c.Decide("abe", task("t", time.Hour, clk)) // abe drained to 0
@@ -260,7 +290,7 @@ func TestBucketSnapshotSortedAndRefreshed(t *testing.T) {
 
 func TestMaxInflightCeiling(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, MaxInflight: 3})
+	c := newCtl(Config{MaxInflight: 3}, clk, 0)
 	for i := 0; i < 3; i++ {
 		if d := c.Decide("r", task("t", time.Hour, clk)); !d.Admitted() {
 			t.Fatalf("submission %d under ceiling rejected: %+v", i, d)
@@ -300,7 +330,7 @@ func TestMaxInflightCeiling(t *testing.T) {
 
 func TestObserverSeesEveryDecision(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, RequesterRate: 1, RequesterBurst: 1})
+	c := newCtl(Config{RequesterRate: 0.5}, clk, 0) // a burst of 1
 	var seen []Status
 	c.SetObserver(func(d Decision) { seen = append(seen, d.Status) })
 	c.Decide("r", task("t", time.Hour, clk))

@@ -30,10 +30,10 @@ func (c *Controller) takeToken(requester string, now time.Time) time.Duration {
 		if len(c.buckets) >= maxBuckets {
 			c.evictFullLocked(now)
 		}
-		b = &bucket{fill: c.cfg.RequesterBurst, last: now}
+		b = &bucket{fill: c.burst, last: now}
 		c.buckets[requester] = b
 	}
-	b.refill(now, c.cfg.RequesterRate, c.cfg.RequesterBurst)
+	b.refill(now, c.cfg.RequesterRate, c.burst)
 	if b.fill >= 1 {
 		b.fill--
 		return 0
@@ -56,8 +56,8 @@ func (b *bucket) refill(now time.Time, rate, burst float64) {
 // holds bktMu.
 func (c *Controller) evictFullLocked(now time.Time) {
 	for id, b := range c.buckets {
-		b.refill(now, c.cfg.RequesterRate, c.cfg.RequesterBurst)
-		if b.fill >= c.cfg.RequesterBurst {
+		b.refill(now, c.cfg.RequesterRate, c.burst)
+		if b.fill >= c.burst {
 			delete(c.buckets, id)
 		}
 	}
@@ -73,8 +73,8 @@ func (c *Controller) bucketSnapshot(now time.Time) []RequesterBucket {
 	}
 	out := make([]RequesterBucket, 0, len(c.buckets))
 	for id, b := range c.buckets {
-		b.refill(now, c.cfg.RequesterRate, c.cfg.RequesterBurst)
-		out = append(out, RequesterBucket{Requester: id, Fill: b.fill, Burst: c.cfg.RequesterBurst})
+		b.refill(now, c.cfg.RequesterRate, c.burst)
+		out = append(out, RequesterBucket{Requester: id, Fill: b.fill, Burst: c.burst})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Requester < out[j].Requester })
 	return out

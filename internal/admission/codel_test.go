@@ -71,7 +71,7 @@ func TestShedStateMachine(t *testing.T) {
 		interval = 500 * time.Millisecond
 	)
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, ShedTarget: target, ShedInterval: interval})
+	c := newCtl(Config{ShedTarget: target, ShedInterval: interval}, clk, 0)
 	pool := &fakePool{}
 
 	// Empty pool: nothing to do.
@@ -127,7 +127,7 @@ func TestShedSqrtCadence(t *testing.T) {
 		dt       = 10 * time.Millisecond
 	)
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, ShedTarget: target, ShedInterval: interval})
+	c := newCtl(Config{ShedTarget: target, ShedInterval: interval}, clk, 0)
 	pool := &fakePool{}
 	for i := 0; i < 8; i++ {
 		pool.add(fmt.Sprintf("t%d", i), clk.Now(), clk.Now().Add(time.Duration(i+1)*time.Hour))
@@ -176,7 +176,7 @@ func TestShedSqrtCadence(t *testing.T) {
 
 func TestShedDisabled(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, ShedTarget: -1})
+	c := newCtl(Config{ShedTarget: -1}, clk, 0)
 	pool := &fakePool{}
 	pool.add("t1", clk.Now(), clk.Now().Add(time.Hour))
 	clk.Advance(time.Hour)
@@ -189,7 +189,7 @@ func TestShedFailedVictimNotCounted(t *testing.T) {
 	// A victim that races away (Shed errors) is skipped without counting,
 	// and the pass moves on to the next victim on the same schedule.
 	clk := clock.NewVirtual(t0)
-	c := New(Config{Clock: clk, ShedTarget: time.Second, ShedInterval: 100 * time.Millisecond})
+	c := newCtl(Config{ShedTarget: time.Second, ShedInterval: 100 * time.Millisecond}, clk, 0)
 	pool := &fakePool{fail: map[string]bool{"t0": true}}
 	pool.add("t0", clk.Now(), clk.Now().Add(time.Minute))
 	pool.add("t1", clk.Now(), clk.Now().Add(2*time.Minute))

@@ -15,9 +15,8 @@ func TestTapLoadAccounting(t *testing.T) {
 	// The load gauges are the attached ledger's: the test feeds the ledger
 	// it hands the controller, as the engine's spine does, and reads the
 	// gauges back through the controller.
-	var led event.Ledger
-	c := New(Config{Clock: clock.NewVirtual(t0)})
-	c.Attach(&led)
+	c := newCtl(Config{}, clock.NewVirtual(t0), 0)
+	led := c.ledger
 	check := func(wantIn, wantUn int64, step string) {
 		t.Helper()
 		in, un := c.Loads()
@@ -69,75 +68,82 @@ func TestTapLoadAccounting(t *testing.T) {
 	check(0, 0, "batch/forget ignored")
 }
 
+// TestTapFeedsFleetModel: the fleet model is the attached registry's,
+// fed by the registry's own spine fold from every completion, whoever
+// answered it.
 func TestTapFeedsFleetModel(t *testing.T) {
-	c := New(Config{Clock: clock.NewVirtual(t0), MinSamples: 3})
+	c := newCtl(Config{}, clock.NewVirtual(t0), 0)
 	if _, _, ok := c.FleetModel(); ok {
 		t.Fatal("model warm with zero samples")
 	}
 	// Zero-exec completions (never-assigned records) must not pollute it.
-	c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{}})
-	// The tap feeds the model and nothing else: on a controller nobody
-	// attached, no event moves a load gauge.
-	c.Tap(event.Event{Kind: event.KindSubmit})
+	c.reg.Observe(event.Event{Kind: event.KindComplete, Record: taskq.Record{}})
+	// The registry's fold feeds the model and nothing else: no event it
+	// sees moves a load gauge, which only the ledger folds.
+	c.reg.Observe(event.Event{Kind: event.KindSubmit})
 	if in, un := c.Loads(); in != 0 || un != 0 {
-		t.Fatalf("tap alone moved the load gauges to %d/%d", in, un)
+		t.Fatalf("registry fold alone moved the load gauges to %d/%d", in, un)
 	}
-	for i := 0; i < 3; i++ {
-		c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
+	for i := 0; i < minSamples; i++ {
+		if _, _, ok := c.FleetModel(); ok {
+			t.Fatalf("model warm after %d samples, want %d", i, minSamples)
+		}
+		c.reg.Observe(event.Event{Kind: event.KindComplete, Worker: "gone", Record: taskq.Record{
 			AssignedAt: t0, FinishedAt: t0.Add(2 * time.Second),
 		}})
 	}
 	samples, median, ok := c.FleetModel()
-	if !ok || samples != 3 {
-		t.Fatalf("model samples=%d ok=%v, want 3 warm", samples, ok)
+	if !ok || samples != minSamples {
+		t.Fatalf("model samples=%d ok=%v, want %d warm", samples, ok, minSamples)
 	}
 	if median < 2 {
 		t.Fatalf("median = %v, want >= the 2s sample floor", median)
 	}
 	s := c.Snapshot()
-	if s.FleetSamples != 3 || s.MedianExecSeconds != median {
-		t.Fatalf("snapshot model = %d/%.2f, want 3/%.2f", s.FleetSamples, s.MedianExecSeconds, median)
+	if s.FleetSamples != minSamples || s.MedianExecSeconds != median {
+		t.Fatalf("snapshot model = %d/%.2f, want %d/%.2f", s.FleetSamples, s.MedianExecSeconds, minSamples, median)
 	}
 }
 
 func TestSnapshotCapacity(t *testing.T) {
-	c := New(Config{Clock: clock.NewVirtual(t0), MinSamples: 2, Workers: func() int { return 8 }})
-	for i := 0; i < 2; i++ {
-		c.Tap(event.Event{Kind: event.KindComplete, Record: taskq.Record{
-			AssignedAt: t0, FinishedAt: t0.Add(4 * time.Second),
-		}})
+	c := newCtl(Config{}, clock.NewVirtual(t0), 8)
+	if s := c.Snapshot(); s.WorkersOnline != 8 || s.CapacityPerSec != 0 || c.CapacityPerSec() != 0 {
+		t.Fatalf("cold snapshot: workers %d, capacity %v/%v; want 8, 0", s.WorkersOnline, s.CapacityPerSec, c.CapacityPerSec())
 	}
+	warm(c, minSamples, 4*time.Second)
 	s := c.Snapshot()
 	if s.WorkersOnline != 8 {
 		t.Fatalf("workers = %d, want 8", s.WorkersOnline)
 	}
 	want := 8 / s.MedianExecSeconds
-	if s.CapacityPerSec != want {
-		t.Fatalf("capacity = %v, want workers/median = %v", s.CapacityPerSec, want)
+	if s.CapacityPerSec != want || c.CapacityPerSec() != want {
+		t.Fatalf("capacity = %v/%v, want workers/median = %v", s.CapacityPerSec, c.CapacityPerSec(), want)
+	}
+	// The online count is the registry's: a worker going offline leaves it.
+	p, _ := c.reg.Get("w0")
+	p.SetAvailable(false)
+	if s := c.Snapshot(); s.WorkersOnline != 7 {
+		t.Fatalf("workers after one went offline = %d, want 7", s.WorkersOnline)
 	}
 }
 
 // TestTapConcurrent exercises every controller surface at once under the
-// race detector: a real spine (event.Bus) publishing from several
-// goroutines while Decide, Snapshot, and TickShed run against it.
+// race detector: a real spine (event.Bus) publishing into the ledger and
+// registry from several goroutines while Decide, Snapshot, and TickShed
+// read them.
 func TestTapConcurrent(t *testing.T) {
 	clk := clock.NewVirtual(t0)
-	c := New(Config{
-		Clock:         clk,
+	c := newCtl(Config{
 		ProbFloor:     0.5,
-		MinSamples:    5,
 		MaxInflight:   64,
 		RequesterRate: 1000,
 		ShedTarget:    time.Millisecond,
 		ShedInterval:  time.Millisecond,
-		Workers:       func() int { return 4 },
-	})
+	}, clk, 4)
 	c.SetObserver(func(Decision) {})
-	var led event.Ledger
-	c.Attach(&led)
 	bus := event.NewBus()
-	bus.Tap(led.Observe)
-	bus.Tap(c.Tap)
+	bus.Tap(c.ledger.Observe) // the engine's two taps, in its order
+	bus.Tap(c.reg.Observe)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

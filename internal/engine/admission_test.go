@@ -34,13 +34,11 @@ func newGated(acfg admission.Config) (*Engine, *clock.Virtual, *[]event.Event) {
 // a backlog held above the CoDel target.
 func TestSubmitFromRunsGates(t *testing.T) {
 	e, clk, seen := newGated(admission.Config{
-		ProbFloor:      0.5,
-		MinSamples:     1,
-		MaxInflight:    4,
-		RequesterRate:  1,
-		RequesterBurst: 1,
-		ShedTarget:     500 * time.Millisecond,
-		ShedInterval:   200 * time.Millisecond,
+		ProbFloor:     0.5,
+		MaxInflight:   4,
+		RequesterRate: 0.5, // a bucket of one token
+		ShedTarget:    500 * time.Millisecond,
+		ShedInterval:  200 * time.Millisecond,
 	})
 	mustAttach(t, e, "w1")
 
@@ -116,11 +114,25 @@ func TestSubmitFromRunsGates(t *testing.T) {
 	accepted("", testTask("c2", clk))
 	rejected("", testTask("c3", clk), admission.StatusRejectedRate)
 
-	// Probability: w1's 10 s completion warms the fleet model, after which
-	// a 100 ms deadline is hopeless and an hour is not.
+	// Probability: the fleet model is the registry's, cold until it has
+	// pooled 30 completions. Twenty-nine 10 s completions folded straight
+	// into the registry leave it cold; w1's 10 s completion of a1, which
+	// reaches it through the spine, warms it. After that a 100 ms deadline
+	// is hopeless and an hour is not.
+	for i := 0; i < 29; i++ {
+		e.Workers().Observe(event.Event{Kind: event.KindComplete, Record: taskq.Record{
+			AssignedAt: clk.Now(), FinishedAt: clk.Now().Add(10 * time.Second),
+		}})
+	}
+	if _, _, warm := e.Admission().FleetModel(); warm {
+		t.Fatal("fleet model warm on 29 samples")
+	}
 	clk.Advance(10 * time.Second)
 	if _, err := e.Complete("a1", "w1"); err != nil {
 		t.Fatal(err)
+	}
+	if n, _, warm := e.Admission().FleetModel(); !warm || n != 30 {
+		t.Fatalf("fleet model after a1's completion: %d samples, warm %v; want 30 warm", n, warm)
 	}
 	hopeless := testTask("d1", clk)
 	hopeless.Deadline = clk.Now().Add(100 * time.Millisecond)

@@ -197,21 +197,15 @@ func New(cfg Config, hooks Hooks) *Engine {
 		wake:    make(chan struct{}, 1),
 	}
 	// The ledger taps first: every later consumer finds the counters moved.
-	// The worker profiles learn from the same stream journal replay feeds
-	// them, so completions and grades reach them one way only.
+	// The worker profiles and the fleet's pooled law learn from the same
+	// stream journal replay feeds them, so completions and grades reach
+	// them one way only. The admission plane taps nothing: it reads the
+	// engine's clock, ledger and registry.
 	e.bus.Tap(e.ledger.Observe)
 	e.bus.Tap(e.workers.Observe)
 	if cfg.Admission != nil {
-		acfg := *cfg.Admission
-		if acfg.Clock == nil {
-			acfg.Clock = cfg.Clock
-		}
-		if acfg.Workers == nil {
-			acfg.Workers = e.workers.CountConnected
-		}
-		e.adm = admission.New(acfg)
-		e.adm.Attach(&e.ledger)
-		e.bus.Tap(e.adm.Tap)
+		e.adm = admission.New(*cfg.Admission)
+		e.adm.Attach(cfg.Clock, &e.ledger, e.workers)
 	}
 	return e
 }
@@ -309,6 +303,22 @@ func (e *Engine) AttachWorker(id string, loc region.Point) (*profile.Profile, er
 	e.bus.Publish(event.Event{Kind: event.KindAttach, Worker: id, At: e.cfg.Clock.Now(), Loc: loc})
 	e.kick()
 	return p, nil
+}
+
+// SetAvailable records whether an attached worker is willing to take work,
+// without detaching it: a task it holds stays in its hands either way.
+// Becoming willing kicks the batch loop, as an attach does, so a backlog
+// over BatchBound does not wait for the next poll.
+func (e *Engine) SetAvailable(id string, willing bool) error {
+	p, ok := e.workers.Get(id)
+	if !ok {
+		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
+	}
+	p.SetAvailable(willing)
+	if willing {
+		e.kick()
+	}
+	return nil
 }
 
 // DetachWorker marks a worker unavailable, keeping its learned profile

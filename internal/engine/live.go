@@ -4,11 +4,12 @@ import "time"
 
 // Start launches the live loops: Tick every Config.BatchPoll (retention
 // GC, expiry of overdue unassigned tasks, the period half of the batch
-// trigger, the shedder), TryBatch whenever a submit, a release or an
-// attach finds more than BatchBound tasks waiting, and TickMonitor every
-// Config.MonitorPeriod (the Eq. 2 sweep). Call it once, after any recovery
-// and before traffic. A host that drives the ticks itself — the
-// experiments harness on its virtual clock — never calls it.
+// trigger, the shedder), TryBatch whenever a submit, a release, an attach
+// or a worker turning willing finds more than BatchBound tasks waiting,
+// and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep). Call it
+// once, after any recovery and before traffic. A host that drives the
+// ticks itself — the experiments harness on its virtual clock — never
+// calls it.
 func (e *Engine) Start() {
 	e.loops.Add(2)
 	go e.batchLoop()

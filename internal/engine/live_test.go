@@ -262,7 +262,7 @@ func TestMonitorReassignsFromDelayedWorker(t *testing.T) {
 	cfg := fastConfig()
 	// Monitor with tight threshold; worker history says tasks take ~50ms,
 	// so holding one for >1s collapses Eq. 2.
-	cfg.Monitor = Monitor{Threshold: 0.5, MinHistory: 3}
+	cfg.Monitor = Monitor{Threshold: 0.5}
 	h := newFeedHost(t, cfg)
 	sub := h.Events().Subscribe(16, func(ev event.Event) bool {
 		return ev.Kind == event.KindRevoke && ev.Cause == taskq.CauseEq2

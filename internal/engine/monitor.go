@@ -20,19 +20,16 @@ import (
 const DefaultThreshold = 0.10
 
 // Monitor holds the reassignment policy. The zero value uses the paper's
-// settings after Normalize.
+// settings after Normalize. Eq. 2 trusts a worker's model once it has
+// profile.DefaultMinHistory samples, the paper's training threshold.
 type Monitor struct {
-	Threshold  float64 // reassign when Eq. 2 falls below this (default 0.1)
-	MinHistory int     // completed tasks required before acting (default 3)
+	Threshold float64 // reassign when Eq. 2 falls below this (default 0.1)
 }
 
 // Normalize fills zero fields with the paper's defaults.
 func (m Monitor) Normalize() Monitor {
 	if m.Threshold <= 0 {
 		m.Threshold = DefaultThreshold
-	}
-	if m.MinHistory <= 0 {
-		m.MinHistory = profile.DefaultMinHistory
 	}
 	return m
 }
@@ -65,7 +62,7 @@ type Decision struct {
 func (m Monitor) Evaluate(p *profile.Profile, rec taskq.Record, now time.Time) Decision {
 	m = m.Normalize()
 	d := Decision{TaskID: rec.Task.ID, Worker: rec.Worker}
-	model, ok := p.Model(m.MinHistory)
+	model, ok := p.Model(profile.DefaultMinHistory)
 	if !ok {
 		// Training phase: "the first 3 tasks in every worker are not going
 		// to be reassigned so as to train the system" (§V.C).

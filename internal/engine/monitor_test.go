@@ -37,13 +37,13 @@ func assignedRecord(taskID, worker string, assignedAt time.Time, deadline time.D
 
 func TestMonitorNormalizeDefaults(t *testing.T) {
 	m := Monitor{}.Normalize()
-	if m.Threshold != DefaultThreshold || m.MinHistory != profile.DefaultMinHistory {
+	if m.Threshold != DefaultThreshold {
 		t.Fatalf("defaults = %+v", m)
 	}
 }
 
 func TestTrainingPhaseNeverReassigns(t *testing.T) {
-	p := seasoned("w", 5, 8) // only 2 samples < MinHistory of 3
+	p := seasoned("w", 5, 8) // only 2 samples < DefaultMinHistory of 3
 	rec := assignedRecord("t1", "w", clock.Epoch, 60*time.Second)
 	// Even with the deadline nearly gone, training workers are untouched.
 	d := Monitor{}.Evaluate(p, rec, clock.Epoch.Add(59*time.Second))

@@ -98,7 +98,7 @@ type ScenarioResult struct {
 	CompletedOnTime int // finished at or before their deadline (Fig. 5)
 	CompletedLate   int // finished after the deadline (counted as missed)
 	Expired         int // left the repository unassigned
-	Positive        int // positive feedbacks (Fig. 6)
+	Positive        int // positive feedbacks (Fig. 6); the ledger does not count grades
 	Reassignments   int // Eq. 2 monitor interventions
 	Batches         int // matching rounds executed
 
@@ -161,6 +161,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	fbRng := eng.Rand("feedback")
 
 	var re *engine.Engine
+	// The run's lifecycle counts are the engine ledger's, read where a
+	// figure needs them.
+	counts := func() event.Tally { return re.Ledger().Counts() }
 
 	// completeTask fires when a worker finishes; stale events (task
 	// reassigned, completed by someone else, or expired) are recognised by
@@ -176,11 +179,6 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 					met := final.MetDeadline()
 					pos := behaviors[workerID].PositiveFeedback(fbRng, met)
 					re.Feedback(taskID, pos) // ErrNoWorker impossible: sim workers never deregister
-					if met {
-						res.CompletedOnTime++
-					} else {
-						res.CompletedLate++
-					}
 					if pos {
 						res.Positive++
 					}
@@ -191,8 +189,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 					if final.Attempts > res.MaxAttempts {
 						res.MaxAttempts = final.Attempts
 					}
-					res.OnTimeSeries.Add(float64(res.Received), float64(res.CompletedOnTime))
-					res.PositiveSeries.Add(float64(res.Received), float64(res.Positive))
+					c := counts()
+					res.OnTimeSeries.Add(float64(c.Received), float64(c.OnTime))
+					res.PositiveSeries.Add(float64(c.Received), float64(res.Positive))
 				}
 			}
 			// A stale event may still find the worker marked busy on this
@@ -226,8 +225,8 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	})
 
 	// The modelled matcher time rides the event spine (the lifecycle counts
-	// are read off the engine's ledger at the end). The sim is
-	// single-threaded, so a synchronous tap mutating res is safe.
+	// are the engine's ledger's). The sim is single-threaded, so a
+	// synchronous tap mutating res is safe.
 	re.Events().Tap(func(ev event.Event) {
 		if ev.Kind == event.KindBatch {
 			res.MatcherBusy += ev.Batch.Latency.Seconds()
@@ -256,11 +255,8 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	// Arrival pump: one event per task so the trigger sees every arrival.
 	var arrive sim.Handler
 	arrive = func(now time.Time) {
-		task := stream.Take()
-		if err := re.Submit(task); err == nil {
-			res.Received++
-		}
-		if res.Received < cfg.TargetTasks {
+		_ = re.Submit(stream.Take()) // a refused task is not received: the ledger counts only submits that land
+		if counts().Received < int64(cfg.TargetTasks) {
 			eng.Schedule(stream.Peek(), "arrival", arrive)
 		}
 		re.TryBatch()
@@ -323,7 +319,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	for eng.Now().Before(deadline) {
 		eng.RunFor(10 * time.Second)
 		_, _, completed, expired := re.Tasks().Counts()
-		if res.Received >= cfg.TargetTasks && completed+expired == res.Received {
+		if received := int(counts().Received); received >= cfg.TargetTasks && completed+expired == received {
 			break
 		}
 	}
@@ -336,6 +332,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 
 	st := re.Stats()
 	res.Ledger = re.Ledger()
+	res.Received = int(st.Received)
+	res.CompletedOnTime = int(st.OnTime)
+	res.CompletedLate = int(st.Completed - st.OnTime)
 	res.Expired = int(st.Expired)
 	res.Batches = int(st.Batches)
 	res.Reassignments = int(res.Ledger.Revoked(taskq.CauseEq2))

@@ -85,7 +85,7 @@ func TestLoadRunCountsAdmissionRejections(t *testing.T) {
 		resilient bool
 	}{{"plain", false}, {"resilient", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t, &admission.Config{RequesterRate: 1, RequesterBurst: 1})
+			s := startServer(t, &admission.Config{RequesterRate: 0.5}) // a bucket of one token
 			rep, err := Run(Config{
 				Addr:      s.Addr(),
 				Workers:   5,

@@ -296,13 +296,8 @@ func RegisterAdmission(reg *metrics.Registry, ctl *admission.Controller, labels 
 		return err
 	}
 	if err := reg.RegisterGauge("react_admission_capacity_per_second",
-		"estimated fleet service rate: online workers over median service time (0 while the model is cold)", func() float64 {
-			_, median, warm := ctl.FleetModel()
-			if !warm || median <= 0 || ctl.Config().Workers == nil {
-				return 0
-			}
-			return float64(ctl.Config().Workers()) / median
-		}, labels...); err != nil {
+		"estimated fleet service rate: online workers over median service time (0 while the model is cold)",
+		ctl.CapacityPerSec, labels...); err != nil {
 		return err
 	}
 

@@ -83,31 +83,6 @@ func Fit(samples []float64) (Model, error) {
 	return f.Model()
 }
 
-// FitContinuous estimates with the continuous MLE α = 1 + n[Σ ln(kᵢ/k_min)]⁻¹
-// (no −½ correction). The paper quotes the discrete form, which is right
-// for integer-valued data but biased low on continuous completion times with
-// small k_min; deployments measuring sub-second precision should prefer
-// this estimator. CCDF and the Eq. 2/3 probabilities are identical either
-// way — only α differs.
-func FitContinuous(samples []float64) (Model, error) {
-	var f Fitter
-	for _, k := range samples {
-		if err := f.Add(k); err != nil {
-			return Model{}, err
-		}
-	}
-	if f.n == 0 {
-		return Model{}, ErrNoSamples
-	}
-	s := f.sumLog - float64(f.n)*math.Log(f.min)
-	alpha := MaxAlpha
-	if s > 0 {
-		alpha = 1 + float64(f.n)/s
-	}
-	alpha = math.Min(math.Max(alpha, MinAlpha), MaxAlpha)
-	return Model{Alpha: alpha, Kmin: f.min, N: f.n}, nil
-}
-
 // Fitter accumulates samples incrementally in O(1) memory. The profiling
 // component keeps one Fitter per worker and refreshes the model after each
 // completed task. The zero value is ready to use.

@@ -415,47 +415,3 @@ func BenchmarkProbWindow(b *testing.B) {
 		_ = m.ProbWindow(float64(i%60)+1, 120)
 	}
 }
-
-func TestFitContinuousLessBiasedOnContinuousData(t *testing.T) {
-	// Continuous samples with small kmin: the discrete −½ correction
-	// deflates α badly; the continuous estimator recovers it closely.
-	rng := rand.New(rand.NewSource(19))
-	truth := mustModel(t, 2.5, 1)
-	samples := make([]float64, 20000)
-	for i := range samples {
-		samples[i] = truth.Sample(rng)
-	}
-	disc, err := Fit(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cont, err := FitContinuous(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errDisc := math.Abs(disc.Alpha - 2.5)
-	errCont := math.Abs(cont.Alpha - 2.5)
-	if errCont > 0.1 {
-		t.Fatalf("continuous estimator off by %v", errCont)
-	}
-	if errCont >= errDisc {
-		t.Fatalf("continuous error %v not below discrete %v at kmin≈1", errCont, errDisc)
-	}
-}
-
-func TestFitContinuousValidation(t *testing.T) {
-	if _, err := FitContinuous(nil); err != ErrNoSamples {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := FitContinuous([]float64{1, -2}); err == nil {
-		t.Fatal("negative sample accepted")
-	}
-	// Degenerate constant data caps.
-	m, err := FitContinuous([]float64{3, 3, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Alpha != MaxAlpha {
-		t.Fatalf("constant-data alpha = %v, want cap", m.Alpha)
-	}
-}

@@ -346,6 +346,13 @@ type Registry struct {
 	// connected counts the registered profiles whose available flag is set;
 	// the profiles keep it current themselves (Profile.setAvailable).
 	connected atomic.Int64
+
+	// fleetMu guards fleet: one power law fitted to every completion Observe
+	// has seen, from any worker, known or not. It is the fleet's service law
+	// (FleetModel). No snapshot carries it, so a restarted server learns it
+	// afresh.
+	fleetMu sync.Mutex
+	fleet   powerlaw.Fitter
 }
 
 // compareID orders Registry.byID against an id for binary search.
@@ -430,26 +437,43 @@ func (r *Registry) Available() []*Profile {
 }
 
 // Observe is the profiling component's fold over the event spine: a
-// completion feeds the answerer's power-law execution-time model, a
-// requester's grade the worker's Eq. 1 accuracy in the task's category.
-// The live engine taps it and journal replay calls it, so a recovered
-// profile has learned exactly what the live one did. An event for a worker
-// the registry no longer knows is dropped: its history left with it.
-// As a tap it runs under the task store's lock; it takes the registry's
-// read lock and one profile's mutex, nothing else.
+// completion feeds the fleet's pooled law and the answerer's power-law
+// execution-time model, a requester's grade the worker's Eq. 1 accuracy in
+// the task's category. The live engine taps it and journal replay calls
+// it, so a recovered profile has learned exactly what the live one did. An
+// event for a worker the registry no longer knows reaches no profile: its
+// history left with it. Its completion still counts toward the fleet.
+// As a tap it runs under the task store's lock; it takes fleetMu, the
+// registry's read lock and one profile's mutex, one at a time.
 func (r *Registry) Observe(ev event.Event) {
-	if ev.Kind != event.KindComplete && ev.Kind != event.KindFeedback {
-		return
+	switch ev.Kind {
+	case event.KindComplete:
+		exec := ev.Record.ExecTime().Seconds()
+		if exec > 0 {
+			r.fleetMu.Lock()
+			r.fleet.Add(exec) // error impossible for positive finite input
+			r.fleetMu.Unlock()
+		}
+		if p, ok := r.Get(ev.Worker); ok {
+			p.RecordExecTime(exec)
+		}
+	case event.KindFeedback:
+		if p, ok := r.Get(ev.Worker); ok {
+			p.RecordFeedback(ev.Record.Task.Category, ev.Positive)
+		}
 	}
-	p, ok := r.Get(ev.Worker)
-	if !ok {
-		return
-	}
-	if ev.Kind == event.KindComplete {
-		p.RecordExecTime(ev.Record.ExecTime().Seconds())
-	} else {
-		p.RecordFeedback(ev.Record.Task.Category, ev.Positive)
-	}
+}
+
+// FleetModel reports the fleet's pooled execution-time law: how many
+// completions it was fitted to and, once there is at least one, the fitted
+// model (the zero Model before). The per-worker fits answer "can this
+// worker finish in time"; this one answers "can some worker", which is
+// what the admission plane asks.
+func (r *Registry) FleetModel() (samples int, m powerlaw.Model) {
+	r.fleetMu.Lock()
+	defer r.fleetMu.Unlock()
+	m, _ = r.fleet.Model() // fails only with no samples
+	return r.fleet.N(), m
 }
 
 // All snapshots every registered worker, sorted by id.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"react/internal/event"
+	"react/internal/powerlaw"
 	"react/internal/region"
 	"react/internal/taskq"
 )
@@ -380,6 +382,69 @@ func TestObserveFoldsCompletionsAndGrades(t *testing.T) {
 	}
 	if p.Location() != athens || r.Size() != 1 {
 		t.Fatalf("fold touched membership or location: %v, %d workers", p.Location(), r.Size())
+	}
+}
+
+// TestObservePoolsFleetLaw: the fleet's pooled law is a plain
+// powerlaw.Fitter fed every positive completion exec time in stream order,
+// whoever answered: a worker the registry does not know counts toward it
+// (its own history left with it), a zero exec time (a record never
+// assigned) does not, and no other kind moves it.
+func TestObservePoolsFleetLaw(t *testing.T) {
+	r := NewRegistry()
+	for _, id := range []string{"alice", "bob"} {
+		if _, err := r.Register(id, athens); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, m := r.FleetModel(); n != 0 || m != (powerlaw.Model{}) {
+		t.Fatalf("empty registry's fleet law = %d, %+v; want 0 and the zero model", n, m)
+	}
+	rng := rand.New(rand.NewSource(7))
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var want powerlaw.Fitter
+	wantAlice, zeros := 0, 0
+	for i := 0; i < 600; i++ {
+		worker := []string{"alice", "bob", "stranger"}[rng.Intn(3)]
+		rec := taskq.Record{Task: taskq.Task{ID: fmt.Sprintf("t%d", i), Category: "traffic"},
+			Status: taskq.Completed, Worker: worker}
+		if i%40 != 7 {
+			rec.AssignedAt = t0
+			rec.FinishedAt = t0.Add(time.Millisecond + time.Duration(rng.ExpFloat64()*float64(3*time.Second)))
+		}
+		for _, kind := range []event.Kind{event.KindAssign, event.KindComplete, event.KindFeedback, event.KindForget} {
+			r.Observe(event.Event{Kind: kind, Task: rec.Task.ID, Worker: worker, Positive: true, Record: rec})
+		}
+		exec := rec.ExecTime().Seconds()
+		if exec <= 0 {
+			zeros++
+			continue
+		}
+		if err := want.Add(exec); err != nil {
+			t.Fatal(err)
+		}
+		if worker == "alice" {
+			wantAlice++
+		}
+	}
+	if zeros == 0 || r.Size() != 2 {
+		t.Fatalf("stream had %d zero exec times over %d known workers; want some over 2", zeros, r.Size())
+	}
+	gotN, gotSum, gotMin := r.fleet.State()
+	wantN, wantSum, wantMin := want.State()
+	if gotN != wantN || gotSum != wantSum || gotMin != wantMin {
+		t.Fatalf("fleet fitter (n, Σ ln k, min) = (%d, %v, %v), want (%d, %v, %v)",
+			gotN, gotSum, gotMin, wantN, wantSum, wantMin)
+	}
+	wantModel, err := want.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := r.FleetModel(); n != wantN || m != wantModel {
+		t.Fatalf("FleetModel = %d, %+v; want %d, %+v", n, m, wantN, wantModel)
+	}
+	if p, _ := r.Get("alice"); p.FitSamples() != wantAlice {
+		t.Fatalf("alice's own fit holds %d samples, want %d", p.FitSamples(), wantAlice)
 	}
 }
 

@@ -214,7 +214,7 @@ func TestRegionsSingleServer(t *testing.T) {
 // server does: the reply carries the verdict, and the per-requester bucket
 // is keyed by the submitting connection.
 func TestFederationAdmissionVerdicts(t *testing.T) {
-	s := startFederation(t, &admission.Config{RequesterRate: 1, RequesterBurst: 1})
+	s := startFederation(t, &admission.Config{RequesterRate: 0.5}) // a bucket of one token
 	req := dial(t, s)
 	var rejected int
 	for i := 0; i < 20; i++ {
@@ -238,7 +238,7 @@ func TestFederationAdmissionVerdicts(t *testing.T) {
 		rejected++
 	}
 	if rejected == 0 {
-		t.Fatal("20 back-to-back submits at rate 1/burst 1: none rejected — the requester bucket is not consulted")
+		t.Fatal("20 back-to-back submits at rate 0.5/burst 1: none rejected — the requester bucket is not consulted")
 	}
 	// The bucket is per requester: another connection starts full.
 	other := dial(t, s)

@@ -665,8 +665,7 @@ func (c *conn) handle(m *Message) {
 		c.reply(m.Seq, nil)
 
 	case "available":
-		p, ok := c.profile()
-		if !ok {
+		if c.worker == "" {
 			c.reply(m.Seq, errors.New("available: connection has no registered worker"))
 			return
 		}
@@ -674,8 +673,7 @@ func (c *conn) handle(m *Message) {
 			c.reply(m.Seq, errors.New("available: missing value"))
 			return
 		}
-		p.SetAvailable(*m.Available)
-		c.reply(m.Seq, nil)
+		c.reply(m.Seq, c.region.SetAvailable(c.worker, *m.Available))
 
 	case "submit":
 		if m.Task == nil || m.Task.ID == "" {

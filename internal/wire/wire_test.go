@@ -398,6 +398,55 @@ func TestAvailabilityToggleOverWire(t *testing.T) {
 	}
 }
 
+// TestAvailableKicksBatchLoop: a worker turning willing starts the round a
+// backlog over BatchBound is waiting for, as an attach does, instead of
+// leaving it to the next poll (an hour here). Turning unwilling again
+// leaves the task it was handed in its hands.
+func TestAvailableKicksBatchLoop(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", engine.Config{
+		BatchPoll:     time.Hour,
+		MonitorPeriod: time.Hour,
+		Schedule:      schedule.Config{BatchBound: 1, BatchPeriod: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	w := dial(t, s)
+	if err := w.Register("w", 37.98, 23.73); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetAvailable(false); err != nil {
+		t.Fatal(err)
+	}
+	req := dial(t, s)
+	for _, id := range []string{"t1", "t2"} { // one over the bound: each submit kicks a round with nobody to serve
+		if err := req.Submit(testTask(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case a := <-w.Assignments():
+		t.Fatalf("unwilling worker got %+v", a)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := w.SetAvailable(true); err != nil {
+		t.Fatal(err)
+	}
+	var a AssignmentPayload
+	select {
+	case a = <-w.Assignments():
+	case <-time.After(time.Second):
+		t.Fatal("no assignment within 1s of turning willing: the backlog waited for the poll")
+	}
+	if err := w.SetAvailable(false); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := req.TaskStatus(a.TaskID); err != nil || st.State != "assigned" || st.Worker != "w" {
+		t.Fatalf("held task after turning unwilling: %+v, %v; want still assigned to w", st, err)
+	}
+}
+
 func TestLocationUpdateOverWire(t *testing.T) {
 	s := startServer(t)
 	c := dial(t, s)
