@@ -194,12 +194,6 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 					res.PositiveSeries.Add(float64(c.Received), float64(res.Positive))
 				}
 			}
-			// A stale event may still find the worker marked busy on this
-			// task (the monitor re-bound it and the old timer outlived the
-			// binding); free them.
-			if p, ok := re.Workers().Get(workerID); ok && p.CurrentTask() == taskID {
-				p.MarkIdle()
-			}
 			re.TryBatch()
 		}
 	}
