@@ -330,7 +330,7 @@ func (e *Engine) DetachWorker(id string) error {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		e.release(taskID, p, taskq.CauseDetach, 0)
+		e.release(taskID, id, taskq.CauseDetach, 0)
 	}
 	p.SetAvailable(false)
 	return nil
@@ -344,7 +344,7 @@ func (e *Engine) DeregisterWorker(id string) error {
 		return fmt.Errorf("%w: %q", profile.ErrUnknownWorker, id)
 	}
 	if taskID := p.CurrentTask(); taskID != "" {
-		e.release(taskID, p, taskq.CauseDeregister, 0)
+		e.release(taskID, id, taskq.CauseDeregister, 0)
 	}
 	if err := e.workers.Deregister(id); err != nil {
 		return err
@@ -355,12 +355,11 @@ func (e *Engine) DeregisterWorker(id string) error {
 
 // Complete records that a worker finished a task it holds and returns the
 // final record (attempts, timings; MetDeadline says whether it beat the
-// deadline). The execution time feeds the worker's power-law model
-// through the spine's complete event (profile.Registry.Observe); the
-// accuracy update waits for requester Feedback. The holder is checked
-// under the store lock that finishes the task, so a revoked worker's late
-// answer fails with ErrNotAssigned even if the task was rebound in the
-// meantime.
+// deadline). The spine's complete event frees the worker and feeds its
+// power-law model (profile.Registry.Observe); the accuracy update waits
+// for requester Feedback. The holder is checked under the store lock that
+// finishes the task, so a revoked worker's late answer fails with
+// ErrNotAssigned even if the task was rebound in the meantime.
 func (e *Engine) Complete(taskID, workerID string) (taskq.Record, error) {
 	final, err := e.tasks.complete(taskID, workerID)
 	if errors.Is(err, taskq.ErrBadState) {
@@ -369,9 +368,7 @@ func (e *Engine) Complete(taskID, workerID string) (taskq.Record, error) {
 	if err != nil {
 		return taskq.Record{}, err
 	}
-	if p, ok := e.workers.Get(workerID); ok {
-		e.release(taskID, p, "", 0)
-	}
+	e.kick()
 	return final, nil
 }
 
@@ -447,26 +444,22 @@ func (e *Engine) TickMonitor() {
 	now := e.cfg.Clock.Now()
 	for _, d := range e.cfg.Monitor.Sweep(e.workers, e.tasks, now) {
 		if d.Reassign {
-			p, _ := e.workers.Get(d.Worker) // nil when the worker departed
-			e.release(d.TaskID, p, taskq.CauseEq2, d.Probability)
+			e.release(d.TaskID, d.Worker, taskq.CauseEq2, d.Probability)
 		}
 	}
 }
 
-// release ends worker p's hold on a task — the one place a binding is
-// undone. With a cause the task first returns to the pool as a revocation
-// (which fails only if it just went terminal or another path already
-// revoked it); with none it has just completed in the worker's hands.
-// The idle mark is guarded, so of two releases racing — a detach, a
-// deregister, a refused delivery, a late Complete — the second is a
-// no-op. p is nil when the worker left the registry. Either way a worker
-// or a task may have come free, so release ends with a kick.
-func (e *Engine) release(taskID string, p *profile.Profile, cause string, prob float64) {
-	if cause != "" {
-		e.tasks.Unassign(taskID, cause, prob)
-	}
-	if p != nil && p.CurrentTask() == taskID {
-		p.MarkIdle()
+// release returns a task held by workerID to the pool as a revocation for
+// cause — the one place a binding is undone — and kicks the batch loop,
+// since a task came free. The store checks the holder under the lock that
+// revokes, so of two releases racing — a detach, a deregister, a refused
+// delivery, an Eq. 2 verdict — the second is a no-op, and so is one whose
+// task completed, expired or was rebound to another worker since the
+// caller looked. The revoke event frees the worker
+// (profile.Registry.Observe).
+func (e *Engine) release(taskID, workerID, cause string, prob float64) {
+	if e.tasks.unassign(taskID, workerID, cause, prob) != nil {
+		return // lost the race: nothing came free
 	}
 	e.kick()
 }
@@ -591,19 +584,16 @@ func (e *Engine) applyAssignments(bindings []binding) {
 		if !ok || !p.Available() {
 			continue // worker detached after the snapshot
 		}
+		// The assign event marks the worker busy under the store lock, before
+		// Deliver makes the binding visible to the worker.
 		rec, err := e.tasks.assign(b.taskID, b.workerID)
 		if err != nil {
 			continue // expired or re-bound while the matcher ran
 		}
-		// Mark busy BEFORE the assignment becomes visible to the transport:
-		// a fast worker may Complete the task (and clear the busy mark)
-		// before this call returns, and marking busy afterwards would wedge
-		// the worker permanently.
-		p.MarkBusy(b.taskID)
 		if e.hooks.Deliver != nil && !e.hooks.Deliver(rec) {
 			// Transport refused (worker detached mid-delivery, connection
 			// failed): revoke, which uncounts the assignment.
-			e.release(b.taskID, p, taskq.CauseUndeliverable, 0)
+			e.release(b.taskID, b.workerID, taskq.CauseUndeliverable, 0)
 		}
 	}
 }

@@ -294,7 +294,9 @@ func TestWorkerFactsArePublished(t *testing.T) {
 }
 
 // TestLateCompleteAfterRebind: the Eq. 2 monitor revokes A's task and a
-// round rebinds it to B. A's late answer must not finish B's binding —
+// round rebinds it to B. A stale release naming A (a detach that read A's
+// task before the revoke) must not revoke B's binding — which would leave
+// B busy with nothing to do — and A's late answer must not finish it —
 // which would credit B's exec time to A and leave B busy on a terminal
 // task — while B's own answer completes normally and frees B.
 func TestLateCompleteAfterRebind(t *testing.T) {
@@ -307,7 +309,7 @@ func TestLateCompleteAfterRebind(t *testing.T) {
 	if a.CurrentTask() != "t1" {
 		t.Fatalf("A holds %q, want t1", a.CurrentTask())
 	}
-	h.eng.release("t1", a, taskq.CauseEq2, 0.05)
+	h.eng.release("t1", "A", taskq.CauseEq2, 0.05)
 	a.SetAvailable(false) // keep the next round from handing t1 straight back
 	mustAttach(t, h.eng, "B")
 	h.clk.Advance(2 * time.Second)
@@ -316,11 +318,19 @@ func TestLateCompleteAfterRebind(t *testing.T) {
 	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
 		t.Fatalf("after rebind: %+v, want assigned to B", rec)
 	}
+	b, _ := h.eng.Workers().Get("B")
+
+	h.eng.release("t1", "A", taskq.CauseDetach, 0)
+	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
+		t.Fatalf("A's stale release moved the record: %+v", rec)
+	}
+	if b.CurrentTask() != "t1" {
+		t.Fatalf("B holds %q after A's stale release, want t1", b.CurrentTask())
+	}
 
 	if _, err := h.eng.Complete("t1", "A"); !errors.Is(err, ErrNotAssigned) {
 		t.Fatalf("late complete by A: err = %v, want ErrNotAssigned", err)
 	}
-	b, _ := h.eng.Workers().Get("B")
 	if b.CurrentTask() != "t1" {
 		t.Fatalf("B holds %q after A's refused complete, want t1", b.CurrentTask())
 	}

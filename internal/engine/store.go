@@ -256,7 +256,18 @@ func (s *TaskStore) assign(taskID, workerID string) (taskq.Record, error) {
 // preserved. cause says which component took the assignment back (one of
 // the taskq.Cause* constants); prob is the Eq. 2 completion probability
 // for CauseEq2 revocations (0 otherwise). Both ride on the revoke event.
+// It revokes whoever holds the task; the engine names the holder (unassign).
 func (s *TaskStore) Unassign(taskID, cause string, prob float64) error {
+	return s.unassign(taskID, "", cause, prob)
+}
+
+// unassign is Unassign for a named holder: a non-empty holder must hold the
+// task, checked under the lock that revokes it, as complete checks. A
+// release that raced a rebind — a detach that read the worker's task
+// before the monitor took it back and a round handed it to another, or a
+// monitor verdict on a stale snapshot — fails and leaves the new holder's
+// binding alone.
+func (s *TaskStore) unassign(taskID, holder, cause string, prob float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, err := s.lookup(taskID, "unassign", taskq.Assigned)
@@ -264,6 +275,9 @@ func (s *TaskStore) Unassign(taskID, cause string, prob float64) error {
 		return err
 	}
 	worker := e.Worker
+	if holder != "" && worker != holder {
+		return fmt.Errorf("%w: unassign %q from %q, held by %q", taskq.ErrBadState, taskID, holder, worker)
+	}
 	s.transition(e, taskq.Unassigned)
 	e.Worker = ""
 	e.AssignedAt = time.Time{}

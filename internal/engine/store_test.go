@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -58,5 +59,38 @@ func TestLifecycleEventsPublishUnderShardLock(t *testing.T) {
 		if seen[k] == 0 {
 			t.Errorf("no %v event published", k)
 		}
+	}
+}
+
+// TestUnassignChecksHolder: a revoke that names a worker who does not hold
+// the task fails with ErrBadState, leaves the binding as it was and
+// publishes nothing; naming the holder revokes.
+func TestUnassignChecksHolder(t *testing.T) {
+	clk := clock.NewVirtual(testEpoch)
+	eng := New(Config{Clock: clk}, Hooks{})
+	var seen []event.Kind
+	eng.Events().Tap(func(ev event.Event) { seen = append(seen, ev.Kind) })
+	s := eng.Tasks()
+	if err := s.Submit(testTask("t1", clk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assign("t1", "B"); err != nil {
+		t.Fatal(err)
+	}
+	published := len(seen)
+	if err := s.unassign("t1", "A", taskq.CauseDetach, 0); !errors.Is(err, taskq.ErrBadState) {
+		t.Fatalf("unassign naming A: err = %v, want ErrBadState", err)
+	}
+	if rec, _ := s.Get("t1"); rec.Status != taskq.Assigned || rec.Worker != "B" {
+		t.Fatalf("refused unassign moved the record: %+v", rec)
+	}
+	if len(seen) != published {
+		t.Fatalf("refused unassign published %v", seen[published:])
+	}
+	if err := s.unassign("t1", "B", taskq.CauseDetach, 0); err != nil {
+		t.Fatalf("unassign naming the holder: %v", err)
+	}
+	if rec, _ := s.Get("t1"); rec.Status != taskq.Unassigned || seen[len(seen)-1] != event.KindRevoke {
+		t.Fatalf("after the holder's unassign: %+v, events %v", rec, seen)
 	}
 }

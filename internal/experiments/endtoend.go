@@ -142,7 +142,12 @@ func (r ScenarioResult) PositiveFraction() float64 {
 // virtual clock: engine ticks become simulation events, the modelled matcher
 // latency of DESIGN.md §2 is charged through Config.Latency/Config.Defer,
 // and a tap on the engine's event spine sums the modelled matcher time.
-func RunScenario(cfg ScenarioConfig) ScenarioResult {
+func RunScenario(cfg ScenarioConfig) ScenarioResult { return runScenario(cfg, nil) }
+
+// runScenario is RunScenario with one more spine tap, when tap is non-nil,
+// installed before the first event: tests read the run's lifecycle through
+// it.
+func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	cfg = cfg.Normalize()
 	eng := sim.New(cfg.Seed)
 
@@ -226,6 +231,9 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 			res.MatcherBusy += ev.Batch.Latency.Seconds()
 		}
 	})
+	if tap != nil {
+		re.Events().Tap(tap)
+	}
 
 	// Population: behaviours drawn from the case-study marginals, locations
 	// uniform in the region.

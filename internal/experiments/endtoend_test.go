@@ -271,3 +271,30 @@ func TestLossReportRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestNoAssignmentToABusyWorker: one task at a time per worker (§III.C).
+// Over the Fig. 5 techniques at seed 7, no assign event may name a worker
+// that still holds another task. The holders are folded here from the
+// spine, apart from the registry's own occupancy marks.
+func TestNoAssignmentToABusyWorker(t *testing.T) {
+	for _, tech := range []Technique{REACTTechnique(0, 7), GreedyTechnique(), TraditionalTechnique(7)} {
+		held := map[string]int{} // worker → tasks in its hands
+		doubled := 0
+		runScenario(ScenarioConfig{Technique: tech, Seed: 7}, func(ev event.Event) {
+			switch ev.Kind {
+			case event.KindAssign:
+				if held[ev.Worker] > 0 {
+					doubled++
+				}
+				held[ev.Worker]++
+			case event.KindRevoke, event.KindComplete, event.KindExpire:
+				if ev.Worker != "" { // the holder; "" for a task that expired unassigned
+					held[ev.Worker]--
+				}
+			}
+		})
+		if doubled != 0 {
+			t.Errorf("%s: %d assignments went to a worker already holding a task", tech.Name, doubled)
+		}
+	}
+}

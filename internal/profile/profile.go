@@ -119,22 +119,9 @@ func (p *Profile) setAvailable(v bool) {
 	}
 }
 
-// MarkBusy records that the worker started the given task; MarkIdle clears
-// it. A busy worker is excluded from matching (one task at a time, §III.C).
-func (p *Profile) MarkBusy(taskID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.busyTask = taskID
-}
-
-// MarkIdle clears the current task.
-func (p *Profile) MarkIdle() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.busyTask = ""
-}
-
-// CurrentTask reports the task the worker is executing ("" when idle).
+// CurrentTask reports the task the worker is executing ("" when idle). A
+// busy worker is excluded from matching (one task at a time, §III.C). Only
+// Registry.Observe moves it, from the task store's events.
 func (p *Profile) CurrentTask() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -142,30 +129,11 @@ func (p *Profile) CurrentTask() string {
 }
 
 // RecordCompletion stores one finished task: its category, the execution
-// time in seconds (ExecTime_ij), and the requester's feedback. Non-positive
-// execution times are recorded as accuracy data but skipped by the
-// power-law fitter, which requires positive samples.
+// time in seconds (ExecTime_ij), and the requester's feedback — the two
+// phases, RecordExecTime and RecordFeedback, in one call.
 func (p *Profile) RecordCompletion(category string, execSeconds float64, positiveFeedback bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.categories == nil {
-		p.categories = make(map[string]*categoryStats)
-	}
-	cs := p.categories[category]
-	if cs == nil {
-		cs = &categoryStats{}
-		p.categories[category] = cs
-	}
-	cs.finished++
-	p.finished++
-	p.accuracy = nil
-	if positiveFeedback {
-		cs.positive++
-		p.positive++
-	}
-	if execSeconds > 0 {
-		p.fitter.Add(execSeconds) // error impossible for positive finite input
-	}
+	p.RecordExecTime(execSeconds)
+	p.RecordFeedback(category, positiveFeedback)
 }
 
 // RecordExecTime stores only the completion-time sample, for deployments
@@ -436,17 +404,35 @@ func (r *Registry) Available() []*Profile {
 	return out
 }
 
-// Observe is the profiling component's fold over the event spine: a
-// completion feeds the fleet's pooled law and the answerer's power-law
-// execution-time model, a requester's grade the worker's Eq. 1 accuracy in
-// the task's category. The live engine taps it and journal replay calls
-// it, so a recovered profile has learned exactly what the live one did. An
-// event for a worker the registry no longer knows reaches no profile: its
-// history left with it. Its completion still counts toward the fleet.
+// Observe is the profiling component's fold over the event spine. An
+// assignment marks the worker busy on its task, and the revoke, completion
+// or expiry of the task a worker holds frees it: occupancy has no other
+// writer. A completion also feeds the fleet's pooled law and the answerer's
+// power-law execution-time model, and a requester's grade the worker's
+// Eq. 1 accuracy in the task's category. The live engine taps it and
+// journal replay calls it, so a recovered profile has learned exactly what
+// the live one did. An event for a worker the registry no longer knows
+// reaches no profile: its history left with it. Its completion still
+// counts toward the fleet.
+//
+// Occupancy is not durable. A replayed revoke names no holder (its record's
+// worker is already cleared), so a registry rebuilt from the journal keeps
+// busy marks the live one dropped; they die with it, because profiles
+// reach a restarted engine only through the snapshot codec, which carries
+// no occupancy.
+//
 // As a tap it runs under the task store's lock; it takes fleetMu, the
 // registry's read lock and one profile's mutex, one at a time.
 func (r *Registry) Observe(ev event.Event) {
 	switch ev.Kind {
+	case event.KindAssign:
+		if p, ok := r.Get(ev.Worker); ok {
+			p.hold(ev.Task)
+		}
+	case event.KindRevoke, event.KindExpire:
+		if p, ok := r.Get(ev.Worker); ok {
+			p.drop(ev.Task)
+		}
 	case event.KindComplete:
 		exec := ev.Record.ExecTime().Seconds()
 		if exec > 0 {
@@ -456,11 +442,28 @@ func (r *Registry) Observe(ev event.Event) {
 		}
 		if p, ok := r.Get(ev.Worker); ok {
 			p.RecordExecTime(exec)
+			p.drop(ev.Task)
 		}
 	case event.KindFeedback:
 		if p, ok := r.Get(ev.Worker); ok {
 			p.RecordFeedback(ev.Record.Task.Category, ev.Positive)
 		}
+	}
+}
+
+// hold marks the worker busy on task.
+func (p *Profile) hold(task string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.busyTask = task
+}
+
+// drop frees the worker if task is the one it holds.
+func (p *Profile) drop(task string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.busyTask == task {
+		p.busyTask = ""
 	}
 }
 

@@ -62,19 +62,26 @@ func TestDeregister(t *testing.T) {
 	}
 }
 
+// TestAvailabilityAndBusy: occupancy is Observe's fold. An assign marks the
+// worker busy on its task, and the revoke, completion or expiry of that
+// task frees it; the same event for a task the worker does not hold (a
+// stale release) leaves the mark alone.
 func TestAvailabilityAndBusy(t *testing.T) {
 	r := NewRegistry()
 	p, _ := r.Register("alice", athens)
-	p.MarkBusy("t1")
-	if p.Available() {
-		t.Fatal("busy worker reported available")
-	}
-	if p.CurrentTask() != "t1" {
-		t.Fatalf("CurrentTask = %q", p.CurrentTask())
-	}
-	p.MarkIdle()
-	if !p.Available() {
-		t.Fatal("idle worker not available")
+	for _, free := range []event.Kind{event.KindRevoke, event.KindComplete, event.KindExpire} {
+		r.Observe(event.Event{Kind: event.KindAssign, Task: "t1", Worker: "alice"})
+		if p.Available() || p.CurrentTask() != "t1" {
+			t.Fatalf("after assign: available %v, CurrentTask %q; want busy on t1", p.Available(), p.CurrentTask())
+		}
+		r.Observe(event.Event{Kind: free, Task: "t0", Worker: "alice"})
+		if p.CurrentTask() != "t1" {
+			t.Fatalf("%v of a task alice does not hold freed her", free)
+		}
+		r.Observe(event.Event{Kind: free, Task: "t1", Worker: "alice"})
+		if !p.Available() || p.CurrentTask() != "" {
+			t.Fatalf("after %v: available %v, CurrentTask %q; want idle", free, p.Available(), p.CurrentTask())
+		}
 	}
 	p.SetAvailable(false)
 	if p.Available() {
@@ -352,7 +359,7 @@ func TestTwoPhaseEquivalentToCombined(t *testing.T) {
 // TestObserveFoldsCompletionsAndGrades pins the registry's spine fold: a
 // completion is an execution-time sample for the answerer, a grade an Eq. 1
 // verdict in the task's category, and every other kind — or an event for a
-// worker the registry does not know — changes nothing.
+// worker the registry does not know — changes no history.
 func TestObserveFoldsCompletionsAndGrades(t *testing.T) {
 	r := NewRegistry()
 	p, err := r.Register("alice", athens)
@@ -475,7 +482,7 @@ func TestCountConnectedTracksEveryFlip(t *testing.T) {
 	a, _ := r.Register("a", athens)
 	b, _ := r.Register("b", athens)
 	check("two registered", 2)
-	a.MarkBusy("t1")
+	r.Observe(event.Event{Kind: event.KindAssign, Task: "t1", Worker: "a"})
 	check("busy is still connected", 2)
 	a.SetAvailable(false)
 	a.SetAvailable(false)

@@ -12,6 +12,7 @@ import (
 
 	"react/internal/bipartite"
 	"react/internal/clock"
+	"react/internal/event"
 	"react/internal/profile"
 	"react/internal/region"
 	"react/internal/taskq"
@@ -304,9 +305,9 @@ func TestBusyWorkersExcludedViaSnapshot(t *testing.T) {
 	// The registry's Available() snapshot is the contract: busy workers
 	// never reach BuildGraph.
 	r := profile.NewRegistry()
-	a, _ := r.Register("a", athens)
+	r.Register("a", athens)
 	r.Register("b", athens)
-	a.MarkBusy("elsewhere")
+	r.Observe(event.Event{Kind: event.KindAssign, Task: "elsewhere", Worker: "a"})
 	avail := r.Available()
 	if len(avail) != 1 || avail[0].ID() != "b" {
 		t.Fatalf("available = %d", len(avail))
