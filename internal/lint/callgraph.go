@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // cgNode is one analyzable function body: a declared function/method or
@@ -22,14 +23,19 @@ type cgNode struct {
 	cfg *funcCFG // built lazily by lockstate
 }
 
-// callGraph resolves call expressions to module function bodies. Three
+// callGraph resolves call expressions to module function bodies. Four
 // resolution strategies stack up:
 //   - direct: package functions, concrete methods, called literals;
 //   - CHA: interface method calls dispatch to every module type that
 //     implements the interface (class-hierarchy analysis);
 //   - func fields: a call through a func-typed struct field (the
 //     engine.Hooks pattern) resolves to every value ever stored into
-//     that field anywhere in the module.
+//     that field anywhere in the module;
+//   - handed-in funcs: inside a type's methods, a call through a
+//     func-typed local or parameter resolves to every function value
+//     passed to that type's methods with an identical func type (the
+//     event.Bus pattern: Tap stores observers in a slice, Publish calls
+//     them through a range variable).
 type callGraph struct {
 	tm     *TypedModule
 	nodes  []*cgNode
@@ -38,6 +44,16 @@ type callGraph struct {
 
 	fieldFuncs map[*types.Var][]*cgNode // func-typed field -> stored targets
 	named      []namedInPkg             // all module named types, for CHA
+
+	handedIn  map[*types.TypeName][]handedFunc  // type -> func values passed to its methods
+	varCaller map[*ast.CallExpr]*types.TypeName // call through a func-typed variable -> its method's type
+}
+
+// handedFunc is one function value passed to a method: the parameter's
+// func type and the bodies the argument denotes.
+type handedFunc struct {
+	typ     types.Type
+	targets []*cgNode
 }
 
 type namedInPkg struct {
@@ -51,6 +67,8 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 		byFunc:     make(map[*types.Func]*cgNode),
 		byLit:      make(map[*ast.FuncLit]*cgNode),
 		fieldFuncs: make(map[*types.Var][]*cgNode),
+		handedIn:   make(map[*types.TypeName][]handedFunc),
+		varCaller:  make(map[*ast.CallExpr]*types.TypeName),
 	}
 	for _, tp := range tm.List {
 		scope := tp.Types.Scope()
@@ -83,6 +101,7 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 	for _, tp := range tm.List {
 		for _, file := range tp.Files {
 			g.indexFieldStores(tp, file)
+			g.indexHandedIn(tp, file)
 		}
 	}
 	return g
@@ -188,8 +207,72 @@ func (g *callGraph) indexFieldStores(tp *TypedPackage, file *ast.File) {
 	})
 }
 
+// indexHandedIn records, per receiver type, every function value passed
+// to its methods and every call its methods make through a func-typed
+// local or parameter: what connects Bus.Publish's tap calls back to the
+// observers given to Bus.Tap.
+func (g *callGraph) indexHandedIn(tp *TypedPackage, file *ast.File) {
+	for _, decl := range file.Decls {
+		var owner *types.TypeName
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+			if fn, ok := tp.Info.Defs[fd.Name].(*types.Func); ok {
+				if n := derefNamed(fn.Type().(*types.Signature).Recv().Type()); n != nil {
+					owner = n.Obj()
+				}
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			switch fun := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident:
+				if v, ok := tp.Info.Uses[fun].(*types.Var); ok && owner != nil && isFuncType(v.Type()) {
+					g.varCaller[call] = owner
+				}
+			case *ast.SelectorExpr:
+				s := tp.Info.Selections[fun]
+				if s == nil || s.Kind() != types.MethodVal || derefNamed(s.Recv()) == nil || types.IsInterface(s.Recv()) {
+					return true
+				}
+				recv := derefNamed(s.Recv()).Obj()
+				params := s.Obj().Type().(*types.Signature).Params()
+				for i, arg := range call.Args {
+					if i < params.Len() && isFuncType(params.At(i).Type()) {
+						if ts := g.funcValueTargets(tp, arg); len(ts) > 0 {
+							g.handedIn[recv] = append(g.handedIn[recv], handedFunc{params.At(i).Type(), ts})
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+func isFuncType(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
+}
+
+// handedInTargets resolves a call through a func-typed variable of type
+// typ made inside a method: every function value of an identical type
+// passed to a method of the same receiver type.
+func (g *callGraph) handedInTargets(call *ast.CallExpr, typ types.Type) []*cgNode {
+	var out []*cgNode
+	for _, h := range g.handedIn[g.varCaller[call]] {
+		for _, t := range h.targets {
+			if types.Identical(h.typ, typ) && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
 func (g *callGraph) recordFieldStore(tp *TypedPackage, field *types.Var, value ast.Expr) {
-	if _, ok := field.Type().Underlying().(*types.Signature); !ok {
+	if !isFuncType(field.Type()) {
 		return
 	}
 	field = field.Origin()
@@ -293,10 +376,13 @@ func (g *callGraph) resolveCall(tp *TypedPackage, call *ast.CallExpr) []*cgNode 
 		}
 		return nil
 	case *ast.Ident:
-		if fn, ok := tp.Info.Uses[fun].(*types.Func); ok {
-			if n := g.nodeFor(fn); n != nil {
+		switch obj := tp.Info.Uses[fun].(type) {
+		case *types.Func:
+			if n := g.nodeFor(obj); n != nil {
 				return []*cgNode{n}
 			}
+		case *types.Var:
+			return g.handedInTargets(call, obj.Type())
 		}
 		return nil
 	case *ast.SelectorExpr:

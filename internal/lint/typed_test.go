@@ -129,8 +129,10 @@ func TestRenderLockOrderDoc(t *testing.T) {
 		"2. `lockb.Ordered.inner`",
 		"| `locka.Pair.a` | `locka.Pair.b` | `internal/locka/locka.go:24` in `locka.(*locka.Pair).lockB` |",
 		"| `lockb.Ordered.outer` | `lockb.Ordered.inner` | `internal/lockb/lockb.go:20` in `lockb.(*lockb.Ordered).Both` |",
+		"| `tapbus.Bus.mu` | `tapbus.Counter.mu` | `internal/tapbus/tapbus.go:49` in `tapbus.(*tapbus.Counter).Observe` |",
 		"- `block.Q.mu`",
 		"- `engine.Engine.mu`",
+		"- `tapbus.Gate.mu`", // a func of another type handed to Bus is no tap
 		"## Cycles",
 		"locka.Pair.a ⇄ locka.Pair.b",
 	} {

@@ -14,7 +14,8 @@ import (
 // encode of the hot frames (assignment, result, event, submit, ok/error)
 // allocates nothing. encoding/json built a fresh buffer and reflected over
 // the struct for every frame, which made the transport — not the engine —
-// the allocation hot path.
+// the allocation hot path. The cold payloads (stats, regions, a task's
+// status) are still encoding/json's (appendCold).
 //
 // The encoding mirrors the Message struct tags exactly (field order,
 // omitempty semantics, string escaping sufficient for the
@@ -121,25 +122,15 @@ func AppendFrame(dst []byte, m *Message) []byte {
 	}
 	if m.Stats != nil {
 		dst = append(dst, `,"stats":`...)
-		dst = appendStats(dst, m.Stats)
+		dst = appendCold(dst, m.Stats)
 	}
 	if len(m.Regions) > 0 {
-		dst = append(dst, `,"regions":[`...)
-		for i := range m.Regions {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"region":`...)
-			dst = appendJSONString(dst, m.Regions[i].Region)
-			dst = append(dst, `,"stats":`...)
-			dst = appendStats(dst, &m.Regions[i].Stats)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"regions":`...)
+		dst = appendCold(dst, m.Regions)
 	}
 	if m.Status != nil {
 		dst = append(dst, `,"status":`...)
-		dst = appendStatus(dst, m.Status)
+		dst = appendCold(dst, m.Status)
 	}
 	if m.Event != nil {
 		dst = append(dst, `,"event":`...)
@@ -226,45 +217,14 @@ func appendResult(dst []byte, p *ResultPayload) []byte {
 	return append(dst, '}')
 }
 
-func appendStats(dst []byte, p *StatsPayload) []byte {
-	dst = append(dst, `{"received":`...)
-	dst = strconv.AppendInt(dst, p.Received, 10)
-	dst = append(dst, `,"assigned":`...)
-	dst = strconv.AppendInt(dst, p.Assigned, 10)
-	dst = append(dst, `,"completed":`...)
-	dst = strconv.AppendInt(dst, p.Completed, 10)
-	dst = append(dst, `,"on_time":`...)
-	dst = strconv.AppendInt(dst, p.OnTime, 10)
-	dst = append(dst, `,"expired":`...)
-	dst = strconv.AppendInt(dst, p.Expired, 10)
-	if p.Shed != 0 {
-		dst = append(dst, `,"shed":`...)
-		dst = strconv.AppendInt(dst, p.Shed, 10)
-	}
-	dst = append(dst, `,"reassigned":`...)
-	dst = strconv.AppendInt(dst, p.Reassigned, 10)
-	dst = append(dst, `,"batches":`...)
-	dst = strconv.AppendInt(dst, p.Batches, 10)
-	dst = append(dst, `,"workers_online":`...)
-	dst = strconv.AppendInt(dst, int64(p.WorkersOnline), 10)
-	dst = append(dst, `,"workers_known":`...)
-	dst = strconv.AppendInt(dst, int64(p.WorkersKnown), 10)
-	return append(dst, '}')
-}
-
-func appendStatus(dst []byte, p *TaskStatusPayload) []byte {
-	dst = append(dst, `{"task_id":`...)
-	dst = appendJSONString(dst, p.TaskID)
-	dst = append(dst, `,"state":`...)
-	dst = appendJSONString(dst, p.State)
-	if p.Worker != "" {
-		dst = append(dst, `,"worker":`...)
-		dst = appendJSONString(dst, p.Worker)
-	}
-	if p.MetDeadline {
-		dst = append(dst, `,"met_deadline":true`...)
-	}
-	return append(dst, '}')
+// appendCold appends a cold payload — stats, regions or a task's status —
+// as encoding/json writes it. These replies are not on a task's path (a
+// requester asks for stats once per run, for a status only after a
+// reconnect), and the decoder hands them to encoding/json too. None holds a
+// float or a map, so Marshal cannot fail.
+func appendCold(dst []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
 }
 
 func appendEvent(dst []byte, p *EventPayload) []byte {

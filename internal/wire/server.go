@@ -550,6 +550,8 @@ func errCode(err error) string {
 		return CodeDuplicateTask
 	case errors.Is(err, taskq.ErrPastDeadline):
 		return CodePastDeadline
+	case errors.Is(err, engine.ErrNotAssigned):
+		return CodeNotAssigned
 	}
 	return ""
 }

@@ -95,6 +95,10 @@ const (
 	// CodePastDeadline: the deadline was not in the future at receipt
 	// (permanent for this payload).
 	CodePastDeadline = "past_deadline"
+	// CodeNotAssigned: a complete for a task the worker does not hold —
+	// it was revoked, rebound or already finished (permanent — the answer
+	// is discarded).
+	CodeNotAssigned = "not_assigned"
 	// CodeRejectedProbability: admission predicted the deadline cannot
 	// plausibly be met (permanent — the deadline only gets closer).
 	CodeRejectedProbability = string(admission.StatusRejectedProbability)

@@ -152,6 +152,37 @@ func TestServerErrorsSurfaceToClient(t *testing.T) {
 	}
 }
 
+// TestLateCompleteCodedNotAssigned: a worker whose task was taken back
+// (here by a revoke straight on the region's store, as the Eq. 2 monitor
+// would) answers late; the refusal carries the permanent not_assigned code.
+func TestLateCompleteCodedNotAssigned(t *testing.T) {
+	s := startServer(t)
+	w := dial(t, s)
+	if err := w.Register("slow", 37.98, 23.73); err != nil {
+		t.Fatal(err)
+	}
+	req := dial(t, s)
+	if err := req.Submit(testTask("t1")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w.Assignments():
+	case <-time.After(5 * time.Second):
+		t.Fatal("assignment never arrived")
+	}
+	// Unwilling, so no round hands t1 straight back before the answer.
+	if err := w.SetAvailable(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Core().Tasks().Unassign("t1", taskq.CauseEq2, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	var se *ServerError
+	if err := w.Complete("t1", "slow", "late"); !errors.As(err, &se) || se.Code != CodeNotAssigned {
+		t.Fatalf("late complete: err = %v, want code %s", err, CodeNotAssigned)
+	}
+}
+
 func TestWorkerDisconnectReturnsTask(t *testing.T) {
 	s := startServer(t)
 	w1 := dial(t, s)
