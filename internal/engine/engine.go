@@ -495,10 +495,15 @@ func (e *Engine) TryBatch() {
 	e.bus.Publish(event.Event{Kind: event.KindBatch, At: e.cfg.Clock.Now(), Batch: &r.stats})
 	if e.cfg.Defer != nil {
 		// Land the postponed round, then re-check the trigger for backlog
-		// that accumulated while the modelled matcher ran.
+		// that accumulated while the modelled matcher ran. A round that
+		// bound nothing and charged nothing (Eq. 3 pruned every edge)
+		// changed nothing: re-checking would plan it again at the same
+		// instant, forever. The host's next call re-checks instead.
 		e.cfg.Defer(r.stats.Latency, func(time.Time) {
 			e.finishRound(r.bindings)
-			e.TryBatch()
+			if len(r.bindings) > 0 || r.stats.Latency > 0 {
+				e.TryBatch()
+			}
 		})
 		return
 	}

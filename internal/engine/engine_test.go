@@ -415,6 +415,40 @@ func TestTrigger(t *testing.T) {
 	}
 }
 
+// TestPrunedRoundDoesNotRetrigger: a deferred round in which Eq. 3 pruned
+// every edge binds nothing and charges nothing. Its apply must not re-run
+// the trigger: the backlog is still over the bound, so the re-check would
+// plan the same empty round at the same instant, and a simulation's clock
+// would never move again.
+func TestPrunedRoundDoesNotRetrigger(t *testing.T) {
+	h := newHarness(t, Hooks{}) // BatchBound 10
+	p, err := h.eng.AttachWorker("slow", region.Point{Lat: 38.0, Lon: 23.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, secs := range []float64{600, 700, 650, 900, 800} { // k_min 10 min: no 1-minute deadline fits
+		p.RecordCompletion("photo", secs, true)
+	}
+	for i := 0; i < 11; i++ {
+		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
+	}
+	h.eng.TryBatch()
+	for applied := 0; len(h.pending) > 0; applied++ {
+		if applied == 3 {
+			t.Fatalf("an empty round re-triggered itself %d times at one instant", applied)
+		}
+		fn := h.pending[0]
+		h.pending = h.pending[1:]
+		fn(h.clk.Now())
+	}
+	if got := h.eng.Stats().Batches; got != 1 {
+		t.Fatalf("batches = %d, want the one pruned round", got)
+	}
+	if n := h.eng.Tasks().UnassignedCount(); n != 11 {
+		t.Fatalf("%d tasks unassigned, want all 11", n)
+	}
+}
+
 // TestRunBatchEndToEnd runs one round over two seasoned workers of
 // different quality and one task: Greedy must pick the better worker, REACT
 // must deliver a valid assignment, and the round summary on the spine must
