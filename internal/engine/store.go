@@ -262,11 +262,9 @@ func (s *TaskStore) Unassign(taskID, cause string, prob float64) error {
 }
 
 // unassign is Unassign for a named holder: a non-empty holder must hold the
-// task, checked under the lock that revokes it, as complete checks. A
-// release that raced a rebind — a detach that read the worker's task
-// before the monitor took it back and a round handed it to another, or a
-// monitor verdict on a stale snapshot — fails and leaves the new holder's
-// binding alone.
+// task, checked under the lock that revokes it, as complete checks, so a
+// release that lost a race to a rebind leaves the new holder's binding
+// alone.
 func (s *TaskStore) unassign(taskID, holder, cause string, prob float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 // allocates nothing. encoding/json built a fresh buffer and reflected over
 // the struct for every frame, which made the transport — not the engine —
 // the allocation hot path. The cold payloads (stats, regions, a task's
-// status) are still encoding/json's (appendCold).
+// status) are written by encoding/json (appendCold).
 //
 // The encoding mirrors the Message struct tags exactly (field order,
 // omitempty semantics, string escaping sufficient for the
