@@ -233,16 +233,17 @@ func (g *callGraph) indexHandedIn(tp *TypedPackage, file *ast.File) {
 				}
 			case *ast.SelectorExpr:
 				s := tp.Info.Selections[fun]
-				if s == nil || s.Kind() != types.MethodVal || derefNamed(s.Recv()) == nil || types.IsInterface(s.Recv()) {
+				if s == nil || s.Kind() != types.MethodVal || types.IsInterface(s.Recv()) || derefNamed(s.Recv()) == nil {
 					return true
 				}
 				recv := derefNamed(s.Recv()).Obj()
 				params := s.Obj().Type().(*types.Signature).Params()
 				for i, arg := range call.Args {
-					if i < params.Len() && isFuncType(params.At(i).Type()) {
-						if ts := g.funcValueTargets(tp, arg); len(ts) > 0 {
-							g.handedIn[recv] = append(g.handedIn[recv], handedFunc{params.At(i).Type(), ts})
-						}
+					if i >= params.Len() || !isFuncType(params.At(i).Type()) {
+						continue
+					}
+					if ts := g.funcValueTargets(tp, arg); len(ts) > 0 {
+						g.handedIn[recv] = append(g.handedIn[recv], handedFunc{params.At(i).Type(), ts})
 					}
 				}
 			}
