@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"react/internal/bipartite"
+	"react/internal/engine"
 	"react/internal/experiments"
 	"react/internal/matching"
 	"react/internal/wire"
@@ -184,11 +185,10 @@ func BenchmarkFig9And10Scalability(b *testing.B) {
 func BenchmarkAblationNoMonitor(b *testing.B) {
 	tech := experiments.REACTTechnique(0, 42)
 	tech.Name = "react-nomonitor"
-	tech.UseMonitor = false
 	var res experiments.ScenarioResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = experiments.RunScenario(experiments.ScenarioConfig{Technique: tech, Seed: 42})
+		res = experiments.RunScenario(experiments.ScenarioConfig{Technique: tech, Seed: 42, MonitorThreshold: -1})
 	}
 	b.ReportMetric(100*res.OnTimeFraction(), "ontime_pct")
 	b.ReportMetric(float64(res.Reassignments), "reassignments")
@@ -196,6 +196,7 @@ func BenchmarkAblationNoMonitor(b *testing.B) {
 
 // BenchmarkAblationNoPruning removes the Eq. 3 edge filter, so REACT may
 // assign tasks to workers whose model says they cannot make the deadline.
+// The threshold is set explicitly: NoPruning alone also turns Eq. 2 off.
 func BenchmarkAblationNoPruning(b *testing.B) {
 	tech := experiments.REACTTechnique(0, 42)
 	tech.Name = "react-nopruning"
@@ -203,7 +204,8 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 	var res experiments.ScenarioResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = experiments.RunScenario(experiments.ScenarioConfig{Technique: tech, Seed: 42})
+		res = experiments.RunScenario(experiments.ScenarioConfig{Technique: tech, Seed: 42,
+			MonitorThreshold: engine.DefaultThreshold})
 	}
 	b.ReportMetric(100*res.OnTimeFraction(), "ontime_pct")
 }

@@ -97,7 +97,7 @@ func main() {
 	batchBound := flag.Int("batch-bound", 10, "run a batch once this many tasks are unassigned")
 	batchPeriod := flag.Duration("batch-period", 5*time.Second, "maximum interval between batches")
 	probBound := flag.Float64("edge-bound", 0.1, "Eq.3 probability bound for instantiating an edge")
-	threshold := flag.Float64("reassign-threshold", 0.1, "Eq.2 probability below which a task is reassigned")
+	threshold := flag.Float64("reassign-threshold", 0.1, "Eq.2 probability below which a task is reassigned (negative turns Eq.2 off)")
 	monitorPeriod := flag.Duration("monitor-period", time.Second, "Eq.2 sweep period")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats logging period (0 disables)")
 	dataDir := flag.String("data-dir", "", "write-ahead journal directory: state recovered at startup, every mutation journaled (single-region mode only: refused together with -grid)")

@@ -8,22 +8,21 @@
 //
 // Every decision runs inside an explicit call (SubmitFrom, Complete,
 // Feedback, AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch); the
-// engine owns no sockets, and its only goroutines are the two tickers
-// Start launches, which do nothing but make the Tick and TickMonitor calls
-// on a wall-clock cadence (live.go). That lets two very different hosts
-// share it verbatim:
+// engine owns no sockets. Start/Stop (live.go) are the only way a host
+// paces those calls, so two very different hosts run one sequence:
 //
-//   - internal/wire runs one engine per region against a real clock: it
-//     calls Start, and its Deliver hook writes each assignment straight
-//     into the worker's connection;
-//   - internal/experiments never calls Start: it schedules the same calls
-//     as discrete events on sim.Engine's virtual clock, injecting the
-//     modelled matcher latency of DESIGN.md §2 through
-//     Config.Latency/Config.Defer.
+//   - internal/wire runs one engine per region against a real clock: Start
+//     launches two tickers that make the Tick and TickMonitor calls on a
+//     wall-clock cadence, and its Deliver hook writes each assignment
+//     straight into the worker's connection;
+//   - internal/experiments sets Config.Defer to sim.Engine.After, so Start
+//     arms the same ticks and kicked rounds as discrete events on the
+//     virtual clock, and the modelled matcher latency of DESIGN.md §2
+//     (Config.Latency) is charged there too.
 //
 // The CI determinism gate (same-seed figure runs byte-identical, diffed
-// against a pre-refactor golden series in testdata/) is the proof both
-// drive modes execute one logic.
+// against golden series in testdata/) pins what the simulated host
+// decides.
 //
 // Task bookkeeping is one registry under one lock (see TaskStore). The
 // lifecycle counters are not the engine's: an event.Ledger folds them
@@ -88,14 +87,17 @@ type Config struct {
 	// model of DESIGN.md §2). Nil charges nothing: the batch applies with
 	// the real elapsed time already spent.
 	Latency func(tasks, workers, edges, cycles int) time.Duration
-	// Defer postpones batch application by the modelled latency. The
-	// experiments harness points this at sim.Engine.After so the virtual
-	// clock pays the charge; nil applies assignments synchronously (live
-	// mode). Defer must only schedule fn, never run it inline.
+	// Defer, when set, paces every engine timer on the host's clock instead
+	// of the wall clock: Start arms Tick every BatchPoll, TickMonitor every
+	// MonitorPeriod and each kicked round through it, and a round's apply
+	// waits out its modelled latency through it. The experiments harness
+	// points it at sim.Engine.After. Nil keeps the live mode: two
+	// wall-clock loops, and a round applies synchronously. Defer must only
+	// schedule fn, never run it inline.
 	Defer func(d time.Duration, fn func(now time.Time))
-	// BatchPoll and MonitorPeriod pace the loops Start launches: Tick every
+	// BatchPoll and MonitorPeriod pace what Start runs: Tick every
 	// BatchPoll (default 200ms), TickMonitor every MonitorPeriod (default
-	// 1s). A host that never calls Start ignores them.
+	// 1s), on the wall clock or through Defer.
 	BatchPoll     time.Duration
 	MonitorPeriod time.Duration
 	// QueueDepth is read by no code. It is kept only so that the benchmark
@@ -172,12 +174,14 @@ type Engine struct {
 	batches   atomic.Int64
 	matcherNs atomic.Int64
 
-	// The live loops (live.go): stop ends them, loops waits for them, and
-	// wake (one slot) asks batchLoop for a round the moment the backlog
-	// half of the trigger holds (kick).
+	// What Start runs (live.go): stop ends the live loops, loops waits for
+	// them, driven is set while a Defer-paced engine is started, and wake
+	// (one slot) asks for a round the moment the backlog half of the
+	// trigger holds (kick).
 	stop     chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup
+	driven   atomic.Bool
 	wake     chan struct{}
 }
 
@@ -265,19 +269,23 @@ func (e *Engine) Submit(t taskq.Task) error {
 	return nil
 }
 
-// kick wakes the live batch loop for a round when the backlog half of the
-// §IV.A trigger holds — more than BatchBound tasks unassigned — read off
-// the ledger's gauge, one atomic load. It never blocks: the wake channel
-// has one slot, so kicks that land while a round runs coalesce into the
-// one after it. The period half stays on the BatchPoll ticker. The
-// simulation harness, which never calls Start, calls TryBatch at these
-// same points itself; its kicks fill the slot and go unread.
+// kick asks for a round when the backlog half of the §IV.A trigger holds —
+// more than BatchBound tasks unassigned — read off the ledger's gauge, one
+// atomic load. It never blocks: the wake channel has one slot, so kicks
+// that land while a round runs coalesce into the one after it. A live
+// engine's batch loop reads the slot; a Defer-driven one arms the round as
+// Defer(0, …) when a kick fills the slot. The period half stays on the
+// BatchPoll tick. On an engine not started, kicks fill the slot and go
+// unread.
 func (e *Engine) kick() {
 	if e.ledger.Unassigned() <= int64(e.cfg.Schedule.BatchBound) {
 		return
 	}
 	select {
 	case e.wake <- struct{}{}:
+		if e.driven.Load() {
+			e.cfg.Defer(0, e.wakeRound)
+		}
 	default:
 	}
 }
@@ -403,11 +411,10 @@ func (e *Engine) Stats() Stats {
 }
 
 // Tick runs one full maintenance pass — retention GC, unassigned-task
-// expiry, the batch trigger, then the overload shedder — in the order the
-// live server's poll loop needs: once the tick has expired what the clock
-// already killed, CoDel decides whether the surviving backlog's queue
-// delay warrants shedding more. Event-driven hosts call the individual
-// ticks on their own cadences instead.
+// expiry, the batch trigger, then the overload shedder — in the order a
+// started engine runs it every BatchPoll: once the tick has expired what
+// the clock already killed, CoDel decides whether the surviving backlog's
+// queue delay warrants shedding more.
 func (e *Engine) Tick() {
 	e.TickRetention()
 	e.TickExpiry()
@@ -498,7 +505,7 @@ func (e *Engine) TryBatch() {
 		// that accumulated while the modelled matcher ran. A round that
 		// bound nothing and charged nothing (Eq. 3 pruned every edge)
 		// changed nothing: re-checking would plan it again at the same
-		// instant, forever. The host's next call re-checks instead.
+		// instant, forever. The next tick or kick re-checks instead.
 		e.cfg.Defer(r.stats.Latency, func(time.Time) {
 			e.finishRound(r.bindings)
 			if len(r.bindings) > 0 || r.stats.Latency > 0 {

@@ -29,11 +29,18 @@ func testTask(id string, clk clock.Clock) taskq.Task {
 }
 
 // harness bundles an engine on a virtual clock with a captured Defer queue,
-// so tests control exactly when a deferred batch lands.
+// so tests control exactly when a deferred batch — or, once Start has run,
+// a tick or a kicked round — lands.
 type harness struct {
 	clk     *clock.Virtual
 	eng     *Engine
-	pending []func(now time.Time)
+	pending []deferred
+}
+
+// deferred is one captured Defer call.
+type deferred struct {
+	d  time.Duration
+	fn func(now time.Time)
 }
 
 func newHarness(t *testing.T, hooks Hooks) *harness {
@@ -44,19 +51,54 @@ func newHarness(t *testing.T, hooks Hooks) *harness {
 		Matcher:  matching.Greedy{},
 		Schedule: schedule.Config{BatchBound: 10, BatchPeriod: time.Second},
 		Defer: func(d time.Duration, fn func(now time.Time)) {
-			h.pending = append(h.pending, fn)
+			h.pending = append(h.pending, deferred{d, fn})
 		},
 	}, hooks)
 	return h
 }
 
+// fire runs the i-th captured Defer call and drops it from the queue.
+func (h *harness) fire(i int) {
+	fn := h.pending[i].fn
+	h.pending = append(h.pending[:i:i], h.pending[i+1:]...)
+	fn(h.clk.Now())
+}
+
+// delays lists the captured Defer calls' delays, in the order they came.
+func (h *harness) delays() []time.Duration {
+	out := make([]time.Duration, len(h.pending))
+	for i, p := range h.pending {
+		out[i] = p.d
+	}
+	return out
+}
+
 // flush lands every deferred batch application (and any cascaded rounds).
+// It must not run on a started engine, whose ticks re-arm themselves.
 func (h *harness) flush() {
 	for len(h.pending) > 0 {
-		fn := h.pending[0]
-		h.pending = h.pending[1:]
-		fn(h.clk.Now())
+		h.fire(0)
 	}
+}
+
+// fireInstant runs, oldest first, every captured call due at the current
+// instant (delay 0) — the kicked rounds and uncharged applies — and
+// reports how many ran. It stops at limit, so a round that re-arms itself
+// forever fails the caller instead of hanging it.
+func (h *harness) fireInstant(limit int) int {
+	ran := 0
+	for ran < limit {
+		i := 0
+		for i < len(h.pending) && h.pending[i].d != 0 {
+			i++
+		}
+		if i == len(h.pending) {
+			break
+		}
+		h.fire(i)
+		ran++
+	}
+	return ran
 }
 
 // TestDetachDuringBatch drives a worker detach through every window of the
@@ -429,23 +471,131 @@ func TestPrunedRoundDoesNotRetrigger(t *testing.T) {
 	for _, secs := range []float64{600, 700, 650, 900, 800} { // k_min 10 min: no 1-minute deadline fits
 		p.RecordCompletion("photo", secs, true)
 	}
-	for i := 0; i < 11; i++ {
+	h.eng.Start()
+	defer h.eng.Stop()
+	for i := 0; i < 11; i++ { // the 11th submit kicks
 		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
 	}
-	h.eng.TryBatch()
-	for applied := 0; len(h.pending) > 0; applied++ {
-		if applied == 3 {
-			t.Fatalf("an empty round re-triggered itself %d times at one instant", applied)
-		}
-		fn := h.pending[0]
-		h.pending = h.pending[1:]
-		fn(h.clk.Now())
+	// The kicked round, then its apply: two calls at this instant, and
+	// nothing after them.
+	if ran := h.fireInstant(5); ran != 2 {
+		t.Fatalf("%d calls ran at one instant, want the kicked round and its apply", ran)
 	}
 	if got := h.eng.Stats().Batches; got != 1 {
 		t.Fatalf("batches = %d, want the one pruned round", got)
 	}
 	if n := h.eng.Tasks().UnassignedCount(); n != 11 {
 		t.Fatalf("%d tasks unassigned, want all 11", n)
+	}
+}
+
+// TestStartArmsTicksThroughDefer: with Config.Defer set, Start launches no
+// goroutine; it arms Tick at BatchPoll and TickMonitor at MonitorPeriod on
+// the host's clock, and each re-arms itself when it runs.
+func TestStartArmsTicksThroughDefer(t *testing.T) {
+	h := newHarness(t, Hooks{})
+	if len(h.pending) != 0 {
+		t.Fatalf("armed %v before Start", h.delays())
+	}
+	p, err := h.eng.AttachWorker("slow", region.Point{Lat: 38.0, Lon: 23.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, secs := range []float64{5, 7, 9, 6} { // typically 5-9 s
+		p.RecordCompletion("photo", secs, true)
+	}
+	mustSubmit(t, h.eng, testTask("held", h.clk))
+	h.eng.TryBatch()
+	h.flush()
+	mustSubmit(t, h.eng, testTask("waiting", h.clk))
+
+	h.eng.Start()
+	defer h.eng.Stop()
+	poll, monitor := 200*time.Millisecond, time.Second // the Config defaults
+	if got, want := fmt.Sprint(h.delays()), fmt.Sprint([]time.Duration{poll, monitor}); got != want {
+		t.Fatalf("Start armed %s, want %s", got, want)
+	}
+
+	// Past both deadlines, the 200 ms tick expires the waiting task; the
+	// held one runs on (soft deadlines) until the sweep.
+	h.clk.Advance(2 * time.Minute)
+	h.fire(0)
+	if rec, _ := h.eng.Tasks().Get("waiting"); rec.Status != taskq.Expired {
+		t.Fatalf("after the poll tick, waiting is %v, want expired", rec.Status)
+	}
+	if got, want := fmt.Sprint(h.delays()), fmt.Sprint([]time.Duration{monitor, poll}); got != want {
+		t.Fatalf("after the poll tick armed %s, want %s", got, want)
+	}
+
+	// 30 s into a 60 s deadline, a 5-9 s worker has abandoned the task:
+	// the 1 s tick is the Eq. 2 sweep.
+	mustSubmit(t, h.eng, testTask("doomed", h.clk))
+	if _, err := h.eng.Complete("held", "slow"); err != nil {
+		t.Fatal(err)
+	}
+	h.fire(1) // the poll tick binds doomed
+	h.fireInstant(1)
+	h.clk.Advance(30 * time.Second)
+	h.fire(0)
+	if rec, _ := h.eng.Tasks().Get("doomed"); rec.Status != taskq.Unassigned || h.eng.Stats().Reassigned != 1 {
+		t.Fatalf("after the monitor tick, doomed is %v (reassigned %d), want revoked by Eq. 2",
+			rec.Status, h.eng.Stats().Reassigned)
+	}
+	if got, want := fmt.Sprint(h.delays()), fmt.Sprint([]time.Duration{poll, monitor}); got != want {
+		t.Fatalf("after the monitor tick armed %s, want %s", got, want)
+	}
+}
+
+// TestKicksAtOneInstantArmOneRound: kicks that land before the kicked round
+// runs coalesce in the one-slot wake channel into one Defer(0, …) round,
+// and once that round has run, the next kick arms another.
+func TestKicksAtOneInstantArmOneRound(t *testing.T) {
+	h := newHarness(t, Hooks{}) // BatchBound 10
+	h.eng.Start()
+	defer h.eng.Stop()
+	armed := len(h.pending)
+	for i := 0; i < 14; i++ { // submits 11 to 14 each kick
+		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
+	}
+	if got := h.delays()[armed:]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("four kicks armed %v, want one round now", got)
+	}
+	mustAttach(t, h.eng, "w1") // a fifth
+	if got := len(h.pending) - armed; got != 1 {
+		t.Fatalf("%d rounds armed, want still one", got)
+	}
+	h.fireInstant(1)
+	if got := h.eng.Stats().Batches; got != 1 {
+		t.Fatalf("batches = %d, want the one kicked round", got)
+	}
+	h.fireInstant(1) // its apply binds one task; 13 still wait
+	mustSubmit(t, h.eng, testTask("t14", h.clk))
+	if ran := h.fireInstant(1); ran != 1 {
+		t.Fatal("a kick after the round ran armed nothing")
+	}
+}
+
+// TestNothingRearmsAfterStop: after Stop, an armed tick or kicked round
+// that still lands does nothing and re-arms nothing, and kicks fill the
+// wake slot unread, as on an engine never started.
+func TestNothingRearmsAfterStop(t *testing.T) {
+	h := newHarness(t, Hooks{})
+	mustAttach(t, h.eng, "w1")
+	h.eng.Start()
+	for i := 0; i < 11; i++ {
+		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
+	}
+	h.eng.Stop()
+	h.clk.Advance(time.Hour)
+	h.flush()
+	for i := 11; i < 22; i++ {
+		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
+	}
+	if len(h.pending) != 0 {
+		t.Fatalf("armed %v after Stop", h.delays())
+	}
+	if got := h.eng.Stats(); got.Batches != 0 || got.Expired != 0 {
+		t.Fatalf("stats after Stop = %+v, want no round and no expiry", got)
 	}
 }
 

@@ -2,25 +2,71 @@ package engine
 
 import "time"
 
-// Start launches the live loops: Tick every Config.BatchPoll (retention
-// GC, expiry of overdue unassigned tasks, the period half of the batch
-// trigger, the shedder), TryBatch whenever a submit, a release, an attach
-// or a worker turning willing finds more than BatchBound tasks waiting,
-// and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep). Call it
-// once, after any recovery and before traffic. A host that drives the
-// ticks itself — the experiments harness on its virtual clock — never
-// calls it.
+// Start sets the engine running on its own, and every host calls it, once,
+// after any recovery and before traffic: Tick every Config.BatchPoll
+// (retention GC, expiry of overdue unassigned tasks, the period half of
+// the batch trigger, the shedder), TryBatch whenever a submit, a release,
+// an attach or a worker turning willing finds more than BatchBound tasks
+// waiting, and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep).
+//
+// With Config.Defer nil, two wall-clock loops make those calls. With
+// Defer set, Start launches no goroutine: it arms the same three calls
+// through Defer — each period tick re-arms itself, and a kick becomes a
+// Defer(0, …) round — so a simulation on a virtual clock runs the one
+// sequence a live server runs.
 func (e *Engine) Start() {
+	if e.cfg.Defer != nil {
+		e.driven.Store(true)
+		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
+		e.cfg.Defer(e.cfg.MonitorPeriod, e.monitorTick)
+		if len(e.wake) > 0 {
+			e.cfg.Defer(0, e.wakeRound) // a kick before Start, as batchLoop would read it
+		}
+		return
+	}
 	e.loops.Add(2)
 	go e.batchLoop()
 	go e.monitorLoop()
 }
 
 // Stop ends the live loops and waits for both to return, so no tick runs
-// after it. It is idempotent, and harmless on an engine never started.
+// after it; on a Defer-driven engine, no armed tick or kicked round runs
+// after it and nothing re-arms. It is idempotent, and harmless on an
+// engine never started.
 func (e *Engine) Stop() {
+	e.driven.Store(false)
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.loops.Wait()
+}
+
+// pollTick is batchLoop's ticker case on the Defer clock: Tick, then
+// re-arm one BatchPoll on, until Stop.
+func (e *Engine) pollTick(time.Time) {
+	if e.driven.Load() {
+		e.Tick()
+		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
+	}
+}
+
+// monitorTick is monitorLoop on the Defer clock.
+func (e *Engine) monitorTick(time.Time) {
+	if e.driven.Load() {
+		e.TickMonitor()
+		e.cfg.Defer(e.cfg.MonitorPeriod, e.monitorTick)
+	}
+}
+
+// wakeRound is batchLoop's wake case on the Defer clock: it empties the
+// one-slot wake channel that the kick which armed it filled, then runs the
+// round, so kicks landing during the round arm the next one.
+func (e *Engine) wakeRound(time.Time) {
+	select {
+	case <-e.wake:
+	default:
+	}
+	if e.driven.Load() {
+		e.TryBatch()
+	}
 }
 
 // batchLoop runs every round the live engine plays. The ticker drives

@@ -23,12 +23,15 @@ const DefaultThreshold = 0.10
 // settings after Normalize. Eq. 2 trusts a worker's model once it has
 // profile.DefaultMinHistory samples, the paper's training threshold.
 type Monitor struct {
-	Threshold float64 // reassign when Eq. 2 falls below this (default 0.1)
+	// Threshold: reassign when Eq. 2 falls below it. Zero takes the paper's
+	// 0.1; a negative one turns the monitor off (no probability falls below
+	// it, and Sweep does not run).
+	Threshold float64
 }
 
 // Normalize fills zero fields with the paper's defaults.
 func (m Monitor) Normalize() Monitor {
-	if m.Threshold <= 0 {
+	if m.Threshold == 0 {
 		m.Threshold = DefaultThreshold
 	}
 	return m
@@ -95,9 +98,13 @@ type AssignedSource interface {
 
 // Sweep evaluates every currently assigned task. Workers missing from the
 // registry (departed mid-task) are reported for reassignment with
-// ReasonNoWorker.
+// ReasonNoWorker. A negative threshold turns the monitor off: Sweep then
+// reads nothing and returns no decision.
 func (m Monitor) Sweep(reg *profile.Registry, tm AssignedSource, now time.Time) []Decision {
 	m = m.Normalize()
+	if m.Threshold < 0 {
+		return nil
+	}
 	records := tm.AssignedTasks()
 	out := make([]Decision, 0, len(records))
 	for _, rec := range records {

@@ -40,6 +40,10 @@ func TestMonitorNormalizeDefaults(t *testing.T) {
 	if m.Threshold != DefaultThreshold {
 		t.Fatalf("defaults = %+v", m)
 	}
+	// Only zero is filled: a negative threshold is how a host turns Eq. 2 off.
+	if off := (Monitor{Threshold: -1}).Normalize(); off.Threshold != -1 {
+		t.Fatalf("negative threshold normalized to %+v", off)
+	}
 }
 
 func TestTrainingPhaseNeverReassigns(t *testing.T) {
@@ -114,6 +118,12 @@ func TestCustomThreshold(t *testing.T) {
 	if lax.Reassign {
 		t.Fatalf("lax threshold reassigned: %+v", lax)
 	}
+	// A zero threshold takes the paper's 0.1.
+	zero := Monitor{}.Evaluate(p, rec, clock.Epoch.Add(60*time.Second))
+	paper := Monitor{Threshold: DefaultThreshold}.Evaluate(p, rec, clock.Epoch.Add(60*time.Second))
+	if !zero.Reassign || zero != paper {
+		t.Fatalf("zero threshold decided %+v, the paper's 0.1 %+v", zero, paper)
+	}
 }
 
 func TestMonitorSweep(t *testing.T) {
@@ -174,6 +184,11 @@ func TestMonitorSweep(t *testing.T) {
 	}
 	if d := byTask["t-trainee"]; d.Reassign || d.Reason != ReasonNoHistory {
 		t.Fatalf("t-trainee: %+v", d)
+	}
+	// A negative threshold turns the monitor off: neither the abandoned
+	// task nor the departed worker's is reassigned.
+	if off := (Monitor{Threshold: -1}).Sweep(reg, tm, clk.Now()); len(off) != 0 {
+		t.Fatalf("monitor off still decided %+v", off)
 	}
 }
 

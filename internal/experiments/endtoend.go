@@ -45,7 +45,8 @@ type ScenarioConfig struct {
 	DeadlineMin time.Duration
 	DeadlineMax time.Duration
 	// MonitorThreshold overrides the Eq. 2 reassignment bound (zero: the
-	// paper's 0.1).
+	// paper's 0.1, or off for a technique with NoPruning, which keeps no
+	// worker model; negative: off).
 	MonitorThreshold float64
 	// Churn enables worker connectivity cycles (§I: "even the most
 	// reliable workers may have short connectivity cycles"): each worker
@@ -83,6 +84,9 @@ func (c ScenarioConfig) Normalize() ScenarioConfig {
 	}
 	if c.Technique.Matcher == nil {
 		c.Technique = REACTTechnique(0, c.Seed)
+	}
+	if c.MonitorThreshold == 0 && c.Technique.NoPruning {
+		c.MonitorThreshold = -1
 	}
 	return c
 }
@@ -138,10 +142,12 @@ func (r ScenarioResult) PositiveFraction() float64 {
 //
 // All scheduling logic — trigger, graph construction, matching, assignment
 // application, Eq. 2 monitoring, expiry — lives in internal/engine, the same
-// code the live server runs. This harness only hosts the engine on the
-// virtual clock: engine ticks become simulation events, the modelled matcher
-// latency of DESIGN.md §2 is charged through Config.Latency/Config.Defer,
-// and a tap on the engine's event spine sums the modelled matcher time.
+// code the live server runs, paced the same way: Engine.Start arms its
+// ticks and kicked rounds through Config.Defer on the virtual clock, which
+// also charges the modelled matcher latency of DESIGN.md §2
+// (Config.Latency). This harness only schedules arrivals, completions and
+// churn, and a tap on the engine's event spine sums the modelled matcher
+// time.
 func RunScenario(cfg ScenarioConfig) ScenarioResult { return runScenario(cfg, nil) }
 
 // runScenario is RunScenario with one more spine tap, when tap is non-nil,
@@ -199,26 +205,26 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 					res.PositiveSeries.Add(float64(c.Received), float64(res.Positive))
 				}
 			}
-			re.TryBatch()
 		}
 	}
 
 	re = engine.New(engine.Config{
-		Clock:    eng.Clock(),
-		Matcher:  cfg.Technique.Matcher,
-		Schedule: cfg.Technique.ScheduleConfig(cfg.BatchBound, cfg.BatchPeriod),
-		Monitor:  engine.Monitor{Threshold: cfg.MonitorThreshold},
-		Latency:  cfg.Technique.Cost,
-		Defer: func(d time.Duration, fn func(now time.Time)) {
-			eng.After(d, "batch-apply", fn)
-		},
+		Clock:         eng.Clock(),
+		Matcher:       cfg.Technique.Matcher,
+		Schedule:      cfg.Technique.ScheduleConfig(cfg.BatchBound, cfg.BatchPeriod),
+		Monitor:       engine.Monitor{Threshold: cfg.MonitorThreshold},
+		MonitorPeriod: cfg.MonitorPeriod,
+		Latency:       cfg.Technique.Cost,
+		// Every engine timer — the BatchPoll tick, the Eq. 2 sweep, kicked
+		// rounds, the modelled matcher charge — is an event on this clock.
+		Defer: eng.After,
 	}, engine.Hooks{
 		// Drawing exec times here — inside the engine's sorted-order
 		// apply — keeps the RNG stream, and with it the whole run,
 		// deterministic.
 		Deliver: func(rec taskq.Record) bool {
 			exec := behaviors[rec.Worker].ExecTime(execRng)
-			eng.After(exec, "complete", completeTask(rec.Worker, rec.Task.ID, rec.AssignedAt))
+			eng.After(exec, completeTask(rec.Worker, rec.Task.ID, rec.AssignedAt))
 			return true
 		},
 	})
@@ -254,46 +260,29 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	}
 	stream := workload.NewStream(gen, workload.Constant{Rate: cfg.Rate}, eng.Now(), eng.Rand("workload"))
 
-	// Arrival pump: one event per task so the trigger sees every arrival.
+	// Arrival pump: one event per task; a submit over BatchBound kicks a
+	// round.
 	var arrive sim.Handler
 	arrive = func(now time.Time) {
 		_ = re.Submit(stream.Take()) // a refused task is not received: the ledger counts only submits that land
 		if counts().Received < int64(cfg.TargetTasks) {
-			eng.Schedule(stream.Peek(), "arrival", arrive)
+			eng.Schedule(stream.Peek(), arrive)
 		}
-		re.TryBatch()
 	}
-	eng.Schedule(stream.Peek(), "arrival", arrive)
-
-	// Expiry sweep: unassigned tasks leave the repository at their deadline.
-	stopExpiry := eng.Every(time.Second, "expire", func(time.Time) {
-		re.TickExpiry()
-	})
-
-	// Eq. 2 monitor: reassign doomed tasks; the abandoning worker returns
-	// to the pool (they were not really working).
-	stopMonitor := func() {}
-	if cfg.Technique.UseMonitor {
-		stopMonitor = eng.Every(cfg.MonitorPeriod, "monitor", func(time.Time) {
-			re.TickMonitor()
-			re.TryBatch()
-		})
-	}
+	eng.Schedule(stream.Peek(), arrive)
 
 	// Connectivity churn: workers drop offline and return, independent of
 	// any task they hold (a held task completes normally; the worker just
-	// receives no new work while offline).
+	// receives no new work while offline). Returning kicks, as wire's
+	// available: true does.
 	if cfg.Churn > 0 {
 		churnRng := eng.Rand("churn")
 		for _, p := range re.Workers().All() {
-			p := p
+			id := p.ID()
 			var toggle func(online bool) sim.Handler
 			toggle = func(online bool) sim.Handler {
 				return func(now time.Time) {
-					p.SetAvailable(online)
-					if online {
-						re.TryBatch()
-					}
+					_ = re.SetAvailable(id, online) // sim workers never deregister
 					// The period that starts now determines the next
 					// toggle: online periods have mean Churn, offline
 					// periods mean Churn/4.
@@ -302,19 +291,15 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 						mean /= 4
 					}
 					gap := time.Duration(churnRng.ExpFloat64() * mean * float64(time.Second))
-					eng.After(gap, "churn", toggle(!online))
+					eng.After(gap, toggle(!online))
 				}
 			}
 			first := time.Duration(churnRng.ExpFloat64() * cfg.Churn.Seconds() * float64(time.Second))
-			eng.After(first, "churn", toggle(false))
+			eng.After(first, toggle(false))
 		}
 	}
 
-	// Period flush so sub-bound backlogs are not starved.
-	stopFlush := eng.Every(cfg.BatchPeriod, "flush", func(time.Time) {
-		re.TryBatch()
-	})
-
+	re.Start()
 	// Run until every submitted task is terminal or the grace window ends.
 	arrivalSpan := time.Duration(float64(cfg.TargetTasks)/cfg.Rate*float64(time.Second)) + time.Second
 	deadline := eng.Now().Add(arrivalSpan + cfg.DrainGrace)
@@ -325,9 +310,7 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 			break
 		}
 	}
-	stopExpiry()
-	stopMonitor()
-	stopFlush()
+	re.Stop()
 
 	// Anything still live at the cap is a missed task.
 	re.ExpireAllDue()

@@ -5,15 +5,14 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"react/internal/admission"
-	"react/internal/clock"
 	"react/internal/engine"
 	"react/internal/matching"
 	"react/internal/region"
 	"react/internal/schedule"
+	"react/internal/sim"
 	"react/internal/taskq"
 )
 
@@ -134,36 +133,38 @@ func execTimeFor(taskID string) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// completion is one worker's scheduled finish.
-type completion struct {
-	at     time.Time
-	taskID string
-	worker string
-}
-
 // runOverloadArm simulates one arm: open-loop arrivals at rate per
 // second against a fresh fleet, workers serving power-law execution
 // times, with the engine's admission plane on when acfg is set. The
-// matcher is the paper's "traditional" uniform pairing (§V.C) with edge
-// pruning off — the point of the experiment is what the admission plane
-// does for a scheduler that is itself deadline-blind.
+// matcher is the paper's "traditional" uniform pairing (§V.C) with no
+// Eq. 2 monitor — the point of the experiment is what the admission plane
+// does for a scheduler that is itself deadline-blind. The engine runs as
+// any host runs it, started on the virtual clock with a 50 ms poll.
 func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *admission.Config) (OverloadArmResult, error) {
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	start := clk.Now()
+	loop := sim.New(cfg.Seed)
+	start := loop.Now()
 	loc := region.Point{Lat: 38, Lon: 23.7}
 
-	var delivered []taskq.Record
-	eng := engine.New(engine.Config{
-		Clock:   clk,
+	var eng *engine.Engine
+	eng = engine.New(engine.Config{
+		Clock:   loop.Clock(),
 		Matcher: matching.Uniform{Rand: rand.New(rand.NewSource(cfg.Seed))},
 		Schedule: schedule.Config{
 			BatchBound:  1,
 			BatchPeriod: time.Second,
 		},
+		Monitor:   engine.Monitor{Threshold: -1},
 		Admission: acfg,
+		BatchPoll: 50 * time.Millisecond,
+		Defer:     loop.After,
 	}, engine.Hooks{
+		// A worker finishes its task after the task's service time (late
+		// completions included: the soft-deadline policy lets assigned
+		// tasks run to the end); a shed or raced task is simply gone.
 		Deliver: func(rec taskq.Record) bool {
-			delivered = append(delivered, rec)
+			loop.After(execTimeFor(rec.Task.ID), func(time.Time) {
+				_, _ = eng.Complete(rec.Task.ID, rec.Worker)
+			})
 			return true
 		},
 	})
@@ -173,61 +174,36 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		}
 	}
 
+	// Open-loop arrivals: the offered schedule never slows down for the
+	// server, which is exactly what makes overload overload.
+	// Task n arrives at (n+1)/rate, so a run offers rate × Duration tasks.
 	res := OverloadArmResult{Name: name, Admission: acfg != nil}
-	var pending []completion
-	const dt = 50 * time.Millisecond
-	ticks := int(cfg.Duration / dt)
-	for i := 0; i < ticks; i++ {
-		clk.Advance(dt)
-		now := clk.Now()
-
-		// Finish every service due by now (late completions included:
-		// the soft-deadline policy lets assigned tasks run to the end).
-		for len(pending) > 0 && !pending[0].at.After(now) {
-			c := pending[0]
-			pending = pending[1:]
-			_, _ = eng.Complete(c.taskID, c.worker) //nolint — a shed/raced task is simply gone
+	arrivalAt := func(n int) time.Time {
+		return start.Add(time.Duration(float64(n+1) / rate * float64(time.Second)))
+	}
+	var arrive sim.Handler
+	arrive = func(now time.Time) {
+		deadline := cfg.Deadline
+		if res.Offered%cfg.TightEvery == cfg.TightEvery-1 {
+			deadline = cfg.TightDeadline
 		}
-
-		// Open-loop arrivals: the offered schedule never slows down for
-		// the server, which is exactly what makes overload overload.
-		for float64(res.Offered) < rate*now.Sub(start).Seconds() {
-			deadline := cfg.Deadline
-			if res.Offered%cfg.TightEvery == cfg.TightEvery-1 {
-				deadline = cfg.TightDeadline
-			}
-			t := taskq.Task{
-				ID:       fmt.Sprintf("t%07d", res.Offered),
-				Location: loc,
-				Deadline: now.Add(deadline),
-				Reward:   1,
-			}
-			res.Offered++
-			d, err := eng.SubmitFrom("load", t)
-			if !d.Admitted() {
-				continue
-			}
-			if err != nil {
-				return OverloadArmResult{}, err
-			}
+		t := taskq.Task{
+			ID:       fmt.Sprintf("t%07d", res.Offered),
+			Location: loc,
+			Deadline: now.Add(deadline),
+			Reward:   1,
+		}
+		res.Offered++
+		if _, err := eng.SubmitFrom("load", t); err == nil {
 			res.Submitted++
 		}
-
-		eng.Tick()
-		for _, rec := range delivered {
-			c := completion{at: now.Add(execTimeFor(rec.Task.ID)), taskID: rec.Task.ID, worker: rec.Worker}
-			at := sort.Search(len(pending), func(j int) bool {
-				if !pending[j].at.Equal(c.at) {
-					return pending[j].at.After(c.at)
-				}
-				return pending[j].taskID > c.taskID
-			})
-			pending = append(pending, completion{})
-			copy(pending[at+1:], pending[at:])
-			pending[at] = c
-		}
-		delivered = delivered[:0]
+		loop.Schedule(arrivalAt(res.Offered), arrive)
 	}
+	loop.Schedule(arrivalAt(0), arrive)
+
+	eng.Start()
+	loop.RunUntil(start.Add(cfg.Duration))
+	eng.Stop()
 
 	st := eng.Stats()
 	res.Completed = st.Completed

@@ -50,15 +50,14 @@ const (
 type CostFunc func(tasks, workers, edges, cycles int) time.Duration
 
 // Technique bundles everything that distinguishes the three systems
-// compared in §V.C: the matching algorithm, whether the probabilistic
-// monitor reassigns tasks, whether Eq. 3 pruning applies, and the modelled
-// matcher latency.
+// compared in §V.C: the matching algorithm, whether the platform keeps a
+// worker model (Eq. 3 pruning and, unless the scenario sets a threshold,
+// the Eq. 2 monitor), and the modelled matcher latency.
 type Technique struct {
-	Name       string
-	Matcher    matching.Matcher
-	UseMonitor bool // Eq. 2 reassignment active
-	NoPruning  bool // traditional platforms have no worker model
-	Cost       CostFunc
+	Name      string
+	Matcher   matching.Matcher
+	NoPruning bool // traditional platforms have no worker model: no Eq. 3, no Eq. 2
+	Cost      CostFunc
 }
 
 // REACTTechnique is the paper's system: WBGM via Algorithm 1 with the given
@@ -68,9 +67,8 @@ func REACTTechnique(cycles int, seed int64) Technique {
 		cycles = matching.DefaultCycles
 	}
 	return Technique{
-		Name:       "react",
-		Matcher:    matching.REACT{Cycles: cycles, Rand: newRand(seed, "matcher-react")},
-		UseMonitor: true,
+		Name:    "react",
+		Matcher: matching.REACT{Cycles: cycles, Rand: newRand(seed, "matcher-react")},
 		Cost: func(tasks, workers, edges, c int) time.Duration {
 			return time.Duration(c) * time.Duration(edges) * IterCycleCost
 		},
@@ -84,9 +82,8 @@ func REACTTechnique(cycles int, seed int64) Technique {
 // collapse.
 func GreedyTechnique() Technique {
 	return Technique{
-		Name:       "greedy",
-		Matcher:    matching.GreedyIndexed{},
-		UseMonitor: true,
+		Name:    "greedy",
+		Matcher: matching.GreedyIndexed{},
 		Cost: func(tasks, workers, edges, c int) time.Duration {
 			return time.Duration(tasks) * time.Duration(edges) * GreedyScanCost
 		},

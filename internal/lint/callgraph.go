@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"slices"
 )
@@ -30,7 +31,11 @@ type cgNode struct {
 //     implements the interface (class-hierarchy analysis);
 //   - func fields: a call through a func-typed struct field (the
 //     engine.Hooks pattern) resolves to every value ever stored into
-//     that field anywhere in the module;
+//     that field anywhere in the module — including, through one call,
+//     the values handed to a parameter that its function only stores
+//     into fields (the sim.Engine.After pattern: a scheduler queues the
+//     handler, and the handler runs where the queue calls it, not under
+//     the scheduling caller's locks);
 //   - handed-in funcs: inside a type's methods, a call through a
 //     func-typed local or parameter resolves to every function value
 //     passed to that type's methods with an identical func type (the
@@ -44,6 +49,13 @@ type callGraph struct {
 
 	fieldFuncs map[*types.Var][]*cgNode // func-typed field -> stored targets
 	named      []namedInPkg             // all module named types, for CHA
+
+	// Func-typed variables stored into fields: the fields, and how many of
+	// the variable's uses are such stores or nil comparisons, against all
+	// its uses (see storedFields).
+	varFields  map[*types.Var][]*types.Var
+	benignUses map[*types.Var]int
+	uses       map[*types.Var]int
 
 	handedIn  map[*types.TypeName][]handedFunc  // type -> func values passed to its methods
 	varCaller map[*ast.CallExpr]*types.TypeName // call through a func-typed variable -> its method's type
@@ -69,6 +81,9 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 		fieldFuncs: make(map[*types.Var][]*cgNode),
 		handedIn:   make(map[*types.TypeName][]handedFunc),
 		varCaller:  make(map[*ast.CallExpr]*types.TypeName),
+		varFields:  make(map[*types.Var][]*types.Var),
+		benignUses: make(map[*types.Var]int),
+		uses:       make(map[*types.Var]int),
 	}
 	for _, tp := range tm.List {
 		scope := tp.Types.Scope()
@@ -103,8 +118,82 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 			g.indexFieldStores(tp, file)
 			g.indexHandedIn(tp, file)
 		}
+		for _, obj := range tp.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && isFuncType(v.Type()) {
+				g.uses[v]++
+			}
+		}
+	}
+	// Third pass: a function value handed to a parameter its callee only
+	// stores joins the values of the fields it is stored into. Repeat while
+	// that resolves more calls.
+	for grown := true; grown; {
+		grown = false
+		for _, tp := range tm.List {
+			for _, file := range tp.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && g.storeHandedIn(tp, call) {
+						grown = true
+					}
+					return true
+				})
+			}
+		}
 	}
 	return g
+}
+
+// storeHandedIn adds the function values call hands to stored-only
+// parameters to the fields those parameters are stored into, and reports
+// whether any field gained a value.
+func (g *callGraph) storeHandedIn(tp *TypedPackage, call *ast.CallExpr) bool {
+	grown := false
+	for _, callee := range g.resolveCall(tp, call) {
+		for i, arg := range call.Args {
+			for _, field := range g.storedFields(callee, i) {
+				for _, t := range g.funcValueTargets(tp, arg) {
+					if !slices.Contains(g.fieldFuncs[field], t) {
+						g.fieldFuncs[field] = append(g.fieldFuncs[field], t)
+						grown = true
+					}
+				}
+			}
+		}
+	}
+	return grown
+}
+
+// storedFields returns the fields n's i-th parameter is stored into when
+// storing it, and comparing it with nil, is all n does with it: a function
+// value handed there is invoked wherever those fields are called, never by
+// n itself. Nil otherwise.
+func (g *callGraph) storedFields(n *cgNode, i int) []*types.Var {
+	var sig *types.Signature
+	if n.fn != nil {
+		sig, _ = n.fn.Type().(*types.Signature)
+	} else if tv, ok := n.pkg.Info.Types[n.lit]; ok {
+		sig, _ = tv.Type.(*types.Signature)
+	}
+	if sig == nil || i >= sig.Params().Len() || (sig.Variadic() && i == sig.Params().Len()-1) {
+		return nil
+	}
+	p := sig.Params().At(i)
+	if g.uses[p] != g.benignUses[p] {
+		return nil
+	}
+	return g.varFields[p]
+}
+
+// funcVar returns the func-typed variable expr names, if it names one.
+func funcVar(tp *TypedPackage, expr ast.Expr) *types.Var {
+	id, ok := ast.Unparen(expr).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if v, ok := tp.Info.Uses[id].(*types.Var); ok && !v.IsField() && isFuncType(v.Type()) {
+		return v
+	}
+	return nil
 }
 
 func (g *callGraph) addDecl(tp *TypedPackage, fd *ast.FuncDecl) {
@@ -202,6 +291,17 @@ func (g *callGraph) indexFieldStores(tp *TypedPackage, file *ast.File) {
 				}
 				g.recordFieldStore(tp, field, n.Rhs[i])
 			}
+		case *ast.BinaryExpr:
+			if n.Op != token.EQL && n.Op != token.NEQ {
+				return true
+			}
+			for _, operands := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+				if tv, ok := tp.Info.Types[operands[1]]; ok && tv.IsNil() {
+					if v := funcVar(tp, operands[0]); v != nil {
+						g.benignUses[v]++
+					}
+				}
+			}
 		}
 		return true
 	})
@@ -277,6 +377,10 @@ func (g *callGraph) recordFieldStore(tp *TypedPackage, field *types.Var, value a
 		return
 	}
 	field = field.Origin()
+	if v := funcVar(tp, value); v != nil {
+		g.varFields[v] = append(g.varFields[v], field)
+		g.benignUses[v]++
+	}
 	for _, t := range g.funcValueTargets(tp, value) {
 		g.fieldFuncs[field] = append(g.fieldFuncs[field], t)
 	}

@@ -382,9 +382,11 @@ func (w *funcWalker) recordCall(call *ast.CallExpr, kind edgeKind) {
 	}
 	// Function values passed as arguments: if the callee is a module
 	// function, assume it may invoke them (entry context flows through
-	// the callee); if external (sort.Slice, sync.Once.Do), assume a
-	// synchronous invocation right here.
-	for _, arg := range call.Args {
+	// the callee) unless it only stores them, which makes them values of
+	// the fields they are stored into (buildCallGraph); if external
+	// (sort.Slice, sync.Once.Do), assume a synchronous invocation right
+	// here.
+	for i, arg := range call.Args {
 		ts := lf.graph.funcValueTargets(tp, arg)
 		if len(ts) == 0 {
 			continue
@@ -394,7 +396,9 @@ func (w *funcWalker) recordCall(call *ast.CallExpr, kind edgeKind) {
 		}
 		if len(targets) > 0 {
 			for _, t := range targets {
-				w.syn = append(w.syn, syntheticEdge{via: t, targets: ts, pos: call.Pos()})
+				if lf.graph.storedFields(t, i) == nil {
+					w.syn = append(w.syn, syntheticEdge{via: t, targets: ts, pos: call.Pos()})
+				}
 			}
 		} else {
 			w.ff.calls = append(w.ff.calls, &callFact{
