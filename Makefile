@@ -97,12 +97,16 @@ recovery:
 # Each figure is additionally diffed against a checked-in golden file
 # (testdata/golden_fig<N>_seed7.txt) so refactors of the scheduling path
 # can't silently shift the numbers, and so is the -losses table (the
-# ledger's miss attribution).
+# ledger's miss attribution). Figures 5-8 are the full 750-worker
+# scenario (-quick does not shrink them); 9/10 and -losses run -quick.
+# Last, the Eq. 2 threshold sweep that once stalled the virtual clock
+# (-sensitivity -seed 42, ~10 s) must finish.
 determinism:
 	$(GO) build -o /tmp/reactsim-determinism ./cmd/reactsim
 	@for fig in 5 6 7 8 9 10; do \
-		/tmp/reactsim-determinism -fig $$fig -quick -seed 7 > /tmp/reactsim-det-a || exit 1; \
-		/tmp/reactsim-determinism -fig $$fig -quick -seed 7 > /tmp/reactsim-det-b || exit 1; \
+		quick=; [ $$fig -ge 9 ] && quick=-quick; \
+		/tmp/reactsim-determinism -fig $$fig $$quick -seed 7 > /tmp/reactsim-det-a || exit 1; \
+		/tmp/reactsim-determinism -fig $$fig $$quick -seed 7 > /tmp/reactsim-det-b || exit 1; \
 		cmp /tmp/reactsim-det-a /tmp/reactsim-det-b || { echo "fig $$fig NOT deterministic"; exit 1; }; \
 		cmp /tmp/reactsim-det-a testdata/golden_fig$${fig}_seed7.txt || { echo "fig $$fig DIVERGES from testdata/golden_fig$${fig}_seed7.txt"; exit 1; }; \
 		echo "fig $$fig: byte-identical + matches golden"; \
@@ -110,6 +114,9 @@ determinism:
 	@/tmp/reactsim-determinism -losses -quick -seed 7 | cmp - testdata/golden_losses_seed7.txt || { \
 		echo "losses table DIVERGES from testdata/golden_losses_seed7.txt"; exit 1; }
 	@echo "losses: matches golden"
+	@timeout 120 /tmp/reactsim-determinism -sensitivity -seed 42 > /dev/null || { \
+		echo "sensitivity -seed 42 did not finish within 120 s"; exit 1; }
+	@echo "sensitivity: finished"
 
 # The repo's yardstick (BENCHMARK.json, benchmark/) is a Go module of its
 # own, outside `go build ./...`: vet and test it here so an internal rename

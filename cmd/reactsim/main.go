@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	curve := flag.Bool("curve", false, "print cumulative series points for figs 5/6")
 	csvDir := flag.String("csv", "", "directory to write fig 5/6 cumulative series as CSV (empty disables)")
-	quick := flag.Bool("quick", false, "reduced problem sizes for a fast run")
+	quick := flag.Bool("quick", false, "reduced problem sizes for a fast run: figs 3/4 and 9/10, -seeds, -losses and -sensitivity (figs 5-8 always run the full 750-worker scenario)")
 	hungarian := flag.Bool("hungarian", false, "add the exact Hungarian reference to figs 3/4 (fig 4 gains a gap_pct column)")
 	study := flag.Bool("study", false, "print the synthesized CrowdFlower case study (§V.C) and exit")
 	seeds := flag.Int("seeds", 0, "run the figs 5-8 scenario across N seeds and print mean±std (0 disables)")
