@@ -8,21 +8,18 @@
 //
 // Every decision runs inside an explicit call (SubmitFrom, Complete,
 // Feedback, AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch); the
-// engine owns no sockets. Start/Stop (live.go) are the only way a host
-// paces those calls, so two very different hosts run one sequence:
+// engine owns no sockets, and Start (live.go) is the one way a host paces
+// the calls, so two very different hosts run one sequence:
 //
 //   - internal/wire runs one engine per region against a real clock: Start
-//     launches two tickers that make the Tick and TickMonitor calls on a
-//     wall-clock cadence, and its Deliver hook writes each assignment
+//     launches two tickers, and its Deliver hook writes each assignment
 //     straight into the worker's connection;
 //   - internal/experiments sets Config.Defer to sim.Engine.After, so Start
-//     arms the same ticks and kicked rounds as discrete events on the
-//     virtual clock, and the modelled matcher latency of DESIGN.md §2
-//     (Config.Latency) is charged there too.
+//     arms the same ticks as events on the virtual clock, which also pays
+//     the modelled matcher latency of DESIGN.md §2 (Config.Latency).
 //
 // The CI determinism gate (same-seed figure runs byte-identical, diffed
-// against golden series in testdata/) pins what the simulated host
-// decides.
+// against golden series in testdata/) pins what the simulation decides.
 //
 // Task bookkeeping is one registry under one lock (see TaskStore). The
 // lifecycle counters are not the engine's: an event.Ledger folds them
@@ -87,13 +84,11 @@ type Config struct {
 	// model of DESIGN.md §2). Nil charges nothing: the batch applies with
 	// the real elapsed time already spent.
 	Latency func(tasks, workers, edges, cycles int) time.Duration
-	// Defer, when set, paces every engine timer on the host's clock instead
-	// of the wall clock: Start arms Tick every BatchPoll, TickMonitor every
-	// MonitorPeriod and each kicked round through it, and a round's apply
-	// waits out its modelled latency through it. The experiments harness
-	// points it at sim.Engine.After. Nil keeps the live mode: two
-	// wall-clock loops, and a round applies synchronously. Defer must only
-	// schedule fn, never run it inline.
+	// Defer, when set, paces every engine timer on the host's clock: Start
+	// arms Tick, TickMonitor and each kicked round through it, and a round
+	// applies after its modelled latency through it (the experiments point
+	// it at sim.Engine.After). Nil is the live mode: wall-clock loops, and
+	// rounds apply synchronously. Defer must only schedule fn, never run it.
 	Defer func(d time.Duration, fn func(now time.Time))
 	// BatchPoll and MonitorPeriod pace what Start runs: Tick every
 	// BatchPoll (default 200ms), TickMonitor every MonitorPeriod (default
@@ -175,9 +170,9 @@ type Engine struct {
 	matcherNs atomic.Int64
 
 	// What Start runs (live.go): stop ends the live loops, loops waits for
-	// them, driven is set while a Defer-paced engine is started, and wake
-	// (one slot) asks for a round the moment the backlog half of the
-	// trigger holds (kick).
+	// them, driven is set while a Defer-paced engine runs, and wake (one
+	// slot) asks for a round the moment the backlog half of the trigger
+	// holds (kick).
 	stop     chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup
@@ -272,11 +267,10 @@ func (e *Engine) Submit(t taskq.Task) error {
 // kick asks for a round when the backlog half of the §IV.A trigger holds —
 // more than BatchBound tasks unassigned — read off the ledger's gauge, one
 // atomic load. It never blocks: the wake channel has one slot, so kicks
-// that land while a round runs coalesce into the one after it. A live
-// engine's batch loop reads the slot; a Defer-driven one arms the round as
-// Defer(0, …) when a kick fills the slot. The period half stays on the
-// BatchPoll tick. On an engine not started, kicks fill the slot and go
-// unread.
+// that land while a round runs coalesce into the one after it. The batch
+// loop reads the slot; on a Defer-driven engine the kick that fills it
+// arms the round as Defer(0, …). The period half stays on the BatchPoll
+// tick. An engine not started leaves its kicks unread.
 func (e *Engine) kick() {
 	if e.ledger.Unassigned() <= int64(e.cfg.Schedule.BatchBound) {
 		return

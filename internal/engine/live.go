@@ -2,25 +2,21 @@ package engine
 
 import "time"
 
-// Start sets the engine running on its own, and every host calls it, once,
-// after any recovery and before traffic: Tick every Config.BatchPoll
-// (retention GC, expiry of overdue unassigned tasks, the period half of
-// the batch trigger, the shedder), TryBatch whenever a submit, a release,
-// an attach or a worker turning willing finds more than BatchBound tasks
-// waiting, and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep).
-//
-// With Config.Defer nil, two wall-clock loops make those calls. With
-// Defer set, Start launches no goroutine: it arms the same three calls
-// through Defer — each period tick re-arms itself, and a kick becomes a
-// Defer(0, …) round — so a simulation on a virtual clock runs the one
-// sequence a live server runs.
+// Start launches what paces the engine; every host calls it once, after
+// any recovery and before traffic: Tick every Config.BatchPoll (retention
+// GC, expiry of overdue unassigned tasks, the period half of the batch
+// trigger, the shedder), TryBatch whenever a submit, a release, an attach
+// or a worker turning willing finds more than BatchBound tasks waiting,
+// and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep). With
+// Config.Defer nil, two wall-clock loops make those calls; with it set,
+// Start arms them through Defer and launches no goroutine.
 func (e *Engine) Start() {
 	if e.cfg.Defer != nil {
 		e.driven.Store(true)
 		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
 		e.cfg.Defer(e.cfg.MonitorPeriod, e.monitorTick)
 		if len(e.wake) > 0 {
-			e.cfg.Defer(0, e.wakeRound) // a kick before Start, as batchLoop would read it
+			e.cfg.Defer(0, e.wakeRound) // kicked before Start
 		}
 		return
 	}
@@ -29,18 +25,19 @@ func (e *Engine) Start() {
 	go e.monitorLoop()
 }
 
-// Stop ends the live loops and waits for both to return, so no tick runs
-// after it; on a Defer-driven engine, no armed tick or kicked round runs
-// after it and nothing re-arms. It is idempotent, and harmless on an
-// engine never started.
+// Stop ends what Start launched: no tick or kicked round runs after it,
+// and nothing re-arms. It is idempotent, and harmless on an engine never
+// started.
 func (e *Engine) Stop() {
 	e.driven.Store(false)
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.loops.Wait()
 }
 
-// pollTick is batchLoop's ticker case on the Defer clock: Tick, then
-// re-arm one BatchPoll on, until Stop.
+// pollTick, monitorTick and wakeRound are batchLoop's ticker and wake
+// cases and monitorLoop's tick on the Defer clock. A tick re-arms itself
+// until Stop; a kicked round empties the wake slot before it runs, so a
+// kick during the round arms the next one.
 func (e *Engine) pollTick(time.Time) {
 	if e.driven.Load() {
 		e.Tick()
@@ -48,7 +45,6 @@ func (e *Engine) pollTick(time.Time) {
 	}
 }
 
-// monitorTick is monitorLoop on the Defer clock.
 func (e *Engine) monitorTick(time.Time) {
 	if e.driven.Load() {
 		e.TickMonitor()
@@ -56,9 +52,6 @@ func (e *Engine) monitorTick(time.Time) {
 	}
 }
 
-// wakeRound is batchLoop's wake case on the Defer clock: it empties the
-// one-slot wake channel that the kick which armed it filled, then runs the
-// round, so kicks landing during the round arm the next one.
 func (e *Engine) wakeRound(time.Time) {
 	select {
 	case <-e.wake:

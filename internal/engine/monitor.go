@@ -23,10 +23,7 @@ const DefaultThreshold = 0.10
 // settings after Normalize. Eq. 2 trusts a worker's model once it has
 // profile.DefaultMinHistory samples, the paper's training threshold.
 type Monitor struct {
-	// Threshold: reassign when Eq. 2 falls below it. Zero takes the paper's
-	// 0.1; a negative one turns the monitor off (no probability falls below
-	// it, and Sweep does not run).
-	Threshold float64
+	Threshold float64 // reassign below this Eq. 2 value (0: the paper's 0.1; negative: monitor off)
 }
 
 // Normalize fills zero fields with the paper's defaults.

@@ -31,11 +31,9 @@ type cgNode struct {
 //     implements the interface (class-hierarchy analysis);
 //   - func fields: a call through a func-typed struct field (the
 //     engine.Hooks pattern) resolves to every value ever stored into
-//     that field anywhere in the module — including, through one call,
-//     the values handed to a parameter that its function only stores
-//     into fields (the sim.Engine.After pattern: a scheduler queues the
-//     handler, and the handler runs where the queue calls it, not under
-//     the scheduling caller's locks);
+//     that field anywhere in the module, including what a call hands a
+//     parameter its function only stores there (sim.Engine.After queues
+//     a handler: it runs where the queue calls it, not in the caller);
 //   - handed-in funcs: inside a type's methods, a call through a
 //     func-typed local or parameter resolves to every function value
 //     passed to that type's methods with an identical func type (the
@@ -50,12 +48,10 @@ type callGraph struct {
 	fieldFuncs map[*types.Var][]*cgNode // func-typed field -> stored targets
 	named      []namedInPkg             // all module named types, for CHA
 
-	// Func-typed variables stored into fields: the fields, and how many of
-	// the variable's uses are such stores or nil comparisons, against all
-	// its uses (see storedFields).
-	varFields  map[*types.Var][]*types.Var
-	benignUses map[*types.Var]int
-	uses       map[*types.Var]int
+	// Func-typed variables stored into fields, and how many uses each
+	// has besides such stores and nil comparisons (see storedFields).
+	varFields map[*types.Var][]*types.Var
+	otherUses map[*types.Var]int
 
 	handedIn  map[*types.TypeName][]handedFunc  // type -> func values passed to its methods
 	varCaller map[*ast.CallExpr]*types.TypeName // call through a func-typed variable -> its method's type
@@ -82,8 +78,7 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 		handedIn:   make(map[*types.TypeName][]handedFunc),
 		varCaller:  make(map[*ast.CallExpr]*types.TypeName),
 		varFields:  make(map[*types.Var][]*types.Var),
-		benignUses: make(map[*types.Var]int),
-		uses:       make(map[*types.Var]int),
+		otherUses:  make(map[*types.Var]int),
 	}
 	for _, tp := range tm.List {
 		scope := tp.Types.Scope()
@@ -120,13 +115,12 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 		}
 		for _, obj := range tp.Info.Uses {
 			if v, ok := obj.(*types.Var); ok && isFuncType(v.Type()) {
-				g.uses[v]++
+				g.otherUses[v]++
 			}
 		}
 	}
 	// Third pass: a function value handed to a parameter its callee only
-	// stores joins the values of the fields it is stored into. Repeat while
-	// that resolves more calls.
+	// stores joins those fields' values; repeat while that resolves more.
 	for grown := true; grown; {
 		grown = false
 		for _, tp := range tm.List {
@@ -165,23 +159,17 @@ func (g *callGraph) storeHandedIn(tp *TypedPackage, call *ast.CallExpr) bool {
 
 // storedFields returns the fields n's i-th parameter is stored into when
 // storing it, and comparing it with nil, is all n does with it: a function
-// value handed there is invoked wherever those fields are called, never by
-// n itself. Nil otherwise.
+// value handed there runs wherever those fields are called, never in n.
 func (g *callGraph) storedFields(n *cgNode, i int) []*types.Var {
-	var sig *types.Signature
+	t := n.pkg.Info.TypeOf(n.lit)
 	if n.fn != nil {
-		sig, _ = n.fn.Type().(*types.Signature)
-	} else if tv, ok := n.pkg.Info.Types[n.lit]; ok {
-		sig, _ = tv.Type.(*types.Signature)
+		t = n.fn.Type()
 	}
-	if sig == nil || i >= sig.Params().Len() || (sig.Variadic() && i == sig.Params().Len()-1) {
+	sig, _ := t.(*types.Signature)
+	if sig == nil || i >= sig.Params().Len() || g.otherUses[sig.Params().At(i)] > 0 {
 		return nil
 	}
-	p := sig.Params().At(i)
-	if g.uses[p] != g.benignUses[p] {
-		return nil
-	}
-	return g.varFields[p]
+	return g.varFields[sig.Params().At(i)]
 }
 
 // funcVar returns the func-typed variable expr names, if it names one.
@@ -291,16 +279,9 @@ func (g *callGraph) indexFieldStores(tp *TypedPackage, file *ast.File) {
 				}
 				g.recordFieldStore(tp, field, n.Rhs[i])
 			}
-		case *ast.BinaryExpr:
-			if n.Op != token.EQL && n.Op != token.NEQ {
-				return true
-			}
-			for _, operands := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
-				if tv, ok := tp.Info.Types[operands[1]]; ok && tv.IsNil() {
-					if v := funcVar(tp, operands[0]); v != nil {
-						g.benignUses[v]++
-					}
-				}
+		case *ast.BinaryExpr: // fn == nil, fn != nil
+			if v := funcVar(tp, n.X); v != nil && (n.Op == token.EQL || n.Op == token.NEQ) && tp.Info.Types[n.Y].IsNil() {
+				g.otherUses[v]--
 			}
 		}
 		return true
@@ -379,7 +360,7 @@ func (g *callGraph) recordFieldStore(tp *TypedPackage, field *types.Var, value a
 	field = field.Origin()
 	if v := funcVar(tp, value); v != nil {
 		g.varFields[v] = append(g.varFields[v], field)
-		g.benignUses[v]++
+		g.otherUses[v]--
 	}
 	for _, t := range g.funcValueTargets(tp, value) {
 		g.fieldFuncs[field] = append(g.fieldFuncs[field], t)

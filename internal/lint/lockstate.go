@@ -382,10 +382,9 @@ func (w *funcWalker) recordCall(call *ast.CallExpr, kind edgeKind) {
 	}
 	// Function values passed as arguments: if the callee is a module
 	// function, assume it may invoke them (entry context flows through
-	// the callee) unless it only stores them, which makes them values of
-	// the fields they are stored into (buildCallGraph); if external
-	// (sort.Slice, sync.Once.Do), assume a synchronous invocation right
-	// here.
+	// the callee) unless it only stores them (see storedFields); if
+	// external (sort.Slice, sync.Once.Do), assume a synchronous
+	// invocation right here.
 	for i, arg := range call.Args {
 		ts := lf.graph.funcValueTargets(tp, arg)
 		if len(ts) == 0 {

@@ -58,7 +58,6 @@ type Engine struct {
 	queue eventQueue
 	seq   uint64
 	seed  int64
-	fired uint64
 }
 
 // New returns an engine whose clock starts at clock.Epoch and whose RNG
@@ -96,25 +95,21 @@ func (e *Engine) After(d time.Duration, fn Handler) {
 func (e *Engine) step() {
 	ev := heap.Pop(&e.queue).(*event)
 	e.clk.Set(ev.at)
-	e.fired++
 	ev.fn(ev.at)
 }
 
 // RunUntil delivers events in order until the queue is empty or the next
-// event is after deadline. The clock finishes at deadline. It returns the
-// number of events delivered.
-func (e *Engine) RunUntil(deadline time.Time) (delivered uint64) {
-	start := e.fired
+// event is after deadline. The clock finishes at deadline.
+func (e *Engine) RunUntil(deadline time.Time) {
 	for len(e.queue) > 0 && !e.queue[0].at.After(deadline) {
 		e.step()
 	}
 	e.clk.Set(deadline)
-	return e.fired - start
 }
 
 // RunFor is RunUntil(now + d).
-func (e *Engine) RunFor(d time.Duration) uint64 {
-	return e.RunUntil(e.clk.Now().Add(d))
+func (e *Engine) RunFor(d time.Duration) {
+	e.RunUntil(e.clk.Now().Add(d))
 }
 
 // Rand derives a deterministic RNG stream from the engine seed and a label.
