@@ -516,8 +516,7 @@ func TestStartArmsTicksThroughDefer(t *testing.T) {
 		t.Fatalf("Start armed %s, want %s", got, want)
 	}
 
-	// Past both deadlines, the 200 ms tick expires the waiting task; the
-	// held one runs on (soft deadlines) until the sweep.
+	// Past its deadline, the 200 ms tick expires the waiting task.
 	h.clk.Advance(2 * time.Minute)
 	h.fire(0)
 	if rec, _ := h.eng.Tasks().Get("waiting"); rec.Status != taskq.Expired {
@@ -547,29 +546,33 @@ func TestStartArmsTicksThroughDefer(t *testing.T) {
 }
 
 // TestKicksAtOneInstantArmOneRound: kicks that land before the kicked round
-// runs coalesce in the one-slot wake channel into one Defer(0, …) round,
-// and once that round has run, the next kick arms another.
+// runs — here the first before Start, which arms it — coalesce in the
+// one-slot wake channel into one Defer(0, …) round, and once that round has
+// run, the next kick arms another.
 func TestKicksAtOneInstantArmOneRound(t *testing.T) {
-	h := newHarness(t, Hooks{}) // BatchBound 10
-	h.eng.Start()
-	defer h.eng.Stop()
-	armed := len(h.pending)
-	for i := 0; i < 14; i++ { // submits 11 to 14 each kick
+	h := newHarness(t, Hooks{}) // BatchBound 10: the 11th submit kicks
+	for i := 0; i < 11; i++ {
 		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
 	}
-	if got := h.delays()[armed:]; len(got) != 1 || got[0] != 0 {
-		t.Fatalf("four kicks armed %v, want one round now", got)
+	if len(h.pending) != 0 {
+		t.Fatalf("an engine not started armed %v", h.delays())
 	}
-	mustAttach(t, h.eng, "w1") // a fifth
-	if got := len(h.pending) - armed; got != 1 {
-		t.Fatalf("%d rounds armed, want still one", got)
+	h.eng.Start()
+	defer h.eng.Stop()
+	if got := h.delays()[2:]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("Start armed %v after the two ticks, want the pending kick's round", got)
+	}
+	mustSubmit(t, h.eng, testTask("t11", h.clk))
+	mustAttach(t, h.eng, "w1")
+	if got := len(h.pending); got != 3 {
+		t.Fatalf("%d calls armed, want still the two ticks and one round", got)
 	}
 	h.fireInstant(1)
 	if got := h.eng.Stats().Batches; got != 1 {
 		t.Fatalf("batches = %d, want the one kicked round", got)
 	}
-	h.fireInstant(1) // its apply binds one task; 13 still wait
-	mustSubmit(t, h.eng, testTask("t14", h.clk))
+	h.fireInstant(1) // its apply binds one task; 11 still wait
+	mustSubmit(t, h.eng, testTask("t12", h.clk))
 	if ran := h.fireInstant(1); ran != 1 {
 		t.Fatal("a kick after the round ran armed nothing")
 	}
@@ -587,7 +590,12 @@ func TestNothingRearmsAfterStop(t *testing.T) {
 	}
 	h.eng.Stop()
 	h.clk.Advance(time.Hour)
-	h.flush()
+	for fired := 0; len(h.pending) > 0; fired++ {
+		if fired == 10 {
+			t.Fatalf("still arming %v after Stop", h.delays())
+		}
+		h.fire(0)
+	}
 	for i := 11; i < 22; i++ {
 		mustSubmit(t, h.eng, testTask(fmt.Sprintf("t%02d", i), h.clk))
 	}
