@@ -13,9 +13,11 @@ RACE_EXAMPLES = ./examples/quickstart ./examples/imagesearch ./examples/trafficw
 # the linter is the gate everything else leans on, the journal is what
 # crash recovery trusts, the event spine is what every consumer of
 # lifecycle state (journal, obs, wire) now rides on, the
-# admission plane decides which tasks are turned away at the door, and
-# the profiles hold the laws Eq. 2, Eq. 3 and the admission gates act on.
-COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission internal/profile
+# admission plane decides which tasks are turned away at the door, the
+# profiles hold the laws Eq. 2, Eq. 3 and the admission gates act on, and
+# the simulation harness (experiments on sim) is where every scheduling
+# claim is checked first.
+COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission internal/profile internal/experiments internal/sim
 COVER_FLOOR = 70
 
 .PHONY: all build fmt-check shim-check lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci

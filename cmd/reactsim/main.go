@@ -52,28 +52,21 @@ func main() {
 		printStudy(*seed)
 		return
 	}
+	// The scenario -seeds, -losses and -sensitivity run: the paper's
+	// §V.C setup, or with -quick 150 workers at 2 tasks/s for 600 tasks.
+	template := experiments.ScenarioConfig{}
+	if *quick {
+		template = experiments.ScenarioConfig{Workers: 150, Rate: 2, TargetTasks: 600}
+	}
 	if *seeds > 0 {
-		template := experiments.ScenarioConfig{}
-		if *quick {
-			template = experiments.ScenarioConfig{Workers: 150, Rate: 2, TargetTasks: 600}
-		}
-		rep := experiments.ConfidenceReport(template, experiments.SeedList(*seed, *seeds))
-		rep.Write(os.Stdout)
+		experiments.ConfidenceReport(template, experiments.SeedList(*seed, *seeds)).Write(os.Stdout)
 		return
 	}
 	if *losses {
-		template := experiments.ScenarioConfig{}
-		if *quick {
-			template = experiments.ScenarioConfig{Workers: 150, Rate: 2, TargetTasks: 600}
-		}
 		experiments.LossReport(template, *seed).Write(os.Stdout)
 		return
 	}
 	if *sensitivity {
-		template := experiments.ScenarioConfig{}
-		if *quick {
-			template = experiments.ScenarioConfig{Workers: 150, Rate: 2, TargetTasks: 600}
-		}
 		experiments.DeadlineSensitivity(*seed, template).Write(os.Stdout)
 		experiments.ThresholdSensitivity(*seed, template).Write(os.Stdout)
 		return

@@ -2,44 +2,34 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"react/internal/crowd"
 	"react/internal/engine"
 	"react/internal/event"
 	"react/internal/metrics"
-	"react/internal/region"
+	"react/internal/schedule"
 	"react/internal/sim"
 	"react/internal/taskq"
 	"react/internal/workload"
 )
 
-// newRand derives a deterministic RNG from a seed and a label, mirroring
-// sim.Engine.Rand for components constructed before the engine exists.
-func newRand(seed int64, label string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprint(h, label)
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-}
+// drainGrace is the virtual time a run keeps going after its last arrival,
+// for stragglers to finish.
+const drainGrace = 5 * time.Minute
 
 // ScenarioConfig describes one end-to-end run of §V.C: a single region
 // server, a worker population, and a task stream. Zero fields are filled by
 // Normalize with the paper's main-experiment settings (750 workers,
-// 9.375 tasks/s, 8371 tasks, batch bound 10, monitor threshold 0.1, 1000
-// REACT cycles).
+// 9.375 tasks/s, 8371 tasks, REACT at 1000 cycles); the engine's own
+// defaults give the rest (batch bound 10, 5 s batch period, Eq. 2
+// threshold 0.1 swept every second).
 type ScenarioConfig struct {
-	Technique     Technique
-	Workers       int
-	Rate          float64 // tasks per second
-	TargetTasks   int     // submissions before the stream stops
-	Seed          int64
-	BatchBound    int
-	BatchPeriod   time.Duration
-	MonitorPeriod time.Duration
-	DrainGrace    time.Duration // extra virtual time for stragglers after the last arrival
-	Area          region.Rect
+	Technique   Technique
+	Workers     int
+	Rate        float64 // tasks per second
+	TargetTasks int     // submissions before the stream stops
+	Seed        int64
 	// DeadlineMin/Max override the task deadline band (zero: the paper's
 	// 60-120 s derived from the case study). Used by the sensitivity sweep.
 	DeadlineMin time.Duration
@@ -66,21 +56,6 @@ func (c ScenarioConfig) Normalize() ScenarioConfig {
 	}
 	if c.TargetTasks <= 0 {
 		c.TargetTasks = 8371
-	}
-	if c.BatchBound <= 0 {
-		c.BatchBound = 10
-	}
-	if c.BatchPeriod <= 0 {
-		c.BatchPeriod = 5 * time.Second
-	}
-	if c.MonitorPeriod <= 0 {
-		c.MonitorPeriod = time.Second
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 5 * time.Minute
-	}
-	if !c.Area.Valid() {
-		c.Area = region.Rect{MinLat: 37.8, MinLon: 23.5, MaxLat: 38.2, MaxLon: 24.0}
 	}
 	if c.Technique.Matcher == nil {
 		c.Technique = REACTTechnique(0, c.Seed)
@@ -176,57 +151,27 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	// figure needs them.
 	counts := func() event.Tally { return re.Ledger().Counts() }
 
-	// completeTask fires when a worker finishes; stale events (task
-	// reassigned, completed by someone else, or expired) are recognised by
-	// the assignment timestamp and ignored.
-	completeTask := func(workerID, taskID string, assignedAt time.Time) sim.Handler {
-		return func(now time.Time) {
-			rec, okT := re.Tasks().Get(taskID)
-			current := okT && rec.Status == taskq.Assigned &&
-				rec.Worker == workerID && rec.AssignedAt.Equal(assignedAt)
-			if current {
-				final, err := re.Complete(taskID, workerID)
-				if err == nil {
-					met := final.MetDeadline()
-					pos := behaviors[workerID].PositiveFeedback(fbRng, met)
-					re.Feedback(taskID, pos) // ErrNoWorker impossible: sim workers never deregister
-					if pos {
-						res.Positive++
-					}
-					workerExec.Observe(final.ExecTime().Seconds())
-					execHist.Observe(final.ExecTime().Seconds())
-					totalExec.Observe(final.TotalTime().Seconds())
-					attempts.Observe(float64(final.Attempts))
-					if final.Attempts > res.MaxAttempts {
-						res.MaxAttempts = final.Attempts
-					}
-					c := counts()
-					res.OnTimeSeries.Add(float64(c.Received), float64(c.OnTime))
-					res.PositiveSeries.Add(float64(c.Received), float64(res.Positive))
-				}
-			}
+	re = newHost(eng, engine.Config{
+		Matcher:  cfg.Technique.Matcher,
+		Schedule: schedule.Config{NoPruning: cfg.Technique.NoPruning},
+		Monitor:  engine.Monitor{Threshold: cfg.MonitorThreshold},
+		Latency:  cfg.Technique.Cost,
+	}, func(rec taskq.Record) time.Duration {
+		return behaviors[rec.Worker].ExecTime(execRng)
+	}, func(final taskq.Record) {
+		pos := behaviors[final.Worker].PositiveFeedback(fbRng, final.MetDeadline())
+		re.Feedback(final.Task.ID, pos) // ErrNoWorker impossible: sim workers never deregister
+		if pos {
+			res.Positive++
 		}
-	}
-
-	re = engine.New(engine.Config{
-		Clock:         eng.Clock(),
-		Matcher:       cfg.Technique.Matcher,
-		Schedule:      cfg.Technique.ScheduleConfig(cfg.BatchBound, cfg.BatchPeriod),
-		Monitor:       engine.Monitor{Threshold: cfg.MonitorThreshold},
-		MonitorPeriod: cfg.MonitorPeriod,
-		Latency:       cfg.Technique.Cost,
-		// Every engine timer — the BatchPoll tick, the Eq. 2 sweep, kicked
-		// rounds, the modelled matcher charge — is an event on this clock.
-		Defer: eng.After,
-	}, engine.Hooks{
-		// Drawing exec times here — inside the engine's sorted-order
-		// apply — keeps the RNG stream, and with it the whole run,
-		// deterministic.
-		Deliver: func(rec taskq.Record) bool {
-			exec := behaviors[rec.Worker].ExecTime(execRng)
-			eng.After(exec, completeTask(rec.Worker, rec.Task.ID, rec.AssignedAt))
-			return true
-		},
+		workerExec.Observe(final.ExecTime().Seconds())
+		execHist.Observe(final.ExecTime().Seconds())
+		totalExec.Observe(final.TotalTime().Seconds())
+		attempts.Observe(float64(final.Attempts))
+		res.MaxAttempts = max(res.MaxAttempts, final.Attempts)
+		c := counts()
+		res.OnTimeSeries.Add(float64(c.Received), float64(c.OnTime))
+		res.PositiveSeries.Add(float64(c.Received), float64(res.Positive))
 	})
 
 	// The modelled matcher time rides the event spine (the lifecycle counts
@@ -242,34 +187,24 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	}
 
 	// Population: behaviours drawn from the case-study marginals, locations
-	// uniform in the region.
+	// uniform in the workload's area.
+	gen := workload.Generator{DeadlineMin: cfg.DeadlineMin, DeadlineMax: cfg.DeadlineMax}.Normalize()
 	locRng := eng.Rand("locations")
 	for i, b := range crowd.NewPopulation(cfg.Workers, eng.Rand("population")) {
 		id := fmt.Sprintf("w%04d", i)
 		behaviors[id] = b
-		if _, err := re.AttachWorker(id, cfg.Area.RandomPoint(locRng)); err != nil {
+		if _, err := re.AttachWorker(id, gen.Area.RandomPoint(locRng)); err != nil {
 			panic(err) // ids are unique by construction
 		}
 	}
 
-	gen := workload.Generator{
-		Prefix:      "task",
-		Area:        cfg.Area,
-		DeadlineMin: cfg.DeadlineMin,
-		DeadlineMax: cfg.DeadlineMax,
-	}
+	// Arrivals: one event per task until TargetTasks have landed; a submit
+	// over BatchBound kicks a round.
 	stream := workload.NewStream(gen, workload.Constant{Rate: cfg.Rate}, eng.Now(), eng.Rand("workload"))
-
-	// Arrival pump: one event per task; a submit over BatchBound kicks a
-	// round.
-	var arrive sim.Handler
-	arrive = func(now time.Time) {
+	arrive(eng, stream.Peek(), func(time.Time) (time.Time, bool) {
 		_ = re.Submit(stream.Take()) // a refused task is not received: the ledger counts only submits that land
-		if counts().Received < int64(cfg.TargetTasks) {
-			eng.Schedule(stream.Peek(), arrive)
-		}
-	}
-	eng.Schedule(stream.Peek(), arrive)
+		return stream.Peek(), counts().Received < int64(cfg.TargetTasks)
+	})
 
 	// Connectivity churn: workers drop offline and return, independent of
 	// any task they hold (a held task completes normally; the worker just
@@ -302,7 +237,7 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	re.Start()
 	// Run until every submitted task is terminal or the grace window ends.
 	arrivalSpan := time.Duration(float64(cfg.TargetTasks)/cfg.Rate*float64(time.Second)) + time.Second
-	deadline := eng.Now().Add(arrivalSpan + cfg.DrainGrace)
+	deadline := eng.Now().Add(arrivalSpan + drainGrace)
 	for eng.Now().Before(deadline) {
 		eng.RunFor(10 * time.Second)
 		_, _, completed, expired := re.Tasks().Counts()

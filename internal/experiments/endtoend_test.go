@@ -99,8 +99,7 @@ func TestREACTFasterWorkerExec(t *testing.T) {
 
 func TestScenarioNormalizeDefaults(t *testing.T) {
 	c := ScenarioConfig{}.Normalize()
-	if c.Workers != 750 || c.Rate != 9.375 || c.TargetTasks != 8371 ||
-		c.BatchBound != 10 || c.MonitorPeriod != time.Second {
+	if c.Workers != 750 || c.Rate != 9.375 || c.TargetTasks != 8371 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if c.Technique.Name != "react" {

@@ -7,6 +7,7 @@ import (
 
 	"react/internal/bipartite"
 	"react/internal/matching"
+	"react/internal/sim"
 )
 
 // MatchPoint is one measurement of the Figure 3/4 experiment: one algorithm
@@ -79,9 +80,9 @@ func RunMatchBench(cfg MatchBenchConfig) []MatchPoint {
 		run("greedy", 0, matching.Greedy{})
 		for _, cycles := range cfg.Cycles {
 			run(fmt.Sprintf("react-%d", cycles), cycles,
-				matching.REACT{Cycles: cycles, Rand: newRand(cfg.Seed, "fig34-react")})
+				matching.REACT{Cycles: cycles, Rand: sim.Rand(cfg.Seed, "fig34-react")})
 			run(fmt.Sprintf("metropolis-%d", cycles), cycles,
-				matching.Metropolis{Cycles: cycles, Rand: newRand(cfg.Seed, "fig34-metro")})
+				matching.Metropolis{Cycles: cycles, Rand: sim.Rand(cfg.Seed, "fig34-metro")})
 		}
 		if cfg.Hungarian {
 			run("hungarian", 0, matching.Hungarian{})

@@ -151,14 +151,33 @@ func TestLossReportMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestPaperShapes runs the full §V.C scenario and asserts the qualitative
-// claims of Figures 5–8. It covers ~15 simulated minutes per technique, so
-// it is skipped under -short.
+// matchesGolden fails t unless rep renders byte for byte as the checked-in
+// `reactsim -fig N -seed 7` output for its figure.
+func matchesGolden(t *testing.T, rep FigureReport) {
+	t.Helper()
+	path := "../../testdata/golden_" + rep.ID + "_seed7.txt"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := rep.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("%s diverges from %s:\n%s\nwant:\n%s", rep.ID, path, b.String(), want)
+	}
+}
+
+// TestPaperShapes runs the full §V.C scenario at seed 7, asserts the
+// qualitative claims of Figures 5–8, and pins each rendered figure to its
+// golden. It covers ~15 simulated minutes per technique, so it is skipped
+// under -short.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale scenario; run without -short")
 	}
-	results, reports := Figures5to8(42)
+	results, reports := Figures5to8(7)
 	byName := map[string]ScenarioResult{}
 	for _, r := range results {
 		byName[r.Technique] = r
@@ -189,13 +208,16 @@ func TestPaperShapes(t *testing.T) {
 	if react.MeanTotalExec >= trad.MeanTotalExec {
 		t.Fatalf("react total %.1fs not below traditional %.1fs", react.MeanTotalExec, trad.MeanTotalExec)
 	}
-	// Reports render.
 	for _, r := range reports {
-		var b strings.Builder
-		if err := r.Write(&b); err != nil {
-			t.Fatal(err)
-		}
+		matchesGolden(t, r)
 	}
+}
+
+// TestFigures910MatchGolden pins `reactsim -fig 9,10 -quick -seed 7`.
+func TestFigures910MatchGolden(t *testing.T) {
+	_, fig9, fig10 := Figures910(ScaleConfig{Sizes: []int{100, 250}, Rates: []float64{1.5, 3.125}, Seed: 7})
+	matchesGolden(t, fig9)
+	matchesGolden(t, fig10)
 }
 
 func TestRunScenarioSeeds(t *testing.T) {

@@ -22,14 +22,10 @@ func LossReport(template ScenarioConfig, seed int64) FigureReport {
 		cols = append(cols, string(k))
 	}
 	t := metrics.NewTable(cols...)
-	for _, mk := range []func(int64) Technique{
-		func(s int64) Technique { return REACTTechnique(0, s) },
-		func(s int64) Technique { return GreedyTechnique() },
-		func(s int64) Technique { return TraditionalTechnique(s) },
-	} {
+	for _, tech := range techniques(seed) {
 		cfg := template
 		cfg.Seed = seed
-		cfg.Technique = mk(seed)
+		cfg.Technique = tech
 		res := RunScenario(cfg)
 		n := res.Ledger.Counts()
 		row := []any{res.Technique, n.OnTime, n.Completed - n.OnTime + n.Expired}

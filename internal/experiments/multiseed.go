@@ -84,14 +84,10 @@ func SeedList(base int64, n int) []int64 {
 // ConfidenceReport renders the three §V.C techniques across seeds as a
 // figure-style table.
 func ConfidenceReport(template ScenarioConfig, seeds []int64) FigureReport {
-	makers := []func(int64) Technique{
-		func(s int64) Technique { return REACTTechnique(0, s) },
-		func(s int64) Technique { return GreedyTechnique() },
-		func(s int64) Technique { return TraditionalTechnique(s) },
-	}
 	t := metrics.NewTable("technique", "seeds", "ontime_pct_mean", "ontime_pct_std",
 		"positive_pct_mean", "worker_exec_s", "total_exec_s")
-	for _, mk := range makers {
+	for i := range techniques(0) {
+		mk := func(s int64) Technique { return techniques(s)[i] }
 		agg := RunScenarioSeeds(mk, template, seeds)
 		t.AddRow(agg.Technique, agg.Seeds,
 			round2(agg.OnTimePct.Mean), round2(agg.OnTimePct.Std),

@@ -25,49 +25,23 @@ const (
 	overloadKmin  = 0.35
 )
 
-// OverloadBenchConfig shapes the three-arm overload experiment behind
-// TestOverloadBenchAdmissionProtectsGoodput. Everything runs in virtual
-// time on one goroutine, so the numbers are bit-identical across machines
-// — the test compares exact behaviour, not wall clocks.
-type OverloadBenchConfig struct {
-	Workers        int           // simulated fleet size (default 20)
-	Duration       time.Duration // virtual run length (default 60s)
-	BaseRate       float64       // 1x arrivals per second (default 12)
-	OverloadFactor int           // overload arms multiply BaseRate by this (default 10)
-	Deadline       time.Duration // per-task deadline from submission (default 2s)
-	// Every TightEvery-th task carries TightDeadline instead (defaults 4
-	// and 700ms): a slice of urgent work that is feasible on an idle
-	// fleet but hopeless behind a queue, which is what makes the
-	// probability floor — not just the concurrency ceiling — bind.
-	TightEvery    int
-	TightDeadline time.Duration
-	Seed          int64 // drives the uniform matcher's pairing order
-}
-
-func (c OverloadBenchConfig) normalize() OverloadBenchConfig {
-	if c.Workers <= 0 {
-		c.Workers = 20
-	}
-	if c.Duration <= 0 {
-		c.Duration = 60 * time.Second
-	}
-	if c.BaseRate <= 0 {
-		c.BaseRate = 12
-	}
-	if c.OverloadFactor <= 1 {
-		c.OverloadFactor = 10
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * time.Second
-	}
-	if c.TightEvery <= 0 {
-		c.TightEvery = 4
-	}
-	if c.TightDeadline <= 0 {
-		c.TightDeadline = 700 * time.Millisecond
-	}
-	return c
-}
+// The overload experiment's shape. Everything runs in virtual time on one
+// goroutine, so the numbers are bit-identical across machines: the tests
+// compare exact behaviour, not wall clocks.
+const (
+	overloadWorkers  = 20               // simulated fleet size
+	overloadDuration = 60 * time.Second // virtual run length
+	overloadBaseRate = 12.0             // 1x arrivals per second
+	overloadFactor   = 10               // overload arms multiply the base rate by this
+	overloadDeadline = 2 * time.Second  // per-task deadline from submission
+	// Every overloadTightEvery-th task carries overloadTightDeadline
+	// instead: a slice of urgent work that is feasible on an idle fleet
+	// but hopeless behind a queue, which is what makes the probability
+	// floor — not just the concurrency ceiling — bind.
+	overloadTightEvery    = 4
+	overloadTightDeadline = 700 * time.Millisecond
+	overloadSeed          = 0 // drives the uniform matcher's pairing order
+)
 
 // OverloadArmResult is one arm's outcome.
 type OverloadArmResult struct {
@@ -88,8 +62,8 @@ type OverloadArmResult struct {
 	UnassignedHighWater int     `json:"unassigned_highwater"`
 }
 
-// OverloadBenchResult is the full experiment: a 1x baseline, the same
-// fleet at OverloadFactor-times the arrival rate with the admission
+// OverloadBenchResult is the full experiment, echoing its constants: a 1x
+// baseline, the same fleet at OverloadFactor-times the arrival rate with the admission
 // plane off (the collapse), and again with it on (the recovery).
 type OverloadBenchResult struct {
 	Workers         int     `json:"workers"`
@@ -140,15 +114,16 @@ func execTimeFor(taskID string) time.Duration {
 // Eq. 2 monitor — the point of the experiment is what the admission plane
 // does for a scheduler that is itself deadline-blind. The engine runs as
 // any host runs it, started on the virtual clock with a 50 ms poll.
-func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *admission.Config) (OverloadArmResult, error) {
-	loop := sim.New(cfg.Seed)
+func runOverloadArm(name string, rate float64, acfg *admission.Config) OverloadArmResult {
+	loop := sim.New(overloadSeed)
 	start := loop.Now()
 	loc := region.Point{Lat: 38, Lon: 23.7}
 
-	var eng *engine.Engine
-	eng = engine.New(engine.Config{
-		Clock:   loop.Clock(),
-		Matcher: matching.Uniform{Rand: rand.New(rand.NewSource(cfg.Seed))},
+	// A worker finishes its task after the task's service time (late
+	// completions included: the soft-deadline policy lets assigned tasks
+	// run to the end); a shed or raced task is simply gone.
+	eng := newHost(loop, engine.Config{
+		Matcher: matching.Uniform{Rand: rand.New(rand.NewSource(overloadSeed))},
 		Schedule: schedule.Config{
 			BatchBound:  1,
 			BatchPeriod: time.Second,
@@ -156,36 +131,24 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		Monitor:   engine.Monitor{Threshold: -1},
 		Admission: acfg,
 		BatchPoll: 50 * time.Millisecond,
-		Defer:     loop.After,
-	}, engine.Hooks{
-		// A worker finishes its task after the task's service time (late
-		// completions included: the soft-deadline policy lets assigned
-		// tasks run to the end); a shed or raced task is simply gone.
-		Deliver: func(rec taskq.Record) bool {
-			loop.After(execTimeFor(rec.Task.ID), func(time.Time) {
-				_, _ = eng.Complete(rec.Task.ID, rec.Worker)
-			})
-			return true
-		},
-	})
-	for w := 0; w < cfg.Workers; w++ {
+	}, func(rec taskq.Record) time.Duration { return execTimeFor(rec.Task.ID) }, nil)
+	for w := 0; w < overloadWorkers; w++ {
 		if _, err := eng.AttachWorker(fmt.Sprintf("w%02d", w), loc); err != nil {
-			return OverloadArmResult{}, err
+			panic(err) // ids are unique by construction
 		}
 	}
 
 	// Open-loop arrivals: the offered schedule never slows down for the
 	// server, which is exactly what makes overload overload.
-	// Task n arrives at (n+1)/rate, so a run offers rate × Duration tasks.
+	// Task n arrives at (n+1)/rate, so a run offers rate × duration tasks.
 	res := OverloadArmResult{Name: name, Admission: acfg != nil}
 	arrivalAt := func(n int) time.Time {
 		return start.Add(time.Duration(float64(n+1) / rate * float64(time.Second)))
 	}
-	var arrive sim.Handler
-	arrive = func(now time.Time) {
-		deadline := cfg.Deadline
-		if res.Offered%cfg.TightEvery == cfg.TightEvery-1 {
-			deadline = cfg.TightDeadline
+	arrive(loop, arrivalAt(0), func(now time.Time) (time.Time, bool) {
+		deadline := overloadDeadline
+		if res.Offered%overloadTightEvery == overloadTightEvery-1 {
+			deadline = overloadTightDeadline
 		}
 		t := taskq.Task{
 			ID:       fmt.Sprintf("t%07d", res.Offered),
@@ -197,12 +160,11 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 		if _, err := eng.SubmitFrom("load", t); err == nil {
 			res.Submitted++
 		}
-		loop.Schedule(arrivalAt(res.Offered), arrive)
-	}
-	loop.Schedule(arrivalAt(0), arrive)
+		return arrivalAt(res.Offered), true
+	})
 
 	eng.Start()
-	loop.RunUntil(start.Add(cfg.Duration))
+	loop.RunUntil(start.Add(overloadDuration))
 	eng.Stop()
 
 	st := eng.Stats()
@@ -212,50 +174,42 @@ func runOverloadArm(cfg OverloadBenchConfig, name string, rate float64, acfg *ad
 	if ctl := eng.Admission(); ctl != nil {
 		_, res.RejectedProbability, res.RejectedRate, res.Shed = ctl.Counters()
 	}
-	res.GoodputPerSec = float64(st.OnTime) / cfg.Duration.Seconds()
+	res.GoodputPerSec = float64(st.OnTime) / overloadDuration.Seconds()
 	if res.Offered > 0 {
 		res.GoodputPerOffered = float64(st.OnTime) / float64(res.Offered)
 	}
 	res.UnassignedHighWater = eng.Tasks().ShardStats()[0].UnassignedHighWater
-	return res, nil
+	return res
 }
 
 // RunOverloadBench runs the three arms and derives the goodput ratios.
 // The admission arm uses the plane's production defaults scaled to the
 // simulated fleet: an in-flight ceiling of twice the fleet, a 0.5
 // probability floor, and a 500 ms CoDel target.
-func RunOverloadBench(cfg OverloadBenchConfig) (OverloadBenchResult, error) {
-	cfg = cfg.normalize()
+func RunOverloadBench() OverloadBenchResult {
 	res := OverloadBenchResult{
-		Workers:         cfg.Workers,
-		DurationSeconds: cfg.Duration.Seconds(),
-		BaseRate:        cfg.BaseRate,
-		OverloadFactor:  cfg.OverloadFactor,
-		DeadlineSeconds: cfg.Deadline.Seconds(),
-		TightEvery:      cfg.TightEvery,
-		TightDeadlineS:  cfg.TightDeadline.Seconds(),
-		Seed:            cfg.Seed,
+		Workers:         overloadWorkers,
+		DurationSeconds: overloadDuration.Seconds(),
+		BaseRate:        overloadBaseRate,
+		OverloadFactor:  overloadFactor,
+		DeadlineSeconds: overloadDeadline.Seconds(),
+		TightEvery:      overloadTightEvery,
+		TightDeadlineS:  overloadTightDeadline.Seconds(),
+		Seed:            overloadSeed,
 	}
-	overRate := cfg.BaseRate * float64(cfg.OverloadFactor)
+	overRate := overloadBaseRate * overloadFactor
 	acfg := &admission.Config{
 		ProbFloor:    0.5,
-		MaxInflight:  2 * cfg.Workers,
+		MaxInflight:  2 * overloadWorkers,
 		ShedTarget:   500 * time.Millisecond,
 		ShedInterval: 200 * time.Millisecond,
 	}
-	var err error
-	if res.Baseline, err = runOverloadArm(cfg, "baseline_1x", cfg.BaseRate, nil); err != nil {
-		return res, err
-	}
-	if res.OverloadOff, err = runOverloadArm(cfg, "overload_off", overRate, nil); err != nil {
-		return res, err
-	}
-	if res.OverloadOn, err = runOverloadArm(cfg, "overload_on", overRate, acfg); err != nil {
-		return res, err
-	}
+	res.Baseline = runOverloadArm("baseline_1x", overloadBaseRate, nil)
+	res.OverloadOff = runOverloadArm("overload_off", overRate, nil)
+	res.OverloadOn = runOverloadArm("overload_on", overRate, acfg)
 	if res.Baseline.GoodputPerSec > 0 {
 		res.GoodputRatioOff = res.OverloadOff.GoodputPerSec / res.Baseline.GoodputPerSec
 		res.GoodputRatioOn = res.OverloadOn.GoodputPerSec / res.Baseline.GoodputPerSec
 	}
-	return res, nil
+	return res
 }

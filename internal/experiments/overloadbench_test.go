@@ -6,36 +6,17 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 )
 
-// A short configuration keeps the determinism test fast; the protection
-// test below runs the (longer) defaults.
-func shortBenchConfig() OverloadBenchConfig {
-	return OverloadBenchConfig{Duration: 20e9} // 20 virtual seconds
-}
-
-func TestOverloadBenchDeterministic(t *testing.T) {
-	a, err := RunOverloadBench(shortBenchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOverloadBench(shortBenchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("same config, different results:\n%s\n%s", ja, jb)
-	}
-}
+// overloadBench is the one run of the bench both tests below read: the
+// golden test pins it byte for byte, the protection test states what it
+// must show.
+var overloadBench = sync.OnceValue(RunOverloadBench)
 
 func TestOverloadBenchAdmissionProtectsGoodput(t *testing.T) {
-	res, err := RunOverloadBench(OverloadBenchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := overloadBench()
 	// The headline claim: at 10x offered load with admission on, goodput
 	// holds at >= 70% of the unloaded baseline.
 	if res.GoodputRatioOn < 0.7 {
@@ -127,11 +108,7 @@ func TestOverloadBenchMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOverloadBench(OverloadBenchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(res)
+	got, err := json.Marshal(overloadBench())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,11 +83,7 @@ func Figures34(cfg MatchBenchConfig) (fig3, fig4 FigureReport) {
 // Figures5to8 runs the §V.C end-to-end scenario for the three techniques
 // and renders Figures 5–8.
 func Figures5to8(seed int64) (results []ScenarioResult, reports []FigureReport) {
-	for _, tech := range []Technique{
-		REACTTechnique(0, seed),
-		GreedyTechnique(),
-		TraditionalTechnique(seed),
-	} {
+	for _, tech := range techniques(seed) {
 		results = append(results, RunScenario(ScenarioConfig{Technique: tech, Seed: seed}))
 	}
 

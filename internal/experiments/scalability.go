@@ -18,12 +18,12 @@ type ScalePoint struct {
 // ScaleConfig parameterizes the sweep. The paper pairs sizes with rates
 // ("100, 250, 500, 750 and 1000 workers and the tasks are received with a
 // rate of 1.5, 3.125, 6.25, 9.375 and 12.5 tasks per second respectively"),
-// so Sizes[i] runs against Rates[i].
+// so Sizes[i] runs against Rates[i]. REACT keeps matching.DefaultCycles
+// (1000) at every scale, as the paper does.
 type ScaleConfig struct {
-	Sizes  []int
-	Rates  []float64
-	Seed   int64
-	Cycles int // REACT/Metropolis budget (paper keeps 1000 at every scale)
+	Sizes []int
+	Rates []float64
+	Seed  int64
 	// Span is the simulated submission window; each operating point
 	// receives Rate×Span tasks so every cell covers the same virtual
 	// duration. Defaults to the main experiment's ≈893 s (8371 tasks at
@@ -38,9 +38,6 @@ func (c ScaleConfig) Normalize() ScaleConfig {
 	}
 	if len(c.Rates) == 0 {
 		c.Rates = []float64{1.5, 3.125, 6.25, 9.375, 12.5}
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 1000
 	}
 	if c.Span <= 0 {
 		c.Span = 893 * time.Second
@@ -62,11 +59,7 @@ func RunScalability(cfg ScaleConfig) []ScalePoint {
 	for i, size := range cfg.Sizes {
 		rate := cfg.Rates[i]
 		target := int(rate * cfg.Span.Seconds())
-		for _, tech := range []Technique{
-			REACTTechnique(cfg.Cycles, cfg.Seed),
-			GreedyTechnique(),
-			TraditionalTechnique(cfg.Seed),
-		} {
+		for _, tech := range techniques(cfg.Seed) {
 			res := RunScenario(ScenarioConfig{
 				Technique:   tech,
 				Workers:     size,

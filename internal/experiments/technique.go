@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"react/internal/matching"
-	"react/internal/schedule"
+	"react/internal/sim"
 )
 
 // Calibration constants for the modelled matcher latency (see package doc).
@@ -68,7 +68,7 @@ func REACTTechnique(cycles int, seed int64) Technique {
 	}
 	return Technique{
 		Name:    "react",
-		Matcher: matching.REACT{Cycles: cycles, Rand: newRand(seed, "matcher-react")},
+		Matcher: matching.REACT{Cycles: cycles, Rand: sim.Rand(seed, "matcher-react")},
 		Cost: func(tasks, workers, edges, c int) time.Duration {
 			return time.Duration(c) * time.Duration(edges) * IterCycleCost
 		},
@@ -95,7 +95,7 @@ func GreedyTechnique() Technique {
 func TraditionalTechnique(seed int64) Technique {
 	return Technique{
 		Name:      "traditional",
-		Matcher:   matching.Uniform{Rand: newRand(seed, "matcher-uniform")},
+		Matcher:   matching.Uniform{Rand: sim.Rand(seed, "matcher-uniform")},
 		NoPruning: true,
 		Cost: func(tasks, workers, edges, c int) time.Duration {
 			return time.Duration(edges) * UniformCost
@@ -103,12 +103,8 @@ func TraditionalTechnique(seed int64) Technique {
 	}
 }
 
-// ScheduleConfig derives the schedule.Config for a technique with the given
-// batch bound.
-func (t Technique) ScheduleConfig(batchBound int, batchPeriod time.Duration) schedule.Config {
-	return schedule.Config{
-		BatchBound:  batchBound,
-		BatchPeriod: batchPeriod,
-		NoPruning:   t.NoPruning,
-	}
+// techniques is the §V.C comparison, in report order: REACT, Greedy and
+// Traditional, each with its matcher RNG drawn from seed.
+func techniques(seed int64) []Technique {
+	return []Technique{REACTTechnique(0, seed), GreedyTechnique(), TraditionalTechnique(seed)}
 }

@@ -112,12 +112,15 @@ func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.clk.Now().Add(d))
 }
 
-// Rand derives a deterministic RNG stream from the engine seed and a label.
+// Rand derives a deterministic RNG stream from a seed and a label.
 // Distinct labels give independent streams, so adding a new consumer does
 // not perturb existing ones — the property that keeps figure series stable
 // as the system grows.
-func (e *Engine) Rand(label string) *rand.Rand {
+func Rand(seed int64, label string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprint(h, label)
-	return rand.New(rand.NewSource(e.seed ^ int64(h.Sum64())))
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
 }
+
+// Rand is Rand(seed, label) for the engine's seed.
+func (e *Engine) Rand(label string) *rand.Rand { return Rand(e.seed, label) }

@@ -117,7 +117,7 @@ func TestHandlerMaySchedule(t *testing.T) {
 
 func TestRandStreamsDeterministicAndIndependent(t *testing.T) {
 	a1 := New(7).Rand("workers")
-	a2 := New(7).Rand("workers")
+	a2 := Rand(7, "workers") // what a component built before the engine draws
 	b := New(7).Rand("tasks")
 	for i := 0; i < 100; i++ {
 		x, y := a1.Float64(), a2.Float64()
