@@ -129,6 +129,7 @@ bench:
 	$(GO) -C benchmark test ./...
 
 # Short fuzz budgets over the frame codec, the journal decoder, the
+# snapshot merge (against a full rebuild), the
 # journal record codec (against encoding/json) and Eq. 3's log-space
 # pruning test (against the verbatim probability) — the nightly workflow's
 # fast leg, runnable locally. FUZZTIME scales it.
@@ -137,6 +138,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMessageDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotMerge -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzDeadlineCut -fuzztime $(FUZZTIME) ./internal/powerlaw
 

@@ -3,7 +3,9 @@ package engine
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -371,10 +373,38 @@ func (s *TaskStore) appendUnassigned(out []taskq.Task) []taskq.Task {
 
 // AssignedTasks snapshots the records currently executing, sorted by task
 // id, for the Eq. 2 monitor. Like Unassigned it allocates before the lock
-// and sorts after it.
+// and sorts after it. It sorts (id, position) keys and then moves each
+// record once: sorting the records themselves moves whole records at every
+// swap.
 func (s *TaskStore) AssignedTasks() []taskq.Record {
 	out := s.appendAssigned(make([]taskq.Record, 0, s.count(taskq.Assigned)))
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
+	type key struct {
+		id  string
+		pos int32
+	}
+	keys := make([]key, len(out))
+	for i := range out {
+		keys[i] = key{out[i].Task.ID, int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int { return strings.Compare(a.id, b.id) })
+	// Apply the permutation in place, a cycle at a time: out[i] takes the
+	// record at keys[i].pos, and a placed slot is marked by pointing at
+	// itself.
+	for i := range keys {
+		if int(keys[i].pos) == i {
+			continue
+		}
+		held, j := out[i], i
+		for {
+			k := int(keys[j].pos)
+			keys[j].pos = int32(j)
+			if k == i {
+				out[j] = held
+				break
+			}
+			out[j], j = out[k], k
+		}
+	}
 	return out
 }
 

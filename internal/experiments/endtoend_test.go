@@ -47,6 +47,9 @@ func TestScenarioConservation(t *testing.T) {
 	}
 }
 
+// TestScenarioDeterministic runs one seed twice, churn off as smallScenario
+// leaves it, and requires the same counters. That churn, off, leaves the
+// published figures alone is what the seed-7 goldens pin.
 func TestScenarioDeterministic(t *testing.T) {
 	a := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
 	b := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
@@ -219,16 +222,6 @@ func TestChurnReducesAvailabilityButConserves(t *testing.T) {
 	if res.CompletedOnTime < lo || res.CompletedOnTime > hi {
 		t.Fatalf("churned on-time %d outside [%d,%d] around steady %d",
 			res.CompletedOnTime, lo, hi, steady.CompletedOnTime)
-	}
-}
-
-func TestChurnOffPreservesBaselineResults(t *testing.T) {
-	// The churn feature must not perturb the published figures when off:
-	// same seed, same counters as always.
-	a := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
-	b := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
-	if a.CompletedOnTime != b.CompletedOnTime || a.Reassignments != b.Reassignments {
-		t.Fatalf("baseline drifted: %+v vs %+v", a.CompletedOnTime, b.CompletedOnTime)
 	}
 }
 

@@ -179,7 +179,7 @@ var plainByte = func() (t [256]bool) {
 }()
 
 // plain reports whether s encodes as itself between quotes.
-func plain(s string) bool {
+func plain[S string | []byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		if !plainByte[s[i]] {
 			return false

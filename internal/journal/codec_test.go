@@ -130,12 +130,8 @@ func TestGoldenFiles(t *testing.T) {
 	if _, err := walkFrames(bytes.NewReader(wal), func(r *Record) error { return st.Apply(*r) }); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := encodeSnapshot(&out, st, recs[len(recs)-1].Seq); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), snap) {
-		t.Fatalf("replayed state encodes as\n%s\nthe golden snapshot is\n%s", out.Bytes(), snap)
+	if out := encodeFull(t, st, recs[len(recs)-1].Seq); !bytes.Equal(out, snap) {
+		t.Fatalf("replayed state encodes as\n%s\nthe golden snapshot is\n%s", out, snap)
 	}
 
 	// And back: the golden snapshot reads to a state that writes it again.
@@ -143,12 +139,8 @@ func TestGoldenFiles(t *testing.T) {
 	if err != nil || seq != recs[len(recs)-1].Seq {
 		t.Fatalf("readSnapshot(golden.snap): seq %d, err %v", seq, err)
 	}
-	out.Reset()
-	if err := encodeSnapshot(&out, back, seq); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), snap) {
-		t.Fatalf("golden snapshot re-encodes as\n%s\nwant\n%s", out.Bytes(), snap)
+	if out := encodeFull(t, back, seq); !bytes.Equal(out, snap) {
+		t.Fatalf("golden snapshot re-encodes as\n%s\nwant\n%s", out, snap)
 	}
 	lines := bytes.Split(snap, []byte("\n"))
 	for _, line := range lines[1 : 1+len(back.Tasks)] {

@@ -14,13 +14,20 @@ import (
 // learn through the folds the live engine taps (profile.Registry.Observe,
 // event.Ledger), so replay cannot learn or count differently (batch
 // counts and matcher wall time are not journaled and reset across a
-// recovery). It is produced by replaying a snapshot plus WAL records and
-// consumed either by recovery (bulk-loaded into a fresh engine) or by
-// compaction (written straight back out as the next snapshot).
+// recovery). Recovery replays a snapshot plus WAL records into a full State
+// and bulk-loads it into a fresh engine.
+//
+// Compaction's State stands over a snapshot file instead (overBase): it
+// holds the file's profiles and counters but none of its tasks. Tasks holds
+// only what replay upserted since, marks notes the file's tasks replay
+// forgot (false) or graded (true), and the next snapshot is the merge of the
+// file with those (mergeTasks). A full State has no marks.
 type State struct {
 	Tasks    map[string]taskq.Record
 	Profiles *profile.Registry
 	Stats    event.Ledger
+
+	marks map[string]bool
 }
 
 // NewState returns an empty rebuild target.
@@ -29,6 +36,13 @@ func NewState() *State {
 		Tasks:    make(map[string]taskq.Record),
 		Profiles: profile.NewRegistry(),
 	}
+}
+
+// overBase empties the task side of s, which from here on stands for the
+// tasks of the snapshot file it was read from or written as.
+func (s *State) overBase() {
+	s.Tasks = make(map[string]taskq.Record)
+	s.marks = make(map[string]bool)
 }
 
 // Apply replays one record. Task-lifecycle records are pure upserts — the
@@ -48,16 +62,23 @@ func (s *State) Apply(r Record) error {
 		s.Profiles.Observe(ev)
 	case event.KindForget:
 		delete(s.Tasks, r.TaskID)
+		if s.marks != nil {
+			s.marks[r.TaskID] = false
+		}
 	case event.KindFeedback:
 		// The grade credits the worker's per-category accuracy (Eq. 1) and
 		// marks the task graded so a replayed server still rejects double
 		// grading. A missing task is normal (retention may have forgotten
 		// it between the grade and the crash); a missing worker means the
 		// worker deregistered afterwards, and its history went with it.
+		// Over a base, a task replay has not upserted is marked graded for
+		// the merge, unless replay forgot it: its line is dropped then.
 		s.Profiles.Observe(r.event())
 		if rec, ok := s.Tasks[r.TaskID]; ok {
 			rec.Graded = true
 			s.Tasks[r.TaskID] = rec
+		} else if _, marked := s.marks[r.TaskID]; !marked && s.marks != nil {
+			s.marks[r.TaskID] = true
 		}
 	case event.KindAttach:
 		loc := region.Point{Lat: r.Lat, Lon: r.Lon}

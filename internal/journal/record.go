@@ -34,7 +34,11 @@
 //     Options.CompactBytes), so a compaction writes no more than was
 //     appended since the last one; the flusher only seals, and the rebuild
 //     runs on a goroutine of its own beside the commits, so the loss window
-//     stays one fsync interval (docs/PERSISTENCE.md).
+//     stays one fsync interval (docs/PERSISTENCE.md). The rebuild merges:
+//     it streams the previous snapshot file in task-id order, copies the
+//     lines of tasks the sealed segments left alone, and encodes only the
+//     tasks they changed, so the journal keeps no in-memory copy of the
+//     retained tasks — only the worker profiles and the counters.
 package journal
 
 import (

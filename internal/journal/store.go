@@ -29,9 +29,10 @@ import (
 //
 // When a commit leaves the active segment at least as large as the last
 // snapshot (and Options.CompactBytes), the flusher seals the segment and a
-// compactor goroutine rebuilds the snapshot OFFLINE, beside the commits, by
-// replaying the sealed, immutable segment into the state the previous
-// snapshot holds — never by reading the live engine — so the snapshot is
+// compactor goroutine rebuilds the snapshot OFFLINE, beside the commits:
+// the sealed, immutable segment is replayed into a replica of the previous
+// snapshot's profiles and counters, and what it changed is merged into that
+// snapshot's file — never by reading the live engine — so the snapshot is
 // exact at a known sequence boundary. Sizing the trigger by the snapshot
 // keeps the bytes a compaction writes within the WAL bytes appended since
 // the last one.
@@ -68,12 +69,14 @@ type Store struct {
 	snapSeq    uint64
 	sealed     []string // sealed segments not yet folded into the snapshot
 	sealedSeq  uint64   // last seq in the sealed segments; snapSeq when there are none
-	// replica is the State compaction last wrote out as the snapshot at
-	// snapSeq, kept so the next compaction replays only the sealed segments
-	// into it instead of re-reading its own snapshot. Derived from durable
-	// bytes alone (snapshot + sealed segments), never from the live engine;
-	// nil before the first compaction and after any compaction error, when
-	// readSnapshot rebuilds it.
+	// replica stands over the snapshot at snapSeq (State.overBase): it keeps
+	// that snapshot's worker profiles and counters, small and costly to
+	// re-read, and none of its tasks, which stay in the file. The next
+	// compaction replays the sealed segments into it and merges what they
+	// changed into the file. Derived from durable bytes alone (snapshot +
+	// sealed segments), never from the live engine; nil before the first
+	// compaction and after any compaction error, when readBase re-reads the
+	// profiles and counters from the file.
 	replica *State
 
 	kick chan struct{}
@@ -199,7 +202,7 @@ func Open(opts Options) (*Store, error) {
 	// Write the recovered state back as a fresh snapshot and start a new
 	// empty segment, then delete everything older. Recovery is thereby
 	// idempotent: a crash at any point here re-recovers to the same state.
-	newSnap, snapBytes, err := writeSnapshot(opts.Dir, st, last)
+	newSnap, snapBytes, err := writeSnapshot(opts.Dir, st, last, "")
 	if err != nil {
 		return nil, err
 	}
@@ -577,12 +580,12 @@ func (s *Store) sealLocked() error {
 var rebuildHook func()
 
 // rebuild folds the sealed segments into a new snapshot at the sealed
-// boundary by replaying them into the previous snapshot's state — offline
-// state only, never the live engine, so the new snapshot is exact at the
-// boundary — then publishes it and deletes its inputs. That state is the
-// replica the last rebuild kept; without one it is read back from the
-// snapshot file. Callers hold the compacting token and no mutex: the
-// rebuild touches only files no commit writes and the fields the token
+// boundary — offline state only, never the live engine, so the new snapshot
+// is exact at the boundary — then publishes it and deletes its inputs. The
+// segments are replayed into the replica, which stands over the previous
+// snapshot; the new snapshot is that file with what the segments changed
+// merged in (mergeTasks). Callers hold the compacting token and no mutex:
+// the rebuild touches only files no commit writes and the fields the token
 // owns.
 func (s *Store) rebuild() error {
 	boundary := s.sealedSeq
@@ -599,7 +602,7 @@ func (s *Store) rebuild() error {
 	s.replica = nil
 	var err error
 	if st == nil {
-		if st, snapSeq, err = readSnapshot(s.snapPath); err != nil {
+		if st, snapSeq, err = readBase(s.snapPath); err != nil {
 			return err
 		}
 	}
@@ -610,7 +613,7 @@ func (s *Store) rebuild() error {
 	if last != boundary {
 		return fmt.Errorf("%w: compaction replayed through %d, expected boundary %d", ErrCorrupt, last, boundary)
 	}
-	newSnap, size, err := writeSnapshot(s.dir, st, boundary)
+	newSnap, size, err := writeSnapshot(s.dir, st, boundary, s.snapPath)
 	if err != nil {
 		return err
 	}
@@ -626,6 +629,7 @@ func (s *Store) rebuild() error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
+	st.overBase() // the tasks it held are in the new snapshot now
 	s.replica = st
 	s.compactions.Add(1)
 	if obs, _ := s.compactObs.Load().(func(float64)); obs != nil {
