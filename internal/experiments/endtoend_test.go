@@ -47,9 +47,6 @@ func TestScenarioConservation(t *testing.T) {
 	}
 }
 
-// TestScenarioDeterministic runs one seed twice, churn off as smallScenario
-// leaves it, and requires the same counters. That churn, off, leaves the
-// published figures alone is what the seed-7 goldens pin.
 func TestScenarioDeterministic(t *testing.T) {
 	a := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
 	b := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
@@ -222,6 +219,21 @@ func TestChurnReducesAvailabilityButConserves(t *testing.T) {
 	if res.CompletedOnTime < lo || res.CompletedOnTime > hi {
 		t.Fatalf("churned on-time %d outside [%d,%d] around steady %d",
 			res.CompletedOnTime, lo, hi, steady.CompletedOnTime)
+	}
+}
+
+func TestChurnOffPreservesBaselineResults(t *testing.T) {
+	// The churn feature must not perturb the published figures when off:
+	// a scenario with Churn set to zero explicitly runs exactly as the
+	// default one does, counter for counter.
+	a := RunScenario(smallScenario(REACTTechnique(1000, 7), 7))
+	off := smallScenario(REACTTechnique(1000, 7), 7)
+	off.Churn = 0
+	b := RunScenario(off)
+	if a.CompletedOnTime != b.CompletedOnTime || a.CompletedLate != b.CompletedLate ||
+		a.Expired != b.Expired || a.Positive != b.Positive ||
+		a.Reassignments != b.Reassignments || a.Batches != b.Batches {
+		t.Fatalf("baseline drifted: %+v vs %+v", a, b)
 	}
 }
 
