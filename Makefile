@@ -16,8 +16,9 @@ RACE_EXAMPLES = ./examples/quickstart ./examples/imagesearch ./examples/trafficw
 # admission plane decides which tasks are turned away at the door, the
 # profiles hold the laws Eq. 2, Eq. 3 and the admission gates act on, and
 # the simulation harness (experiments on sim) is where every scheduling
-# claim is checked first.
-COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission internal/profile internal/experiments internal/sim
+# claim is checked first, the wire layer is every live connection, and
+# the load generator is the live crowd the chaos and recovery runs lean on.
+COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/admission internal/profile internal/experiments internal/sim internal/wire internal/loadgen
 COVER_FLOOR = 70
 
 .PHONY: all build fmt-check shim-check lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench fuzz coverage ci

@@ -288,10 +288,15 @@ func (e *Engine) kick() {
 // known one — detached earlier, or restored from the journal — comes back
 // with its learned history, and moves to loc when loc is valid. Workers
 // have "short connectivity cycles" (§I), so returning is the common case.
-// Either way the attach is published on the spine.
+// Either way the attach is published on the spine. A new id at an invalid
+// loc is refused before anything is registered or published: the journal
+// would replay it, but a snapshot holding it could not be read back.
 func (e *Engine) AttachWorker(id string, loc region.Point) (*profile.Profile, error) {
 	p, known := e.workers.Get(id)
 	if !known {
+		if !loc.Valid() {
+			return nil, fmt.Errorf("engine: attach %q: invalid location %v", id, loc)
+		}
 		var err error
 		if p, err = e.workers.Register(id, loc); err != nil {
 			return nil, err

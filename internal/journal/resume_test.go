@@ -211,6 +211,33 @@ func TestPersistenceDeregisterSurvives(t *testing.T) {
 	}
 }
 
+// TestAttachInvalidLocationRefused pins that a new worker at an invalid
+// location never reaches the journal: the attach errors, a compaction
+// writes a snapshot without it, and the store reopens.
+func TestAttachInvalidLocationRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := engine.Config{Clock: clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))}
+
+	h, _ := openHost(t, dir, cfg)
+	h.attach(t, "w1", region.Point{Lat: 1, Lon: 2})
+	if _, err := h.AttachWorker("w2", region.Point{Lat: 1, Lon: 255}); err == nil {
+		t.Fatal("attach at Lon 255 accepted")
+	}
+	if _, ok := h.Workers().Get("w2"); ok {
+		t.Fatal("refused worker registered anyway")
+	}
+	if err := h.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	h.close()
+
+	h2, sum := openHost(t, dir, cfg)
+	defer h2.close()
+	if sum.Workers != 1 {
+		t.Fatalf("recovered %d workers, want 1", sum.Workers)
+	}
+}
+
 // workerState is what a worker profile has learned, as replay must
 // reproduce it.
 type workerState struct {

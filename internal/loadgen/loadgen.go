@@ -156,7 +156,7 @@ func (r *Report) countRejection(err error) bool {
 // submission counters; mu guards everything the sessions touch.
 type run struct {
 	cfg Config
-	wg  sync.WaitGroup // one per session loop
+	wg  sync.WaitGroup // one per session loop and per armed exec timer
 
 	mu          sync.Mutex
 	rep         Report
@@ -193,16 +193,9 @@ func Run(cfg Config) (Report, error) {
 			return Report{}, fmt.Errorf("loadgen: worker %s: %w", id, err)
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i*2654435761)))
+		exec := func() time.Duration { return time.Duration(float64(b.ExecTime(rng)) / cfg.Compress) }
 		r.wg.Add(1)
-		go r.session(cl, jitter, register, func(cl *wire.Client) {
-			for a := range cl.Assignments() {
-				cfg.Clock.Sleep(time.Duration(float64(b.ExecTime(rng)) / cfg.Compress))
-				// Reassigned tasks fail Complete; that is expected traffic.
-				// One lost with its connection is the server's to recover:
-				// the detach returns the task to the pool.
-				cl.Complete(a.TaskID, id, "synthetic answer")
-			}
-		})
+		go r.session(cl, jitter, register, func(cl *wire.Client) { r.work(cl, id, exec) })
 	}
 
 	// Requester session: watch results, grade them.
@@ -333,6 +326,26 @@ func (r *run) session(cl *wire.Client, jitter *rand.Rand, setup func(*wire.Clien
 		r.mu.Lock()
 		r.rep.Reconnects++
 		r.mu.Unlock()
+	}
+}
+
+// work is one worker session's feed. Each assignment arms its own exec
+// timer, a goroutine that waits the drawn exec time on the run's clock and
+// then completes, so the loop takes the next assignment at once: a task
+// revoked while its worker "delays" (Eq. 2) never holds up the one the
+// freed worker gets next (DESIGN.md modelling decision 3). A revoked or
+// reassigned task fails Complete; that is expected traffic. One lost with
+// its connection is the server's to recover: the detach returns the task
+// to the pool.
+func (r *run) work(cl *wire.Client, id string, exec func() time.Duration) {
+	for a := range cl.Assignments() {
+		d, task := exec(), a.TaskID
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.cfg.Clock.Sleep(d)
+			cl.Complete(task, id, "synthetic answer")
+		}()
 	}
 }
 

@@ -1,11 +1,14 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"react/internal/admission"
+	"react/internal/clock"
 	"react/internal/engine"
 	"react/internal/faultnet"
 	"react/internal/journal"
@@ -241,4 +244,94 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers != 20 || c.Rate != 0.25 || c.Tasks != 100 || c.Compress != 100 || c.Logf == nil {
 		t.Fatalf("defaults = %+v", c)
 	}
+}
+
+// gate is a wall clock whose Sleep holds a phantom exec time (an hour or
+// more) until open is closed, and returns at once for any other.
+type gate struct {
+	clock.System
+	open chan struct{}
+}
+
+func (g gate) Sleep(d time.Duration) {
+	if d >= time.Hour {
+		<-g.open
+	}
+}
+
+// TestRevokedTaskDoesNotHoldNextAssignment pins DESIGN.md modelling
+// decision 3 on the live worker: a scripted server hands a worker a task
+// it will "delay" on for an hour, revokes it at once (the worker is freed)
+// and hands it a second task. The worker must start and complete the
+// second at once, not after the phantom exec time of the first; the
+// phantom's completion still goes out when its own timer ends.
+func TestRevokedTaskDoesNotHoldNextAssignment(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	completes := make(chan string, 2)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		dec := json.NewDecoder(nc)
+		var m wire.Message
+		if dec.Decode(&m) != nil || m.Type != "register" {
+			return
+		}
+		fmt.Fprintf(nc, `{"type":"ok","seq":%d}`+"\n", m.Seq)
+		fmt.Fprintf(nc, `{"type":"assignment","assignment":{"task_id":"phantom","worker_id":"w","deadline_ms":60000}}`+"\n")
+		fmt.Fprintf(nc, `{"type":"assignment","assignment":{"task_id":"next","worker_id":"w","deadline_ms":60000}}`+"\n")
+		for {
+			var m wire.Message
+			if dec.Decode(&m) != nil {
+				return
+			}
+			if m.Type == "complete" {
+				completes <- m.TaskID
+			}
+			fmt.Fprintf(nc, `{"type":"ok","seq":%d}`+"\n", m.Seq)
+		}
+	}()
+
+	g := gate{open: make(chan struct{})}
+	r := &run{cfg: Config{Addr: ln.Addr().String(), Clock: g}.normalize()}
+	cl, err := wire.Dial(r.cfg.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register("w", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	execs := []time.Duration{time.Hour, 0}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.work(cl, "w", func() time.Duration {
+			d := execs[0]
+			execs = execs[1:]
+			return d
+		})
+	}()
+	for _, want := range []string{"next", "phantom"} {
+		select {
+		case got := <-completes:
+			if got != want {
+				t.Fatalf("completed %q, want %q", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no completion of %q: the next task waited behind the revoked one", want)
+		}
+		if want == "next" {
+			close(g.open) // the phantom's hour is up
+		}
+	}
+	cl.Close()
+	<-done
+	r.wg.Wait()
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -262,6 +263,37 @@ func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
 		t.Fatalf("spurious mismatches: %+v", m)
 	}
 
+	// The late answer and the next call's own may also land in one read:
+	// the read loop must count the first stale rather than park it in the
+	// one response slot, where it would crowd out the second. The peer
+	// holds the ping's answer until the stats request arrives (so after
+	// the ping timed out) and writes both in a single write.
+	addr = scriptedPeer(t, func(dec *json.Decoder, w io.Writer) {
+		var ping, stats Message
+		if dec.Decode(&ping) != nil || dec.Decode(&stats) != nil {
+			return
+		}
+		fmt.Fprintf(w, `{"type":"ok","seq":%d}`+"\n"+`{"type":"ok","seq":%d,"stats":{"workers_online":5}}`+"\n",
+			ping.Seq, stats.Seq)
+	})
+	c1, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c1.SetKeepalive(-1)
+	c1.SetCallTimeout(50 * time.Millisecond)
+	if err := c1.Ping(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("unanswered ping error = %v, want ErrTimeout", err)
+	}
+	c1.SetCallTimeout(5 * time.Second)
+	if st, err = c1.Stats(); err != nil || st.WorkersOnline != 5 {
+		t.Fatalf("call answered in the late answer's write = %+v, %v", st, err)
+	}
+	if m := c1.Metrics(); m.StaleResponses != 1 || m.MismatchedResponses != 0 {
+		t.Fatalf("late answer in a shared write not counted stale: %+v", m)
+	}
+
 	// An unstamped "ok" is no exception. A scripted peer answers the stats
 	// call with a bare, seq-less frame (carrying a bogus payload) before
 	// the stamped one; the client must count the first stale and return
@@ -288,6 +320,62 @@ func TestChaosSeqCorrelationAfterTimeout(t *testing.T) {
 	}
 	if m := c2.Metrics(); m.StaleResponses != 1 || m.MismatchedResponses != 0 {
 		t.Fatalf("unstamped response not counted stale: %+v", m)
+	}
+}
+
+// TestChaosSeqCorrelationUnderTimeoutRace races call timeouts against
+// answers: a peer answers every stats call at once or after a random delay
+// up to twice the call timeout, echoing the call's seq as the payload. Whichever way each
+// race goes — answered in time, claimed by the read loop just as the call
+// gives up, or late — a call must return only its own answer or a
+// timeout, every answer must be taken exactly once or counted stale, and
+// no call may wedge on the one response slot.
+func TestChaosSeqCorrelationUnderTimeoutRace(t *testing.T) {
+	const calls = 300
+	addr := scriptedPeer(t, func(dec *json.Decoder, w io.Writer) {
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i <= calls; i++ { // the calls, then the closing one
+			var req Message
+			if dec.Decode(&req) != nil {
+				return
+			}
+			if d := rng.Intn(6000) - 2000; d > 0 { // a third answered at once
+				time.Sleep(time.Duration(d) * time.Microsecond)
+			}
+			fmt.Fprintf(w, `{"type":"ok","seq":%d,"stats":{"workers_online":%d}}`+"\n", req.Seq, req.Seq)
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetKeepalive(-1) // the script answers exactly the calls below
+	c.SetCallTimeout(2 * time.Millisecond)
+	answered, timedOut := 0, 0
+	for i := 0; i < calls; i++ {
+		st, err := c.Stats()
+		switch {
+		case errors.Is(err, ErrTimeout):
+			timedOut++
+		case err != nil:
+			t.Fatalf("call %d: %v", i, err)
+		case uint64(st.WorkersOnline) != c.seq.Load():
+			t.Fatalf("call %d (seq %d) returned the answer to seq %d", i, c.seq.Load(), st.WorkersOnline)
+		default:
+			answered++
+		}
+	}
+	// The closing call's answer follows every earlier one on the stream,
+	// so once it returns the read loop has seen them all.
+	c.SetCallTimeout(5 * time.Second)
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("closing call: %v", err)
+	}
+	m := c.Metrics()
+	t.Logf("%d answered, %d timed out, %d stale", answered, timedOut, m.StaleResponses)
+	if int(m.StaleResponses)+answered != calls || m.MismatchedResponses != 0 {
+		t.Fatalf("%d answered + %d stale != %d calls (mismatched %d)", answered, m.StaleResponses, calls, m.MismatchedResponses)
 	}
 }
 

@@ -54,7 +54,6 @@ const (
 type ClientMetrics struct {
 	StaleResponses      int64 // late responses discarded by Seq correlation
 	MismatchedResponses int64 // responses whose Seq matched no outstanding request
-	DroppedResponses    int64 // responses dropped because nothing awaited them
 	AssignmentBacklog   int   // assignment pushes queued but not yet consumed
 	AssignmentHighWater int   // peak assignment backlog over the connection
 	ResultBacklog       int
@@ -74,10 +73,15 @@ type Client struct {
 	c net.Conn
 	w *connWriter // coalesces outbound request frames (flush.go)
 
-	reqMu     sync.Mutex  // one outstanding request at a time
-	callTimer *time.Timer // the call timeout, re-armed per call; guarded by reqMu
-	resp      chan Message
+	reqMu     sync.Mutex    // one outstanding request at a time
+	callTimer *time.Timer   // the call timeout, re-armed per call; guarded by reqMu
 	seq       atomic.Uint64 // last sequence number stamped on a request
+	// inflight is the seq of the call waiting for its answer, 0 when none
+	// is. The read loop forwards a response only by swapping inflight
+	// from its seq to 0, so resp's one slot holds at most that call's
+	// answer, and the call takes it before it returns (answer, giveUp).
+	inflight atomic.Uint64
+	resp     chan Message
 
 	callTimeout atomic.Int64 // ns
 	keepalive   atomic.Int64 // ns; <=0 disables the idle pinger
@@ -87,7 +91,6 @@ type Client struct {
 
 	stale      atomic.Int64
 	mismatched atomic.Int64
-	respDrops  atomic.Int64
 
 	assignments *pushQueue[AssignmentPayload]
 	results     *pushQueue[ResultPayload]
@@ -106,7 +109,7 @@ func Dial(addr string) (*Client, error) {
 	cl := &Client{
 		c:      c,
 		w:      newConnWriter(c, writerConfig{}),
-		resp:   make(chan Message, 16),
+		resp:   make(chan Message, 1),
 		closed: make(chan struct{}),
 	}
 	cl.callTimeout.Store(int64(DefaultCallTimeout))
@@ -146,7 +149,6 @@ func (cl *Client) Metrics() ClientMetrics {
 	m := ClientMetrics{
 		StaleResponses:      cl.stale.Load(),
 		MismatchedResponses: cl.mismatched.Load(),
-		DroppedResponses:    cl.respDrops.Load(),
 	}
 	var aOver, rOver, eOver bool
 	m.AssignmentBacklog, m.AssignmentHighWater, _, aOver = cl.assignments.depthStats()
@@ -198,26 +200,39 @@ func (cl *Client) readLoop() {
 				cl.events.push(*m.Event)
 			}
 		default: // ok / error responses
-			// The response escapes this loop to a waiting caller: copy it
-			// and drop the scratch-backed pointers (a response never
-			// carries them; Status/Stats/Regions/Admission are freshly
-			// allocated by the decoder when present, so the copy owns them).
-			resp := *m
-			resp.Task, resp.Assignment, resp.Result, resp.Event = nil, nil, nil, nil
-			resp.Available, resp.Positive = nil, nil
-			select {
-			case cl.resp <- resp:
-			default:
-				// No caller is waiting and the parking buffer is full —
-				// a protocol violation worth counting, not wedging on.
-				cl.respDrops.Add(1)
-			}
+			cl.answer(m)
 		}
 	}
 	cl.Close()
 	cl.assignments.close()
 	cl.results.close()
 	cl.events.close()
+}
+
+// answer hands a response to the call it answers. Only the call in flight
+// is answered: a seq it does not carry is a late answer to a call that gave
+// up (an unstamped response, Seq 0, counts here too: taking it positionally
+// would re-open the desync Seq exists to close), or one from the future, a
+// broken peer. Swapping inflight to 0 claims the call's answer, once. Every
+// call takes the one answer claimed for it before it returns, so resp is
+// empty here and the send never blocks.
+func (cl *Client) answer(m *Message) {
+	if m.Seq == 0 || !cl.inflight.CompareAndSwap(m.Seq, 0) {
+		if m.Seq <= cl.seq.Load() {
+			cl.stale.Add(1)
+		} else {
+			cl.mismatched.Add(1)
+		}
+		return
+	}
+	// The response escapes this loop to the waiting caller: copy it and
+	// drop the scratch-backed pointers (a response never carries them;
+	// Status/Stats/Regions/Admission are freshly allocated by the decoder
+	// when present, so the copy owns them).
+	resp := *m
+	resp.Task, resp.Assignment, resp.Result, resp.Event = nil, nil, nil, nil
+	resp.Available, resp.Positive = nil, nil
+	cl.resp <- resp
 }
 
 // nextPing is how long a client whose last request went out idle ago
@@ -263,7 +278,7 @@ func (cl *Client) armKeepalive() {
 
 // call sends one request and waits for its ok/error response, identified
 // by sequence number. Stale responses — answers to calls that already
-// timed out — are discarded and counted.
+// timed out — are discarded and counted by the read loop (answer).
 func (cl *Client) call(m Message) (Message, error) {
 	cl.reqMu.Lock()
 	defer cl.reqMu.Unlock()
@@ -273,12 +288,13 @@ func (cl *Client) call(m Message) (Message, error) {
 	default:
 	}
 	m.Seq = cl.seq.Add(1)
+	cl.inflight.Store(m.Seq) // before the frame leaves: the answer may beat the enqueue's return
 	cl.lastSend.Store(time.Now().UnixNano())
 	fb := encodeFrame(&m)
 	err := cl.w.enqueue(fb.b, true) // inline: the caller blocks on the reply anyway
 	fb.release()
 	if err != nil {
-		return Message{}, err
+		return cl.giveUp(m.Seq, err)
 	}
 	// One timer per client, not one per call: three calls a task made the
 	// runtime timer heap a hot spot. Stop-and-drain on the way out (the
@@ -298,31 +314,36 @@ func (cl *Client) call(m Message) (Message, error) {
 			}
 		}
 	}()
-	for {
-		//lint:ignore blockingunderlock waiting for the matching response under reqMu is the one-in-flight-call design; the timeout arm bounds the hold
-		select {
-		case resp := <-cl.resp:
-			switch {
-			case resp.Seq == m.Seq:
-				if resp.Type == "error" {
-					return resp, &ServerError{msg: resp.Error, Code: resp.Code, Admission: resp.Admission}
-				}
-				return resp, nil
-			case resp.Seq < m.Seq:
-				// Late answer to a timed-out call. An unstamped response
-				// (Seq 0) lands here too: taking it positionally would
-				// re-open the desync Seq exists to close.
-				cl.stale.Add(1)
-			default:
-				cl.mismatched.Add(1) // a response from the future: broken peer
-			}
-		case <-cl.closed:
-			return Message{}, ErrClosed
-		case <-timeout.C:
-			return Message{}, fmt.Errorf("%w: no response to %q within %v",
-				ErrTimeout, m.Type, time.Duration(cl.callTimeout.Load()))
-		}
+	//lint:ignore blockingunderlock waiting for the matching response under reqMu is the one-in-flight-call design; the timeout arm bounds the hold
+	select {
+	case resp := <-cl.resp:
+		return reply(resp)
+	case <-cl.closed:
+		return cl.giveUp(m.Seq, ErrClosed)
+	case <-timeout.C:
+		return cl.giveUp(m.Seq, fmt.Errorf("%w: no response to %q within %v",
+			ErrTimeout, m.Type, time.Duration(cl.callTimeout.Load())))
 	}
+}
+
+// giveUp ends the call stamped seq with err, unless the read loop has
+// already claimed its answer: that answer is then on its way into resp,
+// and taking it keeps the slot empty for the next call.
+func (cl *Client) giveUp(seq uint64, err error) (Message, error) {
+	if cl.inflight.CompareAndSwap(seq, 0) {
+		return Message{}, err
+	}
+	//lint:ignore blockingunderlock the read loop claimed this answer and sends it into an empty slot without blocking
+	return reply(<-cl.resp)
+}
+
+// reply turns a call's response into its result: an "error" frame is a
+// *ServerError.
+func reply(resp Message) (Message, error) {
+	if resp.Type == "error" {
+		return resp, &ServerError{msg: resp.Error, Code: resp.Code, Admission: resp.Admission}
+	}
+	return resp, nil
 }
 
 // Register announces this connection as a worker at the given location.
@@ -334,7 +355,7 @@ func (cl *Client) Register(workerID string, lat, lon float64) error {
 
 // Assignments is the stream of tasks pushed to this worker. Closed when
 // the connection drops.
-func (cl *Client) Assignments() <-chan AssignmentPayload { return cl.assignments.out }
+func (cl *Client) Assignments() <-chan AssignmentPayload { return cl.assignments.recv() }
 
 // Deregister removes this connection's worker from the server. Any held
 // task returns to the pool.
@@ -395,7 +416,7 @@ func (cl *Client) Watch() error {
 
 // Results is the stream of result pushes after Watch. Closed when the
 // connection drops.
-func (cl *Client) Results() <-chan ResultPayload { return cl.results.out }
+func (cl *Client) Results() <-chan ResultPayload { return cl.results.recv() }
 
 // WatchEvents subscribes this connection to the server's lifecycle event
 // stream; events arrive on Events(). An empty taskID streams every task's
@@ -410,7 +431,7 @@ func (cl *Client) WatchEvents(taskID string) error {
 
 // Events is the stream of lifecycle event pushes after WatchEvents. Closed
 // when the connection drops.
-func (cl *Client) Events() <-chan EventPayload { return cl.events.out }
+func (cl *Client) Events() <-chan EventPayload { return cl.events.recv() }
 
 // Ping round-trips a keepalive frame.
 func (cl *Client) Ping() error {

@@ -36,10 +36,12 @@ const maxPooledFrame = 64 << 10
 
 // Both read loops scan frames with a buffer that starts at readBufStart
 // and doubles whenever a frame does not fit, up to maxFrameBytes; a longer
-// line fails the connection. Most frames are a few hundred bytes, so an
-// idle connection holds 4 KiB per side, not the bound.
+// line fails the connection. Frames are 60–300 bytes (a task costs 8–11 of
+// them, 500–900 bytes in all), so 512 bytes hold any one of them: an idle
+// connection holds 512 bytes per side, and one that carries a kilobyte
+// description grows its own buffer once.
 const (
-	readBufStart  = 4 << 10
+	readBufStart  = 512
 	maxFrameBytes = 1 << 20
 )
 

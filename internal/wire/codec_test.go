@@ -70,6 +70,16 @@ func codecCorpus() []Message {
 		{Type: "ok", Seq: 19, Admission: &AdmissionPayload{
 			Status: string(admission.StatusAdmitted), Probability: 0.9990234375,
 		}},
+		// Longer than a read buffer's 512-byte start: the read loops grow
+		// theirs to take these.
+		{Type: "submit", Seq: 20, Task: &TaskPayload{
+			ID: "t-long", DeadlineMS: 60000, Category: "traffic",
+			Description: strings.Repeat("is the on-ramp at exit 14 jammed? ", 90),
+		}},
+		{Type: "assignment", Assignment: &AssignmentPayload{
+			TaskID: "t-long", WorkerID: "alice", DeadlineMS: 30000,
+			Description: strings.Repeat("look left, then right. ", 134),
+		}},
 	}
 }
 

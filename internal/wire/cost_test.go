@@ -23,13 +23,17 @@ func liveCost() (goroutines int, heap, stack uint64) {
 // TestIdleConnectionCost pins what an idle registered worker costs across
 // both ends of its connection: 256 workers register over loopback and then
 // sit idle, and each client/server pair may hold at most 2 goroutines (the
-// two read loops) and 48 KiB of heap plus stack. Closing the clients and
-// the server must then end every goroutine either side started.
+// two read loops), 10 KiB of heap and 24 KiB of heap plus stack. The heap
+// bound holds only while a connection keeps just what its role uses: two
+// 512-byte read buffers, one response slot, and no push channel for a
+// feed nobody reads. Closing the clients and the server must then end
+// every goroutine either side started.
 func TestIdleConnectionCost(t *testing.T) {
 	const (
 		workers     = 256
 		maxRoutines = 2
-		maxBytes    = 48 << 10
+		maxHeap     = 10 << 10
+		maxBytes    = 24 << 10
 	)
 	before, _, _ := liveCost()
 	s, err := Serve("127.0.0.1:0", engine.Config{})
@@ -64,6 +68,9 @@ func TestIdleConnectionCost(t *testing.T) {
 	t.Logf("per idle worker: %.2f goroutines, %.1f KiB heap, %.1f KiB stack", routines, heap/1024, stack/1024)
 	if routines > maxRoutines {
 		t.Errorf("%.2f goroutines per idle connection pair, want at most %d", routines, maxRoutines)
+	}
+	if heap > maxHeap {
+		t.Errorf("%.1f KiB of heap per idle connection pair, want at most %d KiB", heap/1024, maxHeap>>10)
 	}
 	if heap+stack > maxBytes {
 		t.Errorf("%.1f KiB of heap plus stack per idle connection pair, want at most %d KiB", (heap+stack)/1024, maxBytes>>10)
@@ -118,8 +125,9 @@ func BenchmarkPushHandoff(b *testing.B) {
 	q := newPushQueue[int](0, nil)
 	defer q.close()
 	ack := make(chan struct{})
+	out := q.recv()
 	go func() {
-		for range q.out {
+		for range out {
 			ack <- struct{}{}
 		}
 	}()

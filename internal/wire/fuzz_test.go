@@ -31,6 +31,8 @@ func FuzzMessageDecode(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	// A frame past the read buffer's 512-byte start.
+	f.Add(AppendFrame(nil, &Message{Type: "submit", Seq: 1, Task: &TaskPayload{ID: "t-long", DeadlineMS: 60000, Description: longDescription}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
 		if err := json.Unmarshal(data, &m); err != nil {

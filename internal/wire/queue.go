@@ -7,6 +7,9 @@ import "sync"
 // not yet running, without starting a pump. A read that brings a few
 // frames then costs the consumer one wake-up and no other goroutine, so
 // the consumer keeps its place at the front of the scheduler's queue.
+// The channel is made on the queue's first push or first recv, so a
+// connection pays for the slots only of the feeds its role uses: a worker
+// never reads results, a requester never reads assignments.
 const pushSlots = 16
 
 // pushQueue decouples a connection's read loop from a consumer that may
@@ -34,7 +37,7 @@ type pushQueue[T any] struct {
 	dead      chan struct{}  // closed on close(): stops the pump, parked or not
 	pumpWG    sync.WaitGroup // the running pump, if any
 	closeOnce sync.Once
-	out       chan T
+	out       chan T // made on first push or recv (outLocked); guarded by mu until then
 
 	max        int
 	onOverflow func()
@@ -43,7 +46,6 @@ type pushQueue[T any] struct {
 func newPushQueue[T any](max int, onOverflow func()) *pushQueue[T] {
 	return &pushQueue[T]{
 		dead:       make(chan struct{}),
-		out:        make(chan T, pushSlots),
 		max:        max,
 		onOverflow: onOverflow,
 	}
@@ -58,12 +60,13 @@ func (q *pushQueue[T]) push(v T) {
 		return
 	}
 	q.pushed++
+	out := q.outLocked()
 	sent := false
 	if len(q.buf) == 0 && !q.pumping {
 		// Nothing is queued or in flight, so v overtakes nothing: a parked
 		// consumer takes it now, or it waits in a free slot of out.
 		select {
-		case q.out <- v:
+		case out <- v:
 			sent = true
 		default:
 		}
@@ -71,7 +74,7 @@ func (q *pushQueue[T]) push(v T) {
 	if !sent {
 		q.buf = append(q.buf, v)
 	}
-	d := len(q.out) + len(q.buf)
+	d := len(out) + len(q.buf)
 	if d > q.highWater {
 		q.highWater = d
 	}
@@ -93,15 +96,37 @@ func (q *pushQueue[T]) push(v T) {
 	}
 }
 
+// recv is the consumer's end of the queue: the channel items arrive on,
+// closed by close.
+func (q *pushQueue[T]) recv() <-chan T {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.outLocked()
+}
+
+// outLocked returns out, making it first if nothing has touched the queue
+// yet. The caller holds mu.
+func (q *pushQueue[T]) outLocked() chan T {
+	if q.out == nil {
+		q.out = make(chan T, pushSlots)
+	}
+	return q.out
+}
+
 // close stops the queue and waits for the pump to exit, then empties out's
 // slots and closes it: once it returns nothing further is delivered,
 // exactly like a closed channel — undelivered items are dropped, which is
-// correct because they belonged to a dead connection. Idempotent; every
-// caller returns only after the pump is gone and out is closed.
+// correct because they belonged to a dead connection. A queue nobody
+// touched gets a closed channel with no slots, so a later recv still ends
+// a range loop. Idempotent; every caller returns only after the pump is
+// gone and out is closed.
 func (q *pushQueue[T]) close() {
 	q.closeOnce.Do(func() {
 		q.mu.Lock()
 		q.closed = true
+		if q.out == nil {
+			q.out = make(chan T)
+		}
 		q.mu.Unlock()
 		close(q.dead)
 		// A pump parked on a send with dead ready beside it may still hand

@@ -8,16 +8,21 @@ import (
 )
 
 // TestPushQueueDeliversInOrder pins the basic contract: everything pushed
-// is delivered, in push order, and the accounting sees it.
+// is delivered, in push order, and the accounting sees it. The queue holds
+// no channel until it is used, and every push here comes before the
+// consumer's first recv.
 func TestPushQueueDeliversInOrder(t *testing.T) {
 	q := newPushQueue[int](0, nil)
+	if q.out != nil {
+		t.Fatal("a fresh queue already holds a channel")
+	}
 	const n = 100
 	for i := 0; i < n; i++ {
 		q.push(i)
 	}
 	for i := 0; i < n; i++ {
 		select {
-		case v := <-q.out:
+		case v := <-q.recv():
 			if v != i {
 				t.Fatalf("delivery %d: got %d", i, v)
 			}
@@ -77,7 +82,7 @@ func TestPushQueueNothingAfterClose(t *testing.T) {
 		// close() has returned: a consumer arriving now must observe only
 		// the closed channel, never the undelivered item.
 		select {
-		case v, ok := <-q.out:
+		case v, ok := <-q.recv():
 			if ok {
 				t.Fatalf("iteration %d: received %d after close()", i, v)
 			}
@@ -87,15 +92,16 @@ func TestPushQueueNothingAfterClose(t *testing.T) {
 	}
 }
 
-// TestPushQueueCloseIdempotent pins that double close is safe and that
-// pushes after close are discarded without waking anything.
+// TestPushQueueCloseIdempotent pins that double close is safe, that
+// pushes after close are discarded without waking anything, and that a
+// range over a queue closed before anything touched it ends.
 func TestPushQueueCloseIdempotent(t *testing.T) {
 	q := newPushQueue[int](0, nil)
 	q.close()
 	q.close()
 	q.push(7)
-	if _, ok := <-q.out; ok {
-		t.Fatal("received an item pushed after close")
+	for v := range q.recv() {
+		t.Fatalf("received %d, pushed after close", v)
 	}
 	if depth, _, _, _ := q.depthStats(); depth != 0 {
 		t.Fatalf("push after close buffered an item (depth %d)", depth)
@@ -121,6 +127,7 @@ func TestPushQueueOrderMixedPaths(t *testing.T) {
 		total += sizes[i]
 	}
 	acks := make(chan struct{})
+	out := q.recv()
 	go func() {
 		next := 0
 		for b, n := range sizes {
@@ -128,7 +135,7 @@ func TestPushQueueOrderMixedPaths(t *testing.T) {
 				if slow[b] && j == 0 {
 					time.Sleep(100 * time.Microsecond) // let the burst queue up
 				}
-				v, ok := <-q.out
+				v, ok := <-out
 				if !ok || v != next {
 					t.Errorf("delivery %d: got %d (open %v)", next, v, ok)
 					close(acks)

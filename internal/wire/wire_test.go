@@ -106,6 +106,45 @@ func TestEndToEndOverTCP(t *testing.T) {
 
 // A task that expires unassigned reaches a watching requester as an
 // expired result, pushed by the region's expiry pump.
+// longDescription is a 3 KiB task description: its submit and assignment
+// frames outgrow the 512-byte buffer each read loop starts with.
+var longDescription = strings.Repeat("is the on-ramp at exit 14 jammed? ", 90)
+
+// TestLongFrameGrowsReadBuffers sends a frame six times the read buffer's
+// first size each way: the server's loop must grow its buffer to read the
+// submit, the worker's to read the assignment, and both connections must
+// keep working at the grown size.
+func TestLongFrameGrowsReadBuffers(t *testing.T) {
+	s := startServer(t)
+	worker := dial(t, s)
+	if err := worker.Register("alice", 37.98, 23.73); err != nil {
+		t.Fatal(err)
+	}
+	requester := dial(t, s)
+	for i, desc := range []string{longDescription, "short again"} {
+		task := testTask(fmt.Sprintf("t%d", i))
+		task.Description = desc
+		if n := len(AppendFrame(nil, &Message{Type: "submit", Seq: 1, Task: &task})); i == 0 && n <= 6*readBufStart {
+			t.Fatalf("submit frame is %d bytes, want more than %d", n, 6*readBufStart)
+		}
+		if err := requester.Submit(task); err != nil {
+			t.Fatal(err)
+		}
+		var a AssignmentPayload
+		select {
+		case a = <-worker.Assignments():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("assignment %s never arrived", task.ID)
+		}
+		if a.TaskID != task.ID || a.Description != desc {
+			t.Fatalf("assignment %s came back as %q (%d description bytes)", task.ID, a.TaskID, len(a.Description))
+		}
+		if err := worker.Complete(a.TaskID, "alice", "yes"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestExpiryResultPush(t *testing.T) {
 	s := startServer(t)
 	requester := dial(t, s)
@@ -296,16 +335,17 @@ func TestGarbageInputTolerated(t *testing.T) {
 	if _, err := fmt.Fprintf(c.c, "this is not json\n"); err != nil {
 		t.Fatal(err)
 	}
-	// The error response lands in the response queue; a following valid
-	// request still works.
-	time.Sleep(50 * time.Millisecond)
-	select {
-	case m := <-c.resp:
-		if m.Type != "error" {
-			t.Fatalf("garbage response = %+v", m)
+	// The error frame answers no call (the garbage carried no seq), so the
+	// client counts it stale; a following valid request still works.
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Metrics().StaleResponses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no error frame for garbage input")
 		}
-	default:
-		t.Fatal("no error frame for garbage input")
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := s.badFrames.Load(); n != 1 {
+		t.Fatalf("server counted %d bad frames, want 1", n)
 	}
 	if err := c.Register("after-garbage", 1, 1); err != nil {
 		t.Fatal(err)
@@ -483,6 +523,9 @@ func TestLocationUpdateOverWire(t *testing.T) {
 	c := dial(t, s)
 	if err := c.SetLocation(1, 1); err == nil {
 		t.Fatal("location before register accepted")
+	}
+	if err := c.Register("w", 1, 255); err == nil {
+		t.Fatal("register at invalid coordinates accepted")
 	}
 	if err := c.Register("w", 1, 1); err != nil {
 		t.Fatal(err)
