@@ -24,68 +24,69 @@ type cgNode struct {
 	cfg *funcCFG // built lazily by lockstate
 }
 
-// callGraph resolves call expressions to module function bodies. Four
-// resolution strategies stack up:
-//   - direct: package functions, concrete methods, called literals;
-//   - CHA: interface method calls dispatch to every module type that
-//     implements the interface (class-hierarchy analysis);
-//   - func fields: a call through a func-typed struct field (the
-//     engine.Hooks pattern) resolves to every value ever stored into
-//     that field anywhere in the module, including what a call hands a
-//     parameter its function only stores there (sim.Engine.After queues
-//     a handler: it runs where the queue calls it, not in the caller);
-//   - handed-in funcs: inside a type's methods, a call through a
-//     func-typed local or parameter resolves to every function value
-//     passed to that type's methods with an identical func type (the
-//     event.Bus pattern: Tap stores observers in a slice, Publish calls
-//     them through a range variable).
+// sig is the node's signature; a declared generic function keeps its
+// type parameters.
+func (n *cgNode) sig() *types.Signature {
+	if n.fn != nil {
+		return n.fn.Type().(*types.Signature)
+	}
+	return n.pkg.Info.TypeOf(n.lit).(*types.Signature)
+}
+
+// callGraph resolves call expressions to module function bodies. A call
+// of a package function, a concrete method or a literal has its one
+// body; an interface method call dispatches to every module type that
+// implements the interface (class-hierarchy analysis); any other call
+// goes through a function value, and resolves to the bodies its slot
+// may hold.
+//
+// Slots come from one flow-insensitive propagation over the whole
+// module, grown to a fixpoint. A slot is a variable, parameter,
+// receiver, function result or struct field, keyed by its *types.Var;
+// fields key by Origin(), so they are instance-blind, like lock classes.
+// A slice, map, channel, sync/atomic.Value or sync.Map shares one slot
+// with its contents. Slots are fed by assignments, keyed and positional
+// struct literals, element stores (s[i] = f, ch <- f, append, the
+// atomic.Value and sync.Map stores), range, call arguments, receivers
+// and return. So Bus.Publish's taps resolve to what Bus.Tap stored, and
+// a handler sim.Engine.After only queues runs where the simulation
+// calls it, not under the locks of the caller that scheduled it.
 type callGraph struct {
 	tm     *TypedModule
 	nodes  []*cgNode
 	byFunc map[*types.Func]*cgNode
 	byLit  map[*ast.FuncLit]*cgNode
+	named  []*types.Named                  // all module named types, for CHA
+	cha    map[*ast.SelectorExpr][]*cgNode // interface method selector -> implementers
 
-	fieldFuncs map[*types.Var][]*cgNode // func-typed field -> stored targets
-	named      []namedInPkg             // all module named types, for CHA
-
-	// Func-typed variables stored into fields, and how many uses each
-	// has besides such stores and nil comparisons (see storedFields).
-	varFields map[*types.Var][]*types.Var
-	otherUses map[*types.Var]int
-
-	handedIn  map[*types.TypeName][]handedFunc  // type -> func values passed to its methods
-	varCaller map[*ast.CallExpr]*types.TypeName // call through a func-typed variable -> its method's type
+	holds map[*types.Var][]*cgNode // slot -> bodies it may hold
+	flows []flow
+	calls []flow // src is a call whose arguments feed its callees' parameters
 }
 
-// handedFunc is one function value passed to a method: the parameter's
-// func type and the bodies the argument denotes.
-type handedFunc struct {
-	typ     types.Type
-	targets []*cgNode
-}
-
-type namedInPkg struct {
-	n  *types.Named
-	tp *TypedPackage
+// flow feeds slot dst the values of src, or its idx-th result when src
+// is a call returning several.
+type flow struct {
+	tp  *TypedPackage
+	dst *types.Var
+	src ast.Expr
+	idx int
 }
 
 func buildCallGraph(tm *TypedModule) *callGraph {
 	g := &callGraph{
-		tm:         tm,
-		byFunc:     make(map[*types.Func]*cgNode),
-		byLit:      make(map[*ast.FuncLit]*cgNode),
-		fieldFuncs: make(map[*types.Var][]*cgNode),
-		handedIn:   make(map[*types.TypeName][]handedFunc),
-		varCaller:  make(map[*ast.CallExpr]*types.TypeName),
-		varFields:  make(map[*types.Var][]*types.Var),
-		otherUses:  make(map[*types.Var]int),
+		tm:     tm,
+		byFunc: make(map[*types.Func]*cgNode),
+		byLit:  make(map[*ast.FuncLit]*cgNode),
+		cha:    make(map[*ast.SelectorExpr][]*cgNode),
+		holds:  make(map[*types.Var][]*cgNode),
 	}
 	for _, tp := range tm.List {
 		scope := tp.Types.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
 				if named, ok := tn.Type().(*types.Named); ok {
-					g.named = append(g.named, namedInPkg{n: named, tp: tp})
+					g.named = append(g.named, named)
 				}
 			}
 		}
@@ -105,83 +106,296 @@ func buildCallGraph(tm *TypedModule) *callGraph {
 			})
 		}
 	}
-	// Second pass: index every value stored into a func-typed struct
-	// field, module-wide. This is what connects e.hooks.Deliver(...) in
-	// the engine back to wire.Region.deliver.
+	for _, n := range g.nodes {
+		g.collect(n.pkg, n.body, n.sig().Results())
+	}
 	for _, tp := range tm.List {
 		for _, file := range tp.Files {
-			g.indexFieldStores(tp, file)
-			g.indexHandedIn(tp, file)
-		}
-		for _, obj := range tp.Info.Uses {
-			if v, ok := obj.(*types.Var); ok && isFuncType(v.Type()) {
-				g.otherUses[v]++
+			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					g.collect(tp, gd, nil)
+				}
 			}
 		}
 	}
-	// Third pass: a function value handed to a parameter its callee only
-	// stores joins those fields' values; repeat while that resolves more.
 	for grown := true; grown; {
 		grown = false
-		for _, tp := range tm.List {
-			for _, file := range tp.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && g.storeHandedIn(tp, call) {
-						grown = true
-					}
-					return true
-				})
+		for _, f := range g.flows {
+			grown = g.add(f.dst, g.valuesAt(f.tp, f.src, f.idx)) || grown
+		}
+		for _, c := range g.calls {
+			call := c.src.(*ast.CallExpr)
+			for _, t := range g.resolveCall(c.tp, call) {
+				params := t.sig().Params()
+				for i := 0; i < len(call.Args) && params.Len() > 0; i++ {
+					p := params.At(min(i, params.Len()-1)) // a variadic tail is one slot
+					grown = g.add(p.Origin(), g.values(c.tp, call.Args[i])) || grown
+				}
 			}
 		}
 	}
 	return g
 }
 
-// storeHandedIn adds the function values call hands to stored-only
-// parameters to the fields those parameters are stored into, and reports
-// whether any field gained a value.
-func (g *callGraph) storeHandedIn(tp *TypedPackage, call *ast.CallExpr) bool {
-	grown := false
-	for _, callee := range g.resolveCall(tp, call) {
-		for i, arg := range call.Args {
-			for _, field := range g.storedFields(callee, i) {
-				for _, t := range g.funcValueTargets(tp, arg) {
-					if !slices.Contains(g.fieldFuncs[field], t) {
-						g.fieldFuncs[field] = append(g.fieldFuncs[field], t)
-						grown = true
-					}
-				}
+// collect records the flows of a function body with the given result
+// slots, or of a package-level var declaration. A nested literal is a
+// node of its own.
+func (g *callGraph) collect(tp *TypedPackage, root ast.Node, results *types.Tuple) {
+	feed := func(dst *types.Var, src ast.Expr, idx int) {
+		if dst != nil {
+			g.flows = append(g.flows, flow{tp, dst, src, idx})
+		}
+	}
+	// pair feeds each of dsts from rhs, or from the results of one call.
+	pair := func(dsts []*types.Var, rhs []ast.Expr) {
+		for i, dst := range dsts {
+			if len(rhs) == len(dsts) {
+				feed(dst, rhs[i], 0)
+			} else if len(rhs) == 1 {
+				feed(dst, rhs[0], i)
 			}
 		}
 	}
-	return grown
+	var rets []*types.Var
+	for i := 0; i < results.Len(); i++ {
+		rets = append(rets, results.At(i).Origin())
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+				pair(slotsOf(tp, n.Lhs), n.Rhs)
+			}
+		case *ast.ValueSpec:
+			pair(slotsOf(tp, n.Names), n.Values)
+		case *ast.ReturnStmt:
+			pair(rets, n.Results)
+		case *ast.RangeStmt:
+			switch tp.Info.TypeOf(n.X).Underlying().(type) {
+			case *types.Chan:
+				feed(slotOf(tp, n.Key), n.X, 0)
+			case *types.Signature: // a func iterator
+			default:
+				feed(slotOf(tp, n.Value), n.X, 0)
+			}
+		case *ast.SendStmt:
+			feed(slotOf(tp, n.Chan), n.Value, 0)
+		case *ast.CompositeLit:
+			if st, ok := derefStruct(tp.Info.TypeOf(n).Underlying()); ok {
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						feed(tp.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin(), kv.Value, 0)
+					} else {
+						feed(st.Field(i).Origin(), elt, 0)
+					}
+				}
+			}
+		case *ast.SelectorExpr: // a method value or call binds its receiver
+			if s := tp.Info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+				for _, t := range g.methods(n, s) {
+					if recv := t.sig().Recv(); recv != nil {
+						feed(recv.Origin(), n.X, 0)
+					}
+				}
+			}
+		case *ast.CallExpr:
+			g.calls = append(g.calls, flow{tp: tp, src: n})
+			if isContainerOp(calleeFunc(tp, n)) {
+				for _, arg := range n.Args {
+					feed(slotOf(tp, ast.Unparen(n.Fun).(*ast.SelectorExpr).X), arg, 0)
+				}
+			}
+		}
+		return true
+	})
 }
 
-// storedFields returns the fields n's i-th parameter is stored into when
-// storing it, and comparing it with nil, is all n does with it: a function
-// value handed there runs wherever those fields are called, never in n.
-func (g *callGraph) storedFields(n *cgNode, i int) []*types.Var {
-	t := n.pkg.Info.TypeOf(n.lit)
-	if n.fn != nil {
-		t = n.fn.Type()
-	}
-	sig, _ := t.(*types.Signature)
-	if sig == nil || i >= sig.Params().Len() || g.otherUses[sig.Params().At(i)] > 0 {
-		return nil
-	}
-	return g.varFields[sig.Params().At(i)]
+// add joins ts into dst's slot and reports whether it grew.
+func (g *callGraph) add(dst *types.Var, ts []*cgNode) bool {
+	n := len(g.holds[dst])
+	g.holds[dst] = union(g.holds[dst], ts)
+	return len(g.holds[dst]) > n
 }
 
-// funcVar returns the func-typed variable expr names, if it names one.
-func funcVar(tp *TypedPackage, expr ast.Expr) *types.Var {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
+func union(a, b []*cgNode) []*cgNode {
+	for _, n := range b {
+		if !slices.Contains(a, n) {
+			a = append(a, n)
+		}
+	}
+	return a
+}
+
+// slotOf names the slot an assignment to e writes: a variable or a
+// field, or for an element store (s[i], *p) the container's own slot.
+func slotOf(tp *TypedPackage, e ast.Expr) *types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := tp.Info.ObjectOf(e).(*types.Var); ok {
+			return v.Origin()
+		}
+	case *ast.SelectorExpr:
+		if s := tp.Info.Selections[e]; s == nil {
+			return slotOf(tp, e.Sel) // package-qualified
+		} else if s.Kind() == types.FieldVal {
+			return s.Obj().(*types.Var).Origin()
+		}
+	case *ast.IndexExpr:
+		return slotOf(tp, e.X)
+	case *ast.StarExpr:
+		return slotOf(tp, e.X)
+	}
+	return nil
+}
+
+// slotsOf is slotOf of each of es.
+func slotsOf[E ast.Expr](tp *TypedPackage, es []E) []*types.Var {
+	out := make([]*types.Var, len(es))
+	for i, e := range es {
+		out[i] = slotOf(tp, e)
+	}
+	return out
+}
+
+// values returns the module bodies e may evaluate to or, for a
+// container, hold.
+func (g *callGraph) values(tp *TypedPackage, e ast.Expr) []*cgNode {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.FuncLit:
+		return []*cgNode{g.byLit[e]}
+	case *ast.Ident:
+		switch obj := tp.Info.Uses[e].(type) {
+		case *types.Func:
+			if n := g.nodeFor(obj); n != nil {
+				return []*cgNode{n}
+			}
+		case *types.Var:
+			return g.holds[obj.Origin()]
+		}
+	case *ast.SelectorExpr:
+		s := tp.Info.Selections[e]
+		switch {
+		case s == nil:
+			return g.values(tp, e.Sel) // package-qualified
+		case s.Kind() == types.MethodVal:
+			return g.methods(e, s)
+		case s.Kind() == types.FieldVal:
+			return g.holds[s.Obj().(*types.Var).Origin()]
+		}
+	case *ast.IndexExpr: // an element, or a generic instantiation
+		return g.values(tp, e.X)
+	case *ast.SliceExpr:
+		return g.values(tp, e.X)
+	case *ast.StarExpr:
+		return g.values(tp, e.X)
+	case *ast.UnaryExpr: // <-ch, &x
+		return g.values(tp, e.X)
+	case *ast.TypeAssertExpr:
+		return g.values(tp, e.X)
+	case *ast.CompositeLit:
+		if _, ok := derefStruct(tp.Info.TypeOf(e).Underlying()); ok {
+			return nil // its fields are slots of their own
+		}
+		var out []*cgNode
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			out = union(out, g.values(tp, elt))
+		}
+		return out
+	case *ast.CallExpr:
+		return g.valuesAt(tp, e, 0)
+	}
+	return nil
+}
+
+// valuesAt is values for the idx-th result of a call; any other e has
+// one value (the second of v, ok := m[k] holds no func).
+func (g *callGraph) valuesAt(tp *TypedPackage, e ast.Expr, idx int) []*cgNode {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return g.values(tp, e)
+	}
+	var out []*cgNode
+	switch fun := ast.Unparen(call.Fun); {
+	case tp.Info.Types[fun].IsType(): // a conversion
+		return g.values(tp, call.Args[0])
+	case tp.Info.Types[fun].IsBuiltin(): // of which only append yields funcs
+		if id, _ := fun.(*ast.Ident); id != nil && id.Name == "append" {
+			for _, arg := range call.Args {
+				out = union(out, g.values(tp, arg))
+			}
+		}
+	case isContainerOp(calleeFunc(tp, call)):
+		return g.values(tp, fun.(*ast.SelectorExpr).X)
+	default:
+		for _, t := range g.resolveCall(tp, call) {
+			if res := t.sig().Results(); idx < res.Len() {
+				out = union(out, g.holds[res.At(idx).Origin()])
+			}
+		}
+	}
+	return out
+}
+
+// isContainerOp reports a method of sync/atomic.Value or sync.Map: its
+// arguments are stored in the receiver's slot, its results read from it.
+func isContainerOp(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	path, recv := fn.Pkg().Path(), receiverTypeName(fn)
+	return path == "sync/atomic" && recv == "Value" || path == "sync" && recv == "Map"
+}
+
+// methods resolves a method selector: the concrete method's body, or
+// for an interface method every module implementation (CHA).
+func (g *callGraph) methods(sel *ast.SelectorExpr, s *types.Selection) []*cgNode {
+	fn := s.Obj().(*types.Func)
+	if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
+		impls, ok := g.cha[sel]
+		if !ok {
+			impls = g.implementersOf(iface, fn.Name())
+			g.cha[sel] = impls
+		}
+		return impls
+	}
+	if n := g.nodeFor(fn); n != nil {
+		return []*cgNode{n}
+	}
+	return nil
+}
+
+// resolveCall returns every module function body a call may reach.
+func (g *callGraph) resolveCall(tp *TypedPackage, call *ast.CallExpr) []*cgNode {
+	return g.funcValues(tp, call.Fun)
+}
+
+// funcValues is values narrowed to the bodies whose signature matches
+// e's func type: a slot of type any can hold funcs of several.
+func (g *callGraph) funcValues(tp *TypedPackage, e ast.Expr) []*cgNode {
+	want, ok := tp.Info.TypeOf(e).Underlying().(*types.Signature)
 	if !ok {
 		return nil
 	}
-	if v, ok := tp.Info.Uses[id].(*types.Var); ok && !v.IsField() && isFuncType(v.Type()) {
-		return v
+	var out []*cgNode
+	for _, n := range g.values(tp, e) {
+		sig := n.sig()
+		if sig.TypeParams().Len() > 0 || sig.RecvTypeParams().Len() > 0 || types.Identical(want, sig) {
+			out = append(out, n)
+		}
 	}
-	return nil
+	return out
+}
+
+// runsHandedFuncs reports whether a call to fn is taken to run the func
+// values handed to it at the call: fn is outside the module (sort.Slice,
+// sync.Once.Do) and not a container store.
+func (g *callGraph) runsHandedFuncs(fn *types.Func) bool {
+	return fn != nil && fn.Pkg() != nil && g.tm.ByPath[fn.Pkg().Path()] == nil && !isContainerOp(fn)
 }
 
 func (g *callGraph) addDecl(tp *TypedPackage, fd *ast.FuncDecl) {
@@ -239,172 +453,6 @@ func (g *callGraph) nodeFor(fn *types.Func) *cgNode {
 	return g.byFunc[fn.Origin()]
 }
 
-// indexFieldStores records composite-literal entries and assignments
-// that store a resolvable function value into a struct field.
-func (g *callGraph) indexFieldStores(tp *TypedPackage, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				field, ok := tp.Info.Uses[key].(*types.Var)
-				if !ok || !field.IsField() {
-					continue
-				}
-				g.recordFieldStore(tp, field, kv.Value)
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, lhs := range n.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				s := tp.Info.Selections[sel]
-				if s == nil || s.Kind() != types.FieldVal {
-					continue
-				}
-				field, ok := s.Obj().(*types.Var)
-				if !ok {
-					continue
-				}
-				g.recordFieldStore(tp, field, n.Rhs[i])
-			}
-		case *ast.BinaryExpr: // fn == nil, fn != nil
-			if v := funcVar(tp, n.X); v != nil && (n.Op == token.EQL || n.Op == token.NEQ) && tp.Info.Types[n.Y].IsNil() {
-				g.otherUses[v]--
-			}
-		}
-		return true
-	})
-}
-
-// indexHandedIn records, per receiver type, every function value passed
-// to its methods and every call its methods make through a func-typed
-// local or parameter: what connects Bus.Publish's tap calls back to the
-// observers given to Bus.Tap.
-func (g *callGraph) indexHandedIn(tp *TypedPackage, file *ast.File) {
-	for _, decl := range file.Decls {
-		var owner *types.TypeName
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-			if fn, ok := tp.Info.Defs[fd.Name].(*types.Func); ok {
-				if n := derefNamed(fn.Type().(*types.Signature).Recv().Type()); n != nil {
-					owner = n.Obj()
-				}
-			}
-		}
-		ast.Inspect(decl, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				if v, ok := tp.Info.Uses[fun].(*types.Var); ok && owner != nil && isFuncType(v.Type()) {
-					g.varCaller[call] = owner
-				}
-			case *ast.SelectorExpr:
-				s := tp.Info.Selections[fun]
-				if s == nil || s.Kind() != types.MethodVal || types.IsInterface(s.Recv()) || derefNamed(s.Recv()) == nil {
-					return true
-				}
-				recv := derefNamed(s.Recv()).Obj()
-				params := s.Obj().Type().(*types.Signature).Params()
-				for i, arg := range call.Args {
-					if i >= params.Len() || !isFuncType(params.At(i).Type()) {
-						continue
-					}
-					if ts := g.funcValueTargets(tp, arg); len(ts) > 0 {
-						g.handedIn[recv] = append(g.handedIn[recv], handedFunc{params.At(i).Type(), ts})
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func isFuncType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Signature)
-	return ok
-}
-
-// handedInTargets resolves a call through a func-typed variable of type
-// typ made inside a method: every function value of an identical type
-// passed to a method of the same receiver type.
-func (g *callGraph) handedInTargets(call *ast.CallExpr, typ types.Type) []*cgNode {
-	var out []*cgNode
-	for _, h := range g.handedIn[g.varCaller[call]] {
-		for _, t := range h.targets {
-			if types.Identical(h.typ, typ) && !slices.Contains(out, t) {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
-func (g *callGraph) recordFieldStore(tp *TypedPackage, field *types.Var, value ast.Expr) {
-	if !isFuncType(field.Type()) {
-		return
-	}
-	field = field.Origin()
-	if v := funcVar(tp, value); v != nil {
-		g.varFields[v] = append(g.varFields[v], field)
-		g.otherUses[v]--
-	}
-	for _, t := range g.funcValueTargets(tp, value) {
-		g.fieldFuncs[field] = append(g.fieldFuncs[field], t)
-	}
-}
-
-// funcValueTargets resolves an expression used as a function value to
-// the module bodies it can denote: a literal, a package function, or a
-// method value.
-func (g *callGraph) funcValueTargets(tp *TypedPackage, expr ast.Expr) []*cgNode {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.FuncLit:
-		if n := g.byLit[e]; n != nil {
-			return []*cgNode{n}
-		}
-	case *ast.Ident:
-		if fn, ok := tp.Info.Uses[e].(*types.Func); ok {
-			if n := g.nodeFor(fn); n != nil {
-				return []*cgNode{n}
-			}
-		}
-	case *ast.SelectorExpr:
-		if s := tp.Info.Selections[e]; s != nil {
-			switch s.Kind() {
-			case types.MethodVal:
-				if fn, ok := s.Obj().(*types.Func); ok {
-					if n := g.nodeFor(fn); n != nil {
-						return []*cgNode{n}
-					}
-				}
-			case types.FieldVal:
-				if field, ok := s.Obj().(*types.Var); ok {
-					return g.fieldFuncs[field.Origin()]
-				}
-			}
-		} else if fn, ok := tp.Info.Uses[e.Sel].(*types.Func); ok {
-			if n := g.nodeFor(fn); n != nil {
-				return []*cgNode{n}
-			}
-		}
-	}
-	return nil
-}
-
 // calleeFunc returns the static callee object of a call, if any —
 // including interface methods and stdlib functions that have no module
 // body. Analyzers use it to classify the callee; resolveCall to find
@@ -448,75 +496,20 @@ func calleeField(tp *TypedPackage, call *ast.CallExpr) (*types.Var, *types.Named
 	return field.Origin(), derefNamed(s.Recv())
 }
 
-// resolveCall returns every module function body a call may reach.
-func (g *callGraph) resolveCall(tp *TypedPackage, call *ast.CallExpr) []*cgNode {
-	fun := ast.Unparen(call.Fun)
-	// A conversion T(x) parses as a call; skip it.
-	if tv, ok := tp.Info.Types[fun]; ok && tv.IsType() {
-		return nil
-	}
-	switch fun := fun.(type) {
-	case *ast.FuncLit:
-		if n := g.byLit[fun]; n != nil {
-			return []*cgNode{n}
-		}
-		return nil
-	case *ast.Ident:
-		switch obj := tp.Info.Uses[fun].(type) {
-		case *types.Func:
-			if n := g.nodeFor(obj); n != nil {
-				return []*cgNode{n}
-			}
-		case *types.Var:
-			return g.handedInTargets(call, obj.Type())
-		}
-		return nil
-	case *ast.SelectorExpr:
-		s := tp.Info.Selections[fun]
-		if s == nil {
-			// Package-qualified call pkg.Func(...).
-			if fn, ok := tp.Info.Uses[fun.Sel].(*types.Func); ok {
-				if n := g.nodeFor(fn); n != nil {
-					return []*cgNode{n}
-				}
-			}
-			return nil
-		}
-		switch s.Kind() {
-		case types.MethodVal:
-			fn, ok := s.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
-				return g.implementersOf(iface, fn.Name())
-			}
-			if n := g.nodeFor(fn); n != nil {
-				return []*cgNode{n}
-			}
-		case types.FieldVal:
-			if field, ok := s.Obj().(*types.Var); ok {
-				return g.fieldFuncs[field.Origin()]
-			}
-		}
-	}
-	return nil
-}
-
 // implementersOf is the CHA step: every module method m on a named type
 // T (or *T) implementing iface, with a body in the module.
 func (g *callGraph) implementersOf(iface *types.Interface, method string) []*cgNode {
 	var out []*cgNode
 	seen := make(map[*cgNode]bool)
-	for _, ni := range g.named {
-		if _, ok := ni.n.Underlying().(*types.Interface); ok {
+	for _, named := range g.named {
+		if _, ok := named.Underlying().(*types.Interface); ok {
 			continue
 		}
-		ptr := types.NewPointer(ni.n)
-		if !types.Implements(ni.n, iface) && !types.Implements(ptr, iface) {
+		ptr := types.NewPointer(named)
+		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
 			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(ptr, true, ni.n.Obj().Pkg(), method)
+		obj, _, _ := types.LookupFieldOrMethod(ptr, true, named.Obj().Pkg(), method)
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			continue

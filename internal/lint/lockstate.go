@@ -106,32 +106,11 @@ func computeLockFacts(tm *TypedModule) (*lockFacts, error) {
 		entry:    make(map[*cgNode]map[int]bool),
 		entryWhy: make(map[*cgNode]map[int]entryProv),
 	}
-	var pending []syntheticEdge
 	for _, n := range lf.graph.nodes {
-		ff, syn := lf.analyzeFunc(n)
-		lf.perFunc[n] = ff
-		pending = append(pending, syn...)
-	}
-	// Closure values passed into module functions are assumed invoked by
-	// the receiving function: attach a zero-local-held call fact to the
-	// callee so entry-context still reaches the closure body.
-	for _, se := range pending {
-		ff := lf.perFunc[se.via]
-		if ff == nil {
-			continue
-		}
-		ff.calls = append(ff.calls, &callFact{
-			node: se.via, pos: se.pos, kind: edgeCall, targets: se.targets,
-		})
+		lf.perFunc[n] = lf.analyzeFunc(n)
 	}
 	lf.solveEntry()
 	return lf, nil
-}
-
-type syntheticEdge struct {
-	via     *cgNode // module callee receiving the func value
-	targets []*cgNode
-	pos     token.Pos
 }
 
 func (lf *lockFacts) class(key string) *lockClass {
@@ -154,12 +133,11 @@ type funcWalker struct {
 	cfg  *funcCFG
 	held map[int]bool
 	ff   *funcFacts
-	syn  []syntheticEdge
 
 	record bool // phase B: collect facts
 }
 
-func (lf *lockFacts) analyzeFunc(n *cgNode) (*funcFacts, []syntheticEdge) {
+func (lf *lockFacts) analyzeFunc(n *cgNode) *funcFacts {
 	if n.cfg == nil {
 		n.cfg = buildCFG(n.body)
 	}
@@ -197,7 +175,7 @@ func (lf *lockFacts) analyzeFunc(n *cgNode) (*funcFacts, []syntheticEdge) {
 			w.applyNode(node)
 		}
 	}
-	return w.ff, w.syn
+	return w.ff
 }
 
 func copySet(s map[int]bool) map[int]bool {
@@ -380,26 +358,14 @@ func (w *funcWalker) recordCall(call *ast.CallExpr, kind edgeKind) {
 	if desc := blockingCallDesc(fn); desc != "" {
 		w.blocking(call.Pos(), desc)
 	}
-	// Function values passed as arguments: if the callee is a module
-	// function, assume it may invoke them (entry context flows through
-	// the callee) unless it only stores them (see storedFields); if
-	// external (sort.Slice, sync.Once.Do), assume a synchronous
-	// invocation right here.
-	for i, arg := range call.Args {
-		ts := lf.graph.funcValueTargets(tp, arg)
-		if len(ts) == 0 {
-			continue
-		}
-		if kind == edgeGo && len(targets) == 0 {
-			continue // closure handed to a goroutine-spawning external call
-		}
-		if len(targets) > 0 {
-			for _, t := range targets {
-				if lf.graph.storedFields(t, i) == nil {
-					w.syn = append(w.syn, syntheticEdge{via: t, targets: ts, pos: call.Pos()})
-				}
-			}
-		} else {
+	// A func value handed to a callee outside the module (sort.Slice,
+	// sync.Once.Do) is taken to run right here; one handed to a module
+	// function runs wherever the call graph resolves its calls.
+	if kind == edgeGo || !lf.graph.runsHandedFuncs(fn) {
+		return
+	}
+	for _, arg := range call.Args {
+		if ts := lf.graph.funcValues(tp, arg); len(ts) > 0 {
 			w.ff.calls = append(w.ff.calls, &callFact{
 				node: w.node, call: call, pos: call.Pos(), kind: kind,
 				localHeld: snapshot, targets: ts,

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -34,18 +35,20 @@ func TestTypedAnalyzersOnFixtures(t *testing.T) {
 
 	want := map[string][]string{
 		"lockorder": {
-			"internal/locka/locka.go:24", // a ⇄ b cycle, anchored at first edge
-			"internal/locka/locka.go:47", // self-deadlock via Reentrant → bump
+			"internal/locka/locka.go:24",     // a ⇄ b cycle, anchored at first edge
+			"internal/locka/locka.go:47",     // self-deadlock via Reentrant → bump
+			"internal/funcval/funcval.go:64", // Gauge ⇄ Store, through an observer kept in an atomic.Value
 		},
 		"hookreentrancy": {
 			"internal/engine/engine.go:42", // direct: BadHook fires Deliver under mu
 			"internal/engine/engine.go:62", // interprocedural: emit poisoned by Indirect
 		},
 		"blockingunderlock": {
-			"internal/block/block.go:22", // channel send under mu
-			"internal/block/block.go:29", // channel receive under mu
-			"internal/block/block.go:37", // time.Sleep under mu
-			"internal/sched/sched.go:55", // handed under mu to a func that runs it (the scheduled one at :53 is not)
+			"internal/block/block.go:22",     // channel send under mu
+			"internal/block/block.go:29",     // channel receive under mu
+			"internal/block/block.go:37",     // time.Sleep under mu
+			"internal/sched/sched.go:55",     // handed under mu to a func that runs it (the scheduled one at :53 is not)
+			"internal/funcval/funcval.go:27", // closure in a local, called by a plain helper under mu (the probe at :140 is only stored)
 		},
 		"clocktaint": {
 			"internal/gateway/gateway.go:21", // laundered wall read into sink call
@@ -134,8 +137,11 @@ func TestRenderLockOrderDoc(t *testing.T) {
 		"- `block.Q.mu`",
 		"- `engine.Engine.mu`",
 		"- `tapbus.Gate.mu`", // a func of another type handed to Bus is no tap
+		"| `funcval.Store.mu` | `funcval.Gauge.mu` | `internal/funcval/funcval.go:79` in `funcval.(*funcval.Gauge).Observe` |",
+		"- `funcval.Host.mu`", // the probe registered under it runs from Scrape
 		"## Cycles",
 		"locka.Pair.a ⇄ locka.Pair.b",
+		"funcval.Gauge.mu ⇄ funcval.Store.mu",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("doc missing %q\n---\n%s", want, doc)
@@ -146,6 +152,31 @@ func TestRenderLockOrderDoc(t *testing.T) {
 	doc2, err := lint.RenderLockOrderDoc(runner.TM)
 	if err != nil || doc != doc2 {
 		t.Errorf("RenderLockOrderDoc not deterministic (err=%v)", err)
+	}
+}
+
+// TestLockOrderDocMatchesTree regenerates the lock-order document for
+// this module and requires docs/LOCKORDER.md to match it byte for byte:
+// the checked-in order is the proof only while it describes the code.
+func TestLockOrderDocMatchesTree(t *testing.T) {
+	mod, err := lint.LoadModule("../..")
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	tm, err := lint.TypeCheck(mod)
+	if err != nil {
+		t.Fatalf("TypeCheck: %v", err)
+	}
+	doc, err := lint.RenderLockOrderDoc(tm)
+	if err != nil {
+		t.Fatalf("RenderLockOrderDoc: %v", err)
+	}
+	want, err := os.ReadFile("../../docs/LOCKORDER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc != string(want) {
+		t.Error("docs/LOCKORDER.md is out of date; run 'make lockorder' and review the diff")
 	}
 }
 

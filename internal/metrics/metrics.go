@@ -272,46 +272,33 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Write renders the table with aligned columns.
+// Write renders the table with aligned columns. It copies the header
+// and rows under the lock and writes them after releasing it, so a slow
+// writer never holds up AddRow.
 func (t *Table) Write(w io.Writer) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
+	rows := append([][]string{t.header}, t.rows...)
+	t.mu.Unlock()
+	widths := make([]int, len(rows[0]))
+	for _, row := range rows {
 		for i, c := range row {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
 	}
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			pad := widths[i] - len(c)
+	for _, row := range rows {
+		for i, c := range row {
 			if i > 0 {
 				if _, err := io.WriteString(w, "  "); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s%s", c, spaces(pad)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s", c, spaces(widths[i]-len(c))); err != nil {
 				return err
 			}
 		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	return writeRowsSorted(t.rows, writeRow)
-}
-
-func writeRowsSorted(rows [][]string, emit func([]string) error) error {
-	// Rows keep insertion order; sorting is left to callers that need it.
-	for _, r := range rows {
-		if err := emit(r); err != nil {
+		if _, err := io.WriteString(w, "\n"); err != nil {
 			return err
 		}
 	}

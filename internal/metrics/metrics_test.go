@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -230,6 +231,47 @@ func TestTableRendering(t *testing.T) {
 	if !strings.HasPrefix(lines[1][idx:], "1000") {
 		t.Fatalf("columns misaligned:\n%s", out)
 	}
+}
+
+// TestTableWriteReleasesLock: Write renders a copy taken under the lock
+// and writes it after releasing the lock, so a writer that adds a row to
+// the same table neither deadlocks nor shows up in this rendering.
+func TestTableWriteReleasesLock(t *testing.T) {
+	tb := NewTable("k")
+	tb.AddRow("a")
+	w := &rowAddingWriter{tb: tb}
+	done := make(chan error, 1)
+	go func() { done <- tb.Write(w) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Write held the table lock while writing")
+	}
+	if got := w.b.String(); got != "k\na\n" {
+		t.Fatalf("rendered %q, want the rows as of the call", got)
+	}
+	w.b.Reset()
+	if err := tb.Write(&w.b); err != nil || w.b.String() != "k   \na   \nlate\n" {
+		t.Fatalf("second render = %q, %v", w.b.String(), err)
+	}
+}
+
+// rowAddingWriter adds a row to its table on its first write.
+type rowAddingWriter struct {
+	tb    *Table
+	b     strings.Builder
+	added bool
+}
+
+func (w *rowAddingWriter) Write(p []byte) (int, error) {
+	if !w.added {
+		w.added = true
+		w.tb.AddRow("late")
+	}
+	return w.b.Write(p)
 }
 
 func TestSeriesConcurrent(t *testing.T) {
