@@ -63,7 +63,7 @@ func TestTapLoadAccounting(t *testing.T) {
 	}
 
 	// Batch and forget events carry no load signal.
-	publish(c, event.Event{Kind: event.KindBatch})
+	publish(c, event.Event{Kind: event.KindBatch, Batch: &event.BatchStats{}})
 	publish(c, event.Event{Kind: event.KindForget})
 	check(0, 0, "batch/forget ignored")
 }

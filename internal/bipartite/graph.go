@@ -71,9 +71,11 @@ const maxEdgePresize = 1 << 16
 
 // vertexIDs is one vertex class's ids in insertion order, with an index by
 // id that is built only once the ids stop arriving in increasing order.
-// Schedulers add sorted snapshots (the worker registry and the task store
-// both sort by id), so while index is nil the duplicate test is one
-// comparison with the last id and lookups are a binary search.
+// The worker registry's snapshot is sorted by id, so for workers index
+// stays nil: the duplicate test is one comparison with the last id and
+// lookups are a binary search. The task store's snapshot is sorted by
+// (Submitted, ID), so tasks keep that fast path only while submission
+// order agrees with id order.
 type vertexIDs struct {
 	ids   []string
 	index map[string]int32

@@ -12,8 +12,8 @@
 // the calls, so two very different hosts run one sequence:
 //
 //   - internal/wire runs one engine per region against a real clock: Start
-//     launches two tickers, and its Deliver hook writes each assignment
-//     straight into the worker's connection;
+//     launches one loop over two tickers and the wake slot, and its Deliver
+//     hook writes each assignment straight into the worker's connection;
 //   - internal/experiments sets Config.Defer to sim.Engine.After, so Start
 //     arms the same ticks as events on the virtual clock, which also pays
 //     the modelled matcher latency of DESIGN.md §2 (Config.Latency).
@@ -87,7 +87,7 @@ type Config struct {
 	// Defer, when set, paces every engine timer on the host's clock: Start
 	// arms Tick, TickMonitor and each kicked round through it, and a round
 	// applies after its modelled latency through it (the experiments point
-	// it at sim.Engine.After). Nil is the live mode: wall-clock loops, and
+	// it at sim.Engine.After). Nil is the live mode: one wall-clock loop, and
 	// rounds apply synchronously. Defer must only schedule fn, never run it.
 	Defer func(d time.Duration, fn func(now time.Time))
 	// BatchPoll and MonitorPeriod pace what Start runs: Tick every
@@ -139,8 +139,9 @@ var (
 // Received, Assigned, Completed, OnTime, Expired, Shed, Reassigned — is
 // the ledger's: event.Ledger.Observe folds it from the spine, and journal
 // replay runs the same fold, so it survives a recovery. Batches and
-// MatcherTime count scheduling rounds, which are not journaled: those two
-// restart from zero.
+// MatcherTime are the same ledger's round counts (Ledger.Rounds), folded
+// from KindBatch events, which are not journaled: those two restart from
+// zero.
 type Stats struct {
 	event.Tally
 	Batches     int64
@@ -165,17 +166,15 @@ type Engine struct {
 	lastRun  time.Time // when the last round ran; the period half of the trigger
 	inFlight bool
 
-	ledger    event.Ledger // lifecycle counters; the bus's first tap
-	batches   atomic.Int64
-	matcherNs atomic.Int64
+	ledger event.Ledger // lifecycle and round counters; the bus's first tap
 
-	// What Start runs (live.go): stop ends the live loops, loops waits for
-	// them, driven is set while a Defer-paced engine runs, and wake (one
+	// What Start runs (live.go): stop ends the live loop, loop waits for
+	// it, driven is set while a Defer-paced engine runs, and wake (one
 	// slot) asks for a round the moment the backlog half of the trigger
 	// holds (kick).
 	stop     chan struct{}
 	stopOnce sync.Once
-	loops    sync.WaitGroup
+	loop     sync.WaitGroup
 	driven   atomic.Bool
 	wake     chan struct{}
 }
@@ -314,7 +313,7 @@ func (e *Engine) AttachWorker(id string, loc region.Point) (*profile.Profile, er
 
 // SetAvailable records whether an attached worker is willing to take work,
 // without detaching it: a task it holds stays in its hands either way.
-// Becoming willing kicks the batch loop, as an attach does, so a backlog
+// Becoming willing kicks the live loop, as an attach does, so a backlog
 // over BatchBound does not wait for the next poll.
 func (e *Engine) SetAvailable(id string, willing bool) error {
 	p, ok := e.workers.Get(id)
@@ -406,7 +405,8 @@ func (e *Engine) Feedback(taskID string, positive bool) error {
 
 // Stats snapshots the counters.
 func (e *Engine) Stats() Stats {
-	return Stats{Tally: e.ledger.Counts(), Batches: e.batches.Load(), MatcherTime: time.Duration(e.matcherNs.Load())}
+	batches, matcher := e.ledger.Rounds()
+	return Stats{Tally: e.ledger.Counts(), Batches: batches, MatcherTime: matcher}
 }
 
 // Tick runs one full maintenance pass — retention GC, unassigned-task
@@ -456,7 +456,7 @@ func (e *Engine) TickMonitor() {
 }
 
 // release returns a task held by workerID to the pool as a revocation for
-// cause — the one place a binding is undone — and kicks the batch loop,
+// cause — the one place a binding is undone — and kicks the live loop,
 // since a task came free. The store checks the holder under the lock that
 // revokes, so of two releases racing — a detach, a deregister, a refused
 // delivery, an Eq. 2 verdict — the second is a no-op, and so is one whose
@@ -550,8 +550,6 @@ func (e *Engine) planBatch() *round {
 	//lint:ignore clockdiscipline,clocktaint see above: a real measurement by design
 	elapsed := time.Since(start)
 	e.lastRun = now
-	e.batches.Add(1)
-	e.matcherNs.Add(int64(elapsed))
 
 	pairs := match.Pairs()
 	r := &round{

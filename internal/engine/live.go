@@ -5,10 +5,10 @@ import "time"
 // Start launches what paces the engine; every host calls it once, after
 // any recovery and before traffic: Tick every Config.BatchPoll (retention
 // GC, expiry of overdue unassigned tasks, the period half of the batch
-// trigger, the shedder), TryBatch whenever a submit, a release, an attach
-// or a worker turning willing finds more than BatchBound tasks waiting,
-// and TickMonitor every Config.MonitorPeriod (the Eq. 2 sweep). With
-// Config.Defer nil, two wall-clock loops make those calls; with it set,
+// trigger, the shedder), TickMonitor every Config.MonitorPeriod (the Eq. 2
+// sweep), and TryBatch whenever a submit, a release, an attach or a worker
+// turning willing finds more than BatchBound tasks waiting. With
+// Config.Defer nil, one wall-clock loop makes those calls; with it set,
 // Start arms them through Defer and launches no goroutine.
 func (e *Engine) Start() {
 	if e.cfg.Defer != nil {
@@ -20,9 +20,8 @@ func (e *Engine) Start() {
 		}
 		return
 	}
-	e.loops.Add(2)
-	go e.batchLoop()
-	go e.monitorLoop()
+	e.loop.Add(1)
+	go e.run()
 }
 
 // Stop ends what Start launched: no tick or kicked round runs after it,
@@ -31,13 +30,12 @@ func (e *Engine) Start() {
 func (e *Engine) Stop() {
 	e.driven.Store(false)
 	e.stopOnce.Do(func() { close(e.stop) })
-	e.loops.Wait()
+	e.loop.Wait()
 }
 
-// pollTick, monitorTick and wakeRound are batchLoop's ticker and wake
-// cases and monitorLoop's tick on the Defer clock. A tick re-arms itself
-// until Stop; a kicked round empties the wake slot before it runs, so a
-// kick during the round arms the next one.
+// pollTick, monitorTick and wakeRound are run's three cases on the Defer
+// clock. A tick re-arms itself until Stop; a kicked round empties the wake
+// slot before it runs, so a kick during the round arms the next one.
 func (e *Engine) pollTick(time.Time) {
 	if e.driven.Load() {
 		e.Tick()
@@ -62,40 +60,26 @@ func (e *Engine) wakeRound(time.Time) {
 	}
 }
 
-// batchLoop runs every round the live engine plays. The ticker drives
-// Tick — retention GC, expiry of overdue unassigned tasks, the period half
-// of the batch trigger, and the shedder — and a kick (wake) drives
-// TryBatch alone, so a round starts when the backlog crosses BatchBound,
-// not on the next poll.
-func (e *Engine) batchLoop() {
-	defer e.loops.Done()
-	//lint:ignore clockdiscipline the ticker only paces polling; every scheduling decision reads the injected cfg.Clock
-	ticker := time.NewTicker(e.cfg.BatchPoll)
-	defer ticker.Stop()
+// run is the live engine's one loop: the poll ticker drives Tick, the
+// monitor ticker the Eq. 2 sweep, and a kick (wake) drives TryBatch alone,
+// so a round starts when the backlog crosses BatchBound, not on the next
+// poll.
+func (e *Engine) run() {
+	defer e.loop.Done()
+	//lint:ignore clockdiscipline the tickers only pace polling and the sweep; every scheduling decision reads the injected cfg.Clock
+	poll, sweep := time.NewTicker(e.cfg.BatchPoll), time.NewTicker(e.cfg.MonitorPeriod)
+	defer poll.Stop()
+	defer sweep.Stop()
 	for {
 		select {
 		case <-e.stop:
 			return
-		case <-ticker.C:
+		case <-poll.C:
 			e.Tick()
+		case <-sweep.C:
+			e.TickMonitor()
 		case <-e.wake:
 			e.TryBatch()
 		}
-	}
-}
-
-// monitorLoop runs the Eq. 2 sweep.
-func (e *Engine) monitorLoop() {
-	defer e.loops.Done()
-	//lint:ignore clockdiscipline the ticker only paces the sweep; Eq. 2 itself reads the injected cfg.Clock
-	ticker := time.NewTicker(e.cfg.MonitorPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-ticker.C:
-		}
-		e.TickMonitor()
 	}
 }

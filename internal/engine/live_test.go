@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"react/internal/taskq"
 )
 
-// fastConfig makes the live loops hum in unit tests: short poll periods
+// fastConfig makes the live loop hum in unit tests: short poll periods
 // against the system clock.
 func fastConfig() Config {
 	return Config{
@@ -118,8 +119,8 @@ func recv(t *testing.T, feed <-chan taskq.Record) taskq.Record {
 	}
 }
 
-// TestStartStop pins the live loops' lifecycle: Start ticks, Stop waits
-// for both loops and is idempotent, and no tick runs after it.
+// TestStartStop pins the live loop's lifecycle: Start ticks, Stop waits
+// for the loop and is idempotent, and no tick runs after it.
 func TestStartStop(t *testing.T) {
 	e := New(fastConfig(), Hooks{})
 	e.Stop() // harmless on an engine never started
@@ -138,6 +139,38 @@ func TestStartStop(t *testing.T) {
 	if st := e.Stats(); st.Expired != 1 {
 		t.Fatalf("a tick ran after Stop: stats = %+v", st)
 	}
+}
+
+// TestStartLaunchesOneGoroutine pins the live engine's footprint: the
+// poll tick, the Eq. 2 sweep and the kicked rounds share one loop, so
+// Start adds exactly one goroutine and Stop takes it away.
+func TestStartLaunchesOneGoroutine(t *testing.T) {
+	e := New(fastConfig(), Hooks{})
+	before := settledGoroutines()
+	e.Start()
+	if got := settledGoroutines(); got != before+1 {
+		e.Stop()
+		t.Fatalf("Start took goroutines %d -> %d, want one more", before, got)
+	}
+	e.Stop()
+	if got := settledGoroutines(); got != before {
+		t.Fatalf("after Stop goroutines = %d, want %d", got, before)
+	}
+}
+
+// settledGoroutines counts goroutines once the count has held still for
+// a few polls, so one that is just exiting is not counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 5; {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 func TestConfigLiveDefaults(t *testing.T) {
@@ -338,7 +371,7 @@ func TestRetentionGarbageCollectsTerminalTasks(t *testing.T) {
 	h.Submit(liveTask("t1", time.Minute))
 	rec := recv(t, feed)
 	h.Complete(rec.Task.ID, "alice")
-	// After retention elapses the batch loop sweeps the record away.
+	// After retention elapses the live loop sweeps the record away.
 	waitFor(t, 2*time.Second, func() bool {
 		_, ok := h.Tasks().Get("t1")
 		return !ok

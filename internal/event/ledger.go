@@ -3,6 +3,7 @@ package event
 import (
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"react/internal/taskq"
 )
@@ -50,7 +51,8 @@ const (
 // LossKinds lists the kinds in report order.
 var LossKinds = [...]LossKind{LossQueued, LossAbandoned, LossRescueLate, LossRescueExpired}
 
-// Ledger folds the lifecycle event stream into counters and load gauges.
+// Ledger folds the lifecycle event stream, and the KindBatch summaries of
+// the scheduling rounds, into counters and load gauges.
 // Observe is the only code in the tree that decides which event moves
 // which counter: the live engine and journal replay each feed a Ledger and
 // read it back, so a replayed log counts exactly what the live run
@@ -60,14 +62,18 @@ var LossKinds = [...]LossKind{LossQueued, LossAbandoned, LossRescueLate, LossRes
 type Ledger struct {
 	received, assigned, completed, onTime, expired, shed, reassigned atomic.Int64
 
-	revoked    [len(revokeCauses)]atomic.Int64 // this process only; not persisted
-	missed     [len(LossKinds)]atomic.Int64    // this process only; not persisted
-	unassigned atomic.Int64                    // gauge: live tasks waiting in the pool
+	revoked           [len(revokeCauses)]atomic.Int64 // this process only; not persisted
+	missed            [len(LossKinds)]atomic.Int64    // this process only; not persisted
+	rounds, matcherNs atomic.Int64                    // this process only; not persisted
+	unassigned        atomic.Int64                    // gauge: live tasks waiting in the pool
 }
 
-// Observe folds one event in. Forget and batch events move nothing.
+// Observe folds one event in. Forget events move nothing.
 func (l *Ledger) Observe(ev Event) {
 	switch ev.Kind {
+	case KindBatch:
+		l.rounds.Add(1)
+		l.matcherNs.Add(int64(ev.Batch.Elapsed))
 	case KindSubmit:
 		l.received.Add(1)
 		l.unassigned.Add(1)
@@ -164,6 +170,12 @@ func (l *Ledger) Revoked(cause string) int64 {
 		return l.revoked[i].Load()
 	}
 	return 0
+}
+
+// Rounds reports how many scheduling rounds were observed since the
+// process started, and the matcher wall time they spent together.
+func (l *Ledger) Rounds() (int64, time.Duration) {
+	return l.rounds.Load(), time.Duration(l.matcherNs.Load())
 }
 
 // Missed reports how many tasks were observed missing their deadline in

@@ -36,7 +36,7 @@ func TestLedgerFold(t *testing.T) {
 		{Event{Kind: KindComplete, Record: onTime}, Tally{Received: 2, Assigned: 3, Completed: 1, OnTime: 1, Reassigned: 2}, 1, 1},
 		{Event{Kind: KindExpire, Cause: taskq.CauseShed}, Tally{Received: 2, Assigned: 3, Completed: 1, OnTime: 1, Expired: 1, Shed: 1, Reassigned: 2}, 0, 0},
 		{Event{Kind: KindForget}, Tally{Received: 2, Assigned: 3, Completed: 1, OnTime: 1, Expired: 1, Shed: 1, Reassigned: 2}, 0, 0},
-		{Event{Kind: KindBatch, Batch: &BatchStats{}}, Tally{Received: 2, Assigned: 3, Completed: 1, OnTime: 1, Expired: 1, Shed: 1, Reassigned: 2}, 0, 0},
+		{Event{Kind: KindBatch, Batch: &BatchStats{Elapsed: 3 * time.Millisecond}}, Tally{Received: 2, Assigned: 3, Completed: 1, OnTime: 1, Expired: 1, Shed: 1, Reassigned: 2}, 0, 0},
 	}
 	for i, s := range steps {
 		l.Observe(s.ev)
@@ -47,6 +47,9 @@ func TestLedgerFold(t *testing.T) {
 			t.Fatalf("step %d (%v %q): in flight %d, unassigned %d; want %d, %d",
 				i, s.ev.Kind, s.ev.Cause, l.InFlight(), l.Unassigned(), s.inFlight, s.unassigned)
 		}
+	}
+	if n, spent := l.Rounds(); n != 1 || spent != 3*time.Millisecond {
+		t.Fatalf("rounds = %d spending %v, want the one batch's 1 and 3ms", n, spent)
 	}
 	if l.Revoked(taskq.CauseEq2) != 1 || l.Revoked(taskq.CauseUndeliverable) != 1 || l.Revoked(taskq.CauseDetach) != 0 || l.Revoked("") != 0 {
 		t.Fatalf("per-cause revocations: eq2 %d, undeliverable %d, detach %d", l.Revoked(taskq.CauseEq2),

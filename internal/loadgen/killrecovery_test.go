@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -239,7 +240,46 @@ func TestGridSmoke(t *testing.T) {
 		t.Fatalf("regions = %+v, want at least two cells serving", regions)
 	}
 
-	resp, err := http.Get("http://" + httpAddr + "/trace.csv")
+	status, trace := get(t, "http://"+httpAddr+"/trace.csv")
+	if rows := strings.Count(trace, "\n"); status != http.StatusOK || rows < 1+tasks {
+		t.Fatalf("/trace.csv: status %d, %d lines; want a header plus at least one row per task", status, rows)
+	}
+
+	// reactd's onStart wired every cell: each listed region exports its own
+	// received counter, and the series sum to the run's tasks.
+	_, metrics := get(t, "http://"+httpAddr+"/metrics")
+	const series = `react_engine_tasks_received_total{region="`
+	received := map[string]int64{}
+	for _, line := range strings.Split(metrics, "\n") {
+		rest, ok := strings.CutPrefix(line, series)
+		if !ok {
+			continue
+		}
+		id, value, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseInt(value, 10, 64)
+		if _, dup := received[id]; err != nil || dup {
+			t.Fatalf("/metrics: malformed or repeated series %q", line)
+		}
+		received[id] = n
+	}
+	var sum int64
+	for _, r := range regions {
+		n, ok := received[r.Region]
+		if !ok {
+			t.Fatalf("/metrics has no received series for region %s: %v", r.Region, received)
+		}
+		sum += n
+	}
+	if len(received) != len(regions) || sum != tasks {
+		t.Fatalf("/metrics received series %v over %d regions, want one per region summing to %d", received, len(regions), tasks)
+	}
+	t.Logf("grid smoke: %d regions, %d trace bytes, report %+v", len(regions), len(trace), rep)
+}
+
+// get fetches url and returns its status and body.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +288,5 @@ func TestGridSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := strings.Count(string(body), "\n"); resp.StatusCode != http.StatusOK || rows < 1+tasks {
-		t.Fatalf("/trace.csv: status %d, %d lines; want a header plus at least one row per task", resp.StatusCode, rows)
-	}
-	t.Logf("grid smoke: %d regions, %d trace bytes, report %+v", len(regions), len(body), rep)
+	return resp.StatusCode, string(body)
 }

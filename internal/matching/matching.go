@@ -43,17 +43,6 @@ type Stats struct {
 	EdgesScanned int // edge weight inspections (dominant cost for Greedy)
 }
 
-// Add folds other into s; the scalability harness aggregates per-batch stats.
-func (s *Stats) Add(other Stats) {
-	s.Cycles += other.Cycles
-	s.Adds += other.Adds
-	s.Removes += other.Removes
-	s.Swaps += other.Swaps
-	s.Rejects += other.Rejects
-	s.WorseAccepts += other.WorseAccepts
-	s.EdgesScanned += other.EdgesScanned
-}
-
 // DefaultCycles is the cycle budget the paper's end-to-end experiments use
 // for REACT and Metropolis.
 const DefaultCycles = 1000

@@ -309,16 +309,6 @@ func TestUniformIgnoresWeights(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	var total Stats
-	total.Add(Stats{Cycles: 10, Adds: 1, Swaps: 2, Rejects: 3, EdgesScanned: 4})
-	total.Add(Stats{Cycles: 5, Removes: 7, WorseAccepts: 8})
-	if total.Cycles != 15 || total.Adds != 1 || total.Swaps != 2 || total.Rejects != 3 ||
-		total.EdgesScanned != 4 || total.Removes != 7 || total.WorseAccepts != 8 {
-		t.Fatalf("accumulated stats wrong: %+v", total)
-	}
-}
-
 // Property: REACT's final state is always a valid matching with
 // non-negative weight regardless of graph shape or budget.
 func TestQuickREACTAlwaysValid(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"react/internal/clock"
 	"react/internal/engine"
+	"react/internal/event"
 	"react/internal/metrics"
 	"react/internal/region"
 	"react/internal/schedule"
@@ -164,6 +165,20 @@ func TestStatuszEndpoint(t *testing.T) {
 	r := st.Regions[0]
 	if r.ID != "all" || r.Engine.Received != 1 || r.WorkersKnown != 1 {
 		t.Errorf("region snapshot wrong: %+v", r)
+	}
+	// The engine block is the ledger's tally and the round counts; shed
+	// appears only once the shedder has evicted something.
+	var raw struct {
+		Regions []struct{ Engine map[string]any }
+	}
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if eb := raw.Regions[0].Engine; len(eb) != 8 || eb["shed"] != nil || eb["received"] != 1.0 || eb["batches"] == nil {
+		t.Errorf("engine block = %v, want the tally without shed, batches and matcher time", eb)
+	}
+	if b, _ := json.Marshal(EngineStatus{Tally: event.Tally{Expired: 3, Shed: 2}}); !strings.Contains(string(b), `"expired":3,"shed":2,"reassigned":0`) {
+		t.Errorf("engine block with a shed task = %s", b)
 	}
 	if r.TasksBacklog != 0 || r.TasksBacklogHighWater != 1 {
 		t.Errorf("backlog %d (peak %d), want 0 (peak 1)", r.TasksBacklog, r.TasksBacklogHighWater)

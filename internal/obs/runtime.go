@@ -13,7 +13,7 @@ import (
 // from runtime/metrics at scrape time. Two latency histograms: the
 // stop-the-world pause of each garbage collection, and scheduler latency —
 // how long a runnable goroutine waited for a thread. The engine starts a
-// round as soon as a submit or a release kicks its batch loop, so
+// round as soon as a submit or a release kicks its live loop, so
 // scheduler latency is the floor under a task's queue wait; these two tell
 // an operator whether a slow round start was the runtime's. And two
 // gauges: live goroutines, and the bytes in heap objects and goroutine

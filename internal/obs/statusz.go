@@ -3,6 +3,7 @@ package obs
 import (
 	"react/internal/admission"
 	"react/internal/engine"
+	"react/internal/event"
 	"react/internal/profile"
 )
 
@@ -19,14 +20,10 @@ type Source struct {
 	Engine *engine.Engine
 }
 
-// EngineStatus mirrors engine.Stats with JSON tags.
+// EngineStatus is engine.Stats with JSON tags: the ledger's Tally (shed
+// only when non-zero), the round count and the matcher's wall time.
 type EngineStatus struct {
-	Received           int64   `json:"received"`
-	Assigned           int64   `json:"assigned"`
-	Completed          int64   `json:"completed"`
-	OnTime             int64   `json:"on_time"`
-	Expired            int64   `json:"expired"`
-	Reassigned         int64   `json:"reassigned"`
+	event.Tally
 	Batches            int64   `json:"batches"`
 	MatcherTimeSeconds float64 `json:"matcher_time_seconds"`
 }
@@ -83,13 +80,8 @@ func buildRegion(src Source, workerLimit int) RegionStatus {
 	rs := RegionStatus{
 		ID: src.ID,
 		Engine: EngineStatus{
-			Received:           int64(s.Received),
-			Assigned:           int64(s.Assigned),
-			Completed:          int64(s.Completed),
-			OnTime:             int64(s.OnTime),
-			Expired:            int64(s.Expired),
-			Reassigned:         int64(s.Reassigned),
-			Batches:            int64(s.Batches),
+			Tally:              s.Tally,
+			Batches:            s.Batches,
 			MatcherTimeSeconds: s.MatcherTime.Seconds(),
 		},
 	}

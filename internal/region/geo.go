@@ -2,9 +2,10 @@
 // geographic area is divided into non-overlapping regions, each owned by one
 // REACT server that matches the tasks and workers located inside it. The
 // package provides geographic primitives (points, rectangles, haversine
-// distance), a flat grid partition, and a hierarchical quadtree that splits
+// distance) and a flat grid partition. The hierarchical quadtree that splits
 // overloaded regions — the paper's future-work remedy for servers that can
-// no longer sustain the assignment rate (§V.D, §VII).
+// no longer sustain the assignment rate (§V.D, §VII) — lives with its one
+// user, examples/overload (tree.go).
 package region
 
 import (

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"react/internal/admission"
+	"react/internal/event"
 )
 
 // The pooled codec and encoding/json must agree forever: every frame the
@@ -45,14 +46,8 @@ func codecCorpus() []Message {
 		{Type: "assignment", Assignment: &AssignmentPayload{TaskID: "t3", WorkerID: "bob", DeadlineMS: 1}},
 		{Type: "result", Result: &ResultPayload{TaskID: "t1", WorkerID: "alice", Answer: "no", MetDeadline: true}},
 		{Type: "result", Result: &ResultPayload{TaskID: "t4", Expired: true}},
-		{Type: "ok", Seq: 12, Stats: &StatsPayload{
-			Received: 100, Assigned: 90, Completed: 80, OnTime: 70,
-			Expired: 10, Shed: 3, Reassigned: 5, Batches: 40, WorkersOnline: 8, WorkersKnown: 12,
-		}},
-		{Type: "ok", Seq: 13, Regions: []RegionStatsPayload{
-			{Region: "athens-ne", Stats: StatsPayload{Received: 1}},
-			{Region: "athens-sw", Stats: StatsPayload{Completed: 2}},
-		}},
+		statsFrame(),
+		regionsFrame(),
 		{Type: "ok", Seq: 14, Status: &TaskStatusPayload{TaskID: "t1", State: "assigned", Worker: "alice"}},
 		{Type: "ok", Seq: 15, Status: &TaskStatusPayload{TaskID: "t2", State: "completed", MetDeadline: true}},
 		{Type: "event", Event: &EventPayload{
@@ -80,6 +75,40 @@ func codecCorpus() []Message {
 			TaskID: "t-long", WorkerID: "alice", DeadlineMS: 30000,
 			Description: strings.Repeat("look left, then right. ", 134),
 		}},
+	}
+}
+
+func statsFrame() Message {
+	return Message{Type: "ok", Seq: 12, Stats: &StatsPayload{
+		Tally: event.Tally{Received: 100, Assigned: 90, Completed: 80, OnTime: 70,
+			Expired: 10, Shed: 3, Reassigned: 5},
+		Batches: 40, WorkersOnline: 8, WorkersKnown: 12,
+	}}
+}
+
+func regionsFrame() Message {
+	return Message{Type: "ok", Seq: 13, Regions: []RegionStatsPayload{
+		{Region: "athens-ne", Stats: StatsPayload{Tally: event.Tally{Received: 1}}},
+		{Region: "athens-sw", Stats: StatsPayload{Tally: event.Tally{Completed: 2}}},
+	}}
+}
+
+// TestColdFramesPinned pins the bytes of a stats and a regions reply: the
+// counters' keys, their order and shed's omission at zero are protocol,
+// whatever Go shape carries them.
+func TestColdFramesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		m    Message
+		want string
+	}{
+		{statsFrame(), `{"type":"ok","seq":12,"stats":{"received":100,"assigned":90,"completed":80,"on_time":70,"expired":10,"shed":3,"reassigned":5,"batches":40,"workers_online":8,"workers_known":12}}` + "\n"},
+		{regionsFrame(), `{"type":"ok","seq":13,"regions":[` +
+			`{"region":"athens-ne","stats":{"received":1,"assigned":0,"completed":0,"on_time":0,"expired":0,"reassigned":0,"batches":0,"workers_online":0,"workers_known":0}},` +
+			`{"region":"athens-sw","stats":{"received":0,"assigned":0,"completed":2,"on_time":0,"expired":0,"reassigned":0,"batches":0,"workers_online":0,"workers_known":0}}]}` + "\n"},
+	} {
+		if got := string(AppendFrame(nil, &tc.m)); got != tc.want {
+			t.Errorf("frame = %s\nwant    %s", got, tc.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -523,7 +524,17 @@ func regionIDs(s *Server) []string {
 }
 
 func TestFederationLazyRegions(t *testing.T) {
-	s := startFederation(t, nil)
+	var mu sync.Mutex
+	starts := map[string]int{}
+	s, err := ServeGrid("127.0.0.1:0", twoByTwo(t), fastConfig(nil), func(r *Region) {
+		mu.Lock()
+		starts[r.ID]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
 	if got := len(s.Regions()); got != 0 {
 		t.Fatalf("regions before traffic = %d", got)
 	}
@@ -540,6 +551,151 @@ func TestFederationLazyRegions(t *testing.T) {
 	if got := regionIDs(s); len(got) != 2 || got[0] != "r0c0" || got[1] != "r1c1" {
 		t.Fatalf("regions after cross-region traffic = %v, want sorted [r0c0 r1c1]", got)
 	}
+
+	// Concurrent first uses of one cell start it once and share it.
+	const racers = 8
+	got := make([]*Region, racers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = s.at(region.Point{Lat: 3.5, Lon: 0.5})
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r == nil || r != got[0] {
+			t.Fatalf("racer %d got region %p, racer 0 got %p", i, r, got[0])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[string]int{"r0c0": 1, "r1c1": 1, "r1c0": 1}; fmt.Sprint(starts) != fmt.Sprint(want) {
+		t.Fatalf("onStart calls = %v, want %v", starts, want)
+	}
+}
+
+// gatedGrid serves a 2×2 grid whose onStart blocks in cell gated until
+// the returned release is called; entered is closed once it blocks there.
+// Cleanup releases the gate before it closes the server.
+func gatedGrid(t *testing.T, gated string) (s *Server, entered <-chan struct{}, release func()) {
+	t.Helper()
+	in, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	s, err := ServeGrid("127.0.0.1:0", twoByTwo(t), fastConfig(nil), func(r *Region) {
+		if r.ID == gated {
+			close(in)
+			<-gate
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	t.Cleanup(release)
+	return s, in, release
+}
+
+// TestFederationSlowStartBlocksOnlyItsCell: while one cell's onStart is
+// blocked, a running cell serves register, submit, stats and Regions, and
+// the blocked cell's own lookups wait for its start to finish.
+func TestFederationSlowStartBlocksOnlyItsCell(t *testing.T) {
+	s, entered, release := gatedGrid(t, "r1c1")
+	at(t, s, southWest)
+	worker, req := dial(t, s), dial(t, s)
+
+	slow := make(chan *Region, 1)
+	go func() {
+		r, _ := s.at(northEast)
+		slow <- r
+	}()
+	<-entered
+
+	served := make(chan error, 1)
+	go func() {
+		if err := worker.Register("alice", southWest.Lat, southWest.Lon); err != nil {
+			served <- err
+			return
+		}
+		if err := req.Submit(swTask("t1")); err != nil {
+			served <- err
+			return
+		}
+		st, err := req.Stats()
+		if err == nil && st.Received != 1 {
+			err = fmt.Errorf("stats = %+v, want one task received", st)
+		}
+		served <- err
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a running cell's requests waited on another cell's onStart")
+	}
+	if got := regionIDs(s); len(got) != 2 || got[0] != "r0c0" || got[1] != "r1c1" {
+		t.Fatalf("regions while r1c1 starts = %v, want [r0c0 r1c1]", got)
+	}
+	select {
+	case <-slow:
+		t.Fatal("a lookup returned the starting cell before its onStart did")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case r := <-slow:
+		if r == nil || r.ID != "r1c1" {
+			t.Fatalf("starting cell's lookup = %v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the starting cell never came up")
+	}
+}
+
+// TestFederationCloseWaitsForStart: Close issued while a region's onStart
+// is blocked returns only after that start finishes, stops the region's
+// engine too, and later lookups are refused.
+func TestFederationCloseWaitsForStart(t *testing.T) {
+	loops := engineLoops()
+	s, entered, release := gatedGrid(t, "r1c1")
+	go s.at(northEast)
+	<-entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a start was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if got := engineLoops(); got != loops {
+		t.Fatalf("engine loops running after Close = %d, want %d", got, loops)
+	}
+	for _, loc := range []region.Point{northEast, southWest} {
+		if _, err := s.at(loc); !errors.Is(err, ErrClosed) {
+			t.Fatalf("at(%v) after Close: err = %v, want ErrClosed", loc, err)
+		}
+	}
+}
+
+// engineLoops counts the goroutines running an engine's live loop.
+func engineLoops() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "react/internal/engine.(*Engine).run")
 }
 
 func TestFederationSameRegionTaskCompletes(t *testing.T) {

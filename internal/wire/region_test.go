@@ -218,7 +218,7 @@ func TestServerChurnUnderRace(t *testing.T) {
 
 	// Churning workers: connect, drain a few assignments (completing
 	// them), then leave — alternating a dropped connection (detach) and
-	// deregister, so both teardown paths run against the batch loop.
+	// deregister, so both teardown paths run against the live loop.
 	for w := 0; w < churners; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -61,6 +61,9 @@ type Region struct {
 	routes sync.Map
 	// expiries feeds the region's expiry pump; Close closes it.
 	expiries *event.Subscription
+	// ready is closed once start has run: until then the region is listed
+	// but its engine is not started, and lookups of its cell wait.
+	ready chan struct{}
 }
 
 // Engine is the region's scheduling engine.
@@ -233,7 +236,8 @@ func ServeDurable(addr string, cfg engine.Config, store *journal.Store) (*Server
 		return nil, sum, err
 	}
 	s.lone, s.store = r, store
-	s.startRegion(r)
+	s.regions[r.ID] = r
+	s.start(r)
 	s.accept()
 	return s, sum, nil
 }
@@ -250,8 +254,10 @@ func Serve(addr string, cfg engine.Config) (*Server, error) {
 // without affecting the output". A region starts the first time a
 // register or submit locates into its cell, from cfg; onStart, when
 // non-nil, sees it before its engine starts (per-region observability).
-// onStart runs under the lock that starts regions, so it must not call
-// back into the Server.
+// onStart runs with no Server lock held: requests for other regions go on
+// meanwhile, while those for its own cell wait for it, so it must not
+// resolve its own region through the Server. Regions may list a region
+// whose onStart has not returned yet.
 func ServeGrid(addr string, grid *region.Grid, cfg engine.Config, onStart func(*Region)) (*Server, error) {
 	s, err := listen(addr, cfg)
 	if err != nil {
@@ -286,26 +292,29 @@ func (s *Server) accept() {
 }
 
 // newRegion builds a region whose engine delivers straight into its
-// registered workers' connections. Anything that must precede the first
-// tick — journal recovery, per-region observability — goes between this
-// and startRegion.
+// registered workers' connections. Journal recovery goes between this and
+// start.
 func newRegion(id string, cfg engine.Config) *Region {
-	r := &Region{ID: id}
+	r := &Region{ID: id, ready: make(chan struct{})}
 	r.eng = engine.New(cfg, engine.Hooks{Deliver: r.deliver})
 	return r
 }
 
-// startRegion opens r's expiry pump, which pushes a result frame to every
-// watcher for each expiry, starts its engine's live loops, and lists it.
-// Callers hold s.mu, or run before accept.
-func (s *Server) startRegion(r *Region) {
+// start brings a listed region up: onStart's per-region observability,
+// then the expiry pump, which pushes a result frame to every watcher for
+// each expiry, then the engine's live loop; last it marks r ready. Only
+// the caller that listed r runs it, holding no Server lock.
+func (s *Server) start(r *Region) {
+	if s.onStart != nil {
+		s.onStart(r)
+	}
 	r.expiries = r.Events().Subscribe(expiryPumpDepth, func(ev event.Event) bool {
 		return ev.Kind == event.KindExpire
 	})
 	s.wg.Add(1)
 	go s.expiryPump(r.expiries)
 	r.Start()
-	s.regions[r.ID] = r
+	close(r.ready)
 }
 
 // expiryPump pushes a result frame to every watcher for each expiry on one
@@ -328,7 +337,8 @@ func (s *Server) SetIdleTimeout(d time.Duration) { s.idle.Store(int64(d)) }
 // Core is the lone region of Serve/ServeDurable; nil under ServeGrid.
 func (s *Server) Core() *Region { return s.lone }
 
-// Regions lists the running regions, sorted by region id.
+// Regions lists the regions, sorted by region id. Under ServeGrid one may
+// still be starting: its onStart has not returned yet.
 func (s *Server) Regions() []*Region {
 	s.mu.Lock()
 	out := make([]*Region, 0, len(s.regions))
@@ -340,7 +350,7 @@ func (s *Server) Regions() []*Region {
 	return out
 }
 
-// Stats sums the counters of every running region.
+// Stats sums the counters of every listed region.
 func (s *Server) Stats() StatsPayload {
 	var total StatsPayload
 	for _, r := range s.Regions() {
@@ -360,29 +370,27 @@ func (s *Server) at(loc region.Point) (*Region, error) {
 	r, ok := s.regions[id]
 	closed := s.closed
 	s.mu.Unlock()
-	switch {
-	case closed:
+	if !ok && !closed {
+		// Build outside the lock; of two first lookups racing, the one that
+		// lists its region first starts it, and the other's engine, never
+		// started, is dropped.
+		fresh := newRegion(id, s.cfg)
+		s.mu.Lock()
+		if r, ok = s.regions[id]; !ok && !s.closed {
+			r = fresh
+			s.regions[id] = r
+		}
+		closed = s.closed
+		s.mu.Unlock()
+		if r == fresh {
+			s.start(r)
+		}
+	}
+	if closed {
 		return nil, ErrClosed
-	case ok:
-		return r, nil
 	}
-	// Build outside the lock; of two first lookups racing, the one that
-	// lists its region first wins, and the other's engine, never started,
-	// is dropped.
-	fresh := newRegion(id, s.cfg)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if r, ok := s.regions[id]; ok {
-		return r, nil
-	}
-	if s.onStart != nil {
-		s.onStart(fresh)
-	}
-	s.startRegion(fresh)
-	return fresh, nil
+	<-r.ready
+	return r, nil
 }
 
 // holder resolves the region holding a task. The lone region answers for
@@ -443,9 +451,11 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.c.Close()
 	}
-	// The region set is final: at starts none once closed.
+	// The region set is final: at lists none once closed. A region whose
+	// start is in flight is waited for, so every engine stops below.
 	regions := s.Regions()
 	for _, r := range regions {
+		<-r.ready
 		r.expiries.Close() // ends that region's expiry pump
 	}
 	s.wg.Wait()

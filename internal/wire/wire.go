@@ -266,15 +266,11 @@ func toResultPayload(final taskq.Record, answer string) *ResultPayload {
 }
 
 // StatsPayload is the wire form of one region's engine.Stats plus its two
-// worker gauges, or of their sum over every running region.
+// worker gauges, or of their sum over every running region. The embedded
+// Tally's keys come first; its Shed is the part of Expired the admission
+// shedder evicted.
 type StatsPayload struct {
-	Received      int64 `json:"received"`
-	Assigned      int64 `json:"assigned"`
-	Completed     int64 `json:"completed"`
-	OnTime        int64 `json:"on_time"`
-	Expired       int64 `json:"expired"`
-	Shed          int64 `json:"shed,omitempty"` // of Expired: evicted by the admission shedder
-	Reassigned    int64 `json:"reassigned"`
+	event.Tally
 	Batches       int64 `json:"batches"`
 	WorkersOnline int   `json:"workers_online"`
 	WorkersKnown  int   `json:"workers_known"`
