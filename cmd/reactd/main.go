@@ -98,7 +98,7 @@ func main() {
 	batchPeriod := flag.Duration("batch-period", 5*time.Second, "maximum interval between batches")
 	probBound := flag.Float64("edge-bound", 0.1, "Eq.3 probability bound for instantiating an edge")
 	threshold := flag.Float64("reassign-threshold", 0.1, "Eq.2 probability below which a task is reassigned (negative turns Eq.2 off)")
-	monitorPeriod := flag.Duration("monitor-period", time.Second, "Eq.2 sweep period")
+	monitorPeriod := flag.Duration("monitor-period", time.Second, "Eq.2 sweep period; the sweep rides the 200ms batch poll, landing on the first poll at or past each period, and a period under 200ms lowers the poll to it")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats logging period (0 disables)")
 	dataDir := flag.String("data-dir", "", "write-ahead journal directory: state recovered at startup, every mutation journaled (single-region mode only: refused together with -grid)")
 	fsyncInterval := flag.Duration("fsync-interval", 25*time.Millisecond, "group-commit window: the journal fsyncs at most this far behind the last acknowledged mutation")

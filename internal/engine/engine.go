@@ -7,15 +7,15 @@
 // the overload shedder, and terminal-record retention.
 //
 // Every decision runs inside an explicit call (SubmitFrom, Complete,
-// Feedback, AttachWorker, DetachWorker, Tick, TickMonitor, TryBatch); the
-// engine owns no sockets, and Start (live.go) is the one way a host paces
-// the calls, so two very different hosts run one sequence:
+// Feedback, AttachWorker, DetachWorker) or on the one clock Start (live.go)
+// gives the engine; it owns no sockets, so two very different hosts run
+// one sequence:
 //
 //   - internal/wire runs one engine per region against a real clock: Start
-//     launches one loop over two tickers and the wake slot, and its Deliver
+//     launches one loop over one ticker and the wake slot, and its Deliver
 //     hook writes each assignment straight into the worker's connection;
 //   - internal/experiments sets Config.Defer to sim.Engine.After, so Start
-//     arms the same ticks as events on the virtual clock, which also pays
+//     arms the same poll as events on the virtual clock, which also pays
 //     the modelled matcher latency of DESIGN.md §2 (Config.Latency).
 //
 // The CI determinism gate (same-seed figure runs byte-identical, diffed
@@ -55,7 +55,7 @@ type Hooks struct {
 	// the binding: the task returns to the pool and the worker is marked
 	// idle.
 	// A nil Deliver accepts every assignment. Deliver is invoked with no
-	// engine lock held and must not re-enter TryBatch.
+	// engine lock held and must not re-enter tryBatch.
 	Deliver func(taskq.Record) bool
 }
 
@@ -85,14 +85,14 @@ type Config struct {
 	// the real elapsed time already spent.
 	Latency func(tasks, workers, edges, cycles int) time.Duration
 	// Defer, when set, paces every engine timer on the host's clock: Start
-	// arms Tick, TickMonitor and each kicked round through it, and a round
-	// applies after its modelled latency through it (the experiments point
-	// it at sim.Engine.After). Nil is the live mode: one wall-clock loop, and
+	// arms the poll and each kicked round through it, and a round applies
+	// after its modelled latency through it (the experiments point it at
+	// sim.Engine.After). Nil is the live mode: one wall-clock loop, and
 	// rounds apply synchronously. Defer must only schedule fn, never run it.
 	Defer func(d time.Duration, fn func(now time.Time))
-	// BatchPoll and MonitorPeriod pace what Start runs: Tick every
-	// BatchPoll (default 200ms), TickMonitor every MonitorPeriod (default
-	// 1s), on the wall clock or through Defer.
+	// BatchPoll (default 200ms) paces Start's one poll, which runs Tick, and
+	// first the Eq. 2 sweep on the first poll at or past each MonitorPeriod
+	// (default 1s) grid point. A shorter MonitorPeriod lowers BatchPoll to it.
 	BatchPoll     time.Duration
 	MonitorPeriod time.Duration
 	// QueueDepth is read by no code. It is kept only so that the benchmark
@@ -111,6 +111,9 @@ func (c Config) normalize() Config {
 	}
 	if c.MonitorPeriod <= 0 {
 		c.MonitorPeriod = time.Second
+	}
+	if c.MonitorPeriod < c.BatchPoll {
+		c.BatchPoll = c.MonitorPeriod
 	}
 	if c.Matcher == nil {
 		c.Matcher = matching.REACT{Adaptive: true}
@@ -169,14 +172,15 @@ type Engine struct {
 	ledger event.Ledger // lifecycle and round counters; the bus's first tap
 
 	// What Start runs (live.go): stop ends the live loop, loop waits for
-	// it, driven is set while a Defer-paced engine runs, and wake (one
-	// slot) asks for a round the moment the backlog half of the trigger
-	// holds (kick).
-	stop     chan struct{}
-	stopOnce sync.Once
-	loop     sync.WaitGroup
-	driven   atomic.Bool
-	wake     chan struct{}
+	// it, driven is set while a Defer-paced engine runs, wake (one slot)
+	// asks for a round the moment the backlog half of the trigger holds
+	// (kick), and nextSweep is when the poll next runs the Eq. 2 sweep.
+	stop      chan struct{}
+	stopOnce  sync.Once
+	loop      sync.WaitGroup
+	driven    atomic.Bool
+	wake      chan struct{}
+	nextSweep time.Time
 }
 
 // New creates an engine. The first batch is considered due immediately
@@ -268,8 +272,8 @@ func (e *Engine) Submit(t taskq.Task) error {
 // atomic load. It never blocks: the wake channel has one slot, so kicks
 // that land while a round runs coalesce into the one after it. The batch
 // loop reads the slot; on a Defer-driven engine the kick that fills it
-// arms the round as Defer(0, …). The period half stays on the BatchPoll
-// tick. An engine not started leaves its kicks unread.
+// arms the round as Defer(0, …). The period half stays on the poll. An
+// engine not started leaves its kicks unread.
 func (e *Engine) kick() {
 	if e.ledger.Unassigned() <= int64(e.cfg.Schedule.BatchBound) {
 		return
@@ -409,44 +413,27 @@ func (e *Engine) Stats() Stats {
 	return Stats{Tally: e.ledger.Counts(), Batches: batches, MatcherTime: matcher}
 }
 
-// Tick runs one full maintenance pass — retention GC, unassigned-task
-// expiry, the batch trigger, then the overload shedder — in the order a
-// started engine runs it every BatchPoll: once the tick has expired what
-// the clock already killed, CoDel decides whether the surviving backlog's
-// queue delay warrants shedding more.
+// Tick runs one maintenance pass, as the poll does every BatchPoll:
+// retention GC of terminal records (a zero Retention keeps everything),
+// expiry of overdue tasks still in the pool (a held one runs to a possibly
+// late completion: the paper's soft deadline), the batch trigger, then the
+// shedder, so CoDel judges the backlog expiry left. It is exported only for
+// the benchmark module's engine.tick_us probe.
 func (e *Engine) Tick() {
-	e.TickRetention()
-	e.TickExpiry()
-	e.TryBatch()
+	if e.cfg.Retention > 0 {
+		e.tasks.ForgetTerminatedBefore(e.cfg.Clock.Now().Add(-e.cfg.Retention))
+	}
+	e.tasks.ExpireUnassigned()
+	e.tryBatch()
 	if e.adm != nil {
 		e.adm.TickShed(e.tasks)
 	}
 }
 
-// TickRetention garbage-collects terminal task records older than the
-// retention window. A zero retention keeps everything.
-func (e *Engine) TickRetention() {
-	if e.cfg.Retention <= 0 {
-		return
-	}
-	e.tasks.ForgetTerminatedBefore(e.cfg.Clock.Now().Add(-e.cfg.Retention))
-}
-
-// TickExpiry expires every overdue task still waiting in the pool. Each
-// expiry lands on the event spine as a KindExpire event. Tasks already
-// in a worker's hands run to (possibly late) completion — the paper's
-// soft-deadline policy.
-func (e *Engine) TickExpiry() { e.tasks.ExpireUnassigned() }
-
-// ExpireAllDue expires every overdue task, assigned or not — the
-// end-of-run accounting sweep the experiments harness performs after the
-// drain window.
-func (e *Engine) ExpireAllDue() { e.tasks.ExpireDue() }
-
-// TickMonitor runs one Eq. 2 sweep: every executing task whose completion
+// sweep runs one Eq. 2 pass: every executing task whose completion
 // probability fell below the threshold is returned to the pool and its
 // worker freed.
-func (e *Engine) TickMonitor() {
+func (e *Engine) sweep() {
 	now := e.cfg.Clock.Now()
 	for _, d := range e.cfg.Monitor.Sweep(e.workers, e.tasks, now) {
 		if d.Reassign {
@@ -482,21 +469,21 @@ type round struct {
 	stats    event.BatchStats
 }
 
-// TryBatch runs one scheduling round if the trigger is due: snapshot the
+// tryBatch runs one scheduling round if the trigger is due: snapshot the
 // available workers and unassigned tasks, build the Eq. 3 graph, match it,
 // and apply the assignments. With Config.Defer set, application is
 // postponed by the modelled matcher latency and at most one round is in
 // flight at a time; the deferred apply re-arms the trigger check so a
 // backlog that built up during the charge drains immediately.
-func (e *Engine) TryBatch() {
+func (e *Engine) tryBatch() {
 	r := e.planBatch()
 	if r == nil {
 		return
 	}
 	// The round summary publishes with no engine lock held: a tap is free
-	// to call back into the engine (Complete, Feedback, even TryBatch —
-	// the inFlight gate makes that a no-op) without deadlocking, and a
-	// slow subscriber can never stall the trigger check. reactlint's
+	// to call back into the engine (Complete, Feedback, even a round — the
+	// inFlight gate makes that a no-op) without deadlocking, and a slow
+	// subscriber can never stall the trigger check. reactlint's
 	// hookreentrancy analyzer enforces this.
 	e.bus.Publish(event.Event{Kind: event.KindBatch, At: e.cfg.Clock.Now(), Batch: &r.stats})
 	if e.cfg.Defer != nil {
@@ -508,7 +495,7 @@ func (e *Engine) TryBatch() {
 		e.cfg.Defer(r.stats.Latency, func(time.Time) {
 			e.finishRound(r.bindings)
 			if len(r.bindings) > 0 || r.stats.Latency > 0 {
-				e.TryBatch()
+				e.tryBatch()
 			}
 		})
 		return
@@ -516,12 +503,12 @@ func (e *Engine) TryBatch() {
 	e.finishRound(r.bindings)
 }
 
-// planBatch is the locked half of TryBatch — trigger → prune (Eq. 3) →
+// planBatch is the locked half of tryBatch — trigger → prune (Eq. 3) →
 // match, all under batchMu. A round is never due with nothing unassigned;
 // otherwise it is due once the backlog exceeds BatchBound or a
 // BatchPeriod has passed since the last one (§IV.A). When a round is
 // produced, inFlight is set before the lock is released so concurrent
-// TryBatch calls stay no-ops until the round is applied; nil means no
+// tryBatch calls stay no-ops until the round is applied; nil means no
 // round ran.
 func (e *Engine) planBatch() *round {
 	e.batchMu.Lock()

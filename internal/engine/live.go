@@ -3,18 +3,16 @@ package engine
 import "time"
 
 // Start launches what paces the engine; every host calls it once, after
-// any recovery and before traffic: Tick every Config.BatchPoll (retention
-// GC, expiry of overdue unassigned tasks, the period half of the batch
-// trigger, the shedder), TickMonitor every Config.MonitorPeriod (the Eq. 2
-// sweep), and TryBatch whenever a submit, a release, an attach or a worker
-// turning willing finds more than BatchBound tasks waiting. With
-// Config.Defer nil, one wall-clock loop makes those calls; with it set,
-// Start arms them through Defer and launches no goroutine.
+// any recovery and before traffic: poll every Config.BatchPoll, and a
+// round whenever a submit, a release, an attach or a worker turning
+// willing finds more than BatchBound tasks waiting. With Config.Defer nil,
+// one wall-clock loop makes those calls; with it set, Start arms them
+// through Defer and launches no goroutine.
 func (e *Engine) Start() {
+	e.nextSweep = e.cfg.Clock.Now().Add(e.cfg.MonitorPeriod)
 	if e.cfg.Defer != nil {
 		e.driven.Store(true)
 		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
-		e.cfg.Defer(e.cfg.MonitorPeriod, e.monitorTick)
 		if len(e.wake) > 0 {
 			e.cfg.Defer(0, e.wakeRound) // kicked before Start
 		}
@@ -24,7 +22,7 @@ func (e *Engine) Start() {
 	go e.run()
 }
 
-// Stop ends what Start launched: no tick or kicked round runs after it,
+// Stop ends what Start launched: no poll or kicked round runs after it,
 // and nothing re-arms. It is idempotent, and harmless on an engine never
 // started.
 func (e *Engine) Stop() {
@@ -33,20 +31,25 @@ func (e *Engine) Stop() {
 	e.loop.Wait()
 }
 
-// pollTick, monitorTick and wakeRound are run's three cases on the Defer
-// clock. A tick re-arms itself until Stop; a kicked round empties the wake
-// slot before it runs, so a kick during the round arms the next one.
-func (e *Engine) pollTick(time.Time) {
-	if e.driven.Load() {
-		e.Tick()
-		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
+// poll is the engine's one periodic handler: the Eq. 2 sweep once the
+// clock reaches nextSweep, which then moves to the first MonitorPeriod
+// grid point past now (a stalled poll makes up no missed sweeps), then
+// Tick, whose round can so rebind at once what the sweep freed.
+func (e *Engine) poll() {
+	if now := e.cfg.Clock.Now(); !now.Before(e.nextSweep) {
+		e.sweep()
+		e.nextSweep = e.nextSweep.Add((now.Sub(e.nextSweep)/e.cfg.MonitorPeriod + 1) * e.cfg.MonitorPeriod)
 	}
+	e.Tick()
 }
 
-func (e *Engine) monitorTick(time.Time) {
+// pollTick and wakeRound are run's two cases on the Defer clock. The poll
+// re-arms itself until Stop; a kicked round empties the wake slot before
+// it runs, so a kick during the round arms the next one.
+func (e *Engine) pollTick(time.Time) {
 	if e.driven.Load() {
-		e.TickMonitor()
-		e.cfg.Defer(e.cfg.MonitorPeriod, e.monitorTick)
+		e.poll()
+		e.cfg.Defer(e.cfg.BatchPoll, e.pollTick)
 	}
 }
 
@@ -56,30 +59,26 @@ func (e *Engine) wakeRound(time.Time) {
 	default:
 	}
 	if e.driven.Load() {
-		e.TryBatch()
+		e.tryBatch()
 	}
 }
 
-// run is the live engine's one loop: the poll ticker drives Tick, the
-// monitor ticker the Eq. 2 sweep, and a kick (wake) drives TryBatch alone,
-// so a round starts when the backlog crosses BatchBound, not on the next
-// poll.
+// run is the live engine's one loop: the BatchPoll ticker drives poll,
+// and a kick (wake) drives tryBatch alone, so a round starts when the
+// backlog crosses BatchBound, not on the next poll.
 func (e *Engine) run() {
 	defer e.loop.Done()
-	//lint:ignore clockdiscipline the tickers only pace polling and the sweep; every scheduling decision reads the injected cfg.Clock
-	poll, sweep := time.NewTicker(e.cfg.BatchPoll), time.NewTicker(e.cfg.MonitorPeriod)
-	defer poll.Stop()
-	defer sweep.Stop()
+	//lint:ignore clockdiscipline the ticker only paces polling; every scheduling decision, the sweep's due time included, reads the injected cfg.Clock
+	ticker := time.NewTicker(e.cfg.BatchPoll)
+	defer ticker.Stop()
 	for {
 		select {
 		case <-e.stop:
 			return
-		case <-poll.C:
-			e.Tick()
-		case <-sweep.C:
-			e.TickMonitor()
+		case <-ticker.C:
+			e.poll()
 		case <-e.wake:
-			e.TryBatch()
+			e.tryBatch()
 		}
 	}
 }

@@ -426,7 +426,7 @@ func TestTeardownInsideDeliveryRevokesOnce(t *testing.T) {
 	routes["w1"] = true
 	mustAttach(t, h.eng, "w1")
 	mustSubmit(t, h.eng, testTask("t1", h.clk))
-	h.eng.TryBatch()
+	h.eng.tryBatch()
 	h.flush()
 
 	if rec, _ := h.eng.Tasks().Get("t1"); rec.Status != taskq.Unassigned || rec.Worker != "" {

@@ -13,8 +13,8 @@ import (
 // the time already elapsed and the time remaining to the deadline. When
 // that probability drops below a threshold (10% in the paper's
 // experiments) the worker has almost certainly delayed or abandoned the
-// task, and TickMonitor removes the assignment so the next round can find
-// a better match while there is still time.
+// task, and the sweep the engine's poll runs removes the assignment so the
+// next round can find a better match while there is still time.
 
 // DefaultThreshold is the reassignment probability bound used in §V.C.
 const DefaultThreshold = 0.10

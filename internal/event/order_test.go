@@ -129,7 +129,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 					t.Errorf("submit %s: %v", id, err)
 					return
 				}
-				eng.TryBatch()
+				eng.Tick()
 				// Complete whatever this task got; "not assigned / wrong
 				// worker" errors are expected interleavings, not failures.
 				if rec, ok := eng.Tasks().Get(id); ok && rec.Worker != "" {
@@ -150,7 +150,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 	// Drain the pipeline: keep batching+completing until nothing is held,
 	// then expire the rest and garbage-collect every terminal record.
 	for pass := 0; pass < 2*goroutines*tasksPerGoro; pass++ {
-		eng.TryBatch()
+		eng.Tick()
 		progressed := false
 		for g := 0; g < goroutines; g++ {
 			for i := 0; i < tasksPerGoro; i++ {
@@ -167,7 +167,7 @@ func TestPerTaskTotalOrderUnderConcurrency(t *testing.T) {
 		}
 	}
 	clk.Advance(2 * time.Hour)
-	eng.ExpireAllDue()
+	eng.Tasks().ExpireDue()
 	eng.Tasks().ForgetTerminatedBefore(clk.Now().Add(time.Hour))
 
 	tc.mu.Lock()

@@ -248,7 +248,7 @@ func runScenario(cfg ScenarioConfig, tap func(event.Event)) ScenarioResult {
 	re.Stop()
 
 	// Anything still live at the cap is a missed task.
-	re.ExpireAllDue()
+	re.Tasks().ExpireDue()
 
 	st := re.Stats()
 	res.Ledger = re.Ledger()

@@ -25,8 +25,8 @@ type host struct {
 }
 
 // openHost opens (or recovers) dir into a fresh, not-started engine on cfg.
-// No Start: the tests drive the engine directly, so every timing comes
-// from the virtual clock.
+// Every timing comes from the virtual clock: a test drives the engine
+// directly, or starts it on a Defer it captures and fires by hand.
 func openHost(t *testing.T, dir string, cfg engine.Config) (*host, Summary) {
 	t.Helper()
 	store, err := Open(Options{Dir: dir, Logf: t.Logf})
@@ -265,12 +265,46 @@ func workerStates(e *engine.Engine) map[string]workerState {
 // recover the same way: workers attached, graded and deregistered with
 // and without a route come back exactly as the live registry held them
 // (profile.Registry.Observe is the other fold), offline.
+//
+// The live engine is started on a captured Config.Defer, as a simulation
+// host's is, and the test fires what it arms: its one poll (Tick, after
+// the Eq. 2 sweep once a MonitorPeriod is due) and each round's apply.
 func TestReplayEqualsLive(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	cfg := engine.Config{Clock: clk}
+	type armedCall struct {
+		d  time.Duration
+		fn func(time.Time)
+	}
+	var armed []armedCall
+	cfg := engine.Config{Clock: clk, Defer: func(d time.Duration, fn func(time.Time)) {
+		armed = append(armed, armedCall{d, fn})
+	}}
+	// fire runs the oldest call armed with delay d and reports whether
+	// there was one.
+	fire := func(d time.Duration) bool {
+		for i, a := range armed {
+			if a.d == d {
+				armed = append(armed[:i:i], armed[i+1:]...)
+				a.fn(clk.Now())
+				return true
+			}
+		}
+		return false
+	}
+	poll := func() {
+		t.Helper()
+		if !fire(200 * time.Millisecond) { // the default BatchPoll
+			t.Fatal("no poll armed")
+		}
+	}
+	land := func() { // every round's apply, and the re-checks they arm
+		for fire(0) {
+		}
+	}
 	loc := region.Point{Lat: 40, Lon: -74}
 	h, _ := openHost(t, dir, cfg)
+	h.Start()
 
 	submit := func(id string, ttl time.Duration) {
 		t.Helper()
@@ -278,12 +312,14 @@ func TestReplayEqualsLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// round lets a batch period pass and runs one scheduling round, then
-	// checks where it left the task.
+	// round lets a batch period pass and runs one poll, whose round it
+	// lands, then checks where it left the task. Its sweep finds nothing
+	// held.
 	round := func(id, wantWorker string) {
 		t.Helper()
 		clk.Advance(5 * time.Second)
-		h.TryBatch()
+		poll()
+		land()
 		if rec, _ := h.Tasks().Get(id); rec.Worker != wantWorker {
 			t.Fatalf("after the round %s is held by %q (%v), want %q", id, rec.Worker, rec.Status, wantWorker)
 		}
@@ -327,16 +363,19 @@ func TestReplayEqualsLive(t *testing.T) {
 	}
 	h.deregister(t, "visitor")
 
-	// Eq. 2 revoke, then the same task dies in the pool at its deadline.
+	// Eq. 2 revoke, then the same task dies in the pool at its deadline:
+	// the revoking poll's round offers doomed to w1 again, but its apply is
+	// still armed when the deadline passes, and then finds doomed expired.
 	submit("doomed", 10*time.Minute)
 	round("doomed", "w1")
 	clk.Advance(9 * time.Minute)
-	h.TickMonitor()
+	poll()
 	if got := h.Ledger().Revoked(taskq.CauseEq2); got != 1 {
 		t.Fatalf("Eq. 2 revocations = %d, want 1", got)
 	}
 	clk.Advance(2 * time.Minute)
-	h.TickExpiry()
+	poll()
+	land()
 
 	// Detach revoke; then an assignment the host refuses (ghost is
 	// attached on the engine but has no route); then a shed.
@@ -430,7 +469,7 @@ func TestAdmissionLoadSurvivesRecovery(t *testing.T) {
 		t.Fatalf("recovered loads %d/%d, store holds %d unassigned + %d assigned", in, un, u, a)
 	}
 	clk.Advance(2 * time.Minute)
-	h.TickExpiry()
+	h.Tick()
 	if in, un := h.Admission().Loads(); in != 0 || un != 0 {
 		t.Fatalf("loads after the recovered tasks expired: %d/%d, want 0/0", in, un)
 	}

@@ -19,7 +19,7 @@ type cgNode struct {
 	lit  *ast.FuncLit  // nil for declared functions
 	pkg  *TypedPackage
 	body *ast.BlockStmt
-	name string // stable display name, e.g. "engine.(*Engine).TryBatch"
+	name string // stable display name, e.g. "engine.(*Engine).Tick"
 
 	cfg *funcCFG // built lazily by lockstate
 }

@@ -45,7 +45,7 @@ func newTestEngine(t *testing.T) (*engine.Engine, *clock.Virtual, *EngineCollect
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng.TryBatch()
+	eng.Tick()
 	return eng, clk, col
 }
 
@@ -121,7 +121,7 @@ func TestReassignCounters(t *testing.T) {
 	}
 	// Back in the pool after four attempts, t1 then dies at its deadline.
 	clk.Advance(2 * time.Hour)
-	eng.TickExpiry()
+	eng.Tick()
 	srv := newTestServer(t, eng, clk, col)
 	_, body := get(t, srv.Handler(), "/metrics")
 	// Causes outside the two exported ones count only toward the total.

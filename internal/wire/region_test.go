@@ -183,7 +183,9 @@ func TestServerChurnUnderRace(t *testing.T) {
 		requesters, perRequester, churners = 2, 10, 3
 	}
 	// An aggressive monitor makes the Eq. 2 sweep actually contend with
-	// submissions and completions instead of idling between them.
+	// submissions and completions instead of idling between them. A
+	// MonitorPeriod below BatchPoll lowers the poll to it, so the engine
+	// polls, and sweeps, every millisecond.
 	s, err := Serve("127.0.0.1:0", engine.Config{
 		MonitorPeriod: time.Millisecond,
 		BatchPoll:     5 * time.Millisecond,
